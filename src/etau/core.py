@@ -200,6 +200,18 @@ def metric_arrays(model: Model, tau: float, x, y) -> np.ndarray:
     return g
 
 
+def metric_quadratic_form(model: Model, tau: float, x, y, dx, dy, dt):
+    """Squared length lam^2 (dx^2 + dy^2) + (dt + w1 dx + w2 dy)^2 of the
+    coordinate vectors (dx, dy, dt) at the base points (x, y).
+
+    Equal to delta @ metric_arrays(...) @ delta without building the
+    (..., 3, 3) tensors; as a sum of squares it is never negative.
+    """
+    lam, lam_x, lam_y = conformal_data_arrays(model, x, y)
+    vertical = dt + 2.0 * tau * (lam_y * dx - lam_x * dy) / lam
+    return lam * lam * (dx * dx + dy * dy) + vertical * vertical
+
+
 # -- scalar API --------------------------------------------------------------
 
 
@@ -347,10 +359,10 @@ def distance_to_vertical_geodesic(p: BasePoint, s: float) -> float:
 def chord_length(p: AmbientPoint, q: AmbientPoint, tau: float) -> float:
     """Length of the coordinate chord pq in the metric at its midpoint."""
     ensure_same_model(p.base, q.base)
-    delta = q.coords() - p.coords()
-    mx, my = 0.5 * (p.x + q.x), 0.5 * (p.y + q.y)
-    g = metric_arrays(p.model, tau, mx, my)
-    return float(math.sqrt(delta @ g @ delta))
+    sq = metric_quadratic_form(
+        p.model, tau, 0.5 * (p.x + q.x), 0.5 * (p.y + q.y), q.x - p.x, q.y - p.y, q.t - p.t
+    )
+    return math.sqrt(sq)
 
 
 def polyline_length(model: Model, tau: float, coords: np.ndarray) -> float:
@@ -360,6 +372,5 @@ def polyline_length(model: Model, tau: float, coords: np.ndarray) -> float:
         raise ParameterError("polyline needs shape (n, 3) with n >= 2")
     mid = 0.5 * (pts[:-1] + pts[1:])
     delta = pts[1:] - pts[:-1]
-    g = metric_arrays(model, tau, mid[:, 0], mid[:, 1])
-    sq = np.einsum("ni,nij,nj->n", delta, g, delta)
-    return float(np.sum(np.sqrt(np.maximum(sq, 0.0))))
+    sq = metric_quadratic_form(model, tau, mid[:, 0], mid[:, 1], delta[:, 0], delta[:, 1], delta[:, 2])
+    return float(np.sum(np.sqrt(sq)))

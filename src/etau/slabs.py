@@ -11,7 +11,6 @@ conditions on sampled interior points.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
@@ -19,12 +18,13 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.ndimage import label as _ndimage_label
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 from scipy.special import sici
 
 from .core import (
     AmbientPoint,
     BasePoint,
+    ConvergenceError,
     FeasibilityError,
     InvalidPointError,
     Model,
@@ -32,7 +32,7 @@ from .core import (
     SpaceParams,
     chord_length,
     convert_coords_arrays,
-    metric_arrays,
+    metric_quadratic_form,
 )
 from .graphs import (
     Chart,
@@ -58,7 +58,6 @@ from .surfaces import (
     SurfaceMesh,
     _catenoid_table,
     _leaf_side_pulled,
-    apply_isometry_to_mesh,
     catenoid_height,
     catenoid_neck_radius,
     catenoid_profile_inverse,
@@ -129,6 +128,10 @@ def halfplane_window_domain(
 
 # -- annulus family ------------------------------------------------------------
 
+# Points mapped per batch in edge_length_spectrum: enough to amortize the
+# per-call overhead, small enough to keep the temporaries in cache.
+_SPECTRUM_CHUNK_POINTS = 1 << 14
+
 
 @lru_cache(maxsize=8)
 def _model_annulus_mesh(
@@ -155,7 +158,7 @@ class AnnulusInstance:
 
     point: AmbientPoint
     placement: AmbientIsometry
-    mesh: SurfaceMesh
+    resolution: tuple[int, int]
     tau: float
     d: float
     rho_boundary: float
@@ -191,8 +194,14 @@ class AnnulusInstance:
             return upper, lower
         return lower, upper
 
-    def distance_to(self, q: AmbientPoint) -> float:
-        """Ambient chord distance from q to the smooth annulus (local search)."""
+    def distance_to(self, q: AmbientPoint, accept_below: float = 0.0) -> float:
+        """Ambient chord distance from q to the smooth annulus (local search).
+
+        The search starts at the reference vertex, which the placement pins
+        onto the requested point.  When the chord distance from q to that
+        vertex is already below accept_below, it is returned without a
+        search: it is then an upper bound of the distance, not the minimum.
+        """
         if q.model is not Model.CYLINDER:
             raise ParameterError("annulus instances live in the cylinder model")
 
@@ -207,6 +216,9 @@ class AnnulusInstance:
             return chord_length(p, q, self.tau) + penalty
 
         start = np.array([0.0, self.w_reference])
+        at_start = objective(start)
+        if at_start < accept_below:
+            return at_start
         res = minimize(
             objective,
             start,
@@ -232,10 +244,6 @@ class CatenoidAnnulusGenerator:
     fiber_center: Callable[[AmbientPoint], float]
     resolution: tuple[int, int] = (65, 96)
 
-    def model_mesh(self) -> SurfaceMesh:
-        rows, cols = self.resolution
-        return _model_annulus_mesh(self.tau, self.d, self.rho_boundary, rows, cols)
-
     def __call__(self, p: AmbientPoint) -> AnnulusInstance:
         pc = p if p.model is Model.CYLINDER else _to_cylinder_point(p, self.tau)
         spec = CatenoidSpec(tau=self.tau, d=self.d)
@@ -260,12 +268,11 @@ class CatenoidAnnulusGenerator:
         image = apply(move, AmbientPoint(BasePoint(Model.CYLINDER, b_ref, 0.0), sign * abs(offset)))
         lift = pc.t - image.t
         placement = compose(vertical_translation(lift, self.tau, Model.CYLINDER), move)
-        mesh = apply_isometry_to_mesh(placement, self.model_mesh())
         w_ref = sign * math.sqrt(max(rho_p - rmin, 0.0)) / sigma_max
         return AnnulusInstance(
             point=p,
             placement=placement,
-            mesh=mesh,
+            resolution=self.resolution,
             tau=self.tau,
             d=self.d,
             rho_boundary=self.rho_boundary,
@@ -283,20 +290,20 @@ def _to_cylinder_point(p: AmbientPoint, tau: float) -> AmbientPoint:
 def _batched_polyline_lengths(model: Model, tau: float, pts: np.ndarray) -> np.ndarray:
     delta = pts[:, 1:, :] - pts[:, :-1, :]
     mid = 0.5 * (pts[:, 1:, :] + pts[:, :-1, :])
-    g = metric_arrays(model, tau, mid[..., 0], mid[..., 1])
-    sq = np.einsum("...i,...ij,...j->...", delta, g, delta)
-    return np.sqrt(np.maximum(sq, 0.0)).sum(axis=1)
+    sq = metric_quadratic_form(
+        model, tau, mid[..., 0], mid[..., 1], delta[..., 0], delta[..., 1], delta[..., 2]
+    )
+    return np.sqrt(sq).sum(axis=1)
 
 
-def _segment_lengths(
+def _mapped_subdivisions(
     instance: AnnulusInstance, a: np.ndarray, b: np.ndarray, m: int
 ) -> np.ndarray:
+    """Images of the segments a -> b split into m equal parts, shape (n, m + 1, 3)."""
     frac = np.linspace(0.0, 1.0, m + 1)
     pts = a[:, None, :] * (1.0 - frac)[None, :, None] + b[:, None, :] * frac[None, :, None]
     mapped = apply_to_coords(instance.placement, pts.reshape(-1, 3))
-    return _batched_polyline_lengths(
-        Model.CYLINDER, instance.tau, mapped.reshape(a.shape[0], m + 1, 3)
-    )
+    return mapped.reshape(a.shape[0], m + 1, 3)
 
 
 def edge_length_spectrum(instance: AnnulusInstance, target_step: float = 0.015) -> np.ndarray:
@@ -307,24 +314,32 @@ def edge_length_spectrum(instance: AnnulusInstance, target_step: float = 0.015) 
     Richardson-extrapolated, so isometric instances produce matching spectra
     well below the comparison tolerance.  Boundary-rim edges of a large
     annulus span tens of hyperbolic units and dominate the cost; edges are
-    bucketed by the subdivision level they need.
+    bucketed by the subdivision level they need.  Each level maps its fine
+    polyline once, in chunks of about _SPECTRUM_CHUNK_POINTS points, and
+    reads the coarse polyline off every second node: with m a power of two
+    those nodes equal the nodes of a separate m-part subdivision.
     """
-    rows, cols = instance.mesh.grid_shape
+    rows, cols = instance.resolution
     model = _model_annulus_mesh(instance.tau, instance.d, instance.rho_boundary, rows, cols)
     edges = _model_annulus_edges(instance.tau, instance.d, instance.rho_boundary, rows, cols)
     a = model.vertices[edges[:, 0]]
     b = model.vertices[edges[:, 1]]
-    rough = _segment_lengths(instance, a, b, 4)
+    tau = instance.tau
+    rough = _batched_polyline_lengths(Model.CYLINDER, tau, _mapped_subdivisions(instance, a, b, 4))
     levels = np.clip(
         np.ceil(np.log2(np.maximum(rough / target_step, 1.0))), 3, 13
     ).astype(int)
     out = np.empty(edges.shape[0])
     for level in np.unique(levels):
-        sel = levels == level
         m = 1 << int(level)
-        coarse = _segment_lengths(instance, a[sel], b[sel], m)
-        fine = _segment_lengths(instance, a[sel], b[sel], 2 * m)
-        out[sel] = (4.0 * fine - coarse) / 3.0
+        selected = np.flatnonzero(levels == level)
+        per_chunk = max(1, _SPECTRUM_CHUNK_POINTS // (2 * m + 1))
+        for start in range(0, selected.size, per_chunk):
+            part = selected[start : start + per_chunk]
+            mapped = _mapped_subdivisions(instance, a[part], b[part], 2 * m)
+            fine = _batched_polyline_lengths(Model.CYLINDER, tau, mapped)
+            coarse = _batched_polyline_lengths(Model.CYLINDER, tau, mapped[:, ::2])
+            out[part] = (4.0 * fine - coarse) / 3.0
     return np.sort(out)
 
 
@@ -355,6 +370,14 @@ class BoundingGraphCheck:
 
 @dataclass(frozen=True)
 class AnnulusCheck:
+    """Audit of one interior point.
+
+    distance is the chord distance from the point to its annulus.  When the
+    annulus' reference vertex already lies within the containment tolerance
+    it is that vertex's distance, an upper bound of the minimum; otherwise it
+    is the result of the local search.
+    """
+
     point: AmbientPoint
     contains_point: bool
     boundary_above: bool
@@ -439,14 +462,14 @@ def check_annulus_family(
     boundary_samples: int = 512,
     contains_tol: float = 1e-6,
     spectra_tol: float = 1e-6,
-    workers: int | None = None,
 ) -> SlabReport:
     """Audit the slab definition at the given interior points.
 
     Per point: the generated annulus passes through it (ambient distance
     below contains_tol times the slab scale) and its boundary circles clear
     the graphs along fibers, one above and one below.  Random instance pairs
-    must have matching edge-length spectra.
+    must have matching edge-length spectra.  Points are audited serially;
+    AnnulusCheck says when a recorded distance is an upper bound.
     """
     bounding = check_bounding_graphs(slab)
     base_report = dict(
@@ -494,7 +517,8 @@ def check_annulus_family(
             )
             return failed, None
         distance = instance.distance_to(
-            p if p.model is Model.CYLINDER else _to_cylinder_point(p, tau)
+            p if p.model is Model.CYLINDER else _to_cylinder_point(p, tau),
+            accept_below=contains_tol * scale,
         )
         top, bottom = instance.boundary_coords(boundary_samples)
         above_margin = _fiber_margin(top, slab.upper, upper_interp, tau, side=+1)
@@ -512,11 +536,7 @@ def check_annulus_family(
             instance,
         )
 
-    if len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers or min(8, len(points))) as pool:
-            results = list(pool.map(check_one, points))
-    else:
-        results = [check_one(p) for p in points]
+    results = [check_one(p) for p in points]
     checks = tuple(r[0] for r in results)
     instances = [r[1] for r in results if r[1] is not None]
 
@@ -579,9 +599,11 @@ def _fiber_margin(
 
 # -- example constructions -------------------------------------------------------
 
+_NECK_SOLVE_BUDGET = 100
+
 
 def _solve_catenoid_half_height(tau: float, target: float) -> float:
-    """Neck parameter whose catenoid half-height equals the target (bisection)."""
+    """Neck parameter whose catenoid half-height equals the target (Brent)."""
     limit = 0.5 * math.pi * math.sqrt(1.0 + 4.0 * tau * tau)
     if not 0.0 < target < limit:
         raise FeasibilityError(
@@ -592,19 +614,26 @@ def _solve_catenoid_half_height(tau: float, target: float) -> float:
         return 0.5 * catenoid_height(CatenoidSpec(tau=tau, d=d))
 
     lo, hi = 1e-3, 1.0
+    if half_height(lo) >= target:
+        raise FeasibilityError(f"half-height target {target} is below the smallest neck's")
     while half_height(hi) < target:
         hi *= 2.0
         if hi > 1e8:
             raise FeasibilityError(f"no neck parameter reaches half-height {target}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if half_height(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
+    d, info = brentq(
+        lambda d: half_height(d) - target,
+        lo,
+        hi,
+        rtol=1e-12,
+        maxiter=_NECK_SOLVE_BUDGET,
+        full_output=True,
+        disp=False,
+    )
+    if not info.converged:
+        raise ConvergenceError(
+            f"neck parameter for half-height {target} not found in {_NECK_SOLVE_BUDGET} steps"
+        )
+    return d
 
 
 @dataclass(frozen=True)

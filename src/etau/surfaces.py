@@ -21,6 +21,7 @@ from scipy.optimize import minimize
 from .core import (
     AmbientPoint,
     BasePoint,
+    ConvergenceError,
     InvalidPointError,
     Model,
     ModelMismatchError,
@@ -41,6 +42,11 @@ from .isometries import (
 from .quadrature import adaptive_simpson, cumulative_simpson_table
 
 _TABLE_PANELS = 4096
+# Safeguarded Newton for catenoid_profile_inverse: step budget, residual
+# tolerance relative to max(1, height), and quadrature tolerance per step.
+_INVERSE_BUDGET = 60
+_INVERSE_TOL = 1e-14
+_INVERSE_QUAD_TOL = 1e-12
 
 
 class Sheet(Enum):
@@ -154,11 +160,13 @@ def catenoid_profile_derivative(spec: CatenoidSpec, rho: float) -> float:
     return num / math.sqrt(math.sinh(rho) ** 2 - spec.d ** 2)
 
 
+@lru_cache(maxsize=64)
 def catenoid_height(spec: CatenoidSpec) -> float:
     """Total vertical extent of the catenoid (both sheets).
 
     The profile integral converges as rho -> infinity; the truncation tail is
     bounded by 2 d sqrt(1 + 4 tau^2) e^(-rho) and is added to the estimate.
+    Cached per spec: profile inversions check every height against it.
     """
     d, tau = spec.d, spec.tau
     amp = 2.0 * d * math.sqrt(1.0 + 4.0 * tau * tau)
@@ -168,26 +176,47 @@ def catenoid_height(spec: CatenoidSpec) -> float:
 
 
 def catenoid_profile_inverse(spec: CatenoidSpec, height: float) -> float:
-    """Radius rho with catenoid_profile(spec, rho) = height (bisection)."""
-    if height < 0.0:
+    """Radius rho with catenoid_profile(spec, rho) = height.
+
+    Safeguarded Newton iteration in sigma = sqrt(rho - rho_min), where the
+    profile is the integral of the smooth integrand g from 0 to sigma, so its
+    derivative is g(sigma).  Each iterate extends the running profile value
+    by the integral between consecutive iterates; a step that leaves the
+    bracket [lo, hi] of sigma values known to straddle the root is replaced
+    by doubling (no upper bracket yet) or bisection.  Raises ConvergenceError
+    when the step budget runs out.
+    """
+    if not height >= 0.0:
         raise ParameterError("profile heights are nonnegative")
     if 2.0 * height >= catenoid_height(spec):
         raise ParameterError(f"height {height} is not attained by the profile")
     rmin = catenoid_neck_radius(spec)
-    lo, hi = rmin, rmin + 1.0
-    while catenoid_profile(spec, hi) < height:
-        hi = rmin + 2.0 * (hi - rmin)
-        if hi - rmin > 200.0:
-            raise ParameterError("profile inversion failed to bracket")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if catenoid_profile(spec, mid) < height:
-            lo = mid
+    g = _catenoid_sigma_integrand(spec.tau, spec.d)
+
+    def f(s: float) -> float:
+        return float(g(s))
+
+    sigma, value = 0.0, 0.0
+    lo, hi = 0.0, math.inf
+    for _ in range(_INVERSE_BUDGET):
+        residual = value - height
+        if residual <= 0.0:
+            lo = sigma
         else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+            hi = sigma
+        if abs(residual) <= _INVERSE_TOL * max(1.0, height):
+            return rmin + sigma * sigma
+        step = sigma - residual / f(sigma)
+        if not lo < step < hi:
+            step = 2.0 * lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
+        if step > sigma:
+            value += adaptive_simpson(f, sigma, step, tol=_INVERSE_QUAD_TOL)
+        else:
+            value -= adaptive_simpson(f, step, sigma, tol=_INVERSE_QUAD_TOL)
+        sigma = step
+    raise ConvergenceError(
+        f"profile inversion for height {height} did not converge in {_INVERSE_BUDGET} steps"
+    )
 
 
 @lru_cache(maxsize=32)

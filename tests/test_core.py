@@ -21,7 +21,9 @@ from etau.core import (
     distance_to_vertical_geodesic,
     frame_at,
     hyperbolic_distance,
+    metric_arrays,
     metric_at,
+    metric_quadratic_form,
     polyline_length,
     project,
 )
@@ -212,3 +214,19 @@ class TestChords:
         assert polyline_length(Model.HALF_SPACE, 0.0, coords) == pytest.approx(
             hyperbolic_distance(a, b), rel=1e-6
         )
+
+
+@pytest.mark.parametrize("model", [Model.HALF_SPACE, Model.CYLINDER])
+@pytest.mark.parametrize("tau", [0.0, 0.5, -0.7])
+def test_metric_quadratic_form_matches_metric_tensor(model: Model, tau: float) -> None:
+    rng = np.random.default_rng(11)
+    n = 500
+    if model is Model.HALF_SPACE:
+        x, y = rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 5.0, n)
+    else:
+        radius, angle = 0.95 * np.sqrt(rng.uniform(size=n)), rng.uniform(0.0, 2.0 * math.pi, n)
+        x, y = radius * np.cos(angle), radius * np.sin(angle)
+    delta = rng.normal(size=(n, 3))
+    want = np.einsum("ni,nij,nj->n", delta, metric_arrays(model, tau, x, y), delta)
+    got = metric_quadratic_form(model, tau, x, y, delta[:, 0], delta[:, 1], delta[:, 2])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)

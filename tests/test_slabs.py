@@ -15,13 +15,19 @@ from etau.core import (
     Model,
     ParameterError,
     SpaceParams,
+    metric_arrays,
 )
 from etau.graphs import GraphFunction
+from etau.isometries import apply_to_coords
 from etau.slabs import (
+    _model_annulus_edges,
+    _model_annulus_mesh,
+    _solve_catenoid_half_height,
     build_example1,
     build_example2,
     check_annulus_family,
     disc_window_domain,
+    edge_length_spectrum,
     graph_separation_probe,
     halfplane_window_domain,
     sample_interior_points,
@@ -86,6 +92,13 @@ def test_example1_height_relations(slab1) -> None:
     assert md["half_height"] < md["boundary_height"] < md["catenoid_half_height"]
 
 
+def test_neck_solve_rejects_unbracketed_targets() -> None:
+    with pytest.raises(FeasibilityError, match="smallest neck"):
+        _solve_catenoid_half_height(0.0, 1e-6)
+    with pytest.raises(FeasibilityError):
+        _solve_catenoid_half_height(0.0, 0.5 * math.pi)
+
+
 def test_example1_epsilon_validation() -> None:
     with pytest.raises(FeasibilityError):
         build_example1(FLAT, 0.0)
@@ -95,7 +108,7 @@ def test_example1_epsilon_validation() -> None:
 
 def test_example1_audit_passes(slab1) -> None:
     points = sample_interior_points(slab1, 3, seed=7)
-    report = check_annulus_family(slab1, points, workers=3)
+    report = check_annulus_family(slab1, points)
     assert report.passed
     assert all(c.contains_point for c in report.annulus_checks)
     assert all(c.boundary_above and c.boundary_below for c in report.annulus_checks)
@@ -108,9 +121,56 @@ def test_example1_audit_passes(slab1) -> None:
     assert report.spectra_deviation < 1e-6
 
 
+def test_distance_to_accepts_the_reference_vertex(slab1) -> None:
+    p = sample_interior_points(slab1, 1, seed=7)[0]
+    instance = slab1.annulus_generator(p)
+    accepted = instance.distance_to(p, accept_below=1e-6)
+    assert instance.distance_to(p) <= accepted < 1e-9
+    off = AmbientPoint(p.base, p.t + 0.05)
+    assert instance.distance_to(off, accept_below=1e-6) == instance.distance_to(off)
+
+
+def _two_pass_spectrum(instance, target_step: float = 0.015) -> np.ndarray:
+    """Reference edge spectrum: separate coarse and fine mapped passes, with
+    lengths from full metric tensors contracted by einsum."""
+    rows, cols = instance.resolution
+    args = (instance.tau, instance.d, instance.rho_boundary, rows, cols)
+    vertices = _model_annulus_mesh(*args).vertices
+    edges = _model_annulus_edges(*args)
+    a, b = vertices[edges[:, 0]], vertices[edges[:, 1]]
+
+    def lengths(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+        frac = np.linspace(0.0, 1.0, m + 1)
+        pts = a[:, None, :] * (1.0 - frac)[None, :, None] + b[:, None, :] * frac[None, :, None]
+        mapped = apply_to_coords(instance.placement, pts.reshape(-1, 3)).reshape(a.shape[0], m + 1, 3)
+        delta = mapped[:, 1:, :] - mapped[:, :-1, :]
+        mid = 0.5 * (mapped[:, 1:, :] + mapped[:, :-1, :])
+        g = metric_arrays(Model.CYLINDER, instance.tau, mid[..., 0], mid[..., 1])
+        sq = np.einsum("...i,...ij,...j->...", delta, g, delta)
+        return np.sqrt(np.maximum(sq, 0.0)).sum(axis=1)
+
+    rough = lengths(a, b, 4)
+    levels = np.clip(np.ceil(np.log2(np.maximum(rough / target_step, 1.0))), 3, 13).astype(int)
+    out = np.empty(edges.shape[0])
+    for level in np.unique(levels):
+        m = 1 << int(level)
+        for part in np.array_split(np.flatnonzero(levels == level), 64):
+            if part.size:
+                out[part] = (4.0 * lengths(a[part], b[part], 2 * m) - lengths(a[part], b[part], m)) / 3.0
+    return np.sort(out)
+
+
+def test_edge_length_spectrum_matches_two_pass_reference(slab1) -> None:
+    instance = slab1.annulus_generator(sample_interior_points(slab1, 1, seed=7)[0])
+    assert instance.resolution == (33, 48)
+    np.testing.assert_allclose(
+        edge_length_spectrum(instance), _two_pass_spectrum(instance), rtol=1e-12, atol=0.0
+    )
+
+
 def test_shrunken_annuli_fail_without_crashing(slab1) -> None:
     points = sample_interior_points(slab1, 3, seed=7)
-    report = check_annulus_family(with_shrunken_annuli(slab1, 0.5), points, workers=3)
+    report = check_annulus_family(with_shrunken_annuli(slab1, 0.5), points)
     assert not report.passed
     assert not any(c.boundary_above or c.boundary_below for c in report.annulus_checks)
 
@@ -160,7 +220,7 @@ def test_example2_translate_offset_uses_window_variation(slab2) -> None:
 
 def test_example2_audit_passes(slab2) -> None:
     points = sample_interior_points(slab2, 3, seed=3)
-    report = check_annulus_family(slab2, points, workers=3)
+    report = check_annulus_family(slab2, points)
     assert report.passed
     assert max(abs(c.distance) for c in report.annulus_checks) < 1e-9
     assert min(min(c.above_margin, c.below_margin) for c in report.annulus_checks) > 0.3

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipk
 
+from etau import surfaces
 from etau.core import (
     AmbientPoint,
     BasePoint,
+    ConvergenceError,
     Model,
     ModelMismatchError,
     ParameterError,
@@ -89,6 +91,32 @@ def test_catenoid_profile_inverse_round_trip() -> None:
     rho = catenoid_neck_radius(CAT) + 1.3
     u = catenoid_profile(CAT, rho)
     assert catenoid_profile_inverse(CAT, u) == pytest.approx(rho, abs=1e-9)
+
+
+# Heights start at 0.05 H: right at the neck the profile has infinite slope
+# in rho, so rounding rho alone moves the profile by more than 1e-11.
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("d", [0.3, 1.63, 3.89])
+@pytest.mark.parametrize("fraction", [0.05, 0.25, 0.45, 0.499])
+def test_catenoid_profile_inverse_round_trip_over_heights(tau: float, d: float, fraction: float) -> None:
+    spec = CatenoidSpec(tau, d)
+    height = fraction * catenoid_height(spec)
+    assert abs(catenoid_profile(spec, catenoid_profile_inverse(spec, height)) - height) <= 1e-11
+
+
+def test_catenoid_profile_inverse_rejects_unattained_heights() -> None:
+    with pytest.raises(ParameterError):
+        catenoid_profile_inverse(CAT, 0.5 * catenoid_height(CAT))
+    with pytest.raises(ParameterError):
+        catenoid_profile_inverse(CAT, -0.1)
+    with pytest.raises(ParameterError):
+        catenoid_profile_inverse(CAT, float("nan"))
+
+
+def test_catenoid_profile_inverse_step_budget(monkeypatch) -> None:
+    monkeypatch.setattr(surfaces, "_INVERSE_BUDGET", 2)
+    with pytest.raises(ConvergenceError):
+        catenoid_profile_inverse(CAT, 0.45 * catenoid_height(CAT))
 
 
 def test_catenoid_height_is_twice_the_profile_limit() -> None:
