@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from etau import mean_curvature, solve_dirichlet
-from etau.cli import reference_problem
+from etau.graphs import reference_problem
 
 
 def main() -> None:

@@ -124,18 +124,6 @@ class TangentVector:
         return np.array([self.dx, self.dy, self.dt])
 
 
-@dataclass(frozen=True)
-class FrameComponents:
-    """Components of a tangent vector in the orthonormal frame (E1, E2, E3)."""
-
-    a1: float
-    a2: float
-    a3: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.a1 ** 2 + self.a2 ** 2 + self.a3 ** 2)
-
-
 def ensure_same_model(p: BasePoint, q: BasePoint) -> None:
     if p.model is not q.model:
         raise ModelMismatchError(f"mixed models {p.model} and {q.model}")
@@ -220,11 +208,6 @@ def conformal_factor(p: BasePoint) -> float:
     return float(lam)
 
 
-def conformal_factor_gradient(p: BasePoint) -> tuple[float, float]:
-    _, lam_x, lam_y = conformal_data_arrays(p.model, p.x, p.y)
-    return float(lam_x), float(lam_y)
-
-
 def vertical_form(p: BasePoint, tau: float) -> tuple[float, float]:
     w1, w2 = vertical_form_arrays(p.model, tau, p.x, p.y)
     return float(w1), float(w2)
@@ -243,30 +226,6 @@ def frame_at(p: AmbientPoint, tau: float) -> tuple[TangentVector, TangentVector,
     e2 = TangentVector(p, 0.0, 1.0 / lam, -w2 / lam)
     e3 = TangentVector(p, 0.0, 0.0, 1.0)
     return e1, e2, e3
-
-
-def frame_components(p: AmbientPoint, v: tuple[float, float, float], tau: float) -> FrameComponents:
-    """Expand the coordinate vector v at p in the orthonormal frame."""
-    a1, a2, a3 = frame_components_arrays(p.model, tau, p.x, p.y, v[0], v[1], v[2])
-    return FrameComponents(float(a1), float(a2), float(a3))
-
-
-def coordinate_components(p: AmbientPoint, fc: FrameComponents, tau: float) -> tuple[float, float, float]:
-    """Coordinate components of a vector given in the orthonormal frame."""
-    lam = conformal_factor(p.base)
-    w1, w2 = vertical_form(p.base, tau)
-    vx = fc.a1 / lam
-    vy = fc.a2 / lam
-    vt = fc.a3 - w1 * vx - w2 * vy
-    return vx, vy, vt
-
-
-def ambient_inner(p: AmbientPoint, v, w, tau: float) -> float:
-    """Metric pairing of two coordinate vectors at p."""
-    g = metric_at(p, tau)
-    va = np.asarray(v, dtype=float)
-    wa = np.asarray(w, dtype=float)
-    return float(va @ g @ wa)
 
 
 def project(p: AmbientPoint) -> BasePoint:

@@ -30,9 +30,19 @@ from scipy.sparse.linalg import spsolve
 
 from .core import (
     BOUNDARY_MARGIN,
+    GeometryError,
     InvalidPointError,
     Model,
     ParameterError,
+)
+from .surfaces import (
+    CatenoidSpec,
+    InvariantSurfaceSpec,
+    Sheet,
+    catenoid_neck_radius,
+    catenoid_profile,
+    invariant_angle_max,
+    invariant_profile,
 )
 
 _EDGE_KEEPOUT = 1e-9
@@ -198,6 +208,27 @@ class GraphFunction:
     @classmethod
     def constant(cls, domain: GraphDomain, tau: float, value: float) -> "GraphFunction":
         return cls(domain, np.full(domain.shape, float(value)), tau)
+
+
+def reference_problem(kind: str, tau: float, d: float, s: float, n: int) -> GraphFunction:
+    """Chart window and exact node values for a canonical minimal graph."""
+    if kind == "catenoid":
+        spec = CatenoidSpec(tau, d)
+        rmin = catenoid_neck_radius(spec)
+        domain = GraphDomain(Chart.DISC_POLAR, ((rmin + 0.3, rmin + 1.3), (0.2, 1.2)), (n, n))
+        axis_rho, _ = domain.axes()
+        profile = np.array([catenoid_profile(spec, rho) for rho in axis_rho])
+        return GraphFunction(domain, np.tile(profile[:, None], (1, n)), tau)
+    if kind == "invariant":
+        spec = InvariantSurfaceSpec(tau, d, s, Sheet.PLUS)
+        theta_hi = invariant_angle_max(d) - 0.25
+        domain = GraphDomain(
+            Chart.HALFPLANE_IDEAL_POLAR, ((-0.5, 0.5), (0.15, theta_hi)), (n, n), axis_foot=s
+        )
+        _, axis_theta = domain.axes()
+        profile = np.array([invariant_profile(spec, theta) for theta in axis_theta])
+        return GraphFunction(domain, np.tile(profile[None, :], (n, 1)), tau)
+    raise GeometryError(f"no reference problem named {kind!r}")
 
 
 @dataclass

@@ -7,7 +7,9 @@ omega + dt, which pins the fiber coordinate up to the starting value:
 
 In the half-space model this reads t' = 2 tau x'/y, in the disc model
 t' = 2 tau lam (x y' - x' y).  Closed-form curve kinds carry exact
-derivatives; generic sample curves fall back to cubic splines.
+derivatives; generic sample curves fall back to cubic splines.  Position
+and velocity are numpy-vectorized, so the fiber values at all samples come
+from one cumulative_integral call over the curve parameters.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .core import (
     ParameterError,
     conformal_data_arrays,
 )
-from .quadrature import adaptive_simpson
+from .quadrature import cumulative_integral
 
 
 class CurveKind(Enum):
@@ -73,31 +75,31 @@ class PlanarCurve:
 
     # closed-form position and velocity where available ----------------------
 
-    def velocity(self) -> Callable[[float], tuple[float, float]]:
+    def velocity(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
         if self.kind is CurveKind.VERTICAL_LINE:
-            return lambda r: (0.0, 1.0)
+            return lambda r: (np.zeros_like(r), np.ones_like(r))
         if self.kind is CurveKind.SEMICIRCLE:
             _, radius = self.kind_data
-            return lambda r: (-radius * math.sin(r), radius * math.cos(r))
+            return lambda r: (-radius * np.sin(r), radius * np.cos(r))
         if self.kind is CurveKind.RADIAL_LINE:
             (angle,) = self.kind_data
-            return lambda r: (math.cos(angle), math.sin(angle))
+            return lambda r: (np.full_like(r, math.cos(angle)), np.full_like(r, math.sin(angle)))
         sx, sy = self._splines()
         dsx, dsy = sx.derivative(), sy.derivative()
-        return lambda r: (float(dsx(r)), float(dsy(r)))
+        return lambda r: (dsx(r), dsy(r))
 
-    def position(self) -> Callable[[float], tuple[float, float]]:
+    def position(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
         if self.kind is CurveKind.VERTICAL_LINE:
             (x0,) = self.kind_data
-            return lambda r: (x0, r)
+            return lambda r: (np.full_like(r, x0), r)
         if self.kind is CurveKind.SEMICIRCLE:
             x0, radius = self.kind_data
-            return lambda r: (x0 + radius * math.cos(r), radius * math.sin(r))
+            return lambda r: (x0 + radius * np.cos(r), radius * np.sin(r))
         if self.kind is CurveKind.RADIAL_LINE:
             (angle,) = self.kind_data
             return lambda r: (r * math.cos(angle), r * math.sin(angle))
         sx, sy = self._splines()
-        return lambda r: (float(sx(r)), float(sy(r)))
+        return lambda r: (sx(r), sy(r))
 
     def _splines(self) -> tuple[CubicSpline, CubicSpline]:
         params, points = self.params, self.points
@@ -159,19 +161,19 @@ class LiftedCurve:
         return float(np.max(self.t) - np.min(self.t))
 
 
-def _lift_integrand(curve: PlanarCurve, tau: float) -> Callable[[float], float]:
+def _lift_integrand(curve: PlanarCurve, tau: float) -> Callable[[np.ndarray], np.ndarray]:
     pos = curve.position()
     vel = curve.velocity()
     if curve.model is Model.HALF_SPACE:
 
-        def f(r: float) -> float:
+        def f(r: np.ndarray) -> np.ndarray:
             x, y = pos(r)
             dx, _ = vel(r)
             return 2.0 * tau * dx / y
 
         return f
 
-    def f(r: float) -> float:
+    def f(r: np.ndarray) -> np.ndarray:
         x, y = pos(r)
         dx, dy = vel(r)
         lam = 2.0 / (1.0 - x * x - y * y)
@@ -180,30 +182,12 @@ def _lift_integrand(curve: PlanarCurve, tau: float) -> Callable[[float], float]:
     return f
 
 
-def _signed_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    if a == b:
-        return 0.0
-    if a < b:
-        return adaptive_simpson(f, a, b, tol=tol)
-    return -adaptive_simpson(f, b, a, tol=tol)
-
-
-def horizontal_lift(curve: PlanarCurve, tau: float, t_start: float = 0.0, tol: float = 1e-10) -> LiftedCurve:
+def horizontal_lift(curve: PlanarCurve, tau: float, t_start: float = 0.0) -> LiftedCurve:
     """Lift the curve horizontally, fixing the fiber value at its first sample.
 
-    For tau = 0 the lift is the constant t_start exactly; no quadrature runs.
+    For tau = 0 the integrand vanishes and the lift is the constant t_start.
     """
-    n = curve.params.size
-    t = np.empty(n)
-    t[0] = t_start
-    if tau == 0.0:
-        t[:] = t_start
-        return LiftedCurve(curve, tau, t)
-    f = _lift_integrand(curve, tau)
-    interval_tol = tol / max(n - 1, 1)
-    for i in range(n - 1):
-        t[i + 1] = t[i] + _signed_simpson(f, curve.params[i], curve.params[i + 1], interval_tol)
-    return LiftedCurve(curve, tau, t)
+    return LiftedCurve(curve, tau, t_start + cumulative_integral(_lift_integrand(curve, tau), curve.params))
 
 
 def lift_geodesic_semicircle(

@@ -1,4 +1,11 @@
-"""Adaptive quadrature and elliptic-integral helpers used by the profile code."""
+"""Composite Gauss–Legendre quadrature and the AGM elliptic integral.
+
+Every integral in the package goes through cumulative_integral.  Each
+interval between consecutive breakpoints gets a composite Gauss–Legendre rule
+(Golub & Welsch 1969 nodes from numpy's leggauss) whose panel count doubles
+until two successive estimates agree; the profile integrands are smooth after
+the sigma = sqrt(.) substitution, so one or two doublings usually suffice.
+"""
 
 from __future__ import annotations
 
@@ -7,47 +14,47 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ParameterError
+from .core import ConvergenceError, ParameterError
+
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+# Two estimates of an interval agree when they differ by at most
+# _TOL * max(1, |estimate|); the panel count may double _DOUBLINGS times.
+_TOL = 1e-13
+_DOUBLINGS = 12
 
 
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_depth: int = 48,
-) -> float:
-    """Adaptive Simpson rule with Richardson correction.
+def _composite_gauss(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, panels: int) -> np.ndarray:
+    """Integral of f over each [a[i], b[i]], split into equal Gauss panels."""
+    half = 0.5 * (b - a) / panels
+    mids = a[:, None] + (2.0 * np.arange(panels) + 1.0) * half[:, None]
+    values = f(mids[:, :, None] + half[:, None, None] * _NODES)
+    return half * np.sum(values @ _WEIGHTS, axis=1)
 
-    tol is an absolute tolerance for the whole interval; subintervals get
-    proportionally tightened budgets, so the returned value is accurate to
-    roughly tol regardless of how the recursion splits.
+
+def cumulative_integral(f: Callable[[np.ndarray], np.ndarray], breakpoints) -> np.ndarray:
+    """Integral of f from breakpoints[0] to each breakpoint.
+
+    f must accept numpy arrays and return values of the same shape.
+    Breakpoints may run in either direction; a decreasing interval
+    contributes with negative sign.  Raises ConvergenceError when f is not
+    finite at a node or an interval's estimate has not settled within the
+    doubling budget.
     """
-    if not b > a:
-        if b == a:
-            return 0.0
-        raise ParameterError(f"empty integration interval [{a}, {b}]")
-
-    def simpson(fa: float, fm: float, fb: float, h: float) -> float:
-        return h * (fa + 4.0 * fm + fb) / 6.0
-
-    def recurse(a, m, b, fa, fm, fb, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(fa, flm, fm, m - a)
-        right = simpson(fm, frm, fb, b - m)
-        err = left + right - whole
-        if depth <= 0 or abs(err) <= 15.0 * tol:
-            return left + right + err / 15.0
-        return recurse(a, lm, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + recurse(
-            m, rm, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-        )
-
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    return recurse(a, m, b, fa, fm, fb, simpson(fa, fm, fb, b - a), tol, max_depth)
+    x = np.asarray(breakpoints, dtype=float)
+    a, b = x[:-1], x[1:]
+    sums = np.empty(a.size)
+    todo = np.arange(a.size)
+    coarse = _composite_gauss(f, a, b, 1)
+    for level in range(1, _DOUBLINGS + 1):
+        fine = _composite_gauss(f, a[todo], b[todo], 2 ** level)
+        if not np.all(np.isfinite(fine)):
+            raise ConvergenceError("integrand is not finite on the integration interval")
+        settled = np.abs(fine - coarse) <= _TOL * np.maximum(1.0, np.abs(fine))
+        sums[todo[settled]] = fine[settled]
+        todo, coarse = todo[~settled], fine[~settled]
+        if todo.size == 0:
+            return np.concatenate(([0.0], np.cumsum(sums)))
+    raise ConvergenceError(f"quadrature did not settle within {_DOUBLINGS} panel doublings")
 
 
 def elliptic_k(k: float) -> float:
@@ -61,25 +68,3 @@ def elliptic_k(k: float) -> float:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return math.pi / (2.0 * a)
-
-
-def cumulative_simpson_table(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, panels: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative integral of f on a uniform grid, one Simpson rule per panel.
-
-    f must accept numpy arrays.  Returns (nodes, cumulative values); the
-    per-panel rule keeps the node values locally fourth-order accurate.
-    """
-    if panels < 1:
-        raise ParameterError("need at least one panel")
-    xs = np.linspace(a, b, panels + 1)
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    fx = f(xs)
-    fm = f(mids)
-    h = (b - a) / panels
-    increments = h * (fx[:-1] + 4.0 * fm + fx[1:]) / 6.0
-    table = np.empty(panels + 1)
-    table[0] = 0.0
-    np.cumsum(increments, out=table[1:])
-    return xs, table

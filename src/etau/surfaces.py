@@ -39,14 +39,13 @@ from .isometries import (
     inverse,
     scale_isometry,
 )
-from .quadrature import adaptive_simpson, cumulative_simpson_table
+from .quadrature import cumulative_integral
 
 _TABLE_PANELS = 4096
-# Safeguarded Newton for catenoid_profile_inverse: step budget, residual
-# tolerance relative to max(1, height), and quadrature tolerance per step.
+# Safeguarded Newton for catenoid_profile_inverse: step budget and residual
+# tolerance relative to max(1, height).
 _INVERSE_BUDGET = 60
 _INVERSE_TOL = 1e-14
-_INVERSE_QUAD_TOL = 1e-12
 
 
 class Sheet(Enum):
@@ -136,7 +135,7 @@ def _catenoid_sigma_integrand(tau: float, d: float):
     return g
 
 
-def catenoid_profile(spec: CatenoidSpec, rho: float, tol: float = 1e-12) -> float:
+def catenoid_profile(spec: CatenoidSpec, rho: float) -> float:
     """Height of the upper sheet over hyperbolic distance rho from the axis.
 
     Zero at the neck radius; rho below the neck radius is outside the domain.
@@ -144,11 +143,8 @@ def catenoid_profile(spec: CatenoidSpec, rho: float, tol: float = 1e-12) -> floa
     rmin = catenoid_neck_radius(spec)
     if rho < rmin - 1e-14:
         raise ParameterError(f"rho={rho} is below the neck radius {rmin}")
-    span = max(rho - rmin, 0.0)
-    if span == 0.0:
-        return 0.0
-    g = _catenoid_sigma_integrand(spec.tau, spec.d)
-    return adaptive_simpson(lambda s: float(g(s)), 0.0, math.sqrt(span), tol=tol)
+    sigma = math.sqrt(max(rho - rmin, 0.0))
+    return float(cumulative_integral(_catenoid_sigma_integrand(spec.tau, spec.d), [0.0, sigma])[-1])
 
 
 def catenoid_profile_derivative(spec: CatenoidSpec, rho: float) -> float:
@@ -192,10 +188,6 @@ def catenoid_profile_inverse(spec: CatenoidSpec, height: float) -> float:
         raise ParameterError(f"height {height} is not attained by the profile")
     rmin = catenoid_neck_radius(spec)
     g = _catenoid_sigma_integrand(spec.tau, spec.d)
-
-    def f(s: float) -> float:
-        return float(g(s))
-
     sigma, value = 0.0, 0.0
     lo, hi = 0.0, math.inf
     for _ in range(_INVERSE_BUDGET):
@@ -206,13 +198,10 @@ def catenoid_profile_inverse(spec: CatenoidSpec, height: float) -> float:
             hi = sigma
         if abs(residual) <= _INVERSE_TOL * max(1.0, height):
             return rmin + sigma * sigma
-        step = sigma - residual / f(sigma)
+        step = sigma - residual / float(g(sigma))
         if not lo < step < hi:
             step = 2.0 * lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-        if step > sigma:
-            value += adaptive_simpson(f, sigma, step, tol=_INVERSE_QUAD_TOL)
-        else:
-            value -= adaptive_simpson(f, step, sigma, tol=_INVERSE_QUAD_TOL)
+        value += float(cumulative_integral(g, [sigma, step])[-1])
         sigma = step
     raise ConvergenceError(
         f"profile inversion for height {height} did not converge in {_INVERSE_BUDGET} steps"
@@ -221,9 +210,8 @@ def catenoid_profile_inverse(spec: CatenoidSpec, height: float) -> float:
 
 @lru_cache(maxsize=32)
 def _catenoid_table(tau: float, d: float, sigma_max: float) -> CubicSpline:
-    g = _catenoid_sigma_integrand(tau, d)
-    xs, table = cumulative_simpson_table(g, 0.0, sigma_max, _TABLE_PANELS)
-    return CubicSpline(xs, table)
+    xs = np.linspace(0.0, sigma_max, _TABLE_PANELS + 1)
+    return CubicSpline(xs, cumulative_integral(_catenoid_sigma_integrand(tau, d), xs))
 
 
 # -- invariant surface profile ------------------------------------------------
@@ -257,30 +245,29 @@ def _invariant_sigma_integrand(tau: float, d: float):
     return g
 
 
-def invariant_height(d: float, tau: float, tol: float = 1e-12) -> float:
+def invariant_height(d: float, tau: float) -> float:
     """Half height h(d): the profile integral over the whole wedge."""
-    theta_star = invariant_angle_max(d)
-    g = _invariant_sigma_integrand(tau, d)
-    return adaptive_simpson(lambda s: float(g(s)), 0.0, math.sqrt(theta_star), tol=tol)
+    sigma = math.sqrt(invariant_angle_max(d))
+    return float(cumulative_integral(_invariant_sigma_integrand(tau, d), [0.0, sigma])[-1])
 
 
-def invariant_height_substituted(d: float, tau: float, tol: float = 1e-12) -> float:
+def invariant_height_substituted(d: float, tau: float) -> float:
     """h(d) through an independent algebraic substitution with a regular integrand."""
     if not d > 1.0:
         raise ParameterError(f"invariant surfaces need d > 1, got {d}")
     dd = d * d
     ttau = 4.0 * tau * tau
 
-    def g(sigma: float) -> float:
+    def g(sigma: np.ndarray) -> np.ndarray:
         w = 1.0 - sigma * sigma
         num = dd * (1.0 + ttau) - ttau * w * w
         den = (dd - w * w) * (2.0 - sigma * sigma)
-        return 2.0 * math.sqrt(num) / math.sqrt(den)
+        return 2.0 * np.sqrt(num) / np.sqrt(den)
 
-    return adaptive_simpson(g, 0.0, 1.0, tol=tol)
+    return float(cumulative_integral(g, [0.0, 1.0])[-1])
 
 
-def invariant_profile(spec: InvariantSurfaceSpec, theta: float, tol: float = 1e-12) -> float:
+def invariant_profile(spec: InvariantSurfaceSpec, theta: float) -> float:
     """Fiber height of the requested sheet over wedge angle theta.
 
     Both sheets vanish at the gluing angle arcsin(1/d); the plus sheet
@@ -291,25 +278,11 @@ def invariant_profile(spec: InvariantSurfaceSpec, theta: float, tol: float = 1e-
     theta_star = invariant_angle_max(spec.d)
     if not 0.0 <= theta <= theta_star + 1e-14:
         raise ParameterError(f"theta={theta} outside [0, {theta_star}]")
-    span = max(theta_star - theta, 0.0)
-    g = _invariant_sigma_integrand(spec.tau, spec.d)
-    tail = adaptive_simpson(lambda s: float(g(s)), 0.0, math.sqrt(span), tol=tol) if span > 0 else 0.0
+    sigma = math.sqrt(max(theta_star - theta, 0.0))
+    tail = float(cumulative_integral(_invariant_sigma_integrand(spec.tau, spec.d), [0.0, sigma])[-1])
     if spec.side is Sheet.PLUS:
         return tail - 2.0 * spec.tau * (theta - theta_star)
     return -tail - 2.0 * spec.tau * (theta - theta_star)
-
-
-def invariant_profile_derivative(spec: InvariantSurfaceSpec, theta: float) -> float:
-    """Slope of the sheet profile: -+ d sqrt(1+4 tau^2 cos^2) / sqrt(1-d^2 sin^2) - 2 tau."""
-    if spec.side is Sheet.BOTH:
-        raise ParameterError("profile slope needs a specific sheet")
-    theta_star = invariant_angle_max(spec.d)
-    if not 0.0 < theta < theta_star:
-        raise ParameterError(f"theta={theta} outside (0, {theta_star})")
-    num = spec.d * math.sqrt(1.0 + 4.0 * spec.tau ** 2 * math.cos(theta) ** 2)
-    den = math.sqrt(1.0 - spec.d ** 2 * math.sin(theta) ** 2)
-    sign = -1.0 if spec.side is Sheet.PLUS else 1.0
-    return sign * num / den - 2.0 * spec.tau
 
 
 def invariant_asymptotic_levels(spec: InvariantSurfaceSpec) -> tuple[float, float]:
@@ -342,10 +315,8 @@ def invariant_profile_inverse(spec: InvariantSurfaceSpec, value: float) -> float
 
 @lru_cache(maxsize=32)
 def _invariant_table(tau: float, d: float) -> CubicSpline:
-    theta_star = invariant_angle_max(d)
-    g = _invariant_sigma_integrand(tau, d)
-    xs, table = cumulative_simpson_table(g, 0.0, math.sqrt(theta_star), _TABLE_PANELS)
-    return CubicSpline(xs, table)
+    xs = np.linspace(0.0, math.sqrt(invariant_angle_max(d)), _TABLE_PANELS + 1)
+    return CubicSpline(xs, cumulative_integral(_invariant_sigma_integrand(tau, d), xs))
 
 
 def _invariant_profiles_fast(tau: float, d: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -530,9 +501,6 @@ def _orient_upward_by_sheet(mesh: SurfaceMesh) -> None:
         if block.size and float(np.mean(block)) < 0.0:
             normals[lo:hi] *= -1.0
             nu[lo:hi] *= -1.0
-    if seam is not None:
-        # the seam row sits in both blocks; zero its duplicated sign choice
-        pass
     mesh.normals = normals.reshape(-1, 3)
     mesh.nu = nu.reshape(-1)
 
@@ -726,7 +694,7 @@ class LeafFindResult:
     iterations: int
 
 
-def _pullback_to_model_chart(p: AmbientPoint, d: float, s: float, tau: float, scale: float, axis_inv: AmbientIsometry) -> AmbientPoint:
+def _pullback_to_model_chart(p: AmbientPoint, scale: float, axis_inv: AmbientIsometry) -> AmbientPoint:
     scaled = AmbientPoint(BasePoint(Model.HALF_SPACE, p.x / scale, p.y / scale), p.t)
     return apply(axis_inv, scaled)
 
@@ -745,7 +713,7 @@ def leaf_side(p: AmbientPoint, d: float, s: float, tau: float, scale: float = 1.
 
 
 def _leaf_side_pulled(p, d, s, tau, scale, axis_inv) -> int:
-    q = _pullback_to_model_chart(p, d, s, tau, scale, axis_inv)
+    q = _pullback_to_model_chart(p, scale, axis_inv)
     theta_star = invariant_angle_max(d)
     theta = math.atan2(q.y, q.x - s)
     if not 0.0 < theta < theta_star:
@@ -810,7 +778,7 @@ def foliation_leaf_find(
 
 def _leaf_distance(p, d, s, tau, lam, axis_inv) -> float:
     """Ambient distance from p to the leaf at scale lam (local minimization)."""
-    q = _pullback_to_model_chart(p, d, s, tau, lam, axis_inv)
+    q = _pullback_to_model_chart(p, lam, axis_inv)
     theta_star = invariant_angle_max(d)
     theta0 = min(max(math.atan2(q.y, q.x - s), 1e-9), theta_star - 1e-12)
     phi0 = 0.5 * math.log((q.x - s) ** 2 + q.y ** 2)

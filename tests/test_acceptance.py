@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
-from etau.cli import reference_problem
 from etau.core import (
     AmbientPoint,
     BasePoint,
@@ -25,6 +24,7 @@ from etau.graphs import (
     GraphDomain,
     douglas_check,
     mean_curvature,
+    reference_problem,
     solve_dirichlet,
 )
 from etau.isometries import (

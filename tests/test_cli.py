@@ -184,6 +184,26 @@ def test_missing_config_file_is_invalid_input(capsys) -> None:
     assert report["status"] == "invalid_input"
 
 
+@pytest.mark.parametrize(
+    ("argv", "config"),
+    [
+        (["verify", "limits", "--tau", "nan"], None),
+        (["solve", "--tau", "inf"], None),
+        (["verify", "lifts"], {"points": "abc"}),
+        (["solve"], {"boundary": "bogus"}),
+    ],
+    ids=["nan-flag", "inf-flag", "non-numeric-config-value", "config-value-outside-choices"],
+)
+def test_bad_values_are_invalid_input(tmp_path, capsys, argv, config) -> None:
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code, report = run(capsys, *argv)
+    assert code == 1
+    assert report["status"] == "invalid_input"
+
+
 # -- determinism ------------------------------------------------------------------------
 
 

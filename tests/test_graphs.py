@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etau.cli import reference_problem
 from etau.core import (
     InvalidPointError,
     Model,
@@ -30,6 +29,7 @@ from etau.graphs import (
     graph_nu,
     hyperbolic_gradient_norm,
     mean_curvature,
+    reference_problem,
     solve_dirichlet,
     variation,
 )
