@@ -23,7 +23,7 @@ def main() -> None:
     ap.add_argument("--tau", type=float, default=0.5)
     ap.add_argument("--d", type=float, default=2.0)
     ap.add_argument("--s", type=float, default=1.0)
-    ap.add_argument("--grids", type=int, nargs="+", default=[17, 33, 65, 129])
+    ap.add_argument("--grids", type=int, nargs="+", default=[17, 33, 65, 129, 257])
     args = ap.parse_args()
 
     print(f"{args.surface}  tau={args.tau}  d={args.d}")

@@ -178,7 +178,8 @@ def merge_config(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> dic
 
     Config values go through the converter and choices of the matching
     option, as if given on the command line; a null value leaves the default
-    in place.  Every float, from a flag or from the file, must be finite.
+    in place.  Every float, from a flag or from the file, must be finite, and
+    the seed must be non-negative.
     """
     cfg = dict(_DEFAULTS[ns.command])
     fixed = {"command", "kind", "suite", "example", "boundary", "config"}
@@ -202,6 +203,8 @@ def merge_config(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> dic
     for key, value in cfg.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise GeometryError(f"{key} must be finite, got {value}")
+    if cfg["seed"] < 0:
+        raise GeometryError(f"seed must be non-negative, got {cfg['seed']}")
     return cfg
 
 
@@ -451,6 +454,8 @@ def cmd_solve(cfg: dict) -> tuple[dict, int]:
     max_newton = cfg["max_newton"]
     if max_newton is None:
         max_newton = 6 if cfg["boundary"] == "wild" else 30
+    elif max_newton < 0:
+        raise GeometryError(f"max_newton must be non-negative, got {max_newton}")
     result = solve_dirichlet(
         domain,
         float(cfg["tau"]),

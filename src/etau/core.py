@@ -49,6 +49,13 @@ class ConvergenceError(GeometryError):
     """Iterative procedure failed to converge."""
 
 
+def require_finite(what: str, **values: float) -> None:
+    """Raise ParameterError if any of the named parameters is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{what} {name} must be finite, got {value}")
+
+
 class Model(Enum):
     HALF_SPACE = "half_space"
     CYLINDER = "cylinder"
@@ -60,6 +67,9 @@ class SpaceParams:
 
     tau: float
     model: Model = Model.HALF_SPACE
+
+    def __post_init__(self) -> None:
+        require_finite("space", tau=self.tau)
 
 
 @dataclass(frozen=True)

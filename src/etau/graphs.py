@@ -424,65 +424,86 @@ class SolveResult:
     report: dict
 
 
-def _harmonic_init(dom: GraphDomain, boundary: np.ndarray, interior: np.ndarray) -> np.ndarray:
-    """Chart-Laplacian harmonic extension of the boundary data (solver seed)."""
-    n1, n2 = dom.shape
-    h1, h2 = dom.steps()
-    idx = -np.ones(dom.shape, dtype=np.int64)
+@dataclass(frozen=True)
+class _Stencil:
+    """Interior numbering and the 9-point stencil's COO pattern of one domain.
+
+    Columns are listed color by color (node (i, j) has color
+    (i % 3) * 3 + j % 3), row-major within a color, and the rows of one
+    column row-major over its 3x3 neighbourhood.  A residual node depends
+    only on that neighbourhood, so two nodes of one color never share a row.
+    """
+
+    idx: np.ndarray  # interior number of each node, -1 elsewhere
+    ii: np.ndarray  # grid position (ii[k], jj[k]) of interior node k
+    jj: np.ndarray
+    color: np.ndarray  # color of each interior node, -1 elsewhere
+    rows: np.ndarray  # per COO entry: residual row,
+    cols: np.ndarray  # perturbed column,
+    ni: np.ndarray  # and grid position (ni, nj) of the row
+    nj: np.ndarray
+    starts: np.ndarray  # color c's entries are starts[c]:starts[c + 1]
+
+
+def _stencil(interior: np.ndarray) -> _Stencil:
+    idx = -np.ones(interior.shape, dtype=np.int64)
     ii, jj = np.nonzero(interior)
     idx[ii, jj] = np.arange(ii.size)
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(ii.size)
+    node_color = (ii % 3) * 3 + (jj % 3)
+    color = -np.ones(interior.shape, dtype=np.int64)
+    color[ii, jj] = node_color
+    order = np.argsort(node_color, kind="stable")
+    di, dj = np.divmod(np.arange(9), 3)
+    ni = ii[order, None] + di - 1
+    nj = jj[order, None] + dj - 1
+    rows = idx[ni, nj]
+    keep = rows >= 0
+    cols = np.broadcast_to(order[:, None], rows.shape)[keep]
+    entry_color = np.broadcast_to(node_color[order, None], rows.shape)[keep]
+    starts = np.searchsorted(entry_color, np.arange(10))
+    return _Stencil(idx, ii, jj, color, rows[keep], cols, ni[keep], nj[keep], starts)
+
+
+def _harmonic_init(dom: GraphDomain, boundary: np.ndarray, st: _Stencil) -> np.ndarray:
+    """Chart-Laplacian harmonic extension of the boundary data (solver seed)."""
+    h1, h2 = dom.steps()
     c1, c2 = 1.0 / (h1 * h1), 1.0 / (h2 * h2)
-    for k, (i, j) in enumerate(zip(ii, jj)):
-        rows.append(k)
-        cols.append(k)
-        vals.append(-2.0 * (c1 + c2))
-        for di, dj, c in ((1, 0, c1), (-1, 0, c1), (0, 1, c2), (0, -1, c2)):
-            ni, nj = i + di, j + dj
-            if idx[ni, nj] >= 0:
-                rows.append(k)
-                cols.append(idx[ni, nj])
-                vals.append(c)
-            else:
-                rhs[k] -= c * boundary[ni, nj]
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(ii.size, ii.size))
+    m = st.ii.size
+    cols = np.empty((m, 5), dtype=np.int64)
+    cols[:, 0] = np.arange(m)
+    rhs = np.zeros(m)
+    # the order of the boundary terms fixes how rhs rounds
+    for k, (di, dj, c) in enumerate(((1, 0, c1), (-1, 0, c1), (0, 1, c2), (0, -1, c2)), 1):
+        ni, nj = st.ii + di, st.jj + dj
+        cols[:, k] = st.idx[ni, nj]
+        on_boundary = cols[:, k] < 0
+        rhs[on_boundary] -= c * boundary[ni[on_boundary], nj[on_boundary]]
+    vals = np.broadcast_to(np.array([-2.0 * (c1 + c2), c1, c1, c2, c2]), cols.shape)
+    keep = cols >= 0
+    rows = np.broadcast_to(cols[:, :1], cols.shape)  # row k holds node k's equation
+    mat = sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m, m))
     sol = spsolve(mat, rhs)
     out = boundary.copy()
-    out[ii, jj] = sol
+    out[st.ii, st.jj] = sol
     return out
 
 
 def _coloring_jacobian(
-    gf: GraphFunction, interior: np.ndarray, base_res: np.ndarray, eps: float
+    gf: GraphFunction, st: _Stencil, base_res: np.ndarray, eps: float
 ) -> sparse.csr_matrix:
     """Sparse Jacobian of the divergence residual by 9-color finite differences."""
-    dom = gf.domain
-    n1, n2 = dom.shape
-    idx = -np.ones(dom.shape, dtype=np.int64)
-    ii, jj = np.nonzero(interior)
-    idx[ii, jj] = np.arange(ii.size)
-    rows_out, cols_out, vals_out = [], [], []
-    i_grid, j_grid = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
+    vals = np.empty(st.rows.size)
     for color in range(9):
-        members = interior & ((i_grid % 3) * 3 + (j_grid % 3) == color)
+        members = st.color == color
         if not np.any(members):
             continue
-        pert = GraphFunction(dom, gf.values + eps * members, gf.tau)
+        pert = GraphFunction(gf.domain, gf.values + eps * members, gf.tau)
         dres = (_divergence_residual(pert) - base_res) / eps
-        mi, mj = np.nonzero(members)
-        for i, j in zip(mi, mj):
-            col = idx[i, j]
-            ilo, ihi = max(i - 1, 0), min(i + 2, n1)
-            jlo, jhi = max(j - 1, 0), min(j + 2, n2)
-            for ni in range(ilo, ihi):
-                for nj in range(jlo, jhi):
-                    row = idx[ni, nj]
-                    if row >= 0 and dres[ni, nj] != 0.0:
-                        rows_out.append(row)
-                        cols_out.append(col)
-                        vals_out.append(dres[ni, nj])
-    return sparse.csr_matrix((vals_out, (rows_out, cols_out)), shape=(ii.size, ii.size))
+        lo, hi = st.starts[color], st.starts[color + 1]
+        vals[lo:hi] = dres[st.ni[lo:hi], st.nj[lo:hi]]
+    keep = vals != 0.0
+    m = st.ii.size
+    return sparse.csr_matrix((vals[keep], (st.rows[keep], st.cols[keep])), shape=(m, m))
 
 
 def solve_dirichlet(
@@ -509,7 +530,8 @@ def solve_dirichlet(
     if not np.any(interior):
         raise ParameterError("no interior nodes; domain is thinner than the stencil")
 
-    u = _harmonic_init(domain, boundary, interior)
+    st = _stencil(interior)
+    u = _harmonic_init(domain, boundary, st)
     gf = GraphFunction(domain, u, tau)
     history: list[float] = []
     converged = False
@@ -527,7 +549,7 @@ def solve_dirichlet(
             converged = True
             break
         eps = 1e-7 * max(1.0, float(np.max(np.abs(gf.values))))
-        jac = _coloring_jacobian(gf, interior, res, eps)
+        jac = _coloring_jacobian(gf, st, res, eps)
         try:
             delta = spsolve(jac.tocsc(), -res[interior])
         except Exception:

@@ -29,6 +29,7 @@ from .core import (
     chord_length,
     convert_coords_arrays,
     frame_components_arrays,
+    require_finite,
 )
 from .isometries import (
     AmbientIsometry,
@@ -62,6 +63,7 @@ class CatenoidSpec:
     d: float
 
     def __post_init__(self) -> None:
+        require_finite("catenoid", tau=self.tau, d=self.d)
         if not self.d > 0.0:
             raise ParameterError(f"catenoid necksize parameter must be positive, got {self.d}")
 
@@ -81,6 +83,7 @@ class InvariantSurfaceSpec:
     mirror: bool = False
 
     def __post_init__(self) -> None:
+        require_finite("invariant surface", tau=self.tau, d=self.d, s=self.s)
         if not self.d > 1.0:
             raise ParameterError(f"invariant surface needs d > 1, got {self.d}")
         if not self.s > 0.0:
@@ -97,6 +100,7 @@ class LeafSpec:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite("leaf", tau=self.tau, d=self.d, s=self.s, scale=self.scale)
         if not self.d > 1.0:
             raise ParameterError(f"leaf needs d > 1, got {self.d}")
         if not self.s > 0.0:

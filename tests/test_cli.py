@@ -191,8 +191,19 @@ def test_missing_config_file_is_invalid_input(capsys) -> None:
         (["solve", "--tau", "inf"], None),
         (["verify", "lifts"], {"points": "abc"}),
         (["solve"], {"boundary": "bogus"}),
+        (["verify", "isometries", "--seed", "-1"], None),
+        (["verify", "isometries"], {"seed": -1}),
+        (["solve", "--max-newton", "-2"], None),
     ],
-    ids=["nan-flag", "inf-flag", "non-numeric-config-value", "config-value-outside-choices"],
+    ids=[
+        "nan-flag",
+        "inf-flag",
+        "non-numeric-config-value",
+        "config-value-outside-choices",
+        "negative-seed-flag",
+        "negative-seed-config",
+        "negative-max-newton",
+    ],
 )
 def test_bad_values_are_invalid_input(tmp_path, capsys, argv, config) -> None:
     if config is not None:

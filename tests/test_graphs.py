@@ -20,6 +20,10 @@ from etau.graphs import (
     Chart,
     GraphDomain,
     GraphFunction,
+    _coloring_jacobian,
+    _divergence_residual,
+    _harmonic_init,
+    _stencil,
     chart_coefficients,
     chart_to_base,
     cylinder_area,
@@ -208,6 +212,66 @@ def test_reference_residuals_shrink_quadratically() -> None:
     ]
     order = math.log2(sups[0] / sups[1])
     assert 1.7 <= order <= 2.3
+
+
+# -- Jacobian and harmonic seed assembly ---------------------------------------------------
+
+
+def _rectangle_window() -> GraphDomain:
+    return GraphDomain(Chart.HALFPLANE_XY, ((-1.0, 1.0), (0.5, 1.5)), (9, 12))
+
+
+def _masked_disc_window() -> GraphDomain:
+    axis = np.linspace(-0.8, 0.8, 11)
+    q1, q2 = np.meshgrid(axis, axis, indexing="ij")
+    mask = q1 * q1 + q2 * q2 < 0.81  # the interior is not a rectangle
+    return GraphDomain(Chart.DISC_XY, ((-0.8, 0.8), (-0.8, 0.8)), (11, 11), mask=mask)
+
+
+WINDOWS = pytest.mark.parametrize(
+    "make_domain", [_rectangle_window, _masked_disc_window], ids=["rectangle", "masked-disc"]
+)
+
+
+def _sample_graph(dom: GraphDomain) -> GraphFunction:
+    return GraphFunction.from_base_callable(
+        dom, 0.5, lambda x, y: np.sin(3.0 * x) * y + 0.7 * x * y - 0.2
+    )
+
+
+@WINDOWS
+def test_coloring_jacobian_matches_one_column_at_a_time(make_domain) -> None:
+    gf = _sample_graph(make_domain())
+    interior = gf.domain.interior_mask()
+    base = _divergence_residual(gf)
+    eps = 1e-7 * max(1.0, float(np.max(np.abs(gf.values))))
+    ii, jj = np.nonzero(interior)
+    dense = np.empty((ii.size, ii.size))
+    for col, (i, j) in enumerate(zip(ii, jj)):
+        values = gf.values.copy()
+        values[i, j] += eps
+        pert = _divergence_residual(GraphFunction(gf.domain, values, gf.tau))
+        dense[:, col] = ((pert - base) / eps)[interior]
+    jac = _coloring_jacobian(gf, _stencil(interior), base, eps)
+    # a residual node sees only its 3x3 neighbourhood, so the agreement is exact
+    assert np.array_equal(jac.toarray(), dense)
+    assert np.all(jac.data != 0.0)
+    assert jac.nnz == np.count_nonzero(dense)
+
+
+@WINDOWS
+def test_harmonic_seed_solves_chart_laplacian(make_domain) -> None:
+    dom = make_domain()
+    boundary = _sample_graph(dom).values
+    interior = dom.interior_mask()
+    u = _harmonic_init(dom, boundary, _stencil(interior))
+    h1, h2 = dom.steps()
+    lap = np.zeros(dom.shape)
+    lap[1:-1, 1:-1] = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / (h1 * h1) + (
+        u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]
+    ) / (h2 * h2)
+    assert float(np.max(np.abs(lap[interior]))) < 1e-10
+    assert np.array_equal(u[~interior], boundary[~interior])
 
 
 # -- Dirichlet solver ----------------------------------------------------------------------

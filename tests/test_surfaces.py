@@ -18,6 +18,7 @@ from etau.core import (
     Model,
     ModelMismatchError,
     ParameterError,
+    SpaceParams,
 )
 from etau.isometries import apply, scale_isometry
 from etau.surfaces import (
@@ -62,6 +63,24 @@ def test_catenoid_spec_validation() -> None:
         CatenoidSpec(0.5, 0.0)
     with pytest.raises(ParameterError):
         CatenoidSpec(0.5, -1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    ("cls", "good"),
+    [
+        (SpaceParams, {"tau": 0.5}),
+        (CatenoidSpec, {"tau": 0.5, "d": 2.0}),
+        (InvariantSurfaceSpec, {"tau": 0.5, "d": 1.4, "s": 1.0}),
+        (LeafSpec, {"tau": 0.5, "d": 1.4, "s": 1.0, "scale": 2.0}),
+    ],
+    ids=["SpaceParams", "CatenoidSpec", "InvariantSurfaceSpec", "LeafSpec"],
+)
+def test_parameters_reject_non_finite_fields(cls, good, bad) -> None:
+    cls(**good)
+    for name in good:
+        with pytest.raises(ParameterError, match=f" {name} must be finite"):
+            cls(**{**good, name: bad})
 
 
 def test_catenoid_neck_radius_frozen() -> None:
