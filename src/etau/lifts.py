@@ -27,7 +27,7 @@ from .core import (
     InvalidPointError,
     Model,
     ParameterError,
-    conformal_data_arrays,
+    frame_components_arrays,
 )
 from .quadrature import cumulative_integral
 
@@ -214,12 +214,8 @@ def horizontality_residuals(lift: LiftedCurve) -> np.ndarray:
     pts = lift.coords()
     mid = pts[1:-1]
     dcoords = (pts[2:] - pts[:-2]) * 0.5
-    x, y = mid[:, 0], mid[:, 1]
-    lam, lam_x, lam_y = conformal_data_arrays(lift.curve.model, x, y)
-    w1 = 2.0 * lift.tau * lam_y / lam
-    w2 = -2.0 * lift.tau * lam_x / lam
-    a1 = lam * dcoords[:, 0]
-    a2 = lam * dcoords[:, 1]
-    a3 = dcoords[:, 2] + w1 * dcoords[:, 0] + w2 * dcoords[:, 1]
+    a1, a2, a3 = frame_components_arrays(
+        lift.curve.model, lift.tau, mid[:, 0], mid[:, 1], dcoords[:, 0], dcoords[:, 1], dcoords[:, 2]
+    )
     norm = np.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
     return np.abs(a3) / np.maximum(norm, 1e-300)

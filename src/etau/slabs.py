@@ -131,6 +131,10 @@ def halfplane_window_domain(
 # Points mapped per batch in edge_length_spectrum: enough to amortize the
 # per-call overhead, small enough to keep the temporaries in cache.
 _SPECTRUM_CHUNK_POINTS = 1 << 14
+# Sub-chord length below which edge_length_spectrum stops subdividing.
+_SPECTRUM_STEP = 0.015
+# Samples per boundary circle in the fiber-margin checks.
+_BOUNDARY_SAMPLES = 512
 
 
 @lru_cache(maxsize=8)
@@ -185,9 +189,9 @@ class AnnulusInstance:
         ).reshape(-1, 3)
         return apply_to_coords(self.placement, coords)
 
-    def boundary_coords(self, samples: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    def boundary_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Finely sampled boundary circles, (top, bottom) ordered by mean t."""
-        phi = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+        phi = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
         upper = self.surface_coords(phi, np.ones_like(phi))
         lower = self.surface_coords(phi, -np.ones_like(phi))
         if float(np.mean(upper[:, 2])) >= float(np.mean(lower[:, 2])):
@@ -235,22 +239,22 @@ class CatenoidAnnulusGenerator:
     The placement composes two disc involutions (axis to the requested
     projection) with the vertical translation that pins the reference vertex
     to p exactly; every instance is therefore an isometric copy of the same
-    model annulus.
+    model annulus.  The model annulus is centred on the fiber level t = 0, so
+    p's fiber coordinate is its offset from the neck and must stay below the
+    annulus half-height.
     """
 
     tau: float
     d: float
     rho_boundary: float
-    fiber_center: Callable[[AmbientPoint], float]
     resolution: tuple[int, int] = (65, 96)
 
     def __call__(self, p: AmbientPoint) -> AnnulusInstance:
-        pc = p if p.model is Model.CYLINDER else _to_cylinder_point(p, self.tau)
+        pc = _convert_point(p, Model.CYLINDER, self.tau)
         spec = CatenoidSpec(tau=self.tau, d=self.d)
         rmin = catenoid_neck_radius(spec)
         sigma_max = math.sqrt(self.rho_boundary - rmin)
-        center_t = float(self.fiber_center(p))
-        offset = pc.t - center_t
+        offset = pc.t
         table = _catenoid_table(self.tau, self.d, sigma_max)
         boundary_height = float(table(sigma_max))
         if abs(offset) >= boundary_height:
@@ -280,11 +284,13 @@ class CatenoidAnnulusGenerator:
         )
 
 
-def _to_cylinder_point(p: AmbientPoint, tau: float) -> AmbientPoint:
+def _convert_point(p: AmbientPoint, model: Model, tau: float) -> AmbientPoint:
+    if p.model is model:
+        return p
     x, y, t = convert_coords_arrays(
         p.model, tau, np.array([p.x]), np.array([p.y]), np.array([p.t])
     )
-    return AmbientPoint(BasePoint(Model.CYLINDER, float(x[0]), float(y[0])), float(t[0]))
+    return AmbientPoint(BasePoint(model, float(x[0]), float(y[0])), float(t[0]))
 
 
 def _batched_polyline_lengths(model: Model, tau: float, pts: np.ndarray) -> np.ndarray:
@@ -306,11 +312,11 @@ def _mapped_subdivisions(
     return mapped.reshape(a.shape[0], m + 1, 3)
 
 
-def edge_length_spectrum(instance: AnnulusInstance, target_step: float = 0.015) -> np.ndarray:
+def edge_length_spectrum(instance: AnnulusInstance) -> np.ndarray:
     """Sorted lengths of the instance's mesh edges.
 
     Each edge is measured as the image of the corresponding model-coordinate
-    segment, subdivided until the sub-chords shrink below target_step and
+    segment, subdivided until the sub-chords shrink below _SPECTRUM_STEP and
     Richardson-extrapolated, so isometric instances produce matching spectra
     well below the comparison tolerance.  Boundary-rim edges of a large
     annulus span tens of hyperbolic units and dominate the cost; edges are
@@ -327,7 +333,7 @@ def edge_length_spectrum(instance: AnnulusInstance, target_step: float = 0.015) 
     tau = instance.tau
     rough = _batched_polyline_lengths(Model.CYLINDER, tau, _mapped_subdivisions(instance, a, b, 4))
     levels = np.clip(
-        np.ceil(np.log2(np.maximum(rough / target_step, 1.0))), 3, 13
+        np.ceil(np.log2(np.maximum(rough / _SPECTRUM_STEP, 1.0))), 3, 13
     ).astype(int)
     out = np.empty(edges.shape[0])
     for level in np.unique(levels):
@@ -414,15 +420,10 @@ def _require_matching_domains(slab: SlabSpec) -> None:
         raise ParameterError("bounding graphs must share the bundle curvature")
 
 
-def check_bounding_graphs(slab: SlabSpec, max_samples: int | None = None) -> BoundingGraphCheck:
+def check_bounding_graphs(slab: SlabSpec) -> BoundingGraphCheck:
     """Height bound, vertical-component bound, and disjointness of the graphs."""
     _require_matching_domains(slab)
     active = slab.lower.domain.active_mask()
-    if max_samples is not None and int(np.sum(active)) > max_samples:
-        stride = int(math.ceil(math.sqrt(np.sum(active) / max_samples)))
-        keep = np.zeros_like(active)
-        keep[::stride, ::stride] = True
-        active = active & keep
     h0 = float(
         max(np.max(np.abs(slab.lower.values[active])), np.max(np.abs(slab.upper.values[active])))
     )
@@ -454,19 +455,19 @@ def _point_in_window(domain: GraphDomain, x: float, y: float) -> bool:
     return bool(domain.active_mask()[i, j])
 
 
-def check_annulus_family(
-    slab: SlabSpec,
-    points: list[AmbientPoint],
-    seed: int = 0,
-    spectra_pairs: int = 2,
-    boundary_samples: int = 512,
-    contains_tol: float = 1e-6,
-    spectra_tol: float = 1e-6,
-) -> SlabReport:
+# check_annulus_family: an annulus contains its point when the chord distance
+# is below _CONTAINS_TOL times the slab scale; _SPECTRA_PAIRS random instance
+# pairs must have edge-length spectra within _SPECTRA_TOL of each other.
+_CONTAINS_TOL = 1e-6
+_SPECTRA_PAIRS = 2
+_SPECTRA_TOL = 1e-6
+
+
+def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int = 0) -> SlabReport:
     """Audit the slab definition at the given interior points.
 
     Per point: the generated annulus passes through it (ambient distance
-    below contains_tol times the slab scale) and its boundary circles clear
+    below _CONTAINS_TOL times the slab scale) and its boundary circles clear
     the graphs along fibers, one above and one below.  Random instance pairs
     must have matching edge-length spectra.  Points are audited serially;
     AnnulusCheck says when a recorded distance is an upper bound.
@@ -494,7 +495,7 @@ def check_annulus_family(
     scale = max(1.0, 2.0 * bounding.height_bound)
 
     for p in points:
-        q = p if p.model is model else _convert_point(p, model, tau)
+        q = _convert_point(p, model, tau)
         if not _point_in_window(slab.lower.domain, q.x, q.y):
             raise InvalidPointError(f"point projection {(q.x, q.y)} is outside the window")
         lo = _heights_at(lower_interp, np.array(q.x), np.array(q.y)).item()
@@ -517,16 +518,15 @@ def check_annulus_family(
             )
             return failed, None
         distance = instance.distance_to(
-            p if p.model is Model.CYLINDER else _to_cylinder_point(p, tau),
-            accept_below=contains_tol * scale,
+            _convert_point(p, Model.CYLINDER, tau), accept_below=_CONTAINS_TOL * scale
         )
-        top, bottom = instance.boundary_coords(boundary_samples)
+        top, bottom = instance.boundary_coords()
         above_margin = _fiber_margin(top, slab.upper, upper_interp, tau, side=+1)
         below_margin = _fiber_margin(bottom, slab.lower, lower_interp, tau, side=-1)
         return (
             AnnulusCheck(
                 point=p,
-                contains_point=distance < contains_tol * scale,
+                contains_point=distance < _CONTAINS_TOL * scale,
                 boundary_above=above_margin > 0.0,
                 boundary_below=below_margin > 0.0,
                 distance=distance,
@@ -541,7 +541,7 @@ def check_annulus_family(
     instances = [r[1] for r in results if r[1] is not None]
 
     deviation = 0.0
-    if len(instances) >= 2 and spectra_pairs > 0:
+    if len(instances) >= 2:
         rng = np.random.default_rng(seed)
         cache: dict[int, np.ndarray] = {}
 
@@ -550,10 +550,10 @@ def check_annulus_family(
                 cache[k] = edge_length_spectrum(instances[k])
             return cache[k]
 
-        for _ in range(spectra_pairs):
+        for _ in range(_SPECTRA_PAIRS):
             i, j = rng.choice(len(instances), size=2, replace=False)
             deviation = max(deviation, float(np.max(np.abs(spectrum(i) - spectrum(j)))))
-    spectra_ok = deviation < spectra_tol
+    spectra_ok = deviation < _SPECTRA_TOL
 
     passed = (
         bounding.disjoint
@@ -568,15 +568,6 @@ def check_annulus_family(
         passed=passed,
         **base_report,
     )
-
-
-def _convert_point(p: AmbientPoint, model: Model, tau: float) -> AmbientPoint:
-    if p.model is model:
-        return p
-    x, y, t = convert_coords_arrays(
-        p.model, tau, np.array([p.x]), np.array([p.y]), np.array([p.t])
-    )
-    return AmbientPoint(BasePoint(model, float(x[0]), float(y[0])), float(t[0]))
 
 
 def _fiber_margin(
@@ -600,6 +591,9 @@ def _fiber_margin(
 # -- example constructions -------------------------------------------------------
 
 _NECK_SOLVE_BUDGET = 100
+# Height of example 2's annulus boundary circles above the upper translate's
+# sup, so they clear it along every fiber.
+_EXAMPLE2_CLEARANCE = 0.3
 
 
 def _solve_catenoid_half_height(tau: float, target: float) -> float:
@@ -634,14 +628,6 @@ def _solve_catenoid_half_height(tau: float, target: float) -> float:
             f"neck parameter for half-height {target} not found in {_NECK_SOLVE_BUDGET} steps"
         )
     return d
-
-
-@dataclass(frozen=True)
-class _ConstantFiberCenter:
-    value: float
-
-    def __call__(self, p: AmbientPoint) -> float:
-        return self.value
 
 
 def build_example1(
@@ -682,7 +668,6 @@ def build_example1(
         tau=tau,
         d=d,
         rho_boundary=rho_boundary,
-        fiber_center=_ConstantFiberCenter(0.0),
         resolution=annulus_resolution,
     )
     chain_left = 0.5 * math.pi * root - abs(tau) * math.pi - 0.5 * epsilon
@@ -732,7 +717,6 @@ def build_example2(
     beta: float = 0.0,
     window_radius: float = 10.0,
     grid: int = 129,
-    margin: float = 0.3,
     annulus_resolution: tuple[int, int] = (65, 96),
 ) -> SlabSpec:
     """Slab between vertical translates of a gradient-bounded entire graph.
@@ -781,7 +765,7 @@ def build_example2(
     variation = float(np.max(values[active]) - np.min(values[active]))
     h_prime = 0.5 * (h + variation)
     sup_height = float(np.max(np.abs(values[active])))
-    boundary_height = h_prime + sup_height + margin
+    boundary_height = h_prime + sup_height + _EXAMPLE2_CLEARANCE
     limit = 0.5 * math.pi * math.sqrt(1.0 + 4.0 * tau * tau)
     if boundary_height >= limit - 1e-3:
         raise FeasibilityError(
@@ -798,7 +782,6 @@ def build_example2(
         tau=tau,
         d=d,
         rho_boundary=rho_boundary,
-        fiber_center=_ConstantFiberCenter(0.0),
         resolution=annulus_resolution,
     )
     douglas = douglas_check(r, h)
@@ -827,10 +810,18 @@ def build_example2(
 # -- sampling and negative controls ----------------------------------------------
 
 
-def sample_interior_points(
-    slab: SlabSpec, count: int, seed: int = 0, radial_fraction: float = 0.8
-) -> list[AmbientPoint]:
-    """Seeded points strictly between the graphs, inside the sampled window."""
+# sample_interior_points draws base points within this fraction of the
+# window radius and gives up after _SAMPLE_DRAWS_PER_POINT draws per point.
+_SAMPLE_RADIAL_FRACTION = 0.8
+_SAMPLE_DRAWS_PER_POINT = 1000
+
+
+def sample_interior_points(slab: SlabSpec, count: int, seed: int = 0) -> list[AmbientPoint]:
+    """Seeded points strictly between the graphs, inside the sampled window.
+
+    Raises ConvergenceError when the draw budget runs out first, as it does
+    when the window lies outside the sampled radius.
+    """
     if count < 1:
         raise ParameterError("need at least one sample point")
     rng = np.random.default_rng(seed)
@@ -840,8 +831,8 @@ def sample_interior_points(
     upper_interp = _graph_interpolator(slab.upper)
     radius = float(slab.metadata.get("window_radius", 10.0))
     points: list[AmbientPoint] = []
-    while len(points) < count:
-        rho = radial_fraction * radius * math.sqrt(rng.uniform())
+    for _ in range(_SAMPLE_DRAWS_PER_POINT * count):
+        rho = _SAMPLE_RADIAL_FRACTION * radius * math.sqrt(rng.uniform())
         angle = rng.uniform(0.0, 2.0 * math.pi)
         if model is Model.CYLINDER:
             rc = math.tanh(0.5 * rho)
@@ -856,7 +847,11 @@ def sample_interior_points(
         hi = _heights_at(upper_interp, np.array(x), np.array(y)).item()
         t = lo + (0.1 + 0.8 * rng.uniform()) * (hi - lo)
         points.append(AmbientPoint(BasePoint(model, x, y), t))
-    return points
+        if len(points) == count:
+            return points
+    raise ConvergenceError(
+        f"sampled {len(points)} of {count} points in {_SAMPLE_DRAWS_PER_POINT * count} draws"
+    )
 
 
 def with_shrunken_annuli(slab: SlabSpec, factor: float = 0.6) -> SlabSpec:
@@ -964,10 +959,8 @@ def graph_separation_probe(graph: GraphFunction, leaf: LeafSpec) -> SeparationRe
 # -- serialization ------------------------------------------------------------------
 
 
-def slab_spec_descriptor(
-    spec: SlabSpec, lower_path: str | None = None, upper_path: str | None = None
-) -> dict:
-    """JSON-ready description of a slab: window, generator, and graph references."""
+def slab_spec_descriptor(spec: SlabSpec) -> dict:
+    """JSON-ready description of a slab: window and generator."""
     domain = spec.lower.domain
     gen = spec.annulus_generator
     descriptor: dict = {
@@ -984,10 +977,6 @@ def slab_spec_descriptor(
             "rho_boundary": gen.rho_boundary,
             "resolution": list(gen.resolution),
         }
-    if lower_path is not None:
-        descriptor["lower_csv"] = lower_path
-    if upper_path is not None:
-        descriptor["upper_csv"] = upper_path
     return descriptor
 
 

@@ -445,10 +445,6 @@ class SurfaceMesh:
     wrap_cols: bool
     metadata: dict = field(default_factory=dict)
 
-    def vertex_grid(self) -> np.ndarray:
-        rows, cols = self.grid_shape
-        return self.vertices.reshape(rows, cols, 3)
-
 
 def _grid_triangles(rows: int, cols: int, wrap_cols: bool) -> np.ndarray:
     tris = []
@@ -558,22 +554,23 @@ def mesh_catenoid(
     return mesh
 
 
+# Smallest meshed wedge angle, as a fraction of the gluing angle theta*.
+_THETA_MIN_FRACTION = 1e-3
+
+
 def mesh_invariant_surface(
     spec: InvariantSurfaceSpec,
     phi_span: tuple[float, float] = (-3.0, 3.0),
     resolution: tuple[int, int] = (129, 129),
-    theta_min: float | None = None,
 ) -> SurfaceMesh:
     """Triangulate the invariant surface over phi_span along its axis.
 
-    Rows sweep the wedge angle in the regularized gluing variable; the two
-    sheets meet at the gluing curve with matching fiber value zero.
+    Rows sweep the wedge angle in the regularized gluing variable, from theta*
+    at the gluing curve down to _THETA_MIN_FRACTION * theta*; the two sheets
+    meet at the gluing curve with matching fiber value zero.
     """
     theta_star = invariant_angle_max(spec.d)
-    if theta_min is None:
-        theta_min = 1e-3 * theta_star
-    if not 0.0 < theta_min < theta_star:
-        raise ParameterError("theta_min must lie strictly inside the wedge")
+    theta_min = _THETA_MIN_FRACTION * theta_star
     rows, cols = resolution
     if rows < 5 or cols < 2:
         raise ParameterError("invariant meshes need at least 5 rows and 2 columns")
@@ -673,14 +670,12 @@ def leaf_mesh(
     leaf: LeafSpec,
     phi_span: tuple[float, float] = (-3.0, 3.0),
     resolution: tuple[int, int] = (129, 129),
-    theta_min: float | None = None,
 ) -> SurfaceMesh:
     """Mesh of the foliation leaf at the given scale."""
     base = mesh_invariant_surface(
         InvariantSurfaceSpec(leaf.tau, leaf.d, leaf.s, Sheet.BOTH),
         phi_span=phi_span,
         resolution=resolution,
-        theta_min=theta_min,
     )
     moved = apply_isometry_to_mesh(axis_translation_isometry(leaf.s, leaf.tau), base)
     out = apply_isometry_to_mesh(scale_isometry(leaf.scale, leaf.tau), moved)
@@ -689,6 +684,9 @@ def leaf_mesh(
 
 
 # -- foliation ----------------------------------------------------------------
+
+# foliation_leaf_find finds no leaf when the scale leaves [1 / range, range].
+_LEAF_SCALE_RANGE = 1e6
 
 
 @dataclass(frozen=True)
@@ -728,9 +726,7 @@ def _leaf_side_pulled(p, d, s, tau, scale, axis_inv) -> int:
     return -1
 
 
-def foliation_leaf_find(
-    p: AmbientPoint, d: float, s: float, tau: float, max_factor: float = 1e6
-) -> LeafFindResult:
+def foliation_leaf_find(p: AmbientPoint, d: float, s: float, tau: float) -> LeafFindResult:
     """Scale of the unique leaf through p, with the attained distance residual.
 
     Brackets the pocket indicator's sign change geometrically from scale 1,
@@ -755,7 +751,7 @@ def foliation_leaf_find(
             iterations += 1
             if side(lo) < 0:
                 break
-            if lo < 1.0 / max_factor:
+            if lo < 1.0 / _LEAF_SCALE_RANGE:
                 raise InvalidPointError("no leaf found: point escapes the foliated region")
     else:
         while True:
@@ -763,7 +759,7 @@ def foliation_leaf_find(
             iterations += 1
             if side(hi) > 0:
                 break
-            if hi > max_factor:
+            if hi > _LEAF_SCALE_RANGE:
                 raise InvalidPointError("no leaf found: point escapes the foliated region")
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from etau.core import (
     conformal_data_arrays,
     vertical_form_arrays,
 )
+from etau import graphs
 from etau.graphs import (
     Chart,
     GraphDomain,
@@ -318,6 +321,72 @@ def test_solver_reports_nonconvergence_with_capped_iterations() -> None:
     assert not result.report["converged"]
     assert result.report["iterations"] == 6
     assert len(result.report["residual_history"]) == 7
+
+
+def _wild_problem() -> tuple[GraphDomain, np.ndarray]:
+    dom = GraphDomain(Chart.HALFPLANE_XY, ((-1.0, 1.0), (0.5, 1.5)), (33, 33))
+    x, y = dom.base_grids()
+    return dom, 50.0 * np.sin(9.0 * x) / y
+
+
+def _solver_case(case: str):
+    if case == "zero":
+        dom = GraphDomain(Chart.DISC_XY, ((-0.4, 0.4), (-0.4, 0.4)), (17, 17))
+        return solve_dirichlet(dom, 0.0, np.zeros((17, 17)))
+    if case == "catenoid":
+        gf = reference_problem("catenoid", 0.5, 2.0, 1.0, 33)
+        return solve_dirichlet(gf.domain, 0.5, gf.values)
+    dom, boundary = _wild_problem()
+    return solve_dirichlet(dom, 0.5, boundary, max_newton=6 if case == "wild_capped" else 0)
+
+
+@pytest.mark.parametrize("case", ["zero", "catenoid", "wild_capped", "no_newton"])
+def test_solver_report_is_read_off_the_history(case: str) -> None:
+    result = _solver_case(case)
+    report = result.report
+    history = report["residual_history"]
+    assert report["max_mean_curvature"] == history[-1]
+    assert report["max_mean_curvature"] == mean_curvature(result.graph).sup()
+    assert report["converged"] == (history[-1] < report["tolerance"])
+    # each case converges or runs out of budget; running out adds the last iterate's entry
+    expected = report["iterations"] if report["converged"] else report["iterations"] + 1
+    assert len(history) == expected
+    if case == "no_newton":
+        assert report["iterations"] == 0
+        assert len(history) == 1
+
+
+def test_solver_computes_each_residual_once(monkeypatch) -> None:
+    seen: list[str] = []
+    residual = graphs._divergence_residual
+
+    def recording(gf: GraphFunction) -> np.ndarray:
+        seen.append(hashlib.sha256(gf.values.tobytes()).hexdigest())
+        return residual(gf)
+
+    monkeypatch.setattr(graphs, "_divergence_residual", recording)
+    dom, boundary = _wild_problem()
+    result = solve_dirichlet(dom, 0.5, boundary, max_newton=6)
+    assert result.report["iterations"] == 6
+    assert len(seen) == len(set(seen))
+
+
+def test_masked_disc_window_residual_is_finite_without_warnings() -> None:
+    # The horizontal edge midpoint (0.8, 0.6) of this grid lies on the unit circle.
+    axis = np.linspace(-0.8, 0.8, 13)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    dom = GraphDomain(
+        Chart.DISC_XY, ((-0.8, 0.8), (-0.8, 0.8)), (13, 13), mask=x * x + y * y < 0.81
+    )
+    interior = dom.interior_mask()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _divergence_residual(GraphFunction(dom, 0.1 * x, 0.5))
+        sup = mean_curvature(GraphFunction(dom, 0.1 * x, 0.5)).sup()
+        result = solve_dirichlet(dom, 0.5, 0.1 * x)
+    assert np.all(np.isfinite(res[interior]))
+    assert math.isfinite(sup)
+    assert result.report["converged"]
 
 
 def test_solver_rejects_bad_boundary_shape() -> None:

@@ -10,6 +10,7 @@ import pytest
 from etau.core import (
     AmbientPoint,
     BasePoint,
+    ConvergenceError,
     FeasibilityError,
     InvalidPointError,
     Model,
@@ -20,6 +21,7 @@ from etau.core import (
 from etau.graphs import GraphFunction
 from etau.isometries import apply_to_coords
 from etau.slabs import (
+    SlabSpec,
     _model_annulus_edges,
     _model_annulus_mesh,
     _solve_catenoid_half_height,
@@ -259,6 +261,20 @@ def test_sampled_points_lie_between_graphs(slab1) -> None:
     for p in sample_interior_points(slab1, 8, seed=0):
         assert -half < p.t < half
         assert p.model is Model.CYLINDER
+
+
+def test_sampler_gives_up_on_an_unreachable_window() -> None:
+    # The sampler draws within 0.8 window radii of (0, 1); this window sits
+    # around x = 50, hyperbolic distance about 7.8 away.
+    dom = halfplane_window_domain((50.0, 1.0), 0.5, 9)
+    slab = SlabSpec(
+        lower=GraphFunction.constant(dom, 0.0, -1.0),
+        upper=GraphFunction.constant(dom, 0.0, 1.0),
+        annulus_generator=None,
+        metadata={"window_radius": 0.5},
+    )
+    with pytest.raises(ConvergenceError):
+        sample_interior_points(slab, 3)
 
 
 # -- separation probe ---------------------------------------------------------------
