@@ -166,6 +166,13 @@ def _arg_derivative_arrays(iso: AmbientIsometry, z: np.ndarray) -> np.ndarray:
     return -2.0 * carg + iso.branch_offset
 
 
+def _row_signs(iso: AmbientIsometry) -> tuple[float, float, float]:
+    """Signs of the x, y and t rows: a reversing map applies R and flips t."""
+    if iso.orientation is Orientation.DIRECT:
+        return 1.0, 1.0, 1.0
+    return (-1.0, 1.0, -1.0) if iso.model is Model.HALF_SPACE else (1.0, -1.0, -1.0)
+
+
 def apply(iso: AmbientIsometry, p: AmbientPoint) -> AmbientPoint:
     """Apply the isometry to an ambient point."""
     if p.model is not iso.model:
@@ -173,12 +180,9 @@ def apply(iso: AmbientIsometry, p: AmbientPoint) -> AmbientPoint:
     z = p.base.z
     w = iso.mobius.apply_complex(z)
     theta = arg_derivative(iso, z)
-    if iso.orientation is Orientation.DIRECT:
-        t = p.t - 2.0 * iso.tau * theta + iso.shift
-    else:
-        w = -w.conjugate() if iso.model is Model.HALF_SPACE else w.conjugate()
-        t = -p.t + 2.0 * iso.tau * theta + iso.shift
-    return AmbientPoint(BasePoint(iso.model, w.real, w.imag), t)
+    sx, sy, st = _row_signs(iso)
+    t = st * (p.t - 2.0 * iso.tau * theta) + iso.shift
+    return AmbientPoint(BasePoint(iso.model, sx * w.real, sy * w.imag), t)
 
 
 def apply_to_coords(iso: AmbientIsometry, coords: np.ndarray) -> np.ndarray:
@@ -188,17 +192,27 @@ def apply_to_coords(iso: AmbientIsometry, coords: np.ndarray) -> np.ndarray:
     m = iso.mobius
     w = (m.a * z + m.b) / (m.c * z + m.d)
     theta = _arg_derivative_arrays(iso, z)
-    out = np.empty_like(pts)
-    if iso.orientation is Orientation.DIRECT:
-        out[..., 0] = w.real
-        out[..., 1] = w.imag
-        out[..., 2] = pts[..., 2] - 2.0 * iso.tau * theta + iso.shift
-    else:
-        sign = -1.0 if iso.model is Model.HALF_SPACE else 1.0
-        out[..., 0] = sign * w.real
-        out[..., 1] = w.imag
-        out[..., 2] = -pts[..., 2] + 2.0 * iso.tau * theta + iso.shift
-    return out
+    sx, sy, st = _row_signs(iso)
+    fiber = st * (pts[..., 2] - 2.0 * iso.tau * theta) + iso.shift
+    return np.stack([sx * w.real, sy * w.imag, fiber], axis=-1)
+
+
+def push_forward(iso: AmbientIsometry, coords: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Images F(p) of (n, 3) points and dF_p(v) of tangent vectors at them.
+
+    The base differential is dw = dz / (cz + d)^2 and the branch moves by
+    dTheta = -2 Im(c dz / (cz + d)); the row signs follow apply_to_coords.
+    """
+    pts = np.asarray(coords, dtype=float)
+    vec = np.asarray(vectors, dtype=float)
+    m = iso.mobius
+    q = m.c * (pts[..., 0] + 1j * pts[..., 1]) + m.d
+    dz = vec[..., 0] + 1j * vec[..., 1]
+    dw = dz / (q * q)
+    dtheta = -2.0 * (m.c * dz / q).imag
+    sx, sy, st = _row_signs(iso)
+    dt = st * (vec[..., 2] - 2.0 * iso.tau * dtheta)
+    return apply_to_coords(iso, pts), np.stack([sx * dw.real, sy * dw.imag, dt], axis=-1)
 
 
 def compose(outer: AmbientIsometry, inner: AmbientIsometry) -> AmbientIsometry:

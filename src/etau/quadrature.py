@@ -1,10 +1,10 @@
 """Composite Gauss–Legendre quadrature and the AGM elliptic integral.
 
-Every integral in the package goes through cumulative_integral.  Each
-interval between consecutive breakpoints gets a composite Gauss–Legendre rule
-(Golub & Welsch 1969 nodes from numpy's leggauss) whose panel count doubles
-until two successive estimates agree; the profile integrands are smooth after
-the sigma = sqrt(.) substitution, so one or two doublings usually suffice.
+Every integral in the package uses composite_gauss (Golub & Welsch 1969
+nodes from numpy's leggauss): one panel per slab edge, and in
+cumulative_integral a panel count per interval that doubles until two
+successive estimates agree; the profile integrands are smooth after the
+sigma = sqrt(.) substitution, so one or two doublings usually suffice.
 """
 
 from __future__ import annotations
@@ -16,15 +16,19 @@ import numpy as np
 
 from .core import ConvergenceError, ParameterError
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+PANEL_NODES = 20
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(PANEL_NODES)
 # Two estimates of an interval agree when they differ by at most
 # _TOL * max(1, |estimate|); the panel count may double _DOUBLINGS times.
 _TOL = 1e-13
 _DOUBLINGS = 12
 
 
-def _composite_gauss(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, panels: int) -> np.ndarray:
-    """Integral of f over each [a[i], b[i]], split into equal Gauss panels."""
+def composite_gauss(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, panels: int) -> np.ndarray:
+    """Integral of f over each [a[i], b[i]], split into equal Gauss panels.
+
+    f gets the nodes as an array of shape (len(a), panels, PANEL_NODES).
+    """
     half = 0.5 * (b - a) / panels
     mids = a[:, None] + (2.0 * np.arange(panels) + 1.0) * half[:, None]
     values = f(mids[:, :, None] + half[:, None, None] * _NODES)
@@ -44,9 +48,9 @@ def cumulative_integral(f: Callable[[np.ndarray], np.ndarray], breakpoints) -> n
     a, b = x[:-1], x[1:]
     sums = np.empty(a.size)
     todo = np.arange(a.size)
-    coarse = _composite_gauss(f, a, b, 1)
+    coarse = composite_gauss(f, a, b, 1)
     for level in range(1, _DOUBLINGS + 1):
-        fine = _composite_gauss(f, a[todo], b[todo], 2 ** level)
+        fine = composite_gauss(f, a[todo], b[todo], 2 ** level)
         if not np.all(np.isfinite(fine)):
             raise ConvergenceError("integrand is not finite on the integration interval")
         settled = np.abs(fine - coarse) <= _TOL * np.maximum(1.0, np.abs(fine))

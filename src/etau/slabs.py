@@ -50,8 +50,10 @@ from .isometries import (
     disc_point_isometry,
     inverse,
     axis_translation_isometry,
+    push_forward,
     vertical_translation,
 )
+from .quadrature import PANEL_NODES, composite_gauss
 from .surfaces import (
     CatenoidSpec,
     LeafSpec,
@@ -128,11 +130,9 @@ def halfplane_window_domain(
 
 # -- annulus family ------------------------------------------------------------
 
-# Points mapped per batch in edge_length_spectrum: enough to amortize the
+# Quadrature nodes per batch in edge_length_spectrum: enough to amortize the
 # per-call overhead, small enough to keep the temporaries in cache.
 _SPECTRUM_CHUNK_POINTS = 1 << 14
-# Sub-chord length below which edge_length_spectrum stops subdividing.
-_SPECTRUM_STEP = 0.015
 # Samples per boundary circle in the fiber-margin checks.
 _BOUNDARY_SAMPLES = 512
 
@@ -293,59 +293,39 @@ def _convert_point(p: AmbientPoint, model: Model, tau: float) -> AmbientPoint:
     return AmbientPoint(BasePoint(model, float(x[0]), float(y[0])), float(t[0]))
 
 
-def _batched_polyline_lengths(model: Model, tau: float, pts: np.ndarray) -> np.ndarray:
-    delta = pts[:, 1:, :] - pts[:, :-1, :]
-    mid = 0.5 * (pts[:, 1:, :] + pts[:, :-1, :])
-    sq = metric_quadratic_form(
-        model, tau, mid[..., 0], mid[..., 1], delta[..., 0], delta[..., 1], delta[..., 2]
-    )
-    return np.sqrt(sq).sum(axis=1)
-
-
-def _mapped_subdivisions(
-    instance: AnnulusInstance, a: np.ndarray, b: np.ndarray, m: int
-) -> np.ndarray:
-    """Images of the segments a -> b split into m equal parts, shape (n, m + 1, 3)."""
-    frac = np.linspace(0.0, 1.0, m + 1)
-    pts = a[:, None, :] * (1.0 - frac)[None, :, None] + b[:, None, :] * frac[None, :, None]
-    mapped = apply_to_coords(instance.placement, pts.reshape(-1, 3))
-    return mapped.reshape(a.shape[0], m + 1, 3)
-
-
 def edge_length_spectrum(instance: AnnulusInstance) -> np.ndarray:
     """Sorted lengths of the instance's mesh edges.
 
-    Each edge is measured as the image of the corresponding model-coordinate
-    segment, subdivided until the sub-chords shrink below _SPECTRUM_STEP and
-    Richardson-extrapolated, so isometric instances produce matching spectra
-    well below the comparison tolerance.  Boundary-rim edges of a large
-    annulus span tens of hyperbolic units and dominate the cost; edges are
-    bucketed by the subdivision level they need.  Each level maps its fine
-    polyline once, in chunks of about _SPECTRUM_CHUNK_POINTS points, and
-    reads the coarse polyline off every second node: with m a power of two
-    those nodes equal the nodes of a separate m-part subdivision.
+    The image of the model edge a -> b under the placement F has length
+    int_0^1 |dF(v)|_g ds with v = b - a and g taken at F(a + s v), so a
+    placement that is not an isometry changes the spectrum.  One
+    Gauss–Legendre panel of the quadrature kernel (exact to degree 39)
+    measures each edge: for an isometry the speed is the model speed |v|_g
+    at a + s v, analytic near [0, 1] even on the long rim edges, and one
+    panel agrees with four to about 1e-14.  What remains is rounding: far
+    out in the disc, float64 image coordinates fix 1 - |w|^2 only to about
+    1e-16.  Congruent instances differ by about 2e-9, and by up to 2e-8 near
+    the edge of the example-1 window, far below _SPECTRA_TOL.
     """
     rows, cols = instance.resolution
-    model = _model_annulus_mesh(instance.tau, instance.d, instance.rho_boundary, rows, cols)
-    edges = _model_annulus_edges(instance.tau, instance.d, instance.rho_boundary, rows, cols)
-    a = model.vertices[edges[:, 0]]
-    b = model.vertices[edges[:, 1]]
-    tau = instance.tau
-    rough = _batched_polyline_lengths(Model.CYLINDER, tau, _mapped_subdivisions(instance, a, b, 4))
-    levels = np.clip(
-        np.ceil(np.log2(np.maximum(rough / _SPECTRUM_STEP, 1.0))), 3, 13
-    ).astype(int)
+    args = (instance.tau, instance.d, instance.rho_boundary, rows, cols)
+    vertices = _model_annulus_mesh(*args).vertices
+    edges = _model_annulus_edges(*args)
     out = np.empty(edges.shape[0])
-    for level in np.unique(levels):
-        m = 1 << int(level)
-        selected = np.flatnonzero(levels == level)
-        per_chunk = max(1, _SPECTRUM_CHUNK_POINTS // (2 * m + 1))
-        for start in range(0, selected.size, per_chunk):
-            part = selected[start : start + per_chunk]
-            mapped = _mapped_subdivisions(instance, a[part], b[part], 2 * m)
-            fine = _batched_polyline_lengths(Model.CYLINDER, tau, mapped)
-            coarse = _batched_polyline_lengths(Model.CYLINDER, tau, mapped[:, ::2])
-            out[part] = (4.0 * fine - coarse) / 3.0
+    per_chunk = max(1, _SPECTRUM_CHUNK_POINTS // PANEL_NODES)
+    for start in range(0, edges.shape[0], per_chunk):
+        part = edges[start : start + per_chunk]
+        a = vertices[part[:, 0], None, None, :]
+        v = vertices[part[:, 1], None, None, :] - a
+
+        def speed(s: np.ndarray) -> np.ndarray:
+            p = a + s[..., None] * v
+            dirs = np.broadcast_to(v, p.shape)
+            image, dv = push_forward(instance.placement, p.reshape(-1, 3), dirs.reshape(-1, 3))
+            sq = metric_quadratic_form(Model.CYLINDER, instance.tau, image[:, 0], image[:, 1], *dv.T)
+            return np.sqrt(sq).reshape(s.shape)
+
+        out[start : start + per_chunk] = composite_gauss(speed, np.zeros(len(part)), np.ones(len(part)), 1)
     return np.sort(out)
 
 
@@ -552,7 +532,8 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
 
         for _ in range(_SPECTRA_PAIRS):
             i, j = rng.choice(len(instances), size=2, replace=False)
-            deviation = max(deviation, float(np.max(np.abs(spectrum(i) - spectrum(j)))))
+            # np.maximum, unlike max, keeps a NaN, which then fails the check.
+            deviation = float(np.maximum(deviation, np.max(np.abs(spectrum(i) - spectrum(j)))))
     spectra_ok = deviation < _SPECTRA_TOL
 
     passed = (

@@ -17,6 +17,7 @@ from etau.core import (
     chord_length,
     convert_model,
     hyperbolic_distance,
+    metric_arrays,
 )
 from etau.isometries import (
     AmbientIsometry,
@@ -38,6 +39,7 @@ from etau.isometries import (
     isometry_to_json,
     point_translation_angle,
     pullback_residual,
+    push_forward,
     rotation_isometry,
     scale_isometry,
     vertical_translation,
@@ -114,6 +116,39 @@ def test_pullback_detects_base_squeeze() -> None:
     p = halfspace_point(0.4, 1.1, 0.2)
     squeeze = lambda c: np.array([1.1 * c[0], c[1], c[2]])
     assert _map_pullback_residual(squeeze, p, Model.HALF_SPACE, 0.5, 2e-3) > 0.1
+
+
+def push_forward_cases(tau: float) -> list[AmbientIsometry]:
+    """Direct and reversing maps of both models, with nontrivial c where possible."""
+    disc = disc_point_isometry(0.3 + 0.2j, tau)
+    return family_members(tau) + [
+        compose(halfplane_reflection(0.5, tau), axis_translation_isometry(1.0, tau)),
+        AmbientIsometry(disc.mobius, Orientation.REVERSING, 0.3, 0.0, tau),
+    ]
+
+
+VECTORS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.3, -0.7, 0.4]])
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, -0.7])
+def test_push_forward_is_the_differential_and_preserves_the_metric(tau: float) -> None:
+    for iso in push_forward_cases(tau):
+        coords = np.repeat([p.coords() for p in probes_for(iso)], len(VECTORS), axis=0)
+        vectors = np.tile(VECTORS, (len(probes_for(iso)), 1))
+        image, dv = push_forward(iso, coords, vectors)
+        np.testing.assert_array_equal(image, apply_to_coords(iso, coords))
+        h = 1e-3
+        f = lambda k: apply_to_coords(iso, coords + k * h * vectors)
+        fd = (8.0 * (f(1) - f(-1)) - (f(2) - f(-2))) / (12.0 * h)
+        np.testing.assert_allclose(dv, fd, rtol=1e-8, atol=1e-10, err_msg=iso.family)
+        g_image = metric_arrays(iso.model, tau, image[:, 0], image[:, 1])
+        g_here = metric_arrays(iso.model, tau, coords[:, 0], coords[:, 1])
+        np.testing.assert_allclose(
+            np.einsum("ni,nij,nj->n", dv, g_image, dv),
+            np.einsum("ni,nij,nj->n", vectors, g_here, vectors),
+            rtol=1e-12,
+            err_msg=iso.family,
+        )
 
 
 # -- named family behaviour ----------------------------------------------------
@@ -252,6 +287,18 @@ def test_apply_to_coords_matches_pointwise_apply() -> None:
     for row, p in zip(batch, CYL_PROBES):
         q = apply(iso, p)
         assert row == pytest.approx([q.x, q.y, q.t], abs=1e-13)
+
+
+def test_apply_to_coords_matches_apply_for_reversing_maps() -> None:
+    disc = disc_point_isometry(0.3 + 0.2j, 0.5)
+    for iso, probes in (
+        (halfplane_reflection(0.5, 0.5), HALF_PROBES),
+        (AmbientIsometry(disc.mobius, Orientation.REVERSING, 0.3, 0.0, 0.5), CYL_PROBES),
+    ):
+        batch = apply_to_coords(iso, np.array([p.coords() for p in probes]))
+        for row, p in zip(batch, probes):
+            q = apply(iso, p)
+            assert row == pytest.approx([q.x, q.y, q.t], abs=1e-13)
 
 
 def test_isometries_preserve_base_distance() -> None:

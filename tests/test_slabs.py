@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from etau import slabs
 from etau.core import (
     AmbientPoint,
     BasePoint,
@@ -163,11 +165,42 @@ def _two_pass_spectrum(instance, target_step: float = 0.015) -> np.ndarray:
 
 
 def test_edge_length_spectrum_matches_two_pass_reference(slab1) -> None:
+    # The step-0.004 polyline's own error is about 1e-11 here.
     instance = slab1.annulus_generator(sample_interior_points(slab1, 1, seed=7)[0])
     assert instance.resolution == (33, 48)
     np.testing.assert_allclose(
-        edge_length_spectrum(instance), _two_pass_spectrum(instance), rtol=1e-12, atol=0.0
+        edge_length_spectrum(instance), _two_pass_spectrum(instance, 0.004), rtol=1e-10, atol=0.0
     )
+
+
+def test_edge_length_spectrum_separates_non_congruent_annuli(slab1) -> None:
+    first, second = (slab1.annulus_generator(p) for p in sample_interior_points(slab1, 2, seed=7))
+    spectrum = edge_length_spectrum(first)
+
+    def deviation(instance) -> float:
+        return float(np.max(np.abs(edge_length_spectrum(instance) - spectrum)))
+
+    assert deviation(second) < 1e-8
+    # A slightly different catenoid, and a placement whose fiber rule belongs
+    # to another tau (so it is not an isometry of the tau = 0 metric).
+    assert deviation(replace(first, d=first.d * (1.0 + 1e-4))) > 1e-5
+    assert deviation(replace(first, placement=replace(first.placement, tau=0.01))) > 1e-5
+
+
+def test_nan_spectrum_fails_the_audit(slab1, monkeypatch) -> None:
+    points = sample_interior_points(slab1, 2, seed=7)
+
+    def spectrum_with_nan(instance):
+        out = edge_length_spectrum(instance)
+        if instance.point == points[0]:
+            out[len(out) // 2] = float("nan")
+        return out
+
+    monkeypatch.setattr(slabs, "edge_length_spectrum", spectrum_with_nan)
+    report = check_annulus_family(slab1, points)
+    assert math.isnan(report.spectra_deviation)
+    assert not report.spectra_ok
+    assert not report.passed
 
 
 def test_shrunken_annuli_fail_without_crashing(slab1) -> None:
