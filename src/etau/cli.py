@@ -16,34 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import meshio
-from .core import (
-    AmbientPoint,
-    BasePoint,
-    ConvergenceError,
-    GeometryError,
-    Model,
-    SpaceParams,
-)
-from .graphs import (
-    Chart,
-    GraphDomain,
-    GraphFunction,
-    mean_curvature,
-    reference_problem,
-    solve_dirichlet,
-)
-from .isometries import (
-    apply,
-    axis_translation_isometry,
-    conversion_pullback_residual,
-    disc_point_isometry,
-    halfplane_graph_isometry,
-    pullback_residual,
-    scale_isometry,
-)
-from .lifts import PlanarCurve, horizontal_lift, lift_geodesic_semicircle
-from .quadrature import elliptic_k
+from . import meshio, verify
+from .core import ConvergenceError, GeometryError, Model, SpaceParams
+from .graphs import reference_problem, solve_dirichlet
 from .slabs import (
     build_example1,
     build_example2,
@@ -56,21 +31,12 @@ from .surfaces import (
     CatenoidSpec,
     InvariantSurfaceSpec,
     LeafSpec,
-    catenoid_height,
     catenoid_neck_radius,
     catenoid_profile,  # noqa: F401 -- the benchmark's tracer test checks it is rebound here
-    foliation_leaf_find,
-    invariant_height,
-    invariant_height_substituted,
     leaf_mesh,
     mesh_catenoid,
     mesh_invariant_surface,
-    transversality_delta,
-    transversality_margin,
-    transversality_window_check,
 )
-
-SUITES = ("limits", "isometries", "minimality", "lifts", "transversality", "foliation")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_surface.add_argument("--cols", type=int, default=None)
 
     p_verify = sub.add_parser("verify", parents=[common], allow_abbrev=False)
-    p_verify.add_argument("suite", choices=SUITES)
+    p_verify.add_argument("suite", choices=verify.SUITES)
     p_verify.add_argument("--tau", type=float, default=None)
     p_verify.add_argument("--d", type=float, default=None)
     p_verify.add_argument("--s", type=float, default=None)
@@ -251,175 +217,16 @@ def cmd_surface(cfg: dict) -> tuple[dict, int]:
 # -- verify -------------------------------------------------------------------
 
 
-def _check(name: str, value: float, bound: float) -> dict:
-    return {"name": name, "value": float(value), "bound": float(bound), "pass": bool(value < bound)}
-
-
-def _suite_limits(cfg: dict) -> list[dict]:
-    tau = float(cfg["tau"])
-    checks = []
-    for d in (1.1, 2.0, 10.0, 100.0):
-        err = abs(invariant_height(d, 0.0) - elliptic_k(1.0 / d))
-        checks.append(_check(f"elliptic_oracle_d_{d:g}", err, 1e-8))
-    half_limit = 0.5 * math.pi * math.sqrt(1.0 + 4.0 * tau * tau)
-    checks.append(_check("invariant_height_limit", abs(invariant_height(1e4, tau) - half_limit), 1e-3))
-    checks.append(
-        _check("catenoid_height_limit", abs(catenoid_height(CatenoidSpec(tau, 1e3)) - 2.0 * half_limit), 5e-2)
-    )
-    worst = 0.0
-    for d in (1.5, 3.0, 8.0):
-        for t in (0.0, 0.4, 1.0):
-            worst = max(worst, abs(invariant_height(d, t) - invariant_height_substituted(d, t)))
-    checks.append(_check("substitution_route", worst, 1e-8))
-    return checks
-
-
-def _halfspace_points(rng: np.random.Generator, n: int) -> list[AmbientPoint]:
-    return [
-        AmbientPoint(
-            BasePoint(Model.HALF_SPACE, rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0)),
-            rng.uniform(-2.0, 2.0),
-        )
-        for _ in range(n)
-    ]
-
-
-def _cylinder_points(rng: np.random.Generator, n: int) -> list[AmbientPoint]:
-    out = []
-    for _ in range(n):
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        radius = rng.uniform(0.0, 0.8)
-        out.append(
-            AmbientPoint(
-                BasePoint(Model.CYLINDER, radius * math.cos(angle), radius * math.sin(angle)),
-                rng.uniform(-2.0, 2.0),
-            )
-        )
-    return out
-
-
-def _suite_isometries(cfg: dict) -> list[dict]:
-    tau = float(cfg["tau"])
-    rng = np.random.default_rng(int(cfg["seed"]))
-    per_family = max(int(cfg["points"]) // 5, 1)
-    checks = []
-    delta = 0.37
-
-    def family_checks(name, make_iso, points):
-        worst = fiber = 0.0
-        for p in points:
-            iso = make_iso()
-            worst = max(worst, pullback_residual(iso, p))
-            lifted = AmbientPoint(p.base, p.t + delta)
-            fiber = max(fiber, abs((apply(iso, lifted).t - apply(iso, p).t) - delta))
-        checks.append(_check(f"{name}_pullback", worst, 1e-9))
-        checks.append(_check(f"{name}_fiber", fiber, 1e-12))
-
-    half = _halfspace_points(rng, per_family)
-    cyl = _cylinder_points(rng, per_family)
-    conv_worst = 0.0
-    for p in half + cyl:
-        conv_worst = max(conv_worst, conversion_pullback_residual(p, tau))
-    checks.append(_check("conversion_pullback", conv_worst, 1e-9))
-    family_checks("scale", lambda: scale_isometry(rng.uniform(0.3, 3.0), tau), half)
-    family_checks("axis_translation", lambda: axis_translation_isometry(rng.uniform(0.5, 2.0), tau), half)
-    family_checks(
-        "disc_point",
-        lambda: disc_point_isometry(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)), tau),
-        cyl,
-    )
-    family_checks(
-        "halfplane_graph",
-        lambda: halfplane_graph_isometry(
-            rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0), tau
-        ),
-        half,
-    )
-    return checks
-
-
-def _suite_minimality(cfg: dict) -> list[dict]:
-    kind = cfg["surface"]
-    tau, d, s = float(cfg["tau"]), float(cfg["d"]), float(cfg["s"])
-    sups = []
-    for n in (33, 65, 129):
-        sups.append(mean_curvature(reference_problem(kind, tau, d, s, n)).sup())
-    orders = [math.log2(sups[i] / sups[i + 1]) for i in range(2)]
-    checks = [_check("residual_sup_fine", sups[-1], 1e-3)]
-    for i, order in enumerate(orders):
-        checks.append(
-            {
-                "name": f"convergence_order_{i}",
-                "value": float(order),
-                "bound": [1.7, 2.3],
-                "pass": bool(1.7 <= order <= 2.3),
-            }
-        )
-    return checks
-
-
-def _suite_lifts(cfg: dict) -> list[dict]:
-    tau = float(cfg["tau"])
-    closed = lift_geodesic_semicircle(0.5, 2.0, 0.3, math.pi - 0.3, tau, t_start=0.7)
-    quad = horizontal_lift(closed.curve, tau, t_start=0.7)
-    checks = [
-        _check("semicircle_closed_form_vs_quadrature", float(np.max(np.abs(closed.t - quad.t))), 1e-10),
-        _check("lift_variation_bound", quad.fiber_variation(), 2.0 * abs(tau) * math.pi + 1e-12),
-    ]
-    flat = horizontal_lift(PlanarCurve.geodesic_semicircle(0.0, 1.0, 0.4, 2.6), 0.0, t_start=0.2)
-    checks.append(_check("tau_zero_constant", float(np.max(np.abs(flat.t - 0.2))), 1e-15))
-    return checks
-
-
-def _suite_transversality(cfg: dict) -> list[dict]:
-    checks = []
-    for eps, h0, tau in ((0.5, 1.0, 0.0), (0.5, 1.0, 0.5)):
-        delta = transversality_delta(eps, h0, tau)
-        margin = transversality_margin(delta, h0, tau)
-        sup, ok = transversality_window_check(1.0 + 0.5 * delta, h0, eps, tau)
-        label = f"eps_{eps:g}_h0_{h0:g}_tau_{tau:g}"
-        checks.append(_check(f"closed_form_margin_{label}", margin, eps * eps))
-        checks.append(
-            {"name": f"window_sup_{label}", "value": float(sup), "bound": float(eps), "pass": bool(ok)}
-        )
-    return checks
-
-
-def _suite_foliation(cfg: dict) -> list[dict]:
-    tau, d, s = float(cfg["tau"]), float(cfg["d"]), float(cfg["s"])
-    rng = np.random.default_rng(int(cfg["seed"]))
-    count = min(int(cfg["points"]), 100)
-    worst_res = worst_eqv = 0.0
-    for _ in range(count):
-        p = AmbientPoint(
-            BasePoint(Model.HALF_SPACE, rng.uniform(-2.0, 2.0), rng.uniform(0.2, 2.5)),
-            rng.uniform(-1.5, 1.5),
-        )
-        found = foliation_leaf_find(p, d, s, tau)
-        worst_res = max(worst_res, found.residual)
-        mu = rng.uniform(0.5, 2.0)
-        moved = apply(scale_isometry(mu, tau), p)
-        worst_eqv = max(
-            worst_eqv, abs(foliation_leaf_find(moved, d, s, tau).scale - mu * found.scale)
-        )
-    return [
-        _check("leaf_find_residual", worst_res, 1e-6),
-        _check("scale_equivariance", worst_eqv, 1e-6),
-    ]
-
-
-_SUITE_RUNNERS = {
-    "limits": _suite_limits,
-    "isometries": _suite_isometries,
-    "minimality": _suite_minimality,
-    "lifts": _suite_lifts,
-    "transversality": _suite_transversality,
-    "foliation": _suite_foliation,
-}
-
-
 def cmd_verify(cfg: dict) -> tuple[dict, int]:
-    checks = _SUITE_RUNNERS[cfg["suite"]](cfg)
+    checks = verify.run(
+        cfg["suite"],
+        tau=float(cfg["tau"]),
+        d=float(cfg["d"]),
+        s=float(cfg["s"]),
+        surface=cfg["surface"],
+        seed=int(cfg["seed"]),
+        points=int(cfg["points"]),
+    )
     passed = all(c["pass"] for c in checks)
     report = {
         "command": "verify",
@@ -434,38 +241,19 @@ def cmd_verify(cfg: dict) -> tuple[dict, int]:
 # -- solve --------------------------------------------------------------------
 
 
-def _solve_setup(cfg: dict):
-    kind = cfg["boundary"]
-    tau, d, s, n = float(cfg["tau"]), float(cfg["d"]), float(cfg["s"]), int(cfg["n"])
-    if kind == "zero":
-        domain = GraphDomain(Chart.DISC_XY, ((-0.4, 0.4), (-0.4, 0.4)), (n, n))
-        exact = GraphFunction.constant(domain, tau, 0.0)
-        return domain, exact.values, exact
-    if kind in ("catenoid", "invariant"):
-        exact = reference_problem(kind, tau, d, s, n)
-        return exact.domain, exact.values, exact
-    domain = GraphDomain(Chart.HALFPLANE_XY, ((-1.0, 1.0), (0.5, 1.5)), (n, n))
-    x, y = domain.node_grids()
-    return domain, 50.0 * np.sin(9.0 * x) / y, None
-
-
 def cmd_solve(cfg: dict) -> tuple[dict, int]:
-    domain, boundary_values, exact = _solve_setup(cfg)
+    kind, tau = cfg["boundary"], float(cfg["tau"])
+    problem = reference_problem(kind, tau, float(cfg["d"]), float(cfg["s"]), int(cfg["n"]))
     max_newton = cfg["max_newton"]
     if max_newton is None:
-        max_newton = 6 if cfg["boundary"] == "wild" else 30
+        max_newton = 6 if kind == "wild" else 30
     elif max_newton < 0:
         raise GeometryError(f"max_newton must be non-negative, got {max_newton}")
-    result = solve_dirichlet(
-        domain,
-        float(cfg["tau"]),
-        boundary_values,
-        max_newton=int(max_newton),
-    )
-    report = {"command": "solve", "boundary": cfg["boundary"], "n": int(cfg["n"])}
+    result = solve_dirichlet(problem.domain, tau, problem.values, max_newton=int(max_newton))
+    report = {"command": "solve", "boundary": kind, "n": int(cfg["n"])}
     report.update(result.report)
-    if exact is not None:
-        report["sup_error_vs_exact"] = float(np.max(np.abs(result.graph.values - exact.values)))
+    if kind != "wild":  # the wild data are boundary values only, not a solution
+        report["sup_error_vs_exact"] = float(np.max(np.abs(result.graph.values - problem.values)))
     csv_out = cfg["csv_out"]
     if csv_out is not None:
         meshio.write_graph_csv(csv_out, result.graph)

@@ -205,7 +205,19 @@ class GraphFunction:
 
 
 def reference_problem(kind: str, tau: float, d: float, s: float, n: int) -> GraphFunction:
-    """Chart window and exact node values for a canonical minimal graph."""
+    """Chart window and node values of a Dirichlet problem on an n x n grid.
+
+    The values are an exact minimal graph for "zero", "catenoid" and
+    "invariant"; "wild" gives boundary data only, the steep 50 sin(9x) / y
+    on a half-plane window.
+    """
+    if kind == "zero":
+        domain = GraphDomain(Chart.DISC_XY, ((-0.4, 0.4), (-0.4, 0.4)), (n, n))
+        return GraphFunction.constant(domain, tau, 0.0)
+    if kind == "wild":
+        domain = GraphDomain(Chart.HALFPLANE_XY, ((-1.0, 1.0), (0.5, 1.5)), (n, n))
+        x, y = domain.node_grids()
+        return GraphFunction(domain, 50.0 * np.sin(9.0 * x) / y, tau)
     if kind == "catenoid":
         spec = CatenoidSpec(tau, d)
         rmin = catenoid_neck_radius(spec)
@@ -259,17 +271,20 @@ def _node_gradients(values: np.ndarray, h1: float, h2: float) -> tuple[np.ndarra
     return u1, u2
 
 
+def _tilt(g1, g2, w1, w2, u1, u2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Horizontal coefficients (a, b, W) from chart coefficients and the gradient (u1, u2)."""
+    a = -(u1 + w1) / np.sqrt(g1)
+    b = -(u2 + w2) / np.sqrt(g2)
+    return a, b, np.sqrt(1.0 + a * a + b * b)
+
+
 def horizontal_coefficients(gf: GraphFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node arrays (a, b, W); gradients are centered inside, one-sided at edges."""
     dom = gf.domain
     h1, h2 = dom.steps()
     q1, q2 = dom.node_grids()
     g1, g2, w1, w2 = chart_coefficients(dom.chart, dom.axis_foot, gf.tau, q1, q2)
-    u1, u2 = _node_gradients(gf.values, h1, h2)
-    a = -(u1 + w1) / np.sqrt(g1)
-    b = -(u2 + w2) / np.sqrt(g2)
-    w = np.sqrt(1.0 + a * a + b * b)
-    return a, b, w
+    return _tilt(g1, g2, w1, w2, *_node_gradients(gf.values, h1, h2))
 
 
 def graph_nu(gf: GraphFunction) -> np.ndarray:
@@ -318,9 +333,7 @@ def _divergence_residual(gf: GraphFunction) -> np.ndarray:
     du1 = (u[1:, :] - u[:-1, :]) / h1
     du2 = np.full_like(du1, np.nan)
     du2[:, 1:-1] = (u[1:, 2:] + u[:-1, 2:] - u[1:, :-2] - u[:-1, :-2]) / (4.0 * h2)
-    a = -(du1 + w1v) / np.sqrt(g1v)
-    b = -(du2 + w2v) / np.sqrt(g2v)
-    wv = np.sqrt(1.0 + a * a + b * b)
+    a, _, wv = _tilt(g1v, g2v, w1v, w2v, du1, du2)
     flux1 = np.sqrt(g2v) * a / wv
 
     # horizontal half-edges (i, j+1/2): shapes (n1, n2-1)
@@ -330,9 +343,7 @@ def _divergence_residual(gf: GraphFunction) -> np.ndarray:
     dv2 = (u[:, 1:] - u[:, :-1]) / h2
     dv1 = np.full_like(dv2, np.nan)
     dv1[1:-1, :] = (u[2:, 1:] + u[2:, :-1] - u[:-2, 1:] - u[:-2, :-1]) / (4.0 * h1)
-    ah = -(dv1 + w1h) / np.sqrt(g1h)
-    bh = -(dv2 + w2h) / np.sqrt(g2h)
-    wh = np.sqrt(1.0 + ah * ah + bh * bh)
+    _, bh, wh = _tilt(g1h, g2h, w1h, w2h, dv1, dv2)
     flux2 = np.sqrt(g1h) * bh / wh
 
     res = np.zeros((n1, n2))
@@ -376,9 +387,7 @@ def graph_area(gf: GraphFunction) -> AreaReport:
     g1, g2, w1, w2 = chart_coefficients(dom.chart, dom.axis_foot, gf.tau, c1, c2)
     u1 = (u[1:, :-1] + u[1:, 1:] - u[:-1, :-1] - u[:-1, 1:]) / (2.0 * h1)
     u2 = (u[:-1, 1:] + u[1:, 1:] - u[:-1, :-1] - u[1:, :-1]) / (2.0 * h2)
-    a = -(u1 + w1) / np.sqrt(g1)
-    b = -(u2 + w2) / np.sqrt(g2)
-    w = np.sqrt(1.0 + a * a + b * b)
+    _, _, w = _tilt(g1, g2, w1, w2, u1, u2)
     act = dom.active_mask()
     cells = act[:-1, :-1] & act[1:, :-1] & act[:-1, 1:] & act[1:, 1:]
     total = float(np.sum((w * np.sqrt(g1 * g2))[cells]) * h1 * h2)

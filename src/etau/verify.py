@@ -1,0 +1,211 @@
+"""Verification suites behind `etau verify`.
+
+Each suite checks one of the paper's constructions and returns check
+records {"name", "value", "bound", "pass"} in a fixed order; sampling
+suites draw from one seeded generator, so equal inputs give equal records.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .core import AmbientPoint, BasePoint, Model, ParameterError
+from .graphs import mean_curvature, reference_problem
+from .isometries import (
+    apply,
+    axis_translation_isometry,
+    conversion_pullback_residual,
+    disc_point_isometry,
+    halfplane_graph_isometry,
+    pullback_residual,
+    scale_isometry,
+)
+from .lifts import PlanarCurve, horizontal_lift, lift_geodesic_semicircle
+from .quadrature import elliptic_k
+from .surfaces import (
+    CatenoidSpec,
+    catenoid_height,
+    foliation_leaf_find,
+    invariant_height,
+    invariant_height_substituted,
+    transversality_delta,
+    transversality_margin,
+    transversality_window_check,
+)
+
+SUITES = ("limits", "isometries", "minimality", "lifts", "transversality", "foliation")
+
+
+def _check(name: str, value: float, bound: float) -> dict:
+    return {"name": name, "value": float(value), "bound": float(bound), "pass": bool(value < bound)}
+
+
+def _limits(tau: float) -> list[dict]:
+    checks = []
+    for d in (1.1, 2.0, 10.0, 100.0):
+        err = abs(invariant_height(d, 0.0) - elliptic_k(1.0 / d))
+        checks.append(_check(f"elliptic_oracle_d_{d:g}", err, 1e-8))
+    half_limit = 0.5 * math.pi * math.sqrt(1.0 + 4.0 * tau * tau)
+    checks.append(_check("invariant_height_limit", abs(invariant_height(1e4, tau) - half_limit), 1e-3))
+    checks.append(
+        _check("catenoid_height_limit", abs(catenoid_height(CatenoidSpec(tau, 1e3)) - 2.0 * half_limit), 5e-2)
+    )
+    worst = 0.0
+    for d in (1.5, 3.0, 8.0):
+        for t in (0.0, 0.4, 1.0):
+            worst = max(worst, abs(invariant_height(d, t) - invariant_height_substituted(d, t)))
+    checks.append(_check("substitution_route", worst, 1e-8))
+    return checks
+
+
+def _halfspace_points(rng: np.random.Generator, n: int) -> list[AmbientPoint]:
+    return [
+        AmbientPoint(
+            BasePoint(Model.HALF_SPACE, rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0)),
+            rng.uniform(-2.0, 2.0),
+        )
+        for _ in range(n)
+    ]
+
+
+def _cylinder_points(rng: np.random.Generator, n: int) -> list[AmbientPoint]:
+    out = []
+    for _ in range(n):
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        radius = rng.uniform(0.0, 0.8)
+        out.append(
+            AmbientPoint(
+                BasePoint(Model.CYLINDER, radius * math.cos(angle), radius * math.sin(angle)),
+                rng.uniform(-2.0, 2.0),
+            )
+        )
+    return out
+
+
+def _isometries(tau: float, seed: int, points: int) -> list[dict]:
+    if points < 1:
+        raise ParameterError(f"points must be at least 1, got {points}")
+    rng = np.random.default_rng(seed)
+    per_family = max(points // 5, 1)
+    checks = []
+    delta = 0.37
+
+    def family_checks(name, make_iso, sample):
+        worst = fiber = 0.0
+        for p in sample:
+            iso = make_iso()
+            worst = max(worst, pullback_residual(iso, p))
+            lifted = AmbientPoint(p.base, p.t + delta)
+            fiber = max(fiber, abs((apply(iso, lifted).t - apply(iso, p).t) - delta))
+        checks.append(_check(f"{name}_pullback", worst, 1e-9))
+        checks.append(_check(f"{name}_fiber", fiber, 1e-12))
+
+    half = _halfspace_points(rng, per_family)
+    cyl = _cylinder_points(rng, per_family)
+    conv_worst = 0.0
+    for p in half + cyl:
+        conv_worst = max(conv_worst, conversion_pullback_residual(p, tau))
+    checks.append(_check("conversion_pullback", conv_worst, 1e-9))
+    family_checks("scale", lambda: scale_isometry(rng.uniform(0.3, 3.0), tau), half)
+    family_checks("axis_translation", lambda: axis_translation_isometry(rng.uniform(0.5, 2.0), tau), half)
+    family_checks(
+        "disc_point",
+        lambda: disc_point_isometry(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)), tau),
+        cyl,
+    )
+    family_checks(
+        "halfplane_graph",
+        lambda: halfplane_graph_isometry(
+            rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0), tau
+        ),
+        half,
+    )
+    return checks
+
+
+def _minimality(surface: str, tau: float, d: float, s: float) -> list[dict]:
+    sups = []
+    for n in (33, 65, 129):
+        sups.append(mean_curvature(reference_problem(surface, tau, d, s, n)).sup())
+    orders = [math.log2(sups[i] / sups[i + 1]) for i in range(2)]
+    checks = [_check("residual_sup_fine", sups[-1], 1e-3)]
+    for i, order in enumerate(orders):
+        checks.append(
+            {
+                "name": f"convergence_order_{i}",
+                "value": float(order),
+                "bound": [1.7, 2.3],
+                "pass": bool(1.7 <= order <= 2.3),
+            }
+        )
+    return checks
+
+
+def _lifts(tau: float) -> list[dict]:
+    closed = lift_geodesic_semicircle(0.5, 2.0, 0.3, math.pi - 0.3, tau, t_start=0.7)
+    quad = horizontal_lift(closed.curve, tau, t_start=0.7)
+    checks = [
+        _check("semicircle_closed_form_vs_quadrature", float(np.max(np.abs(closed.t - quad.t))), 1e-10),
+        _check("lift_variation_bound", quad.fiber_variation(), 2.0 * abs(tau) * math.pi + 1e-12),
+    ]
+    flat = horizontal_lift(PlanarCurve.geodesic_semicircle(0.0, 1.0, 0.4, 2.6), 0.0, t_start=0.2)
+    checks.append(_check("tau_zero_constant", float(np.max(np.abs(flat.t - 0.2))), 1e-15))
+    return checks
+
+
+def _transversality() -> list[dict]:
+    checks = []
+    for eps, h0, tau in ((0.5, 1.0, 0.0), (0.5, 1.0, 0.5)):
+        delta = transversality_delta(eps, h0, tau)
+        margin = transversality_margin(delta, h0, tau)
+        sup, ok = transversality_window_check(1.0 + 0.5 * delta, h0, eps, tau)
+        label = f"eps_{eps:g}_h0_{h0:g}_tau_{tau:g}"
+        checks.append(_check(f"closed_form_margin_{label}", margin, eps * eps))
+        checks.append(
+            {"name": f"window_sup_{label}", "value": float(sup), "bound": float(eps), "pass": bool(ok)}
+        )
+    return checks
+
+
+def _foliation(tau: float, d: float, s: float, seed: int, points: int) -> list[dict]:
+    if points < 1:
+        raise ParameterError(f"points must be at least 1, got {points}")
+    rng = np.random.default_rng(seed)
+    worst_res = worst_eqv = 0.0
+    for _ in range(min(points, 100)):
+        p = AmbientPoint(
+            BasePoint(Model.HALF_SPACE, rng.uniform(-2.0, 2.0), rng.uniform(0.2, 2.5)),
+            rng.uniform(-1.5, 1.5),
+        )
+        found = foliation_leaf_find(p, d, s, tau)
+        worst_res = max(worst_res, found.residual)
+        mu = rng.uniform(0.5, 2.0)
+        moved = apply(scale_isometry(mu, tau), p)
+        worst_eqv = max(
+            worst_eqv, abs(foliation_leaf_find(moved, d, s, tau).scale - mu * found.scale)
+        )
+    return [
+        _check("leaf_find_residual", worst_res, 1e-6),
+        _check("scale_equivariance", worst_eqv, 1e-6),
+    ]
+
+
+def run(
+    suite: str, *, tau: float, d: float, s: float, surface: str, seed: int, points: int
+) -> list[dict]:
+    """Check records of one suite; each suite gets only the parameters it uses."""
+    if suite == "limits":
+        return _limits(tau)
+    if suite == "isometries":
+        return _isometries(tau, seed, points)
+    if suite == "minimality":
+        return _minimality(surface, tau, d, s)
+    if suite == "lifts":
+        return _lifts(tau)
+    if suite == "transversality":
+        return _transversality()
+    if suite == "foliation":
+        return _foliation(tau, d, s, seed, points)
+    raise ParameterError(f"no verify suite named {suite!r}")

@@ -194,6 +194,8 @@ def test_missing_config_file_is_invalid_input(capsys) -> None:
         (["verify", "isometries", "--seed", "-1"], None),
         (["verify", "isometries"], {"seed": -1}),
         (["solve", "--max-newton", "-2"], None),
+        (["verify", "foliation", "--points", "0"], None),
+        (["verify", "isometries"], {"points": -5}),
     ],
     ids=[
         "nan-flag",
@@ -203,6 +205,8 @@ def test_missing_config_file_is_invalid_input(capsys) -> None:
         "negative-seed-flag",
         "negative-seed-config",
         "negative-max-newton",
+        "zero-points-flag",
+        "negative-points-config",
     ],
 )
 def test_bad_values_are_invalid_input(tmp_path, capsys, argv, config) -> None:
