@@ -47,6 +47,11 @@ from .surfaces import (
 
 _EDGE_KEEPOUT = 1e-9
 _SOLVE_TOL = 1e-10  # sup |H| at which the Newton iteration stops
+# SuperLU column ordering for the seed Laplacian and the Newton Jacobians.  Both
+# have a structurally symmetric stencil pattern, so minimum degree on A + A^T
+# gives less fill than the default COLAMD; partial pivoting stays on, since the
+# Jacobian itself is not symmetric.
+_ORDERING = "MMD_AT_PLUS_A"
 
 
 class Chart(Enum):
@@ -497,7 +502,7 @@ def _harmonic_init(dom: GraphDomain, boundary: np.ndarray, st: _Stencil) -> np.n
     keep = cols >= 0
     rows = np.broadcast_to(cols[:, :1], cols.shape)  # row k holds node k's equation
     mat = sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m, m))
-    sol = spsolve(mat, rhs)
+    sol = spsolve(mat, rhs, permc_spec=_ORDERING)
     out = boundary.copy()
     out[st.ii, st.jj] = sol
     return out
@@ -553,7 +558,7 @@ def solve_dirichlet(
         eps = 1e-7 * max(1.0, float(np.max(np.abs(gf.values))))
         jac = _coloring_jacobian(gf, st, res, eps)
         try:
-            delta = spsolve(jac.tocsc(), -res[interior])
+            delta = spsolve(jac.tocsc(), -res[interior], permc_spec=_ORDERING)
         except Exception:
             break
         if not np.all(np.isfinite(delta)):

@@ -393,6 +393,8 @@ def transversality_delta(eps: float, h0: float, tau: float) -> float:
     e = math.exp(2.0 * (h0 - c_tau))
     peak = 2.0 / (e - 1.0)
     target = eps * eps
+    # lo only ever takes values with g < eps^2, so the result is admissible
+    # as it stands; the 200 halvings are the whole budget.
     lo, hi = 0.0, peak
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -400,8 +402,6 @@ def transversality_delta(eps: float, h0: float, tau: float) -> float:
             lo = mid
         else:
             hi = mid
-    while lo > 0.0 and not transversality_margin(lo, h0, tau) < target:
-        lo = math.nextafter(lo, 0.0)
     if not lo > 0.0:
         raise ParameterError("bisection failed to find a positive delta")
     return lo

@@ -155,13 +155,15 @@ def _lifts(tau: float) -> list[dict]:
     return checks
 
 
-def _transversality() -> list[dict]:
+def _transversality(tau: float) -> list[dict]:
+    """(eps, h0) = (0.5, 1) at tau = 0 and at the given tau (once when that is 0)."""
     checks = []
-    for eps, h0, tau in ((0.5, 1.0, 0.0), (0.5, 1.0, 0.5)):
-        delta = transversality_delta(eps, h0, tau)
-        margin = transversality_margin(delta, h0, tau)
-        sup, ok = transversality_window_check(1.0 + 0.5 * delta, h0, eps, tau)
-        label = f"eps_{eps:g}_h0_{h0:g}_tau_{tau:g}"
+    eps, h0 = 0.5, 1.0
+    for t in (0.0,) if tau == 0.0 else (0.0, tau):
+        delta = transversality_delta(eps, h0, t)
+        margin = transversality_margin(delta, h0, t)
+        sup, ok = transversality_window_check(1.0 + 0.5 * delta, h0, eps, t)
+        label = f"eps_{eps:g}_h0_{h0:g}_tau_{t:g}"
         checks.append(_check(f"closed_form_margin_{label}", margin, eps * eps))
         checks.append(
             {"name": f"window_sup_{label}", "value": float(sup), "bound": float(eps), "pass": bool(ok)}
@@ -174,7 +176,7 @@ def _foliation(tau: float, d: float, s: float, seed: int, points: int) -> list[d
         raise ParameterError(f"points must be at least 1, got {points}")
     rng = np.random.default_rng(seed)
     worst_res = worst_eqv = 0.0
-    for _ in range(min(points, 100)):
+    for _ in range(points):
         p = AmbientPoint(
             BasePoint(Model.HALF_SPACE, rng.uniform(-2.0, 2.0), rng.uniform(0.2, 2.5)),
             rng.uniform(-1.5, 1.5),
@@ -205,7 +207,7 @@ def run(
     if suite == "lifts":
         return _lifts(tau)
     if suite == "transversality":
-        return _transversality()
+        return _transversality(tau)
     if suite == "foliation":
         return _foliation(tau, d, s, seed, points)
     raise ParameterError(f"no verify suite named {suite!r}")

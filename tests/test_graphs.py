@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
 from etau.core import (
     InvalidPointError,
@@ -369,6 +370,27 @@ def test_solver_computes_each_residual_once(monkeypatch) -> None:
     result = solve_dirichlet(dom, 0.5, boundary, max_newton=6)
     assert result.report["iterations"] == 6
     assert len(seen) == len(set(seen))
+
+
+def test_solver_factors_with_minimum_degree_ordering(monkeypatch) -> None:
+    calls = []
+
+    def recording(a, b, **kwargs):
+        x = spsolve(a, b, **kwargs)
+        calls.append((a, b, x, kwargs))
+        return x
+
+    monkeypatch.setattr(graphs, "spsolve", recording)
+    dom, boundary = _wild_problem()
+    result = solve_dirichlet(dom, 0.5, boundary, max_newton=6)
+    assert result.report["iterations"] == 6
+    assert len(result.report["residual_history"]) == 7
+    assert len(calls) == 7  # the harmonic seed and six Newton steps
+    for a, b, x, kwargs in calls:
+        assert kwargs == {"permc_spec": "MMD_AT_PLUS_A"}
+        ref = spsolve(a, b, permc_spec="COLAMD")
+        # relative to the step's size: single entries of a step can sit at rounding level
+        np.testing.assert_allclose(x, ref, rtol=1e-9, atol=1e-9 * float(np.max(np.abs(ref))))
 
 
 def test_masked_disc_window_residual_is_finite_without_warnings() -> None:

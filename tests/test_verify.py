@@ -8,6 +8,7 @@ import pytest
 from etau import verify
 from etau.core import ParameterError
 from etau.graphs import Chart, reference_problem
+from etau.surfaces import LeafFindResult
 
 _PARAMS = {"tau": 0.5, "d": 1.2, "s": 1.0, "surface": "catenoid", "seed": 0, "points": 5}
 
@@ -57,6 +58,33 @@ def test_sampling_suites_repeat_under_one_seed(suite) -> None:
 def test_sampling_suites_need_a_point(suite, points) -> None:
     with pytest.raises(ParameterError, match="points must be at least 1"):
         verify.run(suite, **{**_PARAMS, "points": points})
+
+
+@pytest.mark.parametrize("tau, labels", [(0.0, ["0"]), (0.9, ["0", "0.9"])])
+def test_transversality_checks_tau_zero_and_the_given_tau(tau, labels) -> None:
+    checks = verify.run("transversality", **{**_PARAMS, "tau": tau})
+    assert [c["name"] for c in checks] == [
+        f"{check}_eps_0.5_h0_1_tau_{label}"
+        for label in labels
+        for check in ("closed_form_margin", "window_sup")
+    ]
+    assert all(c["pass"] for c in checks)
+
+
+def test_foliation_checks_every_requested_point(monkeypatch) -> None:
+    calls = []
+
+    def leaf_find(p, d, s, tau):
+        calls.append(p)
+        return LeafFindResult(scale=1.0, residual=len(calls) * 1e-9, iterations=0)
+
+    monkeypatch.setattr(verify, "foliation_leaf_find", leaf_find)
+    records = {}
+    for points in (100, 101):
+        calls.clear()
+        records[points] = verify.run("foliation", **{**_PARAMS, "points": points})
+        assert len(calls) == 2 * points  # the point and its scaled image
+    assert records[101] != records[100]
 
 
 def test_unknown_suite_is_rejected() -> None:
