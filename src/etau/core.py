@@ -1,15 +1,20 @@
 """Coordinate models of the twisted line bundles over the hyperbolic plane.
 
 The base is the hyperbolic plane in one of two conformal models: the upper
-half plane (y > 0, conformal factor 1/y) or the unit disc (conformal factor
-2/(1 - x^2 - y^2)).  The total space carries coordinates (x, y, t) and the
-ambient metric
+half plane (y > 0) or the unit disc.  The total space carries coordinates
+(x, y, t) and the ambient metric
 
-    lam^2 (dx^2 + dy^2) + (omega + dt)^2,
+    lam^2 (dx^2 + dy^2) + (omega + dt)^2,    omega = w1 dx + w2 dy,
 
-where omega = 2 * tau * (lam_y / lam dx - lam_x / lam dy) is the connection
-form of the bundle and tau is the bundle curvature parameter.  tau = 0 is the
-Riemannian product of the hyperbolic plane with the line.  Vertical
+where lam is the conformal factor and omega the connection form of the
+bundle.  In closed form, with tau the bundle curvature parameter:
+
+    half plane:  lam = 1/y,                  (w1, w2) = (-2 tau / y, 0);
+    disc:        lam = 2/(1 - x^2 - y^2),    (w1, w2) = (2 tau lam y, -2 tau lam x).
+
+One array kernel, metric_data_arrays, returns (lam, w1, w2); the metric
+tensors, quadratic forms, frames and the scalar API all read it.  tau = 0 is
+the Riemannian product of the hyperbolic plane with the line.  Vertical
 translation in t is an isometry for every tau, so all metric quantities
 depend on the base point only.
 """
@@ -139,41 +144,25 @@ def ensure_same_model(p: BasePoint, q: BasePoint) -> None:
         raise ModelMismatchError(f"mixed models {p.model} and {q.model}")
 
 
-# -- conformal data ----------------------------------------------------------
+# -- metric data -------------------------------------------------------------
 #
-# The array kernels below accept numpy arrays and are the single source of
-# truth for the conformal factor and the connection form; the scalar API
-# wraps them.
+# metric_data_arrays is the one kernel for the conformal factor and the
+# connection form; every other metric quantity, array or scalar, reads it.
 
 
-def conformal_data_arrays(model: Model, x, y):
-    """Return (lam, lam_x, lam_y) of the model's conformal factor."""
+def metric_data_arrays(model: Model, tau: float, x, y):
+    """Conformal factor lam and connection components (w1, w2), omega = w1 dx + w2 dy."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if model is Model.HALF_SPACE:
-        lam = 1.0 / y
-        lam_x = np.zeros_like(lam)
-        lam_y = -1.0 / (y * y)
-        return lam, lam_x, lam_y
-    s = 1.0 - x * x - y * y
-    lam = 2.0 / s
-    lam_x = 4.0 * x / (s * s)
-    lam_y = 4.0 * y / (s * s)
-    return lam, lam_x, lam_y
-
-
-def vertical_form_arrays(model: Model, tau: float, x, y):
-    """Components (w1, w2) of the connection form omega = w1 dx + w2 dy."""
-    lam, lam_x, lam_y = conformal_data_arrays(model, x, y)
-    w1 = 2.0 * tau * lam_y / lam
-    w2 = -2.0 * tau * lam_x / lam
-    return w1, w2
+        return 1.0 / y, -2.0 * tau / y, np.zeros_like(y)
+    lam = 2.0 / (1.0 - x * x - y * y)
+    return lam, 2.0 * tau * lam * y, -2.0 * tau * lam * x
 
 
 def frame_components_arrays(model: Model, tau: float, x, y, vx, vy, vt):
     """Frame components (a1, a2, a3) of coordinate vectors (vx, vy, vt)."""
-    lam, _, _ = conformal_data_arrays(model, x, y)
-    w1, w2 = vertical_form_arrays(model, tau, x, y)
+    lam, w1, w2 = metric_data_arrays(model, tau, x, y)
     a1 = lam * np.asarray(vx, dtype=float)
     a2 = lam * np.asarray(vy, dtype=float)
     a3 = np.asarray(vt, dtype=float) + w1 * vx + w2 * vy
@@ -182,10 +171,8 @@ def frame_components_arrays(model: Model, tau: float, x, y, vx, vy, vt):
 
 def metric_arrays(model: Model, tau: float, x, y) -> np.ndarray:
     """Coordinate metric matrices, shape (..., 3, 3)."""
-    x = np.asarray(x, dtype=float)
-    lam, _, _ = conformal_data_arrays(model, x, y)
-    w1, w2 = vertical_form_arrays(model, tau, x, y)
-    g = np.empty(x.shape + (3, 3))
+    lam, w1, w2 = metric_data_arrays(model, tau, x, y)
+    g = np.empty(lam.shape + (3, 3))
     g[..., 0, 0] = lam * lam + w1 * w1
     g[..., 0, 1] = w1 * w2
     g[..., 0, 2] = w1
@@ -194,7 +181,7 @@ def metric_arrays(model: Model, tau: float, x, y) -> np.ndarray:
     g[..., 1, 2] = w2
     g[..., 2, 0] = w1
     g[..., 2, 1] = w2
-    g[..., 2, 2] = np.ones_like(lam)
+    g[..., 2, 2] = 1.0
     return g
 
 
@@ -205,8 +192,8 @@ def metric_quadratic_form(model: Model, tau: float, x, y, dx, dy, dt):
     Equal to delta @ metric_arrays(...) @ delta without building the
     (..., 3, 3) tensors; as a sum of squares it is never negative.
     """
-    lam, lam_x, lam_y = conformal_data_arrays(model, x, y)
-    vertical = dt + 2.0 * tau * (lam_y * dx - lam_x * dy) / lam
+    lam, w1, w2 = metric_data_arrays(model, tau, x, y)
+    vertical = dt + w1 * dx + w2 * dy
     return lam * lam * (dx * dx + dy * dy) + vertical * vertical
 
 
@@ -214,13 +201,7 @@ def metric_quadratic_form(model: Model, tau: float, x, y, dx, dy, dt):
 
 
 def conformal_factor(p: BasePoint) -> float:
-    lam, _, _ = conformal_data_arrays(p.model, p.x, p.y)
-    return float(lam)
-
-
-def vertical_form(p: BasePoint, tau: float) -> tuple[float, float]:
-    w1, w2 = vertical_form_arrays(p.model, tau, p.x, p.y)
-    return float(w1), float(w2)
+    return float(metric_data_arrays(p.model, 0.0, p.x, p.y)[0])
 
 
 def metric_at(p: AmbientPoint, tau: float) -> np.ndarray:
@@ -230,8 +211,7 @@ def metric_at(p: AmbientPoint, tau: float) -> np.ndarray:
 
 def frame_at(p: AmbientPoint, tau: float) -> tuple[TangentVector, TangentVector, TangentVector]:
     """Orthonormal frame (E1, E2, E3) with E3 the unit vertical field."""
-    lam = conformal_factor(p.base)
-    w1, w2 = vertical_form(p.base, tau)
+    lam, w1, w2 = (float(v) for v in metric_data_arrays(p.model, tau, p.x, p.y))
     e1 = TangentVector(p, 1.0 / lam, 0.0, -w1 / lam)
     e2 = TangentVector(p, 0.0, 1.0 / lam, -w2 / lam)
     e3 = TangentVector(p, 0.0, 0.0, 1.0)
@@ -247,38 +227,13 @@ def project(p: AmbientPoint) -> BasePoint:
 #
 # The base models are identified by the Moebius map phi(z) = (i z + 1)/(z + i)
 # from the half plane onto the disc.  The fiber coordinate transforms by
-# t -> t + 4 * tau * arctan(x / (y + 1)), which makes the identification an
-# isometry of the ambient metrics for every tau.
-
-
-def convert_base(p: BasePoint) -> BasePoint:
-    if p.model is Model.HALF_SPACE:
-        x, y = p.x, p.y
-        den = x * x + (y + 1.0) ** 2
-        return BasePoint(Model.CYLINDER, 2.0 * x / den, (x * x + y * y - 1.0) / den)
-    u, v = p.x, p.y
-    den = u * u + (1.0 - v) ** 2
-    return BasePoint(Model.HALF_SPACE, 2.0 * u / den, (1.0 - u * u - v * v) / den)
-
-
-def convert_model(p: AmbientPoint, tau: float) -> AmbientPoint:
-    """Isometric change of model, in whichever direction p requires.
-
-    The fiber correction sign is fixed by the isometry requirement
-    J^T G_cyl J = G_half for the connection form of vertical_form_arrays;
-    see the numeric pullback check in the isometries module.
-    """
-    if p.model is Model.HALF_SPACE:
-        base = convert_base(p.base)
-        t = p.t - 4.0 * tau * math.atan2(p.x, p.y + 1.0)
-        return AmbientPoint(base, t)
-    base = convert_base(p.base)
-    t = p.t + 4.0 * tau * math.atan2(p.x, 1.0 - p.y)
-    return AmbientPoint(base, t)
+# t -> t - 4 * tau * arctan(x / (y + 1)), which makes the identification an
+# isometry of the ambient metrics for every tau; the sign is fixed by the
+# requirement J^T G_cyl J = G_half (see the pullback check in isometries).
 
 
 def convert_coords_arrays(model: Model, tau: float, x, y, t):
-    """Vectorized convert_model on coordinate arrays; returns (x', y', t')."""
+    """Isometric change of model on coordinate arrays in model; returns (x', y', t')."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -295,6 +250,13 @@ def convert_coords_arrays(model: Model, tau: float, x, y, t):
         (1.0 - x * x - y * y) / den,
         t + 4.0 * tau * np.arctan2(x, 1.0 - y),
     )
+
+
+def convert_model(p: AmbientPoint, tau: float) -> AmbientPoint:
+    """Isometric change of model, in whichever direction p requires."""
+    x, y, t = convert_coords_arrays(p.model, tau, p.x, p.y, p.t)
+    target = Model.CYLINDER if p.model is Model.HALF_SPACE else Model.HALF_SPACE
+    return AmbientPoint(BasePoint(target, float(x), float(y)), float(t))
 
 
 # -- hyperbolic distances ----------------------------------------------------

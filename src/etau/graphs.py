@@ -34,6 +34,7 @@ from .core import (
     InvalidPointError,
     Model,
     ParameterError,
+    metric_data_arrays,
 )
 from .surfaces import (
     CatenoidSpec,
@@ -73,13 +74,10 @@ def chart_coefficients(chart: Chart, axis_foot: float, tau: float, q1, q2):
     """Base metric coefficients (g1, g2) and connection components (w1, w2)."""
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
-    if chart is Chart.HALFPLANE_XY:
-        g = 1.0 / (q2 * q2)
-        return g, g, -2.0 * tau / q2, np.zeros_like(g)
-    if chart is Chart.DISC_XY:
-        lam = 2.0 / (1.0 - q1 * q1 - q2 * q2)
+    if chart in (Chart.HALFPLANE_XY, Chart.DISC_XY):
+        lam, w1, w2 = metric_data_arrays(_CHART_MODEL[chart], tau, q1, q2)
         g = lam * lam
-        return g, g, 2.0 * tau * lam * q2, -2.0 * tau * lam * q1
+        return g, g, w1, w2
     if chart is Chart.DISC_POLAR:
         g2 = np.sinh(q1) ** 2
         w2 = -4.0 * tau * np.sinh(0.5 * q1) ** 2

@@ -34,6 +34,8 @@ from .core import (
 )
 
 _COEFF_TOL = 1e-12
+# Base step of the finite-difference Jacobian in the pullback residuals.
+_PULLBACK_STEP = 2e-3
 
 KNOWN_FAMILIES = frozenset(
     {
@@ -88,10 +90,6 @@ class MobiusMap:
 
     def apply_complex(self, z: complex) -> complex:
         return (self.a * z + self.b) / (self.c * z + self.d)
-
-    def derivative(self, z: complex) -> complex:
-        w = self.c * z + self.d
-        return 1.0 / (w * w)
 
     def matrix(self) -> tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
@@ -285,7 +283,7 @@ def _map_pullback_residual(push, p: AmbientPoint, model_to: Model, tau: float, s
     return float(np.linalg.norm(jac.T @ g_image @ jac - g_here))
 
 
-def pullback_residual(iso: AmbientIsometry, p: AmbientPoint, step: float = 2e-3) -> float:
+def pullback_residual(iso: AmbientIsometry, p: AmbientPoint) -> float:
     """Frobenius norm of J^T G(F p) J - G(p) with a finite-difference Jacobian.
 
     Vanishes (to truncation error) exactly when the map is isometric near p.
@@ -294,11 +292,11 @@ def pullback_residual(iso: AmbientIsometry, p: AmbientPoint, step: float = 2e-3)
     is large, which a plain 1e-6 central difference cannot achieve.
     """
     return _map_pullback_residual(
-        lambda coords: apply_to_coords(iso, coords), p, iso.model, iso.tau, step
+        lambda coords: apply_to_coords(iso, coords), p, iso.model, iso.tau, _PULLBACK_STEP
     )
 
 
-def conversion_pullback_residual(p: AmbientPoint, tau: float, step: float = 2e-3) -> float:
+def conversion_pullback_residual(p: AmbientPoint, tau: float) -> float:
     """Pullback residual of the model conversion map at p (same stencil)."""
     target = Model.CYLINDER if p.model is Model.HALF_SPACE else Model.HALF_SPACE
 
@@ -306,7 +304,7 @@ def conversion_pullback_residual(p: AmbientPoint, tau: float, step: float = 2e-3
         x, y, t = convert_coords_arrays(p.model, tau, coords[0], coords[1], coords[2])
         return np.array([float(x), float(y), float(t)])
 
-    return _map_pullback_residual(push, p, target, tau, step)
+    return _map_pullback_residual(push, p, target, tau, _PULLBACK_STEP)
 
 
 # -- named families ----------------------------------------------------------

@@ -3,13 +3,13 @@
 A lift of a base curve gamma is horizontal when its tangent annihilates
 omega + dt, which pins the fiber coordinate up to the starting value:
 
-    t'(r) = -omega(gamma'(r)).
+    t'(r) = -omega(gamma'(r)) = -(w1 x' + w2 y'),
 
-In the half-space model this reads t' = 2 tau x'/y, in the disc model
-t' = 2 tau lam (x y' - x' y).  Closed-form curve kinds carry exact
-derivatives; generic sample curves fall back to cubic splines.  Position
-and velocity are numpy-vectorized, so the fiber values at all samples come
-from one cumulative_integral call over the curve parameters.
+with the connection components (w1, w2) of core.metric_data_arrays in
+either model.  Closed-form curve kinds carry exact derivatives; generic
+sample curves fall back to cubic splines.  Position and velocity are
+numpy-vectorized, so the fiber values at all samples come from one
+cumulative_integral call over the curve parameters.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .core import (
     Model,
     ParameterError,
     frame_components_arrays,
+    metric_data_arrays,
 )
 from .quadrature import cumulative_integral
 
@@ -164,20 +165,11 @@ class LiftedCurve:
 def _lift_integrand(curve: PlanarCurve, tau: float) -> Callable[[np.ndarray], np.ndarray]:
     pos = curve.position()
     vel = curve.velocity()
-    if curve.model is Model.HALF_SPACE:
-
-        def f(r: np.ndarray) -> np.ndarray:
-            x, y = pos(r)
-            dx, _ = vel(r)
-            return 2.0 * tau * dx / y
-
-        return f
 
     def f(r: np.ndarray) -> np.ndarray:
-        x, y = pos(r)
+        _, w1, w2 = metric_data_arrays(curve.model, tau, *pos(r))
         dx, dy = vel(r)
-        lam = 2.0 / (1.0 - x * x - y * y)
-        return 2.0 * tau * lam * (x * dy - dx * y)
+        return -(w1 * dx + w2 * dy)
 
     return f
 

@@ -32,6 +32,7 @@ from .core import (
     SpaceParams,
     chord_length,
     convert_coords_arrays,
+    convert_model,
     metric_quadratic_form,
 )
 from .graphs import (
@@ -62,6 +63,7 @@ from .surfaces import (
     _leaf_side_pulled,
     catenoid_height,
     catenoid_neck_radius,
+    catenoid_patch,
     catenoid_profile_inverse,
     mesh_catenoid,
 )
@@ -174,20 +176,8 @@ class AnnulusInstance:
         w in [-1, 1] is the signed regularized radial variable; |w| = 1 is
         the boundary pair and w = 0 the neck.
         """
-        spec = CatenoidSpec(tau=self.tau, d=self.d)
-        rmin = catenoid_neck_radius(spec)
-        sigma_max = math.sqrt(self.rho_boundary - rmin)
-        phi = np.asarray(phi, dtype=float)
-        w = np.asarray(w, dtype=float)
-        sigma = np.abs(w) * sigma_max
-        rho = rmin + sigma * sigma
-        table = _catenoid_table(self.tau, self.d, sigma_max)
-        t = np.sign(w) * table(sigma)
-        radius = np.tanh(0.5 * rho)
-        coords = np.stack(
-            [radius * np.cos(phi), radius * np.sin(phi), t], axis=-1
-        ).reshape(-1, 3)
-        return apply_to_coords(self.placement, coords)
+        coords = catenoid_patch(CatenoidSpec(tau=self.tau, d=self.d), self.rho_boundary, w, phi)
+        return apply_to_coords(self.placement, coords.reshape(-1, 3))
 
     def boundary_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Finely sampled boundary circles, (top, bottom) ordered by mean t."""
@@ -250,7 +240,7 @@ class CatenoidAnnulusGenerator:
     resolution: tuple[int, int] = (65, 96)
 
     def __call__(self, p: AmbientPoint) -> AnnulusInstance:
-        pc = _convert_point(p, Model.CYLINDER, self.tau)
+        pc = p if p.model is Model.CYLINDER else convert_model(p, self.tau)
         spec = CatenoidSpec(tau=self.tau, d=self.d)
         rmin = catenoid_neck_radius(spec)
         sigma_max = math.sqrt(self.rho_boundary - rmin)
@@ -282,15 +272,6 @@ class CatenoidAnnulusGenerator:
             rho_boundary=self.rho_boundary,
             w_reference=w_ref,
         )
-
-
-def _convert_point(p: AmbientPoint, model: Model, tau: float) -> AmbientPoint:
-    if p.model is model:
-        return p
-    x, y, t = convert_coords_arrays(
-        p.model, tau, np.array([p.x]), np.array([p.y]), np.array([p.t])
-    )
-    return AmbientPoint(BasePoint(model, float(x[0]), float(y[0])), float(t[0]))
 
 
 def edge_length_spectrum(instance: AnnulusInstance) -> np.ndarray:
@@ -475,7 +456,7 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
     scale = max(1.0, 2.0 * bounding.height_bound)
 
     for p in points:
-        q = _convert_point(p, model, tau)
+        q = p if p.model is model else convert_model(p, tau)
         if not _point_in_window(slab.lower.domain, q.x, q.y):
             raise InvalidPointError(f"point projection {(q.x, q.y)} is outside the window")
         lo = _heights_at(lower_interp, np.array(q.x), np.array(q.y)).item()
@@ -497,9 +478,8 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
                 below_margin=float("-inf"),
             )
             return failed, None
-        distance = instance.distance_to(
-            _convert_point(p, Model.CYLINDER, tau), accept_below=_CONTAINS_TOL * scale
-        )
+        pc = p if p.model is Model.CYLINDER else convert_model(p, tau)
+        distance = instance.distance_to(pc, accept_below=_CONTAINS_TOL * scale)
         top, bottom = instance.boundary_coords()
         above_margin = _fiber_margin(top, slab.upper, upper_interp, tau, side=+1)
         below_margin = _fiber_margin(bottom, slab.lower, lower_interp, tau, side=-1)

@@ -47,6 +47,8 @@ _TABLE_PANELS = 4096
 # tolerance relative to max(1, height).
 _INVERSE_BUDGET = 60
 _INVERSE_TOL = 1e-14
+# Wedge-angle step of transversality_window_check's sampling.
+_WINDOW_THETA_STEP = 1e-4
 
 
 class Sheet(Enum):
@@ -341,9 +343,14 @@ def normal_vertical_component(spec: InvariantSurfaceSpec, theta: float) -> float
     theta_star = invariant_angle_max(spec.d)
     if not 0.0 < theta <= theta_star:
         raise ParameterError(f"theta={theta} outside (0, {theta_star}]")
-    b = 1.0 - spec.d ** 2 * math.sin(theta) ** 2
-    a = 1.0 + 4.0 * spec.tau ** 2 * math.cos(theta) ** 2
-    return math.sqrt(max(b, 0.0)) / math.sqrt(a)
+    return float(_invariant_nu(spec.d, spec.tau, theta))
+
+
+def _invariant_nu(d: float, tau: float, theta):
+    """Normal vertical component sqrt(1 - d^2 sin^2) / sqrt(1 + 4 tau^2 cos^2)."""
+    b = 1.0 - d * d * np.sin(theta) ** 2
+    a = 1.0 + 4.0 * tau * tau * np.cos(theta) ** 2
+    return np.sqrt(np.clip(b, 0.0, None)) / np.sqrt(a)
 
 
 def tangent_vertical_components(spec: InvariantSurfaceSpec, theta: float) -> tuple[float, float]:
@@ -407,24 +414,21 @@ def transversality_delta(eps: float, h0: float, tau: float) -> float:
     return lo
 
 
-def transversality_window_check(
-    d: float, h0: float, eps: float, tau: float, theta_step: float = 1e-4
-) -> tuple[float, bool]:
+def transversality_window_check(d: float, h0: float, eps: float, tau: float) -> tuple[float, bool]:
     """Sup of the leaf's normal vertical component inside the slab |t| <= h0.
 
-    Samples the wedge at the given angle step, keeps the angles where either
-    sheet's fiber height lies within the slab, and returns (sup, sup < eps).
+    Samples the wedge at the angle step _WINDOW_THETA_STEP, keeps the angles
+    where either sheet's fiber height lies within the slab, and returns
+    (sup, sup < eps).
     """
     theta_star = invariant_angle_max(d)
-    n = max(int(theta_star / theta_step), 8)
+    n = max(int(theta_star / _WINDOW_THETA_STEP), 8)
     theta = np.linspace(theta_star / n, theta_star, n)
     minus, plus = _invariant_profiles_fast(tau, d, theta)
     in_slab = (np.abs(minus) <= h0) | (np.abs(plus) <= h0)
     if not np.any(in_slab):
         return 0.0, True
-    b = 1.0 - d * d * np.sin(theta[in_slab]) ** 2
-    a = 1.0 + 4.0 * tau * tau * np.cos(theta[in_slab]) ** 2
-    sup = float(np.max(np.sqrt(np.clip(b, 0.0, None)) / np.sqrt(a)))
+    sup = float(np.max(_invariant_nu(d, tau, theta[in_slab])))
     return sup, sup < eps
 
 
@@ -447,23 +451,30 @@ class SurfaceMesh:
 
 
 def _grid_triangles(rows: int, cols: int, wrap_cols: bool) -> np.ndarray:
-    tris = []
-    jmax = cols if wrap_cols else cols - 1
-    for i in range(rows - 1):
-        for j in range(jmax):
-            j1 = (j + 1) % cols
-            v00 = i * cols + j
-            v01 = i * cols + j1
-            v10 = (i + 1) * cols + j
-            v11 = (i + 1) * cols + j1
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return np.asarray(tris, dtype=np.int32)
+    """Two triangles per grid cell, cell by cell in row-major order."""
+    i = np.arange(rows - 1)[:, None]
+    j = np.arange(cols if wrap_cols else cols - 1)[None, :]
+    v00 = i * cols + j
+    v01 = i * cols + (j + 1) % cols
+    v10, v11 = v00 + cols, v01 + cols
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=-1)
+    return tris.reshape(-1, 3).astype(np.int32)
 
 
-def _structured_normals(
-    model: Model, tau: float, vertices: np.ndarray, grid_shape: tuple[int, int], wrap_cols: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _structured_mesh(
+    model: Model,
+    tau: float,
+    vertices: np.ndarray,
+    grid_shape: tuple[int, int],
+    wrap_cols: bool,
+    metadata: dict,
+) -> SurfaceMesh:
+    """Mesh of a vertex grid with frame normals, each sheet's normal upward.
+
+    Normals are the frame cross products of centered grid tangents; the
+    sheets are the rows on either side of metadata["seam_row"] (the whole
+    grid when it is None), and a sheet whose mean nu is negative is flipped.
+    """
     rows, cols = grid_shape
     v = vertices.reshape(rows, cols, 3)
     tu = np.empty_like(v)
@@ -480,29 +491,42 @@ def _structured_normals(
     x, y = v[..., 0], v[..., 1]
     u1, u2, u3 = frame_components_arrays(model, tau, x, y, tu[..., 0], tu[..., 1], tu[..., 2])
     w1, w2, w3 = frame_components_arrays(model, tau, x, y, tv[..., 0], tv[..., 1], tv[..., 2])
-    n1 = u2 * w3 - u3 * w2
-    n2 = u3 * w1 - u1 * w3
-    n3 = u1 * w2 - u2 * w1
-    norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
-    norm = np.maximum(norm, 1e-300)
-    normals = np.stack([n1 / norm, n2 / norm, n3 / norm], axis=-1)
-    return normals.reshape(-1, 3), (n3 / norm).reshape(-1)
-
-
-def _orient_upward_by_sheet(mesh: SurfaceMesh) -> None:
-    """Flip normals per sheet so each graph sheet's normal points upward."""
-    rows, cols = mesh.grid_shape
-    nu = mesh.nu.reshape(rows, cols)
-    normals = mesh.normals.reshape(rows, cols, 3)
-    seam = mesh.metadata.get("seam_row")
-    blocks = [(0, rows)] if seam is None else [(0, seam + 1), (seam, rows)]
-    for lo, hi in blocks:
-        block = nu[lo:hi]
-        if block.size and float(np.mean(block)) < 0.0:
+    n = np.stack([u2 * w3 - u3 * w2, u3 * w1 - u1 * w3, u1 * w2 - u2 * w1], axis=-1)
+    norm = np.maximum(np.sqrt(n[..., 0] ** 2 + n[..., 1] ** 2 + n[..., 2] ** 2), 1e-300)
+    normals = n / norm[..., None]
+    seam = metadata.get("seam_row")
+    for lo, hi in [(0, rows)] if seam is None else [(0, seam + 1), (seam, rows)]:
+        if float(np.mean(normals[lo:hi, :, 2])) < 0.0:
             normals[lo:hi] *= -1.0
-            nu[lo:hi] *= -1.0
-    mesh.normals = normals.reshape(-1, 3)
-    mesh.nu = nu.reshape(-1)
+    return SurfaceMesh(
+        model,
+        tau,
+        vertices,
+        _grid_triangles(rows, cols, wrap_cols),
+        normals.reshape(-1, 3),
+        normals[..., 2].reshape(-1),
+        grid_shape,
+        wrap_cols,
+        metadata,
+    )
+
+
+def catenoid_patch(spec: CatenoidSpec, rho_max: float, w, phi) -> np.ndarray:
+    """Disc coordinates (..., 3) of the catenoid truncated at radius rho_max.
+
+    w in [-1, 1] is the signed regularized radial variable (|w| = 1 on the
+    boundary circles, w = 0 on the neck) and phi the angle about the axis;
+    the two broadcast against each other.
+    """
+    rmin = catenoid_neck_radius(spec)
+    sigma_max = math.sqrt(rho_max - rmin)
+    sigma = np.abs(w) * sigma_max
+    rho = rmin + sigma * sigma
+    t = np.sign(w) * _catenoid_table(spec.tau, spec.d, sigma_max)(sigma)
+    radius = np.tanh(0.5 * rho)
+    x = radius * np.cos(phi)
+    y = radius * np.sin(phi)
+    return np.stack([x, y, np.broadcast_to(t, x.shape)], axis=-1)
 
 
 def mesh_catenoid(
@@ -520,38 +544,11 @@ def mesh_catenoid(
     if rows < 5 or cols < 8:
         raise ParameterError("catenoid meshes need at least 5 rows and 8 columns")
     rows += 1 - rows % 2  # keep a row exactly on the neck
-    sigma_max = math.sqrt(rho_max - rmin)
     w = np.linspace(-1.0, 1.0, rows)
-    sigma = np.abs(w) * sigma_max
-    rho = rmin + sigma * sigma
-    table = _catenoid_table(spec.tau, spec.d, sigma_max)
-    t = np.sign(w) * table(sigma)
-    radius = np.tanh(0.5 * rho)
     angles = np.linspace(0.0, 2.0 * math.pi, cols, endpoint=False)
-    xs = radius[:, None] * np.cos(angles)[None, :]
-    ys = radius[:, None] * np.sin(angles)[None, :]
-    ts = np.broadcast_to(t[:, None], xs.shape)
-    vertices = np.stack([xs, ys, ts], axis=-1).reshape(-1, 3)
-    normals, nu = _structured_normals(Model.CYLINDER, spec.tau, vertices, (rows, cols), True)
-    mesh = SurfaceMesh(
-        Model.CYLINDER,
-        spec.tau,
-        vertices,
-        _grid_triangles(rows, cols, True),
-        normals,
-        nu,
-        (rows, cols),
-        True,
-        metadata={
-            "kind": "catenoid",
-            "d": spec.d,
-            "rho_max": rho_max,
-            "seam_row": rows // 2,
-            "sheet": "both",
-        },
-    )
-    _orient_upward_by_sheet(mesh)
-    return mesh
+    vertices = catenoid_patch(spec, rho_max, w[:, None], angles[None, :]).reshape(-1, 3)
+    metadata = {"kind": "catenoid", "d": spec.d, "rho_max": rho_max, "seam_row": rows // 2, "sheet": "both"}
+    return _structured_mesh(Model.CYLINDER, spec.tau, vertices, (rows, cols), True, metadata)
 
 
 # Smallest meshed wedge angle, as a fraction of the gluing angle theta*.
@@ -596,26 +593,15 @@ def mesh_invariant_surface(
     ys = radius[None, :] * np.sin(theta)[:, None]
     ts = np.broadcast_to(t[:, None], xs.shape)
     vertices = np.stack([xs, ys, ts], axis=-1).reshape(-1, 3)
-    normals, nu = _structured_normals(Model.HALF_SPACE, spec.tau, vertices, (rows, cols), False)
-    mesh = SurfaceMesh(
-        Model.HALF_SPACE,
-        spec.tau,
-        vertices,
-        _grid_triangles(rows, cols, False),
-        normals,
-        nu,
-        (rows, cols),
-        False,
-        metadata={
-            "kind": "invariant",
-            "d": spec.d,
-            "s": spec.s,
-            "side": spec.side.value,
-            "theta_min": theta_min,
-            "seam_row": seam,
-        },
-    )
-    _orient_upward_by_sheet(mesh)
+    metadata = {
+        "kind": "invariant",
+        "d": spec.d,
+        "s": spec.s,
+        "side": spec.side.value,
+        "theta_min": theta_min,
+        "seam_row": seam,
+    }
+    mesh = _structured_mesh(Model.HALF_SPACE, spec.tau, vertices, (rows, cols), False, metadata)
     if spec.mirror:
         mesh = apply_isometry_to_mesh(halfplane_reflection(spec.s, spec.tau), mesh)
         mesh.metadata["mirrored"] = True
@@ -627,43 +613,20 @@ def apply_isometry_to_mesh(iso: AmbientIsometry, mesh: SurfaceMesh) -> SurfaceMe
     if iso.model is not mesh.model:
         raise ModelMismatchError("isometry model does not match the mesh")
     vertices = apply_to_coords(iso, mesh.vertices)
-    normals, nu = _structured_normals(mesh.model, mesh.tau, vertices, mesh.grid_shape, mesh.wrap_cols)
-    out = SurfaceMesh(
-        mesh.model,
-        mesh.tau,
-        vertices,
-        mesh.triangles.copy(),
-        normals,
-        nu,
-        mesh.grid_shape,
-        mesh.wrap_cols,
-        metadata=dict(mesh.metadata),
+    return _structured_mesh(
+        mesh.model, mesh.tau, vertices, mesh.grid_shape, mesh.wrap_cols, dict(mesh.metadata)
     )
-    _orient_upward_by_sheet(out)
-    return out
 
 
 def convert_surface_to_cylinder(mesh: SurfaceMesh) -> SurfaceMesh:
     """Carry a half-space mesh to the disc model isometrically."""
     if mesh.model is not Model.HALF_SPACE:
         raise ModelMismatchError("conversion expects a half-space mesh")
-    x, y, t = mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.vertices[:, 2]
-    cx, cy, ct = convert_coords_arrays(Model.HALF_SPACE, mesh.tau, x, y, t)
-    vertices = np.column_stack([cx, cy, ct])
-    normals, nu = _structured_normals(Model.CYLINDER, mesh.tau, vertices, mesh.grid_shape, mesh.wrap_cols)
-    out = SurfaceMesh(
-        Model.CYLINDER,
-        mesh.tau,
-        vertices,
-        mesh.triangles.copy(),
-        normals,
-        nu,
-        mesh.grid_shape,
-        mesh.wrap_cols,
-        metadata=dict(mesh.metadata),
+    x, y, t = convert_coords_arrays(Model.HALF_SPACE, mesh.tau, *mesh.vertices.T)
+    vertices = np.column_stack([x, y, t])
+    return _structured_mesh(
+        Model.CYLINDER, mesh.tau, vertices, mesh.grid_shape, mesh.wrap_cols, dict(mesh.metadata)
     )
-    _orient_upward_by_sheet(out)
-    return out
 
 
 def leaf_mesh(

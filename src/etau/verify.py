@@ -161,8 +161,14 @@ def _transversality(tau: float) -> list[dict]:
     eps, h0 = 0.5, 1.0
     for t in (0.0,) if tau == 0.0 else (0.0, tau):
         delta = transversality_delta(eps, h0, t)
+        d = 1.0 + 0.5 * delta
+        if d == 1.0:
+            raise ParameterError(
+                f"transversality at tau={t:g} needs the window parameter 1 + delta/2, but "
+                f"delta = {delta:.2g} is below float64 resolution, so it rounds to 1"
+            )
         margin = transversality_margin(delta, h0, t)
-        sup, ok = transversality_window_check(1.0 + 0.5 * delta, h0, eps, t)
+        sup, ok = transversality_window_check(d, h0, eps, t)
         label = f"eps_{eps:g}_h0_{h0:g}_tau_{t:g}"
         checks.append(_check(f"closed_form_margin_{label}", margin, eps * eps))
         checks.append(

@@ -177,7 +177,7 @@ def test_criterion_7() -> None:
         assert delta > 0.0
         assert margin_formula(delta, h0, tau) < eps * eps, (eps, h0, tau)
         assert transversality_margin(delta, h0, tau) < eps * eps
-        sup, ok = transversality_window_check(1.0 + delta / 2, h0, eps, tau, theta_step=1e-4)
+        sup, ok = transversality_window_check(1.0 + delta / 2, h0, eps, tau)
         assert ok and sup < eps, (tau, sup)
 
 

@@ -23,6 +23,7 @@ from etau.core import (
     hyperbolic_distance,
     metric_arrays,
     metric_at,
+    metric_data_arrays,
     metric_quadratic_form,
     polyline_length,
     project,
@@ -101,6 +102,22 @@ class TestMetric:
         a = metric_at(hp(0.3, 0.7, -2.0), 0.5)
         b = metric_at(hp(0.3, 0.7, 11.0), 0.5)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "model, x, y", [(Model.HALF_SPACE, 0.3, 0.7), (Model.CYLINDER, 0.2, -0.5), (Model.CYLINDER, -0.6, 0.1)]
+    )
+    def test_connection_form_is_the_log_gradient_of_lam(self, model, x, y):
+        # omega = 2 tau (lam_y / lam dx - lam_x / lam dy), by central differences of log lam
+        tau, h = 0.7, 1e-5
+
+        def log_lam(x, y):
+            return math.log(metric_data_arrays(model, tau, x, y)[0])
+
+        _, w1, w2 = metric_data_arrays(model, tau, x, y)
+        dy = (log_lam(x, y + h) - log_lam(x, y - h)) / (2.0 * h)
+        dx = (log_lam(x + h, y) - log_lam(x - h, y)) / (2.0 * h)
+        assert w1 == pytest.approx(2.0 * tau * dy, rel=1e-8, abs=1e-10)
+        assert w2 == pytest.approx(-2.0 * tau * dx, rel=1e-8, abs=1e-10)
 
     @settings(max_examples=30, deadline=None)
     @given(halfspace_points, taus)

@@ -16,8 +16,7 @@ from etau.core import (
     InvalidPointError,
     Model,
     ParameterError,
-    conformal_data_arrays,
-    vertical_form_arrays,
+    metric_data_arrays,
 )
 from etau import graphs
 from etau.graphs import (
@@ -49,8 +48,7 @@ from etau.graphs import (
 def test_halfplane_chart_matches_core_kernels() -> None:
     q1, q2 = np.array([0.3]), np.array([0.8])
     g1, g2, w1, w2 = chart_coefficients(Chart.HALFPLANE_XY, 1.0, 0.5, q1, q2)
-    lam, _, _ = conformal_data_arrays(Model.HALF_SPACE, q1, q2)
-    wc1, wc2 = vertical_form_arrays(Model.HALF_SPACE, 0.5, q1, q2)
+    lam, wc1, wc2 = metric_data_arrays(Model.HALF_SPACE, 0.5, q1, q2)
     assert g1[0] == pytest.approx(lam[0] ** 2, rel=1e-14)
     assert g2[0] == pytest.approx(lam[0] ** 2, rel=1e-14)
     assert w1[0] == pytest.approx(wc1[0], rel=1e-14)
@@ -60,8 +58,7 @@ def test_halfplane_chart_matches_core_kernels() -> None:
 def test_disc_chart_matches_core_kernels() -> None:
     q1, q2 = np.array([0.2]), np.array([-0.3])
     g1, g2, w1, w2 = chart_coefficients(Chart.DISC_XY, 1.0, 0.5, q1, q2)
-    lam, _, _ = conformal_data_arrays(Model.CYLINDER, q1, q2)
-    wc1, wc2 = vertical_form_arrays(Model.CYLINDER, 0.5, q1, q2)
+    lam, wc1, wc2 = metric_data_arrays(Model.CYLINDER, 0.5, q1, q2)
     assert g1[0] == pytest.approx(lam[0] ** 2, rel=1e-14)
     assert w1[0] == pytest.approx(wc1[0], abs=1e-14)
     assert w2[0] == pytest.approx(wc2[0], abs=1e-14)

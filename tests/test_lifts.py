@@ -69,6 +69,17 @@ def test_disc_radial_line_lift_is_constant() -> None:
     assert np.max(np.abs(lift.t - 0.1)) < 1e-14
 
 
+@pytest.mark.parametrize("tau", [0.5, -0.7])
+def test_disc_circle_arc_lift_is_linear(tau: float) -> None:
+    # On |z| = r, x y' - x' y = r^2, so t' = 4 tau r^2 / (1 - r^2).
+    r, t0 = 0.6, 0.3
+    s = np.linspace(0.4, 2.9, 201)
+    pts = np.column_stack([r * np.cos(s), r * np.sin(s)])
+    lift = horizontal_lift(PlanarCurve.from_samples(Model.CYLINDER, s, pts), tau, t_start=t0)
+    want = t0 + 4.0 * tau * r * r / (1.0 - r * r) * (s - s[0])
+    assert np.max(np.abs(lift.t - want)) < 1e-8
+
+
 def test_generic_curve_against_direct_quadrature() -> None:
     tau = 0.5
     s = np.linspace(0.0, 2.0, 201)

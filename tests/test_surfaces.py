@@ -307,6 +307,20 @@ def test_transversality_delta_property(eps: float, h0: float, tau: float) -> Non
 # -- meshes -----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("rows, cols, wrap_cols", [(5, 8, True), (7, 3, False)])
+def test_grid_triangles_match_the_cell_loop(rows: int, cols: int, wrap_cols: bool) -> None:
+    want = []
+    for i in range(rows - 1):
+        for j in range(cols if wrap_cols else cols - 1):
+            j1 = (j + 1) % cols
+            v00, v01 = i * cols + j, i * cols + j1
+            v10, v11 = (i + 1) * cols + j, (i + 1) * cols + j1
+            want += [(v00, v10, v11), (v00, v11, v01)]
+    got = surfaces._grid_triangles(rows, cols, wrap_cols)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, np.asarray(want, dtype=np.int32))
+
+
 def test_catenoid_mesh_shape_and_model() -> None:
     mesh = mesh_catenoid(CatenoidSpec(0.5, 1.2), rho_max=3.0, resolution=(17, 16))
     assert mesh.model is Model.CYLINDER

@@ -71,6 +71,18 @@ def test_transversality_checks_tau_zero_and_the_given_tau(tau, labels) -> None:
     assert all(c["pass"] for c in checks)
 
 
+def test_transversality_rejects_a_tau_beyond_float64_resolution() -> None:
+    # At tau = 3, delta = 8.2e-19, so 1 + delta/2 rounds to 1.
+    with pytest.raises(ParameterError, match=r"delta = 8\.2e-19 is below float64 resolution"):
+        verify.run("transversality", **{**_PARAMS, "tau": 3.0})
+
+
+def test_transversality_at_tau_two_still_passes() -> None:
+    checks = verify.run("transversality", **{**_PARAMS, "tau": 2.0})
+    assert len(checks) == 4
+    assert all(c["pass"] for c in checks)
+
+
 def test_foliation_checks_every_requested_point(monkeypatch) -> None:
     calls = []
 
