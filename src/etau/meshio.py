@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -38,16 +39,42 @@ __all__ = [
 ]
 
 
+# Rows per fh.write: memory stays bounded by one block whatever the row count.
+_BLOCK_ROWS = 4096
+
+
+def _write_rows(fh, template: str, *columns) -> None:
+    """Write template.format(*row) for every row of the equal-length 1-D columns.
+
+    Values reach the template as Python ints and floats (``.tolist()``), so
+    ``{!r}`` prints a float's shortest round-trip repr.
+    """
+    columns = [np.asarray(c).reshape(-1) for c in columns]
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        rows = zip(*(c[start : start + _BLOCK_ROWS].tolist() for c in columns))
+        fh.write("".join(starmap(template.format, rows)))
+
+
+def _write_csv(path: str | Path, header: list[str], *columns, comment: str = "") -> Path:
+    """CSV with a header row and one row per entry of the columns.
+
+    Ints print as ints and floats by repr, so no field needs quoting; rows end
+    in CRLF, as in the csv module's default dialect, which writes the header.
+    """
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        fh.write(comment)
+        csv.writer(fh).writerow(header)
+        _write_rows(fh, ",".join(["{!r}"] * len(columns)) + "\r\n", *columns)
+    return path
+
+
 def write_obj(path: str | Path, mesh: SurfaceMesh) -> Path:
     """Write a triangulated mesh as ASCII OBJ (v/f records only)."""
     path = Path(path)
-    lines = [
-        f"v {float(x)!r} {float(y)!r} {float(t)!r}"
-        for x, y, t in np.asarray(mesh.vertices, float)
-    ]
-    for a, b, c in np.asarray(mesh.triangles, int):
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        _write_rows(fh, "v {!r} {!r} {!r}\n", *np.asarray(mesh.vertices, float).T)
+        _write_rows(fh, "f {} {} {}\n", *(np.asarray(mesh.triangles, int) + 1).T)
     return path
 
 
@@ -58,43 +85,29 @@ def nu_sidecar_path(obj_path: str | Path) -> Path:
 
 def write_nu_csv(path: str | Path, mesh: SurfaceMesh) -> Path:
     """Per-vertex angle function; vertex indices match the OBJ (1-based)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "x", "y", "t", "nu"])
-        for i, ((x, y, t), nu) in enumerate(zip(mesh.vertices, mesh.nu), start=1):
-            writer.writerow([i, repr(float(x)), repr(float(y)), repr(float(t)), repr(float(nu))])
-    return path
+    vertices = np.asarray(mesh.vertices, float)
+    index = np.arange(1, len(vertices) + 1)
+    return _write_csv(
+        path, ["vertex", "x", "y", "t", "nu"], index, *vertices.T, np.asarray(mesh.nu, float)
+    )
 
 
 def write_profile_csv(path: str | Path, parameter_label: str, parameter, values) -> Path:
-    path = Path(path)
     parameter = np.asarray(parameter, float)
     values = np.asarray(values, float)
     if parameter.shape != values.shape:
         raise ParameterError("profile parameter and values must have matching shapes")
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([parameter_label, "value"])
-        for p, v in zip(parameter, values):
-            writer.writerow([repr(float(p)), repr(float(v))])
-    return path
+    return _write_csv(path, [parameter_label, "value"], parameter, values)
 
 
 def write_lift_csv(path: str | Path, lifted: LiftedCurve) -> Path:
-    path = Path(path)
-    coords = lifted.coords()
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "x", "y", "t"])
-        for p, (x, y, t) in zip(lifted.curve.params, coords):
-            writer.writerow([repr(float(p)), repr(float(x)), repr(float(y)), repr(float(t))])
-    return path
+    coords = np.asarray(lifted.coords(), float)
+    params = np.asarray(lifted.curve.params, float)
+    return _write_csv(path, ["parameter", "x", "y", "t"], params, *coords.T)
 
 
 def write_graph_csv(path: str | Path, gf: GraphFunction) -> Path:
     """Grid dump with one node per row; a JSON comment line carries the domain."""
-    path = Path(path)
     dom = gf.domain
     header = {
         "model": dom.model.value,
@@ -105,25 +118,18 @@ def write_graph_csv(path: str | Path, gf: GraphFunction) -> Path:
         "tau": float(gf.tau),
     }
     q1, q2 = dom.node_grids()
-    active = dom.active_mask()
-    with path.open("w", newline="") as fh:
-        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "q1", "q2", "value", "active"])
-        n1, n2 = dom.shape
-        for i in range(n1):
-            for j in range(n2):
-                writer.writerow(
-                    [
-                        i,
-                        j,
-                        repr(float(q1[i, j])),
-                        repr(float(q2[i, j])),
-                        repr(float(gf.values[i, j])),
-                        int(active[i, j]),
-                    ]
-                )
-    return path
+    i, j = np.indices(dom.shape)
+    return _write_csv(
+        path,
+        ["i", "j", "q1", "q2", "value", "active"],
+        i,
+        j,
+        np.asarray(q1, float),
+        np.asarray(q2, float),
+        np.asarray(gf.values, float),
+        dom.active_mask().astype(int),
+        comment="# " + json.dumps(header, sort_keys=True) + "\n",
+    )
 
 
 def read_graph_csv(path: str | Path) -> GraphFunction:

@@ -60,7 +60,7 @@ from .surfaces import (
     LeafSpec,
     SurfaceMesh,
     _catenoid_table,
-    _leaf_side_pulled,
+    _leaf_sides,
     catenoid_height,
     catenoid_neck_radius,
     catenoid_patch,
@@ -880,11 +880,8 @@ def graph_separation_probe(graph: GraphFunction, leaf: LeafSpec) -> SeparationRe
     if domain.model is not Model.HALF_SPACE:
         x, y, t = convert_coords_arrays(domain.model, tau, x, y, t)
     axis_inv = inverse(axis_translation_isometry(leaf.s, tau))
-    labels = np.zeros(domain.shape, dtype=int)
-    for i in range(domain.shape[0]):
-        for j in range(domain.shape[1]):
-            p = AmbientPoint(BasePoint(Model.HALF_SPACE, float(x[i, j]), float(y[i, j])), float(t[i, j]))
-            labels[i, j] = _leaf_side_pulled(p, leaf.d, leaf.s, tau, leaf.scale, axis_inv)
+    coords = np.stack(np.broadcast_arrays(x, y, t), axis=-1).reshape(-1, 3)
+    labels = _leaf_sides(coords, leaf.scale, leaf.d, leaf.s, tau, axis_inv).reshape(domain.shape)
     active = domain.active_mask()
     labels = np.where(active, labels, 0)
 

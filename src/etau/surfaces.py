@@ -16,24 +16,21 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize
 
 from .core import (
     AmbientPoint,
-    BasePoint,
     ConvergenceError,
     InvalidPointError,
     Model,
     ModelMismatchError,
     ParameterError,
-    chord_length,
     convert_coords_arrays,
     frame_components_arrays,
+    metric_data_arrays,
     require_finite,
 )
 from .isometries import (
     AmbientIsometry,
-    apply,
     apply_to_coords,
     axis_translation_isometry,
     halfplane_reflection,
@@ -650,6 +647,11 @@ def leaf_mesh(
 
 # foliation_leaf_find finds no leaf when the scale leaves [1 / range, range].
 _LEAF_SCALE_RANGE = 1e6
+# Bisection steps per point once its scale is bracketed.
+_LEAF_BISECTION_BUDGET = 200
+# Gauss-Newton steps of the leaf distance search: points on their leaf stop
+# after two or three; a point well off it converges linearly.
+_LEAF_DISTANCE_BUDGET = 50
 
 
 @dataclass(frozen=True)
@@ -659,9 +661,20 @@ class LeafFindResult:
     iterations: int
 
 
-def _pullback_to_model_chart(p: AmbientPoint, scale: float, axis_inv: AmbientIsometry) -> AmbientPoint:
-    scaled = AmbientPoint(BasePoint(Model.HALF_SPACE, p.x / scale, p.y / scale), p.t)
-    return apply(axis_inv, scaled)
+def _pull_back_to_model_chart(pts: np.ndarray, scales, axis_inv: AmbientIsometry) -> np.ndarray:
+    """(n, 3) points in the chart of the unit-scale invariant surface."""
+    scaled = np.stack([pts[:, 0] / scales, pts[:, 1] / scales, pts[:, 2]], axis=-1)
+    return apply_to_coords(axis_inv, scaled)
+
+
+def _leaf_sides(coords: np.ndarray, scales, d: float, s: float, tau: float, axis_inv) -> np.ndarray:
+    """+1 where an (n, 3) half-space point lies in the pocket of the leaf at its
+    scale, -1 elsewhere (see leaf_side)."""
+    q = _pull_back_to_model_chart(np.asarray(coords, dtype=float), scales, axis_inv)
+    theta = np.arctan2(q[:, 1], q[:, 0] - s)
+    minus, plus = _invariant_profiles_fast(tau, d, theta)
+    wedge = (0.0 < theta) & (theta < invariant_angle_max(d))
+    return np.where(wedge & (minus < q[:, 2]) & (q[:, 2] < plus), 1, -1)
 
 
 def leaf_side(p: AmbientPoint, d: float, s: float, tau: float, scale: float = 1.0) -> int:
@@ -674,97 +687,120 @@ def leaf_side(p: AmbientPoint, d: float, s: float, tau: float, scale: float = 1.
     if p.model is not Model.HALF_SPACE:
         raise ModelMismatchError("foliation leaves live in the half-space model")
     axis_inv = inverse(axis_translation_isometry(s, tau))
-    return _leaf_side_pulled(p, d, s, tau, scale, axis_inv)
-
-
-def _leaf_side_pulled(p, d, s, tau, scale, axis_inv) -> int:
-    q = _pullback_to_model_chart(p, scale, axis_inv)
-    theta_star = invariant_angle_max(d)
-    theta = math.atan2(q.y, q.x - s)
-    if not 0.0 < theta < theta_star:
-        return -1
-    minus, plus = _invariant_profiles_fast(tau, d, np.array([theta]))
-    if minus[0] < q.t < plus[0]:
-        return 1
-    return -1
+    return int(_leaf_sides(p.coords()[None], scale, d, s, tau, axis_inv)[0])
 
 
 def foliation_leaf_find(p: AmbientPoint, d: float, s: float, tau: float) -> LeafFindResult:
-    """Scale of the unique leaf through p, with the attained distance residual.
-
-    Brackets the pocket indicator's sign change geometrically from scale 1,
-    bisects to machine precision, then measures the ambient distance from p
-    to the located leaf by local minimization over the leaf's parameters.
-    """
+    """Scale of the unique leaf through p, with the attained distance residual."""
     if p.model is not Model.HALF_SPACE:
         raise ModelMismatchError("foliation leaves live in the half-space model")
+    scales, residuals, iterations = foliation_leaf_find_arrays(p.coords()[None], d, s, tau)
+    return LeafFindResult(float(scales[0]), float(residuals[0]), int(iterations[0]))
+
+
+def foliation_leaf_find_arrays(
+    coords: np.ndarray, d: float, s: float, tau: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scales of the leaves through (n, 3) half-space points, with distance residuals.
+
+    For all points at once: brackets the pocket indicator's sign change by
+    factors of 2 from scale 1, then bisects until hi - lo <= 1e-15 hi, each
+    point frozen once it stops; the residual is the ambient distance from the
+    point to the located leaf (_leaf_distances).  Returns (scales, residuals,
+    iterations), iterations counting each point's bracket and bisection
+    steps.  Raises InvalidPointError when a point's bracket leaves
+    [1 / _LEAF_SCALE_RANGE, _LEAF_SCALE_RANGE].
+    """
+    pts = np.asarray(coords, dtype=float).reshape(-1, 3)
     axis_inv = inverse(axis_translation_isometry(s, tau))
-
-    def side(lam: float) -> int:
-        return _leaf_side_pulled(p, d, s, tau, lam, axis_inv)
-
-    iterations = 0
-    s1 = side(1.0)
-    lo = hi = 1.0
-    factor = 2.0
-    if s1 > 0:
-        # inside the unit leaf's pocket: shrink until outside
-        while True:
-            lo /= factor
-            iterations += 1
-            if side(lo) < 0:
-                break
-            if lo < 1.0 / _LEAF_SCALE_RANGE:
-                raise InvalidPointError("no leaf found: point escapes the foliated region")
-    else:
-        while True:
-            hi *= factor
-            iterations += 1
-            if side(hi) > 0:
-                break
-            if hi > _LEAF_SCALE_RANGE:
-                raise InvalidPointError("no leaf found: point escapes the foliated region")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if side(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * hi:
+    n = len(pts)
+    # inside the unit leaf's pocket: shrink until outside; else grow until inside
+    factor = np.where(_leaf_sides(pts, 1.0, d, s, tau, axis_inv) > 0, 0.5, 2.0)
+    trial = np.ones(n)
+    iterations = np.zeros(n, dtype=int)
+    k = np.arange(n)
+    while k.size:
+        trial[k] *= factor[k]
+        iterations[k] += 1
+        side = _leaf_sides(pts[k], trial[k], d, s, tau, axis_inv)
+        k = k[side != np.where(factor[k] > 1.0, 1, -1)]
+        if np.any((trial[k] < 1.0 / _LEAF_SCALE_RANGE) | (trial[k] > _LEAF_SCALE_RANGE)):
+            raise InvalidPointError("no leaf found: point escapes the foliated region")
+    lo, hi = np.minimum(trial, 1.0), np.maximum(trial, 1.0)
+    k = np.arange(n)
+    for _ in range(_LEAF_BISECTION_BUDGET):
+        if not k.size:
             break
-    lam = 0.5 * (lo + hi)
+        mid = 0.5 * (lo[k] + hi[k])
+        iterations[k] += 1
+        inside = _leaf_sides(pts[k], mid, d, s, tau, axis_inv) > 0
+        hi[k] = np.where(inside, mid, hi[k])
+        lo[k] = np.where(inside, lo[k], mid)
+        k = k[hi[k] - lo[k] > 1e-15 * hi[k]]
+    scales = 0.5 * (lo + hi)
+    return scales, _leaf_distances(pts, scales, d, s, tau, axis_inv), iterations
 
-    residual = _leaf_distance(p, d, s, tau, lam, axis_inv)
-    return LeafFindResult(scale=lam, residual=residual, iterations=iterations)
 
+def _leaf_distances(pts: np.ndarray, scales: np.ndarray, d: float, s: float, tau: float, axis_inv):
+    """Ambient distances from (n, 3) points to the leaves at their scales.
 
-def _leaf_distance(p, d, s, tau, lam, axis_inv) -> float:
-    """Ambient distance from p to the leaf at scale lam (local minimization)."""
-    q = _pullback_to_model_chart(p, lam, axis_inv)
+    Each point is pulled back to q in the invariant surface's chart, and a
+    batched Gauss-Newton search runs over the surface parameters (phi, sigma):
+    base point s + e^phi (cos theta, sin theta) with theta = theta* - sigma^2
+    and fiber sign(sigma) T(|sigma|) + 2 tau sigma^2, T the profile table.
+    T is odd in sigma, so the plus (sigma > 0) and minus (sigma < 0) sheets
+    join smoothly at the fold sigma = 0, where theta has a square-root
+    singularity.  The residual is the frame-component vector of the chord from
+    q in the metric at its midpoint, whose squared norm is the
+    metric_quadratic_form chord that the Nelder-Mead search of the tests
+    minimizes.  The search starts over q's base point on the sheet nearer in
+    t, and keeps a step only where it lowers the chord, so no result exceeds
+    the chord at the start; a point stops at its first step that does not.
+    """
+    qx, qy, qt = _pull_back_to_model_chart(pts, scales, axis_inv).T
     theta_star = invariant_angle_max(d)
-    theta0 = min(max(math.atan2(q.y, q.x - s), 1e-9), theta_star - 1e-12)
-    phi0 = 0.5 * math.log((q.x - s) ** 2 + q.y ** 2)
-    minus, plus = _invariant_profiles_fast(tau, d, np.array([theta0]))
+    sigma_max = math.sqrt(theta_star)
     table = _invariant_table(tau, d)
 
-    def surface_point(phi: float, theta: float, sign: float) -> AmbientPoint:
-        sigma = math.sqrt(max(theta_star - theta, 0.0))
-        t = sign * float(table(sigma)) - 2.0 * tau * (theta - theta_star)
-        r = math.exp(phi)
-        return AmbientPoint(BasePoint(Model.HALF_SPACE, r * math.cos(theta) + s, r * math.sin(theta)), t)
+    def chord(k, phi, sigma):
+        """Frame components (m, 3) of the chord from q[k] and (m, 3, 2) of its
+        derivatives in (phi, sigma)."""
+        theta = theta_star - sigma * sigma
+        bx, by = np.exp(phi) * np.cos(theta), np.exp(phi) * np.sin(theta)
+        dx, dy = bx + s - qx[k], by - qy[k]
+        dt = np.sign(sigma) * table(np.abs(sigma)) + 2.0 * tau * sigma * sigma - qt[k]
+        vx = np.stack([dx, bx, 2.0 * sigma * by])
+        vy = np.stack([dy, by, -2.0 * sigma * bx])
+        vt = np.stack([dt, np.zeros_like(dt), table(np.abs(sigma), 1) + 4.0 * tau * sigma])
+        mid = (qx[k] + 0.5 * dx, qy[k] + 0.5 * dy)
+        frame = np.stack(frame_components_arrays(Model.HALF_SPACE, tau, *mid, vx, vy, vt)).T
+        # The half-space lam and w1 scale as 1/y, so raising the midpoint by e
+        # scales the chord's base part frame(dx, dy, 0) by 1 - lam e, and a
+        # parameter step raises it by half the surface point's dy.
+        base = np.stack(frame_components_arrays(Model.HALF_SPACE, tau, *mid, dx, dy, 0.0)).T
+        lam = metric_data_arrays(Model.HALF_SPACE, tau, *mid)[0]
+        jac = frame[:, 1:] - base[:, None, :] * (0.5 * lam * vy[1:]).T[..., None]
+        return frame[:, 0], jac.transpose(0, 2, 1)
 
-    sign = 1.0 if abs(plus[0] - q.t) <= abs(minus[0] - q.t) else -1.0
-
-    def objective(v: np.ndarray) -> float:
-        phi, theta = v
-        theta = min(max(theta, 1e-10), theta_star)
-        return chord_length(q, surface_point(phi, theta, sign), tau)
-
-    best = minimize(
-        objective,
-        np.array([phi0, theta0]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 400},
-    )
-    return float(best.fun)
+    theta0 = np.clip(np.arctan2(qy, qx - s), 1e-9, theta_star - 1e-12)
+    phi = 0.5 * np.log((qx - s) ** 2 + qy ** 2)
+    minus, plus = _invariant_profiles_fast(tau, d, theta0)
+    sigma = np.where(np.abs(plus - qt) <= np.abs(minus - qt), 1.0, -1.0) * np.sqrt(theta_star - theta0)
+    k = np.arange(len(pts))
+    r, jac = chord(k, phi, sigma)
+    sq = np.sum(r * r, axis=-1)
+    for _ in range(_LEAF_DISTANCE_BUDGET):
+        if not k.size:
+            break
+        step = (np.linalg.pinv(jac) @ r[..., None])[..., 0]
+        phi_new = phi[k] - step[:, 0]
+        sigma_new = np.clip(sigma[k] - step[:, 1], -sigma_max, sigma_max)
+        # a wild step can overflow to a non-finite chord, which is not lower
+        with np.errstate(over="ignore", invalid="ignore"):
+            r, jac = chord(k, phi_new, sigma_new)
+            sq_new = np.sum(r * r, axis=-1)
+        lower = sq_new < sq[k]
+        k = k[lower]
+        phi[k], sigma[k], sq[k] = phi_new[lower], sigma_new[lower], sq_new[lower]
+        r, jac = r[lower], jac[lower]
+    return np.sqrt(sq)

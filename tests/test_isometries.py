@@ -15,6 +15,7 @@ from etau.core import (
     Model,
     ParameterError,
     chord_length,
+    convert_coords_arrays,
     convert_model,
     hyperbolic_distance,
     metric_arrays,
@@ -108,14 +109,53 @@ def test_model_conversion_pullback_residual(tau: float) -> None:
 def test_pullback_detects_fiber_shear() -> None:
     # (x, y, t) -> (x, y, t + x) is not an isometry; the detector must see it.
     p = halfspace_point(0.4, 1.1, 0.2)
-    shear = lambda c: np.array([c[0], c[1], c[2] + c[0]])
+    shear = lambda c: np.column_stack([c[:, 0], c[:, 1], c[:, 2] + c[:, 0]])
     assert _map_pullback_residual(shear, p, Model.HALF_SPACE, 0.5, 2e-3) > 1.0
 
 
 def test_pullback_detects_base_squeeze() -> None:
     p = halfspace_point(0.4, 1.1, 0.2)
-    squeeze = lambda c: np.array([1.1 * c[0], c[1], c[2]])
+    squeeze = lambda c: np.column_stack([1.1 * c[:, 0], c[:, 1], c[:, 2]])
     assert _map_pullback_residual(squeeze, p, Model.HALF_SPACE, 0.5, 2e-3) > 0.1
+
+
+def _one_row_stencil_residual(push, p: AmbientPoint, model_to: Model, tau: float, step: float) -> float:
+    """Reference: the same Richardson stencil with one push call per row."""
+    coords = p.coords()
+
+    def fourth_order_column(i: int, h: float) -> np.ndarray:
+        samples = []
+        for k in (-2.0, -1.0, 1.0, 2.0):
+            shifted = coords.copy()
+            shifted[i] += k * h
+            samples.append(push(shifted[None])[0])
+        m2, m1, p1, p2 = samples
+        return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
+
+    jac = np.empty((3, 3))
+    for i in range(3):
+        h = step * max(1.0, abs(coords[i]))
+        coarse = fourth_order_column(i, h)
+        fine = fourth_order_column(i, 0.5 * h)
+        jac[:, i] = (16.0 * fine - coarse) / 15.0
+    image = push(coords[None])[0]
+    g_image = metric_arrays(model_to, tau, image[0], image[1])
+    return float(np.linalg.norm(jac.T @ g_image @ jac - metric_arrays(p.model, tau, p.x, p.y)))
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_stacked_stencil_matches_one_row_calls(tau: float) -> None:
+    for iso in family_members(tau):
+        push = lambda c, iso=iso: apply_to_coords(iso, c)
+        for p in probes_for(iso):
+            stacked = _map_pullback_residual(push, p, iso.model, tau, 2e-3)
+            reference = _one_row_stencil_residual(push, p, iso.model, tau, 2e-3)
+            assert abs(stacked - reference) <= 1e-12, iso.family
+    for p in HALF_PROBES + CYL_PROBES:
+        target = Model.CYLINDER if p.model is Model.HALF_SPACE else Model.HALF_SPACE
+        push = lambda c, p=p: np.stack(convert_coords_arrays(p.model, tau, *c.T), axis=-1)
+        reference = _one_row_stencil_residual(push, p, target, tau, 2e-3)
+        assert abs(conversion_pullback_residual(p, tau) - reference) <= 1e-12
 
 
 def push_forward_cases(tau: float) -> list[AmbientIsometry]:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
+from etau import meshio
 from etau.core import GeometryError, Model
 from etau.graphs import Chart, GraphDomain, GraphFunction
 from etau.lifts import lift_geodesic_semicircle
@@ -23,7 +25,7 @@ from etau.meshio import (
     write_obj,
     write_profile_csv,
 )
-from etau.surfaces import CatenoidSpec, mesh_catenoid
+from etau.surfaces import CatenoidSpec, SurfaceMesh, mesh_catenoid
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,89 @@ def test_nu_sidecar_naming_and_rows(tmp_path, small_mesh) -> None:
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[4]) == pytest.approx(float(small_mesh.nu[0]), rel=1e-15)
+
+
+# Row-by-row writers the block writers must match byte for byte.
+
+
+def _reference_obj(path, mesh) -> None:
+    lines = [f"v {float(x)!r} {float(y)!r} {float(t)!r}" for x, y, t in np.asarray(mesh.vertices, float)]
+    for a, b, c in np.asarray(mesh.triangles, int):
+        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _reference_csv(path, header, rows, comment="") -> None:
+    with path.open("w", newline="") as fh:
+        fh.write(comment)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+@pytest.fixture(scope="module")
+def awkward_mesh():
+    """More rows than one write block, with values whose reprs are unusual."""
+    n = meshio._BLOCK_ROWS + 37
+    rng = np.random.default_rng(3)
+    vertices = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 8, size=(n, 3))
+    specials = [-0.0, 1e-05, 0.1, 1e16, 5e-324]
+    vertices[: len(specials)] = np.array(specials)[:, None]
+    vertices[-len(specials):, 2] = specials
+    nu = np.tanh(rng.normal(size=n))
+    nu[-len(specials):] = specials
+    triangles = rng.integers(0, n, size=(n + 11, 3)).astype(np.int32)
+    return SurfaceMesh(Model.CYLINDER, 0.5, vertices, triangles, vertices, nu, (n, 1), False)
+
+
+def test_obj_bytes_match_row_writer(tmp_path, awkward_mesh) -> None:
+    _reference_obj(tmp_path / "ref.obj", awkward_mesh)
+    write_obj(tmp_path / "new.obj", awkward_mesh)
+    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
+
+
+def test_nu_csv_bytes_match_row_writer(tmp_path, awkward_mesh) -> None:
+    rows = [
+        [i, repr(float(x)), repr(float(y)), repr(float(t)), repr(float(nu))]
+        for i, ((x, y, t), nu) in enumerate(zip(awkward_mesh.vertices, awkward_mesh.nu), start=1)
+    ]
+    _reference_csv(tmp_path / "ref.csv", ["vertex", "x", "y", "t", "nu"], rows)
+    write_nu_csv(tmp_path / "new.csv", awkward_mesh)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert new.count(b"\r\n") == len(rows) + 1
+
+
+def test_curve_csv_bytes_match_row_writer(tmp_path, awkward_mesh) -> None:
+    x, y, t = awkward_mesh.vertices.T
+    rows = [[repr(float(p)), repr(float(v))] for p, v in zip(x, t)]
+    _reference_csv(tmp_path / "ref.csv", ["a,b", "value"], rows)
+    write_profile_csv(tmp_path / "new.csv", "a,b", x, t)  # a label with a comma is quoted
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    lift = lift_geodesic_semicircle(0.0, 1.0, 0.4, 2.7, 0.5, samples=9)
+    rows = [[repr(float(p)), *map(repr, map(float, c))] for p, c in zip(lift.curve.params, lift.coords())]
+    _reference_csv(tmp_path / "ref_lift.csv", ["parameter", "x", "y", "t"], rows)
+    write_lift_csv(tmp_path / "new_lift.csv", lift)
+    assert (tmp_path / "new_lift.csv").read_bytes() == (tmp_path / "ref_lift.csv").read_bytes()
+
+
+def test_graph_csv_bytes_match_row_writer(tmp_path) -> None:
+    axis = np.linspace(-0.8, 0.8, 9)
+    q1, q2 = np.meshgrid(axis, axis, indexing="ij")
+    dom = GraphDomain(Chart.DISC_XY, ((-0.8, 0.8), (-0.8, 0.8)), (9, 9), mask=q1 * q1 + q2 * q2 < 0.81)
+    gf = GraphFunction.from_base_callable(dom, 0.5, lambda x, y: x * y - 0.0)
+    write_graph_csv(tmp_path / "new.csv", gf)
+    first = (tmp_path / "new.csv").read_text().splitlines()[0]
+    n1, q1, q2, active = dom.shape[0], *dom.node_grids(), dom.active_mask()
+    rows = [
+        [i, j, repr(float(q1[i, j])), repr(float(q2[i, j])), repr(float(gf.values[i, j])), int(active[i, j])]
+        for i in range(n1)
+        for j in range(dom.shape[1])
+    ]
+    header = ["i", "j", "q1", "q2", "value", "active"]
+    _reference_csv(tmp_path / "ref.csv", header, rows, comment=first + "\n")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_profile_csv(tmp_path) -> None:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.special import ellipk
 
 from etau import surfaces
@@ -15,12 +16,14 @@ from etau.core import (
     AmbientPoint,
     BasePoint,
     ConvergenceError,
+    InvalidPointError,
     Model,
     ModelMismatchError,
     ParameterError,
     SpaceParams,
+    chord_length,
 )
-from etau.isometries import apply, scale_isometry
+from etau.isometries import apply, axis_translation_isometry, inverse, scale_isometry
 from etau.surfaces import (
     CatenoidSpec,
     InvariantSurfaceSpec,
@@ -34,6 +37,7 @@ from etau.surfaces import (
     catenoid_profile_inverse,
     convert_surface_to_cylinder,
     foliation_leaf_find,
+    foliation_leaf_find_arrays,
     invariant_angle_max,
     invariant_asymptotic_levels,
     invariant_height,
@@ -425,6 +429,115 @@ def test_foliation_leaf_find_needs_halfspace() -> None:
     p = AmbientPoint(BasePoint(Model.CYLINDER, 0.1, 0.2), 0.0)
     with pytest.raises(ModelMismatchError):
         foliation_leaf_find(p, 1.2, 1.0, 0.0)
+
+
+# Scalar references: one point at a time, the pocket side through the scalar
+# `apply`, and a Nelder-Mead search on one sheet for the leaf distance.
+
+
+def _scalar_side(p, d, s, tau, scale, axis_inv) -> int:
+    q = apply(axis_inv, AmbientPoint(BasePoint(Model.HALF_SPACE, p.x / scale, p.y / scale), p.t))
+    theta = math.atan2(q.y, q.x - s)
+    if not 0.0 < theta < invariant_angle_max(d):
+        return -1
+    minus, plus = surfaces._invariant_profiles_fast(tau, d, np.array([theta]))
+    return 1 if minus[0] < q.t < plus[0] else -1
+
+
+def _scalar_scale(p, d, s, tau, axis_inv) -> float:
+    lo = hi = 1.0
+    if _scalar_side(p, d, s, tau, 1.0, axis_inv) > 0:
+        while True:
+            lo /= 2.0
+            if _scalar_side(p, d, s, tau, lo, axis_inv) < 0:
+                break
+    else:
+        while True:
+            hi *= 2.0
+            if _scalar_side(p, d, s, tau, hi, axis_inv) > 0:
+                break
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _scalar_side(p, d, s, tau, mid, axis_inv) > 0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-15 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _nelder_mead_distance(p, d, s, tau, lam, axis_inv) -> float:
+    q = apply(axis_inv, AmbientPoint(BasePoint(Model.HALF_SPACE, p.x / lam, p.y / lam), p.t))
+    theta_star = invariant_angle_max(d)
+    theta0 = min(max(math.atan2(q.y, q.x - s), 1e-9), theta_star - 1e-12)
+    phi0 = 0.5 * math.log((q.x - s) ** 2 + q.y ** 2)
+    minus, plus = surfaces._invariant_profiles_fast(tau, d, np.array([theta0]))
+    table = surfaces._invariant_table(tau, d)
+
+    def surface_point(phi: float, theta: float, sign: float) -> AmbientPoint:
+        sigma = math.sqrt(max(theta_star - theta, 0.0))
+        t = sign * float(table(sigma)) - 2.0 * tau * (theta - theta_star)
+        r = math.exp(phi)
+        return AmbientPoint(BasePoint(Model.HALF_SPACE, r * math.cos(theta) + s, r * math.sin(theta)), t)
+
+    sign = 1.0 if abs(plus[0] - q.t) <= abs(minus[0] - q.t) else -1.0
+
+    def objective(v: np.ndarray) -> float:
+        phi, theta = v
+        theta = min(max(theta, 1e-10), theta_star)
+        return chord_length(q, surface_point(phi, theta, sign), tau)
+
+    best = minimize(
+        objective,
+        np.array([phi0, theta0]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 400},
+    )
+    return float(best.fun)
+
+
+@pytest.mark.parametrize("d", [1.2, 2.0])
+@pytest.mark.parametrize("tau", [0.0, 0.5, -0.7])
+def test_leaf_find_arrays_match_scalar_bisection_and_nelder_mead(tau: float, d: float) -> None:
+    rng = np.random.default_rng(7)
+    coords = np.column_stack(
+        [rng.uniform(-2.0, 2.0, 40), rng.uniform(0.2, 2.5, 40), rng.uniform(-1.5, 1.5, 40)]
+    )
+    scales, residuals, iterations = foliation_leaf_find_arrays(coords, d, 1.0, tau)
+    axis_inv = inverse(axis_translation_isometry(1.0, tau))
+    for row, scale, residual in zip(coords, scales, residuals):
+        p = AmbientPoint(BasePoint(Model.HALF_SPACE, row[0], row[1]), row[2])
+        reference = _scalar_scale(p, d, 1.0, tau, axis_inv)
+        assert abs(scale - reference) <= 1e-13 * reference
+        assert abs(residual - _nelder_mead_distance(p, d, 1.0, tau, reference, axis_inv)) <= 1e-9
+    assert np.all(iterations < 200)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, -0.7])
+def test_leaf_distance_off_the_leaf_is_no_worse_than_nelder_mead(tau: float) -> None:
+    # Off its leaf a point has a positive distance, which only a search with
+    # the chord's true gradient brings down to Nelder-Mead's local minimum.
+    rng = np.random.default_rng(11)
+    coords = np.column_stack(
+        [rng.uniform(-2.0, 2.0, 20), rng.uniform(0.2, 2.5, 20), rng.uniform(-1.5, 1.5, 20)]
+    )
+    scales, _, _ = foliation_leaf_find_arrays(coords, 1.2, 1.0, tau)
+    axis_inv = inverse(axis_translation_isometry(1.0, tau))
+    for factor in (1.01, 1.1):
+        distances = surfaces._leaf_distances(coords, factor * scales, 1.2, 1.0, tau, axis_inv)
+        for row, scale, distance in zip(coords, scales, distances):
+            p = AmbientPoint(BasePoint(Model.HALF_SPACE, row[0], row[1]), row[2])
+            assert distance <= _nelder_mead_distance(p, 1.2, 1.0, tau, factor * scale, axis_inv) + 1e-9
+
+
+@pytest.mark.parametrize("row", [(0.5, 1.0, 50.0), (0.0, 1e-8, 0.0)], ids=["grows", "shrinks"])
+def test_leaf_find_rejects_a_point_whose_scale_escapes(row) -> None:
+    # above every leaf the bracket grows past 1e6; near the ideal point 0 it shrinks below 1e-6
+    with pytest.raises(InvalidPointError):
+        foliation_leaf_find(AmbientPoint(BasePoint(Model.HALF_SPACE, row[0], row[1]), row[2]), 1.2, 1.0, 0.0)
+    with pytest.raises(InvalidPointError):
+        foliation_leaf_find_arrays(np.array([[2.0, 0.5, 0.0], row]), 1.2, 1.0, 0.0)
 
 
 @settings(max_examples=15, deadline=None)

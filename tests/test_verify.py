@@ -8,7 +8,6 @@ import pytest
 from etau import verify
 from etau.core import ParameterError
 from etau.graphs import Chart, reference_problem
-from etau.surfaces import LeafFindResult
 
 _PARAMS = {"tau": 0.5, "d": 1.2, "s": 1.0, "surface": "catenoid", "seed": 0, "points": 5}
 
@@ -86,16 +85,17 @@ def test_transversality_at_tau_two_still_passes() -> None:
 def test_foliation_checks_every_requested_point(monkeypatch) -> None:
     calls = []
 
-    def leaf_find(p, d, s, tau):
-        calls.append(p)
-        return LeafFindResult(scale=1.0, residual=len(calls) * 1e-9, iterations=0)
+    def leaf_find_arrays(coords, d, s, tau):
+        calls.append(coords)
+        n = len(coords)
+        return np.ones(n), np.arange(n) * 1e-9, np.zeros(n, dtype=int)
 
-    monkeypatch.setattr(verify, "foliation_leaf_find", leaf_find)
+    monkeypatch.setattr(verify, "foliation_leaf_find_arrays", leaf_find_arrays)
     records = {}
     for points in (100, 101):
         calls.clear()
         records[points] = verify.run("foliation", **{**_PARAMS, "points": points})
-        assert len(calls) == 2 * points  # the point and its scaled image
+        assert [c.shape for c in calls] == [(2 * points, 3)]  # the points and their scaled images
     assert records[101] != records[100]
 
 
