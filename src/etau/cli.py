@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
     """Parser whose usage errors follow the exit-code contract (1, not 2)."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        print(json.dumps({"status": "invalid_input", "message": message}))
+        _emit({"status": "invalid_input", "message": message})
         raise SystemExit(1)
 
 
@@ -304,8 +304,8 @@ _HANDLERS = {
 }
 
 
-def _emit(payload: dict, out: str | None, command: str) -> None:
-    path = out if command != "surface" else None
+def _emit(payload: dict, path: str | None = None) -> None:
+    """Write the JSON report to path, or to stdout when path is None."""
     text = meshio.write_json_report(payload, path)
     if path is None:
         sys.stdout.write(text)
@@ -317,17 +317,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = merge_config(ns, parser)
     except (GeometryError, OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"status": "invalid_input", "message": str(exc)}))
+        _emit({"status": "invalid_input", "message": str(exc)})
         return 1
+    out = cfg["out"] if ns.command != "surface" else None
     try:
         report, code = _HANDLERS[ns.command](cfg)
     except ConvergenceError as exc:
-        _emit({"status": "computational_failure", "message": str(exc)}, cfg.get("out"), ns.command)
+        _emit({"status": "computational_failure", "message": str(exc)}, out)
         return 2
     except GeometryError as exc:
-        _emit({"status": "invalid_input", "message": str(exc)}, cfg.get("out"), ns.command)
+        _emit({"status": "invalid_input", "message": str(exc)}, out)
         return 1
-    _emit(report, cfg.get("out"), ns.command)
+    _emit(report, out)
     return code
 
 

@@ -195,22 +195,31 @@ def apply_to_coords(iso: AmbientIsometry, coords: np.ndarray) -> np.ndarray:
     return np.stack([sx * w.real, sy * w.imag, fiber], axis=-1)
 
 
-def push_forward(iso: AmbientIsometry, coords: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Images F(p) of (n, 3) points and dF_p(v) of tangent vectors at them.
+def push_forward_arrays(iso: AmbientIsometry, x, y, vx, vy, vt):
+    """Base image (x', y') of points and dF(v) = (dx', dy', dt') of tangent
+    vectors (vx, vy, vt) at them, on broadcasting component arrays.
 
     The base differential is dw = dz / (cz + d)^2 and the branch moves by
     dTheta = -2 Im(c dz / (cz + d)); the row signs follow apply_to_coords.
+    The image's fiber coordinate is not computed: no metric reads t.
     """
-    pts = np.asarray(coords, dtype=float)
-    vec = np.asarray(vectors, dtype=float)
     m = iso.mobius
-    q = m.c * (pts[..., 0] + 1j * pts[..., 1]) + m.d
-    dz = vec[..., 0] + 1j * vec[..., 1]
+    z = x + 1j * y
+    q = m.c * z + m.d
+    w = (m.a * z + m.b) / q
+    dz = vx + 1j * vy
     dw = dz / (q * q)
     dtheta = -2.0 * (m.c * dz / q).imag
     sx, sy, st = _row_signs(iso)
-    dt = st * (vec[..., 2] - 2.0 * iso.tau * dtheta)
-    return apply_to_coords(iso, pts), np.stack([sx * dw.real, sy * dw.imag, dt], axis=-1)
+    return sx * w.real, sy * w.imag, sx * dw.real, sy * dw.imag, st * (vt - 2.0 * iso.tau * dtheta)
+
+
+def push_forward(iso: AmbientIsometry, coords: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Images F(p) of (n, 3) points and dF_p(v) of tangent vectors at them."""
+    pts = np.asarray(coords, dtype=float)
+    vec = np.asarray(vectors, dtype=float)
+    *_, dx, dy, dt = push_forward_arrays(iso, pts[..., 0], pts[..., 1], vec[..., 0], vec[..., 1], vec[..., 2])
+    return apply_to_coords(iso, pts), np.stack([dx, dy, dt], axis=-1)
 
 
 def compose(outer: AmbientIsometry, inner: AmbientIsometry) -> AmbientIsometry:

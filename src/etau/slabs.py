@@ -51,7 +51,7 @@ from .isometries import (
     disc_point_isometry,
     inverse,
     axis_translation_isometry,
-    push_forward,
+    push_forward_arrays,
     vertical_translation,
 )
 from .quadrature import PANEL_NODES, composite_gauss
@@ -133,7 +133,9 @@ def halfplane_window_domain(
 # -- annulus family ------------------------------------------------------------
 
 # Quadrature nodes per batch in edge_length_spectrum: enough to amortize the
-# per-call overhead, small enough to keep the temporaries in cache.
+# per-call overhead, small enough to keep the temporaries in cache.  The
+# cached model segments hold one start point and one vector per edge, not
+# one per node, so the nodes exist only one chunk at a time.
 _SPECTRUM_CHUNK_POINTS = 1 << 14
 # Samples per boundary circle in the fiber-margin checks.
 _BOUNDARY_SAMPLES = 512
@@ -146,15 +148,29 @@ def _model_annulus_mesh(
     return mesh_catenoid(CatenoidSpec(tau=tau, d=d), rho_boundary, (rows, cols))
 
 
-@lru_cache(maxsize=8)
 def _model_annulus_edges(
     tau: float, d: float, rho_boundary: float, rows: int, cols: int
 ) -> np.ndarray:
+    """Vertex pairs (lo, hi) of the model mesh's edges, each once, in lexicographic order."""
     mesh = _model_annulus_mesh(tau, d, rho_boundary, rows, cols)
-    tri = mesh.triangles
-    pairs = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    pairs.sort(axis=1)
-    return np.unique(pairs, axis=0)
+    n = len(mesh.vertices)
+    tri = mesh.triangles.astype(np.int64)
+    ends = np.roll(tri, -1, axis=1)
+    keys = np.unique(np.minimum(tri, ends) * n + np.maximum(tri, ends))
+    return np.stack(np.divmod(keys, n), axis=1)
+
+
+@lru_cache(maxsize=8)
+def _model_annulus_segments(
+    tau: float, d: float, rho_boundary: float, rows: int, cols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start points a and edge vectors v = b - a of the model mesh's edges, (E, 3) each."""
+    vertices = _model_annulus_mesh(tau, d, rho_boundary, rows, cols).vertices
+    edges = _model_annulus_edges(tau, d, rho_boundary, rows, cols)
+    a = vertices[edges[:, 0]]
+    v = vertices[edges[:, 1]] - a
+    a.flags.writeable = v.flags.writeable = False
+    return a, v
 
 
 @dataclass(frozen=True)
@@ -287,26 +303,28 @@ def edge_length_spectrum(instance: AnnulusInstance) -> np.ndarray:
     out in the disc, float64 image coordinates fix 1 - |w|^2 only to about
     1e-16.  Congruent instances differ by about 2e-9, and by up to 2e-8 near
     the edge of the example-1 window, far below _SPECTRA_TOL.
+
+    The model mesh's segments (a, v) are cached per mesh, so a spectrum costs
+    one pass of push_forward_arrays over the quadrature nodes: the per-edge
+    vectors broadcast against the nodes, and the image's fiber coordinate,
+    which the metric does not read, is never formed.
     """
     rows, cols = instance.resolution
-    args = (instance.tau, instance.d, instance.rho_boundary, rows, cols)
-    vertices = _model_annulus_mesh(*args).vertices
-    edges = _model_annulus_edges(*args)
-    out = np.empty(edges.shape[0])
+    a, v = _model_annulus_segments(instance.tau, instance.d, instance.rho_boundary, rows, cols)
+    out = np.empty(a.shape[0])
     per_chunk = max(1, _SPECTRUM_CHUNK_POINTS // PANEL_NODES)
-    for start in range(0, edges.shape[0], per_chunk):
-        part = edges[start : start + per_chunk]
-        a = vertices[part[:, 0], None, None, :]
-        v = vertices[part[:, 1], None, None, :] - a
+    for start in range(0, a.shape[0], per_chunk):
+        # Component views of shape (edges, 1, 1), broadcasting against the
+        # (edges, 1, PANEL_NODES) nodes that composite_gauss passes to speed.
+        ax, ay, _ = a[start : start + per_chunk].T[..., None, None]
+        vx, vy, vt = v[start : start + per_chunk].T[..., None, None]
 
         def speed(s: np.ndarray) -> np.ndarray:
-            p = a + s[..., None] * v
-            dirs = np.broadcast_to(v, p.shape)
-            image, dv = push_forward(instance.placement, p.reshape(-1, 3), dirs.reshape(-1, 3))
-            sq = metric_quadratic_form(Model.CYLINDER, instance.tau, image[:, 0], image[:, 1], *dv.T)
-            return np.sqrt(sq).reshape(s.shape)
+            x, y, dx, dy, dt = push_forward_arrays(instance.placement, ax + s * vx, ay + s * vy, vx, vy, vt)
+            return np.sqrt(metric_quadratic_form(Model.CYLINDER, instance.tau, x, y, dx, dy, dt))
 
-        out[start : start + per_chunk] = composite_gauss(speed, np.zeros(len(part)), np.ones(len(part)), 1)
+        n = ax.shape[0]
+        out[start : start + n] = composite_gauss(speed, np.zeros(n), np.ones(n), 1)
     return np.sort(out)
 
 

@@ -13,7 +13,11 @@ from etau.cli import main
 
 
 def run(capsys, *argv: str) -> tuple[int, dict | None]:
-    code = main(list(argv))
+    """Exit code and parsed stdout report; argparse usage errors exit through SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr().out
     return code, json.loads(out) if out else None
 
@@ -196,6 +200,8 @@ def test_missing_config_file_is_invalid_input(capsys) -> None:
         (["solve", "--max-newton", "-2"], None),
         (["verify", "foliation", "--points", "0"], None),
         (["verify", "isometries"], {"points": -5}),
+        (["slab", "example1", "--eps", "nan"], None),
+        (["slab", "example3"], None),
     ],
     ids=[
         "nan-flag",
@@ -207,6 +213,8 @@ def test_missing_config_file_is_invalid_input(capsys) -> None:
         "negative-max-newton",
         "zero-points-flag",
         "negative-points-config",
+        "nan-slab-flag",
+        "usage-error",
     ],
 )
 def test_bad_values_are_invalid_input(tmp_path, capsys, argv, config) -> None:
@@ -217,6 +225,7 @@ def test_bad_values_are_invalid_input(tmp_path, capsys, argv, config) -> None:
     code, report = run(capsys, *argv)
     assert code == 1
     assert report["status"] == "invalid_input"
+    assert report["schema_version"] == 1
 
 
 # -- determinism ------------------------------------------------------------------------

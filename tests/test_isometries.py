@@ -41,6 +41,7 @@ from etau.isometries import (
     point_translation_angle,
     pullback_residual,
     push_forward,
+    push_forward_arrays,
     rotation_isometry,
     scale_isometry,
     vertical_translation,
@@ -188,6 +189,20 @@ def test_push_forward_is_the_differential_and_preserves_the_metric(tau: float) -
             np.einsum("ni,nij,nj->n", vectors, g_here, vectors),
             rtol=1e-12,
             err_msg=iso.family,
+        )
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, -0.7])
+def test_push_forward_arrays_broadcasts_per_row_vectors(tau: float) -> None:
+    for iso in push_forward_cases(tau):
+        probes = np.array([p.coords() for p in probes_for(iso)])
+        # (k, m) points, one tangent vector per row, shape (k, 1).
+        pts = probes[None, :, :] * (1.0 + 0.1 * np.arange(len(VECTORS)))[:, None, None]
+        got = push_forward_arrays(iso, pts[..., 0], pts[..., 1], *np.moveaxis(VECTORS[:, None, :], -1, 0))
+        assert all(c.shape == pts.shape[:2] for c in got)
+        image, dv = push_forward(iso, pts.reshape(-1, 3), np.repeat(VECTORS, len(probes), axis=0))
+        np.testing.assert_array_equal(
+            np.stack(got, axis=-1).reshape(-1, 5), np.column_stack([image[:, :2], dv]), err_msg=iso.family
         )
 
 

@@ -19,10 +19,13 @@ from etau.core import (
     ParameterError,
     SpaceParams,
     metric_arrays,
+    metric_quadratic_form,
 )
 from etau.graphs import GraphFunction
-from etau.isometries import apply_to_coords
+from etau.isometries import AmbientIsometry, Orientation, apply_to_coords, push_forward
+from etau.quadrature import PANEL_NODES, composite_gauss
 from etau.slabs import (
+    _SPECTRUM_CHUNK_POINTS,
     SlabSpec,
     _model_annulus_edges,
     _model_annulus_mesh,
@@ -185,6 +188,60 @@ def test_edge_length_spectrum_separates_non_congruent_annuli(slab1) -> None:
     # to another tau (so it is not an isometry of the tau = 0 metric).
     assert deviation(replace(first, d=first.d * (1.0 + 1e-4))) > 1e-5
     assert deviation(replace(first, placement=replace(first.placement, tau=0.01))) > 1e-5
+
+
+def _per_point_spectrum(instance) -> np.ndarray:
+    """Reference edge spectrum by the per-point route: each chunk gathers its
+    edges' vertices, and every quadrature node goes through push_forward as
+    one (n, 3) row with a broadcast copy of its edge vector."""
+    rows, cols = instance.resolution
+    args = (instance.tau, instance.d, instance.rho_boundary, rows, cols)
+    vertices = _model_annulus_mesh(*args).vertices
+    edges = _model_annulus_edges(*args)
+    out = np.empty(edges.shape[0])
+    per_chunk = _SPECTRUM_CHUNK_POINTS // PANEL_NODES
+    for start in range(0, edges.shape[0], per_chunk):
+        part = edges[start : start + per_chunk]
+        a = vertices[part[:, 0], None, None, :]
+        v = vertices[part[:, 1], None, None, :] - a
+
+        def speed(s: np.ndarray) -> np.ndarray:
+            p = a + s[..., None] * v
+            dirs = np.broadcast_to(v, p.shape)
+            image, dv = push_forward(instance.placement, p.reshape(-1, 3), dirs.reshape(-1, 3))
+            sq = metric_quadratic_form(Model.CYLINDER, instance.tau, image[:, 0], image[:, 1], *dv.T)
+            return np.sqrt(sq).reshape(s.shape)
+
+        out[start : start + per_chunk] = composite_gauss(speed, np.zeros(len(part)), np.ones(len(part)), 1)
+    return np.sort(out)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_edge_length_spectrum_equals_per_point_route(slab1, tau: float) -> None:
+    slab = slab1 if tau == 0.0 else build_example1(SpaceParams(tau), 0.1, grid=65, annulus_resolution=(33, 48))
+    instance = slab.annulus_generator(sample_interior_points(slab, 1, seed=7)[0])
+    assert instance.tau == tau
+    np.testing.assert_array_equal(edge_length_spectrum(instance), _per_point_spectrum(instance))
+    # A reversing placement, so the x, y and t row signs of the differential count.
+    reversing = AmbientIsometry(instance.placement.mobius, Orientation.REVERSING, 0.3, 0.0, tau)
+    mirrored = replace(instance, placement=reversing)
+    np.testing.assert_array_equal(edge_length_spectrum(mirrored), _per_point_spectrum(mirrored))
+
+
+@pytest.mark.parametrize(("rows", "cols", "count"), [(65, 96, 18528), (5, 8, 104), (6, 8, 152), (8, 10, 250)])
+def test_model_annulus_edges_are_the_sorted_unique_pairs(slab1, rows: int, cols: int, count: int) -> None:
+    gen = slab1.annulus_generator
+    args = (gen.tau, gen.d, gen.rho_boundary, rows, cols)
+    mesh = _model_annulus_mesh(*args)
+    tri = mesh.triangles
+    pairs = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
+    edges = _model_annulus_edges(*args)
+    np.testing.assert_array_equal(edges, np.unique(pairs, axis=0))
+    # The mesh makes the row count odd; a wrapped grid has R C ring edges,
+    # (R - 1) C meridian edges and (R - 1) C diagonals.
+    built_rows = len(mesh.vertices) // cols
+    assert built_rows == rows + 1 - rows % 2
+    assert len(edges) == (3 * built_rows - 2) * cols == count
 
 
 def test_nan_spectrum_fails_the_audit(slab1, monkeypatch) -> None:
