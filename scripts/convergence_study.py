@@ -1,7 +1,8 @@
 """Grid-refinement study for the graph mean-curvature residual and the solver.
 
-Prints residual sups, solver errors against the exact profiles, and the
-empirical convergence orders across a refinement ladder.
+Prints residual sups, solver errors against the exact profiles, each solve's
+Newton passes and LU factorizations, and the empirical convergence orders
+across a refinement ladder.
 
 Usage: python3 scripts/convergence_study.py [--surface catenoid] [--tau 0.5] [--d 2.0]
 """
@@ -27,7 +28,10 @@ def main() -> None:
     args = ap.parse_args()
 
     print(f"{args.surface}  tau={args.tau}  d={args.d}")
-    print(f"{'n':>5s} {'residual sup':>14s} {'order':>7s} {'solver sup err':>15s} {'order':>7s}")
+    print(
+        f"{'n':>5s} {'residual sup':>14s} {'order':>7s} {'solver sup err':>15s} {'order':>7s}"
+        f" {'iters':>5s} {'factors':>7s}"
+    )
     residuals: list[float] = []
     errors: list[float] = []
     for n in args.grids:
@@ -37,7 +41,10 @@ def main() -> None:
         errors.append(float(np.max(np.abs(solved.graph.values - exact.values))))
         r_order = f"{math.log2(residuals[-2] / residuals[-1]):7.3f}" if len(residuals) > 1 else "      -"
         e_order = f"{math.log2(errors[-2] / errors[-1]):7.3f}" if len(errors) > 1 else "      -"
-        print(f"{n:5d} {residuals[-1]:14.6e} {r_order} {errors[-1]:15.6e} {e_order}")
+        print(
+            f"{n:5d} {residuals[-1]:14.6e} {r_order} {errors[-1]:15.6e} {e_order}"
+            f" {solved.report['iterations']:5d} {solved.report['factorizations']:7d}"
+        )
 
 
 if __name__ == "__main__":

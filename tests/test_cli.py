@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from etau import graphs
 from etau.cli import main
 
 
@@ -133,6 +134,21 @@ def test_solve_wild_boundary_fails_with_code_two(capsys) -> None:
     assert code == 2
     assert report["converged"] is False
     assert report["iterations"] == 6
+
+
+def test_solve_singular_jacobian_exits_two(monkeypatch, capsys) -> None:
+    jacobian = graphs._coloring_jacobian
+
+    def singular(*args):
+        jac = jacobian(*args).tolil()
+        jac[0, :] = 0.0
+        return jac.tocsr()
+
+    monkeypatch.setattr(graphs, "_coloring_jacobian", singular)
+    code, report = run(capsys, "solve", "--boundary", "catenoid", "--tau", "0.5", "--n", "17")
+    assert code == 2
+    assert report["converged"] is False
+    assert report["factorizations"] == 0
 
 
 # -- slab --------------------------------------------------------------------------

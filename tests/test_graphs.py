@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from etau.core import (
     InvalidPointError,
@@ -282,7 +282,9 @@ def test_solver_zero_boundary_returns_zero() -> None:
     dom = GraphDomain(Chart.DISC_XY, ((-0.4, 0.4), (-0.4, 0.4)), (17, 17))
     result = solve_dirichlet(dom, 0.0, np.zeros((17, 17)))
     assert result.report["converged"]
+    # a converged run counts its final check: one iteration, no step, no factor
     assert result.report["iterations"] == 1
+    assert result.report["factorizations"] == 0
     assert float(np.max(np.abs(result.graph.values))) == 0.0
     assert result.report["max_mean_curvature"] == 0.0
 
@@ -291,6 +293,8 @@ def test_solver_reproduces_catenoid_trace() -> None:
     gf = reference_problem("catenoid", 0.5, 2.0, 1.0, 33)
     result = solve_dirichlet(gf.domain, 0.5, gf.values)
     assert result.report["converged"]
+    # two Jacobians are factored; the other steps reuse a factor (four without reuse)
+    assert result.report["factorizations"] == 2
     err = float(np.max(np.abs(result.graph.values - gf.values)))
     assert err == pytest.approx(1.7216436293265858e-05, rel=1e-6)
 
@@ -349,8 +353,10 @@ def test_solver_report_is_read_off_the_history(case: str) -> None:
     # each case converges or runs out of budget; running out adds the last iterate's entry
     expected = report["iterations"] if report["converged"] else report["iterations"] + 1
     assert len(history) == expected
+    assert 0 <= report["factorizations"] <= report["iterations"]
     if case == "no_newton":
         assert report["iterations"] == 0
+        assert report["factorizations"] == 0
         assert len(history) == 1
 
 
@@ -367,24 +373,104 @@ def test_solver_computes_each_residual_once(monkeypatch) -> None:
     result = solve_dirichlet(dom, 0.5, boundary, max_newton=6)
     assert result.report["iterations"] == 6
     assert len(seen) == len(set(seen))
+    # a converged solve that takes chord steps with an earlier factor
+    seen.clear()
+    result = _solver_case("catenoid")
+    assert result.report["converged"]
+    assert result.report["factorizations"] < result.report["iterations"] - 1
+    assert len(seen) == len(set(seen))
+
+
+def test_rejected_chord_step_refactors_in_the_same_pass(monkeypatch) -> None:
+    events: list[tuple] = []
+    jacobian, trial_step = graphs._coloring_jacobian, graphs._trial_step
+
+    def key(gf: GraphFunction) -> str:
+        return hashlib.sha256(gf.values.tobytes()).hexdigest()
+
+    def recording_jacobian(gf, *args):
+        events.append(("jacobian", key(gf)))
+        return jacobian(gf, *args)
+
+    def recording_trial(gf, interior, delta, alpha):
+        out = trial_step(gf, interior, delta, alpha)
+        events.append(("trial", key(gf), key(out[0])))
+        return out
+
+    monkeypatch.setattr(graphs, "_coloring_jacobian", recording_jacobian)
+    monkeypatch.setattr(graphs, "_trial_step", recording_trial)
+    result = _solver_case("catenoid")
+    report = result.report
+    assert report["converged"]
+    # pass 1: fresh full step; pass 2: the chord trial from the new iterate is
+    # rejected, and the same iterate is refactored and takes a fresh step
+    assert [e[0] for e in events[:5]] == ["jacobian", "trial", "trial", "jacobian", "trial"]
+    seed, first = events[0][1], events[1][2]
+    assert events[1][1] == seed
+    assert events[2][1] == events[3][1] == events[4][1] == first
+    assert report["factorizations"] == sum(e[0] == "jacobian" for e in events) == 2
+    # the rejected trial spent no pass: one pass per accepted step, plus the final check
+    assert report["iterations"] == len(report["residual_history"])
+
+
+@pytest.mark.parametrize("singular_call", [1, 2], ids=["first-factor", "after-chord"])
+def test_solver_reports_a_singular_jacobian_as_nonconvergence(monkeypatch, singular_call) -> None:
+    calls = []
+    jacobian = graphs._coloring_jacobian
+
+    def singular_on_call(gf, st, base_res, eps):
+        calls.append(None)
+        jac = jacobian(gf, st, base_res, eps)
+        if len(calls) == singular_call:
+            jac = jac.tolil()
+            jac[0, :] = 0.0  # an exactly zero row: SuperLU finds an exact zero pivot
+            jac = jac.tocsr()
+        return jac
+
+    monkeypatch.setattr(graphs, "_coloring_jacobian", singular_on_call)
+    result = _solver_case("catenoid")
+    report = result.report
+    assert not report["converged"]
+    assert len(calls) == singular_call
+    assert report["factorizations"] == singular_call - 1
+    assert len(report["residual_history"]) == report["iterations"]
+    assert report["max_mean_curvature"] == mean_curvature(result.graph).sup()
 
 
 def test_solver_factors_with_minimum_degree_ordering(monkeypatch) -> None:
-    calls = []
+    seed_calls, factor_calls, solves = [], [], []
 
-    def recording(a, b, **kwargs):
+    def recording_spsolve(a, b, **kwargs):
         x = spsolve(a, b, **kwargs)
-        calls.append((a, b, x, kwargs))
+        seed_calls.append(kwargs)
+        solves.append((a, b, x))
         return x
 
-    monkeypatch.setattr(graphs, "spsolve", recording)
+    class RecordingFactor:
+        def __init__(self, a, lu) -> None:
+            self.a, self.lu = a, lu
+
+        def solve(self, b):
+            x = self.lu.solve(b)
+            solves.append((self.a, b, x))
+            return x
+
+    def recording_splu(a, **kwargs):
+        factor_calls.append(kwargs)
+        return RecordingFactor(a, splu(a, **kwargs))
+
+    monkeypatch.setattr(graphs, "spsolve", recording_spsolve)
+    monkeypatch.setattr(graphs, "splu", recording_splu)
     dom, boundary = _wild_problem()
     result = solve_dirichlet(dom, 0.5, boundary, max_newton=6)
     assert result.report["iterations"] == 6
     assert len(result.report["residual_history"]) == 7
-    assert len(calls) == 7  # the harmonic seed and six Newton steps
-    for a, b, x, kwargs in calls:
+    assert len(seed_calls) == 1  # the harmonic seed
+    assert len(factor_calls) == result.report["factorizations"] == 6  # six damped Newton steps
+    assert len(solves) == 7
+    for kwargs in seed_calls + factor_calls:
         assert kwargs == {"permc_spec": "MMD_AT_PLUS_A"}
+    for a, b, x in solves:
         ref = spsolve(a, b, permc_spec="COLAMD")
         # relative to the step's size: single entries of a step can sit at rounding level
         np.testing.assert_allclose(x, ref, rtol=1e-9, atol=1e-9 * float(np.max(np.abs(ref))))
