@@ -160,6 +160,17 @@ def metric_data_arrays(model: Model, tau: float, x, y):
     return lam, 2.0 * tau * lam * y, -2.0 * tau * lam * x
 
 
+def metric_data_derivative_arrays(model: Model, tau: float, x, y, ex, ey):
+    """Derivatives of (lam, w1, w2) of metric_data_arrays along base vectors (ex, ey)."""
+    lam, _, _ = metric_data_arrays(model, tau, x, y)
+    if model is Model.HALF_SPACE:
+        # lam and w1 are multiples of 1/y, whose derivative is -lam^2 ey
+        dlam = -lam * lam * np.asarray(ey, dtype=float)
+        return dlam, -2.0 * tau * dlam, np.zeros_like(dlam)
+    dlam = lam * lam * (x * ex + y * ey)
+    return dlam, 2.0 * tau * (dlam * y + lam * ey), -2.0 * tau * (dlam * x + lam * ex)
+
+
 def frame_components_arrays(model: Model, tau: float, x, y, vx, vy, vt):
     """Frame components (a1, a2, a3) of coordinate vectors (vx, vy, vt)."""
     lam, w1, w2 = metric_data_arrays(model, tau, x, y)
@@ -294,6 +305,67 @@ def chord_length(p: AmbientPoint, q: AmbientPoint, tau: float) -> float:
         p.model, tau, 0.5 * (p.x + q.x), 0.5 * (p.y + q.y), q.x - p.x, q.y - p.y, q.t - p.t
     )
     return math.sqrt(sq)
+
+
+# Gauss-Newton steps of chord_distances: a point on its surface stops after
+# two or three; a point well off it converges linearly.
+_CHORD_SEARCH_BUDGET = 50
+
+
+def chord_distances(
+    model: Model, tau: float, q, surface, tangents, start, lower, upper, accept_below: float = 0.0
+) -> np.ndarray:
+    """Chord distances from (n, 3) points q to a parametrized surface.
+
+    At (m, p) surface parameters params, surface(params) returns the surface
+    points (m, 3) and tangents(params) their parameter derivatives
+    (m, 3, p).  The residual of a row is the frame-component vector of the
+    chord from q to its surface point in the metric at the chord's midpoint,
+    so its norm is the chord_length of the pair; its Jacobian also moves
+    that midpoint (metric_data_derivative_arrays).  A batched Gauss-Newton
+    search starts every row at its row of start (n, p): each step is the
+    least-squares step, clipped to the parameter bounds lower and upper
+    (p,); a row keeps a step only where it lowers the chord and stops at its
+    first step that does not, so no result exceeds the chord at the start.
+    A row whose start chord is already below accept_below is not searched,
+    and no row takes more than _CHORD_SEARCH_BUDGET steps.  Returns the (n,)
+    chord lengths.
+    """
+    q = np.asarray(q, dtype=float)
+    params = np.array(start, dtype=float)
+
+    def chord(k, at):
+        """Residuals (m, 3) of rows k at parameters at, with the chord vectors (m, 3)."""
+        delta = surface(at) - q[k]
+        mx, my = q[k, 0] + 0.5 * delta[:, 0], q[k, 1] + 0.5 * delta[:, 1]
+        return np.stack(frame_components_arrays(model, tau, mx, my, *delta.T), axis=-1), delta
+
+    def jacobian(k, at, delta):
+        v = tangents(at)
+        dx, dy = delta[:, 0, None], delta[:, 1, None]
+        mx, my = q[k, 0, None] + 0.5 * dx, q[k, 1, None] + 0.5 * dy
+        dlam, dw1, dw2 = metric_data_derivative_arrays(model, tau, mx, my, 0.5 * v[:, 0], 0.5 * v[:, 1])
+        a1, a2, a3 = frame_components_arrays(model, tau, mx, my, v[:, 0], v[:, 1], v[:, 2])
+        return np.stack([a1 + dlam * dx, a2 + dlam * dy, a3 + dw1 * dx + dw2 * dy], axis=1)
+
+    r, delta = chord(np.arange(len(q)), params)
+    sq = np.sum(r * r, axis=-1)
+    k = np.flatnonzero(np.sqrt(sq) >= accept_below)
+    r, delta = r[k], delta[k]
+    for _ in range(_CHORD_SEARCH_BUDGET):
+        if not k.size:
+            break
+        step = (np.linalg.pinv(jacobian(k, params[k], delta)) @ r[..., None])[..., 0]
+        trial = np.clip(params[k] - step, lower, upper)
+        # a wild step can overflow to a non-finite chord, which is not lower
+        with np.errstate(over="ignore", invalid="ignore"):
+            r, delta = chord(k, trial)
+            sq_new = np.sum(r * r, axis=-1)
+        lower_chord = sq_new < sq[k]
+        k = k[lower_chord]
+        params[k], sq[k] = trial[lower_chord], sq_new[lower_chord]
+        r, delta = r[lower_chord], delta[lower_chord]
+    return np.sqrt(sq)
 
 
 def polyline_length(model: Model, tau: float, coords: np.ndarray) -> float:

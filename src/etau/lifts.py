@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import (
     BOUNDARY_MARGIN,
@@ -31,6 +30,9 @@ from .core import (
     metric_data_arrays,
 )
 from .quadrature import cumulative_integral
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 
 class CurveKind(Enum):
@@ -103,6 +105,10 @@ class PlanarCurve:
         return lambda r: (sx(r), sy(r))
 
     def _splines(self) -> tuple[CubicSpline, CubicSpline]:
+        # only sample curves built by from_samples get here, so scipy's
+        # interpolation module loads only for them
+        from scipy.interpolate import CubicSpline
+
         params, points = self.params, self.points
         if params[0] > params[-1]:
             params, points = params[::-1], points[::-1]

@@ -16,10 +16,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.ndimage import label as _ndimage_label
-from scipy.optimize import brentq, minimize
-from scipy.special import sici
 
 from .core import (
     AmbientPoint,
@@ -30,7 +26,7 @@ from .core import (
     Model,
     ParameterError,
     SpaceParams,
-    chord_length,
+    chord_distances,
     convert_coords_arrays,
     convert_model,
     metric_quadratic_form,
@@ -54,7 +50,7 @@ from .isometries import (
     push_forward_arrays,
     vertical_translation,
 )
-from .quadrature import PANEL_NODES, composite_gauss
+from .quadrature import PANEL_NODES, composite_gauss, cumulative_integral
 from .surfaces import (
     CatenoidSpec,
     LeafSpec,
@@ -64,6 +60,7 @@ from .surfaces import (
     catenoid_height,
     catenoid_neck_radius,
     catenoid_patch,
+    catenoid_patch_tangents,
     catenoid_profile_inverse,
     mesh_catenoid,
 )
@@ -133,10 +130,13 @@ def halfplane_window_domain(
 # -- annulus family ------------------------------------------------------------
 
 # Quadrature nodes per batch in edge_length_spectrum: enough to amortize the
-# per-call overhead, small enough to keep the temporaries in cache.  The
-# cached model segments hold one start point and one vector per edge, not
-# one per node, so the nodes exist only one chunk at a time.
-_SPECTRUM_CHUNK_POINTS = 1 << 14
+# per-call overhead, small enough that every temporary (16 bytes a node at
+# most) stays under the 64 KiB from which glibc's free() consolidates and
+# trims the heap.  At 1 << 14 a slab audit re-faulted 2,000 to 100,000
+# pages in its spectra, varying from run to run.  The cached model segments
+# hold one start point and one vector per edge, not one per node, so the
+# nodes exist only one chunk at a time.
+_SPECTRUM_CHUNK_POINTS = 1 << 12
 # Samples per boundary circle in the fiber-margin checks.
 _BOUNDARY_SAMPLES = 512
 
@@ -198,44 +198,49 @@ class AnnulusInstance:
     def boundary_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Finely sampled boundary circles, (top, bottom) ordered by mean t."""
         phi = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
-        upper = self.surface_coords(phi, np.ones_like(phi))
-        lower = self.surface_coords(phi, -np.ones_like(phi))
+        upper = self.surface_coords(phi, np.array(1.0))
+        lower = self.surface_coords(phi, np.array(-1.0))
         if float(np.mean(upper[:, 2])) >= float(np.mean(lower[:, 2])):
             return upper, lower
         return lower, upper
 
     def distance_to(self, q: AmbientPoint, accept_below: float = 0.0) -> float:
-        """Ambient chord distance from q to the smooth annulus (local search).
+        """Ambient chord distance from q to the smooth annulus.
 
-        The search starts at the reference vertex, which the placement pins
-        onto the requested point.  When the chord distance from q to that
-        vertex is already below accept_below, it is returned without a
-        search: it is then an upper bound of the distance, not the minimum.
+        core.chord_distances searches the patch parameters (phi, w), w
+        clipped to [-1, 1], from the reference vertex (0, w_reference),
+        which the placement pins onto the requested point; the surface
+        derivatives are catenoid_patch_tangents pushed by the placement.
+        When the chord from q to the reference vertex is already below
+        accept_below, it is returned without a search: it is then an upper
+        bound of the distance, not the minimum.
         """
         if q.model is not Model.CYLINDER:
             raise ParameterError("annulus instances live in the cylinder model")
+        spec = CatenoidSpec(tau=self.tau, d=self.d)
 
-        def objective(v: np.ndarray) -> float:
-            phi, w = float(v[0]), float(v[1])
-            penalty = 0.0
-            if abs(w) > 1.0:
-                penalty = 10.0 * (abs(w) - 1.0)
-                w = math.copysign(1.0, w)
-            c = self.surface_coords(np.array([phi]), np.array([w]))[0]
-            p = AmbientPoint(BasePoint(Model.CYLINDER, c[0], c[1]), c[2])
-            return chord_length(p, q, self.tau) + penalty
+        def annulus(params: np.ndarray) -> np.ndarray:
+            return self.surface_coords(params[:, 0], params[:, 1])
 
-        start = np.array([0.0, self.w_reference])
-        at_start = objective(start)
-        if at_start < accept_below:
-            return at_start
-        res = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 400},
+        def tangents(params: np.ndarray) -> np.ndarray:
+            phi, w = params.T
+            x, y, _ = catenoid_patch(spec, self.rho_boundary, w, phi).T
+            v = catenoid_patch_tangents(spec, self.rho_boundary, w, phi)
+            *_, dx, dy, dt = push_forward_arrays(self.placement, x[:, None], y[:, None], *v.transpose(1, 0, 2))
+            return np.stack([dx, dy, dt], axis=1)
+
+        distance = chord_distances(
+            Model.CYLINDER,
+            self.tau,
+            q.coords()[None],
+            annulus,
+            tangents,
+            [[0.0, self.w_reference]],
+            [-np.inf, -1.0],
+            [np.inf, 1.0],
+            accept_below,
         )
-        return float(res.fun)
+        return float(distance[0])
 
 
 @dataclass(frozen=True)
@@ -360,7 +365,7 @@ class AnnulusCheck:
     distance is the chord distance from the point to its annulus.  When the
     annulus' reference vertex already lies within the containment tolerance
     it is that vertex's distance, an upper bound of the minimum; otherwise it
-    is the result of the local search.
+    is the result of AnnulusInstance.distance_to's chord search.
     """
 
     point: AmbientPoint
@@ -411,17 +416,41 @@ def check_bounding_graphs(slab: SlabSpec) -> BoundingGraphCheck:
     return BoundingGraphCheck(height_bound=h0, normal_bound=c, disjoint=gap > 0.0, min_gap=gap)
 
 
-def _graph_interpolator(gf: GraphFunction) -> RegularGridInterpolator:
+@dataclass(frozen=True)
+class _BilinearHeights:
+    """Bilinear interpolation of node values on the chart axes (q1, q2).
+
+    Outside the window the edge cells extend linearly.
+    """
+
+    q1: np.ndarray
+    q2: np.ndarray
+    values: np.ndarray
+
+    def __call__(self, x, y) -> np.ndarray:
+        i, s = _cell_coordinates(self.q1, x)
+        j, u = _cell_coordinates(self.q2, y)
+        v = self.values
+        return (
+            v[i, j] * (1.0 - s) * (1.0 - u)
+            + v[i, j + 1] * (1.0 - s) * u
+            + v[i + 1, j] * s * (1.0 - u)
+            + v[i + 1, j + 1] * s * u
+        )
+
+
+def _cell_coordinates(axis: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
+    """Index i of the axis cell [axis[i], axis[i + 1]) holding x (the edge
+    cell outside the axis) and x's offset in it, in cell widths."""
+    i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, axis.size - 2)
+    return i, (x - axis[i]) / (axis[i + 1] - axis[i])
+
+
+def _graph_interpolator(gf: GraphFunction) -> _BilinearHeights:
     if gf.domain.chart not in (Chart.DISC_XY, Chart.HALFPLANE_XY):
         raise ParameterError("slab graphs are expected on coordinate charts")
     q1, q2 = gf.domain.axes()
-    return RegularGridInterpolator(
-        (q1, q2), gf.values, method="linear", bounds_error=False, fill_value=None
-    )
-
-
-def _heights_at(interp: RegularGridInterpolator, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return interp(np.stack([x, y], axis=-1))
+    return _BilinearHeights(q1, q2, gf.values)
 
 
 def _point_in_window(domain: GraphDomain, x: float, y: float) -> bool:
@@ -477,8 +506,7 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
         q = p if p.model is model else convert_model(p, tau)
         if not _point_in_window(slab.lower.domain, q.x, q.y):
             raise InvalidPointError(f"point projection {(q.x, q.y)} is outside the window")
-        lo = _heights_at(lower_interp, np.array(q.x), np.array(q.y)).item()
-        hi = _heights_at(upper_interp, np.array(q.x), np.array(q.y)).item()
+        lo, hi = float(lower_interp(q.x, q.y)), float(upper_interp(q.x, q.y))
         if not lo < q.t < hi:
             raise InvalidPointError(f"point at t={q.t} is not strictly between the graphs")
 
@@ -552,7 +580,7 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
 def _fiber_margin(
     circle: np.ndarray,
     graph: GraphFunction,
-    interp: RegularGridInterpolator,
+    interp: _BilinearHeights,
     tau: float,
     side: int,
 ) -> float:
@@ -561,7 +589,7 @@ def _fiber_margin(
     x, y, t = circle[:, 0], circle[:, 1], circle[:, 2]
     if model is not Model.CYLINDER:
         x, y, t = convert_coords_arrays(Model.CYLINDER, tau, x, y, t)
-    heights = _heights_at(interp, x, y)
+    heights = interp(x, y)
     if side > 0:
         return float(np.min(t - heights))
     return float(np.min(heights - t))
@@ -576,37 +604,49 @@ _EXAMPLE2_CLEARANCE = 0.3
 
 
 def _solve_catenoid_half_height(tau: float, target: float) -> float:
-    """Neck parameter whose catenoid half-height equals the target (Brent)."""
+    """Neck parameter whose catenoid half-height equals the target.
+
+    The half-height increases with d, so after doubling an upper bracket
+    from d = 1 a secant iteration through the last two iterates runs inside
+    the bracket [lo, hi] of d values that straddle the root; a secant step
+    that leaves it is replaced by bisection.  Stops when a step moves d by
+    at most 1e-12 d or the bracket is that narrow; raises ConvergenceError
+    when _NECK_SOLVE_BUDGET steps do not get there.
+    """
     limit = 0.5 * math.pi * math.sqrt(1.0 + 4.0 * tau * tau)
     if not 0.0 < target < limit:
         raise FeasibilityError(
             f"half-height target {target} outside the attainable range (0, {limit})"
         )
 
-    def half_height(d: float) -> float:
-        return 0.5 * catenoid_height(CatenoidSpec(tau=tau, d=d))
+    def excess(d: float) -> float:
+        return 0.5 * catenoid_height(CatenoidSpec(tau=tau, d=d)) - target
 
     lo, hi = 1e-3, 1.0
-    if half_height(lo) >= target:
+    f_lo, f_hi = excess(lo), excess(hi)
+    if f_lo >= 0.0:
         raise FeasibilityError(f"half-height target {target} is below the smallest neck's")
-    while half_height(hi) < target:
-        hi *= 2.0
+    while f_hi < 0.0:
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
         if hi > 1e8:
             raise FeasibilityError(f"no neck parameter reaches half-height {target}")
-    d, info = brentq(
-        lambda d: half_height(d) - target,
-        lo,
-        hi,
-        rtol=1e-12,
-        maxiter=_NECK_SOLVE_BUDGET,
-        full_output=True,
-        disp=False,
+        f_hi = excess(hi)
+    (d0, f0), (d1, f1) = (lo, f_lo), (hi, f_hi)
+    for _ in range(_NECK_SOLVE_BUDGET):
+        d = d1 - f1 * (d1 - d0) / (f1 - f0) if f1 != f0 else 0.5 * (lo + hi)
+        if not lo < d < hi:
+            d = 0.5 * (lo + hi)
+        f = excess(d)
+        if f == 0.0 or abs(d - d1) <= 1e-12 * d or hi - lo <= 1e-12 * hi:
+            return d
+        if f < 0.0:
+            lo = d
+        else:
+            hi = d
+        (d0, f0), (d1, f1) = (d1, f1), (d, f)
+    raise ConvergenceError(
+        f"neck parameter for half-height {target} not found in {_NECK_SOLVE_BUDGET} steps"
     )
-    if not info.converged:
-        raise ConvergenceError(
-            f"neck parameter for half-height {target} not found in {_NECK_SOLVE_BUDGET} steps"
-        )
-    return d
 
 
 def build_example1(
@@ -675,6 +715,15 @@ class _LinearHeight:
         return self.alpha * x + self.beta * y
 
 
+def _sine_integral(y) -> np.ndarray:
+    """Si(y) = int_0^y sin t / t dt (Abramowitz & Stegun 5.2.1), by one
+    cumulative_integral over the sorted distinct values of y."""
+    y = np.asarray(y, dtype=float)
+    distinct, inverse = np.unique(y, return_inverse=True)
+    si = cumulative_integral(lambda t: np.sinc(t / math.pi), np.concatenate(([0.0], distinct)))[1:]
+    return si[inverse].reshape(y.shape)
+
+
 @dataclass(frozen=True)
 class _SineIntegralHeight:
     """Si(y) normalized to vanish at the reference fiber y = 1."""
@@ -682,8 +731,7 @@ class _SineIntegralHeight:
     offset: float
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        si, _ = sici(y)
-        return si - self.offset
+        return _sine_integral(y) - self.offset
 
 
 def build_example2(
@@ -729,8 +777,7 @@ def build_example2(
         height_fn = _LinearHeight(alpha, beta)
     else:
         domain = halfplane_window_domain((0.0, 1.0), window_radius, grid)
-        si_ref, _ = sici(1.0)
-        height_fn = _SineIntegralHeight(float(si_ref))
+        height_fn = _SineIntegralHeight(float(_sine_integral(1.0)))
 
     base_graph = GraphFunction.from_base_callable(domain, tau, height_fn)
     active = domain.active_mask()
@@ -822,8 +869,7 @@ def sample_interior_points(slab: SlabSpec, count: int, seed: int = 0) -> list[Am
             y = math.cosh(rho) + math.sinh(rho) * math.sin(angle)
         if not _point_in_window(domain, x, y):
             continue
-        lo = _heights_at(lower_interp, np.array(x), np.array(y)).item()
-        hi = _heights_at(upper_interp, np.array(x), np.array(y)).item()
+        lo, hi = float(lower_interp(x, y)), float(upper_interp(x, y))
         t = lo + (0.1 + 0.8 * rng.uniform()) * (hi - lo)
         points.append(AmbientPoint(BasePoint(model, x, y), t))
         if len(points) == count:
@@ -903,9 +949,11 @@ def graph_separation_probe(graph: GraphFunction, leaf: LeafSpec) -> SeparationRe
     active = domain.active_mask()
     labels = np.where(active, labels, 0)
 
+    from scipy import ndimage  # only this probe needs it; no command calls it
+
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    _, pos_n = _ndimage_label(labels > 0, structure=structure)
-    _, neg_n = _ndimage_label(labels < 0, structure=structure)
+    _, pos_n = ndimage.label(labels > 0, structure=structure)
+    _, neg_n = ndimage.label(labels < 0, structure=structure)
     pos_count = int(np.sum(labels > 0))
     neg_count = int(np.sum(labels < 0))
 
@@ -914,7 +962,7 @@ def graph_separation_probe(graph: GraphFunction, leaf: LeafSpec) -> SeparationRe
     ) & (
         (labels[:-1, :-1] < 0) | (labels[1:, :-1] < 0) | (labels[:-1, 1:] < 0) | (labels[1:, 1:] < 0)
     )
-    _, interface_n = _ndimage_label(cells, structure=np.ones((3, 3), dtype=int))
+    _, interface_n = ndimage.label(cells, structure=np.ones((3, 3), dtype=int))
 
     if pos_count == 0 or neg_count == 0:
         verdict = "no_intersection"

@@ -15,7 +15,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import (
     AmbientPoint,
@@ -24,9 +23,9 @@ from .core import (
     Model,
     ModelMismatchError,
     ParameterError,
+    chord_distances,
     convert_coords_arrays,
     frame_components_arrays,
-    metric_data_arrays,
     require_finite,
 )
 from .isometries import (
@@ -37,13 +36,16 @@ from .isometries import (
     inverse,
     scale_isometry,
 )
-from .quadrature import cumulative_integral
+from .quadrature import composite_gauss, cumulative_integral
 
-_TABLE_PANELS = 4096
+# Panels of a profile table (see _ProfileTable).
+_TABLE_PANELS = 64
 # Safeguarded Newton for catenoid_profile_inverse: step budget and residual
 # tolerance relative to max(1, height).
 _INVERSE_BUDGET = 60
 _INVERSE_TOL = 1e-14
+# Smallest normal float64: the profile integrands take their limit below it.
+_TINY = np.finfo(float).tiny
 # Wedge-angle step of transversality_window_check's sampling.
 _WINDOW_THETA_STEP = 1e-4
 
@@ -131,9 +133,9 @@ def _catenoid_sigma_integrand(tau: float, d: float):
         lower = 2.0 * d * np.sinh(0.5 * s2) ** 2 + root * np.sinh(s2)
         upper = 2.0 * d * np.cosh(0.5 * s2) ** 2 + root * np.sinh(s2)
         slope = d * np.sqrt(1.0 + 4.0 * tau * tau * np.tanh(0.5 * rho) ** 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = 2.0 * sigma * slope / np.sqrt(lower * upper)
-        return np.where(sigma == 0.0, limit, val)
+        # where s2 underflows, g is its limit to double precision
+        out = np.full_like(sigma, limit)
+        return np.divide(2.0 * sigma * slope, np.sqrt(lower * upper), out=out, where=s2 >= _TINY)
 
     return g
 
@@ -211,10 +213,40 @@ def catenoid_profile_inverse(spec: CatenoidSpec, height: float) -> float:
     )
 
 
+class _ProfileTable:
+    """Integral T(sigma) of a profile integrand g from 0, on [0, sigma_max].
+
+    The nodes of _TABLE_PANELS equal panels carry the cumulative_integral
+    values; T(sigma) is the value at the nearest node plus, off the nodes,
+    one composite_gauss panel from that node to sigma, and T'(sigma) is
+    g(sigma) itself.  Beyond [0, sigma_max] the end panel extends.
+    """
+
+    def __init__(self, g, sigma_max: float) -> None:
+        self._g = g
+        self._step = sigma_max / _TABLE_PANELS
+        self._nodes = np.linspace(0.0, sigma_max, _TABLE_PANELS + 1)
+        self._values = cumulative_integral(g, self._nodes)
+
+    def __call__(self, sigma, nu: int = 0) -> np.ndarray:
+        """T(sigma) for nu = 0, T'(sigma) = g(sigma) for nu = 1."""
+        sigma = np.asarray(sigma, dtype=float)
+        if nu == 1:
+            return self._g(sigma)
+        if nu != 0:
+            raise ParameterError(f"profile tables have derivative orders 0 and 1, got {nu}")
+        flat = sigma.reshape(-1)
+        k = np.clip(np.rint(flat / self._step), 0, _TABLE_PANELS).astype(int)
+        out = self._values[k]
+        off = flat != self._nodes[k]
+        if np.any(off):
+            out[off] += composite_gauss(self._g, self._nodes[k[off]], flat[off], 1)
+        return out.reshape(sigma.shape)
+
+
 @lru_cache(maxsize=32)
-def _catenoid_table(tau: float, d: float, sigma_max: float) -> CubicSpline:
-    xs = np.linspace(0.0, sigma_max, _TABLE_PANELS + 1)
-    return CubicSpline(xs, cumulative_integral(_catenoid_sigma_integrand(tau, d), xs))
+def _catenoid_table(tau: float, d: float, sigma_max: float) -> _ProfileTable:
+    return _ProfileTable(_catenoid_sigma_integrand(tau, d), sigma_max)
 
 
 # -- invariant surface profile ------------------------------------------------
@@ -241,9 +273,9 @@ def _invariant_sigma_integrand(tau: float, d: float):
         lower = 2.0 * np.sin(0.5 * s2) ** 2 + root * np.sin(s2)
         upper = 2.0 * np.cos(0.5 * s2) ** 2 - root * np.sin(s2)
         slope = d * np.sqrt(1.0 + 4.0 * tau * tau * np.cos(psi) ** 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = 2.0 * sigma * slope / np.sqrt(lower * upper)
-        return np.where(sigma == 0.0, limit, val)
+        # where s2 underflows, g is its limit to double precision
+        out = np.full_like(sigma, limit)
+        return np.divide(2.0 * sigma * slope, np.sqrt(lower * upper), out=out, where=s2 >= _TINY)
 
     return g
 
@@ -317,9 +349,8 @@ def invariant_profile_inverse(spec: InvariantSurfaceSpec, value: float) -> float
 
 
 @lru_cache(maxsize=32)
-def _invariant_table(tau: float, d: float) -> CubicSpline:
-    xs = np.linspace(0.0, math.sqrt(invariant_angle_max(d)), _TABLE_PANELS + 1)
-    return CubicSpline(xs, cumulative_integral(_invariant_sigma_integrand(tau, d), xs))
+def _invariant_table(tau: float, d: float) -> _ProfileTable:
+    return _ProfileTable(_invariant_sigma_integrand(tau, d), math.sqrt(invariant_angle_max(d)))
 
 
 def _invariant_profiles_fast(tau: float, d: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -526,6 +557,25 @@ def catenoid_patch(spec: CatenoidSpec, rho_max: float, w, phi) -> np.ndarray:
     return np.stack([x, y, np.broadcast_to(t, x.shape)], axis=-1)
 
 
+def catenoid_patch_tangents(spec: CatenoidSpec, rho_max: float, w, phi) -> np.ndarray:
+    """Derivatives (..., 3, 2) of catenoid_patch in (phi, w).
+
+    With sigma = |w| sigma_max the radius tanh(rho / 2) has w-derivative
+    (1 - radius^2) w sigma_max^2, and the fiber sign(w) T(sigma) has
+    sigma_max T'(sigma).
+    """
+    rmin = catenoid_neck_radius(spec)
+    sigma_max = math.sqrt(rho_max - rmin)
+    sigma = np.abs(w) * sigma_max
+    radius = np.tanh(0.5 * (rmin + sigma * sigma))
+    cos, sin = np.cos(phi), np.sin(phi)
+    radial = (1.0 - radius * radius) * w * sigma_max * sigma_max
+    d_phi = np.stack(np.broadcast_arrays(-radius * sin, radius * cos, 0.0), axis=-1)
+    fiber = sigma_max * _catenoid_table(spec.tau, spec.d, sigma_max)(sigma, 1)
+    d_w = np.stack(np.broadcast_arrays(radial * cos, radial * sin, fiber), axis=-1)
+    return np.stack([d_phi, d_w], axis=-1)
+
+
 def mesh_catenoid(
     spec: CatenoidSpec, rho_max: float, resolution: tuple[int, int] = (257, 256)
 ) -> SurfaceMesh:
@@ -649,9 +699,6 @@ def leaf_mesh(
 _LEAF_SCALE_RANGE = 1e6
 # Bisection steps per point once its scale is bracketed.
 _LEAF_BISECTION_BUDGET = 200
-# Gauss-Newton steps of the leaf distance search: points on their leaf stop
-# after two or three; a point well off it converges linearly.
-_LEAF_DISTANCE_BUDGET = 50
 
 
 @dataclass(frozen=True)
@@ -744,63 +791,43 @@ def foliation_leaf_find_arrays(
 def _leaf_distances(pts: np.ndarray, scales: np.ndarray, d: float, s: float, tau: float, axis_inv):
     """Ambient distances from (n, 3) points to the leaves at their scales.
 
-    Each point is pulled back to q in the invariant surface's chart, and a
-    batched Gauss-Newton search runs over the surface parameters (phi, sigma):
-    base point s + e^phi (cos theta, sin theta) with theta = theta* - sigma^2
-    and fiber sign(sigma) T(|sigma|) + 2 tau sigma^2, T the profile table.
-    T is odd in sigma, so the plus (sigma > 0) and minus (sigma < 0) sheets
-    join smoothly at the fold sigma = 0, where theta has a square-root
-    singularity.  The residual is the frame-component vector of the chord from
-    q in the metric at its midpoint, whose squared norm is the
-    metric_quadratic_form chord that the Nelder-Mead search of the tests
-    minimizes.  The search starts over q's base point on the sheet nearer in
-    t, and keeps a step only where it lowers the chord, so no result exceeds
-    the chord at the start; a point stops at its first step that does not.
+    Each point is pulled back to q in the invariant surface's chart, and the
+    chord search of core.chord_distances runs over the surface parameters
+    (phi, sigma): base point s + e^phi (cos theta, sin theta) with
+    theta = theta* - sigma^2 and fiber sign(sigma) T(|sigma|) + 2 tau sigma^2,
+    T the profile table.  T is odd in sigma, so the plus (sigma > 0) and
+    minus (sigma < 0) sheets join smoothly at the fold sigma = 0, where theta
+    has a square-root singularity.  The search starts over q's base point on
+    the sheet nearer in t.
     """
-    qx, qy, qt = _pull_back_to_model_chart(pts, scales, axis_inv).T
+    q = _pull_back_to_model_chart(pts, scales, axis_inv)
+    qx, qy, qt = q.T
     theta_star = invariant_angle_max(d)
     sigma_max = math.sqrt(theta_star)
     table = _invariant_table(tau, d)
 
-    def chord(k, phi, sigma):
-        """Frame components (m, 3) of the chord from q[k] and (m, 3, 2) of its
-        derivatives in (phi, sigma)."""
-        theta = theta_star - sigma * sigma
-        bx, by = np.exp(phi) * np.cos(theta), np.exp(phi) * np.sin(theta)
-        dx, dy = bx + s - qx[k], by - qy[k]
-        dt = np.sign(sigma) * table(np.abs(sigma)) + 2.0 * tau * sigma * sigma - qt[k]
-        vx = np.stack([dx, bx, 2.0 * sigma * by])
-        vy = np.stack([dy, by, -2.0 * sigma * bx])
-        vt = np.stack([dt, np.zeros_like(dt), table(np.abs(sigma), 1) + 4.0 * tau * sigma])
-        mid = (qx[k] + 0.5 * dx, qy[k] + 0.5 * dy)
-        frame = np.stack(frame_components_arrays(Model.HALF_SPACE, tau, *mid, vx, vy, vt)).T
-        # The half-space lam and w1 scale as 1/y, so raising the midpoint by e
-        # scales the chord's base part frame(dx, dy, 0) by 1 - lam e, and a
-        # parameter step raises it by half the surface point's dy.
-        base = np.stack(frame_components_arrays(Model.HALF_SPACE, tau, *mid, dx, dy, 0.0)).T
-        lam = metric_data_arrays(Model.HALF_SPACE, tau, *mid)[0]
-        jac = frame[:, 1:] - base[:, None, :] * (0.5 * lam * vy[1:]).T[..., None]
-        return frame[:, 0], jac.transpose(0, 2, 1)
+    def base(params):
+        theta = theta_star - params[:, 1] ** 2
+        return np.exp(params[:, 0]) * np.cos(theta), np.exp(params[:, 0]) * np.sin(theta)
+
+    def leaf(params):
+        bx, by = base(params)
+        sigma = params[:, 1]
+        t = np.sign(sigma) * table(np.abs(sigma)) + 2.0 * tau * sigma * sigma
+        return np.stack([bx + s, by, t], axis=-1)
+
+    def tangents(params):
+        bx, by = base(params)
+        sigma = params[:, 1]
+        dt = table(np.abs(sigma), 1) + 4.0 * tau * sigma
+        d_phi = np.stack([bx, by, np.zeros_like(bx)], axis=-1)
+        d_sigma = np.stack([2.0 * sigma * by, -2.0 * sigma * bx, dt], axis=-1)
+        return np.stack([d_phi, d_sigma], axis=-1)
 
     theta0 = np.clip(np.arctan2(qy, qx - s), 1e-9, theta_star - 1e-12)
     phi = 0.5 * np.log((qx - s) ** 2 + qy ** 2)
     minus, plus = _invariant_profiles_fast(tau, d, theta0)
     sigma = np.where(np.abs(plus - qt) <= np.abs(minus - qt), 1.0, -1.0) * np.sqrt(theta_star - theta0)
-    k = np.arange(len(pts))
-    r, jac = chord(k, phi, sigma)
-    sq = np.sum(r * r, axis=-1)
-    for _ in range(_LEAF_DISTANCE_BUDGET):
-        if not k.size:
-            break
-        step = (np.linalg.pinv(jac) @ r[..., None])[..., 0]
-        phi_new = phi[k] - step[:, 0]
-        sigma_new = np.clip(sigma[k] - step[:, 1], -sigma_max, sigma_max)
-        # a wild step can overflow to a non-finite chord, which is not lower
-        with np.errstate(over="ignore", invalid="ignore"):
-            r, jac = chord(k, phi_new, sigma_new)
-            sq_new = np.sum(r * r, axis=-1)
-        lower = sq_new < sq[k]
-        k = k[lower]
-        phi[k], sigma[k], sq[k] = phi_new[lower], sigma_new[lower], sq_new[lower]
-        r, jac = r[lower], jac[lower]
-    return np.sqrt(sq)
+    start = np.column_stack([phi, sigma])
+    bounds = [-np.inf, -sigma_max], [np.inf, sigma_max]
+    return chord_distances(Model.HALF_SPACE, tau, q, leaf, tangents, start, *bounds)

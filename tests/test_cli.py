@@ -6,9 +6,13 @@ Exit-code contract: 0 success, 1 invalid input, 2 computational failure.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import etau
 from etau import graphs
 from etau.cli import main
 
@@ -21,6 +25,21 @@ def run(capsys, *argv: str) -> tuple[int, dict | None]:
         code = exc.code
     out = capsys.readouterr().out
     return code, json.loads(out) if out else None
+
+
+# -- package import ---------------------------------------------------------------
+
+
+def test_package_import_loads_only_the_sparse_solver_from_scipy() -> None:
+    # a fresh interpreter: this one has loaded scipy modules for other tests
+    src = os.path.dirname(os.path.dirname(etau.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    check = (
+        "import sys, etau, etau.cli; "
+        "bad = [m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.special', 'scipy.ndimage') "
+        "if m in sys.modules]; assert not bad, bad"
+    )
+    subprocess.run([sys.executable, "-c", check], env=env, check=True)
 
 
 # -- surface -----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from etau.core import (
     InvalidPointError,
     Model,
     ModelMismatchError,
+    chord_distances,
     chord_length,
     conformal_factor,
     convert_model,
@@ -24,6 +25,7 @@ from etau.core import (
     metric_arrays,
     metric_at,
     metric_data_arrays,
+    metric_data_derivative_arrays,
     metric_quadratic_form,
     polyline_length,
     project,
@@ -118,6 +120,17 @@ class TestMetric:
         dx = (log_lam(x + h, y) - log_lam(x - h, y)) / (2.0 * h)
         assert w1 == pytest.approx(2.0 * tau * dy, rel=1e-8, abs=1e-10)
         assert w2 == pytest.approx(-2.0 * tau * dx, rel=1e-8, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "model, x, y", [(Model.HALF_SPACE, 0.3, 0.7), (Model.CYLINDER, 0.2, -0.5), (Model.CYLINDER, -0.6, 0.1)]
+    )
+    def test_metric_data_derivative_matches_central_differences(self, model, x, y):
+        tau, h, ex, ey = 0.7, 1e-6, 0.3, -0.8
+        ahead = metric_data_arrays(model, tau, x + h * ex, y + h * ey)
+        behind = metric_data_arrays(model, tau, x - h * ex, y - h * ey)
+        exact = metric_data_derivative_arrays(model, tau, x, y, ex, ey)
+        for a, b, e in zip(ahead, behind, exact):
+            assert float(e) == pytest.approx((a - b) / (2.0 * h), rel=1e-7, abs=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(halfspace_points, taus)
@@ -222,6 +235,32 @@ class TestChords:
     def test_vertical_chord_is_euclidean(self):
         p, q = hp(0.2, 1.1, 0.0), hp(0.2, 1.1, 0.25)
         assert chord_length(p, q, 0.7) == pytest.approx(0.25, rel=1e-14)
+
+    @staticmethod
+    def _fiber(params):
+        """The fiber over (0.2, 1.1), parametrized by t; vertical chords are Euclidean."""
+        t = params[:, 0]
+        return np.stack([np.full_like(t, 0.2), np.full_like(t, 1.1), t], axis=-1)
+
+    @staticmethod
+    def _fiber_tangent(params):
+        return np.broadcast_to(np.array([[0.0], [0.0], [1.0]]), (len(params), 3, 1))
+
+    def test_chord_distances_clip_to_the_parameter_bounds(self):
+        q = np.array([[0.2, 1.1, 2.0], [0.2, 1.1, 0.6], [0.2, 1.1, -0.5]])
+        fiber = (self._fiber, self._fiber_tangent)
+        d = chord_distances(Model.HALF_SPACE, 0.5, q, *fiber, [[0.2], [0.1], [0.9]], [0.0], [1.0])
+        assert d[0] == pytest.approx(1.0, rel=1e-15)
+        assert d[1] == pytest.approx(0.0, abs=1e-15)
+        assert d[2] == pytest.approx(0.5, rel=1e-15)
+
+    def test_chord_distances_keep_a_start_chord_below_accept(self):
+        q = np.array([[0.2, 1.1, 0.6]])
+        fiber = (self._fiber, self._fiber_tangent)
+        kept = chord_distances(Model.HALF_SPACE, 0.5, q, *fiber, [[0.5]], [0.0], [1.0], accept_below=0.2)
+        searched = chord_distances(Model.HALF_SPACE, 0.5, q, *fiber, [[0.5]], [0.0], [1.0], accept_below=0.05)
+        assert kept[0] == pytest.approx(0.1, rel=1e-14)
+        assert searched[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_polyline_converges_to_distance(self):
         a = BasePoint(Model.HALF_SPACE, 0.0, 1.0)

@@ -18,6 +18,8 @@ from etau.core import (
     Model,
     ParameterError,
     SpaceParams,
+    chord_length,
+    convert_model,
     metric_arrays,
     metric_quadratic_form,
 )
@@ -43,7 +45,7 @@ from etau.slabs import (
     with_overlapping_graphs,
     with_shrunken_annuli,
 )
-from etau.surfaces import LeafSpec, foliation_leaf_find
+from etau.surfaces import CatenoidSpec, LeafSpec, catenoid_height, foliation_leaf_find
 
 FLAT = SpaceParams(0.0)
 
@@ -106,6 +108,34 @@ def test_neck_solve_rejects_unbracketed_targets() -> None:
         _solve_catenoid_half_height(0.0, 0.5 * math.pi)
 
 
+def _brentq_neck(tau: float, target: float) -> float:
+    """Neck parameter by scipy's Brent solver on the bracket the secant starts from."""
+    from scipy.optimize import brentq
+
+    def excess(d: float) -> float:
+        return 0.5 * catenoid_height(CatenoidSpec(tau=tau, d=d)) - target
+
+    hi = 1.0
+    while excess(hi) < 0.0:
+        hi *= 2.0
+    return brentq(excess, 1e-3, hi, rtol=1e-12)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, -0.7])
+@pytest.mark.parametrize("fraction", [0.2, 0.7, 0.97, 0.999])
+def test_neck_secant_matches_brent(tau: float, fraction: float) -> None:
+    target = fraction * 0.5 * math.pi * math.sqrt(1.0 + 4.0 * tau * tau)
+    d = _solve_catenoid_half_height(tau, target)
+    assert d == pytest.approx(_brentq_neck(tau, target), rel=1e-11)
+    assert 0.5 * catenoid_height(CatenoidSpec(tau=tau, d=d)) == pytest.approx(target, rel=1e-13)
+
+
+def test_neck_secant_step_budget(monkeypatch) -> None:
+    monkeypatch.setattr(slabs, "_NECK_SOLVE_BUDGET", 1)
+    with pytest.raises(ConvergenceError):
+        _solve_catenoid_half_height(0.0, 0.5 * math.pi - 0.025)
+
+
 def test_example1_epsilon_validation() -> None:
     with pytest.raises(FeasibilityError):
         build_example1(FLAT, 0.0)
@@ -135,6 +165,43 @@ def test_distance_to_accepts_the_reference_vertex(slab1) -> None:
     assert instance.distance_to(p) <= accepted < 1e-9
     off = AmbientPoint(p.base, p.t + 0.05)
     assert instance.distance_to(off, accept_below=1e-6) == instance.distance_to(off)
+
+
+def _nelder_mead_distance(instance, q: AmbientPoint) -> float:
+    """The chord distance by a Nelder-Mead search from the reference vertex,
+    with a penalty beyond the boundary circles |w| = 1."""
+    from scipy.optimize import minimize
+
+    def objective(v: np.ndarray) -> float:
+        phi, w = float(v[0]), float(v[1])
+        penalty = 0.0
+        if abs(w) > 1.0:
+            penalty = 10.0 * (abs(w) - 1.0)
+            w = math.copysign(1.0, w)
+        c = instance.surface_coords(np.array([phi]), np.array([w]))[0]
+        p = AmbientPoint(BasePoint(Model.CYLINDER, c[0], c[1]), c[2])
+        return chord_length(p, q, instance.tau) + penalty
+
+    res = minimize(
+        objective,
+        np.array([0.0, instance.w_reference]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 400},
+    )
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("slab", ["slab1", "slab2"])
+def test_annulus_distance_matches_nelder_mead(slab, request) -> None:
+    spec = request.getfixturevalue(slab)
+    for p in sample_interior_points(spec, 4, seed=5):
+        instance = spec.annulus_generator(p)
+        pc = convert_model(p, instance.tau) if p.model is not Model.CYLINDER else p
+        assert abs(instance.distance_to(pc) - _nelder_mead_distance(instance, pc)) <= 1e-9
+        for shift in (1e-3, 1e-2):
+            off = AmbientPoint(pc.base, pc.t + shift)
+            distance = instance.distance_to(off)
+            assert 0.0 < distance <= _nelder_mead_distance(instance, off) + 1e-9
 
 
 def _two_pass_spectrum(instance, target_step: float = 0.015) -> np.ndarray:
@@ -336,6 +403,46 @@ def test_example2_rejects_unknown_graph_choice() -> None:
 
 
 # -- sampling ----------------------------------------------------------------------
+
+
+def _scipy_heights(gf: GraphFunction):
+    from scipy.interpolate import RegularGridInterpolator
+
+    interp = RegularGridInterpolator(
+        gf.domain.axes(), gf.values, method="linear", bounds_error=False, fill_value=None
+    )
+    return lambda x, y: interp(np.stack([x, y], axis=-1))
+
+
+@pytest.mark.parametrize("chart", ["disc", "halfplane"])
+def test_bilinear_heights_match_scipy(chart: str) -> None:
+    if chart == "disc":
+        domain = disc_window_domain(3.0, 33)
+    else:
+        domain = halfplane_window_domain((0.0, 1.0), 2.0, 33)
+    gf = GraphFunction.from_base_callable(domain, 0.0, lambda x, y: 2.0 + np.sin(3.0 * x) * np.cos(2.0 * y))
+    ours, reference = slabs._graph_interpolator(gf), _scipy_heights(gf)
+    q1, q2 = domain.axes()
+    (a1, b1), (a2, b2) = domain.bounds
+    rng = np.random.default_rng(2)
+    nodes = np.meshgrid(q1, q2, indexing="ij")
+    inside = (rng.uniform(a1, b1, 400), rng.uniform(a2, b2, 400))
+    w1, w2 = b1 - a1, b2 - a2
+    x, y = rng.uniform(a1 - 0.2 * w1, b1 + 0.2 * w1, 400), rng.uniform(a2 - 0.1 * w2, b2 + 0.2 * w2, 400)
+    beyond = (x < a1) | (x > b1) | (y < a2) | (y > b2)
+    outside = (x[beyond], y[beyond])
+    assert outside[0].size > 100
+    for x, y in (nodes, inside, outside):
+        np.testing.assert_allclose(ours(x, y), reference(x, y), rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(ours(*nodes), gf.values)
+
+
+def test_sine_integral_matches_scipy_on_the_example2_axis() -> None:
+    from scipy.special import sici
+
+    _, y = halfplane_window_domain((0.0, 1.0), 10.0, 129).axes()
+    np.testing.assert_allclose(slabs._sine_integral(y), sici(y)[0], rtol=0.0, atol=1e-13)
+    assert slabs._sine_integral(np.array([[1.0, 2.0], [1.0, 0.0]]))[1, 1] == 0.0
 
 
 def test_sample_interior_points_is_seeded(slab2) -> None:

@@ -24,6 +24,7 @@ from etau.core import (
     chord_length,
 )
 from etau.isometries import apply, axis_translation_isometry, inverse, scale_isometry
+from etau.quadrature import cumulative_integral
 from etau.surfaces import (
     CatenoidSpec,
     InvariantSurfaceSpec,
@@ -156,6 +157,45 @@ def test_catenoid_height_large_d_limit() -> None:
     for tau in (0.0, 0.5, 1.0):
         want = math.pi * math.sqrt(1.0 + 4.0 * tau * tau)
         assert catenoid_height(CatenoidSpec(tau, 1e3)) == pytest.approx(want, abs=5e-2)
+
+
+# -- profile tables --------------------------------------------------------------
+
+
+def _profile_tables(tau: float):
+    """(table, integrand, sigma_max) of a catenoid table and an invariant table."""
+    catenoid_max = math.sqrt(4.0 - catenoid_neck_radius(CatenoidSpec(tau, 1.63)))
+    invariant_max = math.sqrt(invariant_angle_max(1.2))
+    return [
+        (surfaces._catenoid_table(tau, 1.63, catenoid_max), surfaces._catenoid_sigma_integrand(tau, 1.63), catenoid_max),
+        (surfaces._invariant_table(tau, 1.2), surfaces._invariant_sigma_integrand(tau, 1.2), invariant_max),
+    ]
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.0, -0.7])
+def test_profile_tables_match_a_fine_cubic_spline(tau: float) -> None:
+    # the reference is a C2 spline through 4097 cumulative_integral nodes
+    from scipy.interpolate import CubicSpline
+
+    for table, g, sigma_max in _profile_tables(tau):
+        nodes = np.linspace(0.0, sigma_max, 4097)
+        spline = CubicSpline(nodes, cumulative_integral(g, nodes))
+        uniform = np.random.default_rng(3).uniform(0.0, sigma_max, 200)
+        sigma = np.concatenate([np.linspace(0.0, sigma_max, 1001), uniform])
+        np.testing.assert_allclose(table(sigma), spline(sigma), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.0, -0.7])
+def test_profile_table_derivative_is_the_integrand(tau: float) -> None:
+    for table, g, sigma_max in _profile_tables(tau):
+        sigma = np.linspace(0.0, sigma_max, 77).reshape(7, 11)
+        assert np.array_equal(table(sigma, 1), g(sigma))
+        assert table(sigma).shape == sigma.shape
+        # where sigma^2 underflows the integrand is its limit g(0), not inf
+        assert table(np.array([1e-200, 1e-265]), 1).tolist() == [g(0.0)] * 2
+        assert 0.0 < table(1e-265) < 1e-250
+    with pytest.raises(ParameterError):
+        table(sigma, 2)
 
 
 # -- invariant surface heights ---------------------------------------------------
