@@ -232,7 +232,7 @@ def reference_problem(kind: str, tau: float, d: float, s: float, n: int) -> Grap
         rmin = catenoid_neck_radius(spec)
         domain = GraphDomain(Chart.DISC_POLAR, ((rmin + 0.3, rmin + 1.3), (0.2, 1.2)), (n, n))
         axis_rho, _ = domain.axes()
-        profile = np.array([catenoid_profile(spec, rho) for rho in axis_rho])
+        profile = catenoid_profile(spec, axis_rho)
         return GraphFunction(domain, np.tile(profile[:, None], (1, n)), tau)
     if kind == "invariant":
         spec = InvariantSurfaceSpec(tau, d, s, Sheet.PLUS)
@@ -241,7 +241,7 @@ def reference_problem(kind: str, tau: float, d: float, s: float, n: int) -> Grap
             Chart.HALFPLANE_IDEAL_POLAR, ((-0.5, 0.5), (0.15, theta_hi)), (n, n), axis_foot=s
         )
         _, axis_theta = domain.axes()
-        profile = np.array([invariant_profile(spec, theta) for theta in axis_theta])
+        profile = invariant_profile(spec, axis_theta)
         return GraphFunction(domain, np.tile(profile[None, :], (n, 1)), tau)
     raise GeometryError(f"no reference problem named {kind!r}")
 

@@ -88,9 +88,6 @@ class MobiusMap:
                 raise ParameterError("disc Moebius maps must keep the pole outside the closed disc")
         return cls(a, b, c, d, model)
 
-    def apply_complex(self, z: complex) -> complex:
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
     def matrix(self) -> tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
 
@@ -137,29 +134,22 @@ def _reference_point(model: Model) -> AmbientPoint:
     return AmbientPoint(BasePoint(Model.CYLINDER, 0.0, 0.0), 0.0)
 
 
-def arg_derivative(iso: AmbientIsometry, z: complex | BasePoint) -> float:
-    """Continuous branch of arg f'(z) for the covered Moebius map."""
+def arg_derivative(iso: AmbientIsometry, z):
+    """Continuous branch of arg f'(z) for the covered Moebius map.
+
+    z is a complex number, a BasePoint or an array of complex points.
+    """
     if isinstance(z, BasePoint):
         if z.model is not iso.model:
             raise ModelMismatchError("point model does not match the isometry")
         z = z.z
     m = iso.mobius
-    w = m.c * z + m.d
-    if iso.model is Model.HALF_SPACE:
-        carg = math.atan2(w.imag, w.real)
-    else:
-        # |c/d| < 1 on the closed disc keeps Re(1 + (c/d) z) > 0, so the
-        # principal argument below is continuous in z.
-        carg = cmath.phase(m.d) + cmath.phase(1.0 + (m.c / m.d) * z)
-    return -2.0 * carg + iso.branch_offset
-
-
-def _arg_derivative_arrays(iso: AmbientIsometry, z: np.ndarray) -> np.ndarray:
-    m = iso.mobius
     if iso.model is Model.HALF_SPACE:
         w = m.c * z + m.d
         carg = np.arctan2(w.imag, w.real)
     else:
+        # |c/d| < 1 on the closed disc keeps Re(1 + (c/d) z) > 0, so the
+        # principal argument below is continuous in z.
         carg = cmath.phase(m.d) + np.angle(1.0 + (m.c / m.d) * z)
     return -2.0 * carg + iso.branch_offset
 
@@ -175,12 +165,8 @@ def apply(iso: AmbientIsometry, p: AmbientPoint) -> AmbientPoint:
     """Apply the isometry to an ambient point."""
     if p.model is not iso.model:
         raise ModelMismatchError("point model does not match the isometry")
-    z = p.base.z
-    w = iso.mobius.apply_complex(z)
-    theta = arg_derivative(iso, z)
-    sx, sy, st = _row_signs(iso)
-    t = st * (p.t - 2.0 * iso.tau * theta) + iso.shift
-    return AmbientPoint(BasePoint(iso.model, sx * w.real, sy * w.imag), t)
+    x, y, t = apply_to_coords(iso, p.coords()).tolist()
+    return AmbientPoint(BasePoint(iso.model, x, y), t)
 
 
 def apply_to_coords(iso: AmbientIsometry, coords: np.ndarray) -> np.ndarray:
@@ -189,7 +175,7 @@ def apply_to_coords(iso: AmbientIsometry, coords: np.ndarray) -> np.ndarray:
     z = pts[..., 0] + 1j * pts[..., 1]
     m = iso.mobius
     w = (m.a * z + m.b) / (m.c * z + m.d)
-    theta = _arg_derivative_arrays(iso, z)
+    theta = arg_derivative(iso, z)
     sx, sy, st = _row_signs(iso)
     fiber = st * (pts[..., 2] - 2.0 * iso.tau * theta) + iso.shift
     return np.stack([sx * w.real, sy * w.imag, fiber], axis=-1)

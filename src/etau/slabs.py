@@ -38,6 +38,7 @@ from .graphs import (
     douglas_check,
     graph_nu,
     hyperbolic_gradient_norm,
+    variation,
 )
 from .isometries import (
     AmbientIsometry,
@@ -55,12 +56,12 @@ from .surfaces import (
     CatenoidSpec,
     LeafSpec,
     SurfaceMesh,
-    _catenoid_table,
     _leaf_sides,
     catenoid_height,
     catenoid_neck_radius,
     catenoid_patch,
     catenoid_patch_tangents,
+    catenoid_profile,
     catenoid_profile_inverse,
     mesh_catenoid,
 )
@@ -266,8 +267,7 @@ class CatenoidAnnulusGenerator:
         rmin = catenoid_neck_radius(spec)
         sigma_max = math.sqrt(self.rho_boundary - rmin)
         offset = pc.t
-        table = _catenoid_table(self.tau, self.d, sigma_max)
-        boundary_height = float(table(sigma_max))
+        boundary_height = catenoid_profile(spec, self.rho_boundary)
         if abs(offset) >= boundary_height:
             raise InvalidPointError(
                 f"fiber offset {offset} exceeds the annulus half-height {boundary_height}"
@@ -788,8 +788,8 @@ def build_example2(
         )
 
     values = base_graph.values
-    variation = float(np.max(values[active]) - np.min(values[active]))
-    h_prime = 0.5 * (h + variation)
+    oscillation = variation(base_graph)
+    h_prime = 0.5 * (h + oscillation)
     sup_height = float(np.max(np.abs(values[active])))
     boundary_height = h_prime + sup_height + _EXAMPLE2_CLEARANCE
     limit = 0.5 * math.pi * math.sqrt(1.0 + 4.0 * tau * tau)
@@ -821,7 +821,7 @@ def build_example2(
         "alpha": alpha,
         "beta": beta,
         "sup_gradient": sup_gradient,
-        "variation": variation,
+        "variation": oscillation,
         "h_prime": h_prime,
         "boundary_height": boundary_height,
         "d": d,

@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    BOUNDARY_MARGIN,
     AmbientPoint,
     ConvergenceError,
     InvalidPointError,
@@ -140,16 +141,27 @@ def _catenoid_sigma_integrand(tau: float, d: float):
     return g
 
 
-def catenoid_profile(spec: CatenoidSpec, rho: float) -> float:
+def _catenoid_truncation(tau: float, d: float) -> tuple[float, float]:
+    """Truncation radius rho* and tail amplitude A = 2 d sqrt(1 + 4 tau^2).
+
+    The profile beyond rho* adds at most A e^(-rho*) = 1e-15 to the height.
+    """
+    amp = 2.0 * d * math.sqrt(1.0 + 4.0 * tau * tau)
+    return math.log(amp * 1e15), amp
+
+
+def catenoid_profile(spec: CatenoidSpec, rho):
     """Height of the upper sheet over hyperbolic distance rho from the axis.
 
     Zero at the neck radius; rho below the neck radius is outside the domain.
+    Accepts a float or an array of radii.
     """
     rmin = catenoid_neck_radius(spec)
-    if rho < rmin - 1e-14:
+    rho = np.asarray(rho, dtype=float)
+    if not np.all(rho >= rmin - 1e-14):
         raise ParameterError(f"rho={rho} is below the neck radius {rmin}")
-    sigma = math.sqrt(max(rho - rmin, 0.0))
-    return float(cumulative_integral(_catenoid_sigma_integrand(spec.tau, spec.d), [0.0, sigma])[-1])
+    out = _catenoid_table(spec.tau, spec.d)(np.sqrt(np.maximum(rho - rmin, 0.0)))
+    return float(out) if out.ndim == 0 else out
 
 
 def catenoid_profile_derivative(spec: CatenoidSpec, rho: float) -> float:
@@ -161,52 +173,44 @@ def catenoid_profile_derivative(spec: CatenoidSpec, rho: float) -> float:
     return num / math.sqrt(math.sinh(rho) ** 2 - spec.d ** 2)
 
 
-@lru_cache(maxsize=64)
 def catenoid_height(spec: CatenoidSpec) -> float:
     """Total vertical extent of the catenoid (both sheets).
 
     The profile integral converges as rho -> infinity; the truncation tail is
     bounded by 2 d sqrt(1 + 4 tau^2) e^(-rho) and is added to the estimate.
-    Cached per spec: profile inversions check every height against it.
     """
-    d, tau = spec.d, spec.tau
-    amp = 2.0 * d * math.sqrt(1.0 + 4.0 * tau * tau)
-    rho_star = math.log(amp * 1e15)
-    half = catenoid_profile(spec, rho_star) + amp * math.exp(-rho_star)
-    return 2.0 * half
+    rho_star, amp = _catenoid_truncation(spec.tau, spec.d)
+    return 2.0 * (catenoid_profile(spec, rho_star) + amp * math.exp(-rho_star))
 
 
 def catenoid_profile_inverse(spec: CatenoidSpec, height: float) -> float:
     """Radius rho with catenoid_profile(spec, rho) = height.
 
-    Safeguarded Newton iteration in sigma = sqrt(rho - rho_min), where the
-    profile is the integral of the smooth integrand g from 0 to sigma, so its
-    derivative is g(sigma).  Each iterate extends the running profile value
-    by the integral between consecutive iterates; a step that leaves the
-    bracket [lo, hi] of sigma values known to straddle the root is replaced
-    by doubling (no upper bracket yet) or bisection.  Raises ConvergenceError
-    when the step budget runs out.
+    Safeguarded Newton iteration in sigma = sqrt(rho - rho_min) on the
+    profile table T, whose derivative is the integrand g(sigma); a step that
+    leaves the bracket [lo, hi] of sigma values known to straddle the root is
+    replaced by doubling (no upper bracket yet) or bisection.  Raises
+    ConvergenceError when the step budget runs out.
     """
     if not height >= 0.0:
         raise ParameterError("profile heights are nonnegative")
     if 2.0 * height >= catenoid_height(spec):
         raise ParameterError(f"height {height} is not attained by the profile")
     rmin = catenoid_neck_radius(spec)
-    g = _catenoid_sigma_integrand(spec.tau, spec.d)
-    sigma, value = 0.0, 0.0
+    table = _catenoid_table(spec.tau, spec.d)
+    sigma = 0.0
     lo, hi = 0.0, math.inf
     for _ in range(_INVERSE_BUDGET):
-        residual = value - height
+        residual = float(table(sigma)) - height
         if residual <= 0.0:
             lo = sigma
         else:
             hi = sigma
         if abs(residual) <= _INVERSE_TOL * max(1.0, height):
             return rmin + sigma * sigma
-        step = sigma - residual / float(g(sigma))
+        step = sigma - residual / float(table(sigma, 1))
         if not lo < step < hi:
             step = 2.0 * lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-        value += float(cumulative_integral(g, [sigma, step])[-1])
         sigma = step
     raise ConvergenceError(
         f"profile inversion for height {height} did not converge in {_INVERSE_BUDGET} steps"
@@ -245,8 +249,13 @@ class _ProfileTable:
 
 
 @lru_cache(maxsize=32)
-def _catenoid_table(tau: float, d: float, sigma_max: float) -> _ProfileTable:
-    return _ProfileTable(_catenoid_sigma_integrand(tau, d), sigma_max)
+def _catenoid_table(tau: float, d: float) -> _ProfileTable:
+    """Profile table of the catenoid on [0, sigma*], sigma* = sqrt(rho* - rho_min)."""
+    rho_star, _ = _catenoid_truncation(tau, d)
+    rmin = math.asinh(d)
+    if not rho_star > rmin:
+        raise ParameterError(f"necksize parameter {d} is too small to tabulate the profile")
+    return _ProfileTable(_catenoid_sigma_integrand(tau, d), math.sqrt(rho_star - rmin))
 
 
 # -- invariant surface profile ------------------------------------------------
@@ -282,8 +291,7 @@ def _invariant_sigma_integrand(tau: float, d: float):
 
 def invariant_height(d: float, tau: float) -> float:
     """Half height h(d): the profile integral over the whole wedge."""
-    sigma = math.sqrt(invariant_angle_max(d))
-    return float(cumulative_integral(_invariant_sigma_integrand(tau, d), [0.0, sigma])[-1])
+    return float(_invariant_table(tau, d)(math.sqrt(invariant_angle_max(d))))
 
 
 def invariant_height_substituted(d: float, tau: float) -> float:
@@ -302,22 +310,22 @@ def invariant_height_substituted(d: float, tau: float) -> float:
     return float(cumulative_integral(g, [0.0, 1.0])[-1])
 
 
-def invariant_profile(spec: InvariantSurfaceSpec, theta: float) -> float:
+def invariant_profile(spec: InvariantSurfaceSpec, theta):
     """Fiber height of the requested sheet over wedge angle theta.
 
     Both sheets vanish at the gluing angle arcsin(1/d); the plus sheet
     increases and the minus sheet decreases toward the wedge's edge.
+    Accepts a float or an array of angles.
     """
     if spec.side is Sheet.BOTH:
         raise ParameterError("profile evaluation needs a specific sheet")
     theta_star = invariant_angle_max(spec.d)
-    if not 0.0 <= theta <= theta_star + 1e-14:
+    theta = np.asarray(theta, dtype=float)
+    if not np.all((0.0 <= theta) & (theta <= theta_star + 1e-14)):
         raise ParameterError(f"theta={theta} outside [0, {theta_star}]")
-    sigma = math.sqrt(max(theta_star - theta, 0.0))
-    tail = float(cumulative_integral(_invariant_sigma_integrand(spec.tau, spec.d), [0.0, sigma])[-1])
-    if spec.side is Sheet.PLUS:
-        return tail - 2.0 * spec.tau * (theta - theta_star)
-    return -tail - 2.0 * spec.tau * (theta - theta_star)
+    minus, plus = _invariant_profiles_fast(spec.tau, spec.d, theta)
+    out = plus if spec.side is Sheet.PLUS else minus
+    return float(out) if out.ndim == 0 else out
 
 
 def invariant_asymptotic_levels(spec: InvariantSurfaceSpec) -> tuple[float, float]:
@@ -544,13 +552,17 @@ def catenoid_patch(spec: CatenoidSpec, rho_max: float, w, phi) -> np.ndarray:
 
     w in [-1, 1] is the signed regularized radial variable (|w| = 1 on the
     boundary circles, w = 0 on the neck) and phi the angle about the axis;
-    the two broadcast against each other.
+    the two broadcast against each other.  Raises ParameterError when the
+    boundary circles lie within BOUNDARY_MARGIN of the ideal boundary, where
+    1 - tanh^2(rho_max / 2) rounds away.
     """
+    if not 1.0 - math.tanh(0.5 * rho_max) ** 2 > BOUNDARY_MARGIN:
+        raise ParameterError(f"rho_max={rho_max} puts the boundary circles on the ideal boundary")
     rmin = catenoid_neck_radius(spec)
     sigma_max = math.sqrt(rho_max - rmin)
     sigma = np.abs(w) * sigma_max
     rho = rmin + sigma * sigma
-    t = np.sign(w) * _catenoid_table(spec.tau, spec.d, sigma_max)(sigma)
+    t = np.sign(w) * _catenoid_table(spec.tau, spec.d)(sigma)
     radius = np.tanh(0.5 * rho)
     x = radius * np.cos(phi)
     y = radius * np.sin(phi)
@@ -571,7 +583,7 @@ def catenoid_patch_tangents(spec: CatenoidSpec, rho_max: float, w, phi) -> np.nd
     cos, sin = np.cos(phi), np.sin(phi)
     radial = (1.0 - radius * radius) * w * sigma_max * sigma_max
     d_phi = np.stack(np.broadcast_arrays(-radius * sin, radius * cos, 0.0), axis=-1)
-    fiber = sigma_max * _catenoid_table(spec.tau, spec.d, sigma_max)(sigma, 1)
+    fiber = sigma_max * _catenoid_table(spec.tau, spec.d)(sigma, 1)
     d_w = np.stack(np.broadcast_arrays(radial * cos, radial * sin, fiber), axis=-1)
     return np.stack([d_phi, d_w], axis=-1)
 

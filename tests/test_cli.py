@@ -17,14 +17,21 @@ from etau import graphs
 from etau.cli import main
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"report holds {name}, which is not strict JSON")
+
+
 def run(capsys, *argv: str) -> tuple[int, dict | None]:
-    """Exit code and parsed stdout report; argparse usage errors exit through SystemExit."""
+    """Exit code and parsed stdout report; argparse usage errors exit through SystemExit.
+
+    The report must be strict JSON: NaN and infinities fail the parse.
+    """
     try:
         code = main(list(argv))
     except SystemExit as exc:
         code = exc.code
     out = capsys.readouterr().out
-    return code, json.loads(out) if out else None
+    return code, json.loads(out, parse_constant=_reject_constant) if out else None
 
 
 # -- package import ---------------------------------------------------------------
@@ -61,6 +68,18 @@ def test_surface_catenoid_writes_obj_and_sidecar(tmp_path, capsys) -> None:
     assert obj.exists()
     assert (tmp_path / "cat_nu.csv").exists()
     assert report["schema_version"] == 1
+
+
+def test_surface_catenoid_boundary_on_the_ideal_boundary_exits_one(tmp_path, capsys) -> None:
+    # tanh(20) rounds to 1, so the boundary circles would sit on the unit circle
+    code, report = run(
+        capsys, "surface", "catenoid", "--tau", "0.5", "--d", "1.2", "--rho-max", "40",
+        "--out", str(tmp_path / "cat.obj"),
+    )
+    assert code == 1
+    assert report["status"] == "invalid_input"
+    assert "ideal boundary" in report["message"]
+    assert not (tmp_path / "cat.obj").exists()
 
 
 def test_surface_requires_d(tmp_path, capsys) -> None:
@@ -179,6 +198,14 @@ def test_slab_example2_passes(capsys) -> None:
     assert report["report"]["pass"] is True
     assert report["spec"]["generator"]["kind"] == "translated_catenoid"
     assert len(report["report"]["annulus_checks"]) == 2
+
+
+def test_slab_annulus_on_the_ideal_boundary_exits_one(capsys) -> None:
+    # eps = 1e-9 asks for a catenoid boundary at rho about 34
+    code, report = run(capsys, "slab", "example1", "--eps", "1e-9", "--points", "2")
+    assert code == 1
+    assert report["status"] == "invalid_input"
+    assert "ideal boundary" in report["message"]
 
 
 def test_slab_infeasible_parameters_exit_one(capsys) -> None:

@@ -149,6 +149,37 @@ def test_catenoid_height_is_twice_the_profile_limit() -> None:
     assert catenoid_height(CAT) == pytest.approx(2.0 * catenoid_profile(CAT, rho), abs=1e-8)
 
 
+def _truncation_radius(spec: CatenoidSpec) -> float:
+    """rho* = log(2 d sqrt(1 + 4 tau^2) 1e15), where the profile's tail is 1e-15."""
+    return math.log(2.0 * spec.d * math.sqrt(1.0 + 4.0 * spec.tau ** 2) * 1e15)
+
+
+@pytest.mark.parametrize("spec", [CAT, CatenoidSpec(0.0, 0.3), CatenoidSpec(-0.7, 1e3)])
+def test_catenoid_height_is_the_profile_at_the_truncation_radius_plus_tail(spec: CatenoidSpec) -> None:
+    rho_star = _truncation_radius(spec)
+    tail = 2.0 * spec.d * math.sqrt(1.0 + 4.0 * spec.tau ** 2) * math.exp(-rho_star)
+    assert catenoid_height(spec) == 2.0 * (catenoid_profile(spec, rho_star) + tail)
+
+
+def test_catenoid_profile_on_arrays_matches_scalar_calls() -> None:
+    rmin = catenoid_neck_radius(CAT)
+    rho = rmin + np.array([[0.0, 1e-9, 0.3], [1.3, 4.0, 30.0]])
+    values = catenoid_profile(CAT, rho)
+    assert values.shape == rho.shape
+    assert values.tolist() == [[catenoid_profile(CAT, float(r)) for r in row] for row in rho]
+    with pytest.raises(ParameterError):
+        catenoid_profile(CAT, np.array([rmin + 1.0, rmin - 0.1, rmin + 2.0]))
+
+
+def test_catenoid_necksize_below_its_truncation_radius_is_rejected() -> None:
+    # d = 1e-16 puts the neck radius beyond rho*, where the table would end
+    tiny = CatenoidSpec(0.5, 1e-16)
+    with pytest.raises(ParameterError):
+        catenoid_height(tiny)
+    with pytest.raises(ParameterError):
+        catenoid_profile(tiny, 1.0)
+
+
 def test_catenoid_height_frozen() -> None:
     assert catenoid_height(CAT) == pytest.approx(3.713335061199561, abs=1e-10)
 
@@ -164,10 +195,11 @@ def test_catenoid_height_large_d_limit() -> None:
 
 def _profile_tables(tau: float):
     """(table, integrand, sigma_max) of a catenoid table and an invariant table."""
-    catenoid_max = math.sqrt(4.0 - catenoid_neck_radius(CatenoidSpec(tau, 1.63)))
+    spec = CatenoidSpec(tau, 1.63)
+    catenoid_max = math.sqrt(_truncation_radius(spec) - catenoid_neck_radius(spec))
     invariant_max = math.sqrt(invariant_angle_max(1.2))
     return [
-        (surfaces._catenoid_table(tau, 1.63, catenoid_max), surfaces._catenoid_sigma_integrand(tau, 1.63), catenoid_max),
+        (surfaces._catenoid_table(tau, 1.63), surfaces._catenoid_sigma_integrand(tau, 1.63), catenoid_max),
         (surfaces._invariant_table(tau, 1.2), surfaces._invariant_sigma_integrand(tau, 1.2), invariant_max),
     ]
 
@@ -257,6 +289,19 @@ def test_invariant_profile_vanishes_at_wedge_edge() -> None:
 def test_invariant_profile_rejects_outside_wedge() -> None:
     with pytest.raises(ParameterError):
         invariant_profile(INV, 0.9)
+
+
+@pytest.mark.parametrize("side", [Sheet.PLUS, Sheet.MINUS])
+def test_invariant_profile_on_arrays_matches_scalar_calls(side: Sheet) -> None:
+    spec = InvariantSurfaceSpec(0.5, 1.4, side=side)
+    theta = np.linspace(0.0, invariant_angle_max(1.4), 12).reshape(3, 4)
+    values = invariant_profile(spec, theta)
+    assert values.shape == theta.shape
+    assert values.tolist() == [[invariant_profile(spec, float(t)) for t in row] for row in theta]
+    with pytest.raises(ParameterError):
+        invariant_profile(spec, np.array([0.1, 0.9, 0.3]))
+    with pytest.raises(ParameterError):
+        invariant_profile(spec, np.array([0.1, -0.2]))
 
 
 def test_invariant_profile_inverse_round_trip() -> None:
