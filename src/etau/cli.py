@@ -199,9 +199,7 @@ def cmd_surface(cfg: dict) -> tuple[dict, int]:
         mesh = leaf_mesh(
             LeafSpec(tau, d, float(cfg["s"]), float(cfg["scale"])), (-span, span), resolution
         )
-    out = Path(cfg["out"] if cfg["out"] is not None else f"{kind}.obj")
-    meshio.write_obj(out, mesh)
-    sidecar = meshio.write_nu_csv(meshio.nu_sidecar_path(out), mesh)
+    out, sidecar = meshio.write_surface(cfg["out"] if cfg["out"] is not None else f"{kind}.obj", mesh)
     report = {
         "command": "surface",
         "kind": kind,

@@ -17,6 +17,13 @@ import numpy as np
 from .core import ConvergenceError, ParameterError
 
 PANEL_NODES = 20
+# Quadrature nodes per batch for callers that evaluate many panels at once
+# (edge spectra, off-node profile table values): enough to amortize the
+# per-call overhead, small enough that every temporary (16 bytes a node at
+# most) stays under the 64 KiB from which glibc's free() consolidates and
+# trims the heap.  At 1 << 14 a slab audit re-faulted 2,000 to 100,000 pages
+# in its edge spectra, varying from run to run.
+CHUNK_NODES = 1 << 12
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(PANEL_NODES)
 # Two estimates of an interval agree when they differ by at most
 # _TOL * max(1, |estimate|); the panel count may double _DOUBLINGS times.

@@ -51,7 +51,7 @@ from .isometries import (
     push_forward_arrays,
     vertical_translation,
 )
-from .quadrature import PANEL_NODES, composite_gauss, cumulative_integral
+from .quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss, cumulative_integral
 from .surfaces import (
     CatenoidSpec,
     LeafSpec,
@@ -130,14 +130,6 @@ def halfplane_window_domain(
 
 # -- annulus family ------------------------------------------------------------
 
-# Quadrature nodes per batch in edge_length_spectrum: enough to amortize the
-# per-call overhead, small enough that every temporary (16 bytes a node at
-# most) stays under the 64 KiB from which glibc's free() consolidates and
-# trims the heap.  At 1 << 14 a slab audit re-faulted 2,000 to 100,000
-# pages in its spectra, varying from run to run.  The cached model segments
-# hold one start point and one vector per edge, not one per node, so the
-# nodes exist only one chunk at a time.
-_SPECTRUM_CHUNK_POINTS = 1 << 12
 # Samples per boundary circle in the fiber-margin checks.
 _BOUNDARY_SAMPLES = 512
 
@@ -317,7 +309,9 @@ def edge_length_spectrum(instance: AnnulusInstance) -> np.ndarray:
     rows, cols = instance.resolution
     a, v = _model_annulus_segments(instance.tau, instance.d, instance.rho_boundary, rows, cols)
     out = np.empty(a.shape[0])
-    per_chunk = max(1, _SPECTRUM_CHUNK_POINTS // PANEL_NODES)
+    # The segments hold one start point and one vector per edge, so the
+    # quadrature nodes exist only one chunk at a time.
+    per_chunk = CHUNK_NODES // PANEL_NODES
     for start in range(0, a.shape[0], per_chunk):
         # Component views of shape (edges, 1, 1), broadcasting against the
         # (edges, 1, PANEL_NODES) nodes that composite_gauss passes to speed.

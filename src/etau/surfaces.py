@@ -37,10 +37,12 @@ from .isometries import (
     inverse,
     scale_isometry,
 )
-from .quadrature import composite_gauss, cumulative_integral
+from .quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss, cumulative_integral
 
-# Panels of a profile table (see _ProfileTable).
+# Panels of a profile table, and off-node values per Gauss batch (see
+# _ProfileTable).
 _TABLE_PANELS = 64
+_TABLE_CHUNK = CHUNK_NODES // PANEL_NODES
 # Safeguarded Newton for catenoid_profile_inverse: step budget and residual
 # tolerance relative to max(1, height).
 _INVERSE_BUDGET = 60
@@ -141,15 +143,6 @@ def _catenoid_sigma_integrand(tau: float, d: float):
     return g
 
 
-def _catenoid_truncation(tau: float, d: float) -> tuple[float, float]:
-    """Truncation radius rho* and tail amplitude A = 2 d sqrt(1 + 4 tau^2).
-
-    The profile beyond rho* adds at most A e^(-rho*) = 1e-15 to the height.
-    """
-    amp = 2.0 * d * math.sqrt(1.0 + 4.0 * tau * tau)
-    return math.log(amp * 1e15), amp
-
-
 def catenoid_profile(spec: CatenoidSpec, rho):
     """Height of the upper sheet over hyperbolic distance rho from the axis.
 
@@ -176,11 +169,11 @@ def catenoid_profile_derivative(spec: CatenoidSpec, rho: float) -> float:
 def catenoid_height(spec: CatenoidSpec) -> float:
     """Total vertical extent of the catenoid (both sheets).
 
-    The profile integral converges as rho -> infinity; the truncation tail is
-    bounded by 2 d sqrt(1 + 4 tau^2) e^(-rho) and is added to the estimate.
+    The profile integral converges as rho -> infinity.  The profile table
+    runs to the truncation radius rho*, and its limit adds the tail beyond,
+    bounded by 2 d sqrt(1 + 4 tau^2) e^(-rho*).
     """
-    rho_star, amp = _catenoid_truncation(spec.tau, spec.d)
-    return 2.0 * (catenoid_profile(spec, rho_star) + amp * math.exp(-rho_star))
+    return 2.0 * _catenoid_table(spec.tau, spec.d).limit
 
 
 def catenoid_profile_inverse(spec: CatenoidSpec, height: float) -> float:
@@ -188,8 +181,8 @@ def catenoid_profile_inverse(spec: CatenoidSpec, height: float) -> float:
 
     Safeguarded Newton iteration in sigma = sqrt(rho - rho_min) on the
     profile table T, whose derivative is the integrand g(sigma); a step that
-    leaves the bracket [lo, hi] of sigma values known to straddle the root is
-    replaced by doubling (no upper bracket yet) or bisection.  Raises
+    leaves the bracket [lo, hi] of sigma values known to straddle the root,
+    at first the table's span [0, sigma*], is replaced by bisection.  Raises
     ConvergenceError when the step budget runs out.
     """
     if not height >= 0.0:
@@ -199,7 +192,7 @@ def catenoid_profile_inverse(spec: CatenoidSpec, height: float) -> float:
     rmin = catenoid_neck_radius(spec)
     table = _catenoid_table(spec.tau, spec.d)
     sigma = 0.0
-    lo, hi = 0.0, math.inf
+    lo, hi = 0.0, table.sigma_max
     for _ in range(_INVERSE_BUDGET):
         residual = float(table(sigma)) - height
         if residual <= 0.0:
@@ -210,7 +203,7 @@ def catenoid_profile_inverse(spec: CatenoidSpec, height: float) -> float:
             return rmin + sigma * sigma
         step = sigma - residual / float(table(sigma, 1))
         if not lo < step < hi:
-            step = 2.0 * lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
+            step = 0.5 * (lo + hi)
         sigma = step
     raise ConvergenceError(
         f"profile inversion for height {height} did not converge in {_INVERSE_BUDGET} steps"
@@ -223,14 +216,21 @@ class _ProfileTable:
     The nodes of _TABLE_PANELS equal panels carry the cumulative_integral
     values; T(sigma) is the value at the nearest node plus, off the nodes,
     one composite_gauss panel from that node to sigma, and T'(sigma) is
-    g(sigma) itself.  Beyond [0, sigma_max] the end panel extends.
+    g(sigma) itself.  Beyond sigma_max, T is its limit: the last node's value
+    plus the given tail, the integral of g beyond sigma_max.
+
+    The off-node panels are evaluated _TABLE_CHUNK at a time, so an array of
+    any length holds at most CHUNK_NODES integrand nodes at once; each value
+    is its own row of the panel sum, so chunking does not change it.
     """
 
-    def __init__(self, g, sigma_max: float) -> None:
+    def __init__(self, g, sigma_max: float, tail: float = 0.0) -> None:
         self._g = g
+        self.sigma_max = sigma_max
         self._step = sigma_max / _TABLE_PANELS
         self._nodes = np.linspace(0.0, sigma_max, _TABLE_PANELS + 1)
         self._values = cumulative_integral(g, self._nodes)
+        self.limit = float(self._values[-1]) + tail
 
     def __call__(self, sigma, nu: int = 0) -> np.ndarray:
         """T(sigma) for nu = 0, T'(sigma) = g(sigma) for nu = 1."""
@@ -241,21 +241,30 @@ class _ProfileTable:
             raise ParameterError(f"profile tables have derivative orders 0 and 1, got {nu}")
         flat = sigma.reshape(-1)
         k = np.clip(np.rint(flat / self._step), 0, _TABLE_PANELS).astype(int)
-        out = self._values[k]
-        off = flat != self._nodes[k]
-        if np.any(off):
-            out[off] += composite_gauss(self._g, self._nodes[k[off]], flat[off], 1)
+        beyond = flat > self.sigma_max
+        out = np.where(beyond, self.limit, self._values[k])
+        off = np.flatnonzero((flat != self._nodes[k]) & ~beyond)
+        for start in range(0, off.size, _TABLE_CHUNK):
+            part = off[start : start + _TABLE_CHUNK]
+            out[part] += composite_gauss(self._g, self._nodes[k[part]], flat[part], 1)
         return out.reshape(sigma.shape)
 
 
 @lru_cache(maxsize=32)
 def _catenoid_table(tau: float, d: float) -> _ProfileTable:
-    """Profile table of the catenoid on [0, sigma*], sigma* = sqrt(rho* - rho_min)."""
-    rho_star, _ = _catenoid_truncation(tau, d)
+    """Profile table of the catenoid on [0, sigma*], sigma* = sqrt(rho* - rho_min).
+
+    With A = 2 d sqrt(1 + 4 tau^2), the profile beyond the truncation radius
+    rho* = log(A 1e15) adds at most the tail A e^(-rho*) = 1e-15; the table's
+    limit, read beyond sigma*, adds that tail, so it is half the height.
+    """
+    amp = 2.0 * d * math.sqrt(1.0 + 4.0 * tau * tau)
+    rho_star = math.log(amp * 1e15)
     rmin = math.asinh(d)
     if not rho_star > rmin:
         raise ParameterError(f"necksize parameter {d} is too small to tabulate the profile")
-    return _ProfileTable(_catenoid_sigma_integrand(tau, d), math.sqrt(rho_star - rmin))
+    tail = amp * math.exp(-rho_star)
+    return _ProfileTable(_catenoid_sigma_integrand(tau, d), math.sqrt(rho_star - rmin), tail)
 
 
 # -- invariant surface profile ------------------------------------------------

@@ -21,9 +21,8 @@ from etau.meshio import (
     write_graph_csv,
     write_json_report,
     write_lift_csv,
-    write_nu_csv,
-    write_obj,
     write_profile_csv,
+    write_surface,
 )
 from etau.surfaces import CatenoidSpec, SurfaceMesh, mesh_catenoid
 
@@ -34,7 +33,7 @@ def small_mesh():
 
 
 def test_obj_has_all_vertices_and_faces(tmp_path, small_mesh) -> None:
-    path = write_obj(tmp_path / "mesh.obj", small_mesh)
+    path, _ = write_surface(tmp_path / "mesh.obj", small_mesh)
     lines = path.read_text().splitlines()
     v_lines = [l for l in lines if l.startswith("v ")]
     f_lines = [l for l in lines if l.startswith("f ")]
@@ -43,7 +42,7 @@ def test_obj_has_all_vertices_and_faces(tmp_path, small_mesh) -> None:
 
 
 def test_obj_faces_are_one_indexed(tmp_path, small_mesh) -> None:
-    path = write_obj(tmp_path / "mesh.obj", small_mesh)
+    path, _ = write_surface(tmp_path / "mesh.obj", small_mesh)
     indices = [
         int(tok)
         for line in path.read_text().splitlines()
@@ -55,7 +54,7 @@ def test_obj_faces_are_one_indexed(tmp_path, small_mesh) -> None:
 
 
 def test_obj_vertices_round_trip_exactly(tmp_path, small_mesh) -> None:
-    path = write_obj(tmp_path / "mesh.obj", small_mesh)
+    path, _ = write_surface(tmp_path / "mesh.obj", small_mesh)
     rows = [
         [float(tok) for tok in line.split()[1:]]
         for line in path.read_text().splitlines()
@@ -68,8 +67,8 @@ def test_nu_sidecar_naming_and_rows(tmp_path, small_mesh) -> None:
     obj = tmp_path / "surface.obj"
     sidecar = nu_sidecar_path(obj)
     assert sidecar.name == "surface_nu.csv"
-    path = write_nu_csv(sidecar, small_mesh)
-    lines = path.read_text().splitlines()
+    assert write_surface(obj, small_mesh) == (obj, sidecar)
+    lines = sidecar.read_text().splitlines()
     assert lines[0] == "vertex,x,y,t,nu"
     assert len(lines) == 1 + small_mesh.vertices.shape[0]
     first = lines[1].split(",")
@@ -77,7 +76,7 @@ def test_nu_sidecar_naming_and_rows(tmp_path, small_mesh) -> None:
     assert float(first[4]) == pytest.approx(float(small_mesh.nu[0]), rel=1e-15)
 
 
-# Row-by-row writers the block writers must match byte for byte.
+# Row-by-row writers the block writer must match byte for byte.
 
 
 def _reference_obj(path, mesh) -> None:
@@ -113,7 +112,7 @@ def awkward_mesh():
 
 def test_obj_bytes_match_row_writer(tmp_path, awkward_mesh) -> None:
     _reference_obj(tmp_path / "ref.obj", awkward_mesh)
-    write_obj(tmp_path / "new.obj", awkward_mesh)
+    write_surface(tmp_path / "new.obj", awkward_mesh)
     assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
 
 
@@ -123,8 +122,8 @@ def test_nu_csv_bytes_match_row_writer(tmp_path, awkward_mesh) -> None:
         for i, ((x, y, t), nu) in enumerate(zip(awkward_mesh.vertices, awkward_mesh.nu), start=1)
     ]
     _reference_csv(tmp_path / "ref.csv", ["vertex", "x", "y", "t", "nu"], rows)
-    write_nu_csv(tmp_path / "new.csv", awkward_mesh)
-    new = (tmp_path / "new.csv").read_bytes()
+    write_surface(tmp_path / "new.obj", awkward_mesh)
+    new = (tmp_path / "new_nu.csv").read_bytes()
     assert new == (tmp_path / "ref.csv").read_bytes()
     assert new.count(b"\r\n") == len(rows) + 1
 

@@ -25,9 +25,8 @@ from etau.core import (
 )
 from etau.graphs import GraphFunction
 from etau.isometries import AmbientIsometry, Orientation, apply_to_coords, push_forward
-from etau.quadrature import PANEL_NODES, composite_gauss
+from etau.quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss
 from etau.slabs import (
-    _SPECTRUM_CHUNK_POINTS,
     SlabSpec,
     _model_annulus_edges,
     _model_annulus_mesh,
@@ -266,7 +265,7 @@ def _per_point_spectrum(instance) -> np.ndarray:
     vertices = _model_annulus_mesh(*args).vertices
     edges = _model_annulus_edges(*args)
     out = np.empty(edges.shape[0])
-    per_chunk = _SPECTRUM_CHUNK_POINTS // PANEL_NODES
+    per_chunk = CHUNK_NODES // PANEL_NODES
     for start in range(0, edges.shape[0], per_chunk):
         part = edges[start : start + per_chunk]
         a = vertices[part[:, 0], None, None, :]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +163,19 @@ def test_catenoid_height_is_the_profile_at_the_truncation_radius_plus_tail(spec:
     assert catenoid_height(spec) == 2.0 * (catenoid_profile(spec, rho_star) + tail)
 
 
+def test_catenoid_profile_beyond_the_truncation_radius_does_not_overflow() -> None:
+    # the integrand's sinh products overflow from rho of about 356 on; beyond
+    # rho* the profile is the table's limit, and the inverse stays below rho*
+    spec = CatenoidSpec(0.5, 1.63)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = catenoid_profile(spec, 800.0)
+        half = 0.5 * catenoid_height(spec)
+        top = catenoid_profile_inverse(spec, math.nextafter(half, 0.0))
+        assert abs(catenoid_profile(spec, top) - half) <= 1e-13
+    assert math.isfinite(value) and abs(value - half) <= 1e-15
+
+
 def test_catenoid_profile_on_arrays_matches_scalar_calls() -> None:
     rmin = catenoid_neck_radius(CAT)
     rho = rmin + np.array([[0.0, 1e-9, 0.3], [1.3, 4.0, 30.0]])
@@ -228,6 +243,23 @@ def test_profile_table_derivative_is_the_integrand(tau: float) -> None:
         assert 0.0 < table(1e-265) < 1e-250
     with pytest.raises(ParameterError):
         table(sigma, 2)
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.0, -0.7])
+def test_profile_table_chunks_match_values_one_at_a_time(tau: float) -> None:
+    # the exact nodes (sigma = 0 among them), several chunks of off-node
+    # values, and sigma beyond the table, where it reads its limit
+    for table, _, sigma_max in _profile_tables(tau):
+        nodes = np.linspace(0.0, sigma_max, surfaces._TABLE_PANELS + 1)
+        inside = np.random.default_rng(11).uniform(0.0, sigma_max, 3 * surfaces._TABLE_CHUNK + 17)
+        beyond = sigma_max * np.array([1.0 + 1e-15, 1.2, 9.0])
+        sigma = np.concatenate([nodes, inside, beyond])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chunked = table(sigma)
+            single = np.array([float(table(s)) for s in sigma])
+        assert chunked.tobytes() == single.tobytes()
+        assert chunked[-3:].tolist() == [table.limit] * 3
 
 
 # -- invariant surface heights ---------------------------------------------------
@@ -375,10 +407,23 @@ def test_transversality_delta_satisfies_strict_inequality() -> None:
 def test_window_check_frozen() -> None:
     d0 = transversality_delta(0.5, 1.0, 0.0)
     sup, ok = transversality_window_check(1.0 + d0 / 2, 1.0, 0.5, 0.0)
-    assert ok and sup == pytest.approx(0.16197754002753667, abs=1e-9)
+    assert (sup, ok) == (0.16197754002753667, True)
     d5 = transversality_delta(0.5, 1.0, 0.5)
-    sup5, ok5 = transversality_window_check(1.0 + d5 / 2, 1.0, 0.5, 0.5)
-    assert ok5 and sup5 == pytest.approx(0.006985202933174667, abs=1e-9)
+    assert transversality_window_check(1.0 + d5 / 2, 1.0, 0.5, 0.5) == (0.006985202933174667, True)
+
+
+def test_window_check_memory_stays_bounded() -> None:
+    # about 15,600 wedge angles at tau 0.5; the profile table takes them a
+    # chunk at a time (one batch traced about 24 MB)
+    d = 1.0 + transversality_delta(0.5, 1.0, 0.5) / 2
+    transversality_window_check(d, 1.0, 0.5, 0.5)  # builds the cached table
+    tracemalloc.start()
+    try:
+        transversality_window_check(d, 1.0, 0.5, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @settings(max_examples=30, deadline=None)
