@@ -14,7 +14,10 @@ and mean curvature
 
 The discrete operator is the compact conservative form: fluxes live on edge
 midpoints with centered transverse averages, so the scheme is second order
-and is exactly the one the solver drives to zero.
+and is exactly the one the solver drives to zero.  The solver's Newton
+Jacobian is the closed-form derivative of this flux form.  It and the
+harmonic seed's chart Laplacian are assembled from one 3x3 coefficient field
+per node, and both sparse systems go through one splu factorization.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import splu
 
 from .core import (
     BOUNDARY_MARGIN,
@@ -48,16 +51,15 @@ from .surfaces import (
 
 _EDGE_KEEPOUT = 1e-9
 _SOLVE_TOL = 1e-10  # sup |H| at which the Newton iteration stops
-# Chord (Shamanskii) reuse of the Newton factor.  A fresh full step whose residual
-# norm falls below _REUSE_START times the old one keeps its LU factor; a chord step
-# with that factor is accepted only when its norm falls below _CHORD_RATE times the
-# old one.  With 0.5 for the rate, the invariant n = 33 solve took 20 passes, not 9.
-_REUSE_START = 0.25
-_CHORD_RATE = 0.25
+# Chord (Shamanskii) reuse of the Newton factor: a full step from a factor, fresh
+# or reused, keeps that factor only while it cuts the residual norm below
+# _CONTRACTION times the old one.  With 0.5, the invariant n = 33 solve took 20
+# passes, not 9.
+_CONTRACTION = 0.25
 # SuperLU column ordering for the seed Laplacian and the Newton Jacobians.  Both
-# have a structurally symmetric stencil pattern, so minimum degree on A + A^T
-# gives less fill than the default COLAMD; partial pivoting stays on, since the
-# Jacobian itself is not symmetric.
+# have the 9-point stencil's structurally symmetric pattern, so minimum degree on
+# A + A^T gives less fill than the default COLAMD; partial pivoting stays on,
+# since the Jacobian itself is not symmetric.
 _ORDERING = "MMD_AT_PLUS_A"
 
 
@@ -320,45 +322,40 @@ def variation(gf: GraphFunction) -> float:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
+def _half_edges(gf: GraphFunction) -> list[tuple[np.ndarray, ...]]:
+    """(g_n, g_t, a_n, a_t, W) on both half-edge families, n across the edge.
+
+    The vertical family (i+1/2, j) comes as is; the horizontal one (i, j+1/2)
+    comes transposed, so that axis 0 crosses the edge in both.  Half-edges of
+    masked nodes, where the chart may blow up (a masked disc window can put a
+    midpoint on the unit circle), reach no interior row, so the floating-point
+    warnings are silenced.
+    """
+    dom = gf.domain
+    (h1, h2), (q1, q2) = dom.steps(), dom.axes()
+    m1, m2 = 0.5 * (q1[:-1] + q1[1:]), 0.5 * (q2[:-1] + q2[1:])
+    vert = chart_coefficients(dom.chart, dom.axis_foot, gf.tau, m1[:, None], q2[None, :])
+    g1, g2, w1, w2 = chart_coefficients(dom.chart, dom.axis_foot, gf.tau, q1[:, None], m2[None, :])
+    horiz = (g2.T, g1.T, w2.T, w1.T)
+    families = []
+    for u, hn, ht, (gn, gt, wn, wt) in ((gf.values, h1, h2, vert), (gf.values.T, h2, h1, horiz)):
+        dn = (u[1:, :] - u[:-1, :]) / hn
+        dt = np.full_like(dn, np.nan)
+        dt[:, 1:-1] = (u[1:, 2:] + u[:-1, 2:] - u[1:, :-2] - u[:-1, :-2]) / (4.0 * ht)
+        families.append((gn, gt, *_tilt(gn, gt, wn, wt, dn, dt)))
+    return families
+
+
+@np.errstate(divide="ignore", invalid="ignore")
 def _divergence_residual(gf: GraphFunction) -> np.ndarray:
     """Conservative flux divergence; 2 sqrt(g1 g2) H at interior nodes, 0 elsewhere.
 
-    Fluxes are evaluated on every edge of the window, including edges of
-    masked nodes where the chart may blow up (a masked disc window can put
-    an edge midpoint on the unit circle).  Only fluxes between active nodes
-    reach an interior row, so the floating-point warnings are silenced.
+    The flux across a half-edge is F = sqrt(g_t) a_n / W.
     """
-    dom = gf.domain
-    u = gf.values
-    n1, n2 = dom.shape
-    h1, h2 = dom.steps()
-    q1_axis, q2_axis = dom.axes()
-    tau = gf.tau
-
-    # vertical half-edges (i+1/2, j): shapes (n1-1, n2)
-    q1v = 0.5 * (q1_axis[:-1] + q1_axis[1:])[:, None]
-    q2v = q2_axis[None, :]
-    g1v, g2v, w1v, w2v = chart_coefficients(dom.chart, dom.axis_foot, tau, q1v, q2v)
-    du1 = (u[1:, :] - u[:-1, :]) / h1
-    du2 = np.full_like(du1, np.nan)
-    du2[:, 1:-1] = (u[1:, 2:] + u[:-1, 2:] - u[1:, :-2] - u[:-1, :-2]) / (4.0 * h2)
-    a, _, wv = _tilt(g1v, g2v, w1v, w2v, du1, du2)
-    flux1 = np.sqrt(g2v) * a / wv
-
-    # horizontal half-edges (i, j+1/2): shapes (n1, n2-1)
-    q1h = q1_axis[:, None]
-    q2h = 0.5 * (q2_axis[:-1] + q2_axis[1:])[None, :]
-    g1h, g2h, w1h, w2h = chart_coefficients(dom.chart, dom.axis_foot, tau, q1h, q2h)
-    dv2 = (u[:, 1:] - u[:, :-1]) / h2
-    dv1 = np.full_like(dv2, np.nan)
-    dv1[1:-1, :] = (u[2:, 1:] + u[2:, :-1] - u[:-2, 1:] - u[:-2, :-1]) / (4.0 * h1)
-    _, bh, wh = _tilt(g1h, g2h, w1h, w2h, dv1, dv2)
-    flux2 = np.sqrt(g1h) * bh / wh
-
-    res = np.zeros((n1, n2))
-    res[1:-1, 1:-1] = (flux1[1:, 1:-1] - flux1[:-1, 1:-1]) / h1 + (
-        flux2[1:-1, 1:] - flux2[1:-1, :-1]
-    ) / h2
+    fluxes = [np.sqrt(gt) * an / w for _, gt, an, _, w in _half_edges(gf)]
+    div1, div2 = ((f[1:, 1:-1] - f[:-1, 1:-1]) / h for f, h in zip(fluxes, gf.domain.steps()))
+    res = np.zeros(gf.domain.shape)
+    res[1:-1, 1:-1] = div1 + div2.T
     return res
 
 
@@ -452,84 +449,87 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class _Stencil:
-    """Interior numbering and the 9-point stencil's COO pattern of one domain.
+    """Interior numbering and the 9-point CSC pattern of one domain.
 
-    Columns are listed color by color (node (i, j) has color
-    (i % 3) * 3 + j % 3), row-major within a color, and the rows of one
-    column row-major over its 3x3 neighbourhood.  A residual node depends
-    only on that neighbourhood, so two nodes of one color never share a row.
+    Interior nodes are numbered row-major.  Column k lists the interior nodes
+    of node k's 3x3 neighbourhood, row-major; ``entry`` points each entry at
+    its value in a (3, 3, n1, n2) coefficient field: at the row node, and at
+    the offset of node k from it.
     """
 
-    idx: np.ndarray  # interior number of each node, -1 elsewhere
     ii: np.ndarray  # grid position (ii[k], jj[k]) of interior node k
     jj: np.ndarray
-    color: np.ndarray  # color of each interior node, -1 elsewhere
-    rows: np.ndarray  # per COO entry: residual row,
-    cols: np.ndarray  # perturbed column,
-    ni: np.ndarray  # and grid position (ni, nj) of the row
-    nj: np.ndarray
-    starts: np.ndarray  # color c's entries are starts[c]:starts[c + 1]
+    rows: np.ndarray  # per entry: row
+    indptr: np.ndarray  # column k's entries are indptr[k]:indptr[k + 1]
+    entry: np.ndarray  # per entry: flat index into the coefficient field
 
 
 def _stencil(interior: np.ndarray) -> _Stencil:
+    n1, n2 = interior.shape
     idx = -np.ones(interior.shape, dtype=np.int64)
     ii, jj = np.nonzero(interior)
     idx[ii, jj] = np.arange(ii.size)
-    node_color = (ii % 3) * 3 + (jj % 3)
-    color = -np.ones(interior.shape, dtype=np.int64)
-    color[ii, jj] = node_color
-    order = np.argsort(node_color, kind="stable")
     di, dj = np.divmod(np.arange(9), 3)
-    ni = ii[order, None] + di - 1
-    nj = jj[order, None] + dj - 1
+    ni, nj = ii[:, None] + di - 1, jj[:, None] + dj - 1
     rows = idx[ni, nj]
     keep = rows >= 0
-    cols = np.broadcast_to(order[:, None], rows.shape)[keep]
-    entry_color = np.broadcast_to(node_color[order, None], rows.shape)[keep]
-    starts = np.searchsorted(entry_color, np.arange(10))
-    return _Stencil(idx, ii, jj, color, rows[keep], cols, ni[keep], nj[keep], starts)
+    # node k sits at offset (1 - di, 1 - dj) from row node (ni, nj): field index 8 - (3 di + dj)
+    entry = ((8 - np.arange(9)) * n1 + ni) * n2 + nj
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
+    return _Stencil(ii, jj, rows[keep], indptr, entry[keep])
+
+
+def _assemble(coef: np.ndarray, st: _Stencil) -> sparse.csc_matrix:
+    """Interior matrix of a coefficient field: entry (k, l) is coef[di + 1, dj + 1]
+    at node k, where node l is node k's (di, dj) neighbour."""
+    m = st.ii.size
+    return sparse.csc_matrix((coef.take(st.entry), st.rows, st.indptr), shape=(m, m))
 
 
 def _harmonic_init(dom: GraphDomain, boundary: np.ndarray, st: _Stencil) -> np.ndarray:
     """Chart-Laplacian harmonic extension of the boundary data (solver seed)."""
-    h1, h2 = dom.steps()
-    c1, c2 = 1.0 / (h1 * h1), 1.0 / (h2 * h2)
-    m = st.ii.size
-    cols = np.empty((m, 5), dtype=np.int64)
-    cols[:, 0] = np.arange(m)
-    rhs = np.zeros(m)
-    # the order of the boundary terms fixes how rhs rounds
-    for k, (di, dj, c) in enumerate(((1, 0, c1), (-1, 0, c1), (0, 1, c2), (0, -1, c2)), 1):
-        ni, nj = st.ii + di, st.jj + dj
-        cols[:, k] = st.idx[ni, nj]
-        on_boundary = cols[:, k] < 0
-        rhs[on_boundary] -= c * boundary[ni[on_boundary], nj[on_boundary]]
-    vals = np.broadcast_to(np.array([-2.0 * (c1 + c2), c1, c1, c2, c2]), cols.shape)
-    keep = cols >= 0
-    rows = np.broadcast_to(cols[:, :1], cols.shape)  # row k holds node k's equation
-    mat = sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m, m))
-    sol = spsolve(mat, rhs, permc_spec=_ORDERING)
+    (h1, h2), (n1, n2) = dom.steps(), dom.shape
+    lap = np.zeros((3, 3, n1, n2))
+    lap[(0, 2), 1], lap[1, (0, 2)] = 1.0 / (h1 * h1), 1.0 / (h2 * h2)
+    lap[1, 1] = -2.0 / (h1 * h1) - 2.0 / (h2 * h2)
     out = boundary.copy()
-    out[st.ii, st.jj] = sol
+    out[st.ii, st.jj] = 0.0
+    # the Laplacian of the boundary data alone moves to the right-hand side
+    known = sum(
+        lap[di, dj, 1:-1, 1:-1] * out[di : n1 - 2 + di, dj : n2 - 2 + dj]
+        for di in range(3)
+        for dj in range(3)
+    )
+    rhs = -known[st.ii - 1, st.jj - 1]
+    mat = _assemble(lap, st)
+    mat.eliminate_zeros()  # the zero corners would factor with 9-point fill
+    out[st.ii, st.jj] = splu(mat, permc_spec=_ORDERING).solve(rhs)
     return out
 
 
-def _coloring_jacobian(
-    gf: GraphFunction, st: _Stencil, base_res: np.ndarray, eps: float
-) -> sparse.csr_matrix:
-    """Sparse Jacobian of the divergence residual by 9-color finite differences."""
-    vals = np.empty(st.rows.size)
-    for color in range(9):
-        members = st.color == color
-        if not np.any(members):
-            continue
-        pert = GraphFunction(gf.domain, gf.values + eps * members, gf.tau)
-        dres = (_divergence_residual(pert) - base_res) / eps
-        lo, hi = st.starts[color], st.starts[color + 1]
-        vals[lo:hi] = dres[st.ni[lo:hi], st.nj[lo:hi]]
-    keep = vals != 0.0
-    m = st.ii.size
-    return sparse.csr_matrix((vals[keep], (st.rows[keep], st.cols[keep])), shape=(m, m))
+@np.errstate(divide="ignore", invalid="ignore")
+def _jacobian(gf: GraphFunction, st: _Stencil) -> sparse.csc_matrix:
+    """Exact Jacobian of the divergence residual on the stencil's pattern.
+
+    On a half-edge, dF/d(du_n) = -sqrt(g_t / g_n) (1 + a_t^2) / W^3 and
+    dF/d(du_t) = a_n a_t / W^3.  The horizontal family fills the transposed
+    view of the coefficient field, so one scatter serves both.
+    """
+    coef = np.zeros((3, 3) + gf.domain.shape)
+    h1, h2 = gf.domain.steps()
+    views = (coef, coef.transpose(1, 0, 3, 2))
+    for (gn, gt, an, at, w), view, hn, ht in zip(_half_edges(gf), views, (h1, h2), (h2, h1)):
+        w3 = w * w * w
+        # d res / d u of the two nodes across the edge (kn) and of the four along it (kt)
+        kn = -np.sqrt(gt / gn) * (1.0 + at * at) / (w3 * hn * hn)
+        kt = an * at / (w3 * 4.0 * hn * ht)
+        n_lo, n_hi, t_lo, t_hi = kn[:-1, 1:-1], kn[1:, 1:-1], kt[:-1, 1:-1], kt[1:, 1:-1]
+        inner = view[:, :, 1:-1, 1:-1]
+        inner[:, 1] += (n_lo, -n_lo - n_hi, n_hi)
+        tangential = np.stack((t_lo, t_lo - t_hi, -t_hi))
+        inner[:, 0] += tangential
+        inner[:, 2] -= tangential
+    return _assemble(coef, st)
 
 
 def _trial_step(
@@ -553,13 +553,14 @@ def solve_dirichlet(
 
     Drives the same compact divergence residual that mean_curvature reports
     to zero with a damped Newton iteration that reuses LU factors in its
-    local phase (the chord, or Shamanskii, method).  Each Newton Jacobian is
-    factored once.  After a fresh step that was a full step (alpha = 1) and
-    cut the residual norm below _REUSE_START times the old one, the following
-    passes first try a full chord step with that factor, kept only if the norm
-    falls below _CHORD_RATE times the old one.  A rejected chord step drops
-    the factor, and the same pass takes a fresh damped Newton step from the
-    same iterate.  Damped steps never keep their factor.
+    local phase (the chord, or Shamanskii, method).  Each Jacobian is the
+    closed-form derivative of the flux form, assembled like the harmonic
+    seed's chart Laplacian and factored once by the same splu call.  A full
+    step (alpha = 1) from a factor keeps it only while it cuts the residual
+    norm below _CONTRACTION times the old one; the next pass then first tries
+    a full chord step with it.  A rejected chord step drops the factor, and
+    the same pass takes a fresh damped Newton step from the same iterate.
+    Damped steps never keep their factor.
 
     The report counts loop passes as ``iterations`` (chord steps included,
     bounded by max_newton) and LU factorizations as ``factorizations``.  A
@@ -592,15 +593,13 @@ def solve_dirichlet(
         rnorm = float(np.linalg.norm(rhs))
         if lu is not None:
             trial_gf, trial_res, tnorm = _trial_step(gf, interior, lu.solve(rhs), 1.0)
-            if tnorm < _CHORD_RATE * rnorm:
+            if tnorm < _CONTRACTION * rnorm:
                 gf, res = trial_gf, trial_res
                 history.append(float(np.max(np.abs(res[interior] / scale))))
                 continue
             lu = None  # released before the fresh factor is built
-        eps = 1e-7 * max(1.0, float(np.max(np.abs(gf.values))))
-        jac = _coloring_jacobian(gf, st, res, eps)
         try:
-            lu = splu(jac.tocsc(), permc_spec=_ORDERING)
+            lu = splu(_jacobian(gf, st), permc_spec=_ORDERING)
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
             break
         factorizations += 1
@@ -618,7 +617,7 @@ def solve_dirichlet(
             alpha *= 0.5
         if not improved:
             break
-        if alpha < 1.0 or tnorm >= _REUSE_START * rnorm:
+        if alpha < 1.0 or tnorm >= _CONTRACTION * rnorm:
             lu = None
         history.append(float(np.max(np.abs(res[interior] / scale))))
 

@@ -332,7 +332,7 @@ def invariant_profile(spec: InvariantSurfaceSpec, theta):
     theta = np.asarray(theta, dtype=float)
     if not np.all((0.0 <= theta) & (theta <= theta_star + 1e-14)):
         raise ParameterError(f"theta={theta} outside [0, {theta_star}]")
-    minus, plus = _invariant_profiles_fast(spec.tau, spec.d, theta)
+    minus, plus = _invariant_profiles(spec.tau, spec.d, theta)
     out = plus if spec.side is Sheet.PLUS else minus
     return float(out) if out.ndim == 0 else out
 
@@ -370,7 +370,7 @@ def _invariant_table(tau: float, d: float) -> _ProfileTable:
     return _ProfileTable(_invariant_sigma_integrand(tau, d), math.sqrt(invariant_angle_max(d)))
 
 
-def _invariant_profiles_fast(tau: float, d: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _invariant_profiles(tau: float, d: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Table-backed (minus, plus) profile values for arrays of wedge angles."""
     theta_star = invariant_angle_max(d)
     theta = np.asarray(theta, dtype=float)
@@ -469,7 +469,7 @@ def transversality_window_check(d: float, h0: float, eps: float, tau: float) -> 
     theta_star = invariant_angle_max(d)
     n = max(int(theta_star / _WINDOW_THETA_STEP), 8)
     theta = np.linspace(theta_star / n, theta_star, n)
-    minus, plus = _invariant_profiles_fast(tau, d, theta)
+    minus, plus = _invariant_profiles(tau, d, theta)
     in_slab = (np.abs(minus) <= h0) | (np.abs(plus) <= h0)
     if not np.any(in_slab):
         return 0.0, True
@@ -740,7 +740,7 @@ def _leaf_sides(coords: np.ndarray, scales, d: float, s: float, tau: float, axis
     scale, -1 elsewhere (see leaf_side)."""
     q = _pull_back_to_model_chart(np.asarray(coords, dtype=float), scales, axis_inv)
     theta = np.arctan2(q[:, 1], q[:, 0] - s)
-    minus, plus = _invariant_profiles_fast(tau, d, theta)
+    minus, plus = _invariant_profiles(tau, d, theta)
     wedge = (0.0 < theta) & (theta < invariant_angle_max(d))
     return np.where(wedge & (minus < q[:, 2]) & (q[:, 2] < plus), 1, -1)
 
@@ -847,7 +847,7 @@ def _leaf_distances(pts: np.ndarray, scales: np.ndarray, d: float, s: float, tau
 
     theta0 = np.clip(np.arctan2(qy, qx - s), 1e-9, theta_star - 1e-12)
     phi = 0.5 * np.log((qx - s) ** 2 + qy ** 2)
-    minus, plus = _invariant_profiles_fast(tau, d, theta0)
+    minus, plus = _invariant_profiles(tau, d, theta0)
     sigma = np.where(np.abs(plus - qt) <= np.abs(minus - qt), 1.0, -1.0) * np.sqrt(theta_star - theta0)
     start = np.column_stack([phi, sigma])
     bounds = [-np.inf, -sigma_max], [np.inf, sigma_max]

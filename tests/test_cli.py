@@ -175,14 +175,14 @@ def test_solve_wild_boundary_fails_with_code_two(capsys) -> None:
 
 
 def test_solve_singular_jacobian_exits_two(monkeypatch, capsys) -> None:
-    jacobian = graphs._coloring_jacobian
+    jacobian = graphs._jacobian
 
-    def singular(*args):
-        jac = jacobian(*args).tolil()
+    def singular(gf, st):
+        jac = jacobian(gf, st).tolil()
         jac[0, :] = 0.0
-        return jac.tocsr()
+        return jac.tocsc()
 
-    monkeypatch.setattr(graphs, "_coloring_jacobian", singular)
+    monkeypatch.setattr(graphs, "_jacobian", singular)
     code, report = run(capsys, "solve", "--boundary", "catenoid", "--tau", "0.5", "--n", "17")
     assert code == 2
     assert report["converged"] is False

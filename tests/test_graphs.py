@@ -23,9 +23,9 @@ from etau.graphs import (
     Chart,
     GraphDomain,
     GraphFunction,
-    _coloring_jacobian,
     _divergence_residual,
     _harmonic_init,
+    _jacobian,
     _stencil,
     chart_coefficients,
     chart_to_base,
@@ -229,8 +229,18 @@ def _masked_disc_window() -> GraphDomain:
     return GraphDomain(Chart.DISC_XY, ((-0.8, 0.8), (-0.8, 0.8)), (11, 11), mask=mask)
 
 
+def _catenoid_polar_window() -> GraphDomain:
+    return GraphDomain(Chart.DISC_POLAR, ((1.7, 2.7), (0.2, 1.2)), (10, 8))
+
+
+def _invariant_polar_window() -> GraphDomain:
+    return GraphDomain(Chart.HALFPLANE_IDEAL_POLAR, ((-0.5, 0.5), (0.15, 1.2)), (8, 11))
+
+
 WINDOWS = pytest.mark.parametrize(
-    "make_domain", [_rectangle_window, _masked_disc_window], ids=["rectangle", "masked-disc"]
+    "make_domain",
+    [_rectangle_window, _masked_disc_window, _catenoid_polar_window, _invariant_polar_window],
+    ids=["rectangle", "masked-disc", "catenoid-polar", "invariant-polar"],
 )
 
 
@@ -241,23 +251,24 @@ def _sample_graph(dom: GraphDomain) -> GraphFunction:
 
 
 @WINDOWS
-def test_coloring_jacobian_matches_one_column_at_a_time(make_domain) -> None:
+def test_jacobian_matches_central_differences_one_column_at_a_time(make_domain) -> None:
     gf = _sample_graph(make_domain())
     interior = gf.domain.interior_mask()
-    base = _divergence_residual(gf)
-    eps = 1e-7 * max(1.0, float(np.max(np.abs(gf.values))))
+    h = 1e-5
     ii, jj = np.nonzero(interior)
     dense = np.empty((ii.size, ii.size))
     for col, (i, j) in enumerate(zip(ii, jj)):
-        values = gf.values.copy()
-        values[i, j] += eps
-        pert = _divergence_residual(GraphFunction(gf.domain, values, gf.tau))
-        dense[:, col] = ((pert - base) / eps)[interior]
-    jac = _coloring_jacobian(gf, _stencil(interior), base, eps)
-    # a residual node sees only its 3x3 neighbourhood, so the agreement is exact
-    assert np.array_equal(jac.toarray(), dense)
-    assert np.all(jac.data != 0.0)
-    assert jac.nnz == np.count_nonzero(dense)
+        sides = []
+        for step in (h, -h):
+            values = gf.values.copy()
+            values[i, j] += step
+            sides.append(_divergence_residual(GraphFunction(gf.domain, values, gf.tau)))
+        dense[:, col] = ((sides[0] - sides[1]) / (2.0 * h))[interior]
+    jac = _jacobian(gf, _stencil(interior))
+    assert jac.format == "csc"
+    assert jac.has_sorted_indices
+    top = float(np.max(np.abs(jac.data)))
+    assert float(np.max(np.abs(jac.toarray() - dense))) <= 1e-6 * top
 
 
 @WINDOWS
@@ -331,6 +342,16 @@ def _wild_problem() -> tuple[GraphDomain, np.ndarray]:
     return dom, 50.0 * np.sin(9.0 * x) / y
 
 
+@pytest.mark.parametrize(
+    "tau, factorizations", [(0.5, 19), (0.0, 18), (-0.7, 18)], ids=["tau0.5", "tau0", "tau-0.7"]
+)
+def test_solver_pins_the_converged_wild_newton_path(tau: float, factorizations: int) -> None:
+    gf = reference_problem("wild", tau, 2.0, 1.0, 33)
+    report = solve_dirichlet(gf.domain, tau, gf.values, max_newton=60).report
+    assert report["converged"]
+    assert (report["iterations"], report["factorizations"]) == (29, factorizations)
+
+
 def _solver_case(case: str):
     if case == "zero":
         dom = GraphDomain(Chart.DISC_XY, ((-0.4, 0.4), (-0.4, 0.4)), (17, 17))
@@ -383,7 +404,7 @@ def test_solver_computes_each_residual_once(monkeypatch) -> None:
 
 def test_rejected_chord_step_refactors_in_the_same_pass(monkeypatch) -> None:
     events: list[tuple] = []
-    jacobian, trial_step = graphs._coloring_jacobian, graphs._trial_step
+    jacobian, trial_step = graphs._jacobian, graphs._trial_step
 
     def key(gf: GraphFunction) -> str:
         return hashlib.sha256(gf.values.tobytes()).hexdigest()
@@ -397,7 +418,7 @@ def test_rejected_chord_step_refactors_in_the_same_pass(monkeypatch) -> None:
         events.append(("trial", key(gf), key(out[0])))
         return out
 
-    monkeypatch.setattr(graphs, "_coloring_jacobian", recording_jacobian)
+    monkeypatch.setattr(graphs, "_jacobian", recording_jacobian)
     monkeypatch.setattr(graphs, "_trial_step", recording_trial)
     result = _solver_case("catenoid")
     report = result.report
@@ -416,18 +437,18 @@ def test_rejected_chord_step_refactors_in_the_same_pass(monkeypatch) -> None:
 @pytest.mark.parametrize("singular_call", [1, 2], ids=["first-factor", "after-chord"])
 def test_solver_reports_a_singular_jacobian_as_nonconvergence(monkeypatch, singular_call) -> None:
     calls = []
-    jacobian = graphs._coloring_jacobian
+    jacobian = graphs._jacobian
 
-    def singular_on_call(gf, st, base_res, eps):
+    def singular_on_call(gf, st):
         calls.append(None)
-        jac = jacobian(gf, st, base_res, eps)
+        jac = jacobian(gf, st)
         if len(calls) == singular_call:
             jac = jac.tolil()
             jac[0, :] = 0.0  # an exactly zero row: SuperLU finds an exact zero pivot
-            jac = jac.tocsr()
+            jac = jac.tocsc()
         return jac
 
-    monkeypatch.setattr(graphs, "_coloring_jacobian", singular_on_call)
+    monkeypatch.setattr(graphs, "_jacobian", singular_on_call)
     result = _solver_case("catenoid")
     report = result.report
     assert not report["converged"]
@@ -438,13 +459,7 @@ def test_solver_reports_a_singular_jacobian_as_nonconvergence(monkeypatch, singu
 
 
 def test_solver_factors_with_minimum_degree_ordering(monkeypatch) -> None:
-    seed_calls, factor_calls, solves = [], [], []
-
-    def recording_spsolve(a, b, **kwargs):
-        x = spsolve(a, b, **kwargs)
-        seed_calls.append(kwargs)
-        solves.append((a, b, x))
-        return x
+    factor_calls, solves = [], []
 
     class RecordingFactor:
         def __init__(self, a, lu) -> None:
@@ -459,16 +474,16 @@ def test_solver_factors_with_minimum_degree_ordering(monkeypatch) -> None:
         factor_calls.append(kwargs)
         return RecordingFactor(a, splu(a, **kwargs))
 
-    monkeypatch.setattr(graphs, "spsolve", recording_spsolve)
     monkeypatch.setattr(graphs, "splu", recording_splu)
     dom, boundary = _wild_problem()
     result = solve_dirichlet(dom, 0.5, boundary, max_newton=6)
     assert result.report["iterations"] == 6
     assert len(result.report["residual_history"]) == 7
-    assert len(seed_calls) == 1  # the harmonic seed
-    assert len(factor_calls) == result.report["factorizations"] == 6  # six damped Newton steps
+    # the harmonic seed, then six damped Newton steps; the report counts Newton factors only
+    assert len(factor_calls) == 7
+    assert result.report["factorizations"] == 6
     assert len(solves) == 7
-    for kwargs in seed_calls + factor_calls:
+    for kwargs in factor_calls:
         assert kwargs == {"permc_spec": "MMD_AT_PLUS_A"}
     for a, b, x in solves:
         ref = spsolve(a, b, permc_spec="COLAMD")

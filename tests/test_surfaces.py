@@ -570,7 +570,7 @@ def _scalar_side(p, d, s, tau, scale, axis_inv) -> int:
     theta = math.atan2(q.y, q.x - s)
     if not 0.0 < theta < invariant_angle_max(d):
         return -1
-    minus, plus = surfaces._invariant_profiles_fast(tau, d, np.array([theta]))
+    minus, plus = surfaces._invariant_profiles(tau, d, np.array([theta]))
     return 1 if minus[0] < q.t < plus[0] else -1
 
 
@@ -602,7 +602,7 @@ def _nelder_mead_distance(p, d, s, tau, lam, axis_inv) -> float:
     theta_star = invariant_angle_max(d)
     theta0 = min(max(math.atan2(q.y, q.x - s), 1e-9), theta_star - 1e-12)
     phi0 = 0.5 * math.log((q.x - s) ** 2 + q.y ** 2)
-    minus, plus = surfaces._invariant_profiles_fast(tau, d, np.array([theta0]))
+    minus, plus = surfaces._invariant_profiles(tau, d, np.array([theta0]))
     table = surfaces._invariant_table(tau, d)
 
     def surface_point(phi: float, theta: float, sign: float) -> AmbientPoint:
