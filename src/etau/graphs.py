@@ -16,8 +16,9 @@ The discrete operator is the compact conservative form: fluxes live on edge
 midpoints with centered transverse averages, so the scheme is second order
 and is exactly the one the solver drives to zero.  The solver's Newton
 Jacobian is the closed-form derivative of this flux form.  It and the
-harmonic seed's chart Laplacian are assembled from one 3x3 coefficient field
-per node, and both sparse systems go through one splu factorization.
+harmonic seed's chart Laplacian are written as one 3x3 coefficient field per
+node, and both systems are factored by the numpy nested-dissection solver of
+``etau.dissection``.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse.linalg import splu
 
 from .core import (
     BOUNDARY_MARGIN,
@@ -39,6 +38,7 @@ from .core import (
     ParameterError,
     metric_data_arrays,
 )
+from .dissection import NestedDissection
 from .surfaces import (
     CatenoidSpec,
     InvariantSurfaceSpec,
@@ -56,11 +56,6 @@ _SOLVE_TOL = 1e-10  # sup |H| at which the Newton iteration stops
 # _CONTRACTION times the old one.  With 0.5, the invariant n = 33 solve took 20
 # passes, not 9.
 _CONTRACTION = 0.25
-# SuperLU column ordering for the seed Laplacian and the Newton Jacobians.  Both
-# have the 9-point stencil's structurally symmetric pattern, so minimum degree on
-# A + A^T gives less fill than the default COLAMD; partial pivoting stays on,
-# since the Jacobian itself is not symmetric.
-_ORDERING = "MMD_AT_PLUS_A"
 
 
 class Chart(Enum):
@@ -447,69 +442,29 @@ class SolveResult:
     report: dict
 
 
-@dataclass(frozen=True)
-class _Stencil:
-    """Interior numbering and the 9-point CSC pattern of one domain.
-
-    Interior nodes are numbered row-major.  Column k lists the interior nodes
-    of node k's 3x3 neighbourhood, row-major; ``entry`` points each entry at
-    its value in a (3, 3, n1, n2) coefficient field: at the row node, and at
-    the offset of node k from it.
-    """
-
-    ii: np.ndarray  # grid position (ii[k], jj[k]) of interior node k
-    jj: np.ndarray
-    rows: np.ndarray  # per entry: row
-    indptr: np.ndarray  # column k's entries are indptr[k]:indptr[k + 1]
-    entry: np.ndarray  # per entry: flat index into the coefficient field
-
-
-def _stencil(interior: np.ndarray) -> _Stencil:
-    n1, n2 = interior.shape
-    idx = -np.ones(interior.shape, dtype=np.int64)
-    ii, jj = np.nonzero(interior)
-    idx[ii, jj] = np.arange(ii.size)
-    di, dj = np.divmod(np.arange(9), 3)
-    ni, nj = ii[:, None] + di - 1, jj[:, None] + dj - 1
-    rows = idx[ni, nj]
-    keep = rows >= 0
-    # node k sits at offset (1 - di, 1 - dj) from row node (ni, nj): field index 8 - (3 di + dj)
-    entry = ((8 - np.arange(9)) * n1 + ni) * n2 + nj
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
-    return _Stencil(ii, jj, rows[keep], indptr, entry[keep])
-
-
-def _assemble(coef: np.ndarray, st: _Stencil) -> sparse.csc_matrix:
-    """Interior matrix of a coefficient field: entry (k, l) is coef[di + 1, dj + 1]
-    at node k, where node l is node k's (di, dj) neighbour."""
-    m = st.ii.size
-    return sparse.csc_matrix((coef.take(st.entry), st.rows, st.indptr), shape=(m, m))
-
-
-def _harmonic_init(dom: GraphDomain, boundary: np.ndarray, st: _Stencil) -> np.ndarray:
+def _harmonic_init(dom: GraphDomain, boundary: np.ndarray, solver: NestedDissection) -> np.ndarray:
     """Chart-Laplacian harmonic extension of the boundary data (solver seed)."""
     (h1, h2), (n1, n2) = dom.steps(), dom.shape
+    interior = solver.interior
     lap = np.zeros((3, 3, n1, n2))
     lap[(0, 2), 1], lap[1, (0, 2)] = 1.0 / (h1 * h1), 1.0 / (h2 * h2)
     lap[1, 1] = -2.0 / (h1 * h1) - 2.0 / (h2 * h2)
     out = boundary.copy()
-    out[st.ii, st.jj] = 0.0
+    out[interior] = 0.0
     # the Laplacian of the boundary data alone moves to the right-hand side
     known = sum(
         lap[di, dj, 1:-1, 1:-1] * out[di : n1 - 2 + di, dj : n2 - 2 + dj]
         for di in range(3)
         for dj in range(3)
     )
-    rhs = -known[st.ii - 1, st.jj - 1]
-    mat = _assemble(lap, st)
-    mat.eliminate_zeros()  # the zero corners would factor with 9-point fill
-    out[st.ii, st.jj] = splu(mat, permc_spec=_ORDERING).solve(rhs)
+    out[interior] = solver.factor(lap).solve(-known[interior[1:-1, 1:-1]])
     return out
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _jacobian(gf: GraphFunction, st: _Stencil) -> sparse.csc_matrix:
-    """Exact Jacobian of the divergence residual on the stencil's pattern.
+def _jacobian(gf: GraphFunction) -> np.ndarray:
+    """Exact Jacobian of the divergence residual as a (3, 3, n1, n2) coefficient
+    field: entry [di + 1, dj + 1, i, j] is d res[i, j] / d u[i + di, j + dj].
 
     On a half-edge, dF/d(du_n) = -sqrt(g_t / g_n) (1 + a_t^2) / W^3 and
     dF/d(du_t) = a_n a_t / W^3.  The horizontal family fills the transposed
@@ -529,7 +484,7 @@ def _jacobian(gf: GraphFunction, st: _Stencil) -> sparse.csc_matrix:
         tangential = np.stack((t_lo, t_lo - t_hi, -t_hi))
         inner[:, 0] += tangential
         inner[:, 2] -= tangential
-    return _assemble(coef, st)
+    return coef
 
 
 def _trial_step(
@@ -554,11 +509,12 @@ def solve_dirichlet(
     Drives the same compact divergence residual that mean_curvature reports
     to zero with a damped Newton iteration that reuses LU factors in its
     local phase (the chord, or Shamanskii, method).  Each Jacobian is the
-    closed-form derivative of the flux form, assembled like the harmonic
-    seed's chart Laplacian and factored once by the same splu call.  A full
-    step (alpha = 1) from a factor keeps it only while it cuts the residual
-    norm below _CONTRACTION times the old one; the next pass then first tries
-    a full chord step with it.  A rejected chord step drops the factor, and
+    closed-form derivative of the flux form, written as a coefficient field
+    like the harmonic seed's chart Laplacian, and both are factored by one
+    nested-dissection solver whose symbolic phase the solve builds once.  A
+    full step (alpha = 1) from a factor keeps it only while it cuts the
+    residual norm below _CONTRACTION times the old one; the next pass then
+    first tries a full chord step with it.  A rejected chord step drops the factor, and
     the same pass takes a fresh damped Newton step from the same iterate.
     Damped steps never keep their factor.
 
@@ -566,8 +522,9 @@ def solve_dirichlet(
     bounded by max_newton) and LU factorizations as ``factorizations``.  A
     converged run also counts the pass that found the residual below the
     tolerance, so data that is already minimal reports one iteration after
-    no step.  On failure, including an exactly singular Jacobian, the result
-    carries converged = False and the residual history instead of raising.
+    no step.  On failure, including a Jacobian with a singular pivot block,
+    the result carries converged = False and the residual history instead of
+    raising.
     """
     boundary = np.asarray(boundary_values, dtype=float)
     if boundary.shape != domain.shape:
@@ -576,14 +533,14 @@ def solve_dirichlet(
     if not np.any(interior):
         raise ParameterError("no interior nodes; domain is thinner than the stencil")
 
-    st = _stencil(interior)
+    solver = NestedDissection(interior)
     scale = _curvature_scale(domain, tau, interior)
-    gf = GraphFunction(domain, _harmonic_init(domain, boundary, st), tau)
+    gf = GraphFunction(domain, _harmonic_init(domain, boundary, solver), tau)
     # res is always the residual of the current iterate gf
     res = _divergence_residual(gf)
     history = [float(np.max(np.abs(res[interior] / scale)))]
 
-    lu = None  # a Newton factor, held only while chord steps are enabled
+    factor = None  # a Newton factor, held only while chord steps are enabled
     factorizations = 0
     iterations = 0
     for iterations in range(1, max_newton + 1):
@@ -591,19 +548,19 @@ def solve_dirichlet(
             break
         rhs = -res[interior]
         rnorm = float(np.linalg.norm(rhs))
-        if lu is not None:
-            trial_gf, trial_res, tnorm = _trial_step(gf, interior, lu.solve(rhs), 1.0)
+        if factor is not None:
+            trial_gf, trial_res, tnorm = _trial_step(gf, interior, factor.solve(rhs), 1.0)
             if tnorm < _CONTRACTION * rnorm:
                 gf, res = trial_gf, trial_res
                 history.append(float(np.max(np.abs(res[interior] / scale))))
                 continue
-            lu = None  # released before the fresh factor is built
+            factor = None  # released before the fresh factor is built
         try:
-            lu = splu(_jacobian(gf, st), permc_spec=_ORDERING)
-        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            factor = solver.factor(_jacobian(gf))
+        except np.linalg.LinAlgError:  # a singular pivot block
             break
         factorizations += 1
-        delta = lu.solve(rhs)
+        delta = factor.solve(rhs)
         if not np.all(np.isfinite(delta)):
             break
         alpha = 1.0
@@ -618,7 +575,7 @@ def solve_dirichlet(
         if not improved:
             break
         if alpha < 1.0 or tnorm >= _CONTRACTION * rnorm:
-            lu = None
+            factor = None
         history.append(float(np.max(np.abs(res[interior] / scale))))
 
     report = {

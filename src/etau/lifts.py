@@ -7,8 +7,8 @@ omega + dt, which pins the fiber coordinate up to the starting value:
 
 with the connection components (w1, w2) of core.metric_data_arrays in
 either model.  Closed-form curve kinds carry exact derivatives; generic
-sample curves fall back to cubic splines.  Position and velocity are
-numpy-vectorized, so the fiber values at all samples come from one
+sample curves fall back to not-a-knot cubic splines.  Position and velocity
+are numpy-vectorized, so the fiber values at all samples come from one
 cumulative_integral call over the curve parameters.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -30,9 +30,6 @@ from .core import (
     metric_data_arrays,
 )
 from .quadrature import cumulative_integral
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 
 class CurveKind(Enum):
@@ -50,6 +47,58 @@ def _validate_points(model: Model, points: np.ndarray) -> None:
     else:
         if not np.all(x * x + y * y < 1.0 - BOUNDARY_MARGIN):
             raise InvalidPointError("curve leaves the open disc")
+
+
+class _CubicSpline:
+    """Cubic spline through nodes x (increasing) and rows y, with not-a-knot
+    ends, as scipy's CubicSpline makes by default.
+
+    The node slopes s solve one tridiagonal system (de Boor, A Practical Guide
+    to Splines, ch. IV): 2 nodes give the chord and 3 the parabola through them.
+    Each interval holds the cubic in powers of r - x[i].
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        n, dx = x.size, np.diff(x)
+        slope = np.diff(y, axis=0) / dx[:, None]
+        s = np.repeat(slope, 2, axis=0)  # the chord, for 2 nodes
+        if n > 2:
+            # row i: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = rhs[i]
+            lower, diag, upper = np.zeros(n), np.zeros(n), np.zeros(n)
+            lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+            rhs = np.empty_like(y)
+            rhs[1:-1] = 3.0 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+            if n == 3:
+                diag[0] = upper[0] = lower[-1] = diag[-1] = 1.0
+                rhs[0], rhs[-1] = 2.0 * slope[0], 2.0 * slope[-1]
+            else:
+                d = x[2] - x[0]
+                diag[0], upper[0] = dx[1], d
+                rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+                d = x[-1] - x[-3]
+                lower[-1], diag[-1] = d, dx[-2]
+                rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+            for i in range(1, n):  # elimination without pivoting, as de Boor's CUBSPL does
+                w = lower[i] / diag[i - 1]
+                diag[i] -= w * upper[i - 1]
+                rhs[i] -= w * rhs[i - 1]
+            s = np.empty_like(y)
+            s[-1] = rhs[-1] / diag[-1]
+            for i in range(n - 2, -1, -1):
+                s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+        dx = dx[:, None]
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        self.x = x
+        self.coefficients = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, r: np.ndarray, derivative: int = 0) -> np.ndarray:
+        """Values (derivative 0) or first derivatives (1) at r, one row per point."""
+        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.x.size - 2)
+        h = (r - self.x[i])[..., None]
+        c3, c2, c1, c0 = self.coefficients[:, i]
+        if derivative:
+            return (3.0 * c3 * h + 2.0 * c2) * h + c1
+        return ((c3 * h + c2) * h + c1) * h + c0
 
 
 @dataclass(frozen=True)
@@ -87,9 +136,8 @@ class PlanarCurve:
         if self.kind is CurveKind.RADIAL_LINE:
             (angle,) = self.kind_data
             return lambda r: (np.full_like(r, math.cos(angle)), np.full_like(r, math.sin(angle)))
-        sx, sy = self._splines()
-        dsx, dsy = sx.derivative(), sy.derivative()
-        return lambda r: (dsx(r), dsy(r))
+        spline = self._spline()
+        return lambda r: tuple(np.moveaxis(spline(r, 1), -1, 0))
 
     def position(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
         if self.kind is CurveKind.VERTICAL_LINE:
@@ -101,21 +149,14 @@ class PlanarCurve:
         if self.kind is CurveKind.RADIAL_LINE:
             (angle,) = self.kind_data
             return lambda r: (r * math.cos(angle), r * math.sin(angle))
-        sx, sy = self._splines()
-        return lambda r: (sx(r), sy(r))
+        spline = self._spline()
+        return lambda r: tuple(np.moveaxis(spline(r), -1, 0))
 
-    def _splines(self) -> tuple[CubicSpline, CubicSpline]:
-        # only sample curves built by from_samples get here, so scipy's
-        # interpolation module loads only for them
-        from scipy.interpolate import CubicSpline
-
+    def _spline(self) -> "_CubicSpline":
         params, points = self.params, self.points
         if params[0] > params[-1]:
             params, points = params[::-1], points[::-1]
-        return (
-            CubicSpline(params, points[:, 0]),
-            CubicSpline(params, points[:, 1]),
-        )
+        return _CubicSpline(params, points)
 
     # constructors ------------------------------------------------------------
 

@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.random import default_rng
 
 from .core import (
     AmbientPoint,
@@ -149,7 +150,9 @@ def _model_annulus_edges(
     n = len(mesh.vertices)
     tri = mesh.triangles.astype(np.int64)
     ends = np.roll(tri, -1, axis=1)
-    keys = np.unique(np.minimum(tri, ends) * n + np.maximum(tri, ends))
+    # np.unique without indices would import numpy.ma for its masked-array check
+    keys = np.sort(np.minimum(tri, ends) * n + np.maximum(tri, ends), axis=None)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     return np.stack(np.divmod(keys, n), axis=1)
 
 
@@ -542,7 +545,7 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
 
     deviation = 0.0
     if len(instances) >= 2:
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         cache: dict[int, np.ndarray] = {}
 
         def spectrum(k: int) -> np.ndarray:
@@ -844,7 +847,7 @@ def sample_interior_points(slab: SlabSpec, count: int, seed: int = 0) -> list[Am
     """
     if count < 1:
         raise ParameterError("need at least one sample point")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     domain = slab.lower.domain
     model = domain.model
     lower_interp = _graph_interpolator(slab.lower)
@@ -922,6 +925,39 @@ class SeparationReport:
     interface_components: int
 
 
+def _component_count(mask: np.ndarray, diagonal: bool) -> int:
+    """Connected components of a 2-D mask's True cells: 4-connected, or
+    8-connected when diagonal.
+
+    Union-find by rounds: each cell points at a smaller cell of its component;
+    every edge between two trees hooks the larger root under the smaller, and
+    pointer jumping then flattens the trees.  A round with an edge between two
+    trees removes a root, so the loop ends.
+    """
+    cell = np.arange(mask.size).reshape(mask.shape)
+    pairs = [(cell[1:, :], cell[:-1, :], mask[1:, :] & mask[:-1, :])]
+    pairs.append((cell[:, 1:], cell[:, :-1], mask[:, 1:] & mask[:, :-1]))
+    if diagonal:
+        pairs.append((cell[1:, 1:], cell[:-1, :-1], mask[1:, 1:] & mask[:-1, :-1]))
+        pairs.append((cell[1:, :-1], cell[:-1, 1:], mask[1:, :-1] & mask[:-1, 1:]))
+    u = np.concatenate([a[m] for a, _, m in pairs])
+    v = np.concatenate([b[m] for _, b, m in pairs])
+    parent = np.arange(mask.size)
+    while True:
+        ru, rv = parent[u], parent[v]
+        cross = ru != rv
+        if not np.any(cross):
+            break
+        np.minimum.at(parent, np.maximum(ru, rv)[cross], np.minimum(ru, rv)[cross])
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    cells = cell[mask]
+    return int(np.count_nonzero(parent[cells] == cells))
+
+
 def graph_separation_probe(graph: GraphFunction, leaf: LeafSpec) -> SeparationReport:
     """Classify graph nodes by the leaf's side function and count components.
 
@@ -943,11 +979,8 @@ def graph_separation_probe(graph: GraphFunction, leaf: LeafSpec) -> SeparationRe
     active = domain.active_mask()
     labels = np.where(active, labels, 0)
 
-    from scipy import ndimage  # only this probe needs it; no command calls it
-
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    _, pos_n = ndimage.label(labels > 0, structure=structure)
-    _, neg_n = ndimage.label(labels < 0, structure=structure)
+    pos_n = _component_count(labels > 0, diagonal=False)
+    neg_n = _component_count(labels < 0, diagonal=False)
     pos_count = int(np.sum(labels > 0))
     neg_count = int(np.sum(labels < 0))
 
@@ -956,7 +989,7 @@ def graph_separation_probe(graph: GraphFunction, leaf: LeafSpec) -> SeparationRe
     ) & (
         (labels[:-1, :-1] < 0) | (labels[1:, :-1] < 0) | (labels[:-1, 1:] < 0) | (labels[1:, 1:] < 0)
     )
-    _, interface_n = ndimage.label(cells, structure=np.ones((3, 3), dtype=int))
+    interface_n = _component_count(cells, diagonal=True)
 
     if pos_count == 0 or neg_count == 0:
         verdict = "no_intersection"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.random import Generator, default_rng
 
 from .core import AmbientPoint, BasePoint, Model, ParameterError
 from .graphs import mean_curvature, reference_problem
@@ -60,7 +61,7 @@ def _limits(tau: float) -> list[dict]:
     return checks
 
 
-def _halfspace_points(rng: np.random.Generator, n: int) -> list[AmbientPoint]:
+def _halfspace_points(rng: Generator, n: int) -> list[AmbientPoint]:
     return [
         AmbientPoint(
             BasePoint(Model.HALF_SPACE, rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0)),
@@ -70,7 +71,7 @@ def _halfspace_points(rng: np.random.Generator, n: int) -> list[AmbientPoint]:
     ]
 
 
-def _cylinder_points(rng: np.random.Generator, n: int) -> list[AmbientPoint]:
+def _cylinder_points(rng: Generator, n: int) -> list[AmbientPoint]:
     out = []
     for _ in range(n):
         angle = rng.uniform(0.0, 2.0 * math.pi)
@@ -87,7 +88,7 @@ def _cylinder_points(rng: np.random.Generator, n: int) -> list[AmbientPoint]:
 def _isometries(tau: float, seed: int, points: int) -> list[dict]:
     if points < 1:
         raise ParameterError(f"points must be at least 1, got {points}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     per_family = max(points // 5, 1)
     checks = []
     delta = 0.37
@@ -182,7 +183,7 @@ def _foliation(tau: float, d: float, s: float, seed: int, points: int) -> list[d
     found in one array pass over the 2 * points rows."""
     if points < 1:
         raise ParameterError(f"points must be at least 1, got {points}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     samples, moved, mus = [], [], []
     for _ in range(points):
         p = AmbientPoint(

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import splu, spsolve
 
 from etau.core import (
     InvalidPointError,
@@ -19,6 +18,7 @@ from etau.core import (
     metric_data_arrays,
 )
 from etau import graphs
+from etau.dissection import NestedDissection
 from etau.graphs import (
     Chart,
     GraphDomain,
@@ -26,7 +26,6 @@ from etau.graphs import (
     _divergence_residual,
     _harmonic_init,
     _jacobian,
-    _stencil,
     chart_coefficients,
     chart_to_base,
     cylinder_area,
@@ -229,6 +228,27 @@ def _masked_disc_window() -> GraphDomain:
     return GraphDomain(Chart.DISC_XY, ((-0.8, 0.8), (-0.8, 0.8)), (11, 11), mask=mask)
 
 
+def _interior_matrix(coef: np.ndarray, interior: np.ndarray):
+    """CSC matrix of a (3, 3, n1, n2) coefficient field on the interior nodes,
+    row-major: entry (k, l) is coef[di + 1, dj + 1] at node k, where node l is
+    node k's (di, dj) neighbour."""
+    import scipy.sparse as sparse
+
+    number = -np.ones(interior.shape, dtype=int)
+    ii, jj = np.nonzero(interior)
+    number[ii, jj] = np.arange(ii.size)
+    rows, cols, vals = [], [], []
+    for di in range(3):
+        for dj in range(3):
+            col = number[ii + di - 1, jj + dj - 1]
+            keep = col >= 0
+            rows.append(np.flatnonzero(keep))
+            cols.append(col[keep])
+            vals.append(coef[di, dj, ii, jj][keep])
+    data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return sparse.csc_matrix(data, shape=(ii.size, ii.size))
+
+
 def _catenoid_polar_window() -> GraphDomain:
     return GraphDomain(Chart.DISC_POLAR, ((1.7, 2.7), (0.2, 1.2)), (10, 8))
 
@@ -264,11 +284,9 @@ def test_jacobian_matches_central_differences_one_column_at_a_time(make_domain) 
             values[i, j] += step
             sides.append(_divergence_residual(GraphFunction(gf.domain, values, gf.tau)))
         dense[:, col] = ((sides[0] - sides[1]) / (2.0 * h))[interior]
-    jac = _jacobian(gf, _stencil(interior))
-    assert jac.format == "csc"
-    assert jac.has_sorted_indices
-    top = float(np.max(np.abs(jac.data)))
-    assert float(np.max(np.abs(jac.toarray() - dense))) <= 1e-6 * top
+    jac = _interior_matrix(_jacobian(gf), interior).toarray()
+    top = float(np.max(np.abs(jac)))
+    assert float(np.max(np.abs(jac - dense))) <= 1e-6 * top
 
 
 @WINDOWS
@@ -276,7 +294,7 @@ def test_harmonic_seed_solves_chart_laplacian(make_domain) -> None:
     dom = make_domain()
     boundary = _sample_graph(dom).values
     interior = dom.interior_mask()
-    u = _harmonic_init(dom, boundary, _stencil(interior))
+    u = _harmonic_init(dom, boundary, NestedDissection(interior))
     h1, h2 = dom.steps()
     lap = np.zeros(dom.shape)
     lap[1:-1, 1:-1] = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / (h1 * h1) + (
@@ -439,13 +457,12 @@ def test_solver_reports_a_singular_jacobian_as_nonconvergence(monkeypatch, singu
     calls = []
     jacobian = graphs._jacobian
 
-    def singular_on_call(gf, st):
+    def singular_on_call(gf):
         calls.append(None)
-        jac = jacobian(gf, st)
+        jac = jacobian(gf)
         if len(calls) == singular_call:
-            jac = jac.tolil()
-            jac[0, :] = 0.0  # an exactly zero row: SuperLU finds an exact zero pivot
-            jac = jac.tocsc()
+            i, j = np.argwhere(gf.domain.interior_mask())[0]
+            jac[:, :, i, j] = 0.0  # an exactly zero row makes its pivot block singular
         return jac
 
     monkeypatch.setattr(graphs, "_jacobian", singular_on_call)
@@ -458,23 +475,48 @@ def test_solver_reports_a_singular_jacobian_as_nonconvergence(monkeypatch, singu
     assert report["max_mean_curvature"] == mean_curvature(result.graph).sup()
 
 
-def test_solver_factors_with_minimum_degree_ordering(monkeypatch) -> None:
+def _long_window() -> GraphDomain:
+    return GraphDomain(Chart.HALFPLANE_XY, ((-1.0, 1.0), (0.5, 1.5)), (40, 23))
+
+
+# every window's sides are off the c 2^k + 1 sizes that halve evenly into 3 x 3 leaves
+@pytest.mark.parametrize(
+    "make_domain",
+    [_rectangle_window, _masked_disc_window, _catenoid_polar_window, _invariant_polar_window, _long_window],
+    ids=["rectangle", "masked-disc", "catenoid-polar", "invariant-polar", "long-40x23"],
+)
+def test_dissection_solves_match_spsolve(make_domain) -> None:
+    from scipy.sparse.linalg import spsolve
+
+    gf = _sample_graph(make_domain())
+    interior = gf.domain.interior_mask()
+    coef = _jacobian(gf)
+    factor = NestedDissection(interior).factor(coef)
+    b = np.random.default_rng(7).standard_normal(np.count_nonzero(interior))
+    ref = spsolve(_interior_matrix(coef, interior), b)
+    np.testing.assert_allclose(factor.solve(b), ref, rtol=1e-9, atol=1e-9 * float(np.max(np.abs(ref))))
+
+
+def test_solver_factors_match_spsolve(monkeypatch) -> None:
+    from scipy.sparse.linalg import spsolve
+
     factor_calls, solves = [], []
+    factor = NestedDissection.factor
 
     class RecordingFactor:
-        def __init__(self, a, lu) -> None:
-            self.a, self.lu = a, lu
+        def __init__(self, interior, coef, inner) -> None:
+            self.interior, self.coef, self.inner = interior, coef, inner
 
         def solve(self, b):
-            x = self.lu.solve(b)
-            solves.append((self.a, b, x))
+            x = self.inner.solve(b)
+            solves.append((self.interior, self.coef, b, x))
             return x
 
-    def recording_splu(a, **kwargs):
-        factor_calls.append(kwargs)
-        return RecordingFactor(a, splu(a, **kwargs))
+    def recording_factor(self, coef):
+        factor_calls.append(coef)
+        return RecordingFactor(self.interior, coef.copy(), factor(self, coef))
 
-    monkeypatch.setattr(graphs, "splu", recording_splu)
+    monkeypatch.setattr(NestedDissection, "factor", recording_factor)
     dom, boundary = _wild_problem()
     result = solve_dirichlet(dom, 0.5, boundary, max_newton=6)
     assert result.report["iterations"] == 6
@@ -483,10 +525,8 @@ def test_solver_factors_with_minimum_degree_ordering(monkeypatch) -> None:
     assert len(factor_calls) == 7
     assert result.report["factorizations"] == 6
     assert len(solves) == 7
-    for kwargs in factor_calls:
-        assert kwargs == {"permc_spec": "MMD_AT_PLUS_A"}
-    for a, b, x in solves:
-        ref = spsolve(a, b, permc_spec="COLAMD")
+    for interior, coef, b, x in solves:
+        ref = spsolve(_interior_matrix(coef, interior), b, permc_spec="COLAMD")
         # relative to the step's size: single entries of a step can sit at rounding level
         np.testing.assert_allclose(x, ref, rtol=1e-9, atol=1e-9 * float(np.max(np.abs(ref))))
 

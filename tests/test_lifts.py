@@ -157,3 +157,32 @@ def test_lift_start_value_is_respected(tau: float, t0: float, radius: float) -> 
     )
     assert lift.t[0] == t0
     assert isinstance(lift, LiftedCurve)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        np.linspace(0.3, 2.8, 33),
+        np.linspace(2.8, 0.3, 33),
+        np.cumsum(np.random.default_rng(3).uniform(0.05, 0.4, 40)),
+        np.cumsum(np.random.default_rng(4).uniform(0.05, 0.4, 40))[::-1],
+        np.array([0.2, 0.9]),
+        np.array([0.9, 0.2]),
+        np.array([0.2, 0.5, 1.4]),
+        np.array([1.4, 0.5, 0.2]),
+        np.array([0.2, 0.5, 1.4, 1.5]),
+    ],
+    ids=["increasing", "decreasing", "nonuniform", "nonuniform-decreasing", "2-point",
+         "2-point-decreasing", "3-point", "3-point-decreasing", "4-point"],
+)
+def test_sample_curve_spline_matches_scipy(params) -> None:
+    from scipy.interpolate import CubicSpline
+
+    pts = np.column_stack([np.cos(params), 1.5 + np.sin(2.0 * params)])
+    curve = PlanarCurve.from_samples(Model.HALF_SPACE, params, pts)
+    order = np.argsort(params)
+    reference = CubicSpline(params[order], pts[order])
+    lo, hi = params.min(), params.max()
+    r = np.concatenate((params, np.linspace(lo, hi, 301)))
+    for ours, theirs in ((curve.position(), reference(r)), (curve.velocity(), reference(r, 1))):
+        np.testing.assert_allclose(np.column_stack(ours(r)), theirs, rtol=1e-12, atol=1e-12)

@@ -500,6 +500,30 @@ def test_probe_reports_missed_leaf() -> None:
     assert probe.positive_count == 0
 
 
+@pytest.mark.parametrize("diagonal", [False, True], ids=["4-connected", "8-connected"])
+@pytest.mark.parametrize("fill", [0.3, 0.5, 0.6, 0.8])
+def test_component_count_matches_scipy_label(fill: float, diagonal: bool) -> None:
+    from scipy import ndimage
+
+    structure = np.ones((3, 3)) if diagonal else np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    rng = np.random.default_rng(int(fill * 10))
+    for shape in [(1, 1), (1, 9), (7, 1), (9, 12), (33, 33), (40, 23)]:
+        for _ in range(5):
+            mask = rng.random(shape) < fill
+            _, want = ndimage.label(mask, structure=structure)
+            assert slabs._component_count(mask, diagonal) == want
+    # one long serpentine path, the same path cut twice, and its rows left unjoined
+    snake = np.zeros((31, 17), dtype=bool)
+    snake[::2] = True
+    bars = snake.copy()
+    snake[1::4, -1] = snake[3::4, 0] = True
+    cut = snake.copy()
+    cut[[1, 9], -1] = False
+    for mask, want in ((snake, 1), (cut, 3), (bars, 16)):
+        assert slabs._component_count(mask, diagonal) == want
+        assert ndimage.label(mask, structure=structure)[1] == want
+
+
 def test_probe_rejects_mismatched_tau() -> None:
     dom = halfplane_window_domain((2.0, 0.5), 1.0, 9)
     with pytest.raises(ParameterError):
