@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.random import default_rng
@@ -95,8 +94,9 @@ __all__ = [
 
 
 def disc_window_domain(hyperbolic_radius: float, n: int) -> GraphDomain:
-    """Square grid over the disc of the given hyperbolic radius, nodes masked
-    to the inscribed coordinate circle."""
+    """Square grid over the disc of hyperbolic radius R about the origin,
+    nodes masked to the inscribed coordinate circle; the bounds are
+    ((-rc, rc), (-rc, rc)) with rc = tanh(R/2)."""
     if not hyperbolic_radius > 0.0:
         raise ParameterError("window radius must be positive")
     rc = math.tanh(0.5 * hyperbolic_radius)
@@ -114,7 +114,8 @@ def halfplane_window_domain(
     """Bounding box of a hyperbolic disc in the half-plane, masked to the disc.
 
     A hyperbolic disc of radius r around (x0, y0) is the Euclidean disc with
-    center (x0, y0 cosh r) and radius y0 sinh r.
+    center (x0, y0 cosh r) and radius y0 sinh r, so the bounds are
+    ((x0 - y0 sinh r, x0 + y0 sinh r), (y0 e^-r, y0 e^r)).
     """
     x0, y0 = center
     if not y0 > 0.0:
@@ -339,11 +340,12 @@ class SlabSpec:
 
     The graphs share one chart window; "entire" is window-relative.  The
     generator must produce pairwise-isometric annuli through interior points.
+    Metadata only describes the construction in reports; nothing reads it.
     """
 
     lower: GraphFunction
     upper: GraphFunction
-    annulus_generator: Callable[[AmbientPoint], AnnulusInstance]
+    annulus_generator: CatenoidAnnulusGenerator
     metadata: dict
 
 
@@ -484,7 +486,7 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
         disjoint=bounding.disjoint,
         metadata=dict(slab.metadata),
     )
-    if not bounding.disjoint or bounding.normal_bound <= 0.0:
+    if not (bounding.disjoint and bounding.normal_bound > 0.0):
         return SlabReport(
             annulus_checks=(),
             spectra_deviation=float("nan"),
@@ -559,12 +561,7 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
             deviation = float(np.maximum(deviation, np.max(np.abs(spectrum(i) - spectrum(j)))))
     spectra_ok = deviation < _SPECTRA_TOL
 
-    passed = (
-        bounding.disjoint
-        and bounding.normal_bound > 0.0
-        and spectra_ok
-        and all(c.contains_point and c.boundary_above and c.boundary_below for c in checks)
-    )
+    passed = spectra_ok and all(c.contains_point and c.boundary_above and c.boundary_below for c in checks)
     return SlabReport(
         annulus_checks=checks,
         spectra_deviation=deviation,
@@ -842,8 +839,10 @@ _SAMPLE_DRAWS_PER_POINT = 1000
 def sample_interior_points(slab: SlabSpec, count: int, seed: int = 0) -> list[AmbientPoint]:
     """Seeded points strictly between the graphs, inside the sampled window.
 
-    Raises ConvergenceError when the draw budget runs out first, as it does
-    when the window lies outside the sampled radius.
+    Base points are drawn about the center of the window's hyperbolic disc,
+    read back with its radius from the bounds that disc_window_domain or
+    halfplane_window_domain lay out.  Raises ConvergenceError when the draw
+    budget runs out first, as when the upper graph is nowhere above the lower.
     """
     if count < 1:
         raise ParameterError("need at least one sample point")
@@ -852,7 +851,12 @@ def sample_interior_points(slab: SlabSpec, count: int, seed: int = 0) -> list[Am
     model = domain.model
     lower_interp = _graph_interpolator(slab.lower)
     upper_interp = _graph_interpolator(slab.upper)
-    radius = float(slab.metadata.get("window_radius", 10.0))
+    (a1, b1), (a2, b2) = domain.bounds
+    if model is Model.CYLINDER:
+        radius = 2.0 * math.atanh(b1)
+    else:
+        x0, y0 = 0.5 * (a1 + b1), math.sqrt(a2 * b2)
+        radius = 0.5 * math.log(b2 / a2)
     points: list[AmbientPoint] = []
     for _ in range(_SAMPLE_DRAWS_PER_POINT * count):
         rho = _SAMPLE_RADIAL_FRACTION * radius * math.sqrt(rng.uniform())
@@ -861,12 +865,14 @@ def sample_interior_points(slab: SlabSpec, count: int, seed: int = 0) -> list[Am
             rc = math.tanh(0.5 * rho)
             x, y = rc * math.cos(angle), rc * math.sin(angle)
         else:
-            # Hyperbolic circle around (0, 1): Euclidean center (0, cosh rho).
-            x = math.sinh(rho) * math.cos(angle)
-            y = math.cosh(rho) + math.sinh(rho) * math.sin(angle)
+            # Hyperbolic circle around (x0, y0): Euclidean center (x0, y0 cosh rho).
+            x = x0 + y0 * math.sinh(rho) * math.cos(angle)
+            y = y0 * (math.cosh(rho) + math.sinh(rho) * math.sin(angle))
         if not _point_in_window(domain, x, y):
             continue
         lo, hi = float(lower_interp(x, y)), float(upper_interp(x, y))
+        if not lo < hi:
+            continue
         t = lo + (0.1 + 0.8 * rng.uniform()) * (hi - lo)
         points.append(AmbientPoint(BasePoint(model, x, y), t))
         if len(points) == count:
@@ -877,39 +883,28 @@ def sample_interior_points(slab: SlabSpec, count: int, seed: int = 0) -> list[Am
 
 
 def with_shrunken_annuli(slab: SlabSpec, factor: float = 0.6) -> SlabSpec:
-    """Negative control: truncate the annuli inside the slab so the boundary
+    """Negative control: truncate the annuli at factor times the slab's
+    half-height, half the least gap between the graphs, so the boundary
     escape fails."""
-    gen = slab.annulus_generator
-    if not isinstance(gen, CatenoidAnnulusGenerator):
-        raise ParameterError("shrinking is defined for catenoid annulus generators")
     if not 0.0 < factor < 1.0:
         raise ParameterError("shrink factor must lie in (0, 1)")
-    half = float(slab.metadata.get("half_height", slab.metadata.get("h_prime", 0.0)))
-    if half <= 0.0:
-        raise ParameterError("slab metadata does not record a usable half-height")
-    spec = CatenoidSpec(tau=gen.tau, d=gen.d)
-    rho_small = catenoid_profile_inverse(spec, factor * half)
-    shrunken = replace(gen, rho_boundary=rho_small)
-    metadata = dict(slab.metadata)
-    metadata["negative_control"] = f"annuli shrunken to {factor} of the half-height"
-    return SlabSpec(
-        lower=slab.lower,
-        upper=slab.upper,
-        annulus_generator=shrunken,
-        metadata=metadata,
+    half = 0.5 * check_bounding_graphs(slab).min_gap
+    if not half > 0.0:
+        raise ParameterError(f"the graphs leave no gap to shrink into: least gap {2.0 * half}")
+    gen = slab.annulus_generator
+    rho_small = catenoid_profile_inverse(CatenoidSpec(tau=gen.tau, d=gen.d), factor * half)
+    control = f"annuli shrunken to {factor} of the half-height"
+    return replace(
+        slab,
+        annulus_generator=replace(gen, rho_boundary=rho_small),
+        metadata={**slab.metadata, "negative_control": control},
     )
 
 
 def with_overlapping_graphs(slab: SlabSpec) -> SlabSpec:
     """Negative control: collapse the slab by using the lower graph twice."""
-    metadata = dict(slab.metadata)
-    metadata["negative_control"] = "upper graph replaced by the lower graph"
-    return SlabSpec(
-        lower=slab.lower,
-        upper=slab.lower,
-        annulus_generator=slab.annulus_generator,
-        metadata=metadata,
-    )
+    control = "upper graph replaced by the lower graph"
+    return replace(slab, upper=slab.lower, metadata={**slab.metadata, "negative_control": control})
 
 
 # -- separation probe -------------------------------------------------------------
@@ -1014,21 +1009,19 @@ def slab_spec_descriptor(spec: SlabSpec) -> dict:
     """JSON-ready description of a slab: window and generator."""
     domain = spec.lower.domain
     gen = spec.annulus_generator
-    descriptor: dict = {
+    return {
         "chart": domain.chart.name,
         "bounds": [list(domain.bounds[0]), list(domain.bounds[1])],
         "shape": list(domain.shape),
         "tau": spec.lower.tau,
         "metadata": dict(spec.metadata),
-    }
-    if isinstance(gen, CatenoidAnnulusGenerator):
-        descriptor["generator"] = {
+        "generator": {
             "kind": "translated_catenoid",
             "d": gen.d,
             "rho_boundary": gen.rho_boundary,
             "resolution": list(gen.resolution),
-        }
-    return descriptor
+        },
+    }
 
 
 def slab_report_to_json(report: SlabReport) -> dict:

@@ -421,6 +421,9 @@ def tangent_vertical_components(spec: InvariantSurfaceSpec, theta: float) -> tup
 
 # -- transversality -----------------------------------------------------------
 
+# Most ulps transversality_delta steps its rounded root down by.
+_DELTA_STEP_DOWNS = 16
+
 
 def transversality_margin(delta: float, h0: float, tau: float) -> float:
     """Left side g(delta) of the transversality inequality g(delta) < eps^2."""
@@ -432,10 +435,14 @@ def transversality_margin(delta: float, h0: float, tau: float) -> float:
 
 
 def transversality_delta(eps: float, h0: float, tau: float) -> float:
-    """Largest-practical delta with g(delta) < eps^2, found by bisection.
+    """Largest-practical delta with g(delta) < eps^2, in closed form.
 
     g increases from 0 to exactly 1 on [0, 2/(E-1)], so any eps < 1 admits a
     positive delta; eps >= 1 makes the bound vacuous and is rejected.
+    g(delta) = eps^2 is A delta^2 + B delta + C = 0 with A = 4E - eps^2 (1+E)^2,
+    B = 8E - 4 eps^2 (1+E) and C = -4 eps^2; B^2 - 4AC = 64 E^2 (1 - eps^2), so
+    the cancellation-free root C/q, q = -(B + sqrt(B^2 - 4AC))/2, is the
+    expression below.  It is stepped down an ulp at a time until g < eps^2.
     """
     if not h0 > 0.0:
         raise ParameterError(f"slab half-height must be positive, got {h0}")
@@ -443,20 +450,15 @@ def transversality_delta(eps: float, h0: float, tau: float) -> float:
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
     c_tau = -2.0 * abs(tau) * math.pi
     e = math.exp(2.0 * (h0 - c_tau))
-    peak = 2.0 / (e - 1.0)
     target = eps * eps
-    # lo only ever takes values with g < eps^2, so the result is admissible
-    # as it stands; the 200 halvings are the whole budget.
-    lo, hi = 0.0, peak
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if transversality_margin(mid, h0, tau) < target:
-            lo = mid
-        else:
-            hi = mid
-    if not lo > 0.0:
-        raise ParameterError("bisection failed to find a positive delta")
-    return lo
+    delta = 2.0 * target / (e * (2.0 + 2.0 * math.sqrt(1.0 - target) - target) - target)
+    for _ in range(_DELTA_STEP_DOWNS):
+        if transversality_margin(delta, h0, tau) < target:
+            break
+        delta = math.nextafter(delta, 0.0)
+    if not (delta > 0.0 and transversality_margin(delta, h0, tau) < target):
+        raise ParameterError(f"no admissible positive delta near {delta}")
+    return delta
 
 
 def transversality_window_check(d: float, h0: float, eps: float, tau: float) -> tuple[float, bool]:

@@ -460,17 +460,82 @@ def test_sampled_points_lie_between_graphs(slab1) -> None:
 
 
 def test_sampler_gives_up_on_an_unreachable_window() -> None:
-    # The sampler draws within 0.8 window radii of (0, 1); this window sits
-    # around x = 50, hyperbolic distance about 7.8 away.
+    # The upper graph lies below the lower one on every node, so no draw
+    # lands strictly between them.
+    dom = halfplane_window_domain((50.0, 1.0), 0.5, 9)
+    slab = SlabSpec(
+        lower=GraphFunction.constant(dom, 0.0, 1.0),
+        upper=GraphFunction.constant(dom, 0.0, -1.0),
+        annulus_generator=None,
+        metadata={},
+    )
+    with pytest.raises(ConvergenceError):
+        sample_interior_points(slab, 3)
+
+
+def test_sampler_draws_from_an_off_centre_window() -> None:
     dom = halfplane_window_domain((50.0, 1.0), 0.5, 9)
     slab = SlabSpec(
         lower=GraphFunction.constant(dom, 0.0, -1.0),
         upper=GraphFunction.constant(dom, 0.0, 1.0),
         annulus_generator=None,
-        metadata={"window_radius": 0.5},
+        metadata={},
     )
-    with pytest.raises(ConvergenceError):
-        sample_interior_points(slab, 3)
+    points = sample_interior_points(slab, 6, seed=1)
+    assert len(points) == 6
+    for p in points:
+        assert p.model is Model.HALF_SPACE
+        assert slabs._point_in_window(dom, p.x, p.y)
+        assert -1.0 < p.t < 1.0
+
+
+def _hand_built_slab(slab1, upper_values=None) -> SlabSpec:
+    dom = disc_window_domain(4.0, 33)
+    upper = GraphFunction.constant(dom, 0.0, 1.2)
+    if upper_values is not None:
+        upper = GraphFunction(dom, upper_values, 0.0)
+    return SlabSpec(
+        lower=GraphFunction.constant(dom, 0.0, -1.2),
+        upper=upper,
+        annulus_generator=slab1.annulus_generator,
+        metadata={},
+    )
+
+
+def test_slab_without_metadata_is_sampled_and_shrunk(slab1) -> None:
+    slab = _hand_built_slab(slab1)
+    points = sample_interior_points(slab, 3, seed=7)
+    assert all(-1.2 < p.t < 1.2 for p in points)
+    shrunken = with_shrunken_annuli(slab, 0.5)
+    assert shrunken.annulus_generator.rho_boundary < slab1.annulus_generator.rho_boundary
+    report = check_annulus_family(shrunken, points)
+    assert not report.passed
+    assert len(report.annulus_checks) == 3
+    assert not any(c.boundary_above or c.boundary_below for c in report.annulus_checks)
+    assert slab_spec_descriptor(shrunken)["metadata"] == {
+        "negative_control": "annuli shrunken to 0.5 of the half-height"
+    }
+
+
+def test_shrinking_needs_a_gap_between_the_graphs(slab1) -> None:
+    values = np.full((33, 33), 1.2)
+    values[16, 16] = -1.2  # the graphs touch at the window's centre node
+    with pytest.raises(ParameterError):
+        with_shrunken_annuli(_hand_built_slab(slab1, values))
+
+
+@pytest.mark.parametrize(
+    "fixture, first",
+    [
+        ("slab1", (0.6658056440559817, 0.06939100167528335, 0.7622723665118927)),
+        ("slab2", (0.6658056440559817, 0.06939100167528335, 0.579574292917145)),
+    ],
+)
+def test_first_sampled_point_frozen(fixture: str, first, request) -> None:
+    # The window's centre and radius are read back from the domain bounds,
+    # which moves the points by rounding only.
+    p = sample_interior_points(request.getfixturevalue(fixture), 1, seed=0)[0]
+    np.testing.assert_allclose((p.x, p.y, p.t), first, rtol=0.0, atol=1e-13)
 
 
 # -- separation probe ---------------------------------------------------------------

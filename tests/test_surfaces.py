@@ -426,16 +426,32 @@ def test_window_check_memory_stays_bounded() -> None:
     assert peak < 4e6
 
 
+def bisection_delta(eps: float, h0: float, tau: float) -> float:
+    """Reference: 200 halvings of [0, 2/(E-1)], keeping the end with g < eps^2."""
+    e = math.exp(2.0 * (h0 + 2.0 * abs(tau) * math.pi))
+    lo, hi = 0.0, 2.0 / (e - 1.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if transversality_margin(mid, h0, tau) < eps * eps:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     eps=st.floats(0.05, 0.9),
     h0=st.floats(0.1, 2.0),
-    tau=st.sampled_from([0.0, 0.5, -0.5]),
+    tau=st.sampled_from([0.0, 0.5, -0.5, 2.0]),
 )
 def test_transversality_delta_property(eps: float, h0: float, tau: float) -> None:
     delta = transversality_delta(eps, h0, tau)
     assert delta > 0.0
     assert transversality_margin(delta, h0, tau) < eps * eps
+    # Positive doubles order like their bit patterns, so this counts ulps.
+    ulps = np.diff(np.array([delta, bisection_delta(eps, h0, tau)]).view(np.int64))
+    assert abs(int(ulps[0])) <= 8
 
 
 # -- meshes -----------------------------------------------------------------------
