@@ -30,6 +30,23 @@ and one backward sweep over the stored blocks.  Non-finite entries pass
 through both phases without floating-point warnings, as they do through a
 sparse LU; callers check the solution.
 
+Workspace.  The numeric phase keeps its arrays in one float64 arena per
+solver, the multifrontal method's frontal workspace and stack of contribution
+blocks (Duff and Reid, ACM TOMS 9, 1983).  The symbolic phase plans it, the
+first ``factor`` allocates it, and later factorizations on the grid reuse it;
+each writes through ``out=`` or ``np.copyto``, and the extend-add is one
+``np.add.at`` per run of children.  Each pivot block's stored inverse,
+x = F_PP^-1 F_PU and c = F_UP fill the arena from its start, in elimination
+order.  A batch's fronts, and after them one scratch region for the gathered
+field values, the extend-add indices and the Schur-update product, sit just
+past that batch's stored blocks, where later batches' blocks overwrite them
+once the batch is done.  The Schur complements sit at the end, in two regions
+by depth parity, each as large as its largest depth.  Batch ids run depth by
+depth, so each Schur complement is read by its parent, one depth up, before
+any batch two depths up writes into its region.  A solver so holds one live
+factor: each ``factor`` call invalidates the previous one, and
+``Factor.solve`` on a stale factor raises ``RuntimeError``.
+
 Results do not depend on the number of BLAS threads: pivot blocks have at most
 ``_PIVOT_CAP`` rows, and every product runs in row blocks small enough that
 OpenBLAS computes each on one thread.
@@ -37,7 +54,10 @@ OpenBLAS computes each on one thread.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,9 +77,10 @@ def _row_step(k: int, n: int) -> int:
     return max(1, _SERIAL_PRODUCT // (k * max(n, 32)))
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b over stacks of matrices, in single-threaded row blocks."""
-    out = np.empty(a.shape[:-1] + b.shape[-1:])
+    if out is None:
+        out = np.empty(a.shape[:-1] + b.shape[-1:])
     step = _row_step(a.shape[-1], b.shape[-1])
     for r0 in range(0, a.shape[-2], step):
         np.matmul(a[:, r0 : r0 + step], b, out=out[:, r0 : r0 + step])
@@ -83,6 +104,19 @@ class _Batch:
     blocks: list[tuple[int, int, np.ndarray, np.ndarray]]
     # children's extend-add: child batch, its rows start:stop, flat row offsets, columns
     adds: list[tuple[int, int, int, np.ndarray, np.ndarray]] = field(default_factory=list)
+    # arena offsets: per pivot block its inverse, x and c; the fronts; the Schur complements
+    stored: list[tuple[int, int, int]] = field(default_factory=list)
+    fronts: int = 0
+    schur: int = 0
+
+
+class _Views(NamedTuple):
+    """One batch's arrays in the arena."""
+
+    fronts: np.ndarray
+    scratch: np.ndarray  # flat, from the end of the fronts
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]  # piv, upd, inverse, x, c
+    schur: np.ndarray | None  # the Schur complements, which the parents read
 
 
 # kinds of window cells: a pivot, the ring's row above, row below, column left
@@ -151,11 +185,11 @@ class NestedDissection:
         self._inner.reshape(n1, n2)[1:-1, 1:-1] = True
 
         self._batches: list[_Batch] = []
-        self._uses: dict[int, int] = {}  # extend-adds that read each batch's Schur complements
+        depths: list[int] = []  # of each batch; batch ids run depth by depth
         placed: list[tuple[_Template, np.ndarray, np.ndarray]] = []  # per batch: template, columns, slots
         boxes = np.array([[0, rows, 0, cols]])
         parent = np.array([[-1, 0, 0]])  # parent front of each box: batch, position, rank
-        while True:
+        for depth in itertools.count():
             # one batch per box shape; the stable sort keeps each (parent batch,
             # rank) run contiguous, in parent order
             shape = (boxes[:, 1] - boxes[:, 0]) * (cols + 1) + boxes[:, 3] - boxes[:, 2]
@@ -170,6 +204,7 @@ class NestedDissection:
                 bid = len(self._batches)
                 batch, *columns_slots = self._front_batch(group, t)
                 self._batches.append(batch)
+                depths.append(depth)
                 placed.append((t, *columns_slots))
                 if parent[sel[0], 0] >= 0:
                     self._link(bid, parent[sel], placed)
@@ -181,6 +216,10 @@ class NestedDissection:
             if not next_boxes:
                 break
             boxes, parent = np.concatenate(next_boxes), np.concatenate(next_parent)
+        self._plan(depths)
+        self._work: list[_Views] = []  # per batch, made at the first factor
+        self._blocks: list = []  # the stored pivot blocks' views, in elimination order
+        self._generation = 0  # factorizations so far; only the latest factor is live
 
     def _front_batch(self, boxes: np.ndarray, t: _Template) -> tuple[_Batch, np.ndarray, np.ndarray]:
         """A batch of fronts; the column of each ring cell in each front's update
@@ -285,58 +324,114 @@ class NestedDissection:
             )
             cols[:, r] = n - 1  # and so does the trash column, which took the cells outside
             target_batch.adds.append((bid, start, stop, (where * n + cols) * n, cols))
-            self._uses[bid] = self._uses.get(bid, 0) + 1
+
+    def _plan(self, depths: list[int]) -> None:
+        """Arena offsets of the numeric phase's arrays (see Workspace above)."""
+        store = top = 0
+        level: dict[int, int] = {}  # Schur entries of each depth so far
+        for bid in range(len(self._batches) - 1, -1, -1):  # elimination order
+            batch = self._batches[bid]
+            b, n = batch.idx.shape
+            scratch = max([batch.scatter_from.size] + [cols.size * cols.shape[1] for *_, cols in batch.adds])
+            for k0, k1, _, _ in batch.blocks:
+                k, m = k1 - k0, n - k1
+                batch.stored.append((store, store + b * k * k, store + b * k * (k + m)))
+                store += b * k * (k + 2 * m)
+                scratch = max(scratch, b * min(_row_step(k, m), m) * m)
+            batch.fronts = store
+            top = max(top, store + b * n * n + scratch)
+            if bid:  # the root's Schur complement is read by no parent
+                batch.schur = level.get(depths[bid], 0)
+                level[depths[bid]] = batch.schur + b * (n - batch.pivots) ** 2
+        # two Schur regions at the end, by depth parity, each as large as its largest depth
+        region = [max([v for d, v in level.items() if d % 2 == q], default=0) for q in (0, 1)]
+        for bid in range(1, len(self._batches)):
+            self._batches[bid].schur += top + (depths[bid] % 2) * region[0]
+        self._arena_size = top + region[0] + region[1]
+
+    def _allocate(self) -> None:
+        """The arena and each batch's views into it."""
+        arena = np.empty(self._arena_size)
+
+        def view(offset: int, *shape: int) -> np.ndarray:
+            return arena[offset : offset + math.prod(shape)].reshape(shape)
+
+        for bid, batch in enumerate(self._batches):
+            b, n = batch.idx.shape
+            blocks = []
+            for (k0, k1, piv, upd), (inverse, x, c) in zip(batch.blocks, batch.stored):
+                k, m = k1 - k0, n - k1
+                blocks.append((piv, upd, view(inverse, b, k, k), view(x, b, k, m), view(c, b, m, k)))
+            r = n - batch.pivots
+            schur = view(batch.schur, b, r, r) if bid else None
+            scratch = arena[batch.fronts + b * n * n :]
+            self._work.append(_Views(view(batch.fronts, b, n, n), scratch, blocks, schur))
+        self._blocks = [block for views in reversed(self._work) for block in views.blocks]
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def factor(self, coef: np.ndarray) -> "Factor":
-        """LU factor of the system whose rows a (3, 3, n1, n2) field holds."""
+        """LU factor of the system whose rows a (3, 3, n1, n2) field holds.
+
+        The factor lives in the solver's workspace: it is valid until the
+        solver's next ``factor`` call.
+        """
         values = np.ascontiguousarray(coef, dtype=float).reshape(-1)
         if values.size != 9 * self._shape[0] * self._shape[1]:
             raise ValueError("coefficient field does not match the grid")
-        schur: dict[int, np.ndarray] = {}
-        uses = dict(self._uses)
-        blocks = []
+        if not self._work:
+            self._allocate()
+        self._generation += 1
         for bid in range(len(self._batches) - 1, -1, -1):  # deepest batches first
             batch = self._batches[bid]
-            b, n = batch.idx.shape
-            fronts = np.zeros((b, n, n))
+            fronts, scratch, blocks, schur = self._work[bid]
+            b, n, _ = fronts.shape
             flat = fronts.reshape(-1)
-            flat[batch.scatter_to] = values[batch.scatter_from]
+            fronts.fill(0.0)
+            gathered = scratch[: batch.scatter_from.size]
+            np.take(values, batch.scatter_from, out=gathered, mode="clip")  # in range: no checked copy
+            flat[batch.scatter_to] = gathered
             flat[batch.unit] = 1.0
             for child, start, stop, offsets, cols in batch.adds:
-                flat[offsets[:, :, None] + cols[:, None, :]] += schur[child][start:stop]
-                uses[child] -= 1
-                if not uses[child]:
-                    del schur[child]
-            for k0, k1, piv, upd in batch.blocks:
-                inverse = np.linalg.inv(fronts[:, k0:k1, k0:k1])
-                x = _product(inverse, fronts[:, k0:k1, k1:])
-                c = fronts[:, k1:, k0:k1].copy()
-                step = _row_step(k1 - k0, n - k1)
-                for r0 in range(0, n - k1, step):
-                    fronts[:, k1 + r0 : k1 + r0 + step, k1:] -= c[:, r0 : r0 + step] @ x
-                blocks.append((piv, upd, inverse, x, c))
-            if bid in uses:
-                schur[bid] = fronts[:, batch.pivots :, batch.pivots :].copy()
-        return Factor(self.nodes, self.size, blocks)
+                ix = scratch.view(np.intp)[: cols.size * cols.shape[1]]
+                np.add(offsets[:, :, None], cols[:, None, :], out=ix.reshape(cols.shape + cols.shape[1:]))
+                # ufunc.at takes its fast path on a flat index
+                np.add.at(flat, ix, self._work[child].schur[start:stop].reshape(-1))
+            for (k0, k1, _, _), (_, _, inverse, x, c) in zip(batch.blocks, blocks):
+                np.copyto(inverse, np.linalg.inv(fronts[:, k0:k1, k0:k1]))
+                _product(inverse, fronts[:, k0:k1, k1:], out=x)
+                np.copyto(c, fronts[:, k1:, k0:k1])
+                m = n - k1
+                step = _row_step(k1 - k0, m)
+                for r0 in range(0, m, step):
+                    rows = min(step, m - r0)
+                    update = scratch[: b * rows * m].reshape(b, rows, m)
+                    np.matmul(c[:, r0 : r0 + rows], x, out=update)
+                    target = fronts[:, k1 + r0 : k1 + r0 + rows, k1:]
+                    np.subtract(target, update, out=target)
+            if schur is not None:
+                np.copyto(schur, fronts[:, batch.pivots :, batch.pivots :])
+        return Factor(self, self._generation)
 
 
 class Factor:
-    """Stored pivot blocks of one factorization, in elimination order."""
+    """Stored pivot blocks of a solver's latest factorization, in elimination order."""
 
-    def __init__(self, nodes: np.ndarray, size: int, blocks: list) -> None:
-        self._nodes, self._size, self._blocks = nodes, size, blocks
+    def __init__(self, solver: NestedDissection, generation: int) -> None:
+        self._solver, self._generation = solver, generation
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solution for a right-hand side given on the unknowns, row-major."""
-        y = np.zeros(self._size + 1)  # the last entry collects padding
-        y[self._nodes] = rhs
+        solver = self._solver
+        if solver._generation != self._generation:
+            raise RuntimeError("a later factorization has overwritten this factor")
+        y = np.zeros(solver.size + 1)  # the last entry collects padding
+        y[solver.nodes] = rhs
         z = []
-        for piv, upd, inverse, _, c in self._blocks:
+        for piv, upd, inverse, _, c in solver._blocks:
             z.append(_product(inverse, y[piv][:, :, None]))
             y -= np.bincount(upd.ravel(), _product(c, z[-1]).ravel(), minlength=y.size)
-        sol = np.zeros(self._size + 1)  # padding reads the last entry, which stays 0
-        for (piv, upd, _, x, _), zk in zip(reversed(self._blocks), reversed(z)):
+        sol = np.zeros(solver.size + 1)  # padding reads the last entry, which stays 0
+        for (piv, upd, _, x, _), zk in zip(reversed(solver._blocks), reversed(z)):
             sol[piv] = (zk - _product(x, sol[upd][:, :, None]))[:, :, 0]
-        return sol[self._nodes]
+        return sol[solver.nodes]

@@ -425,12 +425,19 @@ def tangent_vertical_components(spec: InvariantSurfaceSpec, theta: float) -> tup
 _DELTA_STEP_DOWNS = 16
 
 
+def _transversality_growth(h0: float, tau: float) -> float:
+    """E = exp(2 (h0 + 2 |tau| pi)), read by both sides of the transversality estimate."""
+    try:
+        return math.exp(2.0 * (h0 + 2.0 * abs(tau) * math.pi))
+    except OverflowError:
+        raise ParameterError(f"exp(2 (h0 + 2 |tau| pi)) overflows at h0 = {h0}, tau = {tau}") from None
+
+
 def transversality_margin(delta: float, h0: float, tau: float) -> float:
     """Left side g(delta) of the transversality inequality g(delta) < eps^2."""
     if not delta >= 0.0:
         raise ParameterError("delta must be nonnegative")
-    c_tau = -2.0 * abs(tau) * math.pi
-    e = math.exp(2.0 * (h0 - c_tau))
+    e = _transversality_growth(h0, tau)
     return 4.0 * (2.0 * delta + delta * delta) * e / (2.0 + delta * (1.0 + e)) ** 2
 
 
@@ -448,8 +455,7 @@ def transversality_delta(eps: float, h0: float, tau: float) -> float:
         raise ParameterError(f"slab half-height must be positive, got {h0}")
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
-    c_tau = -2.0 * abs(tau) * math.pi
-    e = math.exp(2.0 * (h0 - c_tau))
+    e = _transversality_growth(h0, tau)
     target = eps * eps
     delta = 2.0 * target / (e * (2.0 + 2.0 * math.sqrt(1.0 - target) - target) - target)
     for _ in range(_DELTA_STEP_DOWNS):

@@ -140,6 +140,13 @@ def test_verify_writes_report_to_file(tmp_path, capsys) -> None:
     assert json.loads(out.read_text())["passed"] is True
 
 
+def test_verify_transversality_overflowing_tau_is_invalid_input(capsys) -> None:
+    code, report = run(capsys, "verify", "transversality", "--tau", "60")
+    assert code == 1
+    assert report["status"] == "invalid_input"
+    assert "overflows" in report["message"]
+
+
 def test_verify_unknown_suite_is_invalid_input(capsys) -> None:
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nosuchsuite"])

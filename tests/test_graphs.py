@@ -480,11 +480,14 @@ def _long_window() -> GraphDomain:
 
 
 # every window's sides are off the c 2^k + 1 sizes that halve evenly into 3 x 3 leaves
-@pytest.mark.parametrize(
+DISSECTION_WINDOWS = pytest.mark.parametrize(
     "make_domain",
     [_rectangle_window, _masked_disc_window, _catenoid_polar_window, _invariant_polar_window, _long_window],
     ids=["rectangle", "masked-disc", "catenoid-polar", "invariant-polar", "long-40x23"],
 )
+
+
+@DISSECTION_WINDOWS
 def test_dissection_solves_match_spsolve(make_domain) -> None:
     from scipy.sparse.linalg import spsolve
 
@@ -495,6 +498,78 @@ def test_dissection_solves_match_spsolve(make_domain) -> None:
     b = np.random.default_rng(7).standard_normal(np.count_nonzero(interior))
     ref = spsolve(_interior_matrix(coef, interior), b)
     np.testing.assert_allclose(factor.solve(b), ref, rtol=1e-9, atol=1e-9 * float(np.max(np.abs(ref))))
+
+
+def _chart_laplacian(dom: GraphDomain) -> np.ndarray:
+    """The harmonic seed's 5-point chart Laplacian as a coefficient field."""
+    (h1, h2), (n1, n2) = dom.steps(), dom.shape
+    lap = np.zeros((3, 3, n1, n2))
+    lap[(0, 2), 1], lap[1, (0, 2)] = 1.0 / (h1 * h1), 1.0 / (h2 * h2)
+    lap[1, 1] = -2.0 / (h1 * h1) - 2.0 / (h2 * h2)
+    return lap
+
+
+@DISSECTION_WINDOWS
+@pytest.mark.parametrize("other", ["perturbed", "laplacian"])
+def test_dissection_workspace_reuse_leaves_no_state(make_domain, other) -> None:
+    dom = make_domain()
+    interior = dom.interior_mask()
+    rng = np.random.default_rng(11)
+    a = _jacobian(_sample_graph(dom))
+    if other == "perturbed":
+        b = a + 0.1 * float(np.max(np.abs(a))) * rng.standard_normal(a.shape)
+    else:
+        b = _chart_laplacian(dom)
+    rhs = rng.standard_normal(np.count_nonzero(interior))
+    solver = NestedDissection(interior)
+    for coef in (a, b, a):
+        factor = solver.factor(coef)
+    assert np.array_equal(factor.solve(rhs), NestedDissection(interior).factor(a).solve(rhs))
+
+
+def test_dissection_recovers_from_a_singular_pivot_block() -> None:
+    dom = _long_window()
+    interior = dom.interior_mask()
+    a = _jacobian(_sample_graph(dom))
+    singular = a.copy()
+    singular[:, :, 19, 10] = 0.0  # a zero row on the root separator, eliminated last
+    rhs = np.random.default_rng(5).standard_normal(np.count_nonzero(interior))
+    solver = NestedDissection(interior)
+    stale = solver.factor(a)
+    with pytest.raises(np.linalg.LinAlgError):
+        solver.factor(singular)
+    with pytest.raises(RuntimeError):
+        stale.solve(rhs)
+    assert np.array_equal(solver.factor(a).solve(rhs), NestedDissection(interior).factor(a).solve(rhs))
+
+
+def test_dissection_factor_is_stale_after_a_later_factorization() -> None:
+    dom = _rectangle_window()
+    interior = dom.interior_mask()
+    solver = NestedDissection(interior)
+    first = solver.factor(_jacobian(_sample_graph(dom)))
+    latest = solver.factor(_chart_laplacian(dom))
+    rhs = np.ones(np.count_nonzero(interior))
+    with pytest.raises(RuntimeError):
+        first.solve(rhs)
+    assert np.all(np.isfinite(latest.solve(rhs)))
+
+
+def test_dissection_repeat_factorization_allocates_almost_nothing() -> None:
+    import tracemalloc
+
+    gf = reference_problem("wild", 0.5, 2.0, 1.0, 65)
+    coef = _jacobian(gf)
+    solver = NestedDissection(gf.domain.interior_mask())
+    solver.factor(coef)  # allocates the workspace
+    tracemalloc.start()
+    try:
+        solver.factor(coef)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the pivot blocks' np.linalg.inv results are the only arrays expected
+    assert peak < 0.1 * solver._arena_size * 8
 
 
 def test_solver_factors_match_spsolve(monkeypatch) -> None:

@@ -404,6 +404,14 @@ def test_transversality_delta_satisfies_strict_inequality() -> None:
         assert not transversality_margin(delta * 1.001, 1.0, tau) < 0.25
 
 
+def test_transversality_growth_overflow_is_a_parameter_error() -> None:
+    # exp(2 (1 + 120 pi)) exceeds the largest float
+    with pytest.raises(ParameterError, match="overflows"):
+        transversality_margin(0.1, 1.0, 60.0)
+    with pytest.raises(ParameterError, match="overflows"):
+        transversality_delta(0.5, 1.0, 60.0)
+
+
 def test_window_check_frozen() -> None:
     d0 = transversality_delta(0.5, 1.0, 0.0)
     sup, ok = transversality_window_check(1.0 + d0 / 2, 1.0, 0.5, 0.0)
