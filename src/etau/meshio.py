@@ -185,10 +185,13 @@ def _jsonable(obj):
 
 
 def json_report(payload: dict) -> str:
-    """Serialize a report with the schema version; keys sorted for stable bytes."""
+    """Serialize a report with the schema version; keys sorted for stable bytes.
+
+    The output is strict JSON: a NaN or infinity raises ValueError.
+    """
     body = {"schema_version": SCHEMA_VERSION}
     body.update(_jsonable(payload))
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+    return json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json_report(payload: dict, path: str | Path | None = None) -> str:

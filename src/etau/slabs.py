@@ -18,6 +18,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .core import (
+    BOUNDARY_MARGIN,
     AmbientPoint,
     BasePoint,
     ConvergenceError,
@@ -35,7 +36,6 @@ from .graphs import (
     Chart,
     GraphDomain,
     GraphFunction,
-    douglas_check,
     graph_nu,
     hyperbolic_gradient_norm,
     variation,
@@ -93,19 +93,34 @@ __all__ = [
 # -- sampled windows for entire graphs ----------------------------------------
 
 
+def _window_nodes(n: int) -> None:
+    if n < 2:
+        raise ParameterError(f"window needs at least 2 nodes per direction, got {n}")
+
+
+def _masked_window(chart: Chart, bounds, n: int, mask: np.ndarray) -> GraphDomain:
+    if not mask.any():
+        raise ParameterError(f"no node of the {n}x{n} grid lies in the window")
+    return GraphDomain(chart=chart, bounds=bounds, shape=(n, n), mask=mask)
+
+
 def disc_window_domain(hyperbolic_radius: float, n: int) -> GraphDomain:
     """Square grid over the disc of hyperbolic radius R about the origin,
     nodes masked to the inscribed coordinate circle; the bounds are
-    ((-rc, rc), (-rc, rc)) with rc = tanh(R/2)."""
+    ((-rc, rc), (-rc, rc)) with rc = tanh(R/2).  Raises ParameterError when
+    that circle rounds onto the ideal boundary, 1 - rc^2 <= BOUNDARY_MARGIN,
+    or no node lies in it."""
     if not hyperbolic_radius > 0.0:
         raise ParameterError("window radius must be positive")
+    _window_nodes(n)
     rc = math.tanh(0.5 * hyperbolic_radius)
+    if not 1.0 - rc * rc > BOUNDARY_MARGIN:
+        raise ParameterError(
+            f"window radius {hyperbolic_radius} puts the window on the ideal boundary"
+        )
     axis = np.linspace(-rc, rc, n)
     x, y = np.meshgrid(axis, axis, indexing="ij")
-    mask = x * x + y * y <= rc * rc
-    return GraphDomain(
-        chart=Chart.DISC_XY, bounds=((-rc, rc), (-rc, rc)), shape=(n, n), mask=mask
-    )
+    return _masked_window(Chart.DISC_XY, ((-rc, rc), (-rc, rc)), n, x * x + y * y <= rc * rc)
 
 
 def halfplane_window_domain(
@@ -115,19 +130,25 @@ def halfplane_window_domain(
 
     A hyperbolic disc of radius r around (x0, y0) is the Euclidean disc with
     center (x0, y0 cosh r) and radius y0 sinh r, so the bounds are
-    ((x0 - y0 sinh r, x0 + y0 sinh r), (y0 e^-r, y0 e^r)).
+    ((x0 - y0 sinh r, x0 + y0 sinh r), (y0 e^-r, y0 e^r)).  Raises
+    ParameterError when those bounds are not finite or no node lies in the
+    disc.
     """
+    _window_nodes(n)
     x0, y0 = center
     if not y0 > 0.0:
         raise ParameterError("window center must lie in the upper half-plane")
     r = float(hyperbolic_radius)
-    half_width = y0 * math.sinh(r)
-    bounds = ((x0 - half_width, x0 + half_width), (y0 * math.exp(-r), y0 * math.exp(r)))
-    dom = GraphDomain(chart=Chart.HALFPLANE_XY, bounds=bounds, shape=(n, n))
-    x, y = dom.node_grids()
+    try:
+        half_width, top = y0 * math.sinh(r), y0 * math.exp(r)
+    except OverflowError:
+        half_width = top = math.inf
+    bounds = ((x0 - half_width, x0 + half_width), (y0 * math.exp(-r), top))
+    if not np.all(np.isfinite(bounds)):
+        raise ParameterError(f"window of radius {r} about {center} has non-finite bounds")
+    x, y = GraphDomain(chart=Chart.HALFPLANE_XY, bounds=bounds, shape=(n, n)).node_grids()
     cosh_dist = 1.0 + ((x - x0) ** 2 + (y - y0) ** 2) / (2.0 * y * y0)
-    mask = cosh_dist <= math.cosh(r)
-    return GraphDomain(chart=Chart.HALFPLANE_XY, bounds=bounds, shape=(n, n), mask=mask)
+    return _masked_window(Chart.HALFPLANE_XY, bounds, n, cosh_dist <= math.cosh(r))
 
 
 # -- annulus family ------------------------------------------------------------
@@ -753,14 +774,14 @@ def build_example2(
         raise ParameterError(f"graph choice must be 'linear' or 'si', got {graph_choice!r}")
     if not (r > 0.0 and h > 0.0 and C > 0.0):
         raise ParameterError("r, h, C must be positive")
-    douglas_bound = (math.cosh(r) - 1.0) / math.sinh(r)
+    douglas_bound = math.tanh(0.5 * r)  # (cosh r - 1)/sinh r, without overflow
     if not 2.0 * C * r < h:
         raise FeasibilityError(f"need 2 C r < h: 2 C r = {2.0 * C * r} >= h = {h}")
     if not h < douglas_bound:
         raise FeasibilityError(
             f"need h < (cosh r - 1)/sinh r = {douglas_bound}: got h = {h}"
         )
-    gradient_cap = (math.cosh(r) - 1.0) / (2.0 * r * math.sinh(r))
+    gradient_cap = douglas_bound / (2.0 * r)
     if not C < gradient_cap:
         raise FeasibilityError(
             f"need C < (cosh r - 1)/(2 r sinh r) = {gradient_cap}: got C = {C}"
@@ -804,7 +825,6 @@ def build_example2(
         rho_boundary=rho_boundary,
         resolution=annulus_resolution,
     )
-    douglas = douglas_check(r, h)
     metadata = {
         "construction": "example2",
         "graph": graph_choice,
@@ -821,8 +841,8 @@ def build_example2(
         "d": d,
         "rho_boundary": rho_boundary,
         "window_radius": window_radius,
-        "douglas_threshold": douglas.threshold_half_height,
-        "douglas_annulus_wins": douglas.annulus_wins,
+        "douglas_threshold": douglas_bound,
+        "douglas_annulus_wins": h < douglas_bound,
     }
     return SlabSpec(lower=lower, upper=upper, annulus_generator=generator, metadata=metadata)
 

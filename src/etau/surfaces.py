@@ -434,11 +434,19 @@ def _transversality_growth(h0: float, tau: float) -> float:
 
 
 def transversality_margin(delta: float, h0: float, tau: float) -> float:
-    """Left side g(delta) of the transversality inequality g(delta) < eps^2."""
-    if not delta >= 0.0:
-        raise ParameterError("delta must be nonnegative")
+    """Left side g(delta) of the transversality inequality g(delta) < eps^2.
+
+    g = 4 (2 delta + delta^2) E / q^2 with q = 2 + delta (1 + E); where q^2
+    overflows, the quotient is taken as 4 (2 delta + delta^2) (E / q) / q.
+    """
+    if not (delta >= 0.0 and math.isfinite(delta)):
+        raise ParameterError(f"delta must be finite and nonnegative, got {delta}")
     e = _transversality_growth(h0, tau)
-    return 4.0 * (2.0 * delta + delta * delta) * e / (2.0 + delta * (1.0 + e)) ** 2
+    q = 2.0 + delta * (1.0 + e)
+    try:
+        return 4.0 * (2.0 * delta + delta * delta) * e / q ** 2
+    except OverflowError:
+        return 4.0 * (2.0 * delta + delta * delta) * (e / q) / q
 
 
 def transversality_delta(eps: float, h0: float, tau: float) -> float:

@@ -5,16 +5,24 @@ Exit-code contract: 0 success, 1 invalid input, 2 computational failure.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import etau
-from etau import graphs
+from etau import graphs, verify
 from etau.cli import main
 
 
@@ -245,7 +253,54 @@ def test_slab_infeasible_parameters_exit_one(capsys) -> None:
     assert "need 2 C r < h" in report["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["slab", "example1", "--grid", "-1"],
+        ["slab", "example2", "--grid", "-1"],
+        ["slab", "example2", "--grid", "2"],
+        ["slab", "example1", "--window-radius", "1e300", "--grid", "2"],
+        ["slab", "example2", "--graph", "si", "--window-radius", "800"],
+        ["slab", "example2", "--r", "1e6"],
+    ],
+    ids=["disc-grid", "halfplane-grid", "empty-window", "ideal-boundary", "overflowing-window", "huge-r"],
+)
+def test_slab_windows_and_douglas_bounds_are_checked(capsys, argv) -> None:
+    code, report = run(capsys, *argv)
+    assert code == 1
+    assert report["status"] == "invalid_input"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_report_is_a_computational_failure(tmp_path, capsys) -> None:
+    # a window of radius 1e-300 gives NaN fiber margins, which strict JSON cannot hold
+    argv = ["slab", "example1", "--window-radius", "1e-300", "--grid", "9", "--points", "1"]
+    code, report = run(capsys, *argv)
+    assert code == 2
+    assert report["status"] == "computational_failure"
+    assert "JSON" in report["message"]
+    out = tmp_path / "report.json"
+    assert run(capsys, *argv, "--out", str(out)) == (2, None)
+    assert json.loads(out.read_text()) == report
+
+
 # -- config handling -----------------------------------------------------------------
+
+
+def test_config_file_gives_the_bytes_of_the_same_flags(tmp_path, capsys) -> None:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau": 0.5, "points": 50, "d": None}))
+    assert main(["verify", "lifts", "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["verify", "lifts", "--tau", "0.5", "--points", "50"]) == 0
+    assert from_config == capsys.readouterr().out
+
+
+def test_config_value_may_start_with_a_dash(tmp_path, capsys, monkeypatch) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": "-x.json", "tau": -0.5}))
+    assert run(capsys, "verify", "lifts", "--config", "cfg.json") == (0, None)
+    assert json.loads((tmp_path / "-x.json").read_text())["parameters"]["tau"] == -0.5
 
 
 def test_config_file_sets_parameters(tmp_path, capsys) -> None:
@@ -273,6 +328,32 @@ def test_unknown_config_key_is_invalid_input(tmp_path, capsys) -> None:
     assert "no_such_option" in report["message"]
 
 
+@pytest.mark.parametrize("key", ["kind", "suite", "example", "command", "config", "help"])
+def test_only_option_destinations_are_config_keys(tmp_path, capsys, key) -> None:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "leaf"}))
+    code, report = run(
+        capsys, "surface", "catenoid", "--d", "1.2", "--out", str(tmp_path / "a.obj"), "--config", str(cfg)
+    )
+    assert code == 1
+    assert report["message"] == f"unknown config key {key!r} for command 'surface'"
+    assert not (tmp_path / "a.obj").exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"[1, 2]", b'"tau"', b"null", b'{"tau": 0.5', b'\xff{"tau": 0.5}', b""],
+    ids=["list", "string", "null", "truncated", "not-utf-8", "empty"],
+)
+def test_config_file_must_be_one_json_object(tmp_path, capsys, content) -> None:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    code, report = run(capsys, "verify", "lifts", "--config", str(cfg))
+    assert code == 1
+    assert report["status"] == "invalid_input"
+    assert str(cfg) in report["message"]
+
+
 def test_missing_config_file_is_invalid_input(capsys) -> None:
     code, report = run(capsys, "verify", "lifts", "--config", "/nonexistent/cfg.json")
     assert code == 1
@@ -280,27 +361,31 @@ def test_missing_config_file_is_invalid_input(capsys) -> None:
 
 
 @pytest.mark.parametrize(
-    ("argv", "config"),
+    ("argv", "config", "message"),
     [
-        (["verify", "limits", "--tau", "nan"], None),
-        (["solve", "--tau", "inf"], None),
-        (["verify", "lifts"], {"points": "abc"}),
-        (["solve"], {"boundary": "bogus"}),
-        (["verify", "isometries", "--seed", "-1"], None),
-        (["verify", "isometries"], {"seed": -1}),
-        (["solve", "--max-newton", "-2"], None),
-        (["verify", "foliation", "--points", "0"], None),
-        (["verify", "isometries"], {"points": -5}),
-        (["slab", "example1", "--eps", "nan"], None),
-        (["slab", "example3"], None),
+        (["verify", "limits", "--tau", "nan"], None, "argument --tau: must be finite, got nan"),
+        (["solve", "--tau", "inf"], None, "argument --tau: must be finite, got inf"),
+        (["verify", "limits", "--tau", "abc"], None, "argument --tau: invalid float value: 'abc'"),
+        (["verify", "lifts"], {"points": "abc"}, "argument --points: invalid int value: 'abc'"),
+        (["solve"], {"boundary": "bogus"}, None),
+        (["verify", "isometries", "--seed", "-1"], None, "argument --seed: must be non-negative, got -1"),
+        (["verify", "isometries"], {"seed": -1}, "argument --seed: must be non-negative, got -1"),
+        (["verify", "isometries"], {"seed": 1.5}, "argument --seed: invalid int value: '1.5'"),
+        (["solve", "--max-newton", "-2"], None, "argument --max-newton: must be non-negative, got -2"),
+        (["verify", "foliation", "--points", "0"], None, "points must be at least 1, got 0"),
+        (["verify", "isometries"], {"points": -5}, "points must be at least 1, got -5"),
+        (["slab", "example1", "--eps", "nan"], None, "argument --eps: must be finite, got nan"),
+        (["slab", "example3"], None, None),
     ],
     ids=[
         "nan-flag",
         "inf-flag",
+        "non-numeric-flag",
         "non-numeric-config-value",
         "config-value-outside-choices",
         "negative-seed-flag",
         "negative-seed-config",
+        "non-integer-seed-config",
         "negative-max-newton",
         "zero-points-flag",
         "negative-points-config",
@@ -308,7 +393,7 @@ def test_missing_config_file_is_invalid_input(capsys) -> None:
         "usage-error",
     ],
 )
-def test_bad_values_are_invalid_input(tmp_path, capsys, argv, config) -> None:
+def test_bad_values_are_invalid_input(tmp_path, capsys, argv, config, message) -> None:
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -317,6 +402,8 @@ def test_bad_values_are_invalid_input(tmp_path, capsys, argv, config) -> None:
     assert code == 1
     assert report["status"] == "invalid_input"
     assert report["schema_version"] == 1
+    if message is not None:
+        assert report["message"] == message
 
 
 # -- determinism ------------------------------------------------------------------------
@@ -336,3 +423,146 @@ def test_reports_have_sorted_keys(capsys) -> None:
     out = capsys.readouterr().out
     data = json.loads(out)
     assert list(data.keys()) == sorted(data.keys())
+
+
+# -- fuzzing ----------------------------------------------------------------------------
+
+# Values the parser accepts, which the library may still reject, and values
+# the parser rejects; a draw swaps in at most one of the latter.
+_REALS = st.sampled_from(("0", "0.1", "0.5", "1", "1.2", "2", "-0.7", "-0.0", "1e-300", "1e300"))
+_SEEDS = st.sampled_from(("0", "1", "7"))
+_JUNK = ("nan", "inf", "-inf", "-1", "1.5", "abc", "")
+
+
+def _sizes(*values: int) -> st.SearchStrategy[str]:
+    return st.sampled_from(tuple(map(str, values)))
+
+
+# command -> (positional choices, options always drawn, other options drawn as a subset);
+# the sizes stay small so each run is quick, and surface's --out is set so that it
+# writes into a temporary directory
+_FUZZ = {
+    "surface": (
+        ("catenoid", "invariant", "leaf"),
+        {"rows": _sizes(2, 3, 17), "cols": _sizes(2, 3, 17), "out": st.just("s.obj")},
+        {k: _REALS for k in ("tau", "d", "s", "scale", "rho_max", "phi_span")} | {"seed": _SEEDS},
+    ),
+    "verify": (
+        verify.SUITES,
+        {"points": _sizes(0, 1, 2, 3)},
+        {k: _REALS for k in ("tau", "d", "s")}
+        | {"surface": st.sampled_from(("catenoid", "invariant", "torus")), "seed": _SEEDS},
+    ),
+    "solve": (
+        (),
+        {"n": _sizes(0, 2, 3, 5, 9, 17), "max_newton": _sizes(0, 1, 8)},
+        {k: _REALS for k in ("tau", "d", "s")}
+        | {"boundary": st.sampled_from(("zero", "catenoid", "invariant", "wild", "x")), "seed": _SEEDS},
+    ),
+    "slab": (
+        ("example1", "example2"),
+        {"grid": _sizes(0, 2, 3, 9, 17), "points": _sizes(0, 1, 2, 3)},
+        {k: _REALS for k in ("tau", "eps", "r", "grad_cap", "h", "alpha", "beta", "window_radius")}
+        | {"graph": st.sampled_from(("linear", "si", "x")), "seed": _SEEDS},
+    ),
+}
+
+# How a draw passes its options: as flags (None), as a config file, or as a
+# config file that is malformed and must end in invalid_input.
+_BAD_CONFIGS = ("list", "truncated", "not-utf-8", "unknown-key", "positional-key")
+
+
+def _flag(dest: str) -> str:
+    return "--C" if dest == "grad_cap" else "--" + dest.replace("_", "-")
+
+
+def _json_value(text: str):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+@st.composite
+def _invocations(draw) -> tuple[list[str], dict[str, str], str | None]:
+    command = draw(st.sampled_from(sorted(_FUZZ)))
+    positionals, sizes, others = _FUZZ[command]
+    head = [command, draw(st.sampled_from(positionals))] if positionals else [command]
+    options = {dest: draw(values) for dest, values in sizes.items()}
+    for dest in draw(st.lists(st.sampled_from(sorted(others)), unique=True, max_size=4)):
+        options[dest] = draw(others[dest])
+    if draw(st.booleans()):
+        options[draw(st.sampled_from(sorted(set(options) - {"out"})))] = draw(st.sampled_from(_JUNK))
+    mode = draw(st.sampled_from((None, "object")))
+    if mode is not None and draw(st.integers(0, 3)) == 0:
+        mode = draw(st.sampled_from(_BAD_CONFIGS))
+    return head, options, mode
+
+
+def _config_bytes(head: list[str], options: dict[str, str], mode: str) -> bytes:
+    entries = {dest: _json_value(value) for dest, value in options.items()}
+    if mode == "unknown-key":
+        entries["no_such_option"] = 1
+    elif mode == "positional-key":
+        entries[{"surface": "kind", "verify": "suite", "slab": "example"}.get(head[0], "command")] = head[-1]
+    text = json.dumps([1, 2] if mode == "list" else entries)
+    if mode == "truncated":
+        text = text[:-1]
+    return (b"\xff" if mode == "not-utf-8" else b"") + text.encode()
+
+
+def _false_verdict(report: dict) -> bool:
+    return (
+        report.get("passed") is False
+        or report.get("converged") is False
+        or report.get("report", {}).get("pass") is False
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_invocations())
+@example((["slab", "example1"], {"grid": "-1"}, None))
+@example((["slab", "example2"], {"grid": "-1"}, None))
+@example((["slab", "example2"], {"grid": "2"}, None))
+@example((["slab", "example1"], {"window_radius": "1e300", "grid": "2"}, None))
+@example((["slab", "example2"], {"graph": "si", "window_radius": "800"}, None))
+@example((["slab", "example2"], {"r": "1e6"}, None))
+@example((["slab", "example1"], {"window_radius": "1e-300", "grid": "9", "points": "1"}, None))
+@example((["verify", "lifts"], {"points": "3"}, "list"))
+@example((["verify", "lifts"], {"points": "3"}, "not-utf-8"))
+def test_every_invocation_ends_in_a_strict_json_report(case) -> None:
+    """Any command line or config file ends in a result, invalid_input (exit 1)
+    or a computational failure or failed check (exit 2), with strict JSON on stdout.
+
+    The CLI runs under Python's default warning filters, where a RuntimeWarning
+    goes to stderr; the contract checked here is stdout and the exit code.
+    """
+    head, options, mode = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if "out" in options:
+            options = dict(options, out=os.path.join(tmp, options["out"]))
+        if mode is None:
+            argv = [*head, *(token for dest, value in options.items() for token in (_flag(dest), value))]
+        else:
+            config = Path(tmp) / "cfg.json"
+            config.write_bytes(_config_bytes(head, options, mode))
+            argv = [*head, "--config", str(config)]
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        seconds = time.perf_counter() - start
+    assert seconds < 10.0, argv
+    assert code in (0, 1, 2), argv
+    report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert (code == 1) == (report.get("status") == "invalid_input"), (argv, report)
+    if code == 0:
+        assert "status" not in report, (argv, report)
+    if code == 2:
+        assert report.get("status") == "computational_failure" or _false_verdict(report), (argv, report)
+    if mode in _BAD_CONFIGS:
+        assert code == 1, (argv, report)

@@ -256,6 +256,14 @@ def test_json_report_handles_numpy_arrays() -> None:
     assert data["pi"] == pytest.approx(math.pi)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, np.float64(-np.inf)])
+def test_json_report_is_strict_json(tmp_path, value) -> None:
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json_report({"margins": [1.0, value]}, out)
+    assert not out.exists()
+
+
 def test_nu_values_match_mesh_model(small_mesh) -> None:
     assert small_mesh.model is Model.CYLINDER
     assert small_mesh.nu.shape == (small_mesh.vertices.shape[0],)

@@ -77,6 +77,37 @@ def test_halfplane_window_domain_stays_above_floor() -> None:
     assert np.all(y[dom.active_mask()] > 0.0)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_window_domains_need_two_nodes_per_direction(n: int) -> None:
+    with pytest.raises(ParameterError, match="at least 2 nodes"):
+        disc_window_domain(1.0, n)
+    with pytest.raises(ParameterError, match="at least 2 nodes"):
+        halfplane_window_domain((0.0, 1.0), 1.0, n)
+
+
+def test_window_domains_need_an_active_node() -> None:
+    # the four corners of a 2x2 grid lie outside the inscribed disc
+    with pytest.raises(ParameterError, match="no node"):
+        disc_window_domain(1.0, 2)
+    with pytest.raises(ParameterError, match="no node"):
+        halfplane_window_domain((0.0, 1.0), 1.0, 2)
+
+
+@pytest.mark.parametrize("radius", [40.0, 1e300, math.inf])
+def test_disc_window_on_the_ideal_boundary_is_rejected(radius: float) -> None:
+    # 1 - tanh^2(R/2) <= BOUNDARY_MARGIN, the rule catenoid_patch applies
+    with pytest.raises(ParameterError, match="ideal boundary"):
+        disc_window_domain(radius, 9)
+
+
+@pytest.mark.parametrize(
+    ("center", "radius"), [((0.0, 1.0), 800.0), ((0.0, 1.0), math.inf), ((math.nan, 1.0), 1.0)]
+)
+def test_halfplane_window_with_non_finite_bounds_is_rejected(center, radius: float) -> None:
+    with pytest.raises(ParameterError, match="non-finite bounds"):
+        halfplane_window_domain(center, radius, 9)
+
+
 # -- example 1 ---------------------------------------------------------------------
 
 
@@ -389,6 +420,14 @@ def test_example2_requires_douglas_inequalities() -> None:
         build_example2(FLAT, "linear", 1.0, 0.45, 0.25)
     with pytest.raises(FeasibilityError, match="cosh"):
         build_example2(FLAT, "linear", 1.0, 0.47, 0.2)
+
+
+def test_example2_douglas_bounds_do_not_overflow() -> None:
+    # (cosh r - 1)/sinh r is written tanh(r/2): no OverflowError at r = 1e6
+    with pytest.raises(FeasibilityError, match="need 2 C r < h"):
+        build_example2(FLAT, "linear", 1e6, 0.45, 0.2)
+    with pytest.raises(FeasibilityError, match=r"need h < \(cosh r - 1\)/sinh r = 1.0: got h = 1.5"):
+        build_example2(FLAT, "linear", 1e6, 1.5, 1e-7)
 
 
 def test_example2_rejects_steep_window_gradient() -> None:

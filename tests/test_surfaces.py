@@ -412,6 +412,20 @@ def test_transversality_growth_overflow_is_a_parameter_error() -> None:
         transversality_delta(0.5, 1.0, 60.0)
 
 
+def test_transversality_margin_where_the_square_overflows() -> None:
+    # q = 2 + delta (1 + E) is about 1e159 here, so q ** 2 overflows
+    e = math.exp(2.0 * (1.0 + 58.0 * math.pi))
+    q = 2.0 + (1.0 + e)
+    assert transversality_margin(1.0, 1.0, 29.0) == 4.0 * 3.0 * (e / q) / q
+    assert transversality_margin(1.0, 1.0, 29.0) == pytest.approx(8.7687e-159, rel=1e-4)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -1.0])
+def test_transversality_margin_rejects_bad_delta(delta: float) -> None:
+    with pytest.raises(ParameterError, match="delta must be finite and nonnegative"):
+        transversality_margin(delta, 1.0, 0.5)
+
+
 def test_window_check_frozen() -> None:
     d0 = transversality_delta(0.5, 1.0, 0.0)
     sup, ok = transversality_window_check(1.0 + d0 / 2, 1.0, 0.5, 0.0)
