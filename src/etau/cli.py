@@ -3,7 +3,8 @@
 Exit codes: 0 = all checks pass, 1 = invalid input, 2 = computational
 failure or a failed check.  Every command emits a machine-readable JSON
 report (stdout by default); reports carry no timestamps and all sampling
-is seeded, so identical invocations produce byte-identical output.
+is seeded, so identical invocations produce byte-identical output.  An
+output file that cannot be written is invalid input, reported on stdout.
 """
 
 from __future__ import annotations
@@ -275,16 +276,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     out = args.out if args.command != "surface" else None
     try:
-        report, code = _HANDLERS[args.command](args)
-    except ConvergenceError as exc:
-        report, code = {"status": "computational_failure", "message": str(exc)}, 2
-    except GeometryError as exc:
-        report, code = {"status": "invalid_input", "message": str(exc)}, 1
-    try:
-        _emit(report, out)
-    except ValueError as exc:  # a non-finite value in the report: not strict JSON
-        _emit({"status": "computational_failure", "message": str(exc)}, out)
-        return 2
+        try:
+            report, code = _HANDLERS[args.command](args)
+        except ConvergenceError as exc:
+            report, code = {"status": "computational_failure", "message": str(exc)}, 2
+        except GeometryError as exc:
+            report, code = {"status": "invalid_input", "message": str(exc)}, 1
+        try:
+            _emit(report, out)
+        except ValueError as exc:  # a non-finite value in the report: not strict JSON
+            _emit({"status": "computational_failure", "message": str(exc)}, out)
+            return 2
+    except OSError as exc:  # an output file cannot be written, so the report goes to stdout
+        _emit({"status": "invalid_input", "message": str(exc)})
+        return 1
     return code
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from numpy.random import default_rng
@@ -357,17 +358,25 @@ def edge_length_spectrum(instance: AnnulusInstance) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SlabSpec:
-    """Region between two sampled entire graphs with its annulus family.
+    """Region between two entire graphs with its annulus family.
 
-    The graphs share one chart window; "entire" is window-relative.  The
-    generator must produce pairwise-isometric annuli through interior points.
-    Metadata only describes the construction in reports; nothing reads it.
+    lower and upper are the graphs' height functions (x, y) -> t in the
+    window domain's model, defined on the whole base plane; the window is
+    where the audit samples points and node values.  The generator must
+    produce pairwise-isometric annuli through interior points.  Metadata only
+    describes the construction in reports; nothing reads it.
     """
 
-    lower: GraphFunction
-    upper: GraphFunction
+    domain: GraphDomain
+    tau: float
+    lower: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    upper: Callable[[np.ndarray, np.ndarray], np.ndarray]
     annulus_generator: CatenoidAnnulusGenerator
     metadata: dict
+
+    def __post_init__(self) -> None:
+        if self.domain.chart not in (Chart.DISC_XY, Chart.HALFPLANE_XY):
+            raise ParameterError("a slab window lies on a coordinate chart")
 
 
 @dataclass(frozen=True)
@@ -409,68 +418,17 @@ class SlabReport:
     metadata: dict
 
 
-def _require_matching_domains(slab: SlabSpec) -> None:
-    dl, du = slab.lower.domain, slab.upper.domain
-    same = (
-        dl.chart is du.chart
-        and dl.bounds == du.bounds
-        and dl.shape == du.shape
-        and dl.axis_foot == du.axis_foot
-        and np.array_equal(dl.active_mask(), du.active_mask())
-    )
-    if not same:
-        raise ParameterError("bounding graphs must be sampled on matching grids")
-    if slab.lower.tau != slab.upper.tau:
-        raise ParameterError("bounding graphs must share the bundle curvature")
-
-
 def check_bounding_graphs(slab: SlabSpec) -> BoundingGraphCheck:
-    """Height bound, vertical-component bound, and disjointness of the graphs."""
-    _require_matching_domains(slab)
-    active = slab.lower.domain.active_mask()
-    h0 = float(
-        max(np.max(np.abs(slab.lower.values[active])), np.max(np.abs(slab.upper.values[active])))
+    """Height bound, vertical-component bound, and disjointness of the
+    graphs, from their values at the window's active nodes."""
+    lower, upper = (
+        GraphFunction.from_base_callable(slab.domain, slab.tau, f) for f in (slab.lower, slab.upper)
     )
-    c = float(min(np.min(graph_nu(slab.lower)[active]), np.min(graph_nu(slab.upper)[active])))
-    gap = float(np.min((slab.upper.values - slab.lower.values)[active]))
+    active = slab.domain.active_mask()
+    h0 = float(max(np.max(np.abs(lower.values[active])), np.max(np.abs(upper.values[active]))))
+    c = float(min(np.min(graph_nu(lower)[active]), np.min(graph_nu(upper)[active])))
+    gap = float(np.min((upper.values - lower.values)[active]))
     return BoundingGraphCheck(height_bound=h0, normal_bound=c, disjoint=gap > 0.0, min_gap=gap)
-
-
-@dataclass(frozen=True)
-class _BilinearHeights:
-    """Bilinear interpolation of node values on the chart axes (q1, q2).
-
-    Outside the window the edge cells extend linearly.
-    """
-
-    q1: np.ndarray
-    q2: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, x, y) -> np.ndarray:
-        i, s = _cell_coordinates(self.q1, x)
-        j, u = _cell_coordinates(self.q2, y)
-        v = self.values
-        return (
-            v[i, j] * (1.0 - s) * (1.0 - u)
-            + v[i, j + 1] * (1.0 - s) * u
-            + v[i + 1, j] * s * (1.0 - u)
-            + v[i + 1, j + 1] * s * u
-        )
-
-
-def _cell_coordinates(axis: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
-    """Index i of the axis cell [axis[i], axis[i + 1]) holding x (the edge
-    cell outside the axis) and x's offset in it, in cell widths."""
-    i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, axis.size - 2)
-    return i, (x - axis[i]) / (axis[i + 1] - axis[i])
-
-
-def _graph_interpolator(gf: GraphFunction) -> _BilinearHeights:
-    if gf.domain.chart not in (Chart.DISC_XY, Chart.HALFPLANE_XY):
-        raise ParameterError("slab graphs are expected on coordinate charts")
-    q1, q2 = gf.domain.axes()
-    return _BilinearHeights(q1, q2, gf.values)
 
 
 def _point_in_window(domain: GraphDomain, x: float, y: float) -> bool:
@@ -516,18 +474,15 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
             **base_report,
         )
 
-    tau = slab.lower.tau
-    model = slab.lower.domain.model
-    lower_interp = _graph_interpolator(slab.lower)
-    upper_interp = _graph_interpolator(slab.upper)
+    tau = slab.tau
+    model = slab.domain.model
     scale = max(1.0, 2.0 * bounding.height_bound)
 
     for p in points:
         q = p if p.model is model else convert_model(p, tau)
-        if not _point_in_window(slab.lower.domain, q.x, q.y):
+        if not _point_in_window(slab.domain, q.x, q.y):
             raise InvalidPointError(f"point projection {(q.x, q.y)} is outside the window")
-        lo, hi = float(lower_interp(q.x, q.y)), float(upper_interp(q.x, q.y))
-        if not lo < q.t < hi:
+        if not slab.lower(q.x, q.y) < q.t < slab.upper(q.x, q.y):
             raise InvalidPointError(f"point at t={q.t} is not strictly between the graphs")
 
     def check_one(p: AmbientPoint) -> tuple[AnnulusCheck, AnnulusInstance | None]:
@@ -547,8 +502,8 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
         pc = p if p.model is Model.CYLINDER else convert_model(p, tau)
         distance = instance.distance_to(pc, accept_below=_CONTAINS_TOL * scale)
         top, bottom = instance.boundary_coords()
-        above_margin = _fiber_margin(top, slab.upper, upper_interp, tau, side=+1)
-        below_margin = _fiber_margin(bottom, slab.lower, lower_interp, tau, side=-1)
+        above_margin = _fiber_margin(top, slab.upper, model, tau, side=+1)
+        below_margin = _fiber_margin(bottom, slab.lower, model, tau, side=-1)
         return (
             AnnulusCheck(
                 point=p,
@@ -594,17 +549,17 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
 
 def _fiber_margin(
     circle: np.ndarray,
-    graph: GraphFunction,
-    interp: _BilinearHeights,
+    height: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    model: Model,
     tau: float,
     side: int,
 ) -> float:
-    """Signed clearance of a boundary circle from a graph along fibers."""
-    model = graph.domain.model
+    """Signed clearance of a boundary circle from a graph along fibers; the
+    circle is in cylinder coordinates, the height function in model's."""
     x, y, t = circle[:, 0], circle[:, 1], circle[:, 2]
     if model is not Model.CYLINDER:
         x, y, t = convert_coords_arrays(Model.CYLINDER, tau, x, y, t)
-    heights = interp(x, y)
+    heights = height(x, y)
     if side > 0:
         return float(np.min(t - heights))
     return float(np.min(heights - t))
@@ -664,6 +619,45 @@ def _solve_catenoid_half_height(tau: float, target: float) -> float:
     )
 
 
+@dataclass(frozen=True)
+class _LinearHeight:
+    alpha: float
+    beta: float
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.alpha * x + self.beta * y
+
+
+def _sine_integral(y) -> np.ndarray:
+    """Si(y) = int_0^y sin t / t dt (Abramowitz & Stegun 5.2.1), by one
+    cumulative_integral over the sorted distinct values of y."""
+    y = np.asarray(y, dtype=float)
+    distinct, inverse = np.unique(y, return_inverse=True)
+    si = cumulative_integral(lambda t: np.sinc(t / math.pi), np.concatenate(([0.0], distinct)))[1:]
+    return si[inverse].reshape(y.shape)
+
+
+@dataclass(frozen=True)
+class _SineIntegralHeight:
+    """Si(y) normalized to vanish at the reference fiber y = 1."""
+
+    offset: float
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return _sine_integral(y) - self.offset
+
+
+@dataclass(frozen=True)
+class _Translate:
+    """The vertical translate u + shift of the height function u."""
+
+    u: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    shift: float
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.u(x, y) + self.shift
+
+
 def build_example1(
     sp: SpaceParams,
     epsilon: float,
@@ -695,9 +689,6 @@ def build_example1(
     boundary_height = 0.5 * (half + half_height)
     rho_boundary = catenoid_profile_inverse(spec, boundary_height)
 
-    domain = disc_window_domain(window_radius, grid)
-    lower = GraphFunction.constant(domain, tau, -half)
-    upper = GraphFunction.constant(domain, tau, half)
     generator = CatenoidAnnulusGenerator(
         tau=tau,
         d=d,
@@ -718,35 +709,15 @@ def build_example1(
         "window_radius": window_radius,
         "height_chain_ok": chain_left < half_height - abs(tau) * math.pi,
     }
-    return SlabSpec(lower=lower, upper=upper, annulus_generator=generator, metadata=metadata)
-
-
-@dataclass(frozen=True)
-class _LinearHeight:
-    alpha: float
-    beta: float
-
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.alpha * x + self.beta * y
-
-
-def _sine_integral(y) -> np.ndarray:
-    """Si(y) = int_0^y sin t / t dt (Abramowitz & Stegun 5.2.1), by one
-    cumulative_integral over the sorted distinct values of y."""
-    y = np.asarray(y, dtype=float)
-    distinct, inverse = np.unique(y, return_inverse=True)
-    si = cumulative_integral(lambda t: np.sinc(t / math.pi), np.concatenate(([0.0], distinct)))[1:]
-    return si[inverse].reshape(y.shape)
-
-
-@dataclass(frozen=True)
-class _SineIntegralHeight:
-    """Si(y) normalized to vanish at the reference fiber y = 1."""
-
-    offset: float
-
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _sine_integral(y) - self.offset
+    return SlabSpec(
+        domain=disc_window_domain(window_radius, grid),
+        tau=tau,
+        # the slices t = -half and t = half translate the zero section
+        lower=_Translate(_LinearHeight(0.0, 0.0), -half),
+        upper=_Translate(_LinearHeight(0.0, 0.0), half),
+        annulus_generator=generator,
+        metadata=metadata,
+    )
 
 
 def build_example2(
@@ -817,8 +788,6 @@ def build_example2(
     spec = CatenoidSpec(tau=tau, d=d)
     rho_boundary = catenoid_profile_inverse(spec, boundary_height)
 
-    lower = GraphFunction(domain, values - h_prime, tau)
-    upper = GraphFunction(domain, values + h_prime, tau)
     generator = CatenoidAnnulusGenerator(
         tau=tau,
         d=d,
@@ -844,7 +813,14 @@ def build_example2(
         "douglas_threshold": douglas_bound,
         "douglas_annulus_wins": h < douglas_bound,
     }
-    return SlabSpec(lower=lower, upper=upper, annulus_generator=generator, metadata=metadata)
+    return SlabSpec(
+        domain=domain,
+        tau=tau,
+        lower=_Translate(height_fn, -h_prime),
+        upper=_Translate(height_fn, h_prime),
+        annulus_generator=generator,
+        metadata=metadata,
+    )
 
 
 # -- sampling and negative controls ----------------------------------------------
@@ -867,10 +843,8 @@ def sample_interior_points(slab: SlabSpec, count: int, seed: int = 0) -> list[Am
     if count < 1:
         raise ParameterError("need at least one sample point")
     rng = default_rng(seed)
-    domain = slab.lower.domain
+    domain = slab.domain
     model = domain.model
-    lower_interp = _graph_interpolator(slab.lower)
-    upper_interp = _graph_interpolator(slab.upper)
     (a1, b1), (a2, b2) = domain.bounds
     if model is Model.CYLINDER:
         radius = 2.0 * math.atanh(b1)
@@ -890,7 +864,7 @@ def sample_interior_points(slab: SlabSpec, count: int, seed: int = 0) -> list[Am
             y = y0 * (math.cosh(rho) + math.sinh(rho) * math.sin(angle))
         if not _point_in_window(domain, x, y):
             continue
-        lo, hi = float(lower_interp(x, y)), float(upper_interp(x, y))
+        lo, hi = float(slab.lower(x, y)), float(slab.upper(x, y))
         if not lo < hi:
             continue
         t = lo + (0.1 + 0.8 * rng.uniform()) * (hi - lo)
@@ -1027,13 +1001,13 @@ def graph_separation_probe(graph: GraphFunction, leaf: LeafSpec) -> SeparationRe
 
 def slab_spec_descriptor(spec: SlabSpec) -> dict:
     """JSON-ready description of a slab: window and generator."""
-    domain = spec.lower.domain
+    domain = spec.domain
     gen = spec.annulus_generator
     return {
         "chart": domain.chart.name,
         "bounds": [list(domain.bounds[0]), list(domain.bounds[1])],
         "shape": list(domain.shape),
-        "tau": spec.lower.tau,
+        "tau": spec.tau,
         "metadata": dict(spec.metadata),
         "generator": {
             "kind": "translated_catenoid",

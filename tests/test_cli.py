@@ -14,6 +14,7 @@ import sys
 import tempfile
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import etau
-from etau import graphs, verify
+from etau import cli, graphs, verify
 from etau.cli import main
+from etau.slabs import check_annulus_family
 
 
 def _reject_constant(name: str):
@@ -271,10 +273,15 @@ def test_slab_windows_and_douglas_bounds_are_checked(capsys, argv) -> None:
     assert report["status"] == "invalid_input"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_report_is_a_computational_failure(tmp_path, capsys) -> None:
-    # a window of radius 1e-300 gives NaN fiber margins, which strict JSON cannot hold
-    argv = ["slab", "example1", "--window-radius", "1e-300", "--grid", "9", "--points", "1"]
+def test_non_finite_report_is_a_computational_failure(tmp_path, capsys, monkeypatch) -> None:
+    # a NaN fiber margin in the audit, which strict JSON cannot hold
+    def audit_with_nan_margin(slab, points, seed=0):
+        report = check_annulus_family(slab, points, seed)
+        first = replace(report.annulus_checks[0], above_margin=float("nan"))
+        return replace(report, annulus_checks=(first, *report.annulus_checks[1:]))
+
+    monkeypatch.setattr(cli, "check_annulus_family", audit_with_nan_margin)
+    argv = ["slab", "example1", "--grid", "9", "--points", "1"]
     code, report = run(capsys, *argv)
     assert code == 2
     assert report["status"] == "computational_failure"
@@ -282,6 +289,25 @@ def test_non_finite_report_is_a_computational_failure(tmp_path, capsys) -> None:
     out = tmp_path / "report.json"
     assert run(capsys, *argv, "--out", str(out)) == (2, None)
     assert json.loads(out.read_text()) == report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "limits", "--out", "missing/x.json"],
+        ["surface", "catenoid", "--d", "1.2", "--rows", "5", "--cols", "8", "--out", "missing/cat.obj"],
+        ["solve", "--n", "5", "--csv-out", "missing/g.csv"],
+    ],
+    ids=["verify-out", "surface-out", "solve-csv-out"],
+)
+def test_an_unwritable_output_is_invalid_input(tmp_path, capsys, argv) -> None:
+    # the directory "missing" does not exist, so the report goes to stdout
+    argv = [str(tmp_path / a) if a.startswith("missing/") else a for a in argv]
+    code, report = run(capsys, *argv)
+    assert code == 1
+    assert report["status"] == "invalid_input"
+    assert "No such file or directory" in report["message"]
+    assert not (tmp_path / "missing").exists()
 
 
 # -- config handling -----------------------------------------------------------------
@@ -438,32 +464,43 @@ def _sizes(*values: int) -> st.SearchStrategy[str]:
     return st.sampled_from(tuple(map(str, values)))
 
 
+# Output paths, relative to a temporary directory whose subdirectory "missing"
+# does not exist.  A report written to a file leaves stdout empty, so the
+# report-file draws (--out of verify, solve and slab) always miss.
+_PATHS = ("out", "csv_out")
+_MISSING_REPORT = st.just("missing/r.json")
+
 # command -> (positional choices, options always drawn, other options drawn as a subset);
 # the sizes stay small so each run is quick, and surface's --out is set so that it
-# writes into a temporary directory
+# writes into the temporary directory or misses it
 _FUZZ = {
     "surface": (
         ("catenoid", "invariant", "leaf"),
-        {"rows": _sizes(2, 3, 17), "cols": _sizes(2, 3, 17), "out": st.just("s.obj")},
+        {
+            "rows": _sizes(2, 3, 17),
+            "cols": _sizes(2, 3, 17),
+            "out": st.sampled_from(("s.obj", "missing/s.obj")),
+        },
         {k: _REALS for k in ("tau", "d", "s", "scale", "rho_max", "phi_span")} | {"seed": _SEEDS},
     ),
     "verify": (
         verify.SUITES,
         {"points": _sizes(0, 1, 2, 3)},
         {k: _REALS for k in ("tau", "d", "s")}
-        | {"surface": st.sampled_from(("catenoid", "invariant", "torus")), "seed": _SEEDS},
+        | {"surface": st.sampled_from(("catenoid", "invariant", "torus")), "seed": _SEEDS, "out": _MISSING_REPORT},
     ),
     "solve": (
         (),
         {"n": _sizes(0, 2, 3, 5, 9, 17), "max_newton": _sizes(0, 1, 8)},
         {k: _REALS for k in ("tau", "d", "s")}
-        | {"boundary": st.sampled_from(("zero", "catenoid", "invariant", "wild", "x")), "seed": _SEEDS},
+        | {"boundary": st.sampled_from(("zero", "catenoid", "invariant", "wild", "x")), "seed": _SEEDS}
+        | {"out": _MISSING_REPORT, "csv_out": st.sampled_from(("g.csv", "missing/g.csv"))},
     ),
     "slab": (
         ("example1", "example2"),
         {"grid": _sizes(0, 2, 3, 9, 17), "points": _sizes(0, 1, 2, 3)},
         {k: _REALS for k in ("tau", "eps", "r", "grad_cap", "h", "alpha", "beta", "window_radius")}
-        | {"graph": st.sampled_from(("linear", "si", "x")), "seed": _SEEDS},
+        | {"graph": st.sampled_from(("linear", "si", "x")), "seed": _SEEDS, "out": _MISSING_REPORT},
     ),
 }
 
@@ -492,7 +529,7 @@ def _invocations(draw) -> tuple[list[str], dict[str, str], str | None]:
     for dest in draw(st.lists(st.sampled_from(sorted(others)), unique=True, max_size=4)):
         options[dest] = draw(others[dest])
     if draw(st.booleans()):
-        options[draw(st.sampled_from(sorted(set(options) - {"out"})))] = draw(st.sampled_from(_JUNK))
+        options[draw(st.sampled_from(sorted(set(options) - set(_PATHS))))] = draw(st.sampled_from(_JUNK))
     mode = draw(st.sampled_from((None, "object")))
     if mode is not None and draw(st.integers(0, 3)) == 0:
         mode = draw(st.sampled_from(_BAD_CONFIGS))
@@ -528,6 +565,9 @@ def _false_verdict(report: dict) -> bool:
 @example((["slab", "example2"], {"graph": "si", "window_radius": "800"}, None))
 @example((["slab", "example2"], {"r": "1e6"}, None))
 @example((["slab", "example1"], {"window_radius": "1e-300", "grid": "9", "points": "1"}, None))
+@example((["verify", "limits"], {"points": "1", "out": "missing/r.json"}, None))
+@example((["surface", "catenoid"], {"rows": "5", "cols": "8", "out": "missing/s.obj", "d": "1.2"}, None))
+@example((["solve"], {"n": "5", "max_newton": "1", "csv_out": "missing/g.csv"}, "object"))
 @example((["verify", "lifts"], {"points": "3"}, "list"))
 @example((["verify", "lifts"], {"points": "3"}, "not-utf-8"))
 def test_every_invocation_ends_in_a_strict_json_report(case) -> None:
@@ -539,8 +579,7 @@ def test_every_invocation_ends_in_a_strict_json_report(case) -> None:
     """
     head, options, mode = case
     with tempfile.TemporaryDirectory() as tmp:
-        if "out" in options:
-            options = dict(options, out=os.path.join(tmp, options["out"]))
+        options = options | {dest: os.path.join(tmp, options[dest]) for dest in _PATHS if dest in options}
         if mode is None:
             argv = [*head, *(token for dest, value in options.items() for token in (_flag(dest), value))]
         else:

@@ -23,7 +23,7 @@ from etau.core import (
     metric_arrays,
     metric_quadratic_form,
 )
-from etau.graphs import GraphFunction
+from etau.graphs import Chart, GraphDomain, GraphFunction
 from etau.isometries import AmbientIsometry, Orientation, apply_to_coords, push_forward
 from etau.quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss
 from etau.slabs import (
@@ -57,6 +57,11 @@ def slab1():
 @pytest.fixture(scope="module")
 def slab2():
     return build_example2(FLAT, "linear", 1.0, 0.45, 0.2, grid=65, annulus_resolution=(33, 48))
+
+
+def _level(t: float):
+    """Height function of the horizontal slice at fiber height t."""
+    return lambda x, y: np.full(np.broadcast(x, y).shape, t)
 
 
 # -- window domains ---------------------------------------------------------------
@@ -106,6 +111,14 @@ def test_disc_window_on_the_ideal_boundary_is_rejected(radius: float) -> None:
 def test_halfplane_window_with_non_finite_bounds_is_rejected(center, radius: float) -> None:
     with pytest.raises(ParameterError, match="non-finite bounds"):
         halfplane_window_domain(center, radius, 9)
+
+
+def test_slab_window_lies_on_a_coordinate_chart() -> None:
+    polar = GraphDomain(chart=Chart.DISC_POLAR, bounds=((0.1, 1.0), (0.0, 1.0)), shape=(5, 5))
+    with pytest.raises(ParameterError, match="coordinate chart"):
+        SlabSpec(
+            domain=polar, tau=0.0, lower=_level(-1.0), upper=_level(1.0), annulus_generator=None, metadata={}
+        )
 
 
 # -- example 1 ---------------------------------------------------------------------
@@ -186,6 +199,18 @@ def test_example1_audit_passes(slab1) -> None:
         assert c.below_margin == pytest.approx(0.0125, abs=1e-9)
     assert report.spectra_ok
     assert report.spectra_deviation < 1e-6
+
+
+@pytest.mark.parametrize("radius", [1e-6, 1e-30, 1e-200])
+def test_example1_margins_hold_on_tiny_windows(radius: float) -> None:
+    # The boundary circles leave the window by far; the audit reads the
+    # slices t = -half and t = half there, not an extrapolation of the window.
+    slab = build_example1(FLAT, 0.1, window_radius=radius, grid=65, annulus_resolution=(33, 48))
+    report = check_annulus_family(slab, sample_interior_points(slab, 3, seed=7))
+    assert report.passed
+    for c in report.annulus_checks:
+        assert c.above_margin == pytest.approx(0.0125, abs=1e-9)
+        assert c.below_margin == pytest.approx(0.0125, abs=1e-9)
 
 
 def test_distance_to_accepts_the_reference_vertex(slab1) -> None:
@@ -403,7 +428,8 @@ def test_example2_metadata_frozen(slab2) -> None:
 def test_example2_translate_offset_uses_window_variation(slab2) -> None:
     md = slab2.metadata
     assert md["h_prime"] == pytest.approx(0.5 * (md["h"] + md["variation"]), abs=1e-13)
-    gap = slab2.upper.values - slab2.lower.values
+    x, y = slab2.domain.base_grids()
+    gap = slab2.upper(x, y) - slab2.lower(x, y)
     assert np.allclose(gap, 2.0 * md["h_prime"])
 
 
@@ -443,38 +469,6 @@ def test_example2_rejects_unknown_graph_choice() -> None:
 # -- sampling ----------------------------------------------------------------------
 
 
-def _scipy_heights(gf: GraphFunction):
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp = RegularGridInterpolator(
-        gf.domain.axes(), gf.values, method="linear", bounds_error=False, fill_value=None
-    )
-    return lambda x, y: interp(np.stack([x, y], axis=-1))
-
-
-@pytest.mark.parametrize("chart", ["disc", "halfplane"])
-def test_bilinear_heights_match_scipy(chart: str) -> None:
-    if chart == "disc":
-        domain = disc_window_domain(3.0, 33)
-    else:
-        domain = halfplane_window_domain((0.0, 1.0), 2.0, 33)
-    gf = GraphFunction.from_base_callable(domain, 0.0, lambda x, y: 2.0 + np.sin(3.0 * x) * np.cos(2.0 * y))
-    ours, reference = slabs._graph_interpolator(gf), _scipy_heights(gf)
-    q1, q2 = domain.axes()
-    (a1, b1), (a2, b2) = domain.bounds
-    rng = np.random.default_rng(2)
-    nodes = np.meshgrid(q1, q2, indexing="ij")
-    inside = (rng.uniform(a1, b1, 400), rng.uniform(a2, b2, 400))
-    w1, w2 = b1 - a1, b2 - a2
-    x, y = rng.uniform(a1 - 0.2 * w1, b1 + 0.2 * w1, 400), rng.uniform(a2 - 0.1 * w2, b2 + 0.2 * w2, 400)
-    beyond = (x < a1) | (x > b1) | (y < a2) | (y > b2)
-    outside = (x[beyond], y[beyond])
-    assert outside[0].size > 100
-    for x, y in (nodes, inside, outside):
-        np.testing.assert_allclose(ours(x, y), reference(x, y), rtol=1e-14, atol=0.0)
-    np.testing.assert_array_equal(ours(*nodes), gf.values)
-
-
 def test_sine_integral_matches_scipy_on_the_example2_axis() -> None:
     from scipy.special import sici
 
@@ -499,14 +493,11 @@ def test_sampled_points_lie_between_graphs(slab1) -> None:
 
 
 def test_sampler_gives_up_on_an_unreachable_window() -> None:
-    # The upper graph lies below the lower one on every node, so no draw
+    # The upper graph lies below the lower one everywhere, so no draw
     # lands strictly between them.
     dom = halfplane_window_domain((50.0, 1.0), 0.5, 9)
     slab = SlabSpec(
-        lower=GraphFunction.constant(dom, 0.0, 1.0),
-        upper=GraphFunction.constant(dom, 0.0, -1.0),
-        annulus_generator=None,
-        metadata={},
+        domain=dom, tau=0.0, lower=_level(1.0), upper=_level(-1.0), annulus_generator=None, metadata={}
     )
     with pytest.raises(ConvergenceError):
         sample_interior_points(slab, 3)
@@ -515,10 +506,7 @@ def test_sampler_gives_up_on_an_unreachable_window() -> None:
 def test_sampler_draws_from_an_off_centre_window() -> None:
     dom = halfplane_window_domain((50.0, 1.0), 0.5, 9)
     slab = SlabSpec(
-        lower=GraphFunction.constant(dom, 0.0, -1.0),
-        upper=GraphFunction.constant(dom, 0.0, 1.0),
-        annulus_generator=None,
-        metadata={},
+        domain=dom, tau=0.0, lower=_level(-1.0), upper=_level(1.0), annulus_generator=None, metadata={}
     )
     points = sample_interior_points(slab, 6, seed=1)
     assert len(points) == 6
@@ -528,13 +516,11 @@ def test_sampler_draws_from_an_off_centre_window() -> None:
         assert -1.0 < p.t < 1.0
 
 
-def _hand_built_slab(slab1, upper_values=None) -> SlabSpec:
-    dom = disc_window_domain(4.0, 33)
-    upper = GraphFunction.constant(dom, 0.0, 1.2)
-    if upper_values is not None:
-        upper = GraphFunction(dom, upper_values, 0.0)
+def _hand_built_slab(slab1, upper=_level(1.2)) -> SlabSpec:
     return SlabSpec(
-        lower=GraphFunction.constant(dom, 0.0, -1.2),
+        domain=disc_window_domain(4.0, 33),
+        tau=0.0,
+        lower=_level(-1.2),
         upper=upper,
         annulus_generator=slab1.annulus_generator,
         metadata={},
@@ -557,10 +543,12 @@ def test_slab_without_metadata_is_sampled_and_shrunk(slab1) -> None:
 
 
 def test_shrinking_needs_a_gap_between_the_graphs(slab1) -> None:
-    values = np.full((33, 33), 1.2)
-    values[16, 16] = -1.2  # the graphs touch at the window's centre node
+    def dipping(x, y):
+        # -1.2 at the origin, the window's centre node, where the graphs touch
+        return 1.2 - 2.4 * np.exp(-1e4 * (x * x + y * y))
+
     with pytest.raises(ParameterError):
-        with_shrunken_annuli(_hand_built_slab(slab1, values))
+        with_shrunken_annuli(_hand_built_slab(slab1, dipping))
 
 
 @pytest.mark.parametrize(
