@@ -41,11 +41,17 @@ order.  A batch's fronts, and after them one scratch region for the gathered
 field values, the extend-add indices and the Schur-update product, sit just
 past that batch's stored blocks, where later batches' blocks overwrite them
 once the batch is done.  The Schur complements sit at the end, in two regions
-by depth parity, each as large as its largest depth.  Batch ids run depth by
-depth, so each Schur complement is read by its parent, one depth up, before
-any batch two depths up writes into its region.  A solver so holds one live
-factor: each ``factor`` call invalidates the previous one, and
-``Factor.solve`` on a stale factor raises ``RuntimeError``.
+by depth parity, each as large as its largest depth.  A batch's last pivot
+block writes its update F_UU - c x straight into the batch's Schur region,
+where the parent reads it, so no pass copies it out of the fronts.  Batch ids
+run depth by depth, so each Schur complement is read by its parent, one depth
+up, before any batch two depths up writes into its region.  A solver so holds
+one live factor: each ``factor`` call invalidates the previous one, and
+``Factor.solve`` on a stale factor raises ``RuntimeError``.  ``Factor.solve``
+works in vectors that sit past the stored blocks, where the factorization's
+fronts and Schur complements were, and returns one of them: a solution is
+valid until the solver's next solve or factorization.  Each pivot block's
+forward update is a ``np.bincount`` over the window of nodes it updates.
 
 Results do not depend on the number of BLAS threads: pivot blocks have at most
 ``_PIVOT_CAP`` rows, and every product runs in row blocks small enough that
@@ -100,8 +106,9 @@ class _Batch:
     scatter_to: np.ndarray  # flat front-stack index of each field entry
     scatter_from: np.ndarray  # its flat index into the coefficient field
     unit: np.ndarray  # flat front-stack index of each identity row's diagonal
-    # per pivot block [k0, k1): k0, k1, its pivot nodes and the nodes it updates
-    blocks: list[tuple[int, int, np.ndarray, np.ndarray]]
+    # per pivot block [k0, k1): k0, k1, its pivot nodes, the least node it updates
+    # (lo) and the nodes it updates less lo
+    blocks: list[tuple[int, int, np.ndarray, int, np.ndarray]]
     # children's extend-add: child batch, its rows start:stop, flat row offsets, columns
     adds: list[tuple[int, int, int, np.ndarray, np.ndarray]] = field(default_factory=list)
     # arena offsets: per pivot block its inverse, x and c; the fronts; the Schur complements
@@ -115,8 +122,18 @@ class _Views(NamedTuple):
 
     fronts: np.ndarray
     scratch: np.ndarray  # flat, from the end of the fronts
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]  # piv, upd, inverse, x, c
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # inverse, x, c
     schur: np.ndarray | None  # the Schur complements, which the parents read
+
+
+class _Vectors(NamedTuple):
+    """``Factor.solve``'s work vectors."""
+
+    y: np.ndarray  # forward sweep, on the box nodes and a last entry that collects padding
+    sol: np.ndarray  # backward sweep; padding reads the last entry, which is 0
+    gathered: np.ndarray  # flat, a block's gathered y or sol
+    product: np.ndarray  # flat, a block's product with them
+    out: np.ndarray  # the solution on the unknowns
 
 
 # kinds of window cells: a pivot, the ring's row above, row below, column left
@@ -295,10 +312,10 @@ class NestedDissection:
 
         cuts = -(-p // _PIVOT_CAP)
         edges = [i * p // cuts for i in range(cuts + 1)]
-        blocks = [
-            (k0, k1, np.ascontiguousarray(idx[:, k0:k1]), np.ascontiguousarray(idx[:, k1:]))
-            for k0, k1 in zip(edges[:-1], edges[1:])
-        ]
+        blocks = []
+        for k0, k1 in zip(edges[:-1], edges[1:]):
+            lo = int(idx[:, k1:].min())
+            blocks.append((k0, k1, np.ascontiguousarray(idx[:, k0:k1]), lo, idx[:, k1:] - lo))
         return _Batch(idx, p, scatter_to, scatter_from, unit, blocks), column, slots
 
     def _link(self, bid: int, parent: np.ndarray, placed: list) -> None:
@@ -327,17 +344,18 @@ class NestedDissection:
 
     def _plan(self, depths: list[int]) -> None:
         """Arena offsets of the numeric phase's arrays (see Workspace above)."""
-        store = top = 0
+        store = top = widest = 0
         level: dict[int, int] = {}  # Schur entries of each depth so far
         for bid in range(len(self._batches) - 1, -1, -1):  # elimination order
             batch = self._batches[bid]
             b, n = batch.idx.shape
             scratch = max([batch.scatter_from.size] + [cols.size * cols.shape[1] for *_, cols in batch.adds])
-            for k0, k1, _, _ in batch.blocks:
+            for k0, k1, *_ in batch.blocks:
                 k, m = k1 - k0, n - k1
                 batch.stored.append((store, store + b * k * k, store + b * k * (k + m)))
                 store += b * k * (k + 2 * m)
                 scratch = max(scratch, b * min(_row_step(k, m), m) * m)
+                widest = max(widest, b * max(k, m))
             batch.fronts = store
             top = max(top, store + b * n * n + scratch)
             if bid:  # the root's Schur complement is read by no parent
@@ -347,10 +365,12 @@ class NestedDissection:
         region = [max([v for d, v in level.items() if d % 2 == q], default=0) for q in (0, 1)]
         for bid in range(1, len(self._batches)):
             self._batches[bid].schur += top + (depths[bid] % 2) * region[0]
-        self._arena_size = top + region[0] + region[1]
+        # the solve's vectors, past the stored blocks: y, sol, z, gathered, product, out
+        self._vector_plan = (store, (self.size + 1, self.size + 1, self.size, widest, widest, self.nodes.size))
+        self._arena_size = max(top + region[0] + region[1], store + sum(self._vector_plan[1]))
 
     def _allocate(self) -> None:
-        """The arena and each batch's views into it."""
+        """The arena, each batch's views into it and the solve's vectors."""
         arena = np.empty(self._arena_size)
 
         def view(offset: int, *shape: int) -> np.ndarray:
@@ -359,14 +379,23 @@ class NestedDissection:
         for bid, batch in enumerate(self._batches):
             b, n = batch.idx.shape
             blocks = []
-            for (k0, k1, piv, upd), (inverse, x, c) in zip(batch.blocks, batch.stored):
+            for (k0, k1, *_), (inverse, x, c) in zip(batch.blocks, batch.stored):
                 k, m = k1 - k0, n - k1
-                blocks.append((piv, upd, view(inverse, b, k, k), view(x, b, k, m), view(c, b, m, k)))
+                blocks.append((view(inverse, b, k, k), view(x, b, k, m), view(c, b, m, k)))
             r = n - batch.pivots
             schur = view(batch.schur, b, r, r) if bid else None
             scratch = arena[batch.fronts + b * n * n :]
             self._work.append(_Views(view(batch.fronts, b, n, n), scratch, blocks, schur))
-        self._blocks = [block for views in reversed(self._work) for block in views.blocks]
+        start, lengths = self._vector_plan
+        starts = itertools.accumulate(lengths[:-1], initial=start)
+        y, sol, z, gathered, product, out = (view(at, length) for at, length in zip(starts, lengths))
+        self._vectors = _Vectors(y, sol, gathered, product, out)
+        # in elimination order, each with its forward-sweep vector z
+        self._blocks, at = [], 0
+        for batch, views in zip(reversed(self._batches), reversed(self._work)):
+            for (_, _, piv, lo, upd), stored in zip(batch.blocks, views.blocks):
+                self._blocks.append((piv, lo, upd, *stored, z[at : at + piv.size].reshape(piv.shape + (1,))))
+                at += piv.size
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def factor(self, coef: np.ndarray) -> "Factor":
@@ -396,20 +425,19 @@ class NestedDissection:
                 np.add(offsets[:, :, None], cols[:, None, :], out=ix.reshape(cols.shape + cols.shape[1:]))
                 # ufunc.at takes its fast path on a flat index
                 np.add.at(flat, ix, self._work[child].schur[start:stop].reshape(-1))
-            for (k0, k1, _, _), (_, _, inverse, x, c) in zip(batch.blocks, blocks):
+            for (k0, k1, *_), (inverse, x, c) in zip(batch.blocks, blocks):
                 np.copyto(inverse, np.linalg.inv(fronts[:, k0:k1, k0:k1]))
                 _product(inverse, fronts[:, k0:k1, k1:], out=x)
                 np.copyto(c, fronts[:, k1:, k0:k1])
                 m = n - k1
+                # the last block's update is the Schur complement, which the parent reads
+                dest = schur if k1 == batch.pivots and schur is not None else fronts[:, k1:, k1:]
                 step = _row_step(k1 - k0, m)
                 for r0 in range(0, m, step):
                     rows = min(step, m - r0)
                     update = scratch[: b * rows * m].reshape(b, rows, m)
                     np.matmul(c[:, r0 : r0 + rows], x, out=update)
-                    target = fronts[:, k1 + r0 : k1 + r0 + rows, k1:]
-                    np.subtract(target, update, out=target)
-            if schur is not None:
-                np.copyto(schur, fronts[:, batch.pivots :, batch.pivots :])
+                    np.subtract(fronts[:, k1 + r0 : k1 + r0 + rows, k1:], update, out=dest[:, r0 : r0 + rows])
         return Factor(self, self._generation)
 
 
@@ -421,17 +449,27 @@ class Factor:
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solution for a right-hand side given on the unknowns, row-major."""
+        """Solution for a right-hand side given on the unknowns, row-major.
+
+        The solution is one of the solver's vectors: valid until its next solve
+        or factorization.
+        """
         solver = self._solver
         if solver._generation != self._generation:
             raise RuntimeError("a later factorization has overwritten this factor")
-        y = np.zeros(solver.size + 1)  # the last entry collects padding
+        y, sol, gathered, product, out = solver._vectors
+        y.fill(0.0)
         y[solver.nodes] = rhs
-        z = []
-        for piv, upd, inverse, _, c in solver._blocks:
-            z.append(_product(inverse, y[piv][:, :, None]))
-            y -= np.bincount(upd.ravel(), _product(c, z[-1]).ravel(), minlength=y.size)
-        sol = np.zeros(solver.size + 1)  # padding reads the last entry, which stays 0
-        for (piv, upd, _, x, _), zk in zip(reversed(solver._blocks), reversed(z)):
-            sol[piv] = (zk - _product(x, sol[upd][:, :, None]))[:, :, 0]
-        return sol[solver.nodes]
+        sol[-1] = 0.0
+        # the indices are in range, so np.take may skip its checked copy
+        for piv, lo, upd, inverse, _, c, z in solver._blocks:
+            above = np.take(y, piv, out=gathered[: piv.size].reshape(piv.shape), mode="clip")
+            _product(inverse, above[:, :, None], out=z)
+            update = _product(c, z, out=product[: upd.size].reshape(upd.shape + (1,)))
+            window = np.bincount(upd.ravel(), update.ravel())
+            y[lo : lo + window.size] -= window
+        for piv, lo, upd, _, x, _, z in reversed(solver._blocks):
+            below = np.take(sol[lo:], upd, out=gathered[: upd.size].reshape(upd.shape), mode="clip")
+            step = _product(x, below[:, :, None], out=product[: piv.size].reshape(z.shape))
+            sol[piv] = np.subtract(z, step, out=step)[:, :, 0]
+        return np.take(sol, solver.nodes, out=out, mode="clip")

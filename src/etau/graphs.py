@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -277,11 +277,22 @@ def _node_gradients(values: np.ndarray, h1: float, h2: float) -> tuple[np.ndarra
     return u1, u2
 
 
-def _tilt(g1, g2, w1, w2, u1, u2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Horizontal coefficients (a, b, W) from chart coefficients and the gradient (u1, u2)."""
-    a = -(u1 + w1) / np.sqrt(g1)
-    b = -(u2 + w2) / np.sqrt(g2)
-    return a, b, np.sqrt(1.0 + a * a + b * b)
+def _tilt(root_g1, root_g2, w1, w2, u1, u2, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Horizontal coefficients (a, b, W) from the roots sqrt(g1), sqrt(g2) of the
+    chart metric, its connection components and the gradient (u1, u2).
+
+    ``out`` holds a, b, W and one scratch array (made when not given); u1 and u2
+    may be its a and b.
+    """
+    if out is None:
+        shapes = (np.shape(v) for v in (root_g1, root_g2, w1, w2, u1, u2))
+        out = np.empty((4,) + np.broadcast_shapes(*shapes))
+    a, b, w, scratch = out
+    np.divide(np.negative(np.add(u1, w1, out=a), out=a), root_g1, out=a)
+    np.divide(np.negative(np.add(u2, w2, out=b), out=b), root_g2, out=b)
+    np.add(1.0, np.multiply(a, a, out=w), out=w)
+    np.add(w, np.multiply(b, b, out=scratch), out=w)
+    return a, b, np.sqrt(w, out=w)
 
 
 def horizontal_coefficients(gf: GraphFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -290,7 +301,7 @@ def horizontal_coefficients(gf: GraphFunction) -> tuple[np.ndarray, np.ndarray, 
     h1, h2 = dom.steps()
     q1, q2 = dom.node_grids()
     g1, g2, w1, w2 = chart_coefficients(dom.chart, dom.axis_foot, gf.tau, q1, q2)
-    return _tilt(g1, g2, w1, w2, *_node_gradients(gf.values, h1, h2))
+    return _tilt(np.sqrt(g1), np.sqrt(g2), w1, w2, *_node_gradients(gf.values, h1, h2))
 
 
 def graph_nu(gf: GraphFunction) -> np.ndarray:
@@ -316,42 +327,198 @@ def variation(gf: GraphFunction) -> float:
     return float(np.max(vals) - np.min(vals))
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _half_edges(gf: GraphFunction) -> list[tuple[np.ndarray, ...]]:
-    """(g_n, g_t, a_n, a_t, W) on both half-edge families, n across the edge.
+class _Family(NamedTuple):
+    """One half-edge family of a ``_FluxWorkspace``, on the flat half-edges
+    lo..lo + len(root_n)."""
 
-    The vertical family (i+1/2, j) comes as is; the horizontal one (i, j+1/2)
-    comes transposed, so that axis 0 crosses the edge in both.  Half-edges of
-    masked nodes, where the chart may blow up (a masked disc window can put a
-    midpoint on the unit circle), reach no interior row, so the floating-point
-    warnings are silenced.
+    s_n: int  # flat node step across the edge
+    s_t: int  # and along it
+    h_n: float
+    h_t: float
+    lo: int
+    root_n: np.ndarray  # sqrt(g_n)
+    root_t: np.ndarray  # sqrt(g_t)
+    neg_ratio: np.ndarray  # -sqrt(g_t / g_n)
+    w_n: np.ndarray
+    w_t: np.ndarray
+
+
+class _FluxWorkspace:
+    """The discrete flux form on one chart window and tau, with its arrays.
+
+    Fluxes live on two half-edge families, the vertical one (i+1/2, j) and the
+    horizontal one (i, j+1/2).  Both are laid out on the flat row-major node
+    index: half-edge e of a family joins nodes e and e + s_n, and runs between
+    the nodes e - s_t and e + s_t along it (s_n = n2 and s_t = 1 for the
+    vertical family, the other way round for the horizontal one), so one code
+    serves both, and every array operation is on contiguous 1-D slices (numpy
+    buffers strided 2-D operands).  A family is computed over the flat range
+    of half-edges that the rows of the inner box read.  In the boundary
+    columns that range wraps from one row to the next, so the half-edges there
+    come out as junk, and the residual and Jacobian entries they reach, which
+    lie off the inner box, are set to 0.  Half-edges of masked nodes, where the
+    chart may blow up (a masked disc window can put a midpoint on the unit
+    circle), reach no interior row, so the floating-point warnings are
+    silenced.
+
+    A solve builds one workspace.  It holds each family's chart terms, which
+    the window and tau fix: w_n, w_t and the roots sqrt(g_n), sqrt(g_t) and
+    -sqrt(g_t / g_n) that the tilt, the flux and the Jacobian read.  Everything
+    else is a buffer that each call overwrites in place, in the operation
+    order of the formulas, so a Newton pass allocates nothing node-sized: the
+    tilt (a_n, a_t, W and a scratch array), which the families take in turn,
+    the Jacobian field, two iterate slots (node values and their residual) and
+    three vectors on the interior nodes.
     """
-    dom = gf.domain
-    (h1, h2), (q1, q2) = dom.steps(), dom.axes()
-    m1, m2 = 0.5 * (q1[:-1] + q1[1:]), 0.5 * (q2[:-1] + q2[1:])
-    vert = chart_coefficients(dom.chart, dom.axis_foot, gf.tau, m1[:, None], q2[None, :])
-    g1, g2, w1, w2 = chart_coefficients(dom.chart, dom.axis_foot, gf.tau, q1[:, None], m2[None, :])
-    horiz = (g2.T, g1.T, w2.T, w1.T)
-    families = []
-    for u, hn, ht, (gn, gt, wn, wt) in ((gf.values, h1, h2, vert), (gf.values.T, h2, h1, horiz)):
-        dn = (u[1:, :] - u[:-1, :]) / hn
-        dt = np.full_like(dn, np.nan)
-        dt[:, 1:-1] = (u[1:, 2:] + u[:-1, 2:] - u[1:, :-2] - u[:-1, :-2]) / (4.0 * ht)
-        families.append((gn, gt, *_tilt(gn, gt, wn, wt, dn, dt)))
-    return families
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def __init__(self, domain: GraphDomain, tau: float) -> None:
+        self.domain = domain
+        h1, h2 = domain.steps()
+        q1, q2 = domain.axes()
+        m1, m2 = 0.5 * (q1[:-1] + q1[1:]), 0.5 * (q2[:-1] + q2[1:])
+        vert = chart_coefficients(domain.chart, domain.axis_foot, tau, m1[:, None], q2[None, :])
+        g1, g2, w1, w2 = chart_coefficients(domain.chart, domain.axis_foot, tau, q1[:, None], m2[None, :])
+        n1, n2 = domain.shape
+        size = n1 * n2
+        # the inner box's rows, as one flat range of nodes
+        self._rows = (n2 + 1, size - n2 - 1)
+        self._families: list[_Family] = []
+        for (gn, gt, wn, wt), s_n, s_t, hn, ht, block in (
+            (vert, n2, 1, h1, h2, np.s_[:-1, :]),
+            ((g2, g1, w2, w1), 1, n2, h2, h1, np.s_[:, :-1]),
+        ):
+            lo, hi = s_t, size - s_n - s_t
+            terms = []
+            for v, pad in ((np.sqrt(gn), 1.0), (np.sqrt(gt), 1.0), (-np.sqrt(gt / gn), -1.0), (wn, 0.0), (wt, 0.0)):
+                full = np.full((n1, n2), pad)  # the padding is the horizontal family's last column
+                full[block] = v
+                terms.append(full.reshape(-1)[lo:hi])
+            self._families.append(_Family(s_n, s_t, hn, ht, lo, *terms))
+        self._tilt = np.empty((4, max(f.root_n.size for f in self._families)))
+        self._coef = np.empty((3, 3, n1, n2))
+        # a residual is 0 off the inner box's rows, which are all that is ever written
+        self._slots = tuple((np.empty(domain.shape), np.zeros(domain.shape)) for _ in range(2))
+        self._nodes = np.flatnonzero(domain.interior_mask())
+        self._vectors = np.empty((3, self._nodes.size))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the buffers that a Newton pass writes."""
+        buffers = [self._coef, self._vectors, self._tilt]
+        return sum(a.nbytes for a in buffers) + sum(v.nbytes + r.nbytes for v, r in self._slots)
+
+    def _half_edges(self, f: _Family, u: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The tilt (a_n, a_t, W) of a family from flat node values u, and the
+        scratch array; the gradient across an edge is one-sided, the one along
+        it a centered average."""
+        count = f.root_n.size
+        tilt = self._tilt[:, :count]
+        an, at = tilt[0], tilt[1]
+
+        def shifted(offset: int) -> np.ndarray:  # u at the half-edges' first node plus offset
+            return u[f.lo + offset : f.lo + offset + count]
+
+        np.divide(np.subtract(shifted(f.s_n), shifted(0), out=an), f.h_n, out=an)
+        np.add(shifted(f.s_n + f.s_t), shifted(f.s_t), out=at)
+        np.subtract(np.subtract(at, shifted(f.s_n - f.s_t), out=at), shifted(-f.s_t), out=at)
+        np.divide(at, 4.0 * f.h_t, out=at)
+        _tilt(f.root_n, f.root_t, f.w_n, f.w_t, an, at, out=tilt)
+        return tuple(tilt)
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def residual(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Conservative flux divergence of node values, written into out (a
+        C-contiguous node array): 2 sqrt(g1 g2) H at interior nodes.
+
+        The flux across a half-edge is F = sqrt(g_t) a_n / W.
+        """
+        k0, k1 = self._rows
+        rows = out.reshape(-1)[k0:k1]
+        for f in self._families:
+            an, _, w, flux = self._half_edges(f, np.ravel(values))
+            np.divide(np.multiply(f.root_t, an, out=flux), w, out=flux)
+            # the horizontal family, the last, leaves its divergence in a_n, free once the flux is formed
+            div = rows if f.s_n > 1 else an[: k1 - k0]
+            above, below = flux[k0 - f.lo : k1 - f.lo], flux[k0 - f.s_n - f.lo : k1 - f.s_n - f.lo]
+            np.divide(np.subtract(above, below, out=div), f.h_n, out=div)
+        np.add(rows, div, out=rows)
+        out[:, 0] = out[:, -1] = 0.0
+        return out
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def jacobian(self, values: np.ndarray) -> np.ndarray:
+        """Exact Jacobian of the divergence residual as a (3, 3, n1, n2) coefficient
+        field: entry [di + 1, dj + 1, i, j] is d res[i, j] / d u[i + di, j + dj].
+
+        On a half-edge, dF/d(du_n) = -sqrt(g_t / g_n) (1 + a_t^2) / W^3 and
+        dF/d(du_t) = a_n a_t / W^3.  The horizontal family fills the transposed
+        view of the coefficient field, so one scatter serves both.  The field is
+        the workspace's: valid until its next Jacobian.
+        """
+        coef = self._coef
+        coef.fill(0.0)
+        flat = coef.reshape(3, 3, -1)
+        k0, k1 = self._rows
+        for f, view in zip(self._families, (flat, flat.transpose(1, 0, 2))):
+            an, at, w, w3 = self._half_edges(f, np.ravel(values))
+            np.multiply(np.multiply(w, w, out=w3), w, out=w3)
+            # d res / d u of the four nodes along the edge (kt, in a_n) and of the two across it (kn, in a_t)
+            np.multiply(np.multiply(np.multiply(w3, 4.0, out=w), f.h_n, out=w), f.h_t, out=w)
+            kt = np.divide(np.multiply(an, at, out=an), w, out=an)
+            np.multiply(np.multiply(w3, f.h_n, out=w), f.h_n, out=w)
+            np.multiply(f.neg_ratio, np.add(1.0, np.multiply(at, at, out=at), out=at), out=at)
+            kn = np.divide(at, w, out=at)
+            below, above = slice(k0 - f.s_n - f.lo, k1 - f.s_n - f.lo), slice(k0 - f.lo, k1 - f.lo)
+            n_lo, n_hi, t_lo, t_hi, scratch = kn[below], kn[above], kt[below], kt[above], w3[: k1 - k0]
+            inner = view[:, :, k0:k1]
+            inner[0, 1] += n_lo
+            inner[1, 1] += np.subtract(np.negative(n_lo, out=scratch), n_hi, out=scratch)
+            inner[2, 1] += n_hi
+            np.subtract(t_lo, t_hi, out=scratch)
+            inner[0, 0] += t_lo
+            inner[1, 0] += scratch
+            inner[2, 0] -= t_hi
+            inner[0, 2] -= t_lo
+            inner[1, 2] -= scratch
+            inner[2, 2] += t_hi
+        coef[..., 0] = coef[..., -1] = 0.0
+        return coef
+
+    def start(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Node values in the first slot, and their residual.  Both slots take the
+        values: a trial writes only the interior nodes."""
+        for slot, _ in self._slots:
+            np.copyto(slot, values)
+        slot, res = self._slots[0]
+        return slot, self.residual(slot, res)
+
+    def trial(self, values: np.ndarray, delta: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """The iterate values + alpha delta, its residual and the residual's
+        interior norm, in the slot that does not hold values."""
+        slot, res = self._slots[values is self._slots[0][0]]
+        at, _, step = self._vectors
+        np.take(values, self._nodes, out=at, mode="clip")
+        np.put(slot, self._nodes, np.add(at, np.multiply(alpha, delta, out=step), out=at))
+        self.residual(slot, res)
+        return slot, res, float(np.linalg.norm(np.take(res, self._nodes, out=at, mode="clip")))
+
+    def rhs(self, res: np.ndarray) -> tuple[np.ndarray, float]:
+        """The Newton right-hand side -res at the interior nodes, and its norm."""
+        rhs = self._vectors[1]
+        np.negative(np.take(res, self._nodes, out=rhs, mode="clip"), out=rhs)
+        return rhs, float(np.linalg.norm(rhs))
+
+    def sup(self, res: np.ndarray, scale: np.ndarray) -> float:
+        """max |res / scale| over the interior nodes: sup |H| for the curvature scale."""
+        at = np.take(res, self._nodes, out=self._vectors[0], mode="clip")
+        return float(np.max(np.abs(np.divide(at, scale, out=at), out=at)))
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _divergence_residual(gf: GraphFunction) -> np.ndarray:
-    """Conservative flux divergence; 2 sqrt(g1 g2) H at interior nodes, 0 elsewhere.
-
-    The flux across a half-edge is F = sqrt(g_t) a_n / W.
-    """
-    fluxes = [np.sqrt(gt) * an / w for _, gt, an, _, w in _half_edges(gf)]
-    div1, div2 = ((f[1:, 1:-1] - f[:-1, 1:-1]) / h for f, h in zip(fluxes, gf.domain.steps()))
-    res = np.zeros(gf.domain.shape)
-    res[1:-1, 1:-1] = div1 + div2.T
-    return res
+    """Conservative flux divergence; 2 sqrt(g1 g2) H at interior nodes, 0 elsewhere."""
+    work = _FluxWorkspace(gf.domain, gf.tau)
+    return work.residual(gf.values, np.zeros(gf.domain.shape))
 
 
 def _curvature_scale(dom: GraphDomain, tau: float, interior: np.ndarray) -> np.ndarray:
@@ -388,7 +555,7 @@ def graph_area(gf: GraphFunction) -> AreaReport:
     g1, g2, w1, w2 = chart_coefficients(dom.chart, dom.axis_foot, gf.tau, c1, c2)
     u1 = (u[1:, :-1] + u[1:, 1:] - u[:-1, :-1] - u[:-1, 1:]) / (2.0 * h1)
     u2 = (u[:-1, 1:] + u[1:, 1:] - u[:-1, :-1] - u[1:, :-1]) / (2.0 * h2)
-    _, _, w = _tilt(g1, g2, w1, w2, u1, u2)
+    _, _, w = _tilt(np.sqrt(g1), np.sqrt(g2), w1, w2, u1, u2)
     act = dom.active_mask()
     cells = act[:-1, :-1] & act[1:, :-1] & act[:-1, 1:] & act[1:, 1:]
     total = float(np.sum((w * np.sqrt(g1 * g2))[cells]) * h1 * h2)
@@ -461,43 +628,6 @@ def _harmonic_init(dom: GraphDomain, boundary: np.ndarray, solver: NestedDissect
     return out
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _jacobian(gf: GraphFunction) -> np.ndarray:
-    """Exact Jacobian of the divergence residual as a (3, 3, n1, n2) coefficient
-    field: entry [di + 1, dj + 1, i, j] is d res[i, j] / d u[i + di, j + dj].
-
-    On a half-edge, dF/d(du_n) = -sqrt(g_t / g_n) (1 + a_t^2) / W^3 and
-    dF/d(du_t) = a_n a_t / W^3.  The horizontal family fills the transposed
-    view of the coefficient field, so one scatter serves both.
-    """
-    coef = np.zeros((3, 3) + gf.domain.shape)
-    h1, h2 = gf.domain.steps()
-    views = (coef, coef.transpose(1, 0, 3, 2))
-    for (gn, gt, an, at, w), view, hn, ht in zip(_half_edges(gf), views, (h1, h2), (h2, h1)):
-        w3 = w * w * w
-        # d res / d u of the two nodes across the edge (kn) and of the four along it (kt)
-        kn = -np.sqrt(gt / gn) * (1.0 + at * at) / (w3 * hn * hn)
-        kt = an * at / (w3 * 4.0 * hn * ht)
-        n_lo, n_hi, t_lo, t_hi = kn[:-1, 1:-1], kn[1:, 1:-1], kt[:-1, 1:-1], kt[1:, 1:-1]
-        inner = view[:, :, 1:-1, 1:-1]
-        inner[:, 1] += (n_lo, -n_lo - n_hi, n_hi)
-        tangential = np.stack((t_lo, t_lo - t_hi, -t_hi))
-        inner[:, 0] += tangential
-        inner[:, 2] -= tangential
-    return coef
-
-
-def _trial_step(
-    gf: GraphFunction, interior: np.ndarray, delta: np.ndarray, alpha: float
-) -> tuple[GraphFunction, np.ndarray, float]:
-    """The iterate gf + alpha delta, its residual and the residual's interior norm."""
-    values = gf.values.copy()
-    values[interior] += alpha * delta
-    trial_gf = GraphFunction(gf.domain, values, gf.tau)
-    trial_res = _divergence_residual(trial_gf)
-    return trial_gf, trial_res, float(np.linalg.norm(trial_res[interior]))
-
-
 def solve_dirichlet(
     domain: GraphDomain,
     tau: float,
@@ -518,6 +648,16 @@ def solve_dirichlet(
     the same pass takes a fresh damped Newton step from the same iterate.
     Damped steps never keep their factor.
 
+    The solve builds its arrays once: a ``_FluxWorkspace`` on (domain, tau),
+    which holds the half-edge chart terms, the buffers of the half-edge
+    quantities, the Jacobian field, two iterate slots (node values and
+    residual) and the interior-node vectors, and the nested-dissection solver,
+    whose arena holds the factor and whose vectors hold ``Factor.solve``'s
+    work.  A line-search trial writes into the slot that the current iterate
+    does not hold, and an accepted trial becomes the current iterate, so a
+    Newton pass copies and allocates nothing node-sized.  The results are
+    bitwise those of the same formulas on fresh arrays.
+
     The report counts loop passes as ``iterations`` (chord steps included,
     bounded by max_newton) and LU factorizations as ``factorizations``.  A
     converged run also counts the pass that found the residual below the
@@ -534,11 +674,11 @@ def solve_dirichlet(
         raise ParameterError("no interior nodes; domain is thinner than the stencil")
 
     solver = NestedDissection(interior)
+    work = _FluxWorkspace(domain, tau)
     scale = _curvature_scale(domain, tau, interior)
-    gf = GraphFunction(domain, _harmonic_init(domain, boundary, solver), tau)
-    # res is always the residual of the current iterate gf
-    res = _divergence_residual(gf)
-    history = [float(np.max(np.abs(res[interior] / scale)))]
+    # res is always the residual of the current iterate's node values
+    values, res = work.start(_harmonic_init(domain, boundary, solver))
+    history = [work.sup(res, scale)]
 
     factor = None  # a Newton factor, held only while chord steps are enabled
     factorizations = 0
@@ -546,17 +686,16 @@ def solve_dirichlet(
     for iterations in range(1, max_newton + 1):
         if history[-1] < _SOLVE_TOL:
             break
-        rhs = -res[interior]
-        rnorm = float(np.linalg.norm(rhs))
+        rhs, rnorm = work.rhs(res)
         if factor is not None:
-            trial_gf, trial_res, tnorm = _trial_step(gf, interior, factor.solve(rhs), 1.0)
+            trial_values, trial_res, tnorm = work.trial(values, factor.solve(rhs), 1.0)
             if tnorm < _CONTRACTION * rnorm:
-                gf, res = trial_gf, trial_res
-                history.append(float(np.max(np.abs(res[interior] / scale))))
+                values, res = trial_values, trial_res
+                history.append(work.sup(res, scale))
                 continue
             factor = None  # released before the fresh factor is built
         try:
-            factor = solver.factor(_jacobian(gf))
+            factor = solver.factor(work.jacobian(values))
         except np.linalg.LinAlgError:  # a singular pivot block
             break
         factorizations += 1
@@ -566,9 +705,9 @@ def solve_dirichlet(
         alpha = 1.0
         improved = False
         for _ in range(20):
-            trial_gf, trial_res, tnorm = _trial_step(gf, interior, delta, alpha)
+            trial_values, trial_res, tnorm = work.trial(values, delta, alpha)
             if tnorm < (1.0 - 1e-4 * alpha) * rnorm:
-                gf, res = trial_gf, trial_res
+                values, res = trial_values, trial_res
                 improved = True
                 break
             alpha *= 0.5
@@ -576,7 +715,7 @@ def solve_dirichlet(
             break
         if alpha < 1.0 or tnorm >= _CONTRACTION * rnorm:
             factor = None
-        history.append(float(np.max(np.abs(res[interior] / scale))))
+        history.append(work.sup(res, scale))
 
     report = {
         "converged": history[-1] < _SOLVE_TOL,
@@ -586,4 +725,4 @@ def solve_dirichlet(
         "residual_history": history,
         "tolerance": _SOLVE_TOL,
     }
-    return SolveResult(gf, report)
+    return SolveResult(GraphFunction(domain, values, tau), report)

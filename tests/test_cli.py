@@ -197,15 +197,15 @@ def test_solve_wild_boundary_fails_with_code_two(capsys) -> None:
 
 
 def test_solve_singular_jacobian_exits_two(monkeypatch, capsys) -> None:
-    jacobian = graphs._jacobian
+    jacobian = graphs._FluxWorkspace.jacobian
 
-    def singular(gf):
-        jac = jacobian(gf)
-        i, j = np.argwhere(gf.domain.interior_mask())[0]
+    def singular(self, values):
+        jac = jacobian(self, values)
+        i, j = np.argwhere(self.domain.interior_mask())[0]
         jac[:, :, i, j] = 0.0
         return jac
 
-    monkeypatch.setattr(graphs, "_jacobian", singular)
+    monkeypatch.setattr(graphs._FluxWorkspace, "jacobian", singular)
     code, report = run(capsys, "solve", "--boundary", "catenoid", "--tau", "0.5", "--n", "17")
     assert code == 2
     assert report["converged"] is False

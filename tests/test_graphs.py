@@ -24,8 +24,8 @@ from etau.graphs import (
     GraphDomain,
     GraphFunction,
     _divergence_residual,
+    _FluxWorkspace,
     _harmonic_init,
-    _jacobian,
     chart_coefficients,
     chart_to_base,
     cylinder_area,
@@ -264,6 +264,11 @@ WINDOWS = pytest.mark.parametrize(
 )
 
 
+def _jacobian(gf: GraphFunction) -> np.ndarray:
+    """The solver's Jacobian field at a graph, from a workspace of its own."""
+    return _FluxWorkspace(gf.domain, gf.tau).jacobian(gf.values)
+
+
 def _sample_graph(dom: GraphDomain) -> GraphFunction:
     return GraphFunction.from_base_callable(
         dom, 0.5, lambda x, y: np.sin(3.0 * x) * y + 0.7 * x * y - 0.2
@@ -401,43 +406,45 @@ def test_solver_report_is_read_off_the_history(case: str) -> None:
 
 def test_solver_computes_each_residual_once(monkeypatch) -> None:
     seen: list[str] = []
-    residual = graphs._divergence_residual
+    residual = _FluxWorkspace.residual
 
-    def recording(gf: GraphFunction) -> np.ndarray:
-        seen.append(hashlib.sha256(gf.values.tobytes()).hexdigest())
-        return residual(gf)
+    def recording(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        seen.append(hashlib.sha256(values.tobytes()).hexdigest())
+        return residual(self, values, out)
 
-    monkeypatch.setattr(graphs, "_divergence_residual", recording)
+    monkeypatch.setattr(_FluxWorkspace, "residual", recording)
     dom, boundary = _wild_problem()
     result = solve_dirichlet(dom, 0.5, boundary, max_newton=6)
     assert result.report["iterations"] == 6
+    assert len(seen) > result.report["iterations"]  # the seed's, and at least one per pass
     assert len(seen) == len(set(seen))
     # a converged solve that takes chord steps with an earlier factor
     seen.clear()
     result = _solver_case("catenoid")
     assert result.report["converged"]
     assert result.report["factorizations"] < result.report["iterations"] - 1
+    assert len(seen) >= result.report["iterations"]
     assert len(seen) == len(set(seen))
 
 
 def test_rejected_chord_step_refactors_in_the_same_pass(monkeypatch) -> None:
     events: list[tuple] = []
-    jacobian, trial_step = graphs._jacobian, graphs._trial_step
+    jacobian, trial_step = _FluxWorkspace.jacobian, _FluxWorkspace.trial
 
-    def key(gf: GraphFunction) -> str:
-        return hashlib.sha256(gf.values.tobytes()).hexdigest()
+    def key(values: np.ndarray) -> str:
+        return hashlib.sha256(values.tobytes()).hexdigest()
 
-    def recording_jacobian(gf, *args):
-        events.append(("jacobian", key(gf)))
-        return jacobian(gf, *args)
+    def recording_jacobian(self, values):
+        events.append(("jacobian", key(values)))
+        return jacobian(self, values)
 
-    def recording_trial(gf, interior, delta, alpha):
-        out = trial_step(gf, interior, delta, alpha)
-        events.append(("trial", key(gf), key(out[0])))
+    def recording_trial(self, values, delta, alpha):
+        out = trial_step(self, values, delta, alpha)
+        events.append(("trial", key(values), key(out[0])))
         return out
 
-    monkeypatch.setattr(graphs, "_jacobian", recording_jacobian)
-    monkeypatch.setattr(graphs, "_trial_step", recording_trial)
+    monkeypatch.setattr(_FluxWorkspace, "jacobian", recording_jacobian)
+    monkeypatch.setattr(_FluxWorkspace, "trial", recording_trial)
     result = _solver_case("catenoid")
     report = result.report
     assert report["converged"]
@@ -455,17 +462,17 @@ def test_rejected_chord_step_refactors_in_the_same_pass(monkeypatch) -> None:
 @pytest.mark.parametrize("singular_call", [1, 2], ids=["first-factor", "after-chord"])
 def test_solver_reports_a_singular_jacobian_as_nonconvergence(monkeypatch, singular_call) -> None:
     calls = []
-    jacobian = graphs._jacobian
+    jacobian = _FluxWorkspace.jacobian
 
-    def singular_on_call(gf):
+    def singular_on_call(self, values):
         calls.append(None)
-        jac = jacobian(gf)
+        jac = jacobian(self, values)
         if len(calls) == singular_call:
-            i, j = np.argwhere(gf.domain.interior_mask())[0]
+            i, j = np.argwhere(self.domain.interior_mask())[0]
             jac[:, :, i, j] = 0.0  # an exactly zero row makes its pivot block singular
         return jac
 
-    monkeypatch.setattr(graphs, "_jacobian", singular_on_call)
+    monkeypatch.setattr(_FluxWorkspace, "jacobian", singular_on_call)
     result = _solver_case("catenoid")
     report = result.report
     assert not report["converged"]
@@ -572,6 +579,31 @@ def test_dissection_repeat_factorization_allocates_almost_nothing() -> None:
     assert peak < 0.1 * solver._arena_size * 8
 
 
+def test_warm_newton_pass_allocates_almost_nothing() -> None:
+    import tracemalloc
+
+    gf = reference_problem("wild", 0.5, 2.0, 1.0, 65)
+    interior = gf.domain.interior_mask()
+    scale = graphs._curvature_scale(gf.domain, gf.tau, interior)
+    work = _FluxWorkspace(gf.domain, gf.tau)
+    solver = NestedDissection(interior)
+    values, res = work.start(gf.values)
+    rhs, _ = work.rhs(res)
+    delta = solver.factor(work.jacobian(values)).solve(rhs)
+    values, res, _ = work.trial(values, delta, 0.5)  # one pass
+    tracemalloc.start()
+    try:
+        work.residual(values, res)
+        work.jacobian(values)
+        rhs, _ = work.rhs(res)
+        work.trial(values, rhs, 0.25)
+        work.sup(res, scale)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * work.nbytes
+
+
 def test_solver_factors_match_spsolve(monkeypatch) -> None:
     from scipy.sparse.linalg import spsolve
 
@@ -584,7 +616,8 @@ def test_solver_factors_match_spsolve(monkeypatch) -> None:
 
         def solve(self, b):
             x = self.inner.solve(b)
-            solves.append((self.interior, self.coef, b, x))
+            # the solver reuses its right-hand side and solution vectors
+            solves.append((self.interior, self.coef, b.copy(), x.copy()))
             return x
 
     def recording_factor(self, coef):
