@@ -460,7 +460,7 @@ class Factor:
         y, sol, gathered, product, out = solver._vectors
         y.fill(0.0)
         y[solver.nodes] = rhs
-        sol[-1] = 0.0
+        sol[-1] = 0.0  # the factorization's scratch may have written there
         # the indices are in range, so np.take may skip its checked copy
         for piv, lo, upd, inverse, _, c, z in solver._blocks:
             above = np.take(y, piv, out=gathered[: piv.size].reshape(piv.shape), mode="clip")
