@@ -183,17 +183,24 @@ def apply_to_coords(iso: AmbientIsometry, coords: np.ndarray) -> np.ndarray:
 
 def push_forward_arrays(iso: AmbientIsometry, x, y, vx, vy, vt):
     """Base image (x', y') of points and dF(v) = (dx', dy', dt') of tangent
-    vectors (vx, vy, vt) at them, on broadcasting component arrays.
+    vectors (vx, vy, vt) at them, on broadcasting component arrays: the
+    complex core push_forward_complex with z = x + iy and dz = vx + i vy."""
+    return push_forward_complex(iso, x + 1j * y, vx + 1j * vy, vt)
+
+
+def push_forward_complex(iso: AmbientIsometry, z, dz, vt):
+    """push_forward_arrays on complex base points z and base vectors dz,
+    which broadcast against each other and the fiber components vt.
 
     The base differential is dw = dz / (cz + d)^2 and the branch moves by
     dTheta = -2 Im(c dz / (cz + d)); the row signs follow apply_to_coords.
-    The image's fiber coordinate is not computed: no metric reads t.
+    The image's fiber coordinate is not computed: no metric reads t.  A
+    caller that moves many placements of the same points forms z and dz
+    once and passes them to each.
     """
     m = iso.mobius
-    z = x + 1j * y
     q = m.c * z + m.d
     w = (m.a * z + m.b) / q
-    dz = vx + 1j * vy
     dw = dz / (q * q)
     dtheta = -2.0 * (m.c * dz / q).imag
     sx, sy, st = _row_signs(iso)

@@ -25,6 +25,7 @@ PANEL_NODES = 20
 # in its edge spectra, varying from run to run.
 CHUNK_NODES = 1 << 12
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(PANEL_NODES)
+_NODES.flags.writeable = _WEIGHTS.flags.writeable = False
 # Two estimates of an interval agree when they differ by at most
 # _TOL * max(1, |estimate|); the panel count may double _DOUBLINGS times.
 _TOL = 1e-13
@@ -36,10 +37,26 @@ def composite_gauss(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.
 
     f gets the nodes as an array of shape (len(a), panels, PANEL_NODES).
     """
+    half, nodes = _panel_nodes(a, b, panels)
+    return half * np.sum(f(nodes) @ _WEIGHTS, axis=1)
+
+
+def _panel_nodes(a: np.ndarray, b: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half panel widths, shape (len(a),), and the Gauss nodes of equal panels
+    on each [a[i], b[i]], shape (len(a), panels, PANEL_NODES)."""
     half = 0.5 * (b - a) / panels
     mids = a[:, None] + (2.0 * np.arange(panels) + 1.0) * half[:, None]
-    values = f(mids[:, :, None] + half[:, None, None] * _NODES)
-    return half * np.sum(values @ _WEIGHTS, axis=1)
+    return half, mids[:, :, None] + half[:, None, None] * _NODES
+
+
+def unit_panel() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, read-only and of shape (PANEL_NODES,), of
+    composite_gauss's one-panel rule on [0, 1]: for f sampled at the nodes,
+    0.5 * (f(nodes) @ weights) on a row-major (..., 1, PANEL_NODES) array is
+    bit for bit composite_gauss(f, zeros, ones, 1)."""
+    nodes = _panel_nodes(np.zeros(1), np.ones(1), 1)[1][0, 0]
+    nodes.flags.writeable = False
+    return nodes, _WEIGHTS
 
 
 def cumulative_integral(f: Callable[[np.ndarray], np.ndarray], breakpoints) -> np.ndarray:

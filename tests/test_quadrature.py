@@ -11,11 +11,23 @@ from hypothesis import strategies as st
 from scipy.special import ellipk
 
 from etau.core import ConvergenceError, ParameterError
-from etau.quadrature import cumulative_integral, elliptic_k
+from etau.quadrature import PANEL_NODES, composite_gauss, cumulative_integral, elliptic_k, unit_panel
 
 
 def integral(f, a: float, b: float) -> float:
     return float(cumulative_integral(f, [a, b])[-1])
+
+
+def test_unit_panel_is_composite_gauss_on_the_unit_interval():
+    nodes, weights = unit_panel()
+    assert nodes.shape == weights.shape == (PANEL_NODES,)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    # edges with different integrands, reduced on the row-major (edges, 1, PANEL_NODES) layout
+    scale = np.linspace(0.5, 3.0, 7)[:, None, None]
+    f = lambda s: np.exp(-scale * s) * np.cos(s)
+    values = f(nodes)
+    assert values.shape == (7, 1, PANEL_NODES)
+    np.testing.assert_array_equal(0.5 * (values @ weights)[:, 0], composite_gauss(f, np.zeros(7), np.ones(7), 1))
 
 
 class TestCumulativeIntegral:

@@ -29,13 +29,14 @@ from etau.quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss
 from etau.slabs import (
     SlabSpec,
     _model_annulus_edges,
+    _model_boundary_circles,
     _model_annulus_mesh,
     _solve_catenoid_half_height,
     build_example1,
     build_example2,
     check_annulus_family,
     disc_window_domain,
-    edge_length_spectrum,
+    edge_length_spectra,
     graph_separation_probe,
     halfplane_window_domain,
     sample_interior_points,
@@ -44,7 +45,7 @@ from etau.slabs import (
     with_overlapping_graphs,
     with_shrunken_annuli,
 )
-from etau.surfaces import CatenoidSpec, LeafSpec, catenoid_height, foliation_leaf_find
+from etau.surfaces import CatenoidSpec, LeafSpec, catenoid_height, catenoid_patch, foliation_leaf_find
 
 FLAT = SpaceParams(0.0)
 
@@ -294,16 +295,16 @@ def test_edge_length_spectrum_matches_two_pass_reference(slab1) -> None:
     instance = slab1.annulus_generator(sample_interior_points(slab1, 1, seed=7)[0])
     assert instance.resolution == (33, 48)
     np.testing.assert_allclose(
-        edge_length_spectrum(instance), _two_pass_spectrum(instance, 0.004), rtol=1e-10, atol=0.0
+        edge_length_spectra([instance])[0], _two_pass_spectrum(instance, 0.004), rtol=1e-10, atol=0.0
     )
 
 
 def test_edge_length_spectrum_separates_non_congruent_annuli(slab1) -> None:
     first, second = (slab1.annulus_generator(p) for p in sample_interior_points(slab1, 2, seed=7))
-    spectrum = edge_length_spectrum(first)
+    spectrum = edge_length_spectra([first])[0]
 
     def deviation(instance) -> float:
-        return float(np.max(np.abs(edge_length_spectrum(instance) - spectrum)))
+        return float(np.max(np.abs(edge_length_spectra([instance])[0] - spectrum)))
 
     assert deviation(second) < 1e-8
     # A slightly different catenoid, and a placement whose fiber rule belongs
@@ -338,16 +339,97 @@ def _per_point_spectrum(instance) -> np.ndarray:
     return np.sort(out)
 
 
+def _mirrored(instance):
+    """The instance under a reversing placement, so the x, y and t row signs
+    of the differential count."""
+    reversing = AmbientIsometry(instance.placement.mobius, Orientation.REVERSING, 0.3, 0.0, instance.tau)
+    return replace(instance, placement=reversing)
+
+
+@pytest.fixture(scope="module")
+def slab1_tau05():
+    return build_example1(SpaceParams(0.5), 0.1, grid=65, annulus_resolution=(33, 48))
+
+
 @pytest.mark.parametrize("tau", [0.0, 0.5])
-def test_edge_length_spectrum_equals_per_point_route(slab1, tau: float) -> None:
-    slab = slab1 if tau == 0.0 else build_example1(SpaceParams(tau), 0.1, grid=65, annulus_resolution=(33, 48))
-    instance = slab.annulus_generator(sample_interior_points(slab, 1, seed=7)[0])
-    assert instance.tau == tau
-    np.testing.assert_array_equal(edge_length_spectrum(instance), _per_point_spectrum(instance))
-    # A reversing placement, so the x, y and t row signs of the differential count.
-    reversing = AmbientIsometry(instance.placement.mobius, Orientation.REVERSING, 0.3, 0.0, tau)
-    mirrored = replace(instance, placement=reversing)
-    np.testing.assert_array_equal(edge_length_spectrum(mirrored), _per_point_spectrum(mirrored))
+def test_edge_length_spectrum_equals_per_point_route(slab1, slab1_tau05, tau: float) -> None:
+    # The four instances of an audit and a mirrored one, measured together
+    # and one at a time.
+    slab = slab1 if tau == 0.0 else slab1_tau05
+    instances = [slab.annulus_generator(p) for p in sample_interior_points(slab, 4, seed=7)]
+    assert instances[0].tau == tau
+    instances.append(_mirrored(instances[0]))
+    batch = edge_length_spectra(instances)
+    assert len(batch) == len(instances)
+    for row, instance in zip(batch, instances):
+        reference = _per_point_spectrum(instance)
+        np.testing.assert_array_equal(edge_length_spectra([instance])[0], reference)
+        np.testing.assert_array_equal(row, reference)
+
+
+def test_batched_spectra_need_one_model_mesh(slab1) -> None:
+    instance = slab1.annulus_generator(sample_interior_points(slab1, 1, seed=7)[0])
+    others = [
+        replace(instance, tau=0.5),
+        replace(instance, d=instance.d * (1.0 + 1e-4)),
+        replace(instance, rho_boundary=0.5 * instance.rho_boundary),
+        replace(instance, resolution=(5, 8)),
+    ]
+    for other in others:
+        with pytest.raises(ParameterError, match="one model mesh"):
+            edge_length_spectra([instance, other])
+    with pytest.raises(ParameterError, match="at least one"):
+        edge_length_spectra([])
+
+
+def _overlapping_pair_seed(points: int, overlap: bool) -> int:
+    """First seed whose two spectra pairs over the given number of instances
+    share an instance (overlap) or do not, drawn as check_annulus_family draws them."""
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        i, j = (set(rng.choice(points, size=2, replace=False).tolist()) for _ in range(2))
+        if bool(i & j) == overlap:
+            return seed
+    raise AssertionError("no such seed below 100")
+
+
+@pytest.mark.parametrize(("overlap", "measured"), [(True, 3), (False, 4)])
+def test_audit_measures_its_pairs_in_one_batch(slab1, monkeypatch, overlap: bool, measured: int) -> None:
+    points = sample_interior_points(slab1, 4, seed=7)
+    seed = _overlapping_pair_seed(len(points), overlap)
+    calls = []
+
+    def recorded(instances):
+        calls.append([instance.point for instance in instances])
+        return edge_length_spectra(instances)
+
+    monkeypatch.setattr(slabs, "edge_length_spectra", recorded)
+    report = check_annulus_family(slab1, points, seed=seed)
+    assert len(calls) == 1
+    assert len(calls[0]) == len(set(map(id, calls[0]))) == measured
+    assert all(any(p is q for q in points) for p in calls[0])
+    assert report.passed
+
+
+def test_boundary_coords_apply_the_placement_to_the_model_circles(slab1) -> None:
+    instance = slab1.annulus_generator(sample_interior_points(slab1, 1, seed=7)[0])
+    spec = CatenoidSpec(tau=instance.tau, d=instance.d)
+    phi = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    for placed in (instance, _mirrored(instance)):
+        circles = [
+            apply_to_coords(placed.placement, catenoid_patch(spec, placed.rho_boundary, np.array(w), phi))
+            for w in (1.0, -1.0)
+        ]
+        circles.sort(key=lambda c: float(np.mean(c[:, 2])), reverse=True)
+        top, bottom = placed.boundary_coords()
+        np.testing.assert_array_equal(top, circles[0])
+        np.testing.assert_array_equal(bottom, circles[1])
+    model = _model_boundary_circles(instance.tau, instance.d, instance.rho_boundary)
+    for circle in model:
+        assert circle.shape == (512, 3)
+        assert not circle.flags.writeable
+        with pytest.raises(ValueError):
+            circle[0, 0] = 0.0
 
 
 @pytest.mark.parametrize(("rows", "cols", "count"), [(65, 96, 18528), (5, 8, 104), (6, 8, 152), (8, 10, 250)])
@@ -369,13 +451,14 @@ def test_model_annulus_edges_are_the_sorted_unique_pairs(slab1, rows: int, cols:
 def test_nan_spectrum_fails_the_audit(slab1, monkeypatch) -> None:
     points = sample_interior_points(slab1, 2, seed=7)
 
-    def spectrum_with_nan(instance):
-        out = edge_length_spectrum(instance)
-        if instance.point == points[0]:
-            out[len(out) // 2] = float("nan")
+    def spectra_with_nan(instances):
+        out = edge_length_spectra(instances)
+        for row, instance in zip(out, instances):
+            if instance.point == points[0]:
+                row[len(row) // 2] = float("nan")
         return out
 
-    monkeypatch.setattr(slabs, "edge_length_spectrum", spectrum_with_nan)
+    monkeypatch.setattr(slabs, "edge_length_spectra", spectra_with_nan)
     report = check_annulus_family(slab1, points)
     assert math.isnan(report.spectra_deviation)
     assert not report.spectra_ok
