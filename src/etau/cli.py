@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_slab.add_argument("--r", type=_finite_float, default=1.0)
     p_slab.add_argument("--C", dest="grad_cap", type=_finite_float, default=0.2)
     p_slab.add_argument("--h", dest="h", type=_finite_float, default=0.45)
-    p_slab.add_argument("--graph", choices=("linear", "si"), default="linear")
+    p_slab.add_argument("--graph", choices=("linear",), default="linear")
     p_slab.add_argument("--alpha", type=_finite_float, default=0.4)
     p_slab.add_argument("--beta", type=_finite_float, default=0.0)
     p_slab.add_argument("--points", type=int, default=8)

@@ -5,7 +5,8 @@ pairwise-isometric minimal annuli whose boundary circles escape the region,
 one above and one below.  This module constructs the two example families
 (translated catenoids over a flat slab, and catenoid stand-ins over tilted
 graphs certified by the Douglas criterion) and audits the defining
-conditions on sampled interior points.
+conditions on sampled interior points.  A slab's window is a DISC_XY domain,
+and each annulus generator is the key of its one cached model annulus.
 """
 
 from __future__ import annotations
@@ -53,11 +54,10 @@ from .isometries import (
     push_forward_complex,
     vertical_translation,
 )
-from .quadrature import CHUNK_NODES, PANEL_NODES, cumulative_integral, unit_panel
+from .quadrature import CHUNK_NODES, PANEL_NODES, unit_panel
 from .surfaces import (
     CatenoidSpec,
     LeafSpec,
-    SurfaceMesh,
     _leaf_sides,
     catenoid_height,
     catenoid_neck_radius,
@@ -159,63 +159,57 @@ def halfplane_window_domain(
 _BOUNDARY_SAMPLES = 512
 
 
+@dataclass(frozen=True)
+class _ModelAnnulus:
+    """The model annulus of one generator, read-only.
+
+    a and v = b - a are the start points and vectors of its mesh's edges
+    (lo, hi), each once in lexicographic order, (E, 3) each; upper and lower
+    are its boundary circles at w = 1 and w = -1, _BOUNDARY_SAMPLES disc
+    coordinates (n, 3) each.
+    """
+
+    spec: CatenoidSpec
+    neck_radius: float
+    sigma_max: float
+    boundary_height: float
+    a: np.ndarray
+    v: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+
+
 @lru_cache(maxsize=8)
-def _model_annulus_mesh(
-    tau: float, d: float, rho_boundary: float, rows: int, cols: int
-) -> SurfaceMesh:
-    return mesh_catenoid(CatenoidSpec(tau=tau, d=d), rho_boundary, (rows, cols))
-
-
-def _model_annulus_edges(
-    tau: float, d: float, rho_boundary: float, rows: int, cols: int
-) -> np.ndarray:
-    """Vertex pairs (lo, hi) of the model mesh's edges, each once, in lexicographic order."""
-    mesh = _model_annulus_mesh(tau, d, rho_boundary, rows, cols)
+def _model_annulus(generator: CatenoidAnnulusGenerator) -> _ModelAnnulus:
+    """The generator's model annulus; the mesh it is read from is not kept."""
+    spec = CatenoidSpec(tau=generator.tau, d=generator.d)
+    rho = generator.rho_boundary
+    neck_radius = catenoid_neck_radius(spec)
+    mesh = mesh_catenoid(spec, rho, generator.resolution)
     n = len(mesh.vertices)
     tri = mesh.triangles.astype(np.int64)
     ends = np.roll(tri, -1, axis=1)
     # np.unique without indices would import numpy.ma for its masked-array check
     keys = np.sort(np.minimum(tri, ends) * n + np.maximum(tri, ends), axis=None)
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return np.stack(np.divmod(keys, n), axis=1)
-
-
-@lru_cache(maxsize=8)
-def _model_annulus_segments(
-    tau: float, d: float, rho_boundary: float, rows: int, cols: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Start points a and edge vectors v = b - a of the model mesh's edges, (E, 3) each."""
-    vertices = _model_annulus_mesh(tau, d, rho_boundary, rows, cols).vertices
-    edges = _model_annulus_edges(tau, d, rho_boundary, rows, cols)
-    a = vertices[edges[:, 0]]
-    v = vertices[edges[:, 1]] - a
-    a.flags.writeable = v.flags.writeable = False
-    return a, v
-
-
-@lru_cache(maxsize=8)
-def _model_boundary_circles(tau: float, d: float, rho_boundary: float) -> tuple[np.ndarray, np.ndarray]:
-    """The model annulus' boundary circles at w = 1 and w = -1, _BOUNDARY_SAMPLES
-    disc coordinates (n, 3) each, read-only."""
+    lo, hi = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], n)
+    a = mesh.vertices[lo]
+    v = mesh.vertices[hi] - a
     phi = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
-    spec = CatenoidSpec(tau=tau, d=d)
-    upper = catenoid_patch(spec, rho_boundary, np.array(1.0), phi)
-    lower = catenoid_patch(spec, rho_boundary, np.array(-1.0), phi)
-    upper.flags.writeable = lower.flags.writeable = False
-    return upper, lower
+    upper, lower = (catenoid_patch(spec, rho, np.array(w), phi) for w in (1.0, -1.0))
+    for array in (a, v, upper, lower):
+        array.flags.writeable = False
+    sigma_max = math.sqrt(rho - neck_radius)
+    return _ModelAnnulus(spec, neck_radius, sigma_max, catenoid_profile(spec, rho), a, v, upper, lower)
 
 
 @dataclass(frozen=True)
 class AnnulusInstance:
-    """One member of the annulus family: an isometric image of the model
-    catenoid piece, positioned to pass through the requested point."""
+    """One member of the annulus family: the generator's model annulus moved
+    by the placement, which pins its reference vertex onto the point."""
 
     point: AmbientPoint
     placement: AmbientIsometry
-    resolution: tuple[int, int]
-    tau: float
-    d: float
-    rho_boundary: float
+    generator: CatenoidAnnulusGenerator
     w_reference: float
 
     def surface_coords(self, phi: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -224,18 +218,16 @@ class AnnulusInstance:
         w in [-1, 1] is the signed regularized radial variable; |w| = 1 is
         the boundary pair and w = 0 the neck.
         """
-        coords = catenoid_patch(CatenoidSpec(tau=self.tau, d=self.d), self.rho_boundary, w, phi)
+        gen = self.generator
+        coords = catenoid_patch(_model_annulus(gen).spec, gen.rho_boundary, w, phi)
         return apply_to_coords(self.placement, coords.reshape(-1, 3))
 
     def boundary_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Finely sampled boundary circles, (top, bottom) ordered by mean t.
-
-        The model circles are cached per (tau, d, rho_boundary), so an
-        instance only applies its placement to them.
-        """
-        model_upper, model_lower = _model_boundary_circles(self.tau, self.d, self.rho_boundary)
-        upper = apply_to_coords(self.placement, model_upper)
-        lower = apply_to_coords(self.placement, model_lower)
+        """Finely sampled boundary circles, (top, bottom) ordered by mean t:
+        the placement applied to the model annulus' circles."""
+        model = _model_annulus(self.generator)
+        upper = apply_to_coords(self.placement, model.upper)
+        lower = apply_to_coords(self.placement, model.lower)
         if float(np.mean(upper[:, 2])) >= float(np.mean(lower[:, 2])):
             return upper, lower
         return lower, upper
@@ -253,21 +245,22 @@ class AnnulusInstance:
         """
         if q.model is not Model.CYLINDER:
             raise ParameterError("annulus instances live in the cylinder model")
-        spec = CatenoidSpec(tau=self.tau, d=self.d)
+        gen = self.generator
+        spec = _model_annulus(gen).spec
 
         def annulus(params: np.ndarray) -> np.ndarray:
             return self.surface_coords(params[:, 0], params[:, 1])
 
         def tangents(params: np.ndarray) -> np.ndarray:
             phi, w = params.T
-            x, y, _ = catenoid_patch(spec, self.rho_boundary, w, phi).T
-            v = catenoid_patch_tangents(spec, self.rho_boundary, w, phi)
+            x, y, _ = catenoid_patch(spec, gen.rho_boundary, w, phi).T
+            v = catenoid_patch_tangents(spec, gen.rho_boundary, w, phi)
             *_, dx, dy, dt = push_forward_arrays(self.placement, x[:, None], y[:, None], *v.transpose(1, 0, 2))
             return np.stack([dx, dy, dt], axis=1)
 
         distance = chord_distances(
             Model.CYLINDER,
-            self.tau,
+            gen.tau,
             q.coords()[None],
             annulus,
             tangents,
@@ -283,11 +276,12 @@ class AnnulusInstance:
 class CatenoidAnnulusGenerator:
     """Family rule p -> isometric image of one truncated catenoid through p.
 
-    The placement composes two disc involutions (axis to the requested
+    The generator is the key of its one model annulus (_model_annulus).  The
+    placement composes two disc involutions (axis to the requested
     projection) with the vertical translation that pins the reference vertex
-    to p exactly; every instance is therefore an isometric copy of the same
-    model annulus.  The model annulus is centred on the fiber level t = 0, so
-    p's fiber coordinate is its offset from the neck and must stay below the
+    to p exactly; every instance is therefore an isometric copy of the model
+    annulus.  The model annulus is centred on the fiber level t = 0, so p's
+    fiber coordinate is its offset from the neck and must stay below the
     annulus half-height.
     """
 
@@ -298,17 +292,15 @@ class CatenoidAnnulusGenerator:
 
     def __call__(self, p: AmbientPoint) -> AnnulusInstance:
         pc = p if p.model is Model.CYLINDER else convert_model(p, self.tau)
-        spec = CatenoidSpec(tau=self.tau, d=self.d)
-        rmin = catenoid_neck_radius(spec)
-        sigma_max = math.sqrt(self.rho_boundary - rmin)
+        model = _model_annulus(self)
+        rmin = model.neck_radius
         offset = pc.t
-        boundary_height = catenoid_profile(spec, self.rho_boundary)
-        if abs(offset) >= boundary_height:
+        if abs(offset) >= model.boundary_height:
             raise InvalidPointError(
-                f"fiber offset {offset} exceeds the annulus half-height {boundary_height}"
+                f"fiber offset {offset} exceeds the annulus half-height {model.boundary_height}"
             )
         sign = 1.0 if offset >= 0.0 else -1.0
-        rho_p = catenoid_profile_inverse(spec, abs(offset)) if offset != 0.0 else rmin
+        rho_p = catenoid_profile_inverse(model.spec, abs(offset)) if offset != 0.0 else rmin
         rho_p = min(rho_p, self.rho_boundary)
         b_ref = math.tanh(0.5 * rho_p)
         move = compose(
@@ -318,16 +310,8 @@ class CatenoidAnnulusGenerator:
         image = apply(move, AmbientPoint(BasePoint(Model.CYLINDER, b_ref, 0.0), sign * abs(offset)))
         lift = pc.t - image.t
         placement = compose(vertical_translation(lift, self.tau, Model.CYLINDER), move)
-        w_ref = sign * math.sqrt(max(rho_p - rmin, 0.0)) / sigma_max
-        return AnnulusInstance(
-            point=p,
-            placement=placement,
-            resolution=self.resolution,
-            tau=self.tau,
-            d=self.d,
-            rho_boundary=self.rho_boundary,
-            w_reference=w_ref,
-        )
+        w_ref = sign * math.sqrt(max(rho_p - rmin, 0.0)) / model.sigma_max
+        return AnnulusInstance(point=p, placement=placement, generator=self, w_reference=w_ref)
 
 
 def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray]:
@@ -344,8 +328,8 @@ def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray
     1e-16.  Congruent instances differ by about 2e-9, and by up to 2e-8 near
     the edge of the example-1 window, far below _SPECTRA_TOL.
 
-    The instances must share one model mesh, the same (tau, d, rho_boundary,
-    resolution); otherwise ParameterError.  The mesh's segments (a, v) are
+    The instances must share one generator, and so one model mesh;
+    otherwise ParameterError.  The model annulus' segments (a, v) are
     cached, and the quadrature nodes z = a + s v and vectors dz = v are
     formed once per chunk of CHUNK_NODES nodes for all instances, laid out
     node-major (PANEL_NODES, edges) so the per-edge operands broadcast along
@@ -357,12 +341,11 @@ def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray
     """
     if not instances:
         raise ParameterError("edge spectra need at least one annulus instance")
-    first = instances[0]
-    mesh = (first.tau, first.d, first.rho_boundary, first.resolution)
-    if any((i.tau, i.d, i.rho_boundary, i.resolution) != mesh for i in instances):
+    gen = instances[0].generator
+    if any(i.generator != gen for i in instances):
         raise ParameterError("instances measured together must share one model mesh")
-    rows, cols = first.resolution
-    a, v = _model_annulus_segments(first.tau, first.d, first.rho_boundary, rows, cols)
+    model = _model_annulus(gen)
+    a, v = model.a, model.v
     nodes, weights = unit_panel()
     s = nodes[:, None]
     # One array per instance: one (instances, edges) block took about 300
@@ -378,7 +361,7 @@ def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray
         dz = vx + 1j * vy
         for k, instance in enumerate(instances):
             x, y, dx, dy, dt = push_forward_complex(instance.placement, z, dz, vt)
-            speed = np.sqrt(metric_quadratic_form(Model.CYLINDER, first.tau, x, y, dx, dy, dt))
+            speed = np.sqrt(metric_quadratic_form(Model.CYLINDER, gen.tau, x, y, dx, dy, dt))
             # composite_gauss's reduction, on its row-major (edges, 1, PANEL_NODES) layout
             out[k][start:stop] = 0.5 * (speed.T.copy()[:, None, :] @ weights)[:, 0]
     for row in out:
@@ -394,10 +377,10 @@ class SlabSpec:
     """Region between two entire graphs with its annulus family.
 
     lower and upper are the graphs' height functions (x, y) -> t in the
-    window domain's model, defined on the whole base plane; the window is
-    where the audit samples points and node values.  The generator must
-    produce pairwise-isometric annuli through interior points.  Metadata only
-    describes the construction in reports; nothing reads it.
+    cylinder model, defined on the whole base disc; the window, a DISC_XY
+    domain, is where the audit samples points and node values.  The
+    generator must produce pairwise-isometric annuli through interior points.
+    Metadata only describes the construction in reports; nothing reads it.
     """
 
     domain: GraphDomain
@@ -408,8 +391,8 @@ class SlabSpec:
     metadata: dict
 
     def __post_init__(self) -> None:
-        if self.domain.chart not in (Chart.DISC_XY, Chart.HALFPLANE_XY):
-            raise ParameterError("a slab window lies on a coordinate chart")
+        if self.domain.chart is not Chart.DISC_XY:
+            raise ParameterError("a slab window lies on the disc coordinate chart DISC_XY")
 
 
 @dataclass(frozen=True)
@@ -510,18 +493,15 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
             **base_report,
         )
 
-    tau = slab.tau
-    model = slab.domain.model
     scale = max(1.0, 2.0 * bounding.height_bound)
-
-    for p in points:
-        q = p if p.model is model else convert_model(p, tau)
+    cylinder = [p if p.model is Model.CYLINDER else convert_model(p, slab.tau) for p in points]
+    for q in cylinder:
         if not _point_in_window(slab.domain, q.x, q.y):
             raise InvalidPointError(f"point projection {(q.x, q.y)} is outside the window")
         if not slab.lower(q.x, q.y) < q.t < slab.upper(q.x, q.y):
             raise InvalidPointError(f"point at t={q.t} is not strictly between the graphs")
 
-    def check_one(p: AmbientPoint) -> tuple[AnnulusCheck, AnnulusInstance | None]:
+    def check_one(p: AmbientPoint, pc: AmbientPoint) -> tuple[AnnulusCheck, AnnulusInstance | None]:
         try:
             instance = slab.annulus_generator(p)
         except InvalidPointError:
@@ -535,11 +515,10 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
                 below_margin=float("-inf"),
             )
             return failed, None
-        pc = p if p.model is Model.CYLINDER else convert_model(p, tau)
         distance = instance.distance_to(pc, accept_below=_CONTAINS_TOL * scale)
         top, bottom = instance.boundary_coords()
-        above_margin = _fiber_margin(top, slab.upper, model, tau, side=+1)
-        below_margin = _fiber_margin(bottom, slab.lower, model, tau, side=-1)
+        above_margin = _fiber_margin(top, slab.upper, side=+1)
+        below_margin = _fiber_margin(bottom, slab.lower, side=-1)
         return (
             AnnulusCheck(
                 point=p,
@@ -553,7 +532,7 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
             instance,
         )
 
-    results = [check_one(p) for p in points]
+    results = [check_one(p, pc) for p, pc in zip(points, cylinder)]
     checks = tuple(r[0] for r in results)
     instances = [r[1] for r in results if r[1] is not None]
 
@@ -578,22 +557,11 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
     )
 
 
-def _fiber_margin(
-    circle: np.ndarray,
-    height: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    model: Model,
-    tau: float,
-    side: int,
-) -> float:
-    """Signed clearance of a boundary circle from a graph along fibers; the
-    circle is in cylinder coordinates, the height function in model's."""
-    x, y, t = circle[:, 0], circle[:, 1], circle[:, 2]
-    if model is not Model.CYLINDER:
-        x, y, t = convert_coords_arrays(Model.CYLINDER, tau, x, y, t)
-    heights = height(x, y)
-    if side > 0:
-        return float(np.min(t - heights))
-    return float(np.min(heights - t))
+def _fiber_margin(circle: np.ndarray, height: Callable[[np.ndarray, np.ndarray], np.ndarray], side: int) -> float:
+    """Signed clearance of a boundary circle from a graph along fibers, both
+    in cylinder coordinates: the circle lies above the graph for side +1 and
+    below it for side -1."""
+    return float(np.min(side * (circle[:, 2] - height(circle[:, 0], circle[:, 1]))))
 
 
 # -- example constructions -------------------------------------------------------
@@ -657,25 +625,6 @@ class _LinearHeight:
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.alpha * x + self.beta * y
-
-
-def _sine_integral(y) -> np.ndarray:
-    """Si(y) = int_0^y sin t / t dt (Abramowitz & Stegun 5.2.1), by one
-    cumulative_integral over the sorted distinct values of y."""
-    y = np.asarray(y, dtype=float)
-    distinct, inverse = np.unique(y, return_inverse=True)
-    si = cumulative_integral(lambda t: np.sinc(t / math.pi), np.concatenate(([0.0], distinct)))[1:]
-    return si[inverse].reshape(y.shape)
-
-
-@dataclass(frozen=True)
-class _SineIntegralHeight:
-    """Si(y) normalized to vanish at the reference fiber y = 1."""
-
-    offset: float
-
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _sine_integral(y) - self.offset
 
 
 @dataclass(frozen=True)
@@ -763,7 +712,8 @@ def build_example2(
     grid: int = 129,
     annulus_resolution: tuple[int, int] = (65, 96),
 ) -> SlabSpec:
-    """Slab between vertical translates of a gradient-bounded entire graph.
+    """Slab between vertical translates of a gradient-bounded entire graph,
+    u = alpha x + beta y on a disc window; graph_choice must be 'linear'.
 
     The Douglas criterion 2 C r < h < (cosh r - 1)/sinh r certifies the
     least-area annulus over every r-ball; the sweeping family itself uses a
@@ -772,8 +722,8 @@ def build_example2(
     parameter triples raise with the violated inequality.
     """
     tau = sp.tau
-    if graph_choice not in ("linear", "si"):
-        raise ParameterError(f"graph choice must be 'linear' or 'si', got {graph_choice!r}")
+    if graph_choice != "linear":
+        raise ParameterError(f"graph choice must be 'linear', got {graph_choice!r}")
     if not (r > 0.0 and h > 0.0 and C > 0.0):
         raise ParameterError("r, h, C must be positive")
     douglas_bound = math.tanh(0.5 * r)  # (cosh r - 1)/sinh r, without overflow
@@ -789,13 +739,8 @@ def build_example2(
             f"need C < (cosh r - 1)/(2 r sinh r) = {gradient_cap}: got C = {C}"
         )
 
-    if graph_choice == "linear":
-        domain = disc_window_domain(window_radius, grid)
-        height_fn = _LinearHeight(alpha, beta)
-    else:
-        domain = halfplane_window_domain((0.0, 1.0), window_radius, grid)
-        height_fn = _SineIntegralHeight(float(_sine_integral(1.0)))
-
+    domain = disc_window_domain(window_radius, grid)
+    height_fn = _LinearHeight(alpha, beta)
     base_graph = GraphFunction.from_base_callable(domain, tau, height_fn)
     active = domain.active_mask()
     sup_gradient = float(np.max(hyperbolic_gradient_norm(base_graph)[active]))
@@ -866,40 +811,30 @@ _SAMPLE_DRAWS_PER_POINT = 1000
 def sample_interior_points(slab: SlabSpec, count: int, seed: int = 0) -> list[AmbientPoint]:
     """Seeded points strictly between the graphs, inside the sampled window.
 
-    Base points are drawn about the center of the window's hyperbolic disc,
-    read back with its radius from the bounds that disc_window_domain or
-    halfplane_window_domain lay out.  Raises ConvergenceError when the draw
-    budget runs out first, as when the upper graph is nowhere above the lower.
+    Base points are drawn about the centre of the window's hyperbolic disc,
+    the origin, within _SAMPLE_RADIAL_FRACTION of its radius, read back from
+    the bounds that disc_window_domain lays out.  Raises ConvergenceError
+    when the draw budget runs out first, as when the upper graph is nowhere
+    above the lower.
     """
     if count < 1:
         raise ParameterError("need at least one sample point")
     rng = default_rng(seed)
     domain = slab.domain
-    model = domain.model
-    (a1, b1), (a2, b2) = domain.bounds
-    if model is Model.CYLINDER:
-        radius = 2.0 * math.atanh(b1)
-    else:
-        x0, y0 = 0.5 * (a1 + b1), math.sqrt(a2 * b2)
-        radius = 0.5 * math.log(b2 / a2)
+    radius = 2.0 * math.atanh(domain.bounds[0][1])
     points: list[AmbientPoint] = []
     for _ in range(_SAMPLE_DRAWS_PER_POINT * count):
         rho = _SAMPLE_RADIAL_FRACTION * radius * math.sqrt(rng.uniform())
         angle = rng.uniform(0.0, 2.0 * math.pi)
-        if model is Model.CYLINDER:
-            rc = math.tanh(0.5 * rho)
-            x, y = rc * math.cos(angle), rc * math.sin(angle)
-        else:
-            # Hyperbolic circle around (x0, y0): Euclidean center (x0, y0 cosh rho).
-            x = x0 + y0 * math.sinh(rho) * math.cos(angle)
-            y = y0 * (math.cosh(rho) + math.sinh(rho) * math.sin(angle))
+        rc = math.tanh(0.5 * rho)
+        x, y = rc * math.cos(angle), rc * math.sin(angle)
         if not _point_in_window(domain, x, y):
             continue
         lo, hi = float(slab.lower(x, y)), float(slab.upper(x, y))
         if not lo < hi:
             continue
         t = lo + (0.1 + 0.8 * rng.uniform()) * (hi - lo)
-        points.append(AmbientPoint(BasePoint(model, x, y), t))
+        points.append(AmbientPoint(BasePoint(Model.CYLINDER, x, y), t))
         if len(points) == count:
             return points
     raise ConvergenceError(

@@ -262,10 +262,10 @@ def test_slab_infeasible_parameters_exit_one(capsys) -> None:
         ["slab", "example2", "--grid", "-1"],
         ["slab", "example2", "--grid", "2"],
         ["slab", "example1", "--window-radius", "1e300", "--grid", "2"],
-        ["slab", "example2", "--graph", "si", "--window-radius", "800"],
+        ["slab", "example2", "--graph", "si"],
         ["slab", "example2", "--r", "1e6"],
     ],
-    ids=["disc-grid", "halfplane-grid", "empty-window", "ideal-boundary", "overflowing-window", "huge-r"],
+    ids=["disc-grid", "example2-grid", "empty-window", "ideal-boundary", "si-graph", "huge-r"],
 )
 def test_slab_windows_and_douglas_bounds_are_checked(capsys, argv) -> None:
     code, report = run(capsys, *argv)
@@ -562,7 +562,7 @@ def _false_verdict(report: dict) -> bool:
 @example((["slab", "example2"], {"grid": "-1"}, None))
 @example((["slab", "example2"], {"grid": "2"}, None))
 @example((["slab", "example1"], {"window_radius": "1e300", "grid": "2"}, None))
-@example((["slab", "example2"], {"graph": "si", "window_radius": "800"}, None))
+@example((["slab", "example2"], {"graph": "si"}, None))
 @example((["slab", "example2"], {"r": "1e6"}, None))
 @example((["slab", "example1"], {"window_radius": "1e-300", "grid": "9", "points": "1"}, None))
 @example((["verify", "limits"], {"points": "1", "out": "missing/r.json"}, None))

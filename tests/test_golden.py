@@ -1,8 +1,9 @@
 """The CLI reports pinned under tests/golden/ (rewritten by scripts/update_golden.py).
 
-Each report must keep its structure, verdicts, strings and integers exactly,
-and its floats within 1e-12 relative: a change that moves a report shows up
-here and as a diff of the golden file.
+Each command must exit with its entry's code, and each report must keep its
+structure, verdicts, strings and integers exactly, and its floats within
+1e-12 relative: a change that moves a report shows up here and as a diff of
+the golden file.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ def test_mismatches_tell_floats_from_integers_and_verdicts() -> None:
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_report_matches_its_golden_file(name: str, capsys) -> None:
-    code = main(COMMANDS[name])
+    code = main(COMMANDS[name]["argv"])
     got = json.loads(capsys.readouterr().out)
     want = json.loads((GOLDEN / name).read_text())
-    assert code == 0
+    assert code == COMMANDS[name]["exit"]
     assert _mismatches(got, want) == []

@@ -28,9 +28,7 @@ from etau.isometries import AmbientIsometry, Orientation, apply_to_coords, push_
 from etau.quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss
 from etau.slabs import (
     SlabSpec,
-    _model_annulus_edges,
-    _model_boundary_circles,
-    _model_annulus_mesh,
+    _model_annulus,
     _solve_catenoid_half_height,
     build_example1,
     build_example2,
@@ -45,7 +43,14 @@ from etau.slabs import (
     with_overlapping_graphs,
     with_shrunken_annuli,
 )
-from etau.surfaces import CatenoidSpec, LeafSpec, catenoid_height, catenoid_patch, foliation_leaf_find
+from etau.surfaces import (
+    CatenoidSpec,
+    LeafSpec,
+    catenoid_height,
+    catenoid_patch,
+    foliation_leaf_find,
+    mesh_catenoid,
+)
 
 FLAT = SpaceParams(0.0)
 
@@ -116,10 +121,11 @@ def test_halfplane_window_with_non_finite_bounds_is_rejected(center, radius: flo
 
 def test_slab_window_lies_on_a_coordinate_chart() -> None:
     polar = GraphDomain(chart=Chart.DISC_POLAR, bounds=((0.1, 1.0), (0.0, 1.0)), shape=(5, 5))
-    with pytest.raises(ParameterError, match="coordinate chart"):
-        SlabSpec(
-            domain=polar, tau=0.0, lower=_level(-1.0), upper=_level(1.0), annulus_generator=None, metadata={}
-        )
+    for domain in (polar, halfplane_window_domain((0.0, 1.0), 1.0, 9)):
+        with pytest.raises(ParameterError, match="coordinate chart"):
+            SlabSpec(
+                domain=domain, tau=0.0, lower=_level(-1.0), upper=_level(1.0), annulus_generator=None, metadata={}
+            )
 
 
 # -- example 1 ---------------------------------------------------------------------
@@ -236,7 +242,7 @@ def _nelder_mead_distance(instance, q: AmbientPoint) -> float:
             w = math.copysign(1.0, w)
         c = instance.surface_coords(np.array([phi]), np.array([w]))[0]
         p = AmbientPoint(BasePoint(Model.CYLINDER, c[0], c[1]), c[2])
-        return chord_length(p, q, instance.tau) + penalty
+        return chord_length(p, q, instance.generator.tau) + penalty
 
     res = minimize(
         objective,
@@ -252,7 +258,7 @@ def test_annulus_distance_matches_nelder_mead(slab, request) -> None:
     spec = request.getfixturevalue(slab)
     for p in sample_interior_points(spec, 4, seed=5):
         instance = spec.annulus_generator(p)
-        pc = convert_model(p, instance.tau) if p.model is not Model.CYLINDER else p
+        pc = convert_model(p, instance.generator.tau) if p.model is not Model.CYLINDER else p
         assert abs(instance.distance_to(pc) - _nelder_mead_distance(instance, pc)) <= 1e-9
         for shift in (1e-3, 1e-2):
             off = AmbientPoint(pc.base, pc.t + shift)
@@ -263,11 +269,9 @@ def test_annulus_distance_matches_nelder_mead(slab, request) -> None:
 def _two_pass_spectrum(instance, target_step: float = 0.015) -> np.ndarray:
     """Reference edge spectrum: separate coarse and fine mapped passes, with
     lengths from full metric tensors contracted by einsum."""
-    rows, cols = instance.resolution
-    args = (instance.tau, instance.d, instance.rho_boundary, rows, cols)
-    vertices = _model_annulus_mesh(*args).vertices
-    edges = _model_annulus_edges(*args)
-    a, b = vertices[edges[:, 0]], vertices[edges[:, 1]]
+    tau = instance.generator.tau
+    model = _model_annulus(instance.generator)
+    a, b = model.a, model.a + model.v
 
     def lengths(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
         frac = np.linspace(0.0, 1.0, m + 1)
@@ -275,13 +279,13 @@ def _two_pass_spectrum(instance, target_step: float = 0.015) -> np.ndarray:
         mapped = apply_to_coords(instance.placement, pts.reshape(-1, 3)).reshape(a.shape[0], m + 1, 3)
         delta = mapped[:, 1:, :] - mapped[:, :-1, :]
         mid = 0.5 * (mapped[:, 1:, :] + mapped[:, :-1, :])
-        g = metric_arrays(Model.CYLINDER, instance.tau, mid[..., 0], mid[..., 1])
+        g = metric_arrays(Model.CYLINDER, tau, mid[..., 0], mid[..., 1])
         sq = np.einsum("...i,...ij,...j->...", delta, g, delta)
         return np.sqrt(np.maximum(sq, 0.0)).sum(axis=1)
 
     rough = lengths(a, b, 4)
     levels = np.clip(np.ceil(np.log2(np.maximum(rough / target_step, 1.0))), 3, 13).astype(int)
-    out = np.empty(edges.shape[0])
+    out = np.empty(a.shape[0])
     for level in np.unique(levels):
         m = 1 << int(level)
         for part in np.array_split(np.flatnonzero(levels == level), 64):
@@ -293,7 +297,7 @@ def _two_pass_spectrum(instance, target_step: float = 0.015) -> np.ndarray:
 def test_edge_length_spectrum_matches_two_pass_reference(slab1) -> None:
     # The step-0.004 polyline's own error is about 1e-11 here.
     instance = slab1.annulus_generator(sample_interior_points(slab1, 1, seed=7)[0])
-    assert instance.resolution == (33, 48)
+    assert instance.generator.resolution == (33, 48)
     np.testing.assert_allclose(
         edge_length_spectra([instance])[0], _two_pass_spectrum(instance, 0.004), rtol=1e-10, atol=0.0
     )
@@ -309,40 +313,39 @@ def test_edge_length_spectrum_separates_non_congruent_annuli(slab1) -> None:
     assert deviation(second) < 1e-8
     # A slightly different catenoid, and a placement whose fiber rule belongs
     # to another tau (so it is not an isometry of the tau = 0 metric).
-    assert deviation(replace(first, d=first.d * (1.0 + 1e-4))) > 1e-5
+    gen = first.generator
+    assert deviation(replace(first, generator=replace(gen, d=gen.d * (1.0 + 1e-4)))) > 1e-5
     assert deviation(replace(first, placement=replace(first.placement, tau=0.01))) > 1e-5
 
 
 def _per_point_spectrum(instance) -> np.ndarray:
-    """Reference edge spectrum by the per-point route: each chunk gathers its
-    edges' vertices, and every quadrature node goes through push_forward as
+    """Reference edge spectrum by the per-point route: each chunk takes its
+    edges' segments, and every quadrature node goes through push_forward as
     one (n, 3) row with a broadcast copy of its edge vector."""
-    rows, cols = instance.resolution
-    args = (instance.tau, instance.d, instance.rho_boundary, rows, cols)
-    vertices = _model_annulus_mesh(*args).vertices
-    edges = _model_annulus_edges(*args)
-    out = np.empty(edges.shape[0])
+    tau = instance.generator.tau
+    model = _model_annulus(instance.generator)
+    out = np.empty(model.a.shape[0])
     per_chunk = CHUNK_NODES // PANEL_NODES
-    for start in range(0, edges.shape[0], per_chunk):
-        part = edges[start : start + per_chunk]
-        a = vertices[part[:, 0], None, None, :]
-        v = vertices[part[:, 1], None, None, :] - a
+    for start in range(0, model.a.shape[0], per_chunk):
+        a = model.a[start : start + per_chunk, None, None, :]
+        v = model.v[start : start + per_chunk, None, None, :]
 
         def speed(s: np.ndarray) -> np.ndarray:
             p = a + s[..., None] * v
             dirs = np.broadcast_to(v, p.shape)
             image, dv = push_forward(instance.placement, p.reshape(-1, 3), dirs.reshape(-1, 3))
-            sq = metric_quadratic_form(Model.CYLINDER, instance.tau, image[:, 0], image[:, 1], *dv.T)
+            sq = metric_quadratic_form(Model.CYLINDER, tau, image[:, 0], image[:, 1], *dv.T)
             return np.sqrt(sq).reshape(s.shape)
 
-        out[start : start + per_chunk] = composite_gauss(speed, np.zeros(len(part)), np.ones(len(part)), 1)
+        out[start : start + per_chunk] = composite_gauss(speed, np.zeros(len(a)), np.ones(len(a)), 1)
     return np.sort(out)
 
 
 def _mirrored(instance):
     """The instance under a reversing placement, so the x, y and t row signs
     of the differential count."""
-    reversing = AmbientIsometry(instance.placement.mobius, Orientation.REVERSING, 0.3, 0.0, instance.tau)
+    tau = instance.generator.tau
+    reversing = AmbientIsometry(instance.placement.mobius, Orientation.REVERSING, 0.3, 0.0, tau)
     return replace(instance, placement=reversing)
 
 
@@ -357,7 +360,7 @@ def test_edge_length_spectrum_equals_per_point_route(slab1, slab1_tau05, tau: fl
     # and one at a time.
     slab = slab1 if tau == 0.0 else slab1_tau05
     instances = [slab.annulus_generator(p) for p in sample_interior_points(slab, 4, seed=7)]
-    assert instances[0].tau == tau
+    assert instances[0].generator.tau == tau
     instances.append(_mirrored(instances[0]))
     batch = edge_length_spectra(instances)
     assert len(batch) == len(instances)
@@ -369,13 +372,14 @@ def test_edge_length_spectrum_equals_per_point_route(slab1, slab1_tau05, tau: fl
 
 def test_batched_spectra_need_one_model_mesh(slab1) -> None:
     instance = slab1.annulus_generator(sample_interior_points(slab1, 1, seed=7)[0])
+    gen = instance.generator
     others = [
-        replace(instance, tau=0.5),
-        replace(instance, d=instance.d * (1.0 + 1e-4)),
-        replace(instance, rho_boundary=0.5 * instance.rho_boundary),
-        replace(instance, resolution=(5, 8)),
+        replace(gen, tau=0.5),
+        replace(gen, d=gen.d * (1.0 + 1e-4)),
+        replace(gen, rho_boundary=0.5 * gen.rho_boundary),
+        replace(gen, resolution=(5, 8)),
     ]
-    for other in others:
+    for other in (replace(instance, generator=g) for g in others):
         with pytest.raises(ParameterError, match="one model mesh"):
             edge_length_spectra([instance, other])
     with pytest.raises(ParameterError, match="at least one"):
@@ -413,19 +417,20 @@ def test_audit_measures_its_pairs_in_one_batch(slab1, monkeypatch, overlap: bool
 
 def test_boundary_coords_apply_the_placement_to_the_model_circles(slab1) -> None:
     instance = slab1.annulus_generator(sample_interior_points(slab1, 1, seed=7)[0])
-    spec = CatenoidSpec(tau=instance.tau, d=instance.d)
+    gen = instance.generator
+    spec = CatenoidSpec(tau=gen.tau, d=gen.d)
     phi = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
     for placed in (instance, _mirrored(instance)):
         circles = [
-            apply_to_coords(placed.placement, catenoid_patch(spec, placed.rho_boundary, np.array(w), phi))
+            apply_to_coords(placed.placement, catenoid_patch(spec, gen.rho_boundary, np.array(w), phi))
             for w in (1.0, -1.0)
         ]
         circles.sort(key=lambda c: float(np.mean(c[:, 2])), reverse=True)
         top, bottom = placed.boundary_coords()
         np.testing.assert_array_equal(top, circles[0])
         np.testing.assert_array_equal(bottom, circles[1])
-    model = _model_boundary_circles(instance.tau, instance.d, instance.rho_boundary)
-    for circle in model:
+    model = _model_annulus(gen)
+    for circle in (model.upper, model.lower):
         assert circle.shape == (512, 3)
         assert not circle.flags.writeable
         with pytest.raises(ValueError):
@@ -434,18 +439,44 @@ def test_boundary_coords_apply_the_placement_to_the_model_circles(slab1) -> None
 
 @pytest.mark.parametrize(("rows", "cols", "count"), [(65, 96, 18528), (5, 8, 104), (6, 8, 152), (8, 10, 250)])
 def test_model_annulus_edges_are_the_sorted_unique_pairs(slab1, rows: int, cols: int, count: int) -> None:
-    gen = slab1.annulus_generator
-    args = (gen.tau, gen.d, gen.rho_boundary, rows, cols)
-    mesh = _model_annulus_mesh(*args)
+    gen = replace(slab1.annulus_generator, resolution=(rows, cols))
+    mesh = mesh_catenoid(CatenoidSpec(tau=gen.tau, d=gen.d), gen.rho_boundary, (rows, cols))
     tri = mesh.triangles
-    pairs = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
-    edges = _model_annulus_edges(*args)
-    np.testing.assert_array_equal(edges, np.unique(pairs, axis=0))
+    edges = np.unique(np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1), axis=0)
+    model = _model_annulus(gen)
+    a, b = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+    np.testing.assert_array_equal(model.a, a)
+    np.testing.assert_array_equal(model.v, b - a)
+    assert not (model.a.flags.writeable or model.v.flags.writeable)
     # The mesh makes the row count odd; a wrapped grid has R C ring edges,
     # (R - 1) C meridian edges and (R - 1) C diagonals.
     built_rows = len(mesh.vertices) // cols
     assert built_rows == rows + 1 - rows % 2
-    assert len(edges) == (3 * built_rows - 2) * cols == count
+    assert len(model.a) == (3 * built_rows - 2) * cols == count
+
+
+def test_a_generator_builds_its_model_annulus_once(slab1, monkeypatch) -> None:
+    meshes = []
+
+    def counted(*args):
+        meshes.append(args)
+        return mesh_catenoid(*args)
+
+    monkeypatch.setattr(slabs, "mesh_catenoid", counted)
+    slabs._model_annulus.cache_clear()
+    points = sample_interior_points(slab1, 3, seed=7)
+    assert check_annulus_family(slab1, points).passed
+    assert len(meshes) == 1
+    # equal generators are one key
+    gen = slab1.annulus_generator
+    record = _model_annulus(gen)
+    assert _model_annulus(replace(gen)) is record
+    shrunken = with_shrunken_annuli(slab1, 0.5)
+    assert not check_annulus_family(shrunken, points).passed
+    own = _model_annulus(shrunken.annulus_generator)
+    assert len(meshes) == 2
+    assert own is not record
+    assert own.boundary_height < record.boundary_height
 
 
 def test_nan_spectrum_fails_the_audit(slab1, monkeypatch) -> None:
@@ -497,6 +528,25 @@ def test_shrink_factor_validation(slab1) -> None:
 # -- example 2 ---------------------------------------------------------------------
 
 
+# CHANGES.md's FOUND line on `build_example1` at tau != 0: every placement
+# composes a disc involution off the point's fiber, whose fiber term tilts the
+# boundary circles at nonzero tau, so both audits fail their fiber margins.
+_TILTED_CIRCLES = "the annulus placement tilts the boundary circles at tau != 0"
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=_TILTED_CIRCLES)
+def test_example1_audit_passes_at_nonzero_tau(slab1_tau05) -> None:
+    report = check_annulus_family(slab1_tau05, sample_interior_points(slab1_tau05, 3, seed=7))
+    assert report.passed
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=_TILTED_CIRCLES)
+def test_example2_audit_passes_at_nonzero_tau() -> None:
+    slab = build_example2(SpaceParams(0.3), "linear", 1.0, 0.45, 0.2, grid=65, annulus_resolution=(33, 48))
+    report = check_annulus_family(slab, sample_interior_points(slab, 3, seed=4))
+    assert report.passed
+
+
 def test_example2_metadata_frozen(slab2) -> None:
     md = slab2.metadata
     assert md["sup_gradient"] == pytest.approx(0.2, abs=1e-12)
@@ -541,23 +591,16 @@ def test_example2_douglas_bounds_do_not_overflow() -> None:
 
 def test_example2_rejects_steep_window_gradient() -> None:
     with pytest.raises(FeasibilityError, match="gradient bound violated"):
-        build_example2(FLAT, "si", 1.0, 0.45, 0.2, grid=65)
+        build_example2(FLAT, "linear", 1.0, 0.45, 0.2, alpha=5.0, grid=65)
 
 
 def test_example2_rejects_unknown_graph_choice() -> None:
-    with pytest.raises(ParameterError):
-        build_example2(FLAT, "cubic", 1.0, 0.45, 0.2)
+    for choice in ("cubic", "si"):
+        with pytest.raises(ParameterError, match="must be 'linear'"):
+            build_example2(FLAT, choice, 1.0, 0.45, 0.2)
 
 
 # -- sampling ----------------------------------------------------------------------
-
-
-def test_sine_integral_matches_scipy_on_the_example2_axis() -> None:
-    from scipy.special import sici
-
-    _, y = halfplane_window_domain((0.0, 1.0), 10.0, 129).axes()
-    np.testing.assert_allclose(slabs._sine_integral(y), sici(y)[0], rtol=0.0, atol=1e-13)
-    assert slabs._sine_integral(np.array([[1.0, 2.0], [1.0, 0.0]]))[1, 1] == 0.0
 
 
 def test_sample_interior_points_is_seeded(slab2) -> None:
@@ -578,25 +621,12 @@ def test_sampled_points_lie_between_graphs(slab1) -> None:
 def test_sampler_gives_up_on_an_unreachable_window() -> None:
     # The upper graph lies below the lower one everywhere, so no draw
     # lands strictly between them.
-    dom = halfplane_window_domain((50.0, 1.0), 0.5, 9)
+    dom = disc_window_domain(0.5, 9)
     slab = SlabSpec(
         domain=dom, tau=0.0, lower=_level(1.0), upper=_level(-1.0), annulus_generator=None, metadata={}
     )
     with pytest.raises(ConvergenceError):
         sample_interior_points(slab, 3)
-
-
-def test_sampler_draws_from_an_off_centre_window() -> None:
-    dom = halfplane_window_domain((50.0, 1.0), 0.5, 9)
-    slab = SlabSpec(
-        domain=dom, tau=0.0, lower=_level(-1.0), upper=_level(1.0), annulus_generator=None, metadata={}
-    )
-    points = sample_interior_points(slab, 6, seed=1)
-    assert len(points) == 6
-    for p in points:
-        assert p.model is Model.HALF_SPACE
-        assert slabs._point_in_window(dom, p.x, p.y)
-        assert -1.0 < p.t < 1.0
 
 
 def _hand_built_slab(slab1, upper=_level(1.2)) -> SlabSpec:
