@@ -18,6 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .core import (
     ParameterError,
     convert_coords_arrays,
     metric_arrays,
-    metric_at,
 )
 
 _COEFF_TOL = 1e-12
@@ -134,6 +134,61 @@ def _reference_point(model: Model) -> AmbientPoint:
     return AmbientPoint(BasePoint(Model.CYLINDER, 0.0, 0.0), 0.0)
 
 
+class _Coefficients(NamedTuple):
+    """The scalars of the apply formulas, each one value or one per row.
+
+    c_over_d and phase_d = cmath.phase(d) enter only the disc branch; they
+    are computed in Python scalar arithmetic, as one isometry's apply always
+    did, so a row of a batch keeps the bits of that isometry alone.
+    """
+
+    a: complex
+    b: complex
+    c: complex
+    d: complex
+    c_over_d: complex
+    phase_d: float
+    branch_offset: float
+    shift: float
+
+
+def _coefficients(iso: AmbientIsometry) -> _Coefficients:
+    m = iso.mobius
+    if iso.model is Model.HALF_SPACE:  # d may vanish; the disc terms are unused
+        return _Coefficients(m.a, m.b, m.c, m.d, 0j, 0.0, iso.branch_offset, iso.shift)
+    return _Coefficients(m.a, m.b, m.c, m.d, m.c / m.d, cmath.phase(m.d), iso.branch_offset, iso.shift)
+
+
+def _coefficients_for(isometries, shape: tuple[int, ...]) -> tuple[AmbientIsometry, _Coefficients]:
+    """One isometry with its scalars, or the first of a sequence with one
+    isometry per row (axis 0) of points of the given shape, with per-row
+    coefficient arrays that broadcast against them.  Rows share model,
+    orientation and tau."""
+    if isinstance(isometries, AmbientIsometry):
+        return isometries, _coefficients(isometries)
+    isos = list(isometries)
+    if not shape or len(isos) != shape[0]:
+        raise ParameterError(f"{len(isos)} isometries for points of shape {shape}")
+    first = isos[0]
+    for iso in isos:
+        if iso.model is not first.model or iso.orientation is not first.orientation or iso.tau != first.tau:
+            raise ParameterError("isometries applied row by row must share model, orientation and tau")
+    per_row = (len(isos),) + (1,) * (len(shape) - 1)
+    columns = zip(*map(_coefficients, isos))
+    return first, _Coefficients(*(np.array(column).reshape(per_row) for column in columns))
+
+
+def _branch(model: Model, k: _Coefficients, z, q):
+    """Continuous branch Theta of arg f' at z, given q = c z + d."""
+    if model is Model.HALF_SPACE:
+        carg = np.arctan2(q.imag, q.real)
+    else:
+        # |c/d| < 1 on the closed disc keeps Re(1 + (c/d) z) > 0, so the
+        # principal argument below is continuous in z.
+        carg = k.phase_d + np.angle(1.0 + k.c_over_d * z)
+    return -2.0 * carg + k.branch_offset
+
+
 def arg_derivative(iso: AmbientIsometry, z):
     """Continuous branch of arg f'(z) for the covered Moebius map.
 
@@ -143,15 +198,8 @@ def arg_derivative(iso: AmbientIsometry, z):
         if z.model is not iso.model:
             raise ModelMismatchError("point model does not match the isometry")
         z = z.z
-    m = iso.mobius
-    if iso.model is Model.HALF_SPACE:
-        w = m.c * z + m.d
-        carg = np.arctan2(w.imag, w.real)
-    else:
-        # |c/d| < 1 on the closed disc keeps Re(1 + (c/d) z) > 0, so the
-        # principal argument below is continuous in z.
-        carg = cmath.phase(m.d) + np.angle(1.0 + (m.c / m.d) * z)
-    return -2.0 * carg + iso.branch_offset
+    k = _coefficients(iso)
+    return _branch(iso.model, k, z, k.c * z + k.d)
 
 
 def _row_signs(iso: AmbientIsometry) -> tuple[float, float, float]:
@@ -169,16 +217,33 @@ def apply(iso: AmbientIsometry, p: AmbientPoint) -> AmbientPoint:
     return AmbientPoint(BasePoint(iso.model, x, y), t)
 
 
-def apply_to_coords(iso: AmbientIsometry, coords: np.ndarray) -> np.ndarray:
-    """Vectorized apply on an (n, 3) coordinate array."""
-    pts = np.asarray(coords, dtype=float)
+def _apply(iso: AmbientIsometry, k: _Coefficients, pts: np.ndarray) -> np.ndarray:
+    """The one apply formula: iso gives model, orientation and tau, k the
+    scalars (shared, or per row as built by _coefficients_for)."""
     z = pts[..., 0] + 1j * pts[..., 1]
-    m = iso.mobius
-    w = (m.a * z + m.b) / (m.c * z + m.d)
-    theta = arg_derivative(iso, z)
+    q = k.c * z + k.d
+    w = (k.a * z + k.b) / q
     sx, sy, st = _row_signs(iso)
-    fiber = st * (pts[..., 2] - 2.0 * iso.tau * theta) + iso.shift
-    return np.stack([sx * w.real, sy * w.imag, fiber], axis=-1)
+    out = np.empty(z.shape + (3,))
+    np.multiply(sx, w.real, out=out[..., 0])
+    np.multiply(sy, w.imag, out=out[..., 1])
+    out[..., 2] = st * (pts[..., 2] - 2.0 * iso.tau * _branch(iso.model, k, z, q)) + k.shift
+    return out
+
+
+def apply_to_coords(iso: AmbientIsometry, coords: np.ndarray) -> np.ndarray:
+    """Vectorized apply on an (..., 3) coordinate array."""
+    return _apply(iso, _coefficients(iso), np.asarray(coords, dtype=float))
+
+
+def apply_to_rows(isometries, coords: np.ndarray) -> np.ndarray:
+    """Apply isometries[i] to coords[i] (shape (n, ..., 3)) for every i.
+
+    The isometries must share model, orientation and tau; each row gets the
+    bits apply_to_coords gives it as a one-row array.
+    """
+    pts = np.asarray(coords, dtype=float)
+    return _apply(*_coefficients_for(list(isometries), pts.shape[:-1]), pts)
 
 
 def push_forward_arrays(iso: AmbientIsometry, x, y, vx, vy, vt):
@@ -261,27 +326,70 @@ def inverse(iso: AmbientIsometry) -> AmbientIsometry:
     )
 
 
-def _map_pullback_residual(push, p: AmbientPoint, model_to: Model, tau: float, step: float) -> float:
-    """Pullback residual of a map given as push: (n, 3) coordinates -> (n, 3) images.
+# Stencil rows of the pullback residual, in units of the axis step h_i:
+# (axis i, level, k) with offset level * k along axis i, levels 1 (coarse)
+# and 1/2 (fine), k in (-2, -1, 1, 2).  Every factor is a power of two, so
+# h_i * unit is exact; the zeros off the axis carry the sign of k.
+_LEVELS = np.array([1.0, 0.5])
+_STENCIL_UNITS = (
+    np.eye(3)[:, None, None, :] * (_LEVELS[:, None] * np.array([-2.0, -1.0, 1.0, 2.0]))[None, :, :, None]
+).reshape(24, 3)
+_STENCIL_AXIS = np.repeat(np.arange(3), 8)
 
-    Column i of the Jacobian is the Richardson combination (16 fine - coarse)
-    / 15 of two five-point stencils along axis i, with steps h_i =
-    step * max(1, |p_i|) and h_i / 2; the 24 stencil rows and p itself go
-    through push in one call.
+
+def _map_pullback_residuals(
+    push, coords, model_from: Model, model_to: Model, tau: float, step: float
+) -> np.ndarray:
+    """Pullback residuals at the rows of (n, 3) coords of a map given as
+    push: (n, 25, 3) coordinates -> (n, 25, 3) images.
+
+    Column i of each Jacobian is the Richardson combination (16 fine -
+    coarse) / 15 of two five-point stencils along axis i, with steps h_i =
+    step * max(1, |p_i|) and h_i / 2; the 24 stencil rows of every point and
+    the point itself go through push in one call.
     """
-    coords = p.coords()
-    # steps[i, level]: h_i at level 0 (coarse) and h_i / 2 at level 1 (fine)
-    steps = step * np.maximum(1.0, np.abs(coords))[:, None] * np.array([1.0, 0.5])
-    offsets = steps[..., None] * np.array([-2.0, -1.0, 1.0, 2.0])  # (axis, level, k)
-    stencil = coords + offsets[..., None] * np.eye(3)[:, None, None, :]
-    images = push(np.concatenate([stencil.reshape(-1, 3), coords[None]]))
-    m2, m1, p1, p2 = np.moveaxis(images[:-1].reshape(3, 2, 4, 3), 2, 0)
-    columns = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * steps[..., None])  # (axis, level, component)
-    jac = ((16.0 * columns[:, 1] - columns[:, 0]) / 15.0).T
-    image = images[-1]
-    g_image = metric_arrays(model_to, tau, image[0], image[1])
-    g_here = metric_at(p, tau)
-    return float(np.linalg.norm(jac.T @ g_image @ jac - g_here))
+    coords = np.asarray(coords, dtype=float)
+    n = len(coords)
+    h = step * np.maximum(1.0, np.abs(coords))
+    rows = np.empty((n, 25, 3))
+    np.add(coords[:, None, :], h[:, _STENCIL_AXIS, None] * _STENCIL_UNITS, out=rows[:, :24])
+    rows[:, 24] = coords
+    images = push(rows)
+    stencil = images[:, :24].reshape(n, 3, 2, 4, 3)  # (n, axis, level, k, component)
+    m2, m1, p1, p2 = (stencil[:, :, :, j] for j in range(4))
+    steps = h[:, :, None] * _LEVELS
+    columns = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * steps[..., None])
+    jac_t = (16.0 * columns[:, :, 1] - columns[:, :, 0]) / 15.0  # J^T: (n, axis, component)
+    image = images[:, 24]
+    g_image = metric_arrays(model_to, tau, image[:, 0], image[:, 1])
+    g_here = metric_arrays(model_from, tau, coords[:, 0], coords[:, 1])
+    r = (jac_t @ g_image @ jac_t.swapaxes(1, 2) - g_here).reshape(n, 9)
+    return np.sqrt(np.vecdot(r, r))
+
+
+def pullback_residuals(isometries, coords: np.ndarray) -> np.ndarray:
+    """pullback_residual at each row of (n, 3) coords, for one shared
+    isometry or a sequence of n (one per row, sharing model, orientation and
+    tau): all n * 25 stencil rows go through one apply."""
+    coords = np.asarray(coords, dtype=float)
+    iso, k = _coefficients_for(isometries, (len(coords), 25))
+    return _map_pullback_residuals(
+        lambda rows: _apply(iso, k, rows), coords, iso.model, iso.model, iso.tau, _PULLBACK_STEP
+    )
+
+
+def conversion_pullback_residuals(model: Model, tau: float, coords: np.ndarray) -> np.ndarray:
+    """conversion_pullback_residual at each row of (n, 3) coords in model."""
+    target = Model.CYLINDER if model is Model.HALF_SPACE else Model.HALF_SPACE
+
+    def push(rows: np.ndarray) -> np.ndarray:
+        out = np.empty(rows.shape)
+        out[..., 0], out[..., 1], out[..., 2] = convert_coords_arrays(
+            model, tau, rows[..., 0], rows[..., 1], rows[..., 2]
+        )
+        return out
+
+    return _map_pullback_residuals(push, coords, model, target, tau, _PULLBACK_STEP)
 
 
 def pullback_residual(iso: AmbientIsometry, p: AmbientPoint) -> float:
@@ -290,21 +398,17 @@ def pullback_residual(iso: AmbientIsometry, p: AmbientPoint) -> float:
     Vanishes (to truncation error) exactly when the map is isometric near p.
     The Jacobian uses Richardson-extrapolated five-point stencils; the wide
     step keeps the roundoff floor near 1e-10 even where the conformal factor
-    is large, which a plain 1e-6 central difference cannot achieve.
+    is large, which a plain 1e-6 central difference cannot achieve.  The
+    n = 1 case of pullback_residuals.
     """
-    return _map_pullback_residual(
-        lambda coords: apply_to_coords(iso, coords), p, iso.model, iso.tau, _PULLBACK_STEP
-    )
+    if p.model is not iso.model:
+        raise ModelMismatchError("point model does not match the isometry")
+    return float(pullback_residuals(iso, p.coords()[None])[0])
 
 
 def conversion_pullback_residual(p: AmbientPoint, tau: float) -> float:
     """Pullback residual of the model conversion map at p (same stencil)."""
-    target = Model.CYLINDER if p.model is Model.HALF_SPACE else Model.HALF_SPACE
-
-    def push(coords: np.ndarray) -> np.ndarray:
-        return np.stack(convert_coords_arrays(p.model, tau, *coords.T), axis=-1)
-
-    return _map_pullback_residual(push, p, target, tau, _PULLBACK_STEP)
+    return float(conversion_pullback_residuals(p.model, tau, p.coords()[None])[0])
 
 
 # -- named families ----------------------------------------------------------

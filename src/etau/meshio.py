@@ -88,7 +88,8 @@ def write_surface(path: str | Path, mesh: SurfaceMesh) -> tuple[Path, Path]:
 
     The sidecar, at ``nu_sidecar_path(path)``, is a CSV of the per-vertex angle
     function with the OBJ's 1-based vertex indices.  Both files are written in
-    one pass, so each vertex coordinate is formatted once.
+    one pass, so each vertex coordinate is formatted once; face records take
+    one %-format per block.
     """
     path = Path(path)
     sidecar = nu_sidecar_path(path)
@@ -97,7 +98,10 @@ def write_surface(path: str | Path, mesh: SurfaceMesh) -> tuple[Path, Path]:
     with path.open("w") as obj, sidecar.open("w", newline="") as nu:
         sinks = [(obj, "v {} {} {}\n", (1, 2, 3)), _csv_sink(nu, ["vertex", "x", "y", "t", "nu"], 5)]
         _write_blocks(sinks, index, *vertices.T, np.asarray(mesh.nu, float))
-        _write_blocks([(obj, "f {} {} {}\n", range(3))], *(np.asarray(mesh.triangles, int) + 1).T)
+        faces = np.asarray(mesh.triangles, int) + 1
+        for start in range(0, len(faces), _BLOCK_ROWS):
+            block = faces[start : start + _BLOCK_ROWS]
+            obj.write(("f %d %d %d\n" * len(block)) % tuple(block.ravel().tolist()))
     return path, sidecar
 
 

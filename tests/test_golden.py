@@ -3,20 +3,24 @@
 Each command must exit with its entry's code, and each report must keep its
 structure, verdicts, strings and integers exactly, and its floats within
 1e-12 relative: a change that moves a report shows up here and as a diff of
-the golden file.
+the golden file.  Surface meshes are pinned by the SHA-256 of their OBJ and
+``_nu.csv`` bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from etau.cli import main
+from etau.meshio import nu_sidecar_path
 
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
+MESHES = json.loads((GOLDEN / "meshes.json").read_text())
 _RTOL = 1e-12
 
 
@@ -52,3 +56,13 @@ def test_report_matches_its_golden_file(name: str, capsys) -> None:
     want = json.loads((GOLDEN / name).read_text())
     assert code == COMMANDS[name]["exit"]
     assert _mismatches(got, want) == []
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_mesh_files_match_their_golden_hashes(name: str, tmp_path, capsys) -> None:
+    obj = tmp_path / "mesh.obj"
+    code = main(MESHES[name]["argv"] + ["--out", str(obj)])
+    capsys.readouterr()
+    assert code == MESHES[name]["exit"]
+    assert hashlib.sha256(obj.read_bytes()).hexdigest() == MESHES[name]["obj_sha256"]
+    assert hashlib.sha256(nu_sidecar_path(obj).read_bytes()).hexdigest() == MESHES[name]["nu_sha256"]

@@ -13,6 +13,7 @@ from etau.core import (
     AmbientPoint,
     BasePoint,
     Model,
+    ModelMismatchError,
     ParameterError,
     chord_length,
     convert_coords_arrays,
@@ -26,11 +27,13 @@ from etau.isometries import (
     Orientation,
     apply,
     apply_to_coords,
+    apply_to_rows,
     arg_derivative,
     axis_translation_angle,
     axis_translation_isometry,
     compose,
     conversion_pullback_residual,
+    conversion_pullback_residuals,
     disc_point_isometry,
     halfplane_graph_isometry,
     halfplane_reflection,
@@ -40,12 +43,13 @@ from etau.isometries import (
     isometry_to_json,
     point_translation_angle,
     pullback_residual,
+    pullback_residuals,
     push_forward,
     push_forward_arrays,
     rotation_isometry,
     scale_isometry,
     vertical_translation,
-    _map_pullback_residual,
+    _map_pullback_residuals,
 )
 
 RESIDUAL_TOL = 1e-9
@@ -107,16 +111,21 @@ def test_model_conversion_pullback_residual(tau: float) -> None:
         assert conversion_pullback_residual(p, tau) < RESIDUAL_TOL
 
 
+def _map_pullback_residual(push, p: AmbientPoint, model_to: Model, tau: float, step: float) -> float:
+    """The array kernel at one point, for a push on (..., 3) coordinates."""
+    return float(_map_pullback_residuals(push, p.coords()[None], p.model, model_to, tau, step)[0])
+
+
 def test_pullback_detects_fiber_shear() -> None:
     # (x, y, t) -> (x, y, t + x) is not an isometry; the detector must see it.
     p = halfspace_point(0.4, 1.1, 0.2)
-    shear = lambda c: np.column_stack([c[:, 0], c[:, 1], c[:, 2] + c[:, 0]])
+    shear = lambda c: np.stack([c[..., 0], c[..., 1], c[..., 2] + c[..., 0]], axis=-1)
     assert _map_pullback_residual(shear, p, Model.HALF_SPACE, 0.5, 2e-3) > 1.0
 
 
 def test_pullback_detects_base_squeeze() -> None:
     p = halfspace_point(0.4, 1.1, 0.2)
-    squeeze = lambda c: np.column_stack([1.1 * c[:, 0], c[:, 1], c[:, 2]])
+    squeeze = lambda c: np.stack([1.1 * c[..., 0], c[..., 1], c[..., 2]], axis=-1)
     assert _map_pullback_residual(squeeze, p, Model.HALF_SPACE, 0.5, 2e-3) > 0.1
 
 
@@ -157,6 +166,106 @@ def test_stacked_stencil_matches_one_row_calls(tau: float) -> None:
         push = lambda c, p=p: np.stack(convert_coords_arrays(p.model, tau, *c.T), axis=-1)
         reference = _one_row_stencil_residual(push, p, target, tau, 2e-3)
         assert abs(conversion_pullback_residual(p, tau) - reference) <= 1e-12
+
+
+# -- per-row batches -------------------------------------------------------------
+
+# Probes with zero coordinates, one of them a negative zero.
+ZERO_PROBES = {
+    Model.HALF_SPACE: [
+        halfspace_point(0.0, 1.0, 0.0),
+        halfspace_point(0.0, 0.5, -0.7),
+        halfspace_point(-0.0, 2.0, 0.3),
+    ],
+    Model.CYLINDER: [
+        cylinder_point(0.0, 0.0, 0.0),
+        cylinder_point(0.0, -0.4, 0.0),
+        cylinder_point(0.5, -0.0, 1.0),
+    ],
+}
+
+
+def batch_members(tau: float) -> dict[tuple[Model, Orientation], list[AmbientIsometry]]:
+    """family_members plus composed generic maps, grouped by model and orientation."""
+    disc = disc_point_isometry(0.3 + 0.2j, tau)
+    members = family_members(tau) + [
+        compose(axis_translation_isometry(1.0, tau), scale_isometry(1.7, tau)),
+        compose(halfplane_reflection(0.5, tau), axis_translation_isometry(1.0, tau)),
+        compose(disc_point_isometry(-0.25 + 0.4j, tau), rotation_isometry(2.0, tau)),
+        AmbientIsometry(disc.mobius, Orientation.REVERSING, 0.3, 0.0, tau),
+    ]
+    groups: dict[tuple[Model, Orientation], list[AmbientIsometry]] = {}
+    for iso in members:
+        groups.setdefault((iso.model, iso.orientation), []).append(iso)
+    return groups
+
+
+def _rows(model: Model, isos: list[AmbientIsometry]) -> tuple[list[AmbientIsometry], list[AmbientPoint]]:
+    """Every isometry of a group at every probe of its model, one row each."""
+    probes = (HALF_PROBES if model is Model.HALF_SPACE else CYL_PROBES) + ZERO_PROBES[model]
+    return [iso for iso in isos for _ in probes], [p for _ in isos for p in probes]
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_per_row_batches_equal_one_at_a_time_bit_for_bit(tau: float) -> None:
+    groups = batch_members(tau)
+    assert sum(len(isos) for isos in groups.values()) == len(family_members(tau)) + 4
+    for (model, _), isos in groups.items():
+        row_isos, points = _rows(model, isos)
+        coords = np.array([p.coords() for p in points])
+        # One row at a time means a (1, 3) array: a bare (3,) point runs
+        # numpy's scalar complex product, which may round differently.
+        one_at_a_time = [apply_to_coords(iso, c[None]) for iso, c in zip(row_isos, coords)]
+        assert apply_to_rows(row_isos, coords).tobytes() == np.concatenate(one_at_a_time).tobytes()
+        # rows may carry more axes: (n, 2, 3) holds each point and a lifted copy
+        pairs = np.stack([coords, coords + [0.0, 0.0, 0.37]], axis=1)
+        want = np.array([apply_to_coords(iso, pair) for iso, pair in zip(row_isos, pairs)])
+        assert apply_to_rows(row_isos, pairs).tobytes() == want.tobytes()
+        residuals = [pullback_residual(iso, p) for iso, p in zip(row_isos, points)]
+        assert pullback_residuals(row_isos, coords).tolist() == residuals
+        for iso in isos:  # one shared isometry over all rows
+            assert pullback_residuals(iso, coords).tolist() == [pullback_residual(iso, p) for p in points]
+            want = np.concatenate([apply_to_coords(iso, c[None]) for c in coords])
+            assert apply_to_coords(iso, coords).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_conversion_residuals_equal_one_at_a_time_in_both_directions(tau: float) -> None:
+    for model, probes in ((Model.HALF_SPACE, HALF_PROBES), (Model.CYLINDER, CYL_PROBES)):
+        points = probes + ZERO_PROBES[model]
+        got = conversion_pullback_residuals(model, tau, np.array([p.coords() for p in points]))
+        assert got.tolist() == [conversion_pullback_residual(p, tau) for p in points]
+        assert np.all(got < RESIDUAL_TOL)
+
+
+@pytest.mark.parametrize(
+    "isos",
+    [
+        [scale_isometry(2.0, 0.5), rotation_isometry(0.9, 0.5)],
+        [scale_isometry(2.0, 0.5), halfplane_reflection(0.5, 0.5)],
+        [scale_isometry(2.0, 0.5), scale_isometry(2.0, 0.0)],
+    ],
+    ids=["model", "orientation", "tau"],
+)
+def test_per_row_batches_reject_mixed_isometries(isos) -> None:
+    coords = np.array([p.coords() for p in HALF_PROBES[:2]])
+    with pytest.raises(ParameterError, match="must share model, orientation and tau"):
+        apply_to_rows(isos, coords)
+    with pytest.raises(ParameterError, match="must share model, orientation and tau"):
+        pullback_residuals(isos, coords)
+
+
+def test_pullback_residual_rejects_a_point_of_another_model() -> None:
+    with pytest.raises(ModelMismatchError):
+        pullback_residual(scale_isometry(2.0, 0.5), CYL_PROBES[1])
+
+
+def test_per_row_batches_need_one_isometry_per_row() -> None:
+    coords = np.array([p.coords() for p in HALF_PROBES])
+    with pytest.raises(ParameterError, match="2 isometries"):
+        apply_to_rows([scale_isometry(2.0, 0.5)] * 2, coords)
+    with pytest.raises(ParameterError, match="0 isometries"):
+        pullback_residuals([], coords)
 
 
 def push_forward_cases(tau: float) -> list[AmbientIsometry]:

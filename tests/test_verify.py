@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from etau import verify
+from etau.cli import main
 from etau.core import ParameterError
 from etau.graphs import Chart, reference_problem
 
@@ -98,6 +102,25 @@ def test_foliation_checks_every_requested_point(monkeypatch) -> None:
         assert [c.shape for c in calls] == [(2 * points, 3)]  # the points and their scaled images
     assert records[101] != records[100]
 
+
+
+@pytest.mark.parametrize(
+    "suite, target, failing",
+    [
+        ("isometries", "pullback_residuals", [n for n in _NAMES["isometries"][1:] if n.endswith("_pullback")]),
+        ("isometries", "conversion_pullback_residuals", ["conversion_pullback"]),
+        ("limits", "invariant_height_substituted", ["substitution_route"]),
+    ],
+)
+def test_a_nan_value_fails_its_check_and_the_command(monkeypatch, capsys, suite, target, failing) -> None:
+    # Python's max(0.0, nan) is 0.0: a fold that drops NaN would report 0.0 and pass.
+    real = getattr(verify, target)
+    monkeypatch.setattr(verify, target, lambda *args: np.full_like(real(*args), math.nan))
+    checks = verify.run(suite, **_PARAMS)
+    assert [c["name"] for c in checks if math.isnan(c["value"])] == failing
+    assert not any(c["pass"] for c in checks if c["name"] in failing)
+    assert main(["verify", suite, "--tau", "0.5"]) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "computational_failure"
 
 def test_unknown_suite_is_rejected() -> None:
     with pytest.raises(ParameterError):
