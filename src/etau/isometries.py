@@ -29,6 +29,7 @@ from .core import (
     Model,
     ModelMismatchError,
     ParameterError,
+    _Workspace,
     convert_coords_arrays,
     metric_arrays,
 )
@@ -253,7 +254,7 @@ def push_forward_arrays(iso: AmbientIsometry, x, y, vx, vy, vt):
     return push_forward_complex(iso, x + 1j * y, vx + 1j * vy, vt)
 
 
-def push_forward_complex(iso: AmbientIsometry, z, dz, vt):
+def push_forward_complex(iso: AmbientIsometry, z, dz, vt, workspace: _Workspace | None = None):
     """push_forward_arrays on complex base points z and base vectors dz,
     which broadcast against each other and the fiber components vt.
 
@@ -261,15 +262,40 @@ def push_forward_complex(iso: AmbientIsometry, z, dz, vt):
     dTheta = -2 Im(c dz / (cz + d)); the row signs follow apply_to_coords.
     The image's fiber coordinate is not computed: no metric reads t.  A
     caller that moves many placements of the same points forms z and dz
-    once and passes them to each.
+    once and passes them to each, with one workspace (core._Workspace):
+    the results are its "x", "y", "dx", "dy" and "dt", and the complex
+    "q", "w", "dw", "c_dz" and "c_dz_q" hold the intermediates.  Without a
+    workspace a fresh one is allocated.
     """
+    ws = _Workspace() if workspace is None else workspace
     m = iso.mobius
-    q = m.c * z + m.d
-    w = (m.a * z + m.b) / q
-    dw = dz / (q * q)
-    dtheta = -2.0 * (m.c * dz / q).imag
+    base, moved = np.shape(z), np.broadcast(z, dz).shape
+    q, w = ws.array("q", base, complex), ws.array("w", base, complex)
+    dw, c_dz_q = ws.array("dw", moved, complex), ws.array("c_dz_q", moved, complex)
+    c_dz = ws.array("c_dz", np.shape(dz), complex)
+    x, y, dx, dy = ws.array("x", base), ws.array("y", base), ws.array("dx", moved), ws.array("dy", moved)
+    dt = ws.array("dt", np.broadcast(c_dz_q, vt).shape)
+    # q = c z + d, w = (a z + b) / q, dw = dz / (q q), c_dz_q = c dz / q
+    np.multiply(m.c, z, out=q)
+    np.add(q, m.d, out=q)
+    np.multiply(m.a, z, out=w)
+    np.add(w, m.b, out=w)
+    np.divide(w, q, out=w)
+    np.multiply(q, q, out=dw)
+    np.divide(dz, dw, out=dw)
+    np.multiply(m.c, dz, out=c_dz)
+    np.divide(c_dz, q, out=c_dz_q)
     sx, sy, st = _row_signs(iso)
-    return sx * w.real, sy * w.imag, sx * dw.real, sy * dw.imag, st * (vt - 2.0 * iso.tau * dtheta)
+    np.multiply(sx, w.real, out=x)
+    np.multiply(sy, w.imag, out=y)
+    np.multiply(sx, dw.real, out=dx)
+    np.multiply(sy, dw.imag, out=dy)
+    # dt = st (vt - 2 tau dTheta)
+    np.multiply(-2.0, c_dz_q.imag, out=dt)
+    np.multiply(2.0 * iso.tau, dt, out=dt)
+    np.subtract(vt, dt, out=dt)
+    np.multiply(st, dt, out=dt)
+    return x, y, dx, dy, dt
 
 
 def push_forward(iso: AmbientIsometry, coords: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,11 +18,14 @@ from .core import ConvergenceError, ParameterError
 
 PANEL_NODES = 20
 # Quadrature nodes per batch for callers that evaluate many panels at once
-# (edge spectra, off-node profile table values): enough to amortize the
-# per-call overhead, small enough that every temporary (16 bytes a node at
-# most) stays under the 64 KiB from which glibc's free() consolidates and
-# trims the heap.  At 1 << 14 a slab audit re-faulted 2,000 to 100,000 pages
-# in its edge spectra, varying from run to run.
+# and free their temporaries per operation (off-node profile table values):
+# enough to amortize the per-call overhead, small enough that every
+# temporary (16 bytes a node at most) stays under the 64 KiB from which
+# glibc's free() consolidates and trims the heap.  At 1 << 14 a slab audit
+# whose edge spectra allocated per operation re-faulted 2,000 to 100,000
+# pages, varying from run to run.  The edge spectra write into one
+# workspace per call instead and take chunks of twice this size
+# (slabs._SPECTRA_CHUNK_NODES).
 CHUNK_NODES = 1 << 12
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(PANEL_NODES)
 _NODES.flags.writeable = _WEIGHTS.flags.writeable = False

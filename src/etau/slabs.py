@@ -29,6 +29,7 @@ from .core import (
     Model,
     ParameterError,
     SpaceParams,
+    _Workspace,
     chord_distances,
     convert_coords_arrays,
     convert_model,
@@ -314,6 +315,16 @@ class CatenoidAnnulusGenerator:
         return AnnulusInstance(point=p, placement=placement, generator=self, w_reference=w_ref)
 
 
+# Quadrature nodes per chunk of the edge spectra.  quadrature.CHUNK_NODES
+# keeps temporaries that are freed per operation under glibc's 64 KiB trim
+# bound; the spectra write every per-instance intermediate into one
+# workspace per call, which faults its pages in once, so that bound does not
+# apply.  Larger chunks pay the overhead of a pass's 30-odd ufunc calls less
+# often; 4 * CHUNK_NODES was no faster in a cold `slab-example1` benchmark
+# operation and peaked 2 MB higher in RSS.
+_SPECTRA_CHUNK_NODES = 2 * CHUNK_NODES
+
+
 def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray]:
     """Sorted lengths of each instance's mesh edges, one array per instance.
 
@@ -331,11 +342,15 @@ def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray
     The instances must share one generator, and so one model mesh;
     otherwise ParameterError.  The model annulus' segments (a, v) are
     cached, and the quadrature nodes z = a + s v and vectors dz = v are
-    formed once per chunk of CHUNK_NODES nodes for all instances, laid out
-    node-major (PANEL_NODES, edges) so the per-edge operands broadcast along
-    rows.  Each instance then takes one push_forward_complex pass over the
-    chunk; the image's fiber coordinate, which the metric does not read, is
-    never formed.  Batching moves no bit: each edge is reduced as
+    formed once per chunk of _SPECTRA_CHUNK_NODES nodes for all instances,
+    laid out node-major (PANEL_NODES, edges) so the per-edge operands
+    broadcast along rows.  Each instance then takes one push_forward_complex
+    and one metric_quadratic_form pass over the chunk; the image's fiber
+    coordinate, which the metric does not read, is never formed.  The call
+    allocates one workspace (core._Workspace) and every pass writes all its
+    intermediates into it, the last, shorter chunk into views of the same
+    memory.  Neither batching nor the workspace moves a bit: the kernels
+    run the ufuncs of their allocating calls, and each edge is reduced as
     composite_gauss's one panel on [0, 1] reduces it, whatever the instances
     measured alongside.
     """
@@ -351,19 +366,24 @@ def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray
     # One array per instance: one (instances, edges) block took about 300
     # more cold page faults per `slab example1` audit.
     out = [np.empty(a.shape[0]) for _ in instances]
-    # Every chunk temporary holds at most CHUNK_NODES complex values.
-    per_chunk = CHUNK_NODES // PANEL_NODES
+    per_chunk = _SPECTRA_CHUNK_NODES // PANEL_NODES
+    work = _Workspace()
     for start in range(0, a.shape[0], per_chunk):
         stop = start + per_chunk
         ax, ay, _ = a[start:stop].T
         vx, vy, vt = v[start:stop].T
         z = (ax + s * vx) + 1j * (ay + s * vy)
         dz = vx + 1j * vy
+        speed_t = work.array("speed_t", z.shape[::-1])
+        panel = work.array("panel", (z.shape[1], 1))
         for k, instance in enumerate(instances):
-            x, y, dx, dy, dt = push_forward_complex(instance.placement, z, dz, vt)
-            speed = np.sqrt(metric_quadratic_form(Model.CYLINDER, gen.tau, x, y, dx, dy, dt))
+            x, y, dx, dy, dt = push_forward_complex(instance.placement, z, dz, vt, work)
+            sq = metric_quadratic_form(Model.CYLINDER, gen.tau, x, y, dx, dy, dt, work)
+            speed = np.sqrt(sq, out=sq)
             # composite_gauss's reduction, on its row-major (edges, 1, PANEL_NODES) layout
-            out[k][start:stop] = 0.5 * (speed.T.copy()[:, None, :] @ weights)[:, 0]
+            np.copyto(speed_t, speed.T)
+            np.matmul(speed_t[:, None, :], weights, out=panel)
+            np.multiply(0.5, panel[:, 0], out=out[k][start:stop])
     for row in out:
         row.sort()
     return out

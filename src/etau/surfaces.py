@@ -639,17 +639,16 @@ def mesh_catenoid(
 _THETA_MIN_FRACTION = 1e-3
 
 
-def mesh_invariant_surface(
-    spec: InvariantSurfaceSpec,
-    phi_span: tuple[float, float] = (-3.0, 3.0),
-    resolution: tuple[int, int] = (129, 129),
-) -> SurfaceMesh:
-    """Triangulate the invariant surface over phi_span along its axis.
-
-    Rows sweep the wedge angle in the regularized gluing variable, from theta*
-    at the gluing curve down to _THETA_MIN_FRACTION * theta*; the two sheets
-    meet at the gluing curve with matching fiber value zero.
-    """
+def _invariant_grid(
+    spec: InvariantSurfaceSpec, phi_span: tuple[float, float], resolution: tuple[int, int]
+) -> tuple[np.ndarray, tuple[int, int], dict]:
+    """Vertices (rows * cols, 3), grid shape and metadata of the unmirrored
+    invariant surface mesh (see mesh_invariant_surface)."""
+    # exp(phi) is a vertex's Euclidean distance from the axis foot s
+    with np.errstate(over="ignore", under="ignore"):
+        ends = np.exp(np.array(phi_span, dtype=float))
+    if not (phi_span[0] < phi_span[1] and np.all(np.isfinite(ends) & (ends > 0.0))):
+        raise ParameterError(f"phi_span {phi_span} needs lo < hi with exp(lo) and exp(hi) finite and nonzero")
     theta_star = invariant_angle_max(spec.d)
     theta_min = _THETA_MIN_FRACTION * theta_star
     rows, cols = resolution
@@ -685,11 +684,28 @@ def mesh_invariant_surface(
         "theta_min": theta_min,
         "seam_row": seam,
     }
-    mesh = _structured_mesh(Model.HALF_SPACE, spec.tau, vertices, (rows, cols), False, metadata)
+    return vertices, (rows, cols), metadata
+
+
+def mesh_invariant_surface(
+    spec: InvariantSurfaceSpec,
+    phi_span: tuple[float, float] = (-3.0, 3.0),
+    resolution: tuple[int, int] = (129, 129),
+) -> SurfaceMesh:
+    """Triangulate the invariant surface over phi_span along its axis.
+
+    Rows sweep the wedge angle in the regularized gluing variable, from theta*
+    at the gluing curve down to _THETA_MIN_FRACTION * theta*; the two sheets
+    meet at the gluing curve with matching fiber value zero.  Columns run
+    over phi in phi_span, at Euclidean distance exp(phi) from the axis foot;
+    ParameterError unless lo < hi and exp(lo), exp(hi) are finite and
+    nonzero.  A mirrored surface is the reflected vertex grid.
+    """
+    vertices, grid_shape, metadata = _invariant_grid(spec, phi_span, resolution)
     if spec.mirror:
-        mesh = apply_isometry_to_mesh(halfplane_reflection(spec.s, spec.tau), mesh)
-        mesh.metadata["mirrored"] = True
-    return mesh
+        vertices = apply_to_coords(halfplane_reflection(spec.s, spec.tau), vertices)
+        metadata["mirrored"] = True
+    return _structured_mesh(Model.HALF_SPACE, spec.tau, vertices, grid_shape, False, metadata)
 
 
 def apply_isometry_to_mesh(iso: AmbientIsometry, mesh: SurfaceMesh) -> SurfaceMesh:
@@ -718,16 +734,15 @@ def leaf_mesh(
     phi_span: tuple[float, float] = (-3.0, 3.0),
     resolution: tuple[int, int] = (129, 129),
 ) -> SurfaceMesh:
-    """Mesh of the foliation leaf at the given scale."""
-    base = mesh_invariant_surface(
-        InvariantSurfaceSpec(leaf.tau, leaf.d, leaf.s, Sheet.BOTH),
-        phi_span=phi_span,
-        resolution=resolution,
-    )
-    moved = apply_isometry_to_mesh(axis_translation_isometry(leaf.s, leaf.tau), base)
-    out = apply_isometry_to_mesh(scale_isometry(leaf.scale, leaf.tau), moved)
-    out.metadata.update({"kind": "leaf", "scale": leaf.scale})
-    return out
+    """Mesh of the foliation leaf at the given scale: the invariant surface's
+    vertex grid (phi_span as in mesh_invariant_surface), moved by the axis
+    translation and then the scaling."""
+    spec = InvariantSurfaceSpec(leaf.tau, leaf.d, leaf.s, Sheet.BOTH)
+    vertices, grid_shape, metadata = _invariant_grid(spec, phi_span, resolution)
+    vertices = apply_to_coords(axis_translation_isometry(leaf.s, leaf.tau), vertices)
+    vertices = apply_to_coords(scale_isometry(leaf.scale, leaf.tau), vertices)
+    metadata.update({"kind": "leaf", "scale": leaf.scale})
+    return _structured_mesh(Model.HALF_SPACE, leaf.tau, vertices, grid_shape, False, metadata)
 
 
 # -- foliation ----------------------------------------------------------------

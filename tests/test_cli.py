@@ -123,6 +123,32 @@ def test_surface_leaf(tmp_path, capsys) -> None:
     assert report["parameters"]["scale"] == 2.0
 
 
+@pytest.mark.parametrize("kind", ["invariant", "leaf"])
+@pytest.mark.parametrize("span", ["0", "710"])
+def test_surface_unusable_phi_span_exits_one_and_writes_nothing(tmp_path, capsys, kind: str, span: str) -> None:
+    # a zero-width mesh, and one whose exp(phi) overflows
+    code, report = run(
+        capsys, "surface", kind, "--tau", "0.5", "--d", "1.2", "--phi-span", span, "--out", str(tmp_path / "m.obj")
+    )
+    assert code == 1
+    assert report["status"] == "invalid_input"
+    assert "phi_span" in report["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_surface_with_a_non_finite_nu_writes_nothing(tmp_path, capsys, monkeypatch) -> None:
+    def with_nan(*args):
+        mesh = etau.mesh_invariant_surface(*args)
+        mesh.nu[0] = np.nan
+        return mesh
+
+    monkeypatch.setattr(cli, "mesh_invariant_surface", with_nan)
+    code, report = run(capsys, "surface", "invariant", "--d", "1.2", "--rows", "9", "--out", str(tmp_path / "m.obj"))
+    assert code == 1
+    assert report["status"] == "invalid_input"
+    assert not list(tmp_path.iterdir())
+
+
 # -- verify ------------------------------------------------------------------------
 
 

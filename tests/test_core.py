@@ -15,6 +15,7 @@ from etau.core import (
     InvalidPointError,
     Model,
     ModelMismatchError,
+    _Workspace,
     chord_distances,
     chord_length,
     conformal_factor,
@@ -30,6 +31,8 @@ from etau.core import (
     polyline_length,
     project,
 )
+from etau.isometries import AmbientIsometry, Orientation, disc_point_isometry, push_forward_complex
+from etau.quadrature import PANEL_NODES
 
 halfspace_points = st.builds(
     lambda x, y, t: AmbientPoint(BasePoint(Model.HALF_SPACE, x, y), t),
@@ -286,3 +289,90 @@ def test_metric_quadratic_form_matches_metric_tensor(model: Model, tau: float) -
     want = np.einsum("ni,nij,nj->n", delta, metric_arrays(model, tau, x, y), delta)
     got = metric_quadratic_form(model, tau, x, y, delta[:, 0], delta[:, 1], delta[:, 2])
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+# -- in-place kernels against the expressions they replace ---------------------
+
+
+def _reference_metric_data(model: Model, tau: float, x, y):
+    if model is Model.HALF_SPACE:
+        return 1.0 / y, -2.0 * tau / y, np.zeros_like(y)
+    lam = 2.0 / (1.0 - x * x - y * y)
+    return lam, 2.0 * tau * lam * y, -2.0 * tau * lam * x
+
+
+def _reference_quadratic_form(model: Model, tau: float, x, y, dx, dy, dt):
+    lam, w1, w2 = _reference_metric_data(model, tau, x, y)
+    vertical = dt + w1 * dx + w2 * dy
+    return lam * lam * (dx * dx + dy * dy) + vertical * vertical
+
+
+def _reference_push_forward(iso: AmbientIsometry, z, dz, vt):
+    m = iso.mobius
+    q = m.c * z + m.d
+    w = (m.a * z + m.b) / q
+    dw = dz / (q * q)
+    dtheta = -2.0 * (m.c * dz / q).imag
+    # the disc model's row signs
+    sx, sy, st = (1.0, -1.0, -1.0) if iso.orientation is Orientation.REVERSING else (1.0, 1.0, 1.0)
+    return sx * w.real, sy * w.imag, sx * dw.real, sy * dw.imag, st * (vt - 2.0 * iso.tau * dtheta)
+
+
+def _salted(rng, shape, scale: float, at: int) -> np.ndarray:
+    """Random values with -0.0, +-inf and NaN in the flat entries at .. at + 3."""
+    values = rng.uniform(-scale, scale, shape)
+    values.reshape(-1)[at : at + 4] = [-0.0, np.inf, -np.inf, np.nan]
+    return values
+
+
+def _kernel_cases(tau: float) -> dict:
+    """Kernel, the expressions it replaces, and its operands' kinds."""
+    disc = disc_point_isometry(0.3 + 0.2j, tau)
+    reversing = AmbientIsometry(disc.mobius, Orientation.REVERSING, 0.3, 0.0, tau)
+    cases = {
+        "quadratic_form": (
+            lambda *a, **kw: (metric_quadratic_form(Model.CYLINDER, tau, *a, **kw),),
+            lambda *a: (_reference_quadratic_form(Model.CYLINDER, tau, *a),),
+            "form",
+        )
+    }
+    for model in Model:
+        cases[f"metric_data_{model.value}"] = (
+            lambda *a, model=model, **kw: metric_data_arrays(model, tau, *a, **kw),
+            lambda *a, model=model: _reference_metric_data(model, tau, *a),
+            "base",
+        )
+    for iso in (disc, reversing):
+        cases[f"push_forward_{iso.orientation.value}"] = (
+            lambda *a, iso=iso, **kw: push_forward_complex(iso, *a, **kw),
+            lambda *a, iso=iso: _reference_push_forward(iso, *a),
+            "complex",
+        )
+    return cases
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("layout", ["chords", "spectra"])
+@pytest.mark.parametrize(
+    "kernel",
+    ["metric_data_half_space", "metric_data_cylinder", "quadratic_form", "push_forward_direct", "push_forward_reversing"],
+)
+def test_in_place_kernels_keep_the_bits_of_their_expressions(kernel: str, layout: str, tau: float) -> None:
+    # Chords pass (n,) arrays; the edge spectra pass (PANEL_NODES, edges)
+    # points against per-edge (edges,) vectors and reuse one workspace
+    # across chunks, the last one shorter.
+    run, reference, kind = _kernel_cases(tau)[kernel]
+    rng = np.random.default_rng(5)
+    points, vectors = ((97,), (97,)) if layout == "chords" else ((PANEL_NODES, 31), (31,))
+    x, y = _salted(rng, points, 0.7, 0), _salted(rng, points, 0.7, 2)
+    dx, dy, dt = (_salted(rng, vectors, 2.0, at) for at in (1, 3, 5))
+    with np.errstate(all="ignore"):
+        operands = {"base": (x, y), "form": (x, y, dx, dy, dt), "complex": (x + 1j * y, dx + 1j * dy, dt)}[kind]
+        workspace = _Workspace()
+        run(*(np.concatenate([o, o], axis=-1) for o in operands), workspace=workspace)
+        want = reference(*operands)
+        for got in (run(*operands), run(*operands, workspace=workspace)):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype == np.float64
+                np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))

@@ -28,6 +28,7 @@ from etau.isometries import AmbientIsometry, Orientation, apply_to_coords, push_
 from etau.quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss
 from etau.slabs import (
     SlabSpec,
+    _SPECTRA_CHUNK_NODES,
     _model_annulus,
     _solve_catenoid_half_height,
     build_example1,
@@ -354,13 +355,23 @@ def slab1_tau05():
     return build_example1(SpaceParams(0.5), 0.1, grid=65, annulus_resolution=(33, 48))
 
 
-@pytest.mark.parametrize("tau", [0.0, 0.5])
-def test_edge_length_spectrum_equals_per_point_route(slab1, slab1_tau05, tau: float) -> None:
+@pytest.mark.parametrize(
+    "fixture, resolution",
+    [
+        pytest.param("slab1", None, id="0.0"),
+        pytest.param("slab1_tau05", None, id="0.5"),
+        pytest.param("slab2", None, id="example2"),
+        pytest.param("slab1_tau05", (17, 24), id="0.5-17x24"),
+    ],
+)
+def test_edge_length_spectrum_equals_per_point_route(fixture: str, resolution, request) -> None:
     # The four instances of an audit and a mirrored one, measured together
-    # and one at a time.
-    slab = slab1 if tau == 0.0 else slab1_tau05
-    instances = [slab.annulus_generator(p) for p in sample_interior_points(slab, 4, seed=7)]
-    assert instances[0].generator.tau == tau
+    # and one at a time, on model meshes whose last spectra chunk is partial.
+    slab = request.getfixturevalue(fixture)
+    generator = slab.annulus_generator if resolution is None else replace(slab.annulus_generator, resolution=resolution)
+    instances = [generator(p) for p in sample_interior_points(slab, 4, seed=7)]
+    edges, per_chunk = _model_annulus(generator).a.shape[0], _SPECTRA_CHUNK_NODES // PANEL_NODES
+    assert edges > per_chunk and edges % per_chunk
     instances.append(_mirrored(instances[0]))
     batch = edge_length_spectra(instances)
     assert len(batch) == len(instances)

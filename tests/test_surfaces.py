@@ -557,6 +557,15 @@ def test_leaf_mesh_metadata() -> None:
     assert mesh.metadata["scale"] == 2.0
 
 
+@pytest.mark.parametrize("phi_span", [(0.0, 0.0), (1.0, -1.0), (-710.0, 710.0), (-750.0, 1.0), (0.0, np.nan), (-np.inf, 1.0)])
+def test_meshes_reject_an_unusable_phi_span(phi_span) -> None:
+    # lo < hi, and exp(lo), exp(hi) finite and nonzero
+    with pytest.raises(ParameterError, match="phi_span"):
+        mesh_invariant_surface(InvariantSurfaceSpec(0.5, 1.4), phi_span, resolution=(9, 11))
+    with pytest.raises(ParameterError, match="phi_span"):
+        leaf_mesh(LeafSpec(0.5, 1.4, 1.0, 2.0), phi_span, resolution=(9, 11))
+
+
 def test_leaf_spec_validation() -> None:
     with pytest.raises(ParameterError):
         LeafSpec(0.5, 0.9)
