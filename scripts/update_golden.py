@@ -4,9 +4,11 @@
 (``argv``) whose stdout it holds and to that command's exit code (``exit``).
 ``tests/golden/meshes.json`` maps each ``surface`` command line, run with
 ``--out`` in a temporary directory, to the SHA-256 of its OBJ (``obj_sha256``)
-and of its ``_nu.csv`` sidecar (``nu_sha256``); the megabyte files themselves
-are not kept.  The tier-1 test ``tests/test_golden.py`` runs the same commands
-and compares their exit codes, reports and hashes with these.  A changed file
+and of its ``_nu.csv`` sidecar (``nu_sha256``); ``tests/golden/graph_csv.json``
+maps each ``solve`` command line, run with ``--csv-out``, to the SHA-256 of
+its graph CSV (``csv_sha256``).  The files themselves are not kept.  The
+tier-1 test ``tests/test_golden.py`` runs the same commands and compares
+their exit codes, reports and hashes with these.  A changed file
 or hash is a moved report: say which reports moved and why.  A command that
 exits otherwise than its entry says is reported, and its file or hashes are
 not written.
@@ -26,6 +28,11 @@ from pathlib import Path
 from etau import cli, meshio
 
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
+# golden file -> (output flag, output file name, {hash key: hashed file of the output path})
+PINNED_FILES = {
+    "meshes.json": ("--out", "mesh.obj", {"obj_sha256": Path, "nu_sha256": meshio.nu_sidecar_path}),
+    "graph_csv.json": ("--csv-out", "graph.csv", {"csv_sha256": Path}),
+}
 
 
 def main() -> int:
@@ -41,21 +48,22 @@ def main() -> int:
             continue
         (GOLDEN / name).write_text(out.getvalue())
         print(f"{name}: exit {code}, {len(out.getvalue())} bytes")
-    meshes = json.loads((GOLDEN / "meshes.json").read_text())
-    for name, entry in meshes.items():
-        with tempfile.TemporaryDirectory() as tmp:
-            obj = Path(tmp) / "mesh.obj"
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(entry["argv"] + ["--out", str(obj)])
-            if code != entry["exit"]:
-                print(f"{name}: exit {code}, expected {entry['exit']}; hashes not written")
-                failed += 1
-                continue
-            entry["obj_sha256"] = hashlib.sha256(obj.read_bytes()).hexdigest()
-            entry["nu_sha256"] = hashlib.sha256(meshio.nu_sidecar_path(obj).read_bytes()).hexdigest()
-        print(f"{name}: exit {code}, obj {entry['obj_sha256'][:16]}, nu {entry['nu_sha256'][:16]}")
-    lines = [f"  {json.dumps(name)}: {json.dumps(entry)}" for name, entry in meshes.items()]
-    (GOLDEN / "meshes.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    for golden, (flag, out_name, hashed) in PINNED_FILES.items():
+        entries = json.loads((GOLDEN / golden).read_text())
+        for name, entry in entries.items():
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp) / out_name
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(entry["argv"] + [flag, str(out)])
+                if code != entry["exit"]:
+                    print(f"{name}: exit {code}, expected {entry['exit']}; hashes not written")
+                    failed += 1
+                    continue
+                for key, path in hashed.items():
+                    entry[key] = hashlib.sha256(path(out).read_bytes()).hexdigest()
+            print(f"{name}: exit {code}, " + ", ".join(f"{key} {entry[key][:16]}" for key in hashed))
+        lines = [f"  {json.dumps(name)}: {json.dumps(entry)}" for name, entry in entries.items()]
+        (GOLDEN / golden).write_text("{\n" + ",\n".join(lines) + "\n}\n")
     return 1 if failed else 0
 
 

@@ -4,7 +4,9 @@ Formats are deliberately plain so that external tools can consume them:
 OBJ uses only ``v``/``f`` records, every CSV carries a header row, and
 graph grids prepend a single ``#``-prefixed JSON line with the chart
 metadata needed to rebuild the domain.  An OBJ and its per-vertex sidecar
-CSV are written in one pass from the same formatted values.  JSON reports
+CSV are written in one pass from the same formatted values, and a float
+column is formatted with one ``repr`` per distinct bit pattern, however often
+the value repeats.  JSON reports
 embed a schema version and are serialized with sorted keys so identical
 inputs yield byte-identical files.
 """
@@ -44,17 +46,70 @@ __all__ = [
 _BLOCK_ROWS = 1024
 
 
+def _repeats(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Which rows of a 1-D float column share a value, keyed by its bit pattern.
+
+    Keying by bits keeps -0.0 apart from 0.0, and NaNs with different
+    payloads apart, where a float-keyed dict would merge them.  Returns None
+    when no value occurs twice; otherwise ``ids`` (int32: the value's index
+    among the values that occur more than once, -1 for a value that occurs
+    once) and the bool masks ``first`` and ``last`` of the rows where a
+    repeated value occurs first and last.
+    """
+    n = len(column)
+    bits = column.view(f"u{column.itemsize}")
+    order = np.argsort(bits, kind="stable")
+    sorted_bits = bits[order]
+    # bounds[k]: sorted position k starts a new value; bounds[n] ends the last.
+    bounds = np.ones(n + 1, bool)
+    np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=bounds[1:n])
+    del sorted_bits
+    once = bounds[:n] & bounds[1:]
+    if once.all():
+        return None
+    starts = bounds[:n] & ~once
+    rank = np.cumsum(starts, dtype=np.int32)
+    rank -= 1
+    rank[once] = -1
+    ids = np.empty(n, np.int32)
+    ids[order] = rank
+    first = np.empty(n, bool)
+    first[order] = starts
+    last = np.empty(n, bool)
+    last[order] = bounds[1:] & ~once
+    return ids, first, last
+
+
 def _write_blocks(sinks, *columns) -> None:
     """Write the rows of the equal-length 1-D columns to every sink, block by block.
 
-    Each block's values are formatted once, by ``repr`` of their Python int or
-    float (``.tolist()``), so a float prints its shortest round-trip repr.  A
-    sink ``(fh, template, picks)`` writes ``template.format(*row)`` for the
-    row's values in the columns numbered by ``picks``.
+    Values print by ``repr`` of their Python int or float (``.tolist()``), so
+    a float prints its shortest round-trip repr.  A float column is formatted
+    once per distinct bit pattern: a value that occurs once in its block, a
+    repeated value at its first row, and its text is kept until the block that
+    holds its last row is written.  A sink ``(fh, template, picks)`` writes
+    ``template.format(*row)`` for the row's values in the columns numbered by
+    ``picks``.
     """
     columns = [np.asarray(c).reshape(-1) for c in columns]
+    plans = [_repeats(c) if c.dtype.kind == "f" else None for c in columns]
+    # A slot per repeated value, and a spare last slot, never written, that ids of -1 read.
+    memos = [None if plan is None else np.empty(int(plan[0].max()) + 2, object) for plan in plans]
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        text = [list(map(repr, c[start : start + _BLOCK_ROWS].tolist())) for c in columns]
+        rows = slice(start, start + _BLOCK_ROWS)
+        text = []
+        for column, plan, memo in zip(columns, plans, memos):
+            values = column[rows]
+            if plan is None:
+                text.append(list(map(repr, values.tolist())))
+                continue
+            ids, first, last = plan[0][rows], plan[1][rows], plan[2][rows]
+            memo[ids[first]] = list(map(repr, values[first].tolist()))
+            block = memo[ids]
+            once = ids < 0
+            block[once] = list(map(repr, values[once].tolist()))
+            text.append(block.tolist())
+            memo[ids[last]] = None
         for fh, template, picks in sinks:
             fh.write("".join(map(template.format, *(text[k] for k in picks))))
 

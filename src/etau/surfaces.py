@@ -639,6 +639,16 @@ def mesh_catenoid(
 _THETA_MIN_FRACTION = 1e-3
 
 
+def _in_half_plane(vertices: np.ndarray, phi_span: tuple[float, float]) -> np.ndarray:
+    """The (n, 3) half-space vertices, or ParameterError if any has y <= 0 (or NaN).
+
+    Checked before the normals are computed: the metric kernels divide by y.
+    """
+    if not np.all(vertices[:, 1] > 0.0):
+        raise ParameterError(f"phi_span {phi_span} puts mesh vertices at y <= 0, off the half plane")
+    return vertices
+
+
 def _invariant_grid(
     spec: InvariantSurfaceSpec, phi_span: tuple[float, float], resolution: tuple[int, int]
 ) -> tuple[np.ndarray, tuple[int, int], dict]:
@@ -675,7 +685,7 @@ def _invariant_grid(
     xs = radius[None, :] * np.cos(theta)[:, None] + spec.s
     ys = radius[None, :] * np.sin(theta)[:, None]
     ts = np.broadcast_to(t[:, None], xs.shape)
-    vertices = np.stack([xs, ys, ts], axis=-1).reshape(-1, 3)
+    vertices = _in_half_plane(np.stack([xs, ys, ts], axis=-1).reshape(-1, 3), phi_span)
     metadata = {
         "kind": "invariant",
         "d": spec.d,
@@ -698,8 +708,9 @@ def mesh_invariant_surface(
     at the gluing curve down to _THETA_MIN_FRACTION * theta*; the two sheets
     meet at the gluing curve with matching fiber value zero.  Columns run
     over phi in phi_span, at Euclidean distance exp(phi) from the axis foot;
-    ParameterError unless lo < hi and exp(lo), exp(hi) are finite and
-    nonzero.  A mirrored surface is the reflected vertex grid.
+    ParameterError unless lo < hi, exp(lo), exp(hi) are finite and nonzero,
+    and every vertex has y > 0.  A mirrored surface is the reflected vertex
+    grid.
     """
     vertices, grid_shape, metadata = _invariant_grid(spec, phi_span, resolution)
     if spec.mirror:
@@ -736,11 +747,12 @@ def leaf_mesh(
 ) -> SurfaceMesh:
     """Mesh of the foliation leaf at the given scale: the invariant surface's
     vertex grid (phi_span as in mesh_invariant_surface), moved by the axis
-    translation and then the scaling."""
+    translation and then the scaling; ParameterError if a moved vertex has
+    y <= 0."""
     spec = InvariantSurfaceSpec(leaf.tau, leaf.d, leaf.s, Sheet.BOTH)
     vertices, grid_shape, metadata = _invariant_grid(spec, phi_span, resolution)
     vertices = apply_to_coords(axis_translation_isometry(leaf.s, leaf.tau), vertices)
-    vertices = apply_to_coords(scale_isometry(leaf.scale, leaf.tau), vertices)
+    vertices = _in_half_plane(apply_to_coords(scale_isometry(leaf.scale, leaf.tau), vertices), phi_span)
     metadata.update({"kind": "leaf", "scale": leaf.scale})
     return _structured_mesh(Model.HALF_SPACE, leaf.tau, vertices, grid_shape, False, metadata)
 

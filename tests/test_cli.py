@@ -136,6 +136,18 @@ def test_surface_unusable_phi_span_exits_one_and_writes_nothing(tmp_path, capsys
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("error")
+def test_surface_leaf_off_the_half_plane_is_invalid_input_without_warnings(tmp_path, capsys) -> None:
+    # exp(+-700) is finite, but the axis translation puts leaf vertices at y <= 0
+    code, report = run(
+        capsys, "surface", "leaf", "--tau", "0.5", "--d", "1.2", "--phi-span", "700", "--out", str(tmp_path / "m.obj")
+    )
+    assert code == 1
+    assert report["status"] == "invalid_input"
+    assert "half plane" in report["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_surface_with_a_non_finite_nu_writes_nothing(tmp_path, capsys, monkeypatch) -> None:
     def with_nan(*args):
         mesh = etau.mesh_invariant_surface(*args)

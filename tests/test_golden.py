@@ -4,7 +4,7 @@ Each command must exit with its entry's code, and each report must keep its
 structure, verdicts, strings and integers exactly, and its floats within
 1e-12 relative: a change that moves a report shows up here and as a diff of
 the golden file.  Surface meshes are pinned by the SHA-256 of their OBJ and
-``_nu.csv`` bytes.
+``_nu.csv`` bytes, graph CSV dumps by the SHA-256 of their bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from etau.meshio import nu_sidecar_path
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
 MESHES = json.loads((GOLDEN / "meshes.json").read_text())
+GRAPH_CSVS = json.loads((GOLDEN / "graph_csv.json").read_text())
 _RTOL = 1e-12
 
 
@@ -66,3 +67,12 @@ def test_mesh_files_match_their_golden_hashes(name: str, tmp_path, capsys) -> No
     assert code == MESHES[name]["exit"]
     assert hashlib.sha256(obj.read_bytes()).hexdigest() == MESHES[name]["obj_sha256"]
     assert hashlib.sha256(nu_sidecar_path(obj).read_bytes()).hexdigest() == MESHES[name]["nu_sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_CSVS))
+def test_graph_csv_matches_its_golden_hash(name: str, tmp_path, capsys) -> None:
+    path = tmp_path / "graph.csv"
+    code = main(GRAPH_CSVS[name]["argv"] + ["--csv-out", str(path)])
+    capsys.readouterr()
+    assert code == GRAPH_CSVS[name]["exit"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GRAPH_CSVS[name]["csv_sha256"]

@@ -5,14 +5,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from etau import meshio
+from etau.cli import build_parser
 from etau.core import GeometryError, Model
 from etau.graphs import Chart, GraphDomain, GraphFunction
-from etau.lifts import lift_geodesic_semicircle
+from etau.lifts import LiftedCurve, PlanarCurve, lift_geodesic_semicircle
 from etau.meshio import (
     SCHEMA_VERSION,
     json_report,
@@ -24,7 +26,7 @@ from etau.meshio import (
     write_profile_csv,
     write_surface,
 )
-from etau.surfaces import CatenoidSpec, SurfaceMesh, mesh_catenoid
+from etau.surfaces import CatenoidSpec, LeafSpec, SurfaceMesh, leaf_mesh, mesh_catenoid
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +159,94 @@ def test_graph_csv_bytes_match_row_writer(tmp_path) -> None:
     header = ["i", "j", "q1", "q2", "value", "active"]
     _reference_csv(tmp_path / "ref.csv", header, rows, comment=first + "\n")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def pooled():
+    """Columns drawn from a small value pool, as the rings and mirrored rows of
+    an invariant surface's mesh repeat values, over more than two write blocks."""
+    rows = meshio._BLOCK_ROWS
+    n = 45 * 47
+    rng = np.random.default_rng(11)
+    pool = np.array([0.1, -2.5, 1e-300, 3.0000000000000004, 1e16, 0.0, -0.0, 2.0 / 3.0, -7.0])
+    repeated = pool[rng.integers(0, len(pool), n)]
+    repeated[rows - 1] = repeated[rows] = 0.123456789  # its only two rows straddle a block boundary
+    payloads = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(float)
+    nans = repeated.copy()
+    nans[::7], nans[3::7] = payloads
+    columns = {
+        "repeated": repeated,
+        "nans": nans,
+        "constant": np.full(n, 0.75),
+        "distinct": np.linspace(0.5, 2.5, n),
+    }
+    bits = {name: c.view(np.uint64) for name, c in columns.items()}
+    assert np.count_nonzero(bits["repeated"] == bits["repeated"][rows]) == 2
+    zeros = np.signbit(repeated[repeated == 0.0])
+    assert zeros.any() and not zeros.all()
+    assert len(np.unique(bits["nans"][np.isnan(nans)])) == 2
+    assert len(np.unique(bits["distinct"])) == n
+    return columns
+
+
+def test_pooled_surface_bytes_match_row_writer(tmp_path, pooled) -> None:
+    vertices = np.column_stack([pooled["repeated"], pooled["constant"], pooled["distinct"]])
+    n = len(vertices)
+    triangles = np.random.default_rng(12).integers(0, n, size=(n, 3)).astype(np.int32)
+    mesh = SurfaceMesh(Model.CYLINDER, 0.5, vertices, triangles, vertices, pooled["nans"], (n, 1), False)
+    write_surface(tmp_path / "new.obj", mesh)
+    _reference_obj(tmp_path / "ref.obj", mesh)
+    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
+    rows = [[i, *map(repr, v.tolist()), repr(nu)] for i, (v, nu) in enumerate(zip(vertices, mesh.nu.tolist()), start=1)]
+    _reference_csv(tmp_path / "ref.csv", ["vertex", "x", "y", "t", "nu"], rows)
+    assert (tmp_path / "new_nu.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_pooled_curve_csv_bytes_match_row_writer(tmp_path, pooled) -> None:
+    write_profile_csv(tmp_path / "new.csv", "rho", pooled["repeated"], pooled["nans"])
+    rows = [[repr(p), repr(v)] for p, v in zip(pooled["repeated"].tolist(), pooled["nans"].tolist())]
+    _reference_csv(tmp_path / "ref.csv", ["rho", "value"], rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    points = np.column_stack([pooled["repeated"], pooled["constant"]])
+    lift = LiftedCurve(PlanarCurve(Model.HALF_SPACE, pooled["distinct"], points), 0.5, pooled["nans"])
+    write_lift_csv(tmp_path / "new_lift.csv", lift)
+    rows = [[repr(p), *map(repr, c)] for p, c in zip(pooled["distinct"].tolist(), lift.coords().tolist())]
+    _reference_csv(tmp_path / "ref_lift.csv", ["parameter", "x", "y", "t"], rows)
+    assert (tmp_path / "new_lift.csv").read_bytes() == (tmp_path / "ref_lift.csv").read_bytes()
+
+
+def test_pooled_graph_csv_bytes_match_row_writer(tmp_path, pooled) -> None:
+    dom = GraphDomain(Chart.HALFPLANE_XY, ((-1.0, 1.0), (0.5, 1.5)), (45, 47))
+    gf = GraphFunction(dom, pooled["nans"].reshape(dom.shape), 0.5)
+    write_graph_csv(tmp_path / "new.csv", gf)
+    q1, q2 = dom.node_grids()
+    rows = [
+        [i, j, repr(float(q1[i, j])), repr(float(q2[i, j])), repr(float(gf.values[i, j])), 1]
+        for i in range(dom.shape[0])
+        for j in range(dom.shape[1])
+    ]
+    first = (tmp_path / "new.csv").read_text().splitlines()[0]
+    _reference_csv(tmp_path / "ref.csv", ["i", "j", "q1", "q2", "value", "active"], rows, comment=first + "\n")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_leaf_write_needs_no_more_traced_memory_than_its_build(tmp_path) -> None:
+    # the CLI-default leaf mesh; the first build fills the profile tables, so
+    # the measured build and write both run warm
+    args = build_parser().parse_args(["surface", "leaf", "--tau", "0.5", "--d", "1.2"])
+    spec, span = LeafSpec(args.tau, args.d, args.s, args.scale), (-args.phi_span, args.phi_span)
+    mesh = leaf_mesh(spec, span, (args.rows, args.cols))
+    tracemalloc.start()
+    try:
+        mesh = leaf_mesh(spec, span, (args.rows, args.cols))
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        tracemalloc.start()
+        write_surface(tmp_path / "leaf.obj", mesh)
+        write = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert write <= build
 
 
 def test_profile_csv(tmp_path) -> None:

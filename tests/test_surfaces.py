@@ -557,9 +557,13 @@ def test_leaf_mesh_metadata() -> None:
     assert mesh.metadata["scale"] == 2.0
 
 
-@pytest.mark.parametrize("phi_span", [(0.0, 0.0), (1.0, -1.0), (-710.0, 710.0), (-750.0, 1.0), (0.0, np.nan), (-np.inf, 1.0)])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "phi_span", [(0.0, 0.0), (1.0, -1.0), (-710.0, 710.0), (-750.0, 1.0), (0.0, np.nan), (-np.inf, 1.0), (-745.0, 1.0)]
+)
 def test_meshes_reject_an_unusable_phi_span(phi_span) -> None:
-    # lo < hi, and exp(lo), exp(hi) finite and nonzero
+    # lo < hi, exp(lo), exp(hi) finite and nonzero, and every vertex at y > 0:
+    # exp(-745) is the least subnormal, so the grid's smallest y rounds to 0
     with pytest.raises(ParameterError, match="phi_span"):
         mesh_invariant_surface(InvariantSurfaceSpec(0.5, 1.4), phi_span, resolution=(9, 11))
     with pytest.raises(ParameterError, match="phi_span"):
