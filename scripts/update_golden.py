@@ -13,6 +13,12 @@ or hash is a moved report: say which reports moved and why.  A command that
 exits otherwise than its entry says is reported, and its file or hashes are
 not written.
 
+The last bits of many reports depend on which SIMD loops numpy dispatches
+to on the CPU at hand, so ``tests/golden/runtime.json`` records the numpy
+version and the "found" SIMD extensions of ``numpy.show_runtime()`` the
+files were written under; a failing golden test names both when they differ
+from the running ones.
+
 Usage: PYTHONPATH=src python3 scripts/update_golden.py
 """
 
@@ -25,6 +31,8 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from etau import cli, meshio
 
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
@@ -33,6 +41,17 @@ PINNED_FILES = {
     "meshes.json": ("--out", "mesh.obj", {"obj_sha256": Path, "nu_sha256": meshio.nu_sidecar_path}),
     "graph_csv.json": ("--csv-out", "graph.csv", {"csv_sha256": Path}),
 }
+
+
+def numpy_runtime() -> dict:
+    """The numpy version and the SIMD extensions numpy.show_runtime() lists
+    as found: the dispatch targets this CPU supports and the environment
+    (NPY_DISABLE_CPU_FEATURES) leaves enabled."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return {"numpy": np.__version__, "simd_found": [f for f in __cpu_dispatch__ if __cpu_features__[f]]}
 
 
 def main() -> int:
@@ -64,6 +83,9 @@ def main() -> int:
             print(f"{name}: exit {code}, " + ", ".join(f"{key} {entry[key][:16]}" for key in hashed))
         lines = [f"  {json.dumps(name)}: {json.dumps(entry)}" for name, entry in entries.items()]
         (GOLDEN / golden).write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    runtime = numpy_runtime()
+    (GOLDEN / "runtime.json").write_text(json.dumps(runtime, indent=2) + "\n")
+    print(f"runtime.json: numpy {runtime['numpy']}, SIMD found {runtime['simd_found']}")
     return 1 if failed else 0
 
 

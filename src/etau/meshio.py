@@ -153,11 +153,17 @@ def write_surface(path: str | Path, mesh: SurfaceMesh) -> tuple[Path, Path]:
     with path.open("w") as obj, sidecar.open("w", newline="") as nu:
         sinks = [(obj, "v {} {} {}\n", (1, 2, 3)), _csv_sink(nu, ["vertex", "x", "y", "t", "nu"], 5)]
         _write_blocks(sinks, index, *vertices.T, np.asarray(mesh.nu, float))
-        faces = np.asarray(mesh.triangles, int) + 1
-        for start in range(0, len(faces), _BLOCK_ROWS):
-            block = faces[start : start + _BLOCK_ROWS]
-            obj.write(("f %d %d %d\n" * len(block)) % tuple(block.ravel().tolist()))
+        _write_faces(obj, np.asarray(mesh.triangles))
     return path, sidecar
+
+
+def _write_faces(fh, triangles: np.ndarray) -> None:
+    """OBJ face records of (n, 3) 0-based vertex indices, one %-format per
+    block; the 1-based indices are formed per block, in the array's own int
+    dtype, so no copy of the whole array is made."""
+    for start in range(0, len(triangles), _BLOCK_ROWS):
+        block = triangles[start : start + _BLOCK_ROWS] + 1
+        fh.write(("f %d %d %d\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_profile_csv(path: str | Path, parameter_label: str, parameter, values) -> Path:

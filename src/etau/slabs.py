@@ -336,18 +336,21 @@ def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray
     at a + s v, analytic near [0, 1] even on the long rim edges, and one
     panel agrees with four to about 1e-14.  What remains is rounding: far
     out in the disc, float64 image coordinates fix 1 - |w|^2 only to about
-    1e-16.  Congruent instances differ by about 2e-9, and by up to 2e-8 near
-    the edge of the example-1 window, far below _SPECTRA_TOL.
+    1e-16.  Near the edge of the example-1 window a spectrum strays up to
+    about 1.3e-8 from the same rule in np.longdouble (1.65e-8 when the image
+    took three complex divisions per node), and congruent instances differ
+    by about 2e-9, far below _SPECTRA_TOL.
 
     The instances must share one generator, and so one model mesh;
     otherwise ParameterError.  The model annulus' segments (a, v) are
     cached, and the quadrature nodes z = a + s v and vectors dz = v are
-    formed once per chunk of _SPECTRA_CHUNK_NODES nodes for all instances,
+    written once per chunk of _SPECTRA_CHUNK_NODES nodes for all instances,
     laid out node-major (PANEL_NODES, edges) so the per-edge operands
     broadcast along rows.  Each instance then takes one push_forward_complex
-    and one metric_quadratic_form pass over the chunk; the image's fiber
-    coordinate, which the metric does not read, is never formed.  The call
-    allocates one workspace (core._Workspace) and every pass writes all its
+    (one complex reciprocal per node) and one metric_quadratic_form pass
+    over the chunk; the image's fiber coordinate, which the metric does not
+    read, is never formed.  The call allocates one workspace
+    (core._Workspace) and every pass, z and dz included, writes all its
     intermediates into it, the last, shorter chunk into views of the same
     memory.  Neither batching nor the workspace moves a bit: the kernels
     run the ufuncs of their allocating calls, and each edge is reduced as
@@ -372,8 +375,13 @@ def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray
         stop = start + per_chunk
         ax, ay, _ = a[start:stop].T
         vx, vy, vt = v[start:stop].T
-        z = (ax + s * vx) + 1j * (ay + s * vy)
-        dz = vx + 1j * vy
+        z = work.array("z", (PANEL_NODES, len(ax)), complex)
+        dz = work.array("dz", (len(ax),), complex)
+        # z = (ax + s vx) + i (ay + s vy), dz = vx + i vy
+        for part, origin, step in ((z.real, ax, vx), (z.imag, ay, vy)):
+            np.multiply(s, step, out=part)
+            np.add(origin, part, out=part)
+        dz.real, dz.imag = vx, vy
         speed_t = work.array("speed_t", z.shape[::-1])
         panel = work.array("panel", (z.shape[1], 1))
         for k, instance in enumerate(instances):

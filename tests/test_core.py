@@ -309,10 +309,10 @@ def _reference_quadratic_form(model: Model, tau: float, x, y, dx, dy, dt):
 
 def _reference_push_forward(iso: AmbientIsometry, z, dz, vt):
     m = iso.mobius
-    q = m.c * z + m.d
-    w = (m.a * z + m.b) / q
-    dw = dz / (q * q)
-    dtheta = -2.0 * (m.c * dz / q).imag
+    r = np.reciprocal(m.c * z + m.d)
+    w = (m.a * z + m.b) * r
+    dw = dz * (r * r)
+    dtheta = -2.0 * ((m.c * dz) * r).imag
     # the disc model's row signs
     sx, sy, st = (1.0, -1.0, -1.0) if iso.orientation is Orientation.REVERSING else (1.0, 1.0, 1.0)
     return sx * w.real, sy * w.imag, sx * dw.real, sy * dw.imag, st * (vt - 2.0 * iso.tau * dtheta)

@@ -5,11 +5,16 @@ structure, verdicts, strings and integers exactly, and its floats within
 1e-12 relative: a change that moves a report shows up here and as a diff of
 the golden file.  Surface meshes are pinned by the SHA-256 of their OBJ and
 ``_nu.csv`` bytes, graph CSV dumps by the SHA-256 of their bytes.
+
+Many reports move in their last bits with the SIMD loops numpy dispatches
+to, so ``runtime.json`` holds the numpy version and SIMD extensions the
+files were written under, and a failure says when the running ones differ.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -22,7 +27,28 @@ GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
 MESHES = json.loads((GOLDEN / "meshes.json").read_text())
 GRAPH_CSVS = json.loads((GOLDEN / "graph_csv.json").read_text())
+RUNTIME = json.loads((GOLDEN / "runtime.json").read_text())
 _RTOL = 1e-12
+
+_spec = importlib.util.spec_from_file_location("update_golden", GOLDEN.parents[1] / "scripts" / "update_golden.py")
+update_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(update_golden)
+
+
+def _dispatch_note(recorded: dict, running: dict) -> str:
+    """Why a golden value may differ: the numpy runtime that wrote the
+    golden files, when it is not the running one ("" when it is)."""
+    if running == recorded:
+        return ""
+    return (
+        f" (the golden files were written under numpy {recorded['numpy']} with SIMD {recorded['simd_found']};"
+        f" this run has numpy {running['numpy']} with SIMD {running['simd_found']}, whose loops may round"
+        " differently: compare on the recorded dispatch before reading this as a moved report)"
+    )
+
+
+def _explain(mismatches: list[str]) -> str:
+    return "; ".join(mismatches) + _dispatch_note(RUNTIME, update_golden.numpy_runtime())
 
 
 def _mismatches(got, want, path: str = "$") -> list[str]:
@@ -50,13 +76,23 @@ def test_mismatches_tell_floats_from_integers_and_verdicts() -> None:
     assert _mismatches({"a": 1, "b": 2}, {"b": 2, "a": 1}) != []
 
 
+def test_dispatch_note_names_both_runtimes_only_when_they_differ() -> None:
+    running = update_golden.numpy_runtime()
+    assert set(running) == set(RUNTIME) == {"numpy", "simd_found"}
+    assert _dispatch_note(running, running) == ""
+    other = {"numpy": running["numpy"], "simd_found": running["simd_found"] + ["AVX9000"]}
+    note = _dispatch_note(other, running)
+    assert str(other["simd_found"]) in note and str(running["simd_found"]) in note
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_report_matches_its_golden_file(name: str, capsys) -> None:
     code = main(COMMANDS[name]["argv"])
     got = json.loads(capsys.readouterr().out)
     want = json.loads((GOLDEN / name).read_text())
     assert code == COMMANDS[name]["exit"]
-    assert _mismatches(got, want) == []
+    mismatches = _mismatches(got, want)
+    assert not mismatches, _explain(mismatches)
 
 
 @pytest.mark.parametrize("name", sorted(MESHES))
@@ -65,8 +101,12 @@ def test_mesh_files_match_their_golden_hashes(name: str, tmp_path, capsys) -> No
     code = main(MESHES[name]["argv"] + ["--out", str(obj)])
     capsys.readouterr()
     assert code == MESHES[name]["exit"]
-    assert hashlib.sha256(obj.read_bytes()).hexdigest() == MESHES[name]["obj_sha256"]
-    assert hashlib.sha256(nu_sidecar_path(obj).read_bytes()).hexdigest() == MESHES[name]["nu_sha256"]
+    got = {
+        "obj_sha256": hashlib.sha256(obj.read_bytes()).hexdigest(),
+        "nu_sha256": hashlib.sha256(nu_sidecar_path(obj).read_bytes()).hexdigest(),
+    }
+    mismatches = [f"{key} {got[key]} != {MESHES[name][key]}" for key in got if got[key] != MESHES[name][key]]
+    assert not mismatches, _explain(mismatches)
 
 
 @pytest.mark.parametrize("name", sorted(GRAPH_CSVS))
@@ -75,4 +115,5 @@ def test_graph_csv_matches_its_golden_hash(name: str, tmp_path, capsys) -> None:
     code = main(GRAPH_CSVS[name]["argv"] + ["--csv-out", str(path)])
     capsys.readouterr()
     assert code == GRAPH_CSVS[name]["exit"]
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GRAPH_CSVS[name]["csv_sha256"]
+    got = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == GRAPH_CSVS[name]["csv_sha256"], _explain([f"csv_sha256 {got} != {GRAPH_CSVS[name]['csv_sha256']}"])

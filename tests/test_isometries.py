@@ -46,6 +46,7 @@ from etau.isometries import (
     pullback_residuals,
     push_forward,
     push_forward_arrays,
+    push_forward_complex,
     rotation_isometry,
     scale_isometry,
     vertical_translation,
@@ -313,6 +314,36 @@ def test_push_forward_arrays_broadcasts_per_row_vectors(tau: float) -> None:
         np.testing.assert_array_equal(
             np.stack(got, axis=-1).reshape(-1, 5), np.column_stack([image[:, :2], dv]), err_msg=iso.family
         )
+
+
+def _salted_rows(model: Model) -> np.ndarray:
+    """The probes of a model and its zero probes, plus rows whose x or y is
+    -0.0, +-inf or NaN."""
+    coords = np.array([p.coords() for p in (HALF_PROBES if model is Model.HALF_SPACE else CYL_PROBES) + ZERO_PROBES[model]])
+    salted = np.repeat(coords[:2], 4, axis=0)
+    salted[:4, 0] = salted[4:, 1] = [-0.0, np.inf, -np.inf, np.nan]
+    return np.concatenate([coords, salted])
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_push_forward_image_is_the_apply_image_bit_for_bit(tau: float) -> None:
+    # apply and the push-forward write the Moebius image w = (a z + b) r with
+    # the same reciprocal r = 1 / (c z + d), so each point has one image.
+    for (model, _), isos in batch_members(tau).items():
+        coords = _salted_rows(model)
+        x, y, t = coords.T
+        row_isos, rows = [iso for iso in isos for _ in coords], np.tile(coords, (len(isos), 1))
+        with np.errstate(all="ignore"):
+            by_rows = apply_to_rows(row_isos, rows).reshape(len(isos), len(coords), 3)
+            for iso, per_row in zip(isos, by_rows):
+                want = apply_to_coords(iso, coords)[:, :2]
+                assert per_row[:, :2].view(np.int64).tolist() == want.view(np.int64).tolist(), iso.family
+                for image in (
+                    push_forward_arrays(iso, x, y, 0.3, -0.7, t)[:2],
+                    push_forward_complex(iso, x + 1j * y, 0.3 - 0.7j, t)[:2],
+                ):
+                    got = np.stack(image, axis=-1)
+                    assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), iso.family
 
 
 # -- named family behaviour ----------------------------------------------------

@@ -249,6 +249,25 @@ def test_leaf_write_needs_no_more_traced_memory_than_its_build(tmp_path) -> None
     assert write <= build
 
 
+def test_leaf_face_records_need_no_copy_of_the_triangles(tmp_path) -> None:
+    # 1-based indices are formed per 1,024-row block of the int32 triangles;
+    # one int64 copy of the CLI-default leaf's 32,512 triangles alone is 0.78 MB
+    args = build_parser().parse_args(["surface", "leaf", "--tau", "0.5", "--d", "1.2"])
+    mesh = leaf_mesh(LeafSpec(args.tau, args.d, args.s, args.scale), (-args.phi_span, args.phi_span), (args.rows, args.cols))
+    assert mesh.triangles.dtype == np.int32
+    path = tmp_path / "faces.obj"
+    with path.open("w") as fh:
+        tracemalloc.start()
+        try:
+            meshio._write_faces(fh, mesh.triangles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 0.25e6
+    want = "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.triangles.tolist())
+    assert path.read_text() == want
+
+
 def test_profile_csv(tmp_path) -> None:
     path = write_profile_csv(tmp_path / "p.csv", "rho", [1.0, 2.0], [0.5, 0.75])
     lines = path.read_text().splitlines()

@@ -381,6 +381,52 @@ def test_edge_length_spectrum_equals_per_point_route(fixture: str, resolution, r
         np.testing.assert_array_equal(row, reference)
 
 
+def _longdouble_spectrum(instance) -> np.ndarray:
+    """edge_length_spectra's rule for one instance in np.longdouble: the
+    same float64 model nodes, edge vectors, Gauss weights and Moebius
+    coefficients, with the image, its differential and the metric taken in
+    extended precision (plain complex division, no reciprocal)."""
+    ld, cld = np.longdouble, np.clongdouble
+    model = _model_annulus(instance.generator)
+    tau = ld(instance.generator.tau)
+    nodes, weights = slabs.unit_panel()
+    a, v = model.a.astype(ld), model.v.astype(ld)
+    s = nodes.astype(ld)[:, None]
+    z = (a[:, 0] + s * v[:, 0]).astype(cld) + cld(1j) * (a[:, 1] + s * v[:, 1])
+    dz = v[:, 0].astype(cld) + cld(1j) * v[:, 1]
+    m = instance.placement.mobius
+    ca, cb, cc, cd = (cld(c) for c in m.matrix())
+    q = cc * z + cd
+    w, dw = (ca * z + cb) / q, dz / (q * q)
+    x, y, dx, dy = w.real, w.imag, dw.real, dw.imag
+    if instance.placement.orientation is Orientation.REVERSING:
+        y, dy = -y, -dy
+    dt = v[:, 2] + 4 * tau * (cc * dz / q).imag
+    if instance.placement.orientation is Orientation.REVERSING:
+        dt = -dt
+    lam = 2 / (1 - x * x - y * y)
+    vertical = dt + 2 * tau * lam * (y * dx - x * dy)
+    speed = np.sqrt(lam * lam * (dx * dx + dy * dy) + vertical * vertical)
+    return np.sort(0.5 * (weights.astype(ld)[:, None] * speed).sum(axis=0))
+
+
+def test_edge_spectra_stay_within_rounding_of_longdouble() -> None:
+    # Example 1 at the CLI's annulus resolution, far out in the disc where
+    # float64 fixes 1 - |w|^2 only to about 1e-16.  Of the 20 points drawn
+    # at each seed, the instance whose spectrum strays farthest from
+    # longdouble (index per seed; seed 4's is the worst on record, 1.65e-8
+    # with three complex divisions per node, 1.31e-8 with one reciprocal).
+    slab = build_example1(FLAT, 0.1)
+    worst = {4: 0, 100: 10, 101: 15, 102: 2}
+    instances = [slab.annulus_generator(sample_interior_points(slab, 20, seed=k)[i]) for k, i in worst.items()]
+    errors = [
+        float(np.max(np.abs(got - _longdouble_spectrum(instance))))
+        for got, instance in zip(edge_length_spectra(instances), instances)
+    ]
+    assert max(errors) <= 2.0e-8, errors
+    assert min(errors) > 1e-9, errors  # far-out instances: rounding shows
+
+
 def test_batched_spectra_need_one_model_mesh(slab1) -> None:
     instance = slab1.annulus_generator(sample_interior_points(slab1, 1, seed=7)[0])
     gen = instance.generator
