@@ -87,31 +87,33 @@ def _write_blocks(sinks, *columns) -> None:
     a float prints its shortest round-trip repr.  A float column is formatted
     once per distinct bit pattern: a value that occurs once in its block, a
     repeated value at its first row, and its text is kept until the block that
-    holds its last row is written.  A sink ``(fh, template, picks)`` writes
-    ``template.format(*row)`` for the row's values in the columns numbered by
-    ``picks``.
+    holds its last row is written.  The block's texts fill a (rows, columns)
+    object table, and a sink ``(fh, template, picks)`` writes the whole block
+    with one %-format: the row %-format ``template``, repeated once per row,
+    over the table's columns numbered by ``picks``, interleaved row by row.
     """
     columns = [np.asarray(c).reshape(-1) for c in columns]
     plans = [_repeats(c) if c.dtype.kind == "f" else None for c in columns]
     # A slot per repeated value, and a spare last slot, never written, that ids of -1 read.
     memos = [None if plan is None else np.empty(int(plan[0].max()) + 2, object) for plan in plans]
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+    n = len(columns[0])
+    for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        text = []
-        for column, plan, memo in zip(columns, plans, memos):
+        table = np.empty((min(_BLOCK_ROWS, n - start), len(columns)), object)
+        for k, (column, plan, memo) in enumerate(zip(columns, plans, memos)):
             values = column[rows]
             if plan is None:
-                text.append(list(map(repr, values.tolist())))
+                table[:, k] = list(map(repr, values.tolist()))
                 continue
             ids, first, last = plan[0][rows], plan[1][rows], plan[2][rows]
             memo[ids[first]] = list(map(repr, values[first].tolist()))
             block = memo[ids]
             once = ids < 0
             block[once] = list(map(repr, values[once].tolist()))
-            text.append(block.tolist())
+            table[:, k] = block
             memo[ids[last]] = None
         for fh, template, picks in sinks:
-            fh.write("".join(map(template.format, *(text[k] for k in picks))))
+            fh.write((template * len(table)) % tuple(table[:, picks].ravel().tolist()))
 
 
 def _csv_sink(fh, header: list[str], columns: int):
@@ -121,7 +123,7 @@ def _csv_sink(fh, header: list[str], columns: int):
     in CRLF, as in the csv module's default dialect, which writes the header.
     """
     csv.writer(fh).writerow(header)
-    return fh, ",".join(["{}"] * columns) + "\r\n", range(columns)
+    return fh, ",".join(["%s"] * columns) + "\r\n", range(columns)
 
 
 def _write_csv(path: str | Path, header: list[str], *columns, comment: str = "") -> Path:
@@ -151,7 +153,7 @@ def write_surface(path: str | Path, mesh: SurfaceMesh) -> tuple[Path, Path]:
     vertices = np.asarray(mesh.vertices, float)
     index = np.arange(1, len(vertices) + 1)
     with path.open("w") as obj, sidecar.open("w", newline="") as nu:
-        sinks = [(obj, "v {} {} {}\n", (1, 2, 3)), _csv_sink(nu, ["vertex", "x", "y", "t", "nu"], 5)]
+        sinks = [(obj, "v %s %s %s\n", (1, 2, 3)), _csv_sink(nu, ["vertex", "x", "y", "t", "nu"], 5)]
         _write_blocks(sinks, index, *vertices.T, np.asarray(mesh.nu, float))
         _write_faces(obj, np.asarray(mesh.triangles))
     return path, sidecar

@@ -43,6 +43,9 @@ from .quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss, cumulative_in
 # _ProfileTable).
 _TABLE_PANELS = 64
 _TABLE_CHUNK = CHUNK_NODES // PANEL_NODES
+# Relative widening of _ProfileTable.bounds: far above the 1e-13 settle
+# tolerance of the node values and the rounding of one off-node panel.
+_BRACKET_MARGIN = 1e-9
 # Safeguarded Newton for catenoid_profile_inverse: step budget and residual
 # tolerance relative to max(1, height).
 _INVERSE_BUDGET = 60
@@ -222,6 +225,14 @@ class _ProfileTable:
     The off-node panels are evaluated _TABLE_CHUNK at a time, so an array of
     any length holds at most CHUNK_NODES integrand nodes at once; each value
     is its own row of the panel sum, so chunking does not change it.
+
+    bounds(sigma) brackets T(sigma) without evaluating g.  The nearest node k
+    is within half a panel of sigma, and g >= 0 on [0, sigma_max], so T
+    increases and the off-node panel (positive weights) lands between the
+    values of the two nodes around sigma: k and k + 1 when sigma >= node k,
+    k - 1 and k otherwise.  Both are widened by _BRACKET_MARGIN relative,
+    which covers cumulative_integral's settle tolerance and the panel's
+    rounding; beyond sigma_max the bracket is the limit itself.
     """
 
     def __init__(self, g, sigma_max: float, tail: float = 0.0) -> None:
@@ -248,6 +259,19 @@ class _ProfileTable:
             part = off[start : start + _TABLE_CHUNK]
             out[part] += composite_gauss(self._g, self._nodes[k[part]], flat[part], 1)
         return out.reshape(sigma.shape)
+
+    def bounds(self, sigma) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays (lo, hi) with lo <= self(sigma) <= hi, from the node values alone."""
+        sigma = np.asarray(sigma, dtype=float)
+        k = np.clip(np.rint(sigma / self._step), 0, _TABLE_PANELS).astype(int)
+        # the node at or below sigma, among k - 1 and k
+        j = np.clip(k - (sigma < self._nodes[k]), 0, _TABLE_PANELS - 1)
+        beyond = sigma > self.sigma_max
+        lo = np.where(beyond, self.limit, self._values[j])
+        hi = np.where(beyond, self.limit, self._values[j + 1])
+        lo -= _BRACKET_MARGIN * np.maximum(1.0, np.abs(lo))
+        hi += _BRACKET_MARGIN * np.maximum(1.0, np.abs(hi))
+        return lo, hi
 
 
 @lru_cache(maxsize=32)
@@ -370,13 +394,18 @@ def _invariant_table(tau: float, d: float) -> _ProfileTable:
     return _ProfileTable(_invariant_sigma_integrand(tau, d), math.sqrt(invariant_angle_max(d)))
 
 
-def _invariant_profiles(tau: float, d: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Table-backed (minus, plus) profile values for arrays of wedge angles."""
+def _invariant_sigma_drift(tau: float, d: float, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Table variable sigma = sqrt(theta* - theta) of arrays of wedge angles,
+    and the drift -2 tau (theta - theta*) both sheets add to +-T(sigma)."""
     theta_star = invariant_angle_max(d)
     theta = np.asarray(theta, dtype=float)
-    sigma = np.sqrt(np.clip(theta_star - theta, 0.0, None))
+    return np.sqrt(np.clip(theta_star - theta, 0.0, None)), -2.0 * tau * (theta - theta_star)
+
+
+def _invariant_profiles(tau: float, d: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Table-backed (minus, plus) profile values for arrays of wedge angles."""
+    sigma, drift = _invariant_sigma_drift(tau, d, theta)
     tail = _invariant_table(tau, d)(sigma)
-    drift = -2.0 * tau * (theta - theta_star)
     return (-tail + drift, tail + drift)
 
 
@@ -481,12 +510,30 @@ def transversality_window_check(d: float, h0: float, eps: float, tau: float) -> 
     Samples the wedge at the angle step _WINDOW_THETA_STEP, keeps the angles
     where either sheet's fiber height lies within the slab, and returns
     (sup, sup < eps).
+
+    An angle is decided from the profile table's bracket (_ProfileTable.bounds)
+    when a sheet's bracket lies wholly inside [-h0, h0] (in the slab) or both
+    sheets' brackets lie wholly outside it (out); only the undecided angles,
+    those near the thresholds, are integrated.  Adding the drift rounds
+    monotonically, so each sheet's height stays within its bracket and the
+    kept angles, hence (sup, ok), are those of integrating every angle.
     """
     theta_star = invariant_angle_max(d)
     n = max(int(theta_star / _WINDOW_THETA_STEP), 8)
     theta = np.linspace(theta_star / n, theta_star, n)
-    minus, plus = _invariant_profiles(tau, d, theta)
-    in_slab = (np.abs(minus) <= h0) | (np.abs(plus) <= h0)
+    sigma, drift = _invariant_sigma_drift(tau, d, theta)
+    lo, hi = _invariant_table(tau, d).bounds(sigma)
+    # (lower, upper) bracket of the plus sheet, then of the minus sheet
+    sheets = ((lo + drift, hi + drift), (drift - hi, drift - lo))
+    in_slab = np.zeros(n, bool)
+    out = np.ones(n, bool)
+    for low, high in sheets:
+        in_slab |= (-h0 <= low) & (high <= h0)
+        out &= (high < -h0) | (h0 < low)
+    todo = np.flatnonzero(~(in_slab | out))
+    if todo.size:
+        minus, plus = _invariant_profiles(tau, d, theta[todo])
+        in_slab[todo] = (np.abs(minus) <= h0) | (np.abs(plus) <= h0)
     if not np.any(in_slab):
         return 0.0, True
     sup = float(np.max(_invariant_nu(d, tau, theta[in_slab])))
@@ -774,7 +821,9 @@ class LeafFindResult:
 
 def _pull_back_to_model_chart(pts: np.ndarray, scales, axis_inv: AmbientIsometry) -> np.ndarray:
     """(n, 3) points in the chart of the unit-scale invariant surface."""
-    scaled = np.stack([pts[:, 0] / scales, pts[:, 1] / scales, pts[:, 2]], axis=-1)
+    scaled = np.empty((len(pts), 3))
+    np.divide(pts[:, :2], np.reshape(scales, (-1, 1)), out=scaled[:, :2])
+    scaled[:, 2] = pts[:, 2]
     return apply_to_coords(axis_inv, scaled)
 
 

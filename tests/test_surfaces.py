@@ -246,6 +246,34 @@ def test_profile_table_derivative_is_the_integrand(tau: float) -> None:
 
 
 @pytest.mark.parametrize("tau", [0.5, 0.0, -0.7])
+def test_profile_table_bounds_contain_its_values(tau: float) -> None:
+    # the nodes and one ulp either side of them, panel midpoints (where the
+    # nearest node switches) and one ulp either side, uniform draws, and
+    # sigma beyond the table, where both bounds are its limit
+    for table, _, sigma_max in _profile_tables(tau):
+        nodes = np.linspace(0.0, sigma_max, surfaces._TABLE_PANELS + 1)
+        mids = 0.5 * (nodes[1:] + nodes[:-1])
+        beyond = sigma_max * np.array([1.0 + 1e-15, 1.2, 9.0])
+        sigma = np.concatenate(
+            [
+                nodes,
+                np.nextafter(nodes[1:], 0.0),
+                np.nextafter(nodes, np.inf),
+                mids,
+                np.nextafter(mids, 0.0),
+                np.nextafter(mids, np.inf),
+                np.random.default_rng(5).uniform(0.0, sigma_max, 500),
+                beyond,
+            ]
+        )
+        lo, hi = table.bounds(sigma)
+        value = table(sigma)
+        assert np.all(lo <= value) and np.all(value <= hi)
+        assert lo[0] <= 0.0 <= hi[0]
+        assert np.all(lo[-3:] <= table.limit) and np.all(table.limit <= hi[-3:])
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.0, -0.7])
 def test_profile_table_chunks_match_values_one_at_a_time(tau: float) -> None:
     # the exact nodes (sigma = 0 among them), several chunks of off-node
     # values, and sigma beyond the table, where it reads its limit
@@ -432,6 +460,52 @@ def test_window_check_frozen() -> None:
     assert (sup, ok) == (0.16197754002753667, True)
     d5 = transversality_delta(0.5, 1.0, 0.5)
     assert transversality_window_check(1.0 + d5 / 2, 1.0, 0.5, 0.5) == (0.006985202933174667, True)
+
+
+def _window_check_all_angles(d: float, h0: float, eps: float, tau: float) -> tuple[float, bool]:
+    """Reference: the profile integrated at every sampled wedge angle."""
+    theta_star = invariant_angle_max(d)
+    n = max(int(theta_star / surfaces._WINDOW_THETA_STEP), 8)
+    theta = np.linspace(theta_star / n, theta_star, n)
+    minus, plus = surfaces._invariant_profiles(tau, d, theta)
+    in_slab = (np.abs(minus) <= h0) | (np.abs(plus) <= h0)
+    if not np.any(in_slab):
+        return 0.0, True
+    sup = float(np.max(surfaces._invariant_nu(d, tau, theta[in_slab])))
+    return sup, sup < eps
+
+
+def test_window_check_matches_integrating_every_angle() -> None:
+    # a seeded sweep over both signs of tau (the drift flips with it) and d
+    # from 1 + 1e-6 to 11, plus a window with only the gluing angle (h0 = 0)
+    # and an empty one (h0 < 0), which returns (0.0, True)
+    rng = np.random.default_rng(29)
+    cases = [(1.0 + 1e-6, 1.0, 0.5, -0.7), (1.2, 0.0, 0.5, 0.5), (1.2, -0.5, 0.5, 0.5)]
+    for _ in range(40):
+        d = 1.0 + 10.0 ** rng.uniform(-6.0, 1.0)
+        cases.append((d, 10.0 ** rng.uniform(-3.0, 0.7), rng.uniform(0.05, 0.95), rng.uniform(-2.0, 2.0)))
+    for case in cases:
+        assert transversality_window_check(*case) == _window_check_all_angles(*case), case
+    assert transversality_window_check(1.2, -0.5, 0.5, 0.5) == (0.0, True)
+
+
+def test_window_check_integrates_only_undecided_angles(monkeypatch: pytest.MonkeyPatch) -> None:
+    # at the criterion-7 configurations the table brackets decide all but
+    # at most 1% of the sampled angles
+    profiles = surfaces._invariant_profiles
+    integrated = []
+
+    def counted(tau: float, d: float, theta: np.ndarray):
+        integrated.append(np.size(theta))
+        return profiles(tau, d, theta)
+
+    monkeypatch.setattr(surfaces, "_invariant_profiles", counted)
+    for tau in (0.0, 0.5):
+        d = 1.0 + transversality_delta(0.5, 1.0, tau) / 2
+        sampled = max(int(invariant_angle_max(d) / surfaces._WINDOW_THETA_STEP), 8)
+        integrated.clear()
+        transversality_window_check(d, 1.0, 0.5, tau)
+        assert 0 < sum(integrated) <= 0.01 * sampled, (tau, integrated, sampled)
 
 
 def test_window_check_memory_stays_bounded() -> None:
