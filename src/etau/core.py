@@ -148,65 +148,22 @@ def ensure_same_model(p: BasePoint, q: BasePoint) -> None:
 #
 # metric_data_arrays is the one kernel for the conformal factor and the
 # connection form; every other metric quantity, array or scalar, reads it.
-# It and metric_quadratic_form write every intermediate with out= into a
-# _Workspace: a caller that runs them many times over operands of one shape
-# (the edge spectra) passes one workspace and allocates nothing per call,
-# and any other call allocates a fresh one and runs the same ufuncs.
 
 
-class _Workspace:
-    """Named scratch arrays reused across kernel calls.
-
-    array(name, shape, dtype) returns a C-contiguous view of the given shape
-    over the name's flat storage, allocated on the first request and again
-    only when a larger shape asks for it; the view of each (name, shape) is
-    kept, so a repeated request costs one lookup.  A name keeps one dtype.
-    Requests of a name share memory, so a caller reads a kernel's results
-    before passing the workspace to the next call that writes them.
-    """
-
-    def __init__(self) -> None:
-        self._flat: dict[str, np.ndarray] = {}
-        self._views: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
-
-    def array(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-        view = self._views.get((name, shape))
-        if view is None:
-            size = math.prod(shape)
-            flat = self._flat.get(name)
-            if flat is None or flat.size < size:
-                flat = self._flat[name] = np.empty(size, dtype)
-            view = self._views[name, shape] = flat[:size].reshape(shape)
-        return view
-
-
-def metric_data_arrays(model: Model, tau: float, x, y, workspace: _Workspace | None = None):
+def metric_data_arrays(model: Model, tau: float, x, y):
     """Conformal factor lam and connection components (w1, w2), omega = w1 dx + w2 dy.
 
-    The three arrays have the broadcast shape of x and y and are the
-    workspace's "lam", "w1" and "w2" (a fresh workspace when none is given).
+    The three arrays have the broadcast shape of x and y.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    ws = _Workspace() if workspace is None else workspace
-    shape = np.broadcast(x, y).shape
-    lam, w1, w2 = ws.array("lam", shape), ws.array("w1", shape), ws.array("w2", shape)
     if model is Model.HALF_SPACE:
-        np.divide(1.0, y, out=lam)
-        np.divide(-2.0 * tau, y, out=w1)
-        w2.fill(0.0)
-        return lam, w1, w2
-    # lam = 2 / (1 - x x - y y), w1 = 2 tau lam y, w2 = -2 tau lam x
-    np.multiply(x, x, out=lam)
-    np.subtract(1.0, lam, out=lam)
-    np.multiply(y, y, out=w1)
-    np.subtract(lam, w1, out=lam)
-    np.divide(2.0, lam, out=lam)
-    np.multiply(2.0 * tau, lam, out=w1)
-    np.multiply(w1, y, out=w1)
-    np.multiply(-2.0 * tau, lam, out=w2)
-    np.multiply(w2, x, out=w2)
-    return lam, w1, w2
+        # lam and w1 read y only, which graph charts pass as a row against a column of x
+        shape = np.broadcast(x, y).shape
+        lam = np.divide(1.0, y, out=np.empty(shape))
+        return lam, np.divide(-2.0 * tau, y, out=np.empty(shape)), np.zeros(shape)
+    lam = 2.0 / (1.0 - x * x - y * y)
+    return lam, 2.0 * tau * lam * y, -2.0 * tau * lam * x
 
 
 def metric_data_derivative_arrays(model: Model, tau: float, x, y, ex, ey):
@@ -245,32 +202,16 @@ def metric_arrays(model: Model, tau: float, x, y) -> np.ndarray:
     return g
 
 
-def metric_quadratic_form(model: Model, tau: float, x, y, dx, dy, dt, workspace: _Workspace | None = None):
+def metric_quadratic_form(model: Model, tau: float, x, y, dx, dy, dt):
     """Squared length lam^2 (dx^2 + dy^2) + (dt + w1 dx + w2 dy)^2 of the
     coordinate vectors (dx, dy, dt) at the base points (x, y).
 
     Equal to delta @ metric_arrays(...) @ delta without building the
-    (..., 3, 3) tensors; as a sum of squares it is never negative.  The
-    result is the workspace's "sq", beside metric_data_arrays' arrays and
-    the scratch "vertical" and "term" (a fresh workspace when none is given).
+    (..., 3, 3) tensors; as a sum of squares it is never negative.
     """
-    ws = _Workspace() if workspace is None else workspace
-    lam, w1, w2 = metric_data_arrays(model, tau, x, y, ws)
-    shape = np.broadcast(lam, dx, dy, dt).shape
-    vertical, term, sq = ws.array("vertical", shape), ws.array("term", shape), ws.array("sq", shape)
-    # vertical = dt + w1 dx + w2 dy
-    np.multiply(w1, dx, out=vertical)
-    np.add(dt, vertical, out=vertical)
-    np.multiply(w2, dy, out=term)
-    np.add(vertical, term, out=vertical)
-    # sq = lam lam (dx dx + dy dy) + vertical vertical
-    np.multiply(dx, dx, out=term)
-    np.multiply(dy, dy, out=sq)
-    np.add(term, sq, out=term)
-    np.multiply(lam, lam, out=sq)
-    np.multiply(sq, term, out=sq)
-    np.multiply(vertical, vertical, out=vertical)
-    return np.add(sq, vertical, out=sq)
+    lam, w1, w2 = metric_data_arrays(model, tau, x, y)
+    vertical = dt + w1 * dx + w2 * dy
+    return lam * lam * (dx * dx + dy * dy) + vertical * vertical
 
 
 # -- scalar API --------------------------------------------------------------

@@ -29,7 +29,6 @@ from .core import (
     Model,
     ModelMismatchError,
     ParameterError,
-    _Workspace,
     convert_coords_arrays,
     metric_arrays,
 )
@@ -256,7 +255,7 @@ def push_forward_arrays(iso: AmbientIsometry, x, y, vx, vy, vt):
     return push_forward_complex(iso, x + 1j * y, vx + 1j * vy, vt)
 
 
-def push_forward_complex(iso: AmbientIsometry, z, dz, vt, workspace: _Workspace | None = None):
+def push_forward_complex(iso: AmbientIsometry, z, dz, vt):
     """push_forward_arrays on complex base points z and base vectors dz,
     which broadcast against each other and the fiber components vt.
 
@@ -269,45 +268,16 @@ def push_forward_complex(iso: AmbientIsometry, z, dz, vt, workspace: _Workspace 
     numbers by Smith's branchy algorithm).  They round differently, in
     about two thirds of the points, but no worse: against np.longdouble the
     relative error of w, dw and (c dz) r averages 0.5 to 0.9 eps either
-    way (200,000 random points of the disc, three disc_point maps).
-
-    The image's fiber coordinate is not computed: no metric reads t.  A
-    caller that moves many placements of the same points forms z and dz
-    once and passes them to each, with one workspace (core._Workspace):
-    the results are its "x", "y", "dx", "dy" and "dt", and the complex
-    "r", "w", "dw", "c_dz" and "c_dz_q" hold the intermediates.  Without a
-    workspace a fresh one is allocated.
+    way (200,000 random points of the disc, three disc_point maps).  The
+    image's fiber coordinate is not computed: no metric reads t.
     """
-    ws = _Workspace() if workspace is None else workspace
     m = iso.mobius
-    base, moved = np.shape(z), np.broadcast(z, dz).shape
-    r, w = ws.array("r", base, complex), ws.array("w", base, complex)
-    dw, c_dz_q = ws.array("dw", moved, complex), ws.array("c_dz_q", moved, complex)
-    c_dz = ws.array("c_dz", np.shape(dz), complex)
-    x, y, dx, dy = ws.array("x", base), ws.array("y", base), ws.array("dx", moved), ws.array("dy", moved)
-    dt = ws.array("dt", np.broadcast(c_dz_q, vt).shape)
-    # r = 1 / (c z + d), w = (a z + b) r, dw = dz (r r), c_dz_q = (c dz) r
-    np.multiply(m.c, z, out=r)
-    np.add(r, m.d, out=r)
-    np.reciprocal(r, out=r)
-    np.multiply(m.a, z, out=w)
-    np.add(w, m.b, out=w)
-    np.multiply(w, r, out=w)
-    np.multiply(r, r, out=dw)
-    np.multiply(dz, dw, out=dw)
-    np.multiply(m.c, dz, out=c_dz)
-    np.multiply(c_dz, r, out=c_dz_q)
+    r = np.reciprocal(m.c * z + m.d)
+    w = (m.a * z + m.b) * r
+    dw = dz * (r * r)
+    dtheta = -2.0 * ((m.c * dz) * r).imag
     sx, sy, st = _row_signs(iso)
-    np.multiply(sx, w.real, out=x)
-    np.multiply(sy, w.imag, out=y)
-    np.multiply(sx, dw.real, out=dx)
-    np.multiply(sy, dw.imag, out=dy)
-    # dt = st (vt - 2 tau dTheta)
-    np.multiply(-2.0, c_dz_q.imag, out=dt)
-    np.multiply(2.0 * iso.tau, dt, out=dt)
-    np.subtract(vt, dt, out=dt)
-    np.multiply(st, dt, out=dt)
-    return x, y, dx, dy, dt
+    return sx * w.real, sy * w.imag, sx * dw.real, sy * dw.imag, st * (vt - 2.0 * iso.tau * dtheta)
 
 
 def push_forward(iso: AmbientIsometry, coords: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

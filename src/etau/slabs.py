@@ -29,11 +29,9 @@ from .core import (
     Model,
     ParameterError,
     SpaceParams,
-    _Workspace,
     chord_distances,
     convert_coords_arrays,
     convert_model,
-    metric_quadratic_form,
 )
 from .graphs import (
     Chart,
@@ -52,7 +50,6 @@ from .isometries import (
     inverse,
     axis_translation_isometry,
     push_forward_arrays,
-    push_forward_complex,
     vertical_translation,
 )
 from .quadrature import CHUNK_NODES, PANEL_NODES, unit_panel
@@ -317,45 +314,159 @@ class CatenoidAnnulusGenerator:
 
 # Quadrature nodes per chunk of the edge spectra.  quadrature.CHUNK_NODES
 # keeps temporaries that are freed per operation under glibc's 64 KiB trim
-# bound; the spectra write every per-instance intermediate into one
-# workspace per call, which faults its pages in once, so that bound does not
-# apply.  Larger chunks pay the overhead of a pass's 30-odd ufunc calls less
-# often; 4 * CHUNK_NODES was no faster in a cold `slab-example1` benchmark
-# operation and peaked 2 MB higher in RSS.
+# bound; the spectra write every per-node array into buffers allocated once
+# per call, which fault their pages in once, so that bound does not apply.
+# Larger chunks pay the overhead of a pass's ufunc calls less often: four
+# CLI-resolution instances took 16.7, 14.2 and 13.6 ms (medians of 15
+# interleaved runs, overlapping quartiles) at 1, 2 and 4 * CHUNK_NODES, and
+# 4 * CHUNK_NODES peaked 0.36 MB higher in RSS.
 _SPECTRA_CHUNK_NODES = 2 * CHUNK_NODES
+# Veltkamp's splitting constant 2^27 + 1 for float64.
+_SPLITTER = 134217729.0
+
+
+def _exact_dot(pairs) -> float:
+    """sum(x * y for x, y in pairs), correctly rounded: each product is split
+    into p = fl(x y) and its exact error (Dekker 1971), and math.fsum rounds
+    the sum of those once."""
+    terms = []
+    for x, y in pairs:
+        p = x * y
+        xs, ys = _SPLITTER * x, _SPLITTER * y
+        xh, yh = xs - (xs - x), ys - (ys - y)
+        xl, yl = x - xh, y - yh
+        terms += (p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl)
+    return math.fsum(terms)
+
+
+def _hermitian_form(*rows) -> tuple[float, float, float, float]:
+    """Coefficients (A, Re B, Im B, C), each correctly rounded, of the real
+    quadratic sum(sign |m z + n|^2 for sign, m, n in rows), sign = +-1,
+    written A |z|^2 + 2 Re(B z) + C."""
+    a, br, bi, c = [], [], [], []
+    for sign, m, n in rows:
+        mr, mi = sign * m.real, sign * m.imag
+        a += ((mr, m.real), (mi, m.imag))
+        br += ((mr, n.real), (mi, n.imag))
+        bi += ((mi, n.real), (-mr, n.imag))
+        c += ((sign * n.real, n.real), (sign * n.imag, n.imag))
+    return _exact_dot(a), _exact_dot(br), _exact_dot(bi), _exact_dot(c)
+
+
+def _placement_forms(placement: AmbientIsometry, tau: float):
+    """The placement's fiber tau with its Hermitian forms D = |cz + d|^2 -
+    |az + b|^2 and, only when that tau differs from the metric's tau,
+    P = |cz + d|^2 (None otherwise)."""
+    a, b, c, d = placement.mobius.matrix()
+    p_form = _hermitian_form((1.0, c, d)) if placement.tau != tau else None
+    return placement.tau, _hermitian_form((1.0, c, d), (-1.0, a, b)), p_form
+
+
+def _node_speeds(forms, tau: float, x, y, vx, vy, vt, out, work) -> None:
+    """Speeds |dF(v)|_g of placements at quadrature nodes: out[k] for forms[k]
+    (_placement_forms), g the cylinder metric of tau.
+
+    x and y are the nodes' disc coordinates and vx, vy, vt their edges'
+    vectors, broadcasting against them; out and work hold len(forms) and
+    five arrays of the nodes' shape.  Each form's values at the nodes cost
+    six real passes (_form_at); the twist terms run only where they are
+    not identically zero.
+    """
+    r2, cross, den, term, vertical = work
+    np.multiply(x, x, out=r2)
+    np.multiply(y, y, out=term)
+    np.add(r2, term, out=r2)
+    dz2, vt2 = 4.0 * (vx * vx + vy * vy), vt * vt
+    if tau != 0.0 or any(p_form is not None for _, _, p_form in forms):
+        # cross = Im(conj(z) dz)
+        np.multiply(x, vy, out=cross)
+        np.multiply(y, vx, out=term)
+        np.subtract(cross, term, out=cross)
+    for speed, (tau_f, d_form, p_form) in zip(out, forms):
+        _form_at(d_form, x, y, r2, den, term)
+        # horizontal^2 = 4 |dz|^2 / D^2
+        np.multiply(den, den, out=term)
+        np.divide(dz2, term, out=speed)
+        if tau == 0.0 and p_form is None:
+            np.add(speed, vt2, out=speed)
+        else:
+            np.copyto(vertical, vt)
+            if tau != 0.0:
+                _add_twist(4.0 * tau, d_form, cross, den, vx, vy, vertical, term)
+            if p_form is not None:
+                _form_at(p_form, x, y, r2, den, term)
+                _add_twist(4.0 * (tau_f - tau), p_form, cross, den, vx, vy, vertical, term)
+            np.multiply(vertical, vertical, out=vertical)
+            np.add(speed, vertical, out=speed)
+        np.sqrt(speed, out=speed)
+
+
+def _form_at(form, x, y, r2, out, term) -> None:
+    """out = A |z|^2 + 2 Re(B z) + C at the nodes z = x + iy, |z|^2 = r2."""
+    a, br, bi, c = form
+    np.multiply(a, r2, out=out)
+    np.add(out, c, out=out)
+    np.multiply(2.0 * br, x, out=term)
+    np.add(out, term, out=out)
+    np.multiply(2.0 * bi, y, out=term)
+    np.subtract(out, term, out=out)
+
+
+def _add_twist(scale: float, form, cross, den, vx, vy, vertical, term) -> None:
+    """vertical += scale Im((A conj(z) + B) dz) / den, with A conj(z) + B the
+    z-derivative of the form (A, B, C) and cross = Im(conj(z) dz)."""
+    a, br, bi, _ = form
+    np.multiply(scale * a, cross, out=term)
+    np.add(term, scale * br * vy + scale * bi * vx, out=term)
+    np.divide(term, den, out=term)
+    np.add(vertical, term, out=vertical)
 
 
 def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray]:
     """Sorted lengths of each instance's mesh edges, one array per instance.
 
     The image of the model edge a -> b under the placement F has length
-    int_0^1 |dF(v)|_g ds with v = b - a and g taken at F(a + s v), so a
-    placement that is not an isometry changes the spectrum.  One
-    Gauss–Legendre panel of the quadrature kernel (exact to degree 39)
-    measures each edge: for an isometry the speed is the model speed |v|_g
-    at a + s v, analytic near [0, 1] even on the long rim edges, and one
-    panel agrees with four to about 1e-14.  What remains is rounding: far
-    out in the disc, float64 image coordinates fix 1 - |w|^2 only to about
-    1e-16.  Near the edge of the example-1 window a spectrum strays up to
-    about 1.3e-8 from the same rule in np.longdouble (1.65e-8 when the image
-    took three complex divisions per node), and congruent instances differ
-    by about 2e-9, far below _SPECTRA_TOL.
+    int_0^1 |dF(v)|_g ds with v = b - a and g taken at F(a + s v).  With
+    the placement's matrix (a b; c d), ad - bc = 1, and the fiber taus
+    tau_F of the placement and tau of the metric, that speed is measured
+    at the model point z = a + s v without forming the image:
+
+        D = |cz + d|^2 - |az + b|^2 = alpha |z|^2 + 2 Re(beta z) + gamma,
+        horizontal = lam(Fz) |dF dz| = 2 |dz| / D,
+        vertical = vt + 4 Im((tau_F c - tau conj(az + b) / D) dz / (cz + d))
+                 = vt + 4 tau Im(dD dz) / D + 4 (tau_F - tau) Im(c dz / (cz + d)),
+
+    with dD = alpha conj(z) + beta the z-derivative of D (c D - conj(az + b)
+    = (cz + d) dD when ad - bc = 1) and Im(c dz / (cz + d)) = Im(dP dz) / P
+    for P = |cz + d|^2; a reversing placement flips the sign of the
+    vertical part only.  The last term vanishes unless the placement's tau
+    differs from the metric's and is then the only place P is formed.  No
+    step uses that F is an isometry, so a placement that is not one moves
+    the spectrum.  The coefficients alpha, beta and gamma (and P's) are
+    correctly rounded once per instance (_hermitian_form), so the
+    cancellation of |cz + d|^2 against |az + b|^2 far out in the disc never
+    happens in floating point.  Near the edge of the example-1 window, at
+    the CLI resolution, a spectrum strays up to 6e-12 (tau 0) and 2.2e-11
+    (tau 0.5) from the push-forward rule in np.longdouble, itself up to
+    4e-11 from the model annulus' own spectrum because the placement's
+    float64 matrix is not exactly an isometry; the push-forward route in
+    float64, which formed 1 - |Fz|^2, strayed 1.3e-8.  One Gauss-Legendre
+    panel of the quadrature kernel (exact to degree 39) measures each edge:
+    for an isometry the speed is the model speed at a + s v, analytic near
+    [0, 1] even on the long rim edges, and one panel agrees with four to
+    about 1e-14.
 
     The instances must share one generator, and so one model mesh;
     otherwise ParameterError.  The model annulus' segments (a, v) are
-    cached, and the quadrature nodes z = a + s v and vectors dz = v are
-    written once per chunk of _SPECTRA_CHUNK_NODES nodes for all instances,
-    laid out node-major (PANEL_NODES, edges) so the per-edge operands
-    broadcast along rows.  Each instance then takes one push_forward_complex
-    (one complex reciprocal per node) and one metric_quadratic_form pass
-    over the chunk; the image's fiber coordinate, which the metric does not
-    read, is never formed.  The call allocates one workspace
-    (core._Workspace) and every pass, z and dz included, writes all its
-    intermediates into it, the last, shorter chunk into views of the same
-    memory.  Neither batching nor the workspace moves a bit: the kernels
-    run the ufuncs of their allocating calls, and each edge is reduced as
-    composite_gauss's one panel on [0, 1] reduces it, whatever the instances
-    measured alongside.
+    cached, and the quadrature nodes are written once per chunk of
+    _SPECTRA_CHUNK_NODES nodes for all instances, laid out node-major
+    (PANEL_NODES, edges) so the per-edge operands broadcast along rows;
+    _node_speeds then takes about ten real passes per instance at tau 0.
+    Every pass writes into buffers allocated once per call, the last,
+    shorter chunk into views of the same memory.  Batching moves no bit:
+    each edge's speeds are elementwise, and each edge is reduced as
+    composite_gauss's one panel on [0, 1] reduces it, whatever the
+    instances measured alongside.
     """
     if not instances:
         raise ParameterError("edge spectra need at least one annulus instance")
@@ -366,32 +477,31 @@ def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray
     a, v = model.a, model.v
     nodes, weights = unit_panel()
     s = nodes[:, None]
+    forms = [_placement_forms(instance.placement, gen.tau) for instance in instances]
     # One array per instance: one (instances, edges) block took about 300
     # more cold page faults per `slab example1` audit.
     out = [np.empty(a.shape[0]) for _ in instances]
-    per_chunk = _SPECTRA_CHUNK_NODES // PANEL_NODES
-    work = _Workspace()
+    per_chunk = min(_SPECTRA_CHUNK_NODES // PANEL_NODES, a.shape[0])
+    # rows: x, y, the speeds, _node_speeds' five work arrays, one transposed speed
+    flat = np.empty((len(instances) + 8, PANEL_NODES * per_chunk))
+    panel = np.empty((per_chunk, 1))
     for start in range(0, a.shape[0], per_chunk):
         stop = start + per_chunk
         ax, ay, _ = a[start:stop].T
         vx, vy, vt = v[start:stop].T
-        z = work.array("z", (PANEL_NODES, len(ax)), complex)
-        dz = work.array("dz", (len(ax),), complex)
-        # z = (ax + s vx) + i (ay + s vy), dz = vx + i vy
-        for part, origin, step in ((z.real, ax, vx), (z.imag, ay, vy)):
+        n = len(ax)
+        x, y, *speeds = (row[: PANEL_NODES * n].reshape(PANEL_NODES, n) for row in flat[:-1])
+        speeds, work, speed_t = speeds[:-5], speeds[-5:], flat[-1, : PANEL_NODES * n].reshape(n, PANEL_NODES)
+        # x = ax + s vx, y = ay + s vy
+        for part, origin, step in ((x, ax, vx), (y, ay, vy)):
             np.multiply(s, step, out=part)
             np.add(origin, part, out=part)
-        dz.real, dz.imag = vx, vy
-        speed_t = work.array("speed_t", z.shape[::-1])
-        panel = work.array("panel", (z.shape[1], 1))
-        for k, instance in enumerate(instances):
-            x, y, dx, dy, dt = push_forward_complex(instance.placement, z, dz, vt, work)
-            sq = metric_quadratic_form(Model.CYLINDER, gen.tau, x, y, dx, dy, dt, work)
-            speed = np.sqrt(sq, out=sq)
+        _node_speeds(forms, gen.tau, x, y, vx, vy, vt, speeds, work)
+        for k, speed in enumerate(speeds):
             # composite_gauss's reduction, on its row-major (edges, 1, PANEL_NODES) layout
             np.copyto(speed_t, speed.T)
-            np.matmul(speed_t[:, None, :], weights, out=panel)
-            np.multiply(0.5, panel[:, 0], out=out[k][start:stop])
+            np.matmul(speed_t[:, None, :], weights, out=panel[:n])
+            np.multiply(0.5, panel[:n, 0], out=out[k][start:stop])
     for row in out:
         row.sort()
     return out
@@ -438,7 +548,10 @@ class AnnulusCheck:
     distance is the chord distance from the point to its annulus.  When the
     annulus' reference vertex already lies within the containment tolerance
     it is that vertex's distance, an upper bound of the minimum; otherwise it
-    is the result of AnnulusInstance.distance_to's chord search.
+    is the result of AnnulusInstance.distance_to's chord search.  The
+    spreads are max - min of the fiber coordinate t along the placed top
+    (above) and bottom (below) boundary circles: 0 when the placement keeps
+    them horizontal, as at tau 0, and NaN when no annulus was generated.
     """
 
     point: AmbientPoint
@@ -448,6 +561,8 @@ class AnnulusCheck:
     distance: float
     above_margin: float
     below_margin: float
+    above_spread: float
+    below_spread: float
 
 
 @dataclass(frozen=True)
@@ -541,6 +656,8 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
                 distance=float("inf"),
                 above_margin=float("-inf"),
                 below_margin=float("-inf"),
+                above_spread=float("nan"),
+                below_spread=float("nan"),
             )
             return failed, None
         distance = instance.distance_to(pc, accept_below=_CONTAINS_TOL * scale)
@@ -556,6 +673,8 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
                 distance=distance,
                 above_margin=above_margin,
                 below_margin=below_margin,
+                above_spread=float(np.ptp(top[:, 2])),
+                below_spread=float(np.ptp(bottom[:, 2])),
             ),
             instance,
         )
@@ -1034,6 +1153,8 @@ def slab_report_to_json(report: SlabReport) -> dict:
                 "distance": c.distance,
                 "above_margin": c.above_margin,
                 "below_margin": c.below_margin,
+                "above_spread": c.above_spread,
+                "below_spread": c.below_spread,
             }
             for c in report.annulus_checks
         ],

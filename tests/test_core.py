@@ -15,7 +15,6 @@ from etau.core import (
     InvalidPointError,
     Model,
     ModelMismatchError,
-    _Workspace,
     chord_distances,
     chord_length,
     conformal_factor,
@@ -331,20 +330,20 @@ def _kernel_cases(tau: float) -> dict:
     reversing = AmbientIsometry(disc.mobius, Orientation.REVERSING, 0.3, 0.0, tau)
     cases = {
         "quadratic_form": (
-            lambda *a, **kw: (metric_quadratic_form(Model.CYLINDER, tau, *a, **kw),),
+            lambda *a: (metric_quadratic_form(Model.CYLINDER, tau, *a),),
             lambda *a: (_reference_quadratic_form(Model.CYLINDER, tau, *a),),
             "form",
         )
     }
     for model in Model:
         cases[f"metric_data_{model.value}"] = (
-            lambda *a, model=model, **kw: metric_data_arrays(model, tau, *a, **kw),
+            lambda *a, model=model: metric_data_arrays(model, tau, *a),
             lambda *a, model=model: _reference_metric_data(model, tau, *a),
             "base",
         )
     for iso in (disc, reversing):
         cases[f"push_forward_{iso.orientation.value}"] = (
-            lambda *a, iso=iso, **kw: push_forward_complex(iso, *a, **kw),
+            lambda *a, iso=iso: push_forward_complex(iso, *a),
             lambda *a, iso=iso: _reference_push_forward(iso, *a),
             "complex",
         )
@@ -358,9 +357,8 @@ def _kernel_cases(tau: float) -> dict:
     ["metric_data_half_space", "metric_data_cylinder", "quadratic_form", "push_forward_direct", "push_forward_reversing"],
 )
 def test_in_place_kernels_keep_the_bits_of_their_expressions(kernel: str, layout: str, tau: float) -> None:
-    # Chords pass (n,) arrays; the edge spectra pass (PANEL_NODES, edges)
-    # points against per-edge (edges,) vectors and reuse one workspace
-    # across chunks, the last one shorter.
+    # Chords pass (n,) arrays; a (PANEL_NODES, edges) layout passes points
+    # against per-edge (edges,) vectors.
     run, reference, kind = _kernel_cases(tau)[kernel]
     rng = np.random.default_rng(5)
     points, vectors = ((97,), (97,)) if layout == "chords" else ((PANEL_NODES, 31), (31,))
@@ -368,11 +366,8 @@ def test_in_place_kernels_keep_the_bits_of_their_expressions(kernel: str, layout
     dx, dy, dt = (_salted(rng, vectors, 2.0, at) for at in (1, 3, 5))
     with np.errstate(all="ignore"):
         operands = {"base": (x, y), "form": (x, y, dx, dy, dt), "complex": (x + 1j * y, dx + 1j * dy, dt)}[kind]
-        workspace = _Workspace()
-        run(*(np.concatenate([o, o], axis=-1) for o in operands), workspace=workspace)
-        want = reference(*operands)
-        for got in (run(*operands), run(*operands, workspace=workspace)):
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.shape == w.shape and g.dtype == w.dtype == np.float64
-                np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+        got, want = run(*operands), reference(*operands)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype == np.float64
+            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from etau.core import (
     metric_quadratic_form,
 )
 from etau.graphs import Chart, GraphDomain, GraphFunction
-from etau.isometries import AmbientIsometry, Orientation, apply_to_coords, push_forward
+from etau.isometries import AmbientIsometry, MobiusMap, Orientation, apply_to_coords, compose, push_forward
 from etau.quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss
 from etau.slabs import (
     SlabSpec,
@@ -320,9 +321,10 @@ def test_edge_length_spectrum_separates_non_congruent_annuli(slab1) -> None:
 
 
 def _per_point_spectrum(instance) -> np.ndarray:
-    """Reference edge spectrum by the per-point route: each chunk takes its
-    edges' segments, and every quadrature node goes through push_forward as
-    one (n, 3) row with a broadcast copy of its edge vector."""
+    """Edge spectrum by the push-forward route: each chunk takes its edges'
+    segments, and every quadrature node goes through push_forward as one
+    (n, 3) row with a broadcast copy of its edge vector; the metric is then
+    taken at the image, where float64 fixes 1 - |w|^2 only to about 1e-16."""
     tau = instance.generator.tau
     model = _model_annulus(instance.generator)
     out = np.empty(model.a.shape[0])
@@ -340,6 +342,26 @@ def _per_point_spectrum(instance) -> np.ndarray:
 
         out[start : start + per_chunk] = composite_gauss(speed, np.zeros(len(a)), np.ones(len(a)), 1)
     return np.sort(out)
+
+
+def _per_edge_spectrum(instance) -> np.ndarray:
+    """Reference edge spectrum: each edge's nodes are one row of
+    composite_gauss's (edges, 1, PANEL_NODES) layout, with the edge's vector
+    as one-edge (edges, 1, 1) arrays, measured by the spectra's own per-node
+    integrand slabs._node_speeds."""
+    tau = instance.generator.tau
+    model = _model_annulus(instance.generator)
+    a, v = model.a[:, None, None, :], model.v[:, None, None, :]
+    forms = [slabs._placement_forms(instance.placement, tau)]
+
+    def speed(s: np.ndarray) -> np.ndarray:
+        out, work = np.empty((1,) + s.shape), np.empty((5,) + s.shape)
+        x, y = a[..., 0] + s * v[..., 0], a[..., 1] + s * v[..., 1]
+        slabs._node_speeds(forms, tau, x, y, v[..., 0], v[..., 1], v[..., 2], out, work)
+        return out[0]
+
+    edges = len(model.a)
+    return np.sort(composite_gauss(speed, np.zeros(edges), np.ones(edges), 1))
 
 
 def _mirrored(instance):
@@ -376,14 +398,14 @@ def test_edge_length_spectrum_equals_per_point_route(fixture: str, resolution, r
     batch = edge_length_spectra(instances)
     assert len(batch) == len(instances)
     for row, instance in zip(batch, instances):
-        reference = _per_point_spectrum(instance)
+        reference = _per_edge_spectrum(instance)
         np.testing.assert_array_equal(edge_length_spectra([instance])[0], reference)
         np.testing.assert_array_equal(row, reference)
 
 
 def _longdouble_spectrum(instance) -> np.ndarray:
-    """edge_length_spectra's rule for one instance in np.longdouble: the
-    same float64 model nodes, edge vectors, Gauss weights and Moebius
+    """The push-forward rule for one instance in np.longdouble: the same
+    float64 model nodes, edge vectors, Gauss weights and Moebius
     coefficients, with the image, its differential and the metric taken in
     extended precision (plain complex division, no reciprocal)."""
     ld, cld = np.longdouble, np.clongdouble
@@ -412,19 +434,58 @@ def _longdouble_spectrum(instance) -> np.ndarray:
 
 def test_edge_spectra_stay_within_rounding_of_longdouble() -> None:
     # Example 1 at the CLI's annulus resolution, far out in the disc where
-    # float64 fixes 1 - |w|^2 only to about 1e-16.  Of the 20 points drawn
-    # at each seed, the instance whose spectrum strays farthest from
-    # longdouble (index per seed; seed 4's is the worst on record, 1.65e-8
-    # with three complex divisions per node, 1.31e-8 with one reciprocal).
-    slab = build_example1(FLAT, 0.1)
+    # float64 fixes 1 - |w|^2 only to about 1e-16: of the 20 points drawn at
+    # each seed, the one (index per seed) whose push-forward spectrum strays
+    # farthest from longdouble at tau 0 (seed 4's is the worst on record,
+    # 1.31e-8); the same draws at tau 0.5, and a mirrored tau-0.5 instance.
+    # The push-forward route still shows that rounding; the spectra, read
+    # from the placement's Hermitian form, stray 2.2e-11 at most.
     worst = {4: 0, 100: 10, 101: 15, 102: 2}
-    instances = [slab.annulus_generator(sample_interior_points(slab, 20, seed=k)[i]) for k, i in worst.items()]
-    errors = [
-        float(np.max(np.abs(got - _longdouble_spectrum(instance))))
-        for got, instance in zip(edge_length_spectra(instances), instances)
-    ]
-    assert max(errors) <= 2.0e-8, errors
-    assert min(errors) > 1e-9, errors  # far-out instances: rounding shows
+    instances = []
+    for tau in (0.0, 0.5):
+        slab = build_example1(SpaceParams(tau), 0.1)
+        instances += [slab.annulus_generator(sample_interior_points(slab, 20, seed=k)[i]) for k, i in worst.items()]
+    instances.append(_mirrored(instances[-1]))
+    longdouble = [_longdouble_spectrum(instance) for instance in instances]
+    errors = [float(np.max(np.abs(got - ld))) for got, ld in zip(edge_length_spectra(instances[:4]), longdouble)]
+    errors += [float(np.max(np.abs(got - ld))) for got, ld in zip(edge_length_spectra(instances[4:]), longdouble[4:])]
+    assert max(errors) <= 1e-10, errors
+    route = [float(np.max(np.abs(_per_point_spectrum(i) - ld))) for i, ld in zip(instances, longdouble)]
+    assert min(route) > 1e-9, route  # far-out instances: rounding shows
+
+
+@pytest.mark.parametrize(
+    "shift",
+    [pytest.param(0.0, id="squeeze"), pytest.param(0.04 + 0.03j, id="squeeze-shift")],
+)
+def test_edge_length_spectrum_moves_under_a_non_isometric_placement(slab1, shift: complex) -> None:
+    # (sqrt(0.9), shift/sqrt(0.9); 0, 1/sqrt(0.9)), z -> 0.9 z + shift, has
+    # determinant 1 but is no isometry of the disc; the shift gives D a
+    # Re(beta z) term.  Composed into the placement it must move the
+    # spectrum, which still follows the push-forward rule.
+    instance = slab1.annulus_generator(sample_interior_points(slab1, 1, seed=7)[0])
+    k = math.sqrt(0.9)
+    mobius = MobiusMap.normalized(k, shift / k, 0.0, 1.0 / k, Model.CYLINDER)
+    distortion = AmbientIsometry(mobius, Orientation.DIRECT, 0.0, 0.0, 0.0)
+    moved = replace(instance, placement=compose(instance.placement, distortion))
+    spectrum, distorted = edge_length_spectra([instance, moved])
+    assert float(np.max(np.abs(distorted - spectrum))) > 1e-5
+    assert float(np.max(np.abs(distorted - _longdouble_spectrum(moved)))) <= 1e-10
+
+
+def test_hermitian_form_coefficients_are_correctly_rounded() -> None:
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        a, b, c, d = (complex(*rng.normal(0.0, 10.0 ** rng.integers(-3, 4), 2)) for _ in range(4))
+        got = slabs._hermitian_form((1.0, c, d), (-1.0, a, b))
+        fa, fb, fc, fd = ((Fraction(z.real), Fraction(z.imag)) for z in (a, b, c, d))
+        want = (
+            fc[0] ** 2 + fc[1] ** 2 - fa[0] ** 2 - fa[1] ** 2,
+            fc[0] * fd[0] + fc[1] * fd[1] - fa[0] * fb[0] - fa[1] * fb[1],
+            fc[1] * fd[0] - fc[0] * fd[1] - fa[1] * fb[0] + fa[0] * fb[1],
+            fd[0] ** 2 + fd[1] ** 2 - fb[0] ** 2 - fb[1] ** 2,
+        )
+        assert got == tuple(float(w) for w in want), (a, b, c, d)
 
 
 def test_batched_spectra_need_one_model_mesh(slab1) -> None:
@@ -589,6 +650,18 @@ def test_shrink_factor_validation(slab1) -> None:
 # composes a disc involution off the point's fiber, whose fiber term tilts the
 # boundary circles at nonzero tau, so both audits fail their fiber margins.
 _TILTED_CIRCLES = "the annulus placement tilts the boundary circles at tau != 0"
+
+
+def test_boundary_circles_tilt_only_at_nonzero_tau(slab1, slab1_tau05) -> None:
+    # At tau 0 every placed circle is horizontal; at tau 0.5 the placements
+    # are still isometries (congruent spectra, points contained), but the
+    # circles spread across the fibers, which is why the audit fails there.
+    flat = check_annulus_family(slab1, sample_interior_points(slab1, 3, seed=7))
+    assert all(c.above_spread == c.below_spread == 0.0 for c in flat.annulus_checks)
+    report = check_annulus_family(slab1_tau05, sample_interior_points(slab1_tau05, 3, seed=7))
+    assert report.spectra_ok and not report.passed
+    for c in report.annulus_checks:
+        assert c.contains_point and c.above_spread > 0.0 and c.below_spread > 0.0
 
 
 @pytest.mark.xfail(raises=AssertionError, strict=True, reason=_TILTED_CIRCLES)
@@ -817,4 +890,6 @@ def test_slab_report_json_shape(slab2) -> None:
         "distance",
         "above_margin",
         "below_margin",
+        "above_spread",
+        "below_spread",
     }
