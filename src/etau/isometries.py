@@ -213,14 +213,14 @@ def apply(iso: AmbientIsometry, p: AmbientPoint) -> AmbientPoint:
     """Apply the isometry to an ambient point."""
     if p.model is not iso.model:
         raise ModelMismatchError("point model does not match the isometry")
-    x, y, t = apply_to_coords(iso, p.coords()).tolist()
+    x, y, t = apply_to_coords(iso, p.coords()[None])[0].tolist()
     return AmbientPoint(BasePoint(iso.model, x, y), t)
 
 
 def _apply(iso: AmbientIsometry, k: _Coefficients, pts: np.ndarray) -> np.ndarray:
     """The one apply formula: iso gives model, orientation and tau, k the
     scalars (shared, or per row as built by _coefficients_for).  The image
-    w = (a z + b) r with r = 1 / (c z + d) is written as push_forward_complex
+    w = (a z + b) r with r = 1 / (c z + d) is written as push_forward_arrays
     writes it, so an array point has one image."""
     z = pts[..., 0] + 1j * pts[..., 1]
     q = k.c * z + k.d
@@ -250,28 +250,23 @@ def apply_to_rows(isometries, coords: np.ndarray) -> np.ndarray:
 
 def push_forward_arrays(iso: AmbientIsometry, x, y, vx, vy, vt):
     """Base image (x', y') of points and dF(v) = (dx', dy', dt') of tangent
-    vectors (vx, vy, vt) at them, on broadcasting component arrays: the
-    complex core push_forward_complex with z = x + iy and dz = vx + i vy."""
-    return push_forward_complex(iso, x + 1j * y, vx + 1j * vy, vt)
+    vectors (vx, vy, vt) at them, on broadcasting component arrays.
 
-
-def push_forward_complex(iso: AmbientIsometry, z, dz, vt):
-    """push_forward_arrays on complex base points z and base vectors dz,
-    which broadcast against each other and the fiber components vt.
-
-    With r = 1 / (cz + d), one np.reciprocal per point, the image is
-    w = (az + b) r, written as apply_to_coords writes it, so both give each
-    point the same bits; the base differential is dw = dz (r r) and the
-    branch moves by dTheta = -2 Im((c dz) r); the row signs follow
-    apply_to_coords.  One reciprocal and four products take about half the
-    time of the three complex divisions they replace (numpy divides complex
-    numbers by Smith's branchy algorithm).  They round differently, in
-    about two thirds of the points, but no worse: against np.longdouble the
-    relative error of w, dw and (c dz) r averages 0.5 to 0.9 eps either
-    way (200,000 random points of the disc, three disc_point maps).  The
-    image's fiber coordinate is not computed: no metric reads t.
+    With z = x + iy, dz = vx + i vy and r = 1 / (cz + d), one np.reciprocal
+    per point, the image is w = (az + b) r, written as apply_to_coords
+    writes it, so both give each point the same bits; the base differential
+    is dw = dz (r r) and the branch moves by dTheta = -2 Im((c dz) r); the
+    row signs follow apply_to_coords.  One reciprocal and four products
+    take about half the time of the three complex divisions they replace
+    (numpy divides complex numbers by Smith's branchy algorithm).  They
+    round differently, in about two thirds of the points, but no worse:
+    against np.longdouble the relative error of w, dw and (c dz) r averages
+    0.5 to 0.9 eps either way (200,000 random points of the disc, three
+    disc_point maps).  The image's fiber coordinate is not computed: no
+    metric reads t.
     """
     m = iso.mobius
+    z, dz = x + 1j * y, vx + 1j * vy
     r = np.reciprocal(m.c * z + m.d)
     w = (m.a * z + m.b) * r
     dw = dz * (r * r)

@@ -23,8 +23,8 @@ PANEL_NODES = 20
 # temporary (16 bytes a node at most) stays under the 64 KiB from which
 # glibc's free() consolidates and trims the heap.  At 1 << 14 a slab audit
 # whose edge spectra allocated per operation re-faulted 2,000 to 100,000
-# pages, varying from run to run.  The edge spectra write into buffers
-# allocated once per call instead and take chunks of twice this size
+# pages, varying from run to run.  The edge spectra, whose temporaries are
+# all real (8 bytes a node), take chunks of twice this size
 # (slabs._SPECTRA_CHUNK_NODES).
 CHUNK_NODES = 1 << 12
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(PANEL_NODES)

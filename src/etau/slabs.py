@@ -312,14 +312,9 @@ class CatenoidAnnulusGenerator:
         return AnnulusInstance(point=p, placement=placement, generator=self, w_reference=w_ref)
 
 
-# Quadrature nodes per chunk of the edge spectra.  quadrature.CHUNK_NODES
-# keeps temporaries that are freed per operation under glibc's 64 KiB trim
-# bound; the spectra write every per-node array into buffers allocated once
-# per call, which fault their pages in once, so that bound does not apply.
-# Larger chunks pay the overhead of a pass's ufunc calls less often: four
-# CLI-resolution instances took 16.7, 14.2 and 13.6 ms (medians of 15
-# interleaved runs, overlapping quartiles) at 1, 2 and 4 * CHUNK_NODES, and
-# 4 * CHUNK_NODES peaked 0.36 MB higher in RSS.
+# Quadrature nodes per chunk of the edge spectra: whole panels whose real
+# temporaries (8 bytes a node) stay under quadrature.CHUNK_NODES' 64 KiB.  Half
+# as many took about 20% longer, twice as many re-faulted 480 pages a call.
 _SPECTRA_CHUNK_NODES = 2 * CHUNK_NODES
 # Veltkamp's splitting constant 2^27 + 1 for float64.
 _SPLITTER = 134217729.0
@@ -362,64 +357,44 @@ def _placement_forms(placement: AmbientIsometry, tau: float):
     return placement.tau, _hermitian_form((1.0, c, d), (-1.0, a, b)), p_form
 
 
-def _node_speeds(forms, tau: float, x, y, vx, vy, vt, out, work) -> None:
-    """Speeds |dF(v)|_g of placements at quadrature nodes: out[k] for forms[k]
-    (_placement_forms), g the cylinder metric of tau.
-
-    x and y are the nodes' disc coordinates and vx, vy, vt their edges'
-    vectors, broadcasting against them; out and work hold len(forms) and
-    five arrays of the nodes' shape.  Each form's values at the nodes cost
-    six real passes (_form_at); the twist terms run only where they are
-    not identically zero.
-    """
-    r2, cross, den, term, vertical = work
-    np.multiply(x, x, out=r2)
-    np.multiply(y, y, out=term)
-    np.add(r2, term, out=r2)
-    dz2, vt2 = 4.0 * (vx * vx + vy * vy), vt * vt
+def _node_speeds(forms, tau: float, x, y, vx, vy, vt) -> list[np.ndarray]:
+    """Speeds |dF(v)|_g at quadrature nodes, g the cylinder metric of tau,
+    one array per placement form of forms (_placement_forms).  x, y are the
+    nodes' disc coordinates and vx, vy, vt their edges' vectors, broadcasting
+    against them; a twist term runs only where it is not identically zero."""
+    r2 = x * x + y * y
+    dz2 = 4.0 * (vx * vx + vy * vy)
     if tau != 0.0 or any(p_form is not None for _, _, p_form in forms):
-        # cross = Im(conj(z) dz)
-        np.multiply(x, vy, out=cross)
-        np.multiply(y, vx, out=term)
-        np.subtract(cross, term, out=cross)
-    for speed, (tau_f, d_form, p_form) in zip(out, forms):
-        _form_at(d_form, x, y, r2, den, term)
-        # horizontal^2 = 4 |dz|^2 / D^2
-        np.multiply(den, den, out=term)
-        np.divide(dz2, term, out=speed)
-        if tau == 0.0 and p_form is None:
-            np.add(speed, vt2, out=speed)
-        else:
-            np.copyto(vertical, vt)
-            if tau != 0.0:
-                _add_twist(4.0 * tau, d_form, cross, den, vx, vy, vertical, term)
-            if p_form is not None:
-                _form_at(p_form, x, y, r2, den, term)
-                _add_twist(4.0 * (tau_f - tau), p_form, cross, den, vx, vy, vertical, term)
-            np.multiply(vertical, vertical, out=vertical)
-            np.add(speed, vertical, out=speed)
-        np.sqrt(speed, out=speed)
+        cross = x * vy - y * vx  # Im(conj(z) dz)
+    speeds = []
+    for tau_f, d_form, p_form in forms:
+        den = _form_at(d_form, x, y, r2)
+        vertical = vt
+        if tau != 0.0:
+            vertical = vertical + _twist(4.0 * tau, d_form, cross, vx, vy) / den
+        if p_form is not None:
+            vertical = vertical + _twist(4.0 * (tau_f - tau), p_form, cross, vx, vy) / _form_at(p_form, x, y, r2)
+        square = dz2 / (den * den)  # horizontal^2 = 4 |dz|^2 / D^2
+        square += vertical * vertical
+        speeds.append(np.sqrt(square))
+    return speeds
 
 
-def _form_at(form, x, y, r2, out, term) -> None:
-    """out = A |z|^2 + 2 Re(B z) + C at the nodes z = x + iy, |z|^2 = r2."""
+def _form_at(form, x, y, r2):
+    """A |z|^2 + 2 Re(B z) + C at z = x + iy, |z|^2 = r2, summed left to right in one array."""
     a, br, bi, c = form
-    np.multiply(a, r2, out=out)
-    np.add(out, c, out=out)
-    np.multiply(2.0 * br, x, out=term)
-    np.add(out, term, out=out)
-    np.multiply(2.0 * bi, y, out=term)
-    np.subtract(out, term, out=out)
+    den = a * r2
+    den += c
+    den += (2.0 * br) * x
+    den -= (2.0 * bi) * y
+    return den
 
 
-def _add_twist(scale: float, form, cross, den, vx, vy, vertical, term) -> None:
-    """vertical += scale Im((A conj(z) + B) dz) / den, with A conj(z) + B the
-    z-derivative of the form (A, B, C) and cross = Im(conj(z) dz)."""
+def _twist(scale: float, form, cross, vx, vy):
+    """scale Im((A conj(z) + B) dz), with A conj(z) + B the z-derivative of
+    the form (A, B, C) and cross = Im(conj(z) dz)."""
     a, br, bi, _ = form
-    np.multiply(scale * a, cross, out=term)
-    np.add(term, scale * br * vy + scale * bi * vx, out=term)
-    np.divide(term, den, out=term)
-    np.add(vertical, term, out=vertical)
+    return (scale * a) * cross + (scale * br * vy + scale * bi * vx)
 
 
 def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray]:
@@ -458,15 +433,13 @@ def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray
 
     The instances must share one generator, and so one model mesh;
     otherwise ParameterError.  The model annulus' segments (a, v) are
-    cached, and the quadrature nodes are written once per chunk of
+    cached, and the quadrature nodes are formed once per chunk of
     _SPECTRA_CHUNK_NODES nodes for all instances, laid out node-major
     (PANEL_NODES, edges) so the per-edge operands broadcast along rows;
     _node_speeds then takes about ten real passes per instance at tau 0.
-    Every pass writes into buffers allocated once per call, the last,
-    shorter chunk into views of the same memory.  Batching moves no bit:
-    each edge's speeds are elementwise, and each edge is reduced as
-    composite_gauss's one panel on [0, 1] reduces it, whatever the
-    instances measured alongside.
+    Batching moves no bit: each edge's speeds are elementwise, and each
+    edge is reduced as composite_gauss's one panel on [0, 1] reduces it,
+    whatever the instances measured alongside.
     """
     if not instances:
         raise ParameterError("edge spectra need at least one annulus instance")
@@ -481,27 +454,15 @@ def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray
     # One array per instance: one (instances, edges) block took about 300
     # more cold page faults per `slab example1` audit.
     out = [np.empty(a.shape[0]) for _ in instances]
-    per_chunk = min(_SPECTRA_CHUNK_NODES // PANEL_NODES, a.shape[0])
-    # rows: x, y, the speeds, _node_speeds' five work arrays, one transposed speed
-    flat = np.empty((len(instances) + 8, PANEL_NODES * per_chunk))
-    panel = np.empty((per_chunk, 1))
+    per_chunk = _SPECTRA_CHUNK_NODES // PANEL_NODES
     for start in range(0, a.shape[0], per_chunk):
         stop = start + per_chunk
         ax, ay, _ = a[start:stop].T
         vx, vy, vt = v[start:stop].T
-        n = len(ax)
-        x, y, *speeds = (row[: PANEL_NODES * n].reshape(PANEL_NODES, n) for row in flat[:-1])
-        speeds, work, speed_t = speeds[:-5], speeds[-5:], flat[-1, : PANEL_NODES * n].reshape(n, PANEL_NODES)
-        # x = ax + s vx, y = ay + s vy
-        for part, origin, step in ((x, ax, vx), (y, ay, vy)):
-            np.multiply(s, step, out=part)
-            np.add(origin, part, out=part)
-        _node_speeds(forms, gen.tau, x, y, vx, vy, vt, speeds, work)
-        for k, speed in enumerate(speeds):
+        x, y = ax + s * vx, ay + s * vy
+        for row, speed in zip(out, _node_speeds(forms, gen.tau, x, y, vx, vy, vt)):
             # composite_gauss's reduction, on its row-major (edges, 1, PANEL_NODES) layout
-            np.copyto(speed_t, speed.T)
-            np.matmul(speed_t[:, None, :], weights, out=panel[:n])
-            np.multiply(0.5, panel[:n, 0], out=out[k][start:stop])
+            row[start:stop] = 0.5 * (np.ascontiguousarray(speed.T)[:, None, :] @ weights)[:, 0]
     for row in out:
         row.sort()
     return out

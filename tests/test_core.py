@@ -30,7 +30,7 @@ from etau.core import (
     polyline_length,
     project,
 )
-from etau.isometries import AmbientIsometry, Orientation, disc_point_isometry, push_forward_complex
+from etau.isometries import AmbientIsometry, Orientation, disc_point_isometry, push_forward_arrays
 from etau.quadrature import PANEL_NODES
 
 halfspace_points = st.builds(
@@ -306,8 +306,9 @@ def _reference_quadratic_form(model: Model, tau: float, x, y, dx, dy, dt):
     return lam * lam * (dx * dx + dy * dy) + vertical * vertical
 
 
-def _reference_push_forward(iso: AmbientIsometry, z, dz, vt):
+def _reference_push_forward(iso: AmbientIsometry, x, y, vx, vy, vt):
     m = iso.mobius
+    z, dz = x + 1j * y, vx + 1j * vy
     r = np.reciprocal(m.c * z + m.d)
     w = (m.a * z + m.b) * r
     dw = dz * (r * r)
@@ -343,9 +344,9 @@ def _kernel_cases(tau: float) -> dict:
         )
     for iso in (disc, reversing):
         cases[f"push_forward_{iso.orientation.value}"] = (
-            lambda *a, iso=iso: push_forward_complex(iso, *a),
+            lambda *a, iso=iso: push_forward_arrays(iso, *a),
             lambda *a, iso=iso: _reference_push_forward(iso, *a),
-            "complex",
+            "form",
         )
     return cases
 
@@ -365,7 +366,7 @@ def test_in_place_kernels_keep_the_bits_of_their_expressions(kernel: str, layout
     x, y = _salted(rng, points, 0.7, 0), _salted(rng, points, 0.7, 2)
     dx, dy, dt = (_salted(rng, vectors, 2.0, at) for at in (1, 3, 5))
     with np.errstate(all="ignore"):
-        operands = {"base": (x, y), "form": (x, y, dx, dy, dt), "complex": (x + 1j * y, dx + 1j * dy, dt)}[kind]
+        operands = {"base": (x, y), "form": (x, y, dx, dy, dt)}[kind]
         got, want = run(*operands), reference(*operands)
         assert len(got) == len(want)
         for g, w in zip(got, want):

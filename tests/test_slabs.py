@@ -355,13 +355,50 @@ def _per_edge_spectrum(instance) -> np.ndarray:
     forms = [slabs._placement_forms(instance.placement, tau)]
 
     def speed(s: np.ndarray) -> np.ndarray:
-        out, work = np.empty((1,) + s.shape), np.empty((5,) + s.shape)
         x, y = a[..., 0] + s * v[..., 0], a[..., 1] + s * v[..., 1]
-        slabs._node_speeds(forms, tau, x, y, v[..., 0], v[..., 1], v[..., 2], out, work)
-        return out[0]
+        return slabs._node_speeds(forms, tau, x, y, v[..., 0], v[..., 1], v[..., 2])[0]
 
     edges = len(model.a)
     return np.sort(composite_gauss(speed, np.zeros(edges), np.ones(edges), 1))
+
+
+def _reference_node_speeds(forms, tau: float, x, y, vx, vy, vt) -> list[np.ndarray]:
+    """slabs._node_speeds with each form value and squared speed written as
+    one expression, in the kernel's operand order."""
+
+    def form_at(form):
+        a, br, bi, c = form
+        return a * (x * x + y * y) + c + (2.0 * br) * x - (2.0 * bi) * y
+
+    def twist(scale, form):
+        a, br, bi, _ = form
+        return (scale * a) * (x * vy - y * vx) + (scale * br * vy + scale * bi * vx)
+
+    speeds = []
+    for tau_f, d_form, p_form in forms:
+        den, vertical = form_at(d_form), vt
+        if tau != 0.0:
+            vertical = vertical + twist(4.0 * tau, d_form) / den
+        if p_form is not None:
+            vertical = vertical + twist(4.0 * (tau_f - tau), p_form) / form_at(p_form)
+        speeds.append(np.sqrt(4.0 * (vx * vx + vy * vy) / (den * den) + vertical * vertical))
+    return speeds
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_node_speeds_keep_the_bits_of_their_expressions(tau: float) -> None:
+    # Nodes in the (PANEL_NODES, edges) layout against per-edge vectors, one
+    # placement with the metric's tau and one whose tau differs (P's twist).
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(-0.7, 0.7, (2, PANEL_NODES, 31))
+    vx, vy, vt = rng.uniform(-0.3, 0.3, (3, 31))
+    d_forms = [(rng.uniform(-3.0, -0.5), *rng.uniform(-0.4, 0.4, 2), rng.uniform(0.5, 3.0)) for _ in range(2)]
+    p_form = (rng.uniform(1.0, 50.0), *rng.uniform(-20.0, 20.0, 2), rng.uniform(1.0, 50.0))
+    forms = [(tau, d_forms[0], None), (tau + 0.01, d_forms[1], p_form)]
+    got = slabs._node_speeds(forms, tau, x, y, vx, vy, vt)
+    want = _reference_node_speeds(forms, tau, x, y, vx, vy, vt)
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
 
 
 def _mirrored(instance):
