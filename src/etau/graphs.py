@@ -37,6 +37,7 @@ from .core import (
     Model,
     ParameterError,
     metric_data_arrays,
+    require_finite,
 )
 from .dissection import NestedDissection
 from .surfaces import (
@@ -121,6 +122,7 @@ class GraphDomain:
 
     def __post_init__(self) -> None:
         (a1, b1), (a2, b2) = self.bounds
+        require_finite("graph domain", q1_lo=a1, q1_hi=b1, q2_lo=a2, q2_hi=b2, axis_foot=self.axis_foot)
         n1, n2 = self.shape
         if n1 < 2 or n2 < 2:
             raise ParameterError("domain needs at least 2 nodes per direction")
@@ -193,6 +195,7 @@ class GraphFunction:
     tau: float
 
     def __post_init__(self) -> None:
+        require_finite("graph", tau=self.tau)
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.domain.shape:
             raise ParameterError("value grid shape must match the domain")
@@ -277,22 +280,12 @@ def _node_gradients(values: np.ndarray, h1: float, h2: float) -> tuple[np.ndarra
     return u1, u2
 
 
-def _tilt(root_g1, root_g2, w1, w2, u1, u2, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tilt(root_g1, root_g2, w1, w2, u1, u2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Horizontal coefficients (a, b, W) from the roots sqrt(g1), sqrt(g2) of the
-    chart metric, its connection components and the gradient (u1, u2).
-
-    ``out`` holds a, b, W and one scratch array (made when not given); u1 and u2
-    may be its a and b.
-    """
-    if out is None:
-        shapes = (np.shape(v) for v in (root_g1, root_g2, w1, w2, u1, u2))
-        out = np.empty((4,) + np.broadcast_shapes(*shapes))
-    a, b, w, scratch = out
-    np.divide(np.negative(np.add(u1, w1, out=a), out=a), root_g1, out=a)
-    np.divide(np.negative(np.add(u2, w2, out=b), out=b), root_g2, out=b)
-    np.add(1.0, np.multiply(a, a, out=w), out=w)
-    np.add(w, np.multiply(b, b, out=scratch), out=w)
-    return a, b, np.sqrt(w, out=w)
+    chart metric, its connection components and the gradient (u1, u2)."""
+    a = -(u1 + w1) / root_g1
+    b = -(u2 + w2) / root_g2
+    return a, b, np.sqrt(1.0 + a * a + b * b)
 
 
 def horizontal_coefficients(gf: GraphFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,7 +321,7 @@ def variation(gf: GraphFunction) -> float:
 
 
 class _Family(NamedTuple):
-    """One half-edge family of a ``_FluxWorkspace``, on the flat half-edges
+    """One half-edge family of a ``_FluxForm``, on the flat half-edges
     lo..lo + len(root_n)."""
 
     s_n: int  # flat node step across the edge
@@ -343,8 +336,8 @@ class _Family(NamedTuple):
     w_t: np.ndarray
 
 
-class _FluxWorkspace:
-    """The discrete flux form on one chart window and tau, with its arrays.
+class _FluxForm:
+    """The discrete flux form on one chart window and tau.
 
     Fluxes live on two half-edge families, the vertical one (i+1/2, j) and the
     horizontal one (i, j+1/2).  Both are laid out on the flat row-major node
@@ -361,18 +354,19 @@ class _FluxWorkspace:
     circle), reach no interior row, so the floating-point warnings are
     silenced.
 
-    A solve builds one workspace.  It holds each family's chart terms, which
-    the window and tau fix: w_n, w_t and the roots sqrt(g_n), sqrt(g_t) and
-    -sqrt(g_t / g_n) that the tilt, the flux and the Jacobian read.  Everything
-    else is a buffer that each call overwrites in place, in the operation
-    order of the formulas, so a Newton pass allocates nothing node-sized: the
-    tilt (a_n, a_t, W and a scratch array), which the families take in turn,
-    the Jacobian field, two iterate slots (node values and their residual) and
-    three vectors on the interior nodes.
+    A solve builds one form.  It holds each family's chart terms, which the
+    window and tau fix: w_n, w_t and the roots sqrt(g_n), sqrt(g_t) and
+    -sqrt(g_t / g_n) that the tilt, the flux and the Jacobian read.  It also
+    holds the Jacobian field, which every Jacobian overwrites: a fresh field
+    per call would be faulted in again each time, since glibc gives blocks of
+    64 KiB or more back to the system.  Everything else is a new array per
+    call, made one family at a time (``_flux``, ``_add_derivatives``), so the
+    arrays of only one family are alive at once.
     """
 
     @np.errstate(divide="ignore", invalid="ignore")
     def __init__(self, domain: GraphDomain, tau: float) -> None:
+        require_finite("flux form", tau=tau)
         self.domain = domain
         h1, h2 = domain.steps()
         q1, q2 = domain.axes()
@@ -395,56 +389,39 @@ class _FluxWorkspace:
                 full[block] = v
                 terms.append(full.reshape(-1)[lo:hi])
             self._families.append(_Family(s_n, s_t, hn, ht, lo, *terms))
-        self._tilt = np.empty((4, max(f.root_n.size for f in self._families)))
         self._coef = np.empty((3, 3, n1, n2))
-        # a residual is 0 off the inner box's rows, which are all that is ever written
-        self._slots = tuple((np.empty(domain.shape), np.zeros(domain.shape)) for _ in range(2))
-        self._nodes = np.flatnonzero(domain.interior_mask())
-        self._vectors = np.empty((3, self._nodes.size))
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the buffers that a Newton pass writes."""
-        buffers = [self._coef, self._vectors, self._tilt]
-        return sum(a.nbytes for a in buffers) + sum(v.nbytes + r.nbytes for v, r in self._slots)
-
-    def _half_edges(self, f: _Family, u: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The tilt (a_n, a_t, W) of a family from flat node values u, and the
-        scratch array; the gradient across an edge is one-sided, the one along
-        it a centered average."""
+    @staticmethod
+    def _half_edges(f: _Family, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tilt (a_n, a_t, W) of a family from flat node values u, with a
+        one-sided gradient across each edge and a centered one along it."""
         count = f.root_n.size
-        tilt = self._tilt[:, :count]
-        an, at = tilt[0], tilt[1]
 
         def shifted(offset: int) -> np.ndarray:  # u at the half-edges' first node plus offset
             return u[f.lo + offset : f.lo + offset + count]
 
-        np.divide(np.subtract(shifted(f.s_n), shifted(0), out=an), f.h_n, out=an)
-        np.add(shifted(f.s_n + f.s_t), shifted(f.s_t), out=at)
-        np.subtract(np.subtract(at, shifted(f.s_n - f.s_t), out=at), shifted(-f.s_t), out=at)
-        np.divide(at, 4.0 * f.h_t, out=at)
-        _tilt(f.root_n, f.root_t, f.w_n, f.w_t, an, at, out=tilt)
-        return tuple(tilt)
+        u_n = (shifted(f.s_n) - shifted(0)) / f.h_n
+        u_t = (shifted(f.s_n + f.s_t) + shifted(f.s_t) - shifted(f.s_n - f.s_t) - shifted(-f.s_t)) / (4.0 * f.h_t)
+        return _tilt(f.root_n, f.root_t, f.w_n, f.w_t, u_n, u_t)
+
+    @staticmethod
+    def _flux(f: _Family, u: np.ndarray) -> np.ndarray:
+        """The flux F = sqrt(g_t) a_n / W across a family's half-edges."""
+        a_n, _, w = _FluxForm._half_edges(f, u)
+        return f.root_t * a_n / w
 
     @np.errstate(divide="ignore", invalid="ignore")
-    def residual(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Conservative flux divergence of node values, written into out (a
-        C-contiguous node array): 2 sqrt(g1 g2) H at interior nodes.
-
-        The flux across a half-edge is F = sqrt(g_t) a_n / W.
-        """
+    def residual(self, values: np.ndarray) -> np.ndarray:
+        """Conservative flux divergence of node values: 2 sqrt(g1 g2) H at
+        interior nodes, 0 off the inner box."""
+        res = np.zeros(self.domain.shape)
         k0, k1 = self._rows
-        rows = out.reshape(-1)[k0:k1]
+        rows = res.reshape(-1)[k0:k1]
         for f in self._families:
-            an, _, w, flux = self._half_edges(f, np.ravel(values))
-            np.divide(np.multiply(f.root_t, an, out=flux), w, out=flux)
-            # the horizontal family, the last, leaves its divergence in a_n, free once the flux is formed
-            div = rows if f.s_n > 1 else an[: k1 - k0]
-            above, below = flux[k0 - f.lo : k1 - f.lo], flux[k0 - f.s_n - f.lo : k1 - f.s_n - f.lo]
-            np.divide(np.subtract(above, below, out=div), f.h_n, out=div)
-        np.add(rows, div, out=rows)
-        out[:, 0] = out[:, -1] = 0.0
-        return out
+            flux = self._flux(f, np.ravel(values))
+            rows += (flux[k0 - f.lo : k1 - f.lo] - flux[k0 - f.s_n - f.lo : k1 - f.s_n - f.lo]) / f.h_n
+        res[:, 0] = res[:, -1] = 0.0
+        return res
 
     @np.errstate(divide="ignore", invalid="ignore")
     def jacobian(self, values: np.ndarray) -> np.ndarray:
@@ -454,71 +431,38 @@ class _FluxWorkspace:
         On a half-edge, dF/d(du_n) = -sqrt(g_t / g_n) (1 + a_t^2) / W^3 and
         dF/d(du_t) = a_n a_t / W^3.  The horizontal family fills the transposed
         view of the coefficient field, so one scatter serves both.  The field is
-        the workspace's: valid until its next Jacobian.
+        the form's: valid until its next Jacobian.
         """
         coef = self._coef
         coef.fill(0.0)
         flat = coef.reshape(3, 3, -1)
-        k0, k1 = self._rows
         for f, view in zip(self._families, (flat, flat.transpose(1, 0, 2))):
-            an, at, w, w3 = self._half_edges(f, np.ravel(values))
-            np.multiply(np.multiply(w, w, out=w3), w, out=w3)
-            # d res / d u of the four nodes along the edge (kt, in a_n) and of the two across it (kn, in a_t)
-            np.multiply(np.multiply(np.multiply(w3, 4.0, out=w), f.h_n, out=w), f.h_t, out=w)
-            kt = np.divide(np.multiply(an, at, out=an), w, out=an)
-            np.multiply(np.multiply(w3, f.h_n, out=w), f.h_n, out=w)
-            np.multiply(f.neg_ratio, np.add(1.0, np.multiply(at, at, out=at), out=at), out=at)
-            kn = np.divide(at, w, out=at)
-            below, above = slice(k0 - f.s_n - f.lo, k1 - f.s_n - f.lo), slice(k0 - f.lo, k1 - f.lo)
-            n_lo, n_hi, t_lo, t_hi, scratch = kn[below], kn[above], kt[below], kt[above], w3[: k1 - k0]
-            inner = view[:, :, k0:k1]
-            inner[0, 1] += n_lo
-            inner[1, 1] += np.subtract(np.negative(n_lo, out=scratch), n_hi, out=scratch)
-            inner[2, 1] += n_hi
-            np.subtract(t_lo, t_hi, out=scratch)
-            inner[0, 0] += t_lo
-            inner[1, 0] += scratch
-            inner[2, 0] -= t_hi
-            inner[0, 2] -= t_lo
-            inner[1, 2] -= scratch
-            inner[2, 2] += t_hi
+            self._add_derivatives(f, np.ravel(values), view)
         coef[..., 0] = coef[..., -1] = 0.0
         return coef
 
-    def start(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Node values in the first slot, and their residual.  Both slots take the
-        values: a trial writes only the interior nodes."""
-        for slot, _ in self._slots:
-            np.copyto(slot, values)
-        slot, res = self._slots[0]
-        return slot, self.residual(slot, res)
-
-    def trial(self, values: np.ndarray, delta: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """The iterate values + alpha delta, its residual and the residual's
-        interior norm, in the slot that does not hold values."""
-        slot, res = self._slots[values is self._slots[0][0]]
-        at, _, step = self._vectors
-        np.take(values, self._nodes, out=at, mode="clip")
-        np.put(slot, self._nodes, np.add(at, np.multiply(alpha, delta, out=step), out=at))
-        self.residual(slot, res)
-        return slot, res, float(np.linalg.norm(np.take(res, self._nodes, out=at, mode="clip")))
-
-    def rhs(self, res: np.ndarray) -> tuple[np.ndarray, float]:
-        """The Newton right-hand side -res at the interior nodes, and its norm."""
-        rhs = self._vectors[1]
-        np.negative(np.take(res, self._nodes, out=rhs, mode="clip"), out=rhs)
-        return rhs, float(np.linalg.norm(rhs))
-
-    def sup(self, res: np.ndarray, scale: np.ndarray) -> float:
-        """max |res / scale| over the interior nodes: sup |H| for the curvature scale."""
-        at = np.take(res, self._nodes, out=self._vectors[0], mode="clip")
-        return float(np.max(np.abs(np.divide(at, scale, out=at), out=at)))
-
-
-def _divergence_residual(gf: GraphFunction) -> np.ndarray:
-    """Conservative flux divergence; 2 sqrt(g1 g2) H at interior nodes, 0 elsewhere."""
-    work = _FluxWorkspace(gf.domain, gf.tau)
-    return work.residual(gf.values, np.zeros(gf.domain.shape))
+    def _add_derivatives(self, f: _Family, u: np.ndarray, view: np.ndarray) -> None:
+        """Add the derivatives of a family's fluxes to the inner box's rows of
+        a flat coefficient field (or of its transposed view)."""
+        a_n, a_t, w = self._half_edges(f, u)
+        w3 = w * w * w
+        # d res / d u of the four nodes along the edge (kt) and of the two across it (kn)
+        kt = a_n * a_t / (w3 * 4.0 * f.h_n * f.h_t)
+        kn = f.neg_ratio * (1.0 + a_t * a_t) / (w3 * f.h_n * f.h_n)
+        k0, k1 = self._rows
+        below, above = slice(k0 - f.s_n - f.lo, k1 - f.s_n - f.lo), slice(k0 - f.lo, k1 - f.lo)
+        n_lo, n_hi, t_lo, t_hi = kn[below], kn[above], kt[below], kt[above]
+        t_diff = t_lo - t_hi
+        inner = view[:, :, k0:k1]
+        inner[0, 1] += n_lo
+        inner[1, 1] += -n_lo - n_hi
+        inner[2, 1] += n_hi
+        inner[0, 0] += t_lo
+        inner[1, 0] += t_diff
+        inner[2, 0] -= t_hi
+        inner[0, 2] -= t_lo
+        inner[1, 2] -= t_diff
+        inner[2, 2] += t_hi
 
 
 def _curvature_scale(dom: GraphDomain, tau: float, interior: np.ndarray) -> np.ndarray:
@@ -540,7 +484,8 @@ def mean_curvature(gf: GraphFunction) -> CurvatureField:
     if not np.any(interior):
         raise ParameterError("no interior nodes; domain is thinner than the stencil")
     values = np.full(dom.shape, np.nan)
-    values[interior] = _divergence_residual(gf)[interior] / _curvature_scale(dom, gf.tau, interior)
+    res = _FluxForm(dom, gf.tau).residual(gf.values)
+    values[interior] = res[interior] / _curvature_scale(dom, gf.tau, interior)
     return CurvatureField(dom, values, interior)
 
 
@@ -648,15 +593,12 @@ def solve_dirichlet(
     the same pass takes a fresh damped Newton step from the same iterate.
     Damped steps never keep their factor.
 
-    The solve builds its arrays once: a ``_FluxWorkspace`` on (domain, tau),
-    which holds the half-edge chart terms, the buffers of the half-edge
-    quantities, the Jacobian field, two iterate slots (node values and
-    residual) and the interior-node vectors, and the nested-dissection solver,
-    whose arena holds the factor and whose vectors hold ``Factor.solve``'s
-    work.  A line-search trial writes into the slot that the current iterate
-    does not hold, and an accepted trial becomes the current iterate, so a
-    Newton pass copies and allocates nothing node-sized.  The results are
-    bitwise those of the same formulas on fresh arrays.
+    The solve builds a ``_FluxForm`` on (domain, tau), which holds the
+    half-edge chart terms and the Jacobian field, and the nested-dissection
+    solver, whose arena holds the factor and whose vectors hold
+    ``Factor.solve``'s work.  The iterate and its residual are plain node
+    arrays: a line-search trial copies the iterate, moves its interior nodes
+    and takes a new residual, and an accepted trial becomes the iterate.
 
     The report counts loop passes as ``iterations`` (chord steps included,
     bounded by max_newton) and LU factorizations as ``factorizations``.  A
@@ -673,12 +615,21 @@ def solve_dirichlet(
     if not np.any(interior):
         raise ParameterError("no interior nodes; domain is thinner than the stencil")
 
+    form = _FluxForm(domain, tau)
     solver = NestedDissection(interior)
-    work = _FluxWorkspace(domain, tau)
     scale = _curvature_scale(domain, tau, interior)
+
+    def trial(values: np.ndarray, delta: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """The iterate values + alpha delta, its residual and the residual's interior norm."""
+        moved = values.copy()
+        moved[interior] += alpha * delta
+        res = form.residual(moved)
+        return moved, res, float(np.linalg.norm(res[interior]))
+
     # res is always the residual of the current iterate's node values
-    values, res = work.start(_harmonic_init(domain, boundary, solver))
-    history = [work.sup(res, scale)]
+    values = _harmonic_init(domain, boundary, solver)
+    res = form.residual(values)
+    history = [float(np.max(np.abs(res[interior] / scale)))]
 
     factor = None  # a Newton factor, held only while chord steps are enabled
     factorizations = 0
@@ -686,16 +637,17 @@ def solve_dirichlet(
     for iterations in range(1, max_newton + 1):
         if history[-1] < _SOLVE_TOL:
             break
-        rhs, rnorm = work.rhs(res)
+        rhs = -res[interior]
+        rnorm = float(np.linalg.norm(rhs))
         if factor is not None:
-            trial_values, trial_res, tnorm = work.trial(values, factor.solve(rhs), 1.0)
+            trial_values, trial_res, tnorm = trial(values, factor.solve(rhs), 1.0)
             if tnorm < _CONTRACTION * rnorm:
                 values, res = trial_values, trial_res
-                history.append(work.sup(res, scale))
+                history.append(float(np.max(np.abs(res[interior] / scale))))
                 continue
             factor = None  # released before the fresh factor is built
         try:
-            factor = solver.factor(work.jacobian(values))
+            factor = solver.factor(form.jacobian(values))
         except np.linalg.LinAlgError:  # a singular pivot block
             break
         factorizations += 1
@@ -703,19 +655,17 @@ def solve_dirichlet(
         if not np.all(np.isfinite(delta)):
             break
         alpha = 1.0
-        improved = False
         for _ in range(20):
-            trial_values, trial_res, tnorm = work.trial(values, delta, alpha)
+            trial_values, trial_res, tnorm = trial(values, delta, alpha)
             if tnorm < (1.0 - 1e-4 * alpha) * rnorm:
                 values, res = trial_values, trial_res
-                improved = True
                 break
             alpha *= 0.5
-        if not improved:
+        else:  # no step length reduced the residual norm
             break
         if alpha < 1.0 or tnorm >= _CONTRACTION * rnorm:
             factor = None
-        history.append(work.sup(res, scale))
+        history.append(float(np.max(np.abs(res[interior] / scale))))
 
     report = {
         "converged": history[-1] < _SOLVE_TOL,

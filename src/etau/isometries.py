@@ -31,6 +31,7 @@ from .core import (
     ParameterError,
     convert_coords_arrays,
     metric_arrays,
+    require_finite,
 )
 
 _COEFF_TOL = 1e-12
@@ -70,6 +71,8 @@ class MobiusMap:
     @classmethod
     def normalized(cls, a: complex, b: complex, c: complex, d: complex, model: Model) -> "MobiusMap":
         a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        if not all(map(cmath.isfinite, (a, b, c, d))):
+            raise ParameterError(f"Moebius coefficients must be finite, got {(a, b, c, d)}")
         det = a * d - b * c
         if abs(det) < _COEFF_TOL:
             raise ParameterError("Moebius matrix is singular")
@@ -122,6 +125,9 @@ class AmbientIsometry:
     tau: float
     family: str = "generic"
     parameters: tuple[tuple[str, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        require_finite("isometry", tau=self.tau, shift=self.shift, branch_offset=self.branch_offset)
 
     @property
     def model(self) -> Model:

@@ -235,7 +235,7 @@ def test_solve_wild_boundary_fails_with_code_two(capsys) -> None:
 
 
 def test_solve_singular_jacobian_exits_two(monkeypatch, capsys) -> None:
-    jacobian = graphs._FluxWorkspace.jacobian
+    jacobian = graphs._FluxForm.jacobian
 
     def singular(self, values):
         jac = jacobian(self, values)
@@ -243,7 +243,7 @@ def test_solve_singular_jacobian_exits_two(monkeypatch, capsys) -> None:
         jac[:, :, i, j] = 0.0
         return jac
 
-    monkeypatch.setattr(graphs._FluxWorkspace, "jacobian", singular)
+    monkeypatch.setattr(graphs._FluxForm, "jacobian", singular)
     code, report = run(capsys, "solve", "--boundary", "catenoid", "--tau", "0.5", "--n", "17")
     assert code == 2
     assert report["converged"] is False

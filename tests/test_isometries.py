@@ -420,6 +420,26 @@ def test_disc_point_isometry_rejects_boundary_center() -> None:
         disc_point_isometry(1.0 + 0.0j, 0.5)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: disc_point_isometry(complex(math.nan, 0.0), 0.5),
+        lambda: rotation_isometry(math.nan, 0.5),
+        lambda: vertical_translation(math.nan, 0.5, Model.CYLINDER),
+        lambda: identity_isometry(math.inf, Model.HALF_SPACE),
+        lambda: halfplane_graph_isometry(0.0, 1.0, math.inf, 0.5),
+        lambda: MobiusMap.normalized(1.0, complex(0.0, math.inf), 0.0, 1.0, Model.CYLINDER),
+        lambda: AmbientIsometry(
+            MobiusMap.normalized(1.0, 0.0, 0.0, 1.0, Model.CYLINDER), Orientation.DIRECT, 0.0, math.nan, 0.5
+        ),
+    ],
+    ids=["disc-point", "rotation", "vertical-shift", "identity-tau", "graph-height", "mobius", "branch-offset"],
+)
+def test_isometries_reject_non_finite_values(build) -> None:
+    with pytest.raises(ParameterError, match="must be finite"):
+        build()
+
+
 def test_halfplane_graph_isometry_hits_target() -> None:
     iso = halfplane_graph_isometry(2.0, 0.5, 1.25, 0.5)
     q = apply(iso, halfspace_point(0.0, 1.0, 0.0))
