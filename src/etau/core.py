@@ -318,6 +318,14 @@ def chord_length(p: AmbientPoint, q: AmbientPoint, tau: float) -> float:
 _CHORD_SEARCH_BUDGET = 50
 
 
+def chord_residuals(model: Model, tau: float, q: np.ndarray, points: np.ndarray):
+    """Frame components (m, 3) of the chords from the rows of q to those of
+    points in the metric at each midpoint (row norms: chord_length), and the chords."""
+    delta = points - q
+    mx, my = q[:, 0] + 0.5 * delta[:, 0], q[:, 1] + 0.5 * delta[:, 1]
+    return np.stack(frame_components_arrays(model, tau, mx, my, *delta.T), axis=-1), delta
+
+
 def chord_distances(
     model: Model, tau: float, q, surface, tangents, start, lower, upper, accept_below: float = 0.0
 ) -> np.ndarray:
@@ -341,10 +349,7 @@ def chord_distances(
     params = np.array(start, dtype=float)
 
     def chord(k, at):
-        """Residuals (m, 3) of rows k at parameters at, with the chord vectors (m, 3)."""
-        delta = surface(at) - q[k]
-        mx, my = q[k, 0] + 0.5 * delta[:, 0], q[k, 1] + 0.5 * delta[:, 1]
-        return np.stack(frame_components_arrays(model, tau, mx, my, *delta.T), axis=-1), delta
+        return chord_residuals(model, tau, q[k], surface(at))
 
     def jacobian(k, at, delta):
         v = tangents(at)

@@ -186,7 +186,7 @@ class GraphDomain:
         return chart_to_base(self.chart, self.axis_foot, g1, g2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphFunction:
     """Node values of a vertical graph over a chart window."""
 
@@ -199,7 +199,7 @@ class GraphFunction:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.domain.shape:
             raise ParameterError("value grid shape must match the domain")
-        self.values = vals
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def from_base_callable(

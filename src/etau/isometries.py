@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    BOUNDARY_MARGIN,
     AmbientPoint,
     BasePoint,
     GeometryError,
@@ -291,29 +292,48 @@ def push_forward(iso: AmbientIsometry, coords: np.ndarray, vectors: np.ndarray) 
 
 def compose(outer: AmbientIsometry, inner: AmbientIsometry) -> AmbientIsometry:
     """Composition outer o inner (inner acts first)."""
-    if outer.model is not inner.model:
-        raise ModelMismatchError("cannot compose isometries of different models")
-    if outer.tau != inner.tau:
-        raise ParameterError("cannot compose isometries with different tau")
-    m_outer = outer.mobius.matrix()
-    if inner.orientation is Orientation.REVERSING:
-        m_outer = _reflection_adjusted(outer.mobius)
-    raw = _matmul(m_outer, inner.mobius.matrix())
-    mob = MobiusMap.normalized(*raw, outer.model)
-    orientation = (
-        Orientation.REVERSING
-        if (outer.orientation is Orientation.REVERSING) != (inner.orientation is Orientation.REVERSING)
-        else Orientation.DIRECT
-    )
-    candidate = AmbientIsometry(mob, orientation, 0.0, 0.0, outer.tau)
-    ref = _reference_point(outer.model)
-    expected = apply(outer, apply(inner, ref))
-    got = apply(candidate, ref)
-    if abs(expected.x - got.x) > 1e-9 or abs(expected.y - got.y) > 1e-9:
+    return compose_rows([outer], [inner])[0]
+
+
+def compose_rows(outers, inners) -> list[AmbientIsometry]:
+    """compose(outers[i], inners[i]) for every i: the Moebius algebra per row
+    in Python scalars, the reference-point applies as apply_to_rows passes
+    (so rows share model, orientation and tau), each row with its compose's
+    bits.  An image off the model domain raises BasePoint's InvalidPointError."""
+    outers, inners, candidates = list(outers), list(inners), []
+    for outer, inner in zip(outers, inners, strict=True):
+        if outer.model is not inner.model:
+            raise ModelMismatchError("cannot compose isometries of different models")
+        if outer.tau != inner.tau:
+            raise ParameterError("cannot compose isometries with different tau")
+        m_outer = outer.mobius.matrix()
+        if inner.orientation is Orientation.REVERSING:
+            m_outer = _reflection_adjusted(outer.mobius)
+        mob = MobiusMap.normalized(*_matmul(m_outer, inner.mobius.matrix()), outer.model)
+        flipped = (outer.orientation is Orientation.REVERSING) != (inner.orientation is Orientation.REVERSING)
+        orientation = Orientation.REVERSING if flipped else Orientation.DIRECT
+        candidates.append(AmbientIsometry(mob, orientation, 0.0, 0.0, outer.tau))
+    model = outers[0].model
+    ref = np.tile(_reference_point(model).coords(), (len(outers), 1))
+    inner_images = require_in_model(model, apply_to_rows(inners, ref))
+    expected = require_in_model(model, apply_to_rows(outers, inner_images))
+    got = require_in_model(model, apply_to_rows(candidates, ref))
+    if np.any(np.abs(expected[:, :2] - got[:, :2]) > 1e-9):
         raise GeometryError("composed base maps disagree; inconsistent isometries")
-    return AmbientIsometry(
-        mob, orientation, expected.t - got.t, 0.0, outer.tau, family="generic"
-    )
+    return [
+        AmbientIsometry(c.mobius, c.orientation, shift, 0.0, c.tau, family="generic")
+        for c, shift in zip(candidates, (expected[:, 2] - got[:, 2]).tolist())
+    ]
+
+
+def require_in_model(model: Model, coords: np.ndarray) -> np.ndarray:
+    """coords (..., 3), after checking that every base point lies in the
+    model's open domain; otherwise BasePoint's InvalidPointError."""
+    x, y = coords[..., 0], coords[..., 1]
+    inside = y > BOUNDARY_MARGIN if model is Model.HALF_SPACE else x * x + y * y < 1.0 - BOUNDARY_MARGIN
+    if not np.all(inside):
+        BasePoint(model, *coords[~inside][0, :2].tolist())
+    return coords
 
 
 def inverse(iso: AmbientIsometry) -> AmbientIsometry:

@@ -30,6 +30,7 @@ from .core import (
     ParameterError,
     SpaceParams,
     chord_distances,
+    chord_residuals,
     convert_coords_arrays,
     convert_model,
 )
@@ -43,13 +44,14 @@ from .graphs import (
 )
 from .isometries import (
     AmbientIsometry,
-    apply,
     apply_to_coords,
-    compose,
+    apply_to_rows,
+    compose_rows,
     disc_point_isometry,
     inverse,
     axis_translation_isometry,
     push_forward_arrays,
+    require_in_model,
     vertical_translation,
 )
 from .quadrature import CHUNK_NODES, PANEL_NODES, unit_panel
@@ -223,12 +225,8 @@ class AnnulusInstance:
     def boundary_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Finely sampled boundary circles, (top, bottom) ordered by mean t:
         the placement applied to the model annulus' circles."""
-        model = _model_annulus(self.generator)
-        upper = apply_to_coords(self.placement, model.upper)
-        lower = apply_to_coords(self.placement, model.lower)
-        if float(np.mean(upper[:, 2])) >= float(np.mean(lower[:, 2])):
-            return upper, lower
-        return lower, upper
+        top, bottom = _boundary_circles([self])
+        return top[0], bottom[0]
 
     def distance_to(self, q: AmbientPoint, accept_below: float = 0.0) -> float:
         """Ambient chord distance from q to the smooth annulus.
@@ -243,31 +241,53 @@ class AnnulusInstance:
         """
         if q.model is not Model.CYLINDER:
             raise ParameterError("annulus instances live in the cylinder model")
-        gen = self.generator
-        spec = _model_annulus(gen).spec
+        return float(_annulus_distances([self], q.coords()[None], accept_below)[0])
+
+
+def _boundary_circles(instances: Sequence[AnnulusInstance]) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary circles (top, bottom), (n, _BOUNDARY_SAMPLES, 3) each, of
+    instances sharing one generator: one apply_to_rows pass per model
+    circle, then each instance's pair ordered by mean t."""
+    model = _model_annulus(instances[0].generator)
+    placements = [instance.placement for instance in instances]
+    upper, lower = (
+        apply_to_rows(placements, np.broadcast_to(circle, (len(instances),) + circle.shape))
+        for circle in (model.upper, model.lower)
+    )
+    swap = ~(np.mean(upper[..., 2], axis=1) >= np.mean(lower[..., 2], axis=1))[:, None, None]
+    return np.where(swap, lower, upper), np.where(swap, upper, lower)
+
+
+def _annulus_distances(instances: Sequence[AnnulusInstance], q: np.ndarray, accept_below: float) -> np.ndarray:
+    """distance_to from each row of the cylinder coordinates q (n, 3) to its
+    instance, all sharing one generator.  One pass places every reference
+    vertex and forms its chord as chord_distances does; only the rows whose
+    chord is at or above accept_below run chord_distances' search."""
+    gen = instances[0].generator
+    spec = _model_annulus(gen).spec
+    w_reference = np.array([instance.w_reference for instance in instances])
+    vertices = catenoid_patch(spec, gen.rho_boundary, w_reference, np.zeros(len(instances)))
+    residuals, _ = chord_residuals(
+        Model.CYLINDER, gen.tau, q, apply_to_rows([instance.placement for instance in instances], vertices)
+    )
+    distances = np.sqrt(np.sum(residuals * residuals, axis=-1))
+    for j in np.flatnonzero(distances >= accept_below):
+        instance = instances[j]
 
         def annulus(params: np.ndarray) -> np.ndarray:
-            return self.surface_coords(params[:, 0], params[:, 1])
+            return instance.surface_coords(params[:, 0], params[:, 1])
 
         def tangents(params: np.ndarray) -> np.ndarray:
             phi, w = params.T
             x, y, _ = catenoid_patch(spec, gen.rho_boundary, w, phi).T
             v = catenoid_patch_tangents(spec, gen.rho_boundary, w, phi)
-            *_, dx, dy, dt = push_forward_arrays(self.placement, x[:, None], y[:, None], *v.transpose(1, 0, 2))
+            *_, dx, dy, dt = push_forward_arrays(instance.placement, x[:, None], y[:, None], *v.transpose(1, 0, 2))
             return np.stack([dx, dy, dt], axis=1)
 
-        distance = chord_distances(
-            Model.CYLINDER,
-            gen.tau,
-            q.coords()[None],
-            annulus,
-            tangents,
-            [[0.0, self.w_reference]],
-            [-np.inf, -1.0],
-            [np.inf, 1.0],
-            accept_below,
-        )
-        return float(distance[0])
+        start = [[0.0, instance.w_reference]]
+        search = (annulus, tangents, start, [-np.inf, -1.0], [np.inf, 1.0], accept_below)
+        distances[j] = chord_distances(Model.CYLINDER, gen.tau, q[j : j + 1], *search)[0]
+    return distances
 
 
 @dataclass(frozen=True)
@@ -289,27 +309,52 @@ class CatenoidAnnulusGenerator:
     resolution: tuple[int, int] = (65, 96)
 
     def __call__(self, p: AmbientPoint) -> AnnulusInstance:
-        pc = p if p.model is Model.CYLINDER else convert_model(p, self.tau)
+        (instance,) = self.place([p])
+        if isinstance(instance, InvalidPointError):
+            raise instance
+        return instance
+
+    def place(self, points: Sequence[AmbientPoint]) -> list[AnnulusInstance | InvalidPointError]:
+        """The instance through each point, or the InvalidPointError that
+        rules it out, in one pass: one profile inversion, the Moebius algebra
+        per point in Python scalars and the applies as apply_to_rows passes,
+        so each instance has the bits of its point placed alone.  When an
+        image off the disc stops the pass, each point is placed alone, so
+        only its own row fails."""
         model = _model_annulus(self)
-        rmin = model.neck_radius
-        offset = pc.t
-        if abs(offset) >= model.boundary_height:
-            raise InvalidPointError(
-                f"fiber offset {offset} exceeds the annulus half-height {model.boundary_height}"
+        cylinder = [p if p.model is Model.CYLINDER else convert_model(p, self.tau) for p in points]
+        out: list = [
+            InvalidPointError(f"fiber offset {pc.t} exceeds the annulus half-height {model.boundary_height}")
+            if abs(pc.t) >= model.boundary_height
+            else None
+            for pc in cylinder
+        ]
+        rows = [i for i, row in enumerate(out) if row is None]
+        if not rows:
+            return out
+        offsets = np.array([cylinder[i].t for i in rows])
+        heights, signs = np.abs(offsets), np.where(offsets >= 0.0, 1.0, -1.0)
+        rho = np.full(len(rows), model.neck_radius)
+        rho[heights != 0.0] = catenoid_profile_inverse(model.spec, heights[heights != 0.0])
+        rho = np.minimum(rho, self.rho_boundary)
+        b_ref = [math.tanh(0.5 * r) for r in rho.tolist()]
+        try:
+            moves = compose_rows(
+                [disc_point_isometry(complex(cylinder[i].x, cylinder[i].y), self.tau) for i in rows],
+                [disc_point_isometry(complex(b, 0.0), self.tau) for b in b_ref],
             )
-        sign = 1.0 if offset >= 0.0 else -1.0
-        rho_p = catenoid_profile_inverse(model.spec, abs(offset)) if offset != 0.0 else rmin
-        rho_p = min(rho_p, self.rho_boundary)
-        b_ref = math.tanh(0.5 * rho_p)
-        move = compose(
-            disc_point_isometry(complex(pc.x, pc.y), self.tau),
-            disc_point_isometry(complex(b_ref, 0.0), self.tau),
-        )
-        image = apply(move, AmbientPoint(BasePoint(Model.CYLINDER, b_ref, 0.0), sign * abs(offset)))
-        lift = pc.t - image.t
-        placement = compose(vertical_translation(lift, self.tau, Model.CYLINDER), move)
-        w_ref = sign * math.sqrt(max(rho_p - rmin, 0.0)) / model.sigma_max
-        return AnnulusInstance(point=p, placement=placement, generator=self, w_reference=w_ref)
+            pinned = np.stack([b_ref, np.zeros(len(rows)), signs * heights], axis=1)
+            images = apply_to_rows(moves, require_in_model(Model.CYLINDER, pinned))
+            lifts = (offsets - require_in_model(Model.CYLINDER, images)[:, 2]).tolist()
+            placements = compose_rows([vertical_translation(h, self.tau, Model.CYLINDER) for h in lifts], moves)
+        except InvalidPointError as error:
+            if len(rows) > 1:
+                return [self.place([p])[0] for p in points]
+            return [error if row is None else row for row in out]
+        w_reference = signs * np.sqrt(np.maximum(rho - model.neck_radius, 0.0)) / model.sigma_max
+        for i, placement, w in zip(rows, placements, w_reference.tolist()):
+            out[i] = AnnulusInstance(point=points[i], placement=placement, generator=self, w_reference=w)
+        return out
 
 
 # Quadrature nodes per chunk of the edge spectra: whole panels whose real
@@ -551,14 +596,19 @@ def check_bounding_graphs(slab: SlabSpec) -> BoundingGraphCheck:
     return BoundingGraphCheck(height_bound=h0, normal_bound=c, disjoint=gap > 0.0, min_gap=gap)
 
 
-def _point_in_window(domain: GraphDomain, x: float, y: float) -> bool:
+def _window_test(domain: GraphDomain) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Elementwise test that base points (x, y) lie in the window's bounds
+    and on an active node's cell; the axes and the mask are read once."""
     (a1, b1), (a2, b2) = domain.bounds
-    if not (a1 <= x <= b1 and a2 <= y <= b2):
-        return False
     q1, q2 = domain.axes()
-    i = int(np.clip(np.searchsorted(q1, x), 0, domain.shape[0] - 1))
-    j = int(np.clip(np.searchsorted(q2, y), 0, domain.shape[1] - 1))
-    return bool(domain.active_mask()[i, j])
+    mask = domain.active_mask()
+
+    def inside(x, y):
+        i = np.clip(np.searchsorted(q1, x), 0, domain.shape[0] - 1)
+        j = np.clip(np.searchsorted(q2, y), 0, domain.shape[1] - 1)
+        return (a1 <= x) & (x <= b1) & (a2 <= y) & (y <= b2) & mask[i, j]
+
+    return inside
 
 
 # check_annulus_family: an annulus contains its point when the chord distance
@@ -577,9 +627,10 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
     the graphs along fibers, one above and one below.  _SPECTRA_PAIRS random
     instance pairs must have matching edge-length spectra: the pairs are
     drawn first, one edge_length_spectra call measures their distinct
-    instances, and the deviation is folded in pair order.  Points are
-    audited serially; AnnulusCheck says when a recorded distance is an
-    upper bound.
+    instances, and the deviation is folded in pair order.  Each stage is one
+    array pass over all points (window, placements, reference chords,
+    boundary circles); a point with no annulus gets a failed record, and
+    AnnulusCheck says when a recorded distance is an upper bound.
     """
     bounding = check_bounding_graphs(slab)
     base_report = dict(
@@ -599,50 +650,32 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
 
     scale = max(1.0, 2.0 * bounding.height_bound)
     cylinder = [p if p.model is Model.CYLINDER else convert_model(p, slab.tau) for p in points]
-    for q in cylinder:
-        if not _point_in_window(slab.domain, q.x, q.y):
-            raise InvalidPointError(f"point projection {(q.x, q.y)} is outside the window")
-        if not slab.lower(q.x, q.y) < q.t < slab.upper(q.x, q.y):
-            raise InvalidPointError(f"point at t={q.t} is not strictly between the graphs")
+    coords = np.array([(q.x, q.y, q.t) for q in cylinder]).reshape(-1, 3)
+    x, y, t = coords.T
+    inside = _window_test(slab.domain)(x, y)
+    between = (slab.lower(x, y) < t) & (t < slab.upper(x, y))
+    for i in np.flatnonzero(~(inside & between))[:1]:
+        if not inside[i]:
+            raise InvalidPointError(f"point projection {(cylinder[i].x, cylinder[i].y)} is outside the window")
+        raise InvalidPointError(f"point at t={cylinder[i].t} is not strictly between the graphs")
 
-    def check_one(p: AmbientPoint, pc: AmbientPoint) -> tuple[AnnulusCheck, AnnulusInstance | None]:
-        try:
-            instance = slab.annulus_generator(p)
-        except InvalidPointError:
-            failed = AnnulusCheck(
-                point=p,
-                contains_point=False,
-                boundary_above=False,
-                boundary_below=False,
-                distance=float("inf"),
-                above_margin=float("-inf"),
-                below_margin=float("-inf"),
-                above_spread=float("nan"),
-                below_spread=float("nan"),
-            )
-            return failed, None
-        distance = instance.distance_to(pc, accept_below=_CONTAINS_TOL * scale)
-        top, bottom = instance.boundary_coords()
-        above_margin = _fiber_margin(top, slab.upper, side=+1)
-        below_margin = _fiber_margin(bottom, slab.lower, side=-1)
-        return (
-            AnnulusCheck(
-                point=p,
-                contains_point=distance < _CONTAINS_TOL * scale,
-                boundary_above=above_margin > 0.0,
-                boundary_below=below_margin > 0.0,
-                distance=distance,
-                above_margin=above_margin,
-                below_margin=below_margin,
-                above_spread=float(np.ptp(top[:, 2])),
-                below_spread=float(np.ptp(bottom[:, 2])),
-            ),
-            instance,
-        )
-
-    results = [check_one(p, pc) for p, pc in zip(points, cylinder)]
-    checks = tuple(r[0] for r in results)
-    instances = [r[1] for r in results if r[1] is not None]
+    placed = slab.annulus_generator.place(points)
+    rows = [i for i, instance in enumerate(placed) if isinstance(instance, AnnulusInstance)]
+    instances = [placed[i] for i in rows]
+    # a point without an annulus keeps these failed values
+    distance, spreads = np.full(len(points), np.inf), np.full((2, len(points)), np.nan)
+    above, below = np.full((2, len(points)), -np.inf)
+    if instances:
+        distance[rows] = _annulus_distances(instances, coords[rows], _CONTAINS_TOL * scale)
+        top, bottom = _boundary_circles(instances)
+        # signed clearances along fibers: the top circle above the upper graph, the bottom one below the lower
+        above[rows] = np.min(top[..., 2] - slab.upper(top[..., 0], top[..., 1]), axis=1)
+        below[rows] = np.min(-(bottom[..., 2] - slab.lower(bottom[..., 0], bottom[..., 1])), axis=1)
+        spreads[:, rows] = np.ptp(top[..., 2], axis=1), np.ptp(bottom[..., 2], axis=1)
+    checks = tuple(
+        AnnulusCheck(p, d < _CONTAINS_TOL * scale, a > 0.0, b > 0.0, d, a, b, *spread)
+        for p, d, a, b, *spread in zip(points, distance.tolist(), above.tolist(), below.tolist(), *spreads.tolist())
+    )
 
     deviation = 0.0
     if len(instances) >= 2:
@@ -663,13 +696,6 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
         passed=passed,
         **base_report,
     )
-
-
-def _fiber_margin(circle: np.ndarray, height: Callable[[np.ndarray, np.ndarray], np.ndarray], side: int) -> float:
-    """Signed clearance of a boundary circle from a graph along fibers, both
-    in cylinder coordinates: the circle lies above the graph for side +1 and
-    below it for side -1."""
-    return float(np.min(side * (circle[:, 2] - height(circle[:, 0], circle[:, 1]))))
 
 
 # -- example constructions -------------------------------------------------------
@@ -930,13 +956,14 @@ def sample_interior_points(slab: SlabSpec, count: int, seed: int = 0) -> list[Am
     rng = default_rng(seed)
     domain = slab.domain
     radius = 2.0 * math.atanh(domain.bounds[0][1])
+    inside = _window_test(domain)
     points: list[AmbientPoint] = []
     for _ in range(_SAMPLE_DRAWS_PER_POINT * count):
         rho = _SAMPLE_RADIAL_FRACTION * radius * math.sqrt(rng.uniform())
         angle = rng.uniform(0.0, 2.0 * math.pi)
         rc = math.tanh(0.5 * rho)
         x, y = rc * math.cos(angle), rc * math.sin(angle)
-        if not _point_in_window(domain, x, y):
+        if not inside(x, y):
             continue
         lo, hi = float(slab.lower(x, y)), float(slab.upper(x, y))
         if not lo < hi:

@@ -179,37 +179,43 @@ def catenoid_height(spec: CatenoidSpec) -> float:
     return 2.0 * _catenoid_table(spec.tau, spec.d).limit
 
 
-def catenoid_profile_inverse(spec: CatenoidSpec, height: float) -> float:
-    """Radius rho with catenoid_profile(spec, rho) = height.
+def catenoid_profile_inverse(spec: CatenoidSpec, height):
+    """Radius rho with catenoid_profile(spec, rho) = height, elementwise for
+    an array of heights.
 
     Safeguarded Newton iteration in sigma = sqrt(rho - rho_min) on the
     profile table T, whose derivative is the integrand g(sigma); a step that
     leaves the bracket [lo, hi] of sigma values known to straddle the root,
-    at first the table's span [0, sigma*], is replaced by bisection.  Raises
-    ConvergenceError when the step budget runs out.
+    at first the table's span [0, sigma*], is replaced by bisection.  Each
+    element keeps its own bracket, tolerance and step budget, and the table
+    evaluates each alone, so no element's bits depend on the others.
+    Raises ConvergenceError when an element's budget runs out.
     """
-    if not height >= 0.0:
+    heights = np.asarray(height, dtype=float)
+    flat = heights.reshape(-1)
+    if not np.all(flat >= 0.0):
         raise ParameterError("profile heights are nonnegative")
-    if 2.0 * height >= catenoid_height(spec):
-        raise ParameterError(f"height {height} is not attained by the profile")
+    unattained = flat[2.0 * flat >= catenoid_height(spec)]
+    if unattained.size:
+        raise ParameterError(f"height {unattained[0]} is not attained by the profile")
     rmin = catenoid_neck_radius(spec)
     table = _catenoid_table(spec.tau, spec.d)
-    sigma = 0.0
-    lo, hi = 0.0, table.sigma_max
+    rho, todo = np.empty(flat.size), np.arange(flat.size)
+    sigma, lo, hi = np.zeros(flat.size), np.zeros(flat.size), np.full(flat.size, table.sigma_max)
     for _ in range(_INVERSE_BUDGET):
-        residual = float(table(sigma)) - height
-        if residual <= 0.0:
-            lo = sigma
-        else:
-            hi = sigma
-        if abs(residual) <= _INVERSE_TOL * max(1.0, height):
-            return rmin + sigma * sigma
-        step = sigma - residual / float(table(sigma, 1))
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        sigma = step
+        target = flat[todo]
+        residual = table(sigma) - target
+        below = residual <= 0.0
+        lo, hi = np.where(below, sigma, lo), np.where(below, hi, sigma)
+        done = np.abs(residual) <= _INVERSE_TOL * np.maximum(1.0, target)
+        rho[todo[done]] = rmin + sigma[done] * sigma[done]
+        todo, sigma, lo, hi, residual = (a[~done] for a in (todo, sigma, lo, hi, residual))
+        if not todo.size:
+            return float(rho[0]) if heights.ndim == 0 else rho.reshape(heights.shape)
+        step = sigma - residual / table(sigma, 1)
+        sigma = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
     raise ConvergenceError(
-        f"profile inversion for height {height} did not converge in {_INVERSE_BUDGET} steps"
+        f"profile inversion for height {flat[todo[0]]} did not converge in {_INVERSE_BUDGET} steps"
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from etau.isometries import (
     axis_translation_angle,
     axis_translation_isometry,
     compose,
+    compose_rows,
     conversion_pullback_residual,
     conversion_pullback_residuals,
     disc_point_isometry,
@@ -479,6 +481,18 @@ def test_compose_matches_sequential_apply() -> None:
         lhs = apply(combo, p)
         rhs = apply(outer, apply(inner, p))
         assert (lhs.x, lhs.y, lhs.t) == pytest.approx((rhs.x, rhs.y, rhs.t), abs=1e-12)
+
+
+def test_compose_rows_keep_the_bits_of_the_pointwise_rule() -> None:
+    tau = 0.5
+    outers = [disc_point_isometry(c, tau) for c in (0.1 + 0.2j, -0.5j, 0.7, -0.3 - 0.6j)]
+    inners = [rotation_isometry(a, tau) for a in (0.3, 1.0, -2.0, 3.0)]
+    ref = AmbientPoint(BasePoint(Model.CYLINDER, 0.0, 0.0), 0.0)
+    for combo, outer, inner in zip(compose_rows(outers, inners), outers, inners, strict=True):
+        assert combo == compose(outer, inner)
+        # the fiber shift as the point-by-point rule writes it, from two scalar applies
+        unshifted = replace(combo, shift=0.0)
+        assert combo.shift == apply(outer, apply(inner, ref)).t - apply(unshifted, ref).t
 
 
 def test_inverse_round_trip() -> None:

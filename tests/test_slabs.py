@@ -35,6 +35,7 @@ from etau.slabs import (
     build_example1,
     build_example2,
     check_annulus_family,
+    check_bounding_graphs,
     disc_window_domain,
     edge_length_spectra,
     graph_separation_probe,
@@ -673,6 +674,101 @@ def test_point_outside_slab_is_rejected(slab1) -> None:
     )
     with pytest.raises(InvalidPointError):
         check_annulus_family(slab1, [top])
+
+
+def test_audit_names_the_first_point_off_the_slab(slab1) -> None:
+    # the checks run as one array pass, but the error is the first failing
+    # point's, window before graphs, as a point-by-point loop raises it
+    inner = sample_interior_points(slab1, 2, seed=7)
+    rc = slab1.domain.bounds[0][1]
+    outside = AmbientPoint(BasePoint(Model.CYLINDER, 0.0, 0.5 * (1.0 + rc)), 0.0)
+    above = AmbientPoint(inner[0].base, slab1.metadata["half_height"] + 1.0)
+    with pytest.raises(InvalidPointError, match="outside the window"):
+        check_annulus_family(slab1, [inner[1], outside, above])
+    with pytest.raises(InvalidPointError, match="not strictly between"):
+        check_annulus_family(slab1, [inner[1], above, outside])
+
+
+def _audit_one_at_a_time(slab: SlabSpec, points) -> list[tuple]:
+    """Each point's (distance, margins, spreads) and verdicts as the audit
+    found them point by point, through the one-point entry points."""
+    tol = slabs._CONTAINS_TOL * max(1.0, 2.0 * check_bounding_graphs(slab).height_bound)
+    rows = []
+    for p in points:
+        try:
+            instance = slab.annulus_generator(p)
+        except InvalidPointError:
+            rows.append(((math.inf, -math.inf, -math.inf, math.nan, math.nan), (False, False, False)))
+            continue
+        distance = instance.distance_to(p, accept_below=tol)
+        top, bottom = instance.boundary_coords()
+        above = float(np.min(+1 * (top[:, 2] - slab.upper(top[:, 0], top[:, 1]))))
+        below = float(np.min(-1 * (bottom[:, 2] - slab.lower(bottom[:, 0], bottom[:, 1]))))
+        values = (distance, above, below, float(np.ptp(top[:, 2])), float(np.ptp(bottom[:, 2])))
+        rows.append((values, (distance < tol, above > 0.0, below > 0.0)))
+    return rows
+
+
+def test_an_image_off_the_disc_fails_only_its_own_row(slab1, monkeypatch) -> None:
+    # one point's pinned reference vertex is rejected as a point at the ideal
+    # boundary would be: the pass stops, and placing each point alone fails
+    # only that row, as the point-by-point audit did
+    points = sample_interior_points(slab1, 4, seed=3)
+    alone = [slab1.annulus_generator(p) for p in points]
+    in_model = slabs.require_in_model
+
+    def rejecting(model, coords):
+        if np.any(coords[..., 2] == points[2].t):
+            raise InvalidPointError("disc point off the model domain")
+        return in_model(model, coords)
+
+    monkeypatch.setattr(slabs, "require_in_model", rejecting)
+    placed = slab1.annulus_generator.place(points)
+    assert isinstance(placed[2], InvalidPointError)
+    assert [(i.placement, i.w_reference) for i in placed[:2] + placed[3:]] == [
+        (i.placement, i.w_reference) for i in alone[:2] + alone[3:]
+    ]
+    checks = check_annulus_family(slab1, points).annulus_checks
+    assert [c.distance == math.inf for c in checks] == [False, False, True, False]
+
+
+@pytest.fixture(scope="module")
+def slab2_tau05():
+    return build_example2(SpaceParams(0.5), "linear", 1.0, 0.45, 0.2, grid=65, annulus_resolution=(33, 48))
+
+
+@pytest.mark.parametrize("fixture", ["slab1", "slab1_tau05", "slab2", "slab2_tau05", "shrunken"])
+def test_batched_audit_keeps_the_bits_of_one_point_at_a_time(fixture: str, slab1, request) -> None:
+    slab = with_shrunken_annuli(slab1, 0.5) if fixture == "shrunken" else request.getfixturevalue(fixture)
+    points = sample_interior_points(slab, 8, seed=3)
+    checks = check_annulus_family(slab, points).annulus_checks
+    want = _audit_one_at_a_time(slab, points)
+    got = [
+        (
+            (c.distance, c.above_margin, c.below_margin, c.above_spread, c.below_spread),
+            (c.contains_point, c.boundary_above, c.boundary_below),
+        )
+        for c in checks
+    ]
+    assert [c.point for c in checks] == points
+    bits = [np.array([row[0] for row in rows]).view(np.int64) for rows in (got, want)]
+    np.testing.assert_array_equal(*bits)
+    assert [g[1] for g in got] == [w[1] for w in want]
+    placed = slab.annulus_generator.place(points)
+    failed = [i for i, instance in enumerate(placed) if isinstance(instance, InvalidPointError)]
+    if fixture == "shrunken":
+        # some offsets reach the shrunken half-height: those rows fail, the others are placed
+        assert 0 < len(failed) < len(points)
+        for i in failed:
+            assert checks[i].distance == math.inf and math.isnan(checks[i].above_spread)
+            with pytest.raises(InvalidPointError, match="exceeds the annulus half-height"):
+                slab.annulus_generator(points[i])
+    else:
+        assert not failed
+    for i, instance in enumerate(placed):
+        if i not in failed:
+            alone = slab.annulus_generator(points[i])
+            assert (instance.placement, instance.w_reference) == (alone.placement, alone.w_reference)
 
 
 def test_shrink_factor_validation(slab1) -> None:

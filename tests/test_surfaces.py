@@ -145,6 +145,38 @@ def test_catenoid_profile_inverse_step_budget(monkeypatch) -> None:
         catenoid_profile_inverse(CAT, 0.45 * catenoid_height(CAT))
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.5, -0.7])
+@pytest.mark.parametrize("d", [0.05, 0.3, 1.63, 3.89])
+def test_catenoid_profile_inverse_of_an_array_keeps_each_elements_bits(tau: float, d: float) -> None:
+    spec = CatenoidSpec(tau, d)
+    heights = np.linspace(0.0, 0.49, 41) * catenoid_height(spec)
+    one_at_a_time = np.array([catenoid_profile_inverse(spec, h) for h in heights.tolist()])
+    batch = catenoid_profile_inverse(spec, heights)
+    assert batch.shape == heights.shape
+    np.testing.assert_array_equal(batch.view(np.int64), one_at_a_time.view(np.int64))
+    # the shape is kept, and a float gives a float
+    np.testing.assert_array_equal(catenoid_profile_inverse(spec, heights.reshape(41, 1)), batch.reshape(41, 1))
+    assert isinstance(catenoid_profile_inverse(spec, float(heights[7])), float)
+
+
+def test_catenoid_profile_inverse_budget_is_per_element(monkeypatch) -> None:
+    # height 0 converges at the first step; 0.45 H needs more than two, so
+    # the array fails on that one element's budget alone
+    heights = np.array([0.0, 0.45 * catenoid_height(CAT)])
+    monkeypatch.setattr(surfaces, "_INVERSE_BUDGET", 2)
+    assert catenoid_profile_inverse(CAT, heights[:1])[0] == catenoid_neck_radius(CAT)
+    with pytest.raises(ConvergenceError, match=f"height {heights[1]} did not converge in 2 steps"):
+        catenoid_profile_inverse(CAT, heights)
+
+
+@pytest.mark.parametrize("bad", [0.5, math.nan, -0.1], ids=["unattained", "nan", "negative"])
+def test_catenoid_profile_inverse_rejects_one_bad_height_in_an_array(bad: float) -> None:
+    heights = np.array([0.1, 0.2, 0.3]) * catenoid_height(CAT)
+    heights[1] = bad * catenoid_height(CAT)
+    with pytest.raises(ParameterError):
+        catenoid_profile_inverse(CAT, heights)
+
+
 def test_catenoid_height_is_twice_the_profile_limit() -> None:
     # The profile saturates quickly; far from the neck it sits at height/2.
     rho = catenoid_neck_radius(CAT) + 40.0
