@@ -4,7 +4,8 @@ Exit codes: 0 = all checks pass, 1 = invalid input, 2 = computational
 failure or a failed check.  Every command emits a machine-readable JSON
 report (stdout by default); reports carry no timestamps and all sampling
 is seeded, so identical invocations produce byte-identical output.  An
-output file that cannot be written is invalid input, reported on stdout.
+output file that cannot be written is invalid input, reported on stdout; a
+grid too large to allocate is a computational failure.
 """
 
 from __future__ import annotations
@@ -284,6 +285,8 @@ def main(argv: list[str] | None = None) -> int:
             report, code = {"status": "computational_failure", "message": str(exc)}, 2
         except GeometryError as exc:
             report, code = {"status": "invalid_input", "message": str(exc)}, 1
+        except MemoryError as exc:  # a grid too large to allocate
+            report, code = {"status": "computational_failure", "message": f"out of memory: {exc}"}, 2
         try:
             _emit(report, out)
         except ValueError as exc:  # a non-finite value in the report: not strict JSON

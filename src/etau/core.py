@@ -110,6 +110,9 @@ class AmbientPoint:
     base: BasePoint
     t: float
 
+    def __post_init__(self) -> None:
+        require_finite("point", t=self.t)
+
     @property
     def model(self) -> Model:
         return self.base.model

@@ -48,10 +48,9 @@ run depth by depth, so each Schur complement is read by its parent, one depth
 up, before any batch two depths up writes into its region.  A solver so holds
 one live factor: each ``factor`` call invalidates the previous one, and
 ``Factor.solve`` on a stale factor raises ``RuntimeError``.  ``Factor.solve``
-works in vectors that sit past the stored blocks, where the factorization's
-fronts and Schur complements were, and returns one of them: a solution is
-valid until the solver's next solve or factorization.  Each pivot block's
-forward update is a ``np.bincount`` over the window of nodes it updates.
+reads the stored blocks and works in plain arrays of its own, so a solution
+is an ordinary array.  Each pivot block's forward update is a ``np.bincount``
+over the window of nodes it updates.
 
 Results do not depend on the number of BLAS threads: pivot blocks have at most
 ``_PIVOT_CAP`` rows, and every product runs in row blocks small enough that
@@ -124,16 +123,6 @@ class _Views(NamedTuple):
     scratch: np.ndarray  # flat, from the end of the fronts
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # inverse, x, c
     schur: np.ndarray | None  # the Schur complements, which the parents read
-
-
-class _Vectors(NamedTuple):
-    """``Factor.solve``'s work vectors."""
-
-    y: np.ndarray  # forward sweep, on the box nodes and a last entry that collects padding
-    sol: np.ndarray  # backward sweep; padding reads the last entry, which is 0
-    gathered: np.ndarray  # flat, a block's gathered y or sol
-    product: np.ndarray  # flat, a block's product with them
-    out: np.ndarray  # the solution on the unknowns
 
 
 # kinds of window cells: a pivot, the ring's row above, row below, column left
@@ -344,7 +333,7 @@ class NestedDissection:
 
     def _plan(self, depths: list[int]) -> None:
         """Arena offsets of the numeric phase's arrays (see Workspace above)."""
-        store = top = widest = 0
+        store = top = 0
         level: dict[int, int] = {}  # Schur entries of each depth so far
         for bid in range(len(self._batches) - 1, -1, -1):  # elimination order
             batch = self._batches[bid]
@@ -355,7 +344,6 @@ class NestedDissection:
                 batch.stored.append((store, store + b * k * k, store + b * k * (k + m)))
                 store += b * k * (k + 2 * m)
                 scratch = max(scratch, b * min(_row_step(k, m), m) * m)
-                widest = max(widest, b * max(k, m))
             batch.fronts = store
             top = max(top, store + b * n * n + scratch)
             if bid:  # the root's Schur complement is read by no parent
@@ -365,12 +353,10 @@ class NestedDissection:
         region = [max([v for d, v in level.items() if d % 2 == q], default=0) for q in (0, 1)]
         for bid in range(1, len(self._batches)):
             self._batches[bid].schur += top + (depths[bid] % 2) * region[0]
-        # the solve's vectors, past the stored blocks: y, sol, z, gathered, product, out
-        self._vector_plan = (store, (self.size + 1, self.size + 1, self.size, widest, widest, self.nodes.size))
-        self._arena_size = max(top + region[0] + region[1], store + sum(self._vector_plan[1]))
+        self._arena_size = top + region[0] + region[1]
 
     def _allocate(self) -> None:
-        """The arena, each batch's views into it and the solve's vectors."""
+        """The arena and each batch's views into it."""
         arena = np.empty(self._arena_size)
 
         def view(offset: int, *shape: int) -> np.ndarray:
@@ -386,16 +372,10 @@ class NestedDissection:
             schur = view(batch.schur, b, r, r) if bid else None
             scratch = arena[batch.fronts + b * n * n :]
             self._work.append(_Views(view(batch.fronts, b, n, n), scratch, blocks, schur))
-        start, lengths = self._vector_plan
-        starts = itertools.accumulate(lengths[:-1], initial=start)
-        y, sol, z, gathered, product, out = (view(at, length) for at, length in zip(starts, lengths))
-        self._vectors = _Vectors(y, sol, gathered, product, out)
-        # in elimination order, each with its forward-sweep vector z
-        self._blocks, at = [], 0
+        # in elimination order
         for batch, views in zip(reversed(self._batches), reversed(self._work)):
             for (_, _, piv, lo, upd), stored in zip(batch.blocks, views.blocks):
-                self._blocks.append((piv, lo, upd, *stored, z[at : at + piv.size].reshape(piv.shape + (1,))))
-                at += piv.size
+                self._blocks.append((piv, lo, upd, *stored))
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def factor(self, coef: np.ndarray) -> "Factor":
@@ -449,27 +429,19 @@ class Factor:
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solution for a right-hand side given on the unknowns, row-major.
-
-        The solution is one of the solver's vectors: valid until its next solve
-        or factorization.
-        """
+        """Solution, a new array, for a right-hand side given on the unknowns, row-major."""
         solver = self._solver
         if solver._generation != self._generation:
             raise RuntimeError("a later factorization has overwritten this factor")
-        y, sol, gathered, product, out = solver._vectors
-        y.fill(0.0)
+        y = np.zeros(solver.size + 1)  # on the box nodes, and a last entry that collects padding
         y[solver.nodes] = rhs
-        sol[-1] = 0.0  # the factorization's scratch may have written there
-        # the indices are in range, so np.take may skip its checked copy
-        for piv, lo, upd, inverse, _, c, z in solver._blocks:
-            above = np.take(y, piv, out=gathered[: piv.size].reshape(piv.shape), mode="clip")
-            _product(inverse, above[:, :, None], out=z)
-            update = _product(c, z, out=product[: upd.size].reshape(upd.shape + (1,)))
-            window = np.bincount(upd.ravel(), update.ravel())
+        zs = []  # each block's forward-sweep vector
+        for piv, lo, upd, inverse, _, c in solver._blocks:
+            z = _product(inverse, y[piv][:, :, None])
+            window = np.bincount(upd.ravel(), _product(c, z).ravel())
             y[lo : lo + window.size] -= window
-        for piv, lo, upd, _, x, _, z in reversed(solver._blocks):
-            below = np.take(sol[lo:], upd, out=gathered[: upd.size].reshape(upd.shape), mode="clip")
-            step = _product(x, below[:, :, None], out=product[: piv.size].reshape(z.shape))
-            sol[piv] = np.subtract(z, step, out=step)[:, :, 0]
-        return np.take(sol, solver.nodes, out=out, mode="clip")
+            zs.append(z)
+        sol = np.zeros(solver.size + 1)  # padding reads the last entry, which stays 0
+        for (piv, lo, upd, _, x, _), z in zip(reversed(solver._blocks), reversed(zs)):
+            sol[piv] = (z - _product(x, sol[lo:][upd][:, :, None]))[:, :, 0]
+        return sol[solver.nodes]

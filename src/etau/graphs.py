@@ -595,10 +595,10 @@ def solve_dirichlet(
 
     The solve builds a ``_FluxForm`` on (domain, tau), which holds the
     half-edge chart terms and the Jacobian field, and the nested-dissection
-    solver, whose arena holds the factor and whose vectors hold
-    ``Factor.solve``'s work.  The iterate and its residual are plain node
-    arrays: a line-search trial copies the iterate, moves its interior nodes
-    and takes a new residual, and an accepted trial becomes the iterate.
+    solver, whose arena holds the factor.  The iterate, its residual and each
+    ``Factor.solve`` step are plain node arrays: a line-search trial copies the
+    iterate, moves its interior nodes and takes a new residual, and an
+    accepted trial becomes the iterate.
 
     The report counts loop passes as ``iterations`` (chord steps included,
     bounded by max_newton) and LU factorizations as ``factorizations``.  A

@@ -378,6 +378,7 @@ def invariant_profile_inverse(spec: InvariantSurfaceSpec, value: float) -> float
     """Angle theta where the requested sheet reaches the given fiber value."""
     if spec.side is Sheet.BOTH:
         raise ParameterError("profile inversion needs a specific sheet")
+    require_finite("profile inversion", value=value)  # NaN fails every sign test below
     theta_star = invariant_angle_max(spec.d)
     lo, hi = 0.0, theta_star
     f_lo = invariant_profile(spec, lo) - value

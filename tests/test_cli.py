@@ -329,6 +329,18 @@ def test_non_finite_report_is_a_computational_failure(tmp_path, capsys, monkeypa
     assert json.loads(out.read_text()) == report
 
 
+def test_an_unallocatable_grid_is_a_computational_failure(capsys, monkeypatch) -> None:
+    # as numpy raises for a grid such as --n 10000000, without asking for the memory
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 728. TiB")
+
+    monkeypatch.setattr(cli, "solve_dirichlet", out_of_memory)
+    code, report = run(capsys, "solve", "--n", "9")
+    assert code == 2
+    assert report["status"] == "computational_failure"
+    assert "728. TiB" in report["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -15,6 +15,7 @@ from etau.core import (
     InvalidPointError,
     Model,
     ModelMismatchError,
+    ParameterError,
     chord_distances,
     chord_length,
     conformal_factor,
@@ -372,3 +373,9 @@ def test_in_place_kernels_keep_the_bits_of_their_expressions(kernel: str, layout
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.dtype == w.dtype == np.float64
             np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_ambient_point_rejects_a_non_finite_fiber_coordinate(t: float) -> None:
+    with pytest.raises(ParameterError, match="point t must be finite"):
+        AmbientPoint(BasePoint(Model.HALF_SPACE, 0.0, 1.0), t)

@@ -401,6 +401,13 @@ def test_invariant_profile_inverse_round_trip() -> None:
     assert invariant_profile_inverse(INV, v) == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_invariant_profile_inverse_rejects_a_non_finite_value(value: float) -> None:
+    # NaN fails every sign test, so the bisection would collapse onto theta = 0
+    with pytest.raises(ParameterError):
+        invariant_profile_inverse(INV, value)
+
+
 def test_normal_vertical_component_frozen() -> None:
     assert normal_vertical_component(INV, 0.5) == pytest.approx(0.5571564905840402, abs=1e-10)
 
