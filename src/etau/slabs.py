@@ -166,7 +166,10 @@ class _ModelAnnulus:
     a and v = b - a are the start points and vectors of its mesh's edges
     (lo, hi), each once in lexicographic order, (E, 3) each; upper and lower
     are its boundary circles at w = 1 and w = -1, _BOUNDARY_SAMPLES disc
-    coordinates (n, 3) each.
+    coordinates (n, 3) each.  horizontal_bound is max over the edges of
+    2 |dz| / (1 - r2), |dz| the edge's horizontal length and r2 its larger
+    endpoint |z|^2: a bound of the horizontal speed 2 |dz| / (1 - |z|^2)
+    along every model edge (_congruence_bound).
     """
 
     spec: CatenoidSpec
@@ -177,6 +180,7 @@ class _ModelAnnulus:
     v: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
+    horizontal_bound: float
 
 
 @lru_cache(maxsize=8)
@@ -185,7 +189,23 @@ def _model_annulus(generator: CatenoidAnnulusGenerator) -> _ModelAnnulus:
     spec = CatenoidSpec(tau=generator.tau, d=generator.d)
     rho = generator.rho_boundary
     neck_radius = catenoid_neck_radius(spec)
-    mesh = mesh_catenoid(spec, rho, generator.resolution)
+    # the mesh and its edge keys are freed before horizontal_bound's temporaries
+    # are formed, so the build's peak memory does not grow
+    a, v = _mesh_edges(mesh_catenoid(spec, rho, generator.resolution))
+    phi = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
+    upper, lower = (catenoid_patch(spec, rho, np.array(w), phi) for w in (1.0, -1.0))
+    for array in (a, v, upper, lower):
+        array.flags.writeable = False
+    sigma_max = math.sqrt(rho - neck_radius)
+    horizontal_bound = float(np.max(2.0 * np.hypot(v[:, 0], v[:, 1]) / (1.0 - _edge_extent(a, v)[0])))
+    return _ModelAnnulus(
+        spec, neck_radius, sigma_max, catenoid_profile(spec, rho), a, v, upper, lower, horizontal_bound
+    )
+
+
+def _mesh_edges(mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Start points a and vectors v = b - a of the mesh's edges (lo, hi),
+    each once in lexicographic order."""
     n = len(mesh.vertices)
     tri = mesh.triangles.astype(np.int64)
     ends = np.roll(tri, -1, axis=1)
@@ -193,13 +213,15 @@ def _model_annulus(generator: CatenoidAnnulusGenerator) -> _ModelAnnulus:
     keys = np.sort(np.minimum(tri, ends) * n + np.maximum(tri, ends), axis=None)
     lo, hi = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], n)
     a = mesh.vertices[lo]
-    v = mesh.vertices[hi] - a
-    phi = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
-    upper, lower = (catenoid_patch(spec, rho, np.array(w), phi) for w in (1.0, -1.0))
-    for array in (a, v, upper, lower):
-        array.flags.writeable = False
-    sigma_max = math.sqrt(rho - neck_radius)
-    return _ModelAnnulus(spec, neck_radius, sigma_max, catenoid_profile(spec, rho), a, v, upper, lower)
+    return a, mesh.vertices[hi] - a
+
+
+def _edge_extent(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per edge a -> a + v, the largest |z|^2, |x| and |y| over its segment:
+    each is convex along it, so the larger endpoint value."""
+    b = a + v
+    r2 = np.maximum(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1], b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1])
+    return r2, np.maximum(np.abs(a[:, 0]), np.abs(b[:, 0])), np.maximum(np.abs(a[:, 1]), np.abs(b[:, 1]))
 
 
 @dataclass(frozen=True)
@@ -513,6 +535,77 @@ def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray
     return out
 
 
+def _congruence_bound(instances: Sequence[AnnulusInstance]) -> float:
+    """Bound of the sup distance between the edge_length_spectra of any two
+    of the model annulus and the instances, which share one generator.
+
+    It reads each placement only through _placement_forms, as the spectra
+    do.  An instance whose fiber tau differs from the metric's, or whose
+    form has C <= 0, is not covered and makes the bound infinite.  Otherwise
+    divide D by C: D / C = D0 + dD with D0 = 1 - |z|^2, the model's own
+    form, and dD = (A/C + 1) |z|^2 + 2 Re(B z / C), so |dD| <= e = delta
+    (|z|^2 + 2|x| + 2|y|) with delta = max(|A/C + 1|, |Re B / C|, |Im B / C|).
+    The generator's matrices keep a = conj(d), b = conj(c) exactly, so their
+    correctly rounded forms have A = -C and B = 0: delta = 0, D = C D0, and
+    each speed is the model's with its horizontal part 2 |dz| / D0 scaled by
+    1/C.  As sqrt(h^2 + w^2) is 1-Lipschitz in h, two instances' speeds then
+    differ by at most |1/C_i - 1/C_j| 2 |dz| / D0, and the model is the case
+    C = 1.  When delta > 0, an instance's speed also strays from that scaled
+    model speed by at most
+
+        (2 |dz| / C) e / (D0 (D0 - e)) + 4 |tau| (|k| e / (D0 (D0 - e)) + delta (|k| + |dx| + |dy|) / (D0 - e)),
+
+    k = Im(conj(z) dz), from the horizontal part and the twist term 4 tau
+    Im(dD dz) / D; D0 - e > 0 is needed, else the bound is infinite.  Along
+    an edge dz and k are constant and |z|^2, |x|, |y| are largest at an
+    endpoint (_edge_extent), so each term is bounded per edge.  Gauss
+    weights are positive and sorting does not increase a sup distance, so
+    the bound on the speeds bounds the spectra:
+
+        (max - min of {1, 1/C_i}) * horizontal_bound + the two largest of {0, residual_i},
+
+    residual_i the per-edge maximum above (0 when delta = 0).  A NaN
+    coefficient makes the bound NaN.  A reversing placement only flips the
+    vertical part's sign, so it is covered like a direct one.  The bound is
+    on the speeds in exact arithmetic; edge_length_spectra's own rounding
+    adds up to about 1e-10 (its docstring).
+    """
+    gen = instances[0].generator
+    model = _model_annulus(gen)
+    forms = [_placement_forms(instance.placement, gen.tau) for instance in instances]
+    d_forms = np.array([d_form for _, d_form, _ in forms])
+    # ~(C <= 0), unlike C > 0, keeps a NaN C covered, so the NaN reaches the bound.
+    covered = np.array([tau_f == gen.tau for tau_f, _, _ in forms]) & ~(d_forms[:, 3] <= 0.0)
+    a, br, bi, c = d_forms[covered].T
+    inv_c = 1.0 / c
+    delta = np.maximum(np.abs(a * inv_c + 1.0), np.maximum(np.abs(br), np.abs(bi)) * inv_c)
+    residuals = np.full(len(instances) + 1, np.inf)
+    residuals[-1] = 0.0  # the model annulus
+    residuals[:-1][covered] = [
+        0.0 if d == 0.0 else _form_residual(model, gen.tau, s, d) for s, d in zip(inv_c.tolist(), delta.tolist())
+    ]
+    spread = np.ptp(np.append(inv_c, 1.0))
+    return float(spread * model.horizontal_bound + np.sort(residuals)[-2:].sum())
+
+
+def _form_residual(model: _ModelAnnulus, tau: float, inv_c: float, delta: float) -> float:
+    """Largest distance over the model edges between an instance's speed and
+    the model speed with its horizontal part scaled by inv_c = 1/C, for
+    the form defect delta > 0 (_congruence_bound); infinite when D / C may
+    vanish on an edge."""
+    vx, vy = model.v[:, 0], model.v[:, 1]
+    r2, x, y = _edge_extent(model.a, model.v)
+    d0 = 1.0 - r2
+    e = delta * (r2 + 2.0 * (x + y))
+    low = d0 - e
+    if np.any(low <= 0.0):
+        return math.inf
+    k = np.abs(model.a[:, 0] * vy - model.a[:, 1] * vx)
+    horizontal = 2.0 * inv_c * np.hypot(vx, vy) * e / (d0 * low)
+    twist = 4.0 * abs(tau) * (k * e / (d0 * low) + delta * (k + np.abs(vx) + np.abs(vy)) / low)
+    return float(np.max(horizontal + twist))
+
+
 # -- slab specification and checks ---------------------------------------------
 
 
@@ -573,6 +666,16 @@ class AnnulusCheck:
 
 @dataclass(frozen=True)
 class SlabReport:
+    """Audit of a slab at its points.
+
+    spectra_deviation is a bound, from every placement's Hermitian form, of
+    the edge-length spectra distance between any two of the model annulus
+    and the generated instances (check_annulus_family): infinite when some
+    placement is not covered by it, NaN when a form is, 0.0 when no point
+    got an annulus, and NaN for slabs whose graphs fail the bounding check.
+    spectra_ok is that bound below _SPECTRA_TOL.
+    """
+
     height_bound: float
     normal_bound: float
     disjoint: bool
@@ -612,10 +715,9 @@ def _window_test(domain: GraphDomain) -> Callable[[np.ndarray, np.ndarray], np.n
 
 
 # check_annulus_family: an annulus contains its point when the chord distance
-# is below _CONTAINS_TOL times the slab scale; _SPECTRA_PAIRS random instance
-# pairs must have edge-length spectra within _SPECTRA_TOL of each other.
+# is below _CONTAINS_TOL times the slab scale; the model annulus and every
+# instance must have edge-length spectra within _SPECTRA_TOL of each other.
 _CONTAINS_TOL = 1e-6
-_SPECTRA_PAIRS = 2
 _SPECTRA_TOL = 1e-6
 
 
@@ -624,13 +726,14 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
 
     Per point: the generated annulus passes through it (ambient distance
     below _CONTAINS_TOL times the slab scale) and its boundary circles clear
-    the graphs along fibers, one above and one below.  _SPECTRA_PAIRS random
-    instance pairs must have matching edge-length spectra: the pairs are
-    drawn first, one edge_length_spectra call measures their distinct
-    instances, and the deviation is folded in pair order.  Each stage is one
-    array pass over all points (window, placements, reference chords,
-    boundary circles); a point with no annulus gets a failed record, and
-    AnnulusCheck says when a recorded distance is an upper bound.
+    the graphs along fibers, one above and one below.  The family must be
+    congruent: _congruence_bound, read from every placement's Hermitian
+    form, bounds the edge-length spectra distance between any two of the
+    model annulus and the instances, and must stay below _SPECTRA_TOL; no
+    spectrum is measured.  Each stage is one array pass over all points
+    (window, placements, reference chords, boundary circles); a point with
+    no annulus gets a failed record, and AnnulusCheck says when a recorded
+    distance is an upper bound.  seed is unused: the audit draws nothing.
     """
     bounding = check_bounding_graphs(slab)
     base_report = dict(
@@ -677,15 +780,7 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
         for p, d, a, b, *spread in zip(points, distance.tolist(), above.tolist(), below.tolist(), *spreads.tolist())
     )
 
-    deviation = 0.0
-    if len(instances) >= 2:
-        rng = default_rng(seed)
-        pairs = [rng.choice(len(instances), size=2, replace=False).tolist() for _ in range(_SPECTRA_PAIRS)]
-        distinct = sorted({k for pair in pairs for k in pair})
-        spectra = dict(zip(distinct, edge_length_spectra([instances[k] for k in distinct])))
-        for i, j in pairs:
-            # np.maximum, unlike max, keeps a NaN, which then fails the check.
-            deviation = float(np.maximum(deviation, np.max(np.abs(spectra[i] - spectra[j]))))
+    deviation = _congruence_bound(instances) if instances else 0.0
     spectra_ok = deviation < _SPECTRA_TOL
 
     passed = spectra_ok and all(c.contains_point and c.boundary_above and c.boundary_below for c in checks)

@@ -25,7 +25,15 @@ from etau.core import (
     metric_quadratic_form,
 )
 from etau.graphs import Chart, GraphDomain, GraphFunction
-from etau.isometries import AmbientIsometry, MobiusMap, Orientation, apply_to_coords, compose, push_forward
+from etau.isometries import (
+    AmbientIsometry,
+    MobiusMap,
+    Orientation,
+    apply_to_coords,
+    compose,
+    identity_isometry,
+    push_forward,
+)
 from etau.quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss
 from etau.slabs import (
     SlabSpec,
@@ -492,20 +500,24 @@ def test_edge_spectra_stay_within_rounding_of_longdouble() -> None:
     assert min(route) > 1e-9, route  # far-out instances: rounding shows
 
 
+def _distortion(scale: float, shift: complex = 0.0, tau: float = 0.0) -> AmbientIsometry:
+    """z -> scale z + shift with t kept: the matrix (sqrt(scale),
+    shift/sqrt(scale); 0, 1/sqrt(scale)) has determinant 1 but is no
+    isometry of the disc unless scale = 1 and shift = 0."""
+    k = math.sqrt(scale)
+    return AmbientIsometry(MobiusMap.normalized(k, shift / k, 0.0, 1.0 / k, Model.CYLINDER), Orientation.DIRECT, 0.0, 0.0, tau)
+
+
 @pytest.mark.parametrize(
     "shift",
     [pytest.param(0.0, id="squeeze"), pytest.param(0.04 + 0.03j, id="squeeze-shift")],
 )
 def test_edge_length_spectrum_moves_under_a_non_isometric_placement(slab1, shift: complex) -> None:
-    # (sqrt(0.9), shift/sqrt(0.9); 0, 1/sqrt(0.9)), z -> 0.9 z + shift, has
-    # determinant 1 but is no isometry of the disc; the shift gives D a
-    # Re(beta z) term.  Composed into the placement it must move the
-    # spectrum, which still follows the push-forward rule.
+    # z -> 0.9 z + shift; the shift gives D a Re(beta z) term.  Composed
+    # into the placement it must move the spectrum, which still follows the
+    # push-forward rule.
     instance = slab1.annulus_generator(sample_interior_points(slab1, 1, seed=7)[0])
-    k = math.sqrt(0.9)
-    mobius = MobiusMap.normalized(k, shift / k, 0.0, 1.0 / k, Model.CYLINDER)
-    distortion = AmbientIsometry(mobius, Orientation.DIRECT, 0.0, 0.0, 0.0)
-    moved = replace(instance, placement=compose(instance.placement, distortion))
+    moved = replace(instance, placement=compose(instance.placement, _distortion(0.9, shift)))
     spectrum, distorted = edge_length_spectra([instance, moved])
     assert float(np.max(np.abs(distorted - spectrum))) > 1e-5
     assert float(np.max(np.abs(distorted - _longdouble_spectrum(moved)))) <= 1e-10
@@ -542,33 +554,148 @@ def test_batched_spectra_need_one_model_mesh(slab1) -> None:
         edge_length_spectra([])
 
 
-def _overlapping_pair_seed(points: int, overlap: bool) -> int:
-    """First seed whose two spectra pairs over the given number of instances
-    share an instance (overlap) or do not, drawn as check_annulus_family draws them."""
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        i, j = (set(rng.choice(points, size=2, replace=False).tolist()) for _ in range(2))
-        if bool(i & j) == overlap:
-            return seed
-    raise AssertionError("no such seed below 100")
+def _drifted_determinant(placement: AmbientIsometry) -> AmbientIsometry:
+    """The placement with its matrix scaled by 1 + 1e-6: the same Moebius map,
+    and a form still of the shape A = -C, B = 0, but C = (1 + 1e-6)^2."""
+    m = placement.mobius
+    s = 1.0 + 1e-6
+    return replace(placement, mobius=MobiusMap(m.a * s, m.b * s, m.c * s, m.d * s, m.model))
 
 
-@pytest.mark.parametrize(("overlap", "measured"), [(True, 3), (False, 4)])
-def test_audit_measures_its_pairs_in_one_batch(slab1, monkeypatch, overlap: bool, measured: int) -> None:
-    points = sample_interior_points(slab1, 4, seed=7)
-    seed = _overlapping_pair_seed(len(points), overlap)
+# Placement mutations that move the spectra (the spectra tests above), as maps
+# of the placement; det-drift moves them by about 6e-5 against the model.
+_PLACEMENT_MUTATIONS = {
+    "tau_f-0.01": lambda placement: replace(placement, tau=0.01),
+    "squeeze": lambda placement: compose(placement, _distortion(0.9)),
+    "squeeze-shift": lambda placement: compose(placement, _distortion(0.9, 0.04 + 0.03j)),
+    "det-drift": _drifted_determinant,
+}
+
+
+def _mutate_placement(monkeypatch, mutation, rows=(0,)) -> None:
+    """Make the generator's place pass hand out the given rows' instances
+    with their placements mutated, as the audit reads them."""
+    place = slabs.CatenoidAnnulusGenerator.place
+
+    def mutated(self, points):
+        out = place(self, points)
+        for row in rows:
+            out[row] = replace(out[row], placement=mutation(out[row].placement))
+        return out
+
+    monkeypatch.setattr(slabs.CatenoidAnnulusGenerator, "place", mutated)
+
+
+def test_audit_measures_no_spectrum(slab1, monkeypatch) -> None:
+    def refused(instances):
+        raise AssertionError("the audit measured a spectrum")
+
+    monkeypatch.setattr(slabs, "edge_length_spectra", refused)
+    report = check_annulus_family(slab1, sample_interior_points(slab1, 4, seed=7))
+    assert report.passed and report.spectra_ok
+    assert 0.0 < report.spectra_deviation < 1e-10
+
+
+@pytest.mark.parametrize("mutation", ["squeeze", "det-drift"])
+def test_one_point_audit_is_not_vacuous(slab1, monkeypatch, mutation: str) -> None:
+    # One instance is still compared with the model annulus.  det-drift keeps
+    # A = -C and B = 0, so only the model's place in the bound's spread sees it.
+    points = sample_interior_points(slab1, 1, seed=7)
+    assert check_annulus_family(slab1, points).spectra_ok
+    _mutate_placement(monkeypatch, _PLACEMENT_MUTATIONS[mutation])
+    report = check_annulus_family(slab1, points)
+    assert not report.spectra_deviation < slabs._SPECTRA_TOL
+    assert not report.spectra_ok
+    assert not report.passed
+    (instance,) = slab1.annulus_generator.place(points)  # still the mutated place
+    model = replace(instance, placement=identity_isometry(slab1.tau, Model.CYLINDER))
+    deviation = _all_pairs_deviation([model, instance])
+    assert slabs._SPECTRA_TOL < deviation <= report.spectra_deviation + _SPECTRA_FLOAT_ERROR
+
+
+@pytest.mark.parametrize("mutation", list(_PLACEMENT_MUTATIONS))
+@pytest.mark.parametrize("count", [1, 4])
+def test_audit_catches_each_placement_mutation(slab1, monkeypatch, mutation: str, count: int) -> None:
+    # One instance is mutated, except that a fiber-tau mutation goes to every
+    # row: rows applied together must share one tau (apply_to_rows).
+    rows = range(count) if mutation == "tau_f-0.01" else [count - 1]
+    _mutate_placement(monkeypatch, _PLACEMENT_MUTATIONS[mutation], rows)
+    report = check_annulus_family(slab1, sample_interior_points(slab1, count, seed=7))
+    assert not report.spectra_ok
+    assert not report.passed
+
+
+@pytest.mark.parametrize("coefficient", [0, 1, 3])
+def test_nan_form_fails_the_audit(slab1, monkeypatch, coefficient: int) -> None:
+    points = sample_interior_points(slab1, 2, seed=7)
+    forms = slabs._placement_forms
     calls = []
 
-    def recorded(instances):
-        calls.append([instance.point for instance in instances])
-        return edge_length_spectra(instances)
+    def forms_with_nan(placement, tau):
+        tau_f, d_form, p_form = forms(placement, tau)
+        calls.append(placement)
+        if len(calls) == 2:
+            d_form = tuple(math.nan if i == coefficient else value for i, value in enumerate(d_form))
+        return tau_f, d_form, p_form
 
-    monkeypatch.setattr(slabs, "edge_length_spectra", recorded)
-    report = check_annulus_family(slab1, points, seed=seed)
-    assert len(calls) == 1
-    assert len(calls[0]) == len(set(map(id, calls[0]))) == measured
-    assert all(any(p is q for q in points) for p in calls[0])
-    assert report.passed
+    monkeypatch.setattr(slabs, "_placement_forms", forms_with_nan)
+    report = check_annulus_family(slab1, points)
+    assert len(calls) == 2
+    assert math.isnan(report.spectra_deviation)
+    assert not report.spectra_ok
+    assert not report.passed
+
+
+def _slab_at(construction: str, tau: float) -> SlabSpec:
+    sp = SpaceParams(tau)
+    if construction == "example2":
+        return build_example2(sp, "linear", 1.0, 0.45, 0.2, grid=65, annulus_resolution=(33, 48))
+    radius = 4.0 if construction == "example1_r4" else 10.0
+    return build_example1(sp, 0.1, window_radius=radius, grid=65, annulus_resolution=(33, 48))
+
+
+def _all_pairs_deviation(instances) -> float:
+    spectra = edge_length_spectra(instances)
+    return max(float(np.max(np.abs(x - y))) for x in spectra for y in spectra)
+
+
+# edge_length_spectra's pinned float error (test_edge_spectra_stay_within_rounding_of_longdouble)
+_SPECTRA_FLOAT_ERROR = 1e-10
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, -0.7])
+@pytest.mark.parametrize("construction", ["example1", "example1_r4", "example2"])
+def test_congruence_bound_covers_the_measured_spectra(construction: str, tau: float) -> None:
+    slab = _slab_at(construction, tau)
+    instances = slab.annulus_generator.place(sample_interior_points(slab, 6, seed=5))
+    # The generator keeps a = conj(d), b = conj(c): forms with A = -C and B = 0 exactly.
+    for instance in instances:
+        tau_f, (a, br, bi, c), p_form = slabs._placement_forms(instance.placement, tau)
+        assert (tau_f, a, br, bi, p_form) == (tau, -c, 0.0, 0.0, None)
+    model = replace(instances[0], placement=identity_isometry(tau, Model.CYLINDER))
+    family = [model, *instances, _mirrored(instances[-1])]
+    bound = slabs._congruence_bound(family[1:])
+    assert 0.0 < bound < slabs._SPECTRA_TOL
+    assert _all_pairs_deviation(family) <= bound + _SPECTRA_FLOAT_ERROR
+    # the model annulus counts: one instance alone is still bounded against it
+    assert _all_pairs_deviation(family[:2]) <= slabs._congruence_bound(family[1:2]) + _SPECTRA_FLOAT_ERROR
+
+
+# At tau 2 the twist term carries the residual: without it the bound misses a shifted placement.
+@pytest.mark.parametrize("tau", [0.0, 0.5, -0.7, 2.0])
+@pytest.mark.parametrize(("scale", "shift"), [(1.0 - 1e-6, 0.0), (1.0 - 1e-6, 1e-6 + 2e-6j), (1.0, 1e-5), (1.0 - 1e-4, 0.0)])
+def test_congruence_bound_covers_small_form_defects(tau: float, scale: float, shift: complex) -> None:
+    # Placements composed with z -> scale z + shift have A != -C or B != 0;
+    # their residual term must still cover the spectra, which it can only
+    # do with a finite bound when the defect is small.
+    slab = _slab_at("example1", tau)
+    first, second = slab.annulus_generator.place(sample_interior_points(slab, 2, seed=7))
+    moved = replace(first, placement=compose(first.placement, _distortion(scale, shift, tau)))
+    model = replace(first, placement=identity_isometry(tau, Model.CYLINDER))
+    for family in ([model, moved], [model, moved, second], [model, moved, _mirrored(moved)]):
+        bound = slabs._congruence_bound(family[1:])
+        assert math.isfinite(bound)
+        assert _all_pairs_deviation(family) <= bound + _SPECTRA_FLOAT_ERROR
 
 
 def test_boundary_coords_apply_the_placement_to_the_model_circles(slab1) -> None:
@@ -633,23 +760,6 @@ def test_a_generator_builds_its_model_annulus_once(slab1, monkeypatch) -> None:
     assert len(meshes) == 2
     assert own is not record
     assert own.boundary_height < record.boundary_height
-
-
-def test_nan_spectrum_fails_the_audit(slab1, monkeypatch) -> None:
-    points = sample_interior_points(slab1, 2, seed=7)
-
-    def spectra_with_nan(instances):
-        out = edge_length_spectra(instances)
-        for row, instance in zip(out, instances):
-            if instance.point == points[0]:
-                row[len(row) // 2] = float("nan")
-        return out
-
-    monkeypatch.setattr(slabs, "edge_length_spectra", spectra_with_nan)
-    report = check_annulus_family(slab1, points)
-    assert math.isnan(report.spectra_deviation)
-    assert not report.spectra_ok
-    assert not report.passed
 
 
 def test_shrunken_annuli_fail_without_crashing(slab1) -> None:
