@@ -23,9 +23,9 @@ PANEL_NODES = 20
 # temporary (16 bytes a node at most) stays under the 64 KiB from which
 # glibc's free() consolidates and trims the heap.  At 1 << 14 a slab audit
 # whose edge spectra allocated per operation re-faulted 2,000 to 100,000
-# pages, varying from run to run.  The edge spectra, whose temporaries are
-# all real (8 bytes a node), take chunks of twice this size
-# (slabs._SPECTRA_CHUNK_NODES).
+# pages, varying from run to run.  The edge spectra of the tests' reference,
+# whose temporaries are all real (8 bytes a node), take chunks of twice this
+# size (tests/spectra_reference.py).
 CHUNK_NODES = 1 << 12
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(PANEL_NODES)
 _NODES.flags.writeable = _WEIGHTS.flags.writeable = False
@@ -50,16 +50,6 @@ def _panel_nodes(a: np.ndarray, b: np.ndarray, panels: int) -> tuple[np.ndarray,
     half = 0.5 * (b - a) / panels
     mids = a[:, None] + (2.0 * np.arange(panels) + 1.0) * half[:, None]
     return half, mids[:, :, None] + half[:, None, None] * _NODES
-
-
-def unit_panel() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights, read-only and of shape (PANEL_NODES,), of
-    composite_gauss's one-panel rule on [0, 1]: for f sampled at the nodes,
-    0.5 * (f(nodes) @ weights) on a row-major (..., 1, PANEL_NODES) array is
-    bit for bit composite_gauss(f, zeros, ones, 1)."""
-    nodes = _panel_nodes(np.zeros(1), np.ones(1), 1)[1][0, 0]
-    nodes.flags.writeable = False
-    return nodes, _WEIGHTS
 
 
 def cumulative_integral(f: Callable[[np.ndarray], np.ndarray], breakpoints) -> np.ndarray:

@@ -6,13 +6,15 @@ one above and one below.  This module constructs the two example families
 (translated catenoids over a flat slab, and catenoid stand-ins over tilted
 graphs certified by the Douglas criterion) and audits the defining
 conditions on sampled interior points.  A slab's window is a DISC_XY domain,
-and each annulus generator is the key of its one cached model annulus.
+and a slab computes its bounding-graph check once and keeps it.  Each
+annulus generator is the key of its one cached model annulus, read from the
+catenoid's vertex grid: its edges have a closed form, so no mesh is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -54,10 +56,11 @@ from .isometries import (
     require_in_model,
     vertical_translation,
 )
-from .quadrature import CHUNK_NODES, PANEL_NODES, unit_panel
 from .surfaces import (
     CatenoidSpec,
     LeafSpec,
+    _catenoid_grid,
+    _grid_edges,
     _leaf_sides,
     catenoid_height,
     catenoid_neck_radius,
@@ -65,7 +68,6 @@ from .surfaces import (
     catenoid_patch_tangents,
     catenoid_profile,
     catenoid_profile_inverse,
-    mesh_catenoid,
 )
 
 __all__ = [
@@ -81,7 +83,6 @@ __all__ = [
     "check_annulus_family",
     "check_bounding_graphs",
     "disc_window_domain",
-    "edge_length_spectra",
     "graph_separation_probe",
     "halfplane_window_domain",
     "sample_interior_points",
@@ -163,13 +164,14 @@ _BOUNDARY_SAMPLES = 512
 class _ModelAnnulus:
     """The model annulus of one generator, read-only.
 
-    a and v = b - a are the start points and vectors of its mesh's edges
-    (lo, hi), each once in lexicographic order, (E, 3) each; upper and lower
-    are its boundary circles at w = 1 and w = -1, _BOUNDARY_SAMPLES disc
-    coordinates (n, 3) each.  horizontal_bound is max over the edges of
-    2 |dz| / (1 - r2), |dz| the edge's horizontal length and r2 its larger
-    endpoint |z|^2: a bound of the horizontal speed 2 |dz| / (1 - |z|^2)
-    along every model edge (_congruence_bound).
+    a and v = b - a are the start points and vectors of the edges (lo, hi)
+    of its vertex grid's triangles (_grid_segments), each once in lexicographic
+    order, (E, 3) each; upper and lower are its boundary circles at w = 1
+    and w = -1, _BOUNDARY_SAMPLES disc coordinates (n, 3) each.
+    horizontal_bound is max over the edges of 2 |dz| / (1 - r2), |dz| the
+    edge's horizontal length and r2 its larger endpoint |z|^2: a bound of
+    the horizontal speed 2 |dz| / (1 - |z|^2) along every model edge
+    (_congruence_bound).
     """
 
     spec: CatenoidSpec
@@ -185,13 +187,15 @@ class _ModelAnnulus:
 
 @lru_cache(maxsize=8)
 def _model_annulus(generator: CatenoidAnnulusGenerator) -> _ModelAnnulus:
-    """The generator's model annulus; the mesh it is read from is not kept."""
+    """The generator's model annulus, read from mesh_catenoid's vertex grid
+    (surfaces._catenoid_grid) without forming the mesh's normals, nu or
+    triangles; the grid is not kept."""
     spec = CatenoidSpec(tau=generator.tau, d=generator.d)
     rho = generator.rho_boundary
     neck_radius = catenoid_neck_radius(spec)
-    # the mesh and its edge keys are freed before horizontal_bound's temporaries
+    # the grid and its edge ends are freed before horizontal_bound's temporaries
     # are formed, so the build's peak memory does not grow
-    a, v = _mesh_edges(mesh_catenoid(spec, rho, generator.resolution))
+    a, v = _grid_segments(*_catenoid_grid(spec, rho, generator.resolution))
     phi = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
     upper, lower = (catenoid_patch(spec, rho, np.array(w), phi) for w in (1.0, -1.0))
     for array in (a, v, upper, lower):
@@ -203,17 +207,13 @@ def _model_annulus(generator: CatenoidAnnulusGenerator) -> _ModelAnnulus:
     )
 
 
-def _mesh_edges(mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Start points a and vectors v = b - a of the mesh's edges (lo, hi),
-    each once in lexicographic order."""
-    n = len(mesh.vertices)
-    tri = mesh.triangles.astype(np.int64)
-    ends = np.roll(tri, -1, axis=1)
-    # np.unique without indices would import numpy.ma for its masked-array check
-    keys = np.sort(np.minimum(tri, ends) * n + np.maximum(tri, ends), axis=None)
-    lo, hi = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], n)
-    a = mesh.vertices[lo]
-    return a, mesh.vertices[hi] - a
+def _grid_segments(vertices: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Start points a and vectors v = b - a of the grid's edges (lo, hi)
+    (surfaces._grid_edges), each once in lexicographic order."""
+    lo, hi = _grid_edges(*shape)
+    # take gathers the rows in about half the time of vertices[lo]
+    a = vertices.take(lo, axis=0)
+    return a, vertices.take(hi, axis=0) - a
 
 
 def _edge_extent(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -379,10 +379,6 @@ class CatenoidAnnulusGenerator:
         return out
 
 
-# Quadrature nodes per chunk of the edge spectra: whole panels whose real
-# temporaries (8 bytes a node) stay under quadrature.CHUNK_NODES' 64 KiB.  Half
-# as many took about 20% longer, twice as many re-faulted 480 pages a call.
-_SPECTRA_CHUNK_NODES = 2 * CHUNK_NODES
 # Veltkamp's splitting constant 2^27 + 1 for float64.
 _SPLITTER = 134217729.0
 
@@ -424,126 +420,23 @@ def _placement_forms(placement: AmbientIsometry, tau: float):
     return placement.tau, _hermitian_form((1.0, c, d), (-1.0, a, b)), p_form
 
 
-def _node_speeds(forms, tau: float, x, y, vx, vy, vt) -> list[np.ndarray]:
-    """Speeds |dF(v)|_g at quadrature nodes, g the cylinder metric of tau,
-    one array per placement form of forms (_placement_forms).  x, y are the
-    nodes' disc coordinates and vx, vy, vt their edges' vectors, broadcasting
-    against them; a twist term runs only where it is not identically zero."""
-    r2 = x * x + y * y
-    dz2 = 4.0 * (vx * vx + vy * vy)
-    if tau != 0.0 or any(p_form is not None for _, _, p_form in forms):
-        cross = x * vy - y * vx  # Im(conj(z) dz)
-    speeds = []
-    for tau_f, d_form, p_form in forms:
-        den = _form_at(d_form, x, y, r2)
-        vertical = vt
-        if tau != 0.0:
-            vertical = vertical + _twist(4.0 * tau, d_form, cross, vx, vy) / den
-        if p_form is not None:
-            vertical = vertical + _twist(4.0 * (tau_f - tau), p_form, cross, vx, vy) / _form_at(p_form, x, y, r2)
-        square = dz2 / (den * den)  # horizontal^2 = 4 |dz|^2 / D^2
-        square += vertical * vertical
-        speeds.append(np.sqrt(square))
-    return speeds
-
-
-def _form_at(form, x, y, r2):
-    """A |z|^2 + 2 Re(B z) + C at z = x + iy, |z|^2 = r2, summed left to right in one array."""
-    a, br, bi, c = form
-    den = a * r2
-    den += c
-    den += (2.0 * br) * x
-    den -= (2.0 * bi) * y
-    return den
-
-
-def _twist(scale: float, form, cross, vx, vy):
-    """scale Im((A conj(z) + B) dz), with A conj(z) + B the z-derivative of
-    the form (A, B, C) and cross = Im(conj(z) dz)."""
-    a, br, bi, _ = form
-    return (scale * a) * cross + (scale * br * vy + scale * bi * vx)
-
-
-def edge_length_spectra(instances: Sequence[AnnulusInstance]) -> list[np.ndarray]:
-    """Sorted lengths of each instance's mesh edges, one array per instance.
-
-    The image of the model edge a -> b under the placement F has length
-    int_0^1 |dF(v)|_g ds with v = b - a and g taken at F(a + s v).  With
-    the placement's matrix (a b; c d), ad - bc = 1, and the fiber taus
-    tau_F of the placement and tau of the metric, that speed is measured
-    at the model point z = a + s v without forming the image:
-
-        D = |cz + d|^2 - |az + b|^2 = alpha |z|^2 + 2 Re(beta z) + gamma,
-        horizontal = lam(Fz) |dF dz| = 2 |dz| / D,
-        vertical = vt + 4 Im((tau_F c - tau conj(az + b) / D) dz / (cz + d))
-                 = vt + 4 tau Im(dD dz) / D + 4 (tau_F - tau) Im(c dz / (cz + d)),
-
-    with dD = alpha conj(z) + beta the z-derivative of D (c D - conj(az + b)
-    = (cz + d) dD when ad - bc = 1) and Im(c dz / (cz + d)) = Im(dP dz) / P
-    for P = |cz + d|^2; a reversing placement flips the sign of the
-    vertical part only.  The last term vanishes unless the placement's tau
-    differs from the metric's and is then the only place P is formed.  No
-    step uses that F is an isometry, so a placement that is not one moves
-    the spectrum.  The coefficients alpha, beta and gamma (and P's) are
-    correctly rounded once per instance (_hermitian_form), so the
-    cancellation of |cz + d|^2 against |az + b|^2 far out in the disc never
-    happens in floating point.  Near the edge of the example-1 window, at
-    the CLI resolution, a spectrum strays up to 6e-12 (tau 0) and 2.2e-11
-    (tau 0.5) from the push-forward rule in np.longdouble, itself up to
-    4e-11 from the model annulus' own spectrum because the placement's
-    float64 matrix is not exactly an isometry; the push-forward route in
-    float64, which formed 1 - |Fz|^2, strayed 1.3e-8.  One Gauss-Legendre
-    panel of the quadrature kernel (exact to degree 39) measures each edge:
-    for an isometry the speed is the model speed at a + s v, analytic near
-    [0, 1] even on the long rim edges, and one panel agrees with four to
-    about 1e-14.
-
-    The instances must share one generator, and so one model mesh;
-    otherwise ParameterError.  The model annulus' segments (a, v) are
-    cached, and the quadrature nodes are formed once per chunk of
-    _SPECTRA_CHUNK_NODES nodes for all instances, laid out node-major
-    (PANEL_NODES, edges) so the per-edge operands broadcast along rows;
-    _node_speeds then takes about ten real passes per instance at tau 0.
-    Batching moves no bit: each edge's speeds are elementwise, and each
-    edge is reduced as composite_gauss's one panel on [0, 1] reduces it,
-    whatever the instances measured alongside.
-    """
-    if not instances:
-        raise ParameterError("edge spectra need at least one annulus instance")
-    gen = instances[0].generator
-    if any(i.generator != gen for i in instances):
-        raise ParameterError("instances measured together must share one model mesh")
-    model = _model_annulus(gen)
-    a, v = model.a, model.v
-    nodes, weights = unit_panel()
-    s = nodes[:, None]
-    forms = [_placement_forms(instance.placement, gen.tau) for instance in instances]
-    # One array per instance: one (instances, edges) block took about 300
-    # more cold page faults per `slab example1` audit.
-    out = [np.empty(a.shape[0]) for _ in instances]
-    per_chunk = _SPECTRA_CHUNK_NODES // PANEL_NODES
-    for start in range(0, a.shape[0], per_chunk):
-        stop = start + per_chunk
-        ax, ay, _ = a[start:stop].T
-        vx, vy, vt = v[start:stop].T
-        x, y = ax + s * vx, ay + s * vy
-        for row, speed in zip(out, _node_speeds(forms, gen.tau, x, y, vx, vy, vt)):
-            # composite_gauss's reduction, on its row-major (edges, 1, PANEL_NODES) layout
-            row[start:stop] = 0.5 * (np.ascontiguousarray(speed.T)[:, None, :] @ weights)[:, 0]
-    for row in out:
-        row.sort()
-    return out
-
-
 def _congruence_bound(instances: Sequence[AnnulusInstance]) -> float:
-    """Bound of the sup distance between the edge_length_spectra of any two
+    """Bound of the sup distance between the edge-length spectra of any two
     of the model annulus and the instances, which share one generator.
 
-    It reads each placement only through _placement_forms, as the spectra
-    do.  An instance whose fiber tau differs from the metric's, or whose
-    form has C <= 0, is not covered and makes the bound infinite.  Otherwise
-    divide D by C: D / C = D0 + dD with D0 = 1 - |z|^2, the model's own
-    form, and dD = (A/C + 1) |z|^2 + 2 Re(B z / C), so |dD| <= e = delta
+    An instance's spectrum is the sorted lengths of its image edges: the
+    model edge p -> p + v, moved by the placement with matrix (a b; c d),
+    ad - bc = 1, has as length the integral over s in [0, 1] of its speed
+    at z = p + s v, one Gauss panel per edge (tests/spectra_reference.py).
+    With D = |cz + d|^2 - |az + b|^2 = A |z|^2 + 2 Re(B z) + C, that speed
+    has the horizontal part 2 |dz| / D and, when the placement's fiber tau
+    is the metric's, the vertical part vt + 4 tau Im(dD dz) / D, dD =
+    A conj(z) + B the z-derivative of D.  The bound reads each placement
+    only through _placement_forms, as the spectra do.  An instance whose
+    fiber tau differs from the metric's, or whose form has C <= 0, is not
+    covered and makes the bound infinite.  Otherwise divide D by C:
+    D / C = D0 + dD with D0 = 1 - |z|^2, the model's own form, and
+    dD = (A/C + 1) |z|^2 + 2 Re(B z / C), so |dD| <= e = delta
     (|z|^2 + 2|x| + 2|y|) with delta = max(|A/C + 1|, |Re B / C|, |Im B / C|).
     The generator's matrices keep a = conj(d), b = conj(c) exactly, so their
     correctly rounded forms have A = -C and B = 0: delta = 0, D = C D0, and
@@ -567,8 +460,8 @@ def _congruence_bound(instances: Sequence[AnnulusInstance]) -> float:
     residual_i the per-edge maximum above (0 when delta = 0).  A NaN
     coefficient makes the bound NaN.  A reversing placement only flips the
     vertical part's sign, so it is covered like a direct one.  The bound is
-    on the speeds in exact arithmetic; edge_length_spectra's own rounding
-    adds up to about 1e-10 (its docstring).
+    on the speeds in exact arithmetic; spectra measured in float64 add up to
+    about 1e-10 of rounding (tests/spectra_reference.py).
     """
     gen = instances[0].generator
     model = _model_annulus(gen)
@@ -618,6 +511,8 @@ class SlabSpec:
     domain, is where the audit samples points and node values.  The
     generator must produce pairwise-isometric annuli through interior points.
     Metadata only describes the construction in reports; nothing reads it.
+    _bounding keeps the slab's check_bounding_graphs once computed; replace
+    starts a new slab without it.
     """
 
     domain: GraphDomain
@@ -626,6 +521,7 @@ class SlabSpec:
     upper: Callable[[np.ndarray, np.ndarray], np.ndarray]
     annulus_generator: CatenoidAnnulusGenerator
     metadata: dict
+    _bounding: BoundingGraphCheck | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.domain.chart is not Chart.DISC_XY:
@@ -650,7 +546,9 @@ class AnnulusCheck:
     is the result of AnnulusInstance.distance_to's chord search.  The
     spreads are max - min of the fiber coordinate t along the placed top
     (above) and bottom (below) boundary circles: 0 when the placement keeps
-    them horizontal, as at tau 0, and NaN when no annulus was generated.
+    them horizontal, as at tau 0.  A point that got no annulus, or one whose
+    placement is no isometry of the slab's space (another fiber tau), gets
+    an infinite distance, margins of -inf and NaN spreads.
     """
 
     point: AmbientPoint
@@ -688,15 +586,21 @@ class SlabReport:
 
 def check_bounding_graphs(slab: SlabSpec) -> BoundingGraphCheck:
     """Height bound, vertical-component bound, and disjointness of the
-    graphs, from their values at the window's active nodes."""
-    lower, upper = (
-        GraphFunction.from_base_callable(slab.domain, slab.tau, f) for f in (slab.lower, slab.upper)
-    )
-    active = slab.domain.active_mask()
-    h0 = float(max(np.max(np.abs(lower.values[active])), np.max(np.abs(upper.values[active]))))
-    c = float(min(np.min(graph_nu(lower)[active]), np.min(graph_nu(upper)[active])))
-    gap = float(np.min((upper.values - lower.values)[active]))
-    return BoundingGraphCheck(height_bound=h0, normal_bound=c, disjoint=gap > 0.0, min_gap=gap)
+    graphs, from their values at the window's active nodes.
+
+    The slab computes it on first use and keeps it.
+    """
+    if slab._bounding is None:
+        lower, upper = (
+            GraphFunction.from_base_callable(slab.domain, slab.tau, f) for f in (slab.lower, slab.upper)
+        )
+        active = slab.domain.active_mask()
+        h0 = float(max(np.max(np.abs(lower.values[active])), np.max(np.abs(upper.values[active]))))
+        c = float(min(np.min(graph_nu(lower)[active]), np.min(graph_nu(upper)[active])))
+        gap = float(np.min((upper.values - lower.values)[active]))
+        check = BoundingGraphCheck(height_bound=h0, normal_bound=c, disjoint=gap > 0.0, min_gap=gap)
+        object.__setattr__(slab, "_bounding", check)
+    return slab._bounding
 
 
 def _window_test(domain: GraphDomain) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -731,9 +635,12 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
     form, bounds the edge-length spectra distance between any two of the
     model annulus and the instances, and must stay below _SPECTRA_TOL; no
     spectrum is measured.  Each stage is one array pass over all points
-    (window, placements, reference chords, boundary circles); a point with
-    no annulus gets a failed record, and AnnulusCheck says when a recorded
-    distance is an upper bound.  seed is unused: the audit draws nothing.
+    (window, placements, reference chords, boundary circles), one pass per
+    orientation when the placements mix them; a point with no annulus, or
+    with a placement of another fiber tau, gets a failed record, and
+    AnnulusCheck says when a recorded distance is an upper bound.  The
+    bounding graphs are the slab's kept check_bounding_graphs.  seed is
+    unused: the audit draws nothing.
     """
     bounding = check_bounding_graphs(slab)
     base_report = dict(
@@ -762,15 +669,23 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
             raise InvalidPointError(f"point projection {(cylinder[i].x, cylinder[i].y)} is outside the window")
         raise InvalidPointError(f"point at t={cylinder[i].t} is not strictly between the graphs")
 
-    placed = slab.annulus_generator.place(points)
-    rows = [i for i, instance in enumerate(placed) if isinstance(instance, AnnulusInstance)]
-    instances = [placed[i] for i in rows]
-    # a point without an annulus keeps these failed values
+    gen = slab.annulus_generator
+    placed = gen.place(points)
+    instances = [instance for instance in placed if isinstance(instance, AnnulusInstance)]
+    # a point without an annulus, or whose placement is no isometry of the
+    # cylinder model of the generator's tau, keeps these failed values
     distance, spreads = np.full(len(points), np.inf), np.full((2, len(points)), np.nan)
     above, below = np.full((2, len(points)), -np.inf)
-    if instances:
-        distance[rows] = _annulus_distances(instances, coords[rows], _CONTAINS_TOL * scale)
-        top, bottom = _boundary_circles(instances)
+    passes: dict = {}  # the audited rows by orientation: apply_to_rows takes one orientation a pass
+    for i, instance in enumerate(placed):
+        if isinstance(instance, AnnulusInstance):
+            placement = instance.placement
+            if placement.model is Model.CYLINDER and placement.tau == gen.tau:
+                passes.setdefault(placement.orientation, []).append(i)
+    for rows in passes.values():
+        audited = [placed[i] for i in rows]
+        distance[rows] = _annulus_distances(audited, coords[rows], _CONTAINS_TOL * scale)
+        top, bottom = _boundary_circles(audited)
         # signed clearances along fibers: the top circle above the upper graph, the bottom one below the lower
         above[rows] = np.min(top[..., 2] - slab.upper(top[..., 0], top[..., 1]), axis=1)
         below[rows] = np.min(-(bottom[..., 2] - slab.lower(bottom[..., 0], bottom[..., 1])), axis=1)
@@ -1078,17 +993,21 @@ def with_shrunken_annuli(slab: SlabSpec, factor: float = 0.6) -> SlabSpec:
     escape fails."""
     if not 0.0 < factor < 1.0:
         raise ParameterError("shrink factor must lie in (0, 1)")
-    half = 0.5 * check_bounding_graphs(slab).min_gap
+    bounding = check_bounding_graphs(slab)
+    half = 0.5 * bounding.min_gap
     if not half > 0.0:
         raise ParameterError(f"the graphs leave no gap to shrink into: least gap {2.0 * half}")
     gen = slab.annulus_generator
     rho_small = catenoid_profile_inverse(CatenoidSpec(tau=gen.tau, d=gen.d), factor * half)
     control = f"annuli shrunken to {factor} of the half-height"
-    return replace(
+    shrunken = replace(
         slab,
         annulus_generator=replace(gen, rho_boundary=rho_small),
         metadata={**slab.metadata, "negative_control": control},
     )
+    # the same window, tau and graphs: the control keeps the slab's check
+    object.__setattr__(shrunken, "_bounding", bounding)
+    return shrunken
 
 
 def with_overlapping_graphs(slab: SlabSpec) -> SlabSpec:

@@ -576,6 +576,32 @@ def _grid_triangles(rows: int, cols: int, wrap_cols: bool) -> np.ndarray:
     return tris.reshape(-1, 3).astype(np.int32)
 
 
+def _grid_edges(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ends (lo, hi), lo < hi, of the edges of _grid_triangles(rows, cols,
+    True), each once in lexicographic order.
+
+    With j' = (j + 1) mod cols, the edges are the rows * cols ring edges
+    {i cols + j, i cols + j'}, and per pair of rows the (rows - 1) cols
+    edges (v00, v10) and the (rows - 1) cols diagonals (v00, v11): (3 rows
+    - 2) cols distinct edges for cols >= 3, so their keys lo n + hi are
+    sorted once and need no deduplication.
+    """
+    n = rows * cols
+    j = np.arange(cols)
+    wrapped = (j + 1) % cols
+    start = np.arange(0, n, cols)[:, None]
+    upper, lower = start[:-1] + j, start[1:]
+    keys = np.concatenate(
+        [
+            ((start + np.minimum(j, wrapped)) * n + start + np.maximum(j, wrapped)).ravel(),
+            (upper * n + lower + j).ravel(),
+            (upper * n + lower + wrapped).ravel(),
+        ]
+    )
+    keys.sort()
+    return np.divmod(keys, n)
+
+
 def _structured_mesh(
     model: Model,
     tau: float,
@@ -667,13 +693,14 @@ def catenoid_patch_tangents(spec: CatenoidSpec, rho_max: float, w, phi) -> np.nd
     return np.stack([d_phi, d_w], axis=-1)
 
 
-def mesh_catenoid(
-    spec: CatenoidSpec, rho_max: float, resolution: tuple[int, int] = (257, 256)
-) -> SurfaceMesh:
-    """Triangulate both catenoid sheets up to hyperbolic radius rho_max.
+def _catenoid_grid(
+    spec: CatenoidSpec, rho_max: float, resolution: tuple[int, int]
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """Vertices (rows * cols, 3), row by row, of both catenoid sheets up to
+    hyperbolic radius rho_max, with their grid shape (rows, cols).
 
-    Rows follow the regularized radial variable, so vertex t-values are
-    smooth through the neck; columns wrap around the axis.
+    Rows follow the regularized radial variable w = linspace(-1, 1, rows);
+    columns are cols angles wrapping around the axis.
     """
     rmin = catenoid_neck_radius(spec)
     if not rho_max > rmin:
@@ -684,7 +711,17 @@ def mesh_catenoid(
     rows += 1 - rows % 2  # keep a row exactly on the neck
     w = np.linspace(-1.0, 1.0, rows)
     angles = np.linspace(0.0, 2.0 * math.pi, cols, endpoint=False)
-    vertices = catenoid_patch(spec, rho_max, w[:, None], angles[None, :]).reshape(-1, 3)
+    return catenoid_patch(spec, rho_max, w[:, None], angles[None, :]).reshape(-1, 3), (rows, cols)
+
+
+def mesh_catenoid(
+    spec: CatenoidSpec, rho_max: float, resolution: tuple[int, int] = (257, 256)
+) -> SurfaceMesh:
+    """Triangulate both catenoid sheets up to hyperbolic radius rho_max on
+    the _catenoid_grid vertices: vertex t-values are smooth through the
+    neck, and columns wrap around the axis.
+    """
+    vertices, (rows, cols) = _catenoid_grid(spec, rho_max, resolution)
     metadata = {"kind": "catenoid", "d": spec.d, "rho_max": rho_max, "seam_row": rows // 2, "sheet": "both"}
     return _structured_mesh(Model.CYLINDER, spec.tau, vertices, (rows, cols), True, metadata)
 

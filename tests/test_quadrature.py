@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.special import ellipk
 
 from etau.core import ConvergenceError, ParameterError
-from etau.quadrature import PANEL_NODES, composite_gauss, cumulative_integral, elliptic_k, unit_panel
+from etau.quadrature import PANEL_NODES, composite_gauss, cumulative_integral, elliptic_k
+from spectra_reference import unit_panel
 
 
 def integral(f, a: float, b: float) -> float:

@@ -24,7 +24,7 @@ from etau.core import (
     metric_arrays,
     metric_quadratic_form,
 )
-from etau.graphs import Chart, GraphDomain, GraphFunction
+from etau.graphs import Chart, GraphDomain, GraphFunction, graph_nu
 from etau.isometries import (
     AmbientIsometry,
     MobiusMap,
@@ -36,8 +36,8 @@ from etau.isometries import (
 )
 from etau.quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss
 from etau.slabs import (
+    BoundingGraphCheck,
     SlabSpec,
-    _SPECTRA_CHUNK_NODES,
     _model_annulus,
     _solve_catenoid_half_height,
     build_example1,
@@ -45,7 +45,6 @@ from etau.slabs import (
     check_annulus_family,
     check_bounding_graphs,
     disc_window_domain,
-    edge_length_spectra,
     graph_separation_probe,
     halfplane_window_domain,
     sample_interior_points,
@@ -57,11 +56,14 @@ from etau.slabs import (
 from etau.surfaces import (
     CatenoidSpec,
     LeafSpec,
+    _catenoid_grid,
     catenoid_height,
     catenoid_patch,
     foliation_leaf_find,
     mesh_catenoid,
 )
+
+from spectra_reference import SPECTRA_CHUNK_NODES, edge_length_spectra, mesh_edges, node_speeds, unit_panel
 
 FLAT = SpaceParams(0.0)
 
@@ -357,7 +359,7 @@ def _per_edge_spectrum(instance) -> np.ndarray:
     """Reference edge spectrum: each edge's nodes are one row of
     composite_gauss's (edges, 1, PANEL_NODES) layout, with the edge's vector
     as one-edge (edges, 1, 1) arrays, measured by the spectra's own per-node
-    integrand slabs._node_speeds."""
+    integrand node_speeds."""
     tau = instance.generator.tau
     model = _model_annulus(instance.generator)
     a, v = model.a[:, None, None, :], model.v[:, None, None, :]
@@ -365,15 +367,15 @@ def _per_edge_spectrum(instance) -> np.ndarray:
 
     def speed(s: np.ndarray) -> np.ndarray:
         x, y = a[..., 0] + s * v[..., 0], a[..., 1] + s * v[..., 1]
-        return slabs._node_speeds(forms, tau, x, y, v[..., 0], v[..., 1], v[..., 2])[0]
+        return node_speeds(forms, tau, x, y, v[..., 0], v[..., 1], v[..., 2])[0]
 
     edges = len(model.a)
     return np.sort(composite_gauss(speed, np.zeros(edges), np.ones(edges), 1))
 
 
 def _reference_node_speeds(forms, tau: float, x, y, vx, vy, vt) -> list[np.ndarray]:
-    """slabs._node_speeds with each form value and squared speed written as
-    one expression, in the kernel's operand order."""
+    """node_speeds with each form value and squared speed written as one
+    expression, in the kernel's operand order."""
 
     def form_at(form):
         a, br, bi, c = form
@@ -404,7 +406,7 @@ def test_node_speeds_keep_the_bits_of_their_expressions(tau: float) -> None:
     d_forms = [(rng.uniform(-3.0, -0.5), *rng.uniform(-0.4, 0.4, 2), rng.uniform(0.5, 3.0)) for _ in range(2)]
     p_form = (rng.uniform(1.0, 50.0), *rng.uniform(-20.0, 20.0, 2), rng.uniform(1.0, 50.0))
     forms = [(tau, d_forms[0], None), (tau + 0.01, d_forms[1], p_form)]
-    got = slabs._node_speeds(forms, tau, x, y, vx, vy, vt)
+    got = node_speeds(forms, tau, x, y, vx, vy, vt)
     want = _reference_node_speeds(forms, tau, x, y, vx, vy, vt)
     for g, w in zip(got, want, strict=True):
         np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
@@ -438,7 +440,7 @@ def test_edge_length_spectrum_equals_per_point_route(fixture: str, resolution, r
     slab = request.getfixturevalue(fixture)
     generator = slab.annulus_generator if resolution is None else replace(slab.annulus_generator, resolution=resolution)
     instances = [generator(p) for p in sample_interior_points(slab, 4, seed=7)]
-    edges, per_chunk = _model_annulus(generator).a.shape[0], _SPECTRA_CHUNK_NODES // PANEL_NODES
+    edges, per_chunk = _model_annulus(generator).a.shape[0], SPECTRA_CHUNK_NODES // PANEL_NODES
     assert edges > per_chunk and edges % per_chunk
     instances.append(_mirrored(instances[0]))
     batch = edge_length_spectra(instances)
@@ -457,7 +459,7 @@ def _longdouble_spectrum(instance) -> np.ndarray:
     ld, cld = np.longdouble, np.clongdouble
     model = _model_annulus(instance.generator)
     tau = ld(instance.generator.tau)
-    nodes, weights = slabs.unit_panel()
+    nodes, weights = unit_panel()
     a, v = model.a.astype(ld), model.v.astype(ld)
     s = nodes.astype(ld)[:, None]
     z = (a[:, 0] + s * v[:, 0]).astype(cld) + cld(1j) * (a[:, 1] + s * v[:, 1])
@@ -586,11 +588,9 @@ def _mutate_placement(monkeypatch, mutation, rows=(0,)) -> None:
     monkeypatch.setattr(slabs.CatenoidAnnulusGenerator, "place", mutated)
 
 
-def test_audit_measures_no_spectrum(slab1, monkeypatch) -> None:
-    def refused(instances):
-        raise AssertionError("the audit measured a spectrum")
-
-    monkeypatch.setattr(slabs, "edge_length_spectra", refused)
+def test_audit_measures_no_spectrum(slab1) -> None:
+    # the spectra live beside the tests only, as the reference of the bound
+    assert not hasattr(slabs, "edge_length_spectra")
     report = check_annulus_family(slab1, sample_interior_points(slab1, 4, seed=7))
     assert report.passed and report.spectra_ok
     assert 0.0 < report.spectra_deviation < 1e-10
@@ -720,8 +720,13 @@ def test_boundary_coords_apply_the_placement_to_the_model_circles(slab1) -> None
             circle[0, 0] = 0.0
 
 
-@pytest.mark.parametrize(("rows", "cols", "count"), [(65, 96, 18528), (5, 8, 104), (6, 8, 152), (8, 10, 250)])
+@pytest.mark.parametrize(
+    ("rows", "cols", "count"),
+    [(65, 96, 18528), (5, 8, 104), (6, 8, 152), (8, 10, 250), (9, 8, 200), (10, 8, 248), (17, 16, 784)],
+)
 def test_model_annulus_edges_are_the_sorted_unique_pairs(slab1, rows: int, cols: int, count: int) -> None:
+    # The closed-form edges against the mesh's triangles: np.unique of their
+    # edge pairs, and the sort-and-deduplicate builder they replace.
     gen = replace(slab1.annulus_generator, resolution=(rows, cols))
     mesh = mesh_catenoid(CatenoidSpec(tau=gen.tau, d=gen.d), gen.rho_boundary, (rows, cols))
     tri = mesh.triangles
@@ -730,6 +735,8 @@ def test_model_annulus_edges_are_the_sorted_unique_pairs(slab1, rows: int, cols:
     a, b = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
     np.testing.assert_array_equal(model.a, a)
     np.testing.assert_array_equal(model.v, b - a)
+    for got, want in zip((model.a, model.v), mesh_edges(mesh), strict=True):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     assert not (model.a.flags.writeable or model.v.flags.writeable)
     # The mesh makes the row count odd; a wrapped grid has R C ring edges,
     # (R - 1) C meridian edges and (R - 1) C diagonals.
@@ -738,14 +745,29 @@ def test_model_annulus_edges_are_the_sorted_unique_pairs(slab1, rows: int, cols:
     assert len(model.a) == (3 * built_rows - 2) * cols == count
 
 
+@pytest.mark.parametrize("resolution", [(65, 96), (9, 8), (10, 8), (17, 16)])
+def test_model_annulus_vertices_are_the_mesh_vertices(slab1_tau05, resolution) -> None:
+    # One vertex grid behind both, here at tau 0.5: mesh_catenoid's vertices,
+    # and the model annulus' edges read from them, bit for bit.
+    gen = replace(slab1_tau05.annulus_generator, resolution=resolution)
+    spec = CatenoidSpec(tau=gen.tau, d=gen.d)
+    mesh = mesh_catenoid(spec, gen.rho_boundary, resolution)
+    vertices, shape = _catenoid_grid(spec, gen.rho_boundary, resolution)
+    assert shape == mesh.grid_shape
+    np.testing.assert_array_equal(vertices.view(np.int64), mesh.vertices.view(np.int64))
+    model = _model_annulus(gen)
+    for got, want in zip((model.a, model.v), mesh_edges(mesh), strict=True):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_a_generator_builds_its_model_annulus_once(slab1, monkeypatch) -> None:
     meshes = []
 
     def counted(*args):
         meshes.append(args)
-        return mesh_catenoid(*args)
+        return _catenoid_grid(*args)
 
-    monkeypatch.setattr(slabs, "mesh_catenoid", counted)
+    monkeypatch.setattr(slabs, "_catenoid_grid", counted)
     slabs._model_annulus.cache_clear()
     points = sample_interior_points(slab1, 3, seed=7)
     assert check_annulus_family(slab1, points).passed
@@ -778,6 +800,50 @@ def test_overlapping_graphs_fail_disjointness(slab1) -> None:
     assert len(report.annulus_checks) == 0
 
 
+def _graph_nu_check(slab: SlabSpec) -> BoundingGraphCheck:
+    """check_bounding_graphs from one GraphFunction and one graph_nu per graph."""
+    lower, upper = (GraphFunction.from_base_callable(slab.domain, slab.tau, f) for f in (slab.lower, slab.upper))
+    active = slab.domain.active_mask()
+    h0 = float(max(np.max(np.abs(lower.values[active])), np.max(np.abs(upper.values[active]))))
+    c = float(min(np.min(graph_nu(lower)[active]), np.min(graph_nu(upper)[active])))
+    gap = float(np.min((upper.values - lower.values)[active]))
+    return BoundingGraphCheck(height_bound=h0, normal_bound=c, disjoint=gap > 0.0, min_gap=gap)
+
+
+def test_audit_and_its_shrunken_control_evaluate_the_graphs_once(slab1, monkeypatch) -> None:
+    normals = []
+
+    def counted(graph):
+        normals.append(graph)
+        return graph_nu(graph)
+
+    monkeypatch.setattr(slabs, "graph_nu", counted)
+    slab = replace(slab1)  # a slab that has not computed its check
+    points = sample_interior_points(slab, 3, seed=7)
+    assert check_annulus_family(slab, points).passed
+    control = with_shrunken_annuli(slab, 0.5)
+    assert not check_annulus_family(control, points).passed
+    assert len(normals) == 2  # one per graph
+    assert check_bounding_graphs(control) is check_bounding_graphs(slab) == _graph_nu_check(slab1)
+
+
+def test_changed_graphs_window_or_tau_get_a_fresh_bounding_check(slab1, slab2) -> None:
+    kept = check_bounding_graphs(slab1)
+    assert check_bounding_graphs(slab1) is kept
+    overlapping = with_overlapping_graphs(slab1)
+    raised = replace(slab1, upper=_level(2.0))
+    assert not check_bounding_graphs(overlapping).disjoint
+    assert check_bounding_graphs(raised).height_bound == 2.0
+    # example 2's tilted graphs reach other heights on a smaller window
+    changes = [(slab1, overlapping), (slab1, raised), (slab1, replace(slab1, tau=0.5))]
+    changes.append((slab2, replace(slab2, domain=disc_window_domain(4.0, 33))))
+    for slab, changed in changes:
+        assert check_bounding_graphs(changed) == _graph_nu_check(changed) != check_bounding_graphs(slab)
+    # the controls' reports read their own checks
+    report = check_annulus_family(overlapping, sample_interior_points(slab1, 2, seed=7))
+    assert not report.disjoint and report.height_bound == kept.height_bound
+
+
 def test_point_outside_slab_is_rejected(slab1) -> None:
     top = AmbientPoint(
         BasePoint(Model.CYLINDER, 0.0, 0.0), slab1.metadata["half_height"] + 1.0
@@ -799,16 +865,26 @@ def test_audit_names_the_first_point_off_the_slab(slab1) -> None:
         check_annulus_family(slab1, [inner[1], above, outside])
 
 
-def _audit_one_at_a_time(slab: SlabSpec, points) -> list[tuple]:
+# A point's values when it gets no annulus: (distance, margins, spreads) and verdicts.
+_FAILED_ROW = ((math.inf, -math.inf, -math.inf, math.nan, math.nan), (False, False, False))
+
+
+def _placed_alone(slab: SlabSpec, p):
+    try:
+        return slab.annulus_generator(p)
+    except InvalidPointError as error:
+        return error
+
+
+def _audit_one_at_a_time(slab: SlabSpec, points, placed=None) -> list[tuple]:
     """Each point's (distance, margins, spreads) and verdicts as the audit
-    found them point by point, through the one-point entry points."""
+    found them point by point, through the one-point entry points, for the
+    given placed instances or, by default, each point placed alone."""
     tol = slabs._CONTAINS_TOL * max(1.0, 2.0 * check_bounding_graphs(slab).height_bound)
     rows = []
-    for p in points:
-        try:
-            instance = slab.annulus_generator(p)
-        except InvalidPointError:
-            rows.append(((math.inf, -math.inf, -math.inf, math.nan, math.nan), (False, False, False)))
+    for p, instance in zip(points, [_placed_alone(slab, p) for p in points] if placed is None else placed):
+        if isinstance(instance, InvalidPointError):
+            rows.append(_FAILED_ROW)
             continue
         distance = instance.distance_to(p, accept_below=tol)
         top, bottom = instance.boundary_coords()
@@ -842,6 +918,66 @@ def test_an_image_off_the_disc_fails_only_its_own_row(slab1, monkeypatch) -> Non
     assert [c.distance == math.inf for c in checks] == [False, False, True, False]
 
 
+def _check_rows(checks) -> list[tuple]:
+    """The audit's checks in _audit_one_at_a_time's row layout."""
+    return [
+        (
+            (c.distance, c.above_margin, c.below_margin, c.above_spread, c.below_spread),
+            (c.contains_point, c.boundary_above, c.boundary_below),
+        )
+        for c in checks
+    ]
+
+
+def _assert_rows_equal(got: list[tuple], want: list[tuple]) -> None:
+    """Equal verdicts, and values equal bit for bit."""
+    bits = [np.array([row[0] for row in rows]).view(np.int64) for rows in (got, want)]
+    np.testing.assert_array_equal(*bits)
+    assert [g[1] for g in got] == [w[1] for w in want]
+
+
+def test_placements_of_mixed_fiber_taus_end_in_a_failed_report(slab1, monkeypatch) -> None:
+    # Every row its own fiber tau, so no two placements apply together: no
+    # placement is an isometry of the slab's space, and every row fails.
+    points = sample_interior_points(slab1, 4, seed=7)
+    place = slabs.CatenoidAnnulusGenerator.place
+
+    def mixed(self, points):
+        out = place(self, points)
+        return [replace(row, placement=replace(row.placement, tau=0.01 * (i + 1))) for i, row in enumerate(out)]
+
+    monkeypatch.setattr(slabs.CatenoidAnnulusGenerator, "place", mixed)
+    report = check_annulus_family(slab1, points)
+    _assert_rows_equal(_check_rows(report.annulus_checks), [_FAILED_ROW] * len(points))
+    assert report.spectra_deviation == math.inf
+    assert not report.spectra_ok
+    assert not report.passed
+
+
+def _reversing(placement: AmbientIsometry) -> AmbientIsometry:
+    return AmbientIsometry(placement.mobius, Orientation.REVERSING, 0.3, 0.0, placement.tau)
+
+
+@pytest.mark.parametrize("mutation", ["tau_f-0.01", "reversing"])
+def test_one_mixed_placement_fails_only_as_its_own_row(slab1, monkeypatch, mutation: str) -> None:
+    # One row of four gets another fiber tau or orientation.  A fiber-tau row
+    # gets the failed record; a reversing placement is an isometry, audited
+    # in its own pass.  Every other row keeps the bits of its point alone.
+    points = sample_interior_points(slab1, 4, seed=7)
+    want = _audit_one_at_a_time(slab1, points)
+    mutate = _reversing if mutation == "reversing" else _PLACEMENT_MUTATIONS[mutation]
+    _mutate_placement(monkeypatch, mutate, rows=[2])
+    report = check_annulus_family(slab1, points)
+    if mutation == "reversing":
+        want[2] = _audit_one_at_a_time(slab1, points, slab1.annulus_generator.place(points))[2]
+        assert report.spectra_ok and math.isfinite(report.spectra_deviation)
+    else:
+        want[2] = _FAILED_ROW
+        assert report.spectra_deviation == math.inf and not report.spectra_ok
+    _assert_rows_equal(_check_rows(report.annulus_checks), want)
+    assert not report.passed
+
+
 @pytest.fixture(scope="module")
 def slab2_tau05():
     return build_example2(SpaceParams(0.5), "linear", 1.0, 0.45, 0.2, grid=65, annulus_resolution=(33, 48))
@@ -852,18 +988,8 @@ def test_batched_audit_keeps_the_bits_of_one_point_at_a_time(fixture: str, slab1
     slab = with_shrunken_annuli(slab1, 0.5) if fixture == "shrunken" else request.getfixturevalue(fixture)
     points = sample_interior_points(slab, 8, seed=3)
     checks = check_annulus_family(slab, points).annulus_checks
-    want = _audit_one_at_a_time(slab, points)
-    got = [
-        (
-            (c.distance, c.above_margin, c.below_margin, c.above_spread, c.below_spread),
-            (c.contains_point, c.boundary_above, c.boundary_below),
-        )
-        for c in checks
-    ]
     assert [c.point for c in checks] == points
-    bits = [np.array([row[0] for row in rows]).view(np.int64) for rows in (got, want)]
-    np.testing.assert_array_equal(*bits)
-    assert [g[1] for g in got] == [w[1] for w in want]
+    _assert_rows_equal(_check_rows(checks), _audit_one_at_a_time(slab, points))
     placed = slab.annulus_generator.place(points)
     failed = [i for i, instance in enumerate(placed) if isinstance(instance, InvalidPointError)]
     if fixture == "shrunken":

@@ -606,6 +606,16 @@ def test_grid_triangles_match_the_cell_loop(rows: int, cols: int, wrap_cols: boo
     assert np.array_equal(got, np.asarray(want, dtype=np.int32))
 
 
+@pytest.mark.parametrize("rows, cols", [(2, 3), (5, 8), (9, 8), (10, 8), (17, 16)])
+def test_grid_edges_are_the_triangles_unique_edges(rows: int, cols: int) -> None:
+    tri = surfaces._grid_triangles(rows, cols, True).astype(np.int64)
+    ends = np.roll(tri, -1, axis=1)
+    want = {(int(lo), int(hi)) for lo, hi in zip(np.minimum(tri, ends).ravel(), np.maximum(tri, ends).ravel())}
+    lo, hi = surfaces._grid_edges(rows, cols)
+    assert len(lo) == (3 * rows - 2) * cols
+    assert list(zip(lo.tolist(), hi.tolist())) == sorted(want)
+
+
 def test_catenoid_mesh_shape_and_model() -> None:
     mesh = mesh_catenoid(CatenoidSpec(0.5, 1.2), rho_max=3.0, resolution=(17, 16))
     assert mesh.model is Model.CYLINDER
