@@ -103,6 +103,17 @@ class BasePoint:
         return complex(self.x, self.y)
 
 
+def require_in_model(model: Model, coords: np.ndarray) -> np.ndarray:
+    """coords (..., 2) or (..., 3), after checking that every base point
+    (x, y) lies in the model's open domain; otherwise BasePoint's
+    InvalidPointError.  A NaN coordinate is off the domain."""
+    x, y = coords[..., 0], coords[..., 1]
+    inside = y > BOUNDARY_MARGIN if model is Model.HALF_SPACE else x * x + y * y < 1.0 - BOUNDARY_MARGIN
+    if not np.all(inside):
+        BasePoint(model, *coords[~inside][0, :2].tolist())
+    return coords
+
+
 @dataclass(frozen=True)
 class AmbientPoint:
     """Point of the total space: a base point plus fiber coordinate t."""

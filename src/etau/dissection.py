@@ -14,11 +14,13 @@ separator row or column across its longer side (George, SIAM J. Numer. Anal.
 halves.  Each box is a front.  Its pivots are its separator line, or the whole
 leaf box, and its update set is the ring of inner-box nodes around the box,
 which its ancestors' separators hold.  The fronts of one depth whose boxes
-share one shape form a batch, laid out by one window template.  A ring loses
-the sides and corners that leave the inner box, so rings are padded to the
-batch's longest, and every front ends in a trash slot, where padding and
-dropped entries go.  Index arrays hold O(batch x front rows) entries, none per
-front entry.
+share one shape form a batch, laid out by one window template whose position
+tables number each window cell among the pivots or the ring.  A front's ring
+columns hold its ring cells inside the inner box in ring order, padded to the
+batch's longest ring, and every front ends in a trash slot, where padding and
+dropped entries go.  The field scatter and the extend-add find cells through
+the position tables.  Index arrays hold O(batch x front rows) entries, none
+per front entry.
 
 Numeric phase (``NestedDissection.factor``), batch by batch from the deepest
 depth up (the multifrontal method; Liu, SIAM Review 34, 1992): scatter the
@@ -125,20 +127,15 @@ class _Views(NamedTuple):
     schur: np.ndarray | None  # the Schur complements, which the parents read
 
 
-# kinds of window cells: a pivot, the ring's row above, row below, column left
-# and column right of the box, and a child box's node
-_PIVOT, _ABOVE, _BELOW, _LEFT, _RIGHT, _CHILD = range(6)
-
-
 class _Template:
-    """The (h + 2) x (w + 2) window of an h x w box and its ring, cell (a, c)
-    row-major.  A box whose first node is box node (r0, c0) has window cell
+    """The (h + 2) x (w + 2) window of an h x w box and its ring, cell (a, c) at
+    a (w + 2) + c.  A box whose first node is box node (r0, c0) has window cell
     (a, c) at grid node (r0 + a, c0 + c).
 
-    Each cell has a kind and a coord.  A ring cell's slot in its front is the
-    slot where its side starts plus its coord: its column on the rows above
-    and below (corners included), its row on the columns left and right.  A
-    pivot's coord is its number, row-major over the pivot box.
+    ``pivots`` lists the pivot cells row-major, and ``ring`` the ring's cells:
+    the rows above and below the box (corners included), then the columns left
+    and right of it.  The position tables ``pivot_of`` and ``ring_of`` give each
+    cell's number in those lists, or -1; a child box's cells are in neither.
     """
 
     def __init__(self, h: int, w: int) -> None:
@@ -154,27 +151,12 @@ class _Template:
         else:  # the middle column
             (a0, a1, c0, c1), children = (1, h + 1, 1 + mc, 2 + mc), ((0, 0, 0, mc - w), (0, 0, mc + 1, 0))
         self.children = tuple(np.array(offset) for offset in children)
-        self._kinds = np.full((h + 2, w + 2), _CHILD)
-        self._kinds[a0:a1, c0:c1] = _PIVOT
-        self._kinds[:, 0], self._kinds[:, -1], self._kinds[0], self._kinds[-1] = _LEFT, _RIGHT, _ABOVE, _BELOW
-        line = c1 - c0
-        # per kind, coord = x a + y c + z for cell (a, c): rows (x, y, z)
-        self._coord = np.array(
-            [(line, 1, -a0 * line - c0), (0, 1, 0), (0, 1, 0), (1, 0, 0), (1, 0, 0), (0, 0, 0)]
-        )
-        k = np.arange((a1 - a0) * line)
-        self.pivots = (a0 + k // line) * (w + 2) + c0 + k % line  # cells, in pivot order
-        # the ring's cells side by side in slot order, their kinds and coords
         width, across, down = w + 2, np.arange(w + 2), np.arange(1, h + 1)
+        self.pivots = (np.arange(a0, a1)[:, None] * width + np.arange(c0, c1)).ravel()
         self.ring = np.concatenate((across, (h + 1) * width + across, down * width, down * width + w + 1))
-        self.ring_kind = np.repeat((_ABOVE, _BELOW, _LEFT, _RIGHT), (width, width, h, h))
-        self.ring_coord = np.concatenate((across, across, down, down))
-
-    def classify(self, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Kind and coord of window cells."""
-        a, c = np.divmod(cell, self.w + 2)
-        kind = self._kinds[a, c]
-        return kind, self._coord[kind, 0] * a + self._coord[kind, 1] * c + self._coord[kind, 2]
+        self.pivot_of, self.ring_of = np.full((2, (h + 2) * width), -1)
+        self.pivot_of[self.pivots] = np.arange(self.pivots.size)
+        self.ring_of[self.ring] = np.arange(self.ring.size)
 
 
 class NestedDissection:
@@ -184,15 +166,15 @@ class NestedDissection:
         self.interior = np.asarray(interior, dtype=bool)
         n1, n2 = self.interior.shape
         self._shape = (n1, n2)
-        self._rows, self._cols = rows, cols = n1 - 2, n2 - 2
-        self.size = rows * cols
+        rows, cols = n1 - 2, n2 - 2
+        self._cols, self.size = cols, rows * cols
         self.nodes = np.flatnonzero(self.interior[1:-1, 1:-1])  # the unknowns, row-major
         self._inner = np.zeros(n1 * n2, dtype=bool)  # grid nodes of the inner box
         self._inner.reshape(n1, n2)[1:-1, 1:-1] = True
 
         self._batches: list[_Batch] = []
         depths: list[int] = []  # of each batch; batch ids run depth by depth
-        placed: list[tuple[_Template, np.ndarray, np.ndarray]] = []  # per batch: template, columns, slots
+        placed: list[tuple[_Template, np.ndarray]] = []  # per batch: template, ring columns
         boxes = np.array([[0, rows, 0, cols]])
         parent = np.array([[-1, 0, 0]])  # parent front of each box: batch, position, rank
         for depth in itertools.count():
@@ -208,10 +190,10 @@ class NestedDissection:
                 r0, r1, c0, c1 = group[0].tolist()
                 t = _Template(r1 - r0, c1 - c0)
                 bid = len(self._batches)
-                batch, *columns_slots = self._front_batch(group, t)
+                batch, column = self._front_batch(group, t)
                 self._batches.append(batch)
                 depths.append(depth)
-                placed.append((t, *columns_slots))
+                placed.append((t, column))
                 if parent[sel[0], 0] >= 0:
                     self._link(bid, parent[sel], placed)
                 if not t.leaf:
@@ -227,77 +209,59 @@ class NestedDissection:
         self._blocks: list = []  # the stored pivot blocks' views, in elimination order
         self._generation = 0  # factorizations so far; only the latest factor is live
 
-    def _front_batch(self, boxes: np.ndarray, t: _Template) -> tuple[_Batch, np.ndarray, np.ndarray]:
-        """A batch of fronts; the column of each ring cell in each front's update
-        block (the trash column for cells outside the inner box); and by cell
-        kind, the local index of each front's cells less their ``coord``."""
-        rows, cols, size = self._rows, self._cols, self.size
-        n1, n2 = self._shape
+    def _front_batch(self, boxes: np.ndarray, t: _Template) -> tuple[_Batch, np.ndarray]:
+        """A batch of fronts, and the column of each ring cell in each front's
+        update block (the trash column for cells outside the inner box)."""
+        (n1, n2), cols, size = self._shape, self._cols, self.size
         act = self.interior.ravel()
-        b, width = boxes.shape[0], t.w + 2
-        p = t.pivots.size
-        r0, r1, c0, c1 = (v[:, None] for v in boxes.T)
+        b, width, p = boxes.shape[0], t.w + 2, t.pivots.size
+        r0, c0 = boxes[:, :1], boxes[:, 2:3]
         origin = r0 * n2 + c0  # grid node of window cell (0, 0)
         box_origin = (r0 - 1) * cols + c0 - 1  # its box node, had it one
+        a, c = np.divmod(np.arange((t.h + 2) * width), width)
+        grid, box = a * n2 + c, a * cols + c  # each cell's grid and box node, less the origin's
 
-        # Ring slots: each side follows the sides before it, and cells outside
-        # the inner box (whole sides, and corners beside them) hold none.
-        span = width - (c0 == 0) - (c1 == cols)
-        length = np.concatenate((span * (r0 > 0), span * (r1 < rows), t.h * (c0 > 0), t.h * (c1 < cols)), axis=1)
-        start = np.cumsum(length, axis=1) - length
-        slots = np.concatenate((start[:, :2] - (c0 == 0), start[:, 2:] - 1), axis=1)  # less each side's first coord
-        r = int(np.max(start[:, -1] + length[:, -1]))
+        # Ring columns: the ring cells inside the inner box, in ring order.
+        inside = self._inner[origin + grid[t.ring]]
+        count = np.cumsum(inside, axis=1)
+        r = int(count[:, -1].max())
+        column = np.where(inside, count - 1, r)
         n = p + r + 1
         front = np.arange(b)[:, None]
-        a, c = np.divmod(t.ring, width)
-        inside = self._inner[origin + a * n2 + c]
-        column = np.where(inside, slots[:, t.ring_kind - 1] + t.ring_coord, r)
         nodes = np.full((b, r + 1), size)  # padded with the box size
-        nodes.ravel()[front * (r + 1) + column] = box_origin + a * cols + c
-        nodes[:, r] = size  # the trash column, which took the cells outside
-        pa, pc = np.divmod(t.pivots, width)
-        idx = np.concatenate((box_origin + pa * cols + pc, nodes), axis=1)
-        slots = np.concatenate((np.zeros((b, 1), dtype=np.int64), p + slots), axis=1)  # by kind
-        pivot_offset = pa * n2 + pc
-        pivot_grid = origin + pivot_offset
+        nodes[front, column] = np.where(inside, box_origin + box[t.ring], size)  # outside: trash column
+        idx = np.concatenate((box_origin + box[t.pivots], nodes), axis=1)
 
         # Field entries.  Row s (a pivot) at column q = s + (di, dj) goes in where
         # the front holds q; where q is a ring node, so does row q at column s.
         # Entries that reach a child box were assembled in that child's front;
         # those at a grid boundary or masked node go to the trash slot.
-        o = np.repeat(np.arange(9), p)
-        k = np.tile(np.arange(p), 9)
-        kind, coord = t.classify(t.pivots[k] + (o // 3 - 1) * width + o % 3 - 1)
-        # the ring sides' entries first, kind by kind, then the pivots'; child cells drop out
-        order = np.argsort((kind - 1) % 6, kind="stable")
-        order = order[kind[order] != _CHILD]
-        o, k, kind, coord = o[order], k[order], kind[order], coord[order]
-        kinds = (_ABOVE, _BELOW, _LEFT, _RIGHT, _PIVOT)
-        edges = np.cumsum([0] + [np.count_nonzero(kind == v) for v in kinds]).tolist()
-        m, e = edges[4], edges[5]
-        row_grid = pivot_offset[k, None]  # row node, from the window origin
-        col_grid = row_grid + ((o // 3 - 1) * n2 + o % 3 - 1)[:, None]
-        # Entry by entry, front by front.  The index arrays are filled in place:
-        # at this size each new array costs page faults.
+        o, k = np.repeat(np.arange(9), p), np.tile(np.arange(p), 9)
+        cell = t.pivots[k] + (o // 3 - 1) * width + o % 3 - 1
+        pivot, ring = t.pivot_of[cell], t.ring_of[cell]
+        on_ring, on_pivot = np.flatnonzero(ring >= 0), np.flatnonzero(pivot >= 0)
+        order = np.concatenate((on_ring, on_pivot))  # the ring's entries first
+        m, e, o, k, cell = on_ring.size, order.size, o[order], k[order], cell[order]
+        # Entry by entry, front by front: the rows' entries, then the ring's
+        # column entries.  The index arrays are filled in place: whole-array
+        # temporaries at this size raise a solve's peak memory.
         scatter_to, scatter_from = np.empty((2, (e + m) * b), dtype=np.int64)
-        to_row, to_col = scatter_to[: e * b].reshape(e, b), scatter_to[e * b :].reshape(m, b)
-        n1n2 = n1 * n2
-        origin, corner = origin.T, front.T * n * n
-        np.add(row_grid + o[:, None] * n1n2, origin, out=scatter_from[: e * b].reshape(e, b))
-        np.add(col_grid[:m] + (8 - o[:m, None]) * n1n2, origin, out=scatter_from[e * b :].reshape(m, b))
-        live = act[pivot_grid]
-        dropped = ~act[col_grid + origin]
+        to, at = scatter_to.reshape(e + m, b), scatter_from.reshape(e + m, b)
+        np.take(column.T + p, ring[on_ring], axis=0, out=to[e:])  # where each front holds ring node q
+        np.add(to[e:], n * k[:m, None], out=to[:m])  # row s at column q
+        to[e:] *= n
+        to[e:] += k[:m, None]  # row q at column s
+        to[m:e] = (k[m:] * n + pivot[on_pivot])[:, None]  # row s at pivot q
+        np.add((grid[t.pivots[k]] + o * n1 * n2)[:, None], origin.T, out=at[:e])
+        np.add((grid[cell[:m]] + (8 - o[:m]) * n1 * n2)[:, None], origin.T, out=at[e:])
+        live = act[origin + grid[t.pivots]]
+        dropped = ~act[grid[cell][:, None] + origin.T]
         if not np.all(live):  # masked pivots: identity rows
             dropped |= ~live.T[k]
-        for v, lo, hi in zip(kinds, edges[:-1], edges[1:]):
-            np.add((k[lo:hi] * n + coord[lo:hi])[:, None], corner + slots[:, v], out=to_row[lo:hi])
-            if v != _PIVOT:
-                np.add((coord[lo:hi] * n + k[lo:hi])[:, None], corner + slots[:, v] * n, out=to_col[lo:hi])
-        trash = (n - 1) * (n + 1) + corner  # the trash slot's diagonal
-        np.copyto(to_row, trash, where=dropped)
-        np.copyto(to_col, trash, where=dropped[:m])
-        pivot = np.arange(p)
-        unit = ((front * n + pivot) * n + pivot)[~live]
+        np.copyto(to[:e], n * n - 1, where=dropped)  # the trash slot's diagonal
+        np.copyto(to[e:], n * n - 1, where=dropped[:m])
+        to += front.T * n * n
+        unit = (front * n * n + np.arange(p) * (n + 1))[~live]  # identity rows' diagonals
 
         cuts = -(-p // _PIVOT_CAP)
         edges = [i * p // cuts for i in range(cuts + 1)]
@@ -305,30 +269,31 @@ class NestedDissection:
         for k0, k1 in zip(edges[:-1], edges[1:]):
             lo = int(idx[:, k1:].min())
             blocks.append((k0, k1, np.ascontiguousarray(idx[:, k0:k1]), lo, idx[:, k1:] - lo))
-        return _Batch(idx, p, scatter_to, scatter_from, unit, blocks), column, slots
+        return _Batch(idx, p, scatter_to, scatter_from, unit, blocks), column
 
     def _link(self, bid: int, parent: np.ndarray, placed: list) -> None:
         """Register batch bid's extend-adds in its parents' batches, one per run
         of fronts with one parent batch and rank (a run adds into each parent
         at most once, so no two of its entries land on one parent entry)."""
-        t, column, _ = placed[bid]
+        t, column = placed[bid]
         r = self._batches[bid].idx.shape[1] - self._batches[bid].pivots - 1  # the trash column
         a, c = np.divmod(t.ring, t.w + 2)
         runs = np.flatnonzero(np.any(np.diff(parent[:, [0, 2]], axis=0) != 0, axis=1)) + 1
         edges = [0, *runs.tolist(), parent.shape[0]]
         for start, stop in zip(edges[:-1], edges[1:]):
             target, rank = int(parent[start, 0]), int(parent[start, 2])
-            tp, _, slots = placed[target]
+            tp, target_column = placed[target]
             target_batch = self._batches[target]
             n = target_batch.idx.shape[1]
             shift = tp.children[rank]
-            kind, coord = tp.classify((a + shift[0]) * (tp.w + 2) + c + shift[2])
+            cell = (a + shift[0]) * (tp.w + 2) + c + shift[2]  # the ring in the parent's window
+            pivot, ring = tp.pivot_of[cell], tp.ring_of[cell]
             where = parent[start:stop, 1, None]
-            cols = np.full((stop - start, r + 1), n - 1)  # padding goes to the parent's trash slot
-            cols.ravel()[np.arange(stop - start)[:, None] * (r + 1) + column[start:stop]] = (
-                slots[where, kind] + coord
-            )
-            cols[:, r] = n - 1  # and so does the trash column, which took the cells outside
+            # padding goes to the parent's trash slot, and so do the cells outside
+            # the inner box, through the parent's ring columns
+            cols = np.full((stop - start, r + 1), n - 1)
+            local = np.where(ring >= 0, target_batch.pivots + target_column[where, ring], pivot)
+            cols[np.arange(stop - start)[:, None], column[start:stop]] = local
             target_batch.adds.append((bid, start, stop, (where * n + cols) * n, cols))
 
     def _plan(self, depths: list[int]) -> None:

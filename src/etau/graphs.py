@@ -38,6 +38,7 @@ from .core import (
     ParameterError,
     metric_data_arrays,
     require_finite,
+    require_in_model,
 )
 from .dissection import NestedDissection
 from .surfaces import (
@@ -143,10 +144,9 @@ class GraphDomain:
             object.__setattr__(self, "mask", m)
         if self.chart is Chart.DISC_XY:
             x, y = self.node_grids()
-            inside = x * x + y * y < 1.0 - BOUNDARY_MARGIN
-            active = inside if self.mask is None else (~self.mask | inside)
-            if not np.all(active):
-                raise InvalidPointError("disc window has unmasked nodes outside the disc")
+            if self.mask is not None:  # masked nodes may lie off the disc
+                x, y = x[self.mask], y[self.mask]
+            require_in_model(self.model, np.stack((x, y), axis=-1))
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         (a1, b1), (a2, b2) = self.bounds

@@ -23,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    BOUNDARY_MARGIN,
     AmbientPoint,
     BasePoint,
     GeometryError,
@@ -33,6 +32,7 @@ from .core import (
     convert_coords_arrays,
     metric_arrays,
     require_finite,
+    require_in_model,
 )
 
 _COEFF_TOL = 1e-12
@@ -326,16 +326,6 @@ def compose_rows(outers, inners) -> list[AmbientIsometry]:
     ]
 
 
-def require_in_model(model: Model, coords: np.ndarray) -> np.ndarray:
-    """coords (..., 3), after checking that every base point lies in the
-    model's open domain; otherwise BasePoint's InvalidPointError."""
-    x, y = coords[..., 0], coords[..., 1]
-    inside = y > BOUNDARY_MARGIN if model is Model.HALF_SPACE else x * x + y * y < 1.0 - BOUNDARY_MARGIN
-    if not np.all(inside):
-        BasePoint(model, *coords[~inside][0, :2].tolist())
-    return coords
-
-
 def inverse(iso: AmbientIsometry) -> AmbientIsometry:
     """Inverse isometry, with the fiber constants matched exactly."""
     a, b, c, d = iso.mobius.matrix()
@@ -612,16 +602,20 @@ def isometry_to_json(iso: AmbientIsometry) -> dict:
 
 
 def isometry_from_json(data: dict) -> AmbientIsometry:
+    """The isometry of an ``isometry_to_json`` record, with its stored
+    coefficients; ParameterError for a malformed record."""
     family = data.get("family")
     if family not in KNOWN_FAMILIES:
         raise ParameterError(f"unknown isometry family {family!r}")
     try:
         model = Model(data["model"])
         orientation = Orientation(data["orientation"])
-        coeffs = [complex(re, im) for re, im in data["matrix"]]
-        mob = MobiusMap(coeffs[0], coeffs[1], coeffs[2], coeffs[3], model)
+        a, b, c, d = (complex(re, im) for re, im in data["matrix"])
+        MobiusMap.normalized(a, b, c, d, model)  # checks only: the record keeps its stored bits
+        if not abs(a * d - b * c - 1.0) <= _COEFF_TOL:
+            raise ParameterError(f"Moebius matrix of determinant {a * d - b * c} is not normalized")
         return AmbientIsometry(
-            mob,
+            MobiusMap(a, b, c, d, model),
             orientation,
             float(data["shift"]),
             float(data["branch_offset"]),
@@ -629,5 +623,7 @@ def isometry_from_json(data: dict) -> AmbientIsometry:
             family=family,
             parameters=tuple((k, float(v)) for k, v in sorted(data.get("parameters", {}).items())),
         )
-    except (KeyError, TypeError) as exc:
+    except ParameterError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed isometry record: {exc}") from exc

@@ -22,12 +22,11 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    BOUNDARY_MARGIN,
-    InvalidPointError,
     Model,
     ParameterError,
     frame_components_arrays,
     metric_data_arrays,
+    require_in_model,
 )
 from .quadrature import cumulative_integral
 
@@ -37,16 +36,6 @@ class CurveKind(Enum):
     VERTICAL_LINE = "vertical_line"
     SEMICIRCLE = "semicircle"
     RADIAL_LINE = "radial_line"
-
-
-def _validate_points(model: Model, points: np.ndarray) -> None:
-    x, y = points[:, 0], points[:, 1]
-    if model is Model.HALF_SPACE:
-        if not np.all(y > BOUNDARY_MARGIN):
-            raise InvalidPointError("curve leaves the open half space")
-    else:
-        if not np.all(x * x + y * y < 1.0 - BOUNDARY_MARGIN):
-            raise InvalidPointError("curve leaves the open disc")
 
 
 class _CubicSpline:
@@ -121,7 +110,7 @@ class PlanarCurve:
         d = np.diff(params)
         if not (np.all(d > 0.0) or np.all(d < 0.0)):
             raise ParameterError("curve parameters must be strictly monotone")
-        _validate_points(self.model, points)
+        require_in_model(self.model, points)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "points", points)
 

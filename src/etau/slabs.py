@@ -35,6 +35,7 @@ from .core import (
     chord_residuals,
     convert_coords_arrays,
     convert_model,
+    require_in_model,
 )
 from .graphs import (
     Chart,
@@ -53,7 +54,6 @@ from .isometries import (
     inverse,
     axis_translation_isometry,
     push_forward_arrays,
-    require_in_model,
     vertical_translation,
 )
 from .surfaces import (
@@ -763,23 +763,15 @@ def _solve_catenoid_half_height(tau: float, target: float) -> float:
 
 
 @dataclass(frozen=True)
-class _LinearHeight:
+class _PlaneHeight:
+    """The height function alpha x + beta y + shift."""
+
     alpha: float
     beta: float
+    shift: float = 0.0
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.alpha * x + self.beta * y
-
-
-@dataclass(frozen=True)
-class _Translate:
-    """The vertical translate u + shift of the height function u."""
-
-    u: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    shift: float
-
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.u(x, y) + self.shift
+        return self.alpha * x + self.beta * y + self.shift
 
 
 def build_example1(
@@ -837,8 +829,8 @@ def build_example1(
         domain=disc_window_domain(window_radius, grid),
         tau=tau,
         # the slices t = -half and t = half translate the zero section
-        lower=_Translate(_LinearHeight(0.0, 0.0), -half),
-        upper=_Translate(_LinearHeight(0.0, 0.0), half),
+        lower=_PlaneHeight(0.0, 0.0, -half),
+        upper=_PlaneHeight(0.0, 0.0, half),
         annulus_generator=generator,
         metadata=metadata,
     )
@@ -884,8 +876,7 @@ def build_example2(
         )
 
     domain = disc_window_domain(window_radius, grid)
-    height_fn = _LinearHeight(alpha, beta)
-    base_graph = GraphFunction.from_base_callable(domain, tau, height_fn)
+    base_graph = GraphFunction.from_base_callable(domain, tau, _PlaneHeight(alpha, beta))
     active = domain.active_mask()
     sup_gradient = float(np.max(hyperbolic_gradient_norm(base_graph)[active]))
     if sup_gradient > C + 1e-12:
@@ -936,8 +927,8 @@ def build_example2(
     return SlabSpec(
         domain=domain,
         tau=tau,
-        lower=_Translate(height_fn, -h_prime),
-        upper=_Translate(height_fn, h_prime),
+        lower=_PlaneHeight(alpha, beta, -h_prime),
+        upper=_PlaneHeight(alpha, beta, h_prime),
         annulus_generator=generator,
         metadata=metadata,
     )

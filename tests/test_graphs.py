@@ -139,6 +139,15 @@ def test_ideal_polar_angle_window() -> None:
         GraphDomain(Chart.HALFPLANE_IDEAL_POLAR, ((-0.5, 0.5), (0.15, math.pi)), (9, 9))
 
 
+def test_disc_domain_rejects_an_unmasked_node_outside_the_disc() -> None:
+    x, y = np.meshgrid(np.linspace(-0.8, 0.8, 13), np.linspace(-0.8, 0.8, 13), indexing="ij")
+    mask = x * x + y * y < 0.81
+    GraphDomain(Chart.DISC_XY, ((-0.8, 0.8), (-0.8, 0.8)), (13, 13), mask=mask)  # masked corners: accepted
+    mask[0, 0] = True  # the corner (-0.8, -0.8), at radius^2 1.28
+    with pytest.raises(InvalidPointError):
+        GraphDomain(Chart.DISC_XY, ((-0.8, 0.8), (-0.8, 0.8)), (13, 13), mask=mask)
+
+
 # -- pointwise quantities -------------------------------------------------------------
 
 

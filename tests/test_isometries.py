@@ -586,6 +586,28 @@ def test_json_round_trip_reproduces_action() -> None:
                 assert (a.x, a.y, a.t) == pytest.approx((b.x, b.y, b.t), abs=1e-14)
 
 
+def _scaled_matrix(data: dict) -> None:
+    data["matrix"] = [[2.0 * re, 2.0 * im] for re, im in data["matrix"]]
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda data: data["matrix"][0].__setitem__(0, math.nan),
+        lambda data: data["matrix"].pop(),
+        lambda data: data.__setitem__("model", "torus"),
+        lambda data: data.__setitem__("matrix", [[0.0, 0.0]] * 4),
+        _scaled_matrix,
+    ],
+    ids=["nan-entry", "three-entries", "unknown-model", "zero-matrix", "determinant-4"],
+)
+def test_json_malformed_record_is_rejected(spoil) -> None:
+    data = isometry_to_json(disc_point_isometry(0.3 + 0.2j, 0.5))
+    spoil(data)
+    with pytest.raises(ParameterError):
+        isometry_from_json(data)
+
+
 def test_json_payload_fields() -> None:
     data = isometry_to_json(disc_point_isometry(0.3 + 0.2j, 0.5))
     assert data["family"] == "disc_point"

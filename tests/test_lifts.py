@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from etau.core import Model, ParameterError
+from etau.core import InvalidPointError, Model, ParameterError
 from etau.lifts import (
     CurveKind,
     LiftedCurve,
@@ -19,6 +19,17 @@ from etau.lifts import (
     horizontality_residuals,
     lift_geodesic_semicircle,
 )
+
+
+@pytest.mark.parametrize(
+    "model, point",
+    [(Model.HALF_SPACE, (0.2, -0.1)), (Model.CYLINDER, (0.8, 0.7)), (Model.HALF_SPACE, (0.2, math.nan))],
+    ids=["off-half-plane", "off-disc", "nan"],
+)
+def test_curve_samples_off_the_model_domain_are_rejected(model, point) -> None:
+    points = [(0.0, 0.5), point, (0.1, 0.6)]
+    with pytest.raises(InvalidPointError):
+        PlanarCurve.from_samples(model, [0.0, 0.5, 1.0], points)
 
 
 def test_semicircle_quadrature_matches_closed_form() -> None:
