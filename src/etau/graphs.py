@@ -235,13 +235,13 @@ def reference_problem(kind: str, tau: float, d: float, s: float, n: int) -> Grap
         profile = catenoid_profile(spec, axis_rho)
         return GraphFunction(domain, np.tile(profile[:, None], (1, n)), tau)
     if kind == "invariant":
-        spec = InvariantSurfaceSpec(tau, d, s, Sheet.PLUS)
+        spec = InvariantSurfaceSpec(tau, d, s)
         theta_hi = invariant_angle_max(d) - 0.25
         domain = GraphDomain(
             Chart.HALFPLANE_IDEAL_POLAR, ((-0.5, 0.5), (0.15, theta_hi)), (n, n), axis_foot=s
         )
         _, axis_theta = domain.axes()
-        profile = invariant_profile(spec, axis_theta)
+        profile = invariant_profile(spec, Sheet.PLUS, axis_theta)
         return GraphFunction(domain, np.tile(profile[None, :], (n, 1)), tau)
     raise GeometryError(f"no reference problem named {kind!r}")
 

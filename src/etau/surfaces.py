@@ -33,7 +33,6 @@ from .isometries import (
     AmbientIsometry,
     apply_to_coords,
     axis_translation_isometry,
-    halfplane_reflection,
     inverse,
     scale_isometry,
 )
@@ -46,8 +45,8 @@ _TABLE_CHUNK = CHUNK_NODES // PANEL_NODES
 # Relative widening of _ProfileTable.bounds: far above the 1e-13 settle
 # tolerance of the node values and the rounding of one off-node panel.
 _BRACKET_MARGIN = 1e-9
-# Safeguarded Newton for catenoid_profile_inverse: step budget and residual
-# tolerance relative to max(1, height).
+# Step budget of both profile inverses (catenoid Newton, invariant bisection),
+# and the catenoid's residual tolerance relative to max(1, height).
 _INVERSE_BUDGET = 60
 _INVERSE_TOL = 1e-14
 # Smallest normal float64: the profile integrands take their limit below it.
@@ -59,7 +58,6 @@ _WINDOW_THETA_STEP = 1e-4
 class Sheet(Enum):
     PLUS = "plus"
     MINUS = "minus"
-    BOTH = "both"
 
 
 @dataclass(frozen=True)
@@ -79,15 +77,14 @@ class CatenoidSpec:
 class InvariantSurfaceSpec:
     """Surface invariant under translation along the ideal geodesic at foot s.
 
-    Parametrized over the wedge 0 < theta < arcsin(1/d) at the ideal point s
-    in the half-space model; requires d > 1.
+    A bigraph over the wedge 0 < theta < arcsin(1/d) at the ideal point s in
+    the half-space model: the PLUS sheet rises and the MINUS sheet falls away
+    from the gluing curve theta = arcsin(1/d).  Requires d > 1.
     """
 
     tau: float
     d: float
     s: float = 1.0
-    side: Sheet = Sheet.BOTH
-    mirror: bool = False
 
     def __post_init__(self) -> None:
         require_finite("invariant surface", tau=self.tau, d=self.d, s=self.s)
@@ -107,11 +104,8 @@ class LeafSpec:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        require_finite("leaf", tau=self.tau, d=self.d, s=self.s, scale=self.scale)
-        if not self.d > 1.0:
-            raise ParameterError(f"leaf needs d > 1, got {self.d}")
-        if not self.s > 0.0:
-            raise ParameterError(f"axis foot must be positive, got {self.s}")
+        InvariantSurfaceSpec(self.tau, self.d, self.s)
+        require_finite("leaf", scale=self.scale)
         if not self.scale > 0.0:
             raise ParameterError(f"leaf scale must be positive, got {self.scale}")
 
@@ -349,21 +343,19 @@ def invariant_height_substituted(d: float, tau: float) -> float:
     return float(cumulative_integral(g, [0.0, 1.0])[-1])
 
 
-def invariant_profile(spec: InvariantSurfaceSpec, theta):
-    """Fiber height of the requested sheet over wedge angle theta.
+def invariant_profile(spec: InvariantSurfaceSpec, sheet: Sheet, theta):
+    """Fiber height of the given sheet over wedge angle theta.
 
     Both sheets vanish at the gluing angle arcsin(1/d); the plus sheet
     increases and the minus sheet decreases toward the wedge's edge.
     Accepts a float or an array of angles.
     """
-    if spec.side is Sheet.BOTH:
-        raise ParameterError("profile evaluation needs a specific sheet")
     theta_star = invariant_angle_max(spec.d)
     theta = np.asarray(theta, dtype=float)
     if not np.all((0.0 <= theta) & (theta <= theta_star + 1e-14)):
         raise ParameterError(f"theta={theta} outside [0, {theta_star}]")
     minus, plus = _invariant_profiles(spec.tau, spec.d, theta)
-    out = plus if spec.side is Sheet.PLUS else minus
+    out = plus if sheet is Sheet.PLUS else minus
     return float(out) if out.ndim == 0 else out
 
 
@@ -374,26 +366,30 @@ def invariant_asymptotic_levels(spec: InvariantSurfaceSpec) -> tuple[float, floa
     return (-h + shift, h + shift)
 
 
-def invariant_profile_inverse(spec: InvariantSurfaceSpec, value: float) -> float:
-    """Angle theta where the requested sheet reaches the given fiber value."""
-    if spec.side is Sheet.BOTH:
-        raise ParameterError("profile inversion needs a specific sheet")
+def invariant_profile_inverse(spec: InvariantSurfaceSpec, sheet: Sheet, value: float) -> float:
+    """Angle theta where the given sheet reaches the given fiber value: [0, theta*]
+    bisected below width 1e-15 (theta* <= pi/2 takes at most 51 halvings), or
+    ConvergenceError once _INVERSE_BUDGET halvings are spent."""
     require_finite("profile inversion", value=value)  # NaN fails every sign test below
     theta_star = invariant_angle_max(spec.d)
+
+    def excess(theta: float) -> float:
+        minus, plus = _invariant_profiles(spec.tau, spec.d, theta)
+        return float(plus if sheet is Sheet.PLUS else minus) - value
+
     lo, hi = 0.0, theta_star
-    f_lo = invariant_profile(spec, lo) - value
-    f_hi = invariant_profile(spec, hi) - value
-    if f_lo * f_hi > 0.0:
-        raise ParameterError(f"fiber value {value} not attained by the {spec.side.value} sheet")
-    for _ in range(100):
+    f_lo = excess(lo)
+    if f_lo * excess(hi) > 0.0:
+        raise ParameterError(f"fiber value {value} not attained by the {sheet.value} sheet")
+    for _ in range(_INVERSE_BUDGET):
         mid = 0.5 * (lo + hi)
-        if (invariant_profile(spec, mid) - value) * f_lo > 0.0:
+        if excess(mid) * f_lo > 0.0:
             lo = mid
         else:
             hi = mid
         if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
+            return 0.5 * (lo + hi)
+    raise ConvergenceError(f"inversion for fiber value {value} did not converge in {_INVERSE_BUDGET} steps")
 
 
 @lru_cache(maxsize=32)
@@ -434,20 +430,18 @@ def _invariant_nu(d: float, tau: float, theta):
     return np.sqrt(np.clip(b, 0.0, None)) / np.sqrt(a)
 
 
-def tangent_vertical_components(spec: InvariantSurfaceSpec, theta: float) -> tuple[float, float]:
+def tangent_vertical_components(spec: InvariantSurfaceSpec, sheet: Sheet, theta: float) -> tuple[float, float]:
     """Vertical components of the unit tangents along and across the profile.
 
-    Returns (profile direction, translation direction) for the requested
-    sheet; the translation direction is shared by both sheets.
+    Returns (profile direction, translation direction) for the given sheet;
+    the translation direction is shared by both sheets.
     """
-    if spec.side is Sheet.BOTH:
-        raise ParameterError("tangent components need a specific sheet")
     theta_star = invariant_angle_max(spec.d)
     if not 0.0 < theta <= theta_star:
         raise ParameterError(f"theta={theta} outside (0, {theta_star}]")
     a = 1.0 + 4.0 * spec.tau ** 2 * math.cos(theta) ** 2
     b = 1.0 - spec.d ** 2 * math.sin(theta) ** 2
-    sign = -1.0 if spec.side is Sheet.PLUS else 1.0
+    sign = -1.0 if sheet is Sheet.PLUS else 1.0
     along = sign * spec.d * math.sqrt(a) * math.sin(theta) / math.sqrt(
         b + spec.d ** 2 * a * math.sin(theta) ** 2
     )
@@ -612,9 +606,10 @@ def _structured_mesh(
 ) -> SurfaceMesh:
     """Mesh of a vertex grid with frame normals, each sheet's normal upward.
 
-    Normals are the frame cross products of centered grid tangents; the
-    sheets are the rows on either side of metadata["seam_row"] (the whole
-    grid when it is None), and a sheet whose mean nu is negative is flipped.
+    Normals are the frame cross products of centered grid tangents.  Every
+    mesh's two sheets meet on its middle row rows // 2: the sheets are the
+    rows up to and from it, and a sheet whose mean nu is negative is
+    flipped.  metadata only describes the mesh.
     """
     rows, cols = grid_shape
     v = vertices.reshape(rows, cols, 3)
@@ -635,8 +630,8 @@ def _structured_mesh(
     n = np.stack([u2 * w3 - u3 * w2, u3 * w1 - u1 * w3, u1 * w2 - u2 * w1], axis=-1)
     norm = np.maximum(np.sqrt(n[..., 0] ** 2 + n[..., 1] ** 2 + n[..., 2] ** 2), 1e-300)
     normals = n / norm[..., None]
-    seam = metadata.get("seam_row")
-    for lo, hi in [(0, rows)] if seam is None else [(0, seam + 1), (seam, rows)]:
+    seam = rows // 2
+    for lo, hi in (0, seam + 1), (seam, rows):
         if float(np.mean(normals[lo:hi, :, 2])) < 0.0:
             normals[lo:hi] *= -1.0
     return SurfaceMesh(
@@ -722,7 +717,7 @@ def mesh_catenoid(
     neck, and columns wrap around the axis.
     """
     vertices, (rows, cols) = _catenoid_grid(spec, rho_max, resolution)
-    metadata = {"kind": "catenoid", "d": spec.d, "rho_max": rho_max, "seam_row": rows // 2, "sheet": "both"}
+    metadata = {"kind": "catenoid", "d": spec.d, "rho_max": rho_max, "seam_row": rows // 2}
     return _structured_mesh(Model.CYLINDER, spec.tau, vertices, (rows, cols), True, metadata)
 
 
@@ -743,8 +738,9 @@ def _in_half_plane(vertices: np.ndarray, phi_span: tuple[float, float]) -> np.nd
 def _invariant_grid(
     spec: InvariantSurfaceSpec, phi_span: tuple[float, float], resolution: tuple[int, int]
 ) -> tuple[np.ndarray, tuple[int, int], dict]:
-    """Vertices (rows * cols, 3), grid shape and metadata of the unmirrored
-    invariant surface mesh (see mesh_invariant_surface)."""
+    """Vertices (rows * cols, 3), grid shape and metadata of the invariant
+    surface mesh (see mesh_invariant_surface): rows, padded to odd, follow
+    v = linspace(-1, 1), the minus sheet at v < 0 and the gluing curve at 0."""
     # exp(phi) is a vertex's Euclidean distance from the axis foot s
     with np.errstate(over="ignore", under="ignore"):
         ends = np.exp(np.array(phi_span, dtype=float))
@@ -755,16 +751,8 @@ def _invariant_grid(
     rows, cols = resolution
     if rows < 5 or cols < 2:
         raise ParameterError("invariant meshes need at least 5 rows and 2 columns")
-    if spec.side is Sheet.BOTH:
-        rows += 1 - rows % 2
-        v = np.linspace(-1.0, 1.0, rows)
-        seam: int | None = rows // 2
-    elif spec.side is Sheet.PLUS:
-        v = np.linspace(0.0, 1.0, rows)
-        seam = None
-    else:
-        v = np.linspace(-1.0, 0.0, rows)
-        seam = None
+    rows += 1 - rows % 2  # keep a row exactly on the gluing curve
+    v = np.linspace(-1.0, 1.0, rows)
     span = theta_star - theta_min
     theta = theta_star - v * v * span
     sigma = np.abs(v) * math.sqrt(span)
@@ -777,14 +765,7 @@ def _invariant_grid(
     ys = radius[None, :] * np.sin(theta)[:, None]
     ts = np.broadcast_to(t[:, None], xs.shape)
     vertices = _in_half_plane(np.stack([xs, ys, ts], axis=-1).reshape(-1, 3), phi_span)
-    metadata = {
-        "kind": "invariant",
-        "d": spec.d,
-        "s": spec.s,
-        "side": spec.side.value,
-        "theta_min": theta_min,
-        "seam_row": seam,
-    }
+    metadata = {"kind": "invariant", "d": spec.d, "s": spec.s, "theta_min": theta_min, "seam_row": rows // 2}
     return vertices, (rows, cols), metadata
 
 
@@ -793,20 +774,16 @@ def mesh_invariant_surface(
     phi_span: tuple[float, float] = (-3.0, 3.0),
     resolution: tuple[int, int] = (129, 129),
 ) -> SurfaceMesh:
-    """Triangulate the invariant surface over phi_span along its axis.
+    """Triangulate both sheets of the invariant surface over phi_span along its axis.
 
-    Rows sweep the wedge angle in the regularized gluing variable, from theta*
-    at the gluing curve down to _THETA_MIN_FRACTION * theta*; the two sheets
-    meet at the gluing curve with matching fiber value zero.  Columns run
-    over phi in phi_span, at Euclidean distance exp(phi) from the axis foot;
-    ParameterError unless lo < hi, exp(lo), exp(hi) are finite and nonzero,
-    and every vertex has y > 0.  A mirrored surface is the reflected vertex
-    grid.
+    Rows sweep the wedge angle in the regularized gluing variable, from
+    _THETA_MIN_FRACTION * theta* up to theta* on the minus sheet and back on
+    the plus sheet; the sheets meet on the middle row, the gluing curve, at
+    fiber value zero.  Columns run over phi in phi_span, at Euclidean
+    distance exp(phi) from the axis foot; ParameterError unless lo < hi,
+    exp(lo), exp(hi) are finite and nonzero, and every vertex has y > 0.
     """
     vertices, grid_shape, metadata = _invariant_grid(spec, phi_span, resolution)
-    if spec.mirror:
-        vertices = apply_to_coords(halfplane_reflection(spec.s, spec.tau), vertices)
-        metadata["mirrored"] = True
     return _structured_mesh(Model.HALF_SPACE, spec.tau, vertices, grid_shape, False, metadata)
 
 
@@ -840,7 +817,7 @@ def leaf_mesh(
     vertex grid (phi_span as in mesh_invariant_surface), moved by the axis
     translation and then the scaling; ParameterError if a moved vertex has
     y <= 0."""
-    spec = InvariantSurfaceSpec(leaf.tau, leaf.d, leaf.s, Sheet.BOTH)
+    spec = InvariantSurfaceSpec(leaf.tau, leaf.d, leaf.s)
     vertices, grid_shape, metadata = _invariant_grid(spec, phi_span, resolution)
     vertices = apply_to_coords(axis_translation_isometry(leaf.s, leaf.tau), vertices)
     vertices = _in_half_plane(apply_to_coords(scale_isometry(leaf.scale, leaf.tau), vertices), phi_span)

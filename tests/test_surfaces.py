@@ -59,7 +59,7 @@ from etau.surfaces import (
 )
 
 CAT = CatenoidSpec(0.5, 2.0)
-INV = InvariantSurfaceSpec(0.5, 1.4, side=Sheet.PLUS)
+INV = InvariantSurfaceSpec(0.5, 1.4)
 
 
 # -- catenoid profile -----------------------------------------------------------
@@ -365,47 +365,64 @@ def test_asymptotic_levels_symmetric_at_zero_tau() -> None:
 # -- invariant profile ------------------------------------------------------------
 
 
-def test_invariant_profile_needs_specific_sheet() -> None:
-    with pytest.raises(ParameterError):
-        invariant_profile(InvariantSurfaceSpec(0.5, 1.4), 0.3)
-
-
 def test_invariant_profile_frozen_value() -> None:
-    assert invariant_profile(INV, 0.5) == pytest.approx(1.6717033729604491, abs=1e-10)
+    assert invariant_profile(INV, Sheet.PLUS, 0.5) == pytest.approx(1.6717033729604491, abs=1e-10)
 
 
 def test_invariant_profile_vanishes_at_wedge_edge() -> None:
-    assert invariant_profile(INV, invariant_angle_max(1.4)) == 0.0
+    assert invariant_profile(INV, Sheet.PLUS, invariant_angle_max(1.4)) == 0.0
 
 
 def test_invariant_profile_rejects_outside_wedge() -> None:
     with pytest.raises(ParameterError):
-        invariant_profile(INV, 0.9)
+        invariant_profile(INV, Sheet.PLUS, 0.9)
 
 
-@pytest.mark.parametrize("side", [Sheet.PLUS, Sheet.MINUS])
-def test_invariant_profile_on_arrays_matches_scalar_calls(side: Sheet) -> None:
-    spec = InvariantSurfaceSpec(0.5, 1.4, side=side)
+@pytest.mark.parametrize("sheet", [Sheet.PLUS, Sheet.MINUS])
+def test_invariant_profile_on_arrays_matches_scalar_calls(sheet: Sheet) -> None:
     theta = np.linspace(0.0, invariant_angle_max(1.4), 12).reshape(3, 4)
-    values = invariant_profile(spec, theta)
+    values = invariant_profile(INV, sheet, theta)
     assert values.shape == theta.shape
-    assert values.tolist() == [[invariant_profile(spec, float(t)) for t in row] for row in theta]
+    assert values.tolist() == [[invariant_profile(INV, sheet, float(t)) for t in row] for row in theta]
     with pytest.raises(ParameterError):
-        invariant_profile(spec, np.array([0.1, 0.9, 0.3]))
+        invariant_profile(INV, sheet, np.array([0.1, 0.9, 0.3]))
     with pytest.raises(ParameterError):
-        invariant_profile(spec, np.array([0.1, -0.2]))
+        invariant_profile(INV, sheet, np.array([0.1, -0.2]))
 
 
 def test_invariant_profile_inverse_round_trip() -> None:
-    v = invariant_profile(INV, 0.5)
-    assert invariant_profile_inverse(INV, v) == pytest.approx(0.5, abs=1e-9)
+    v = invariant_profile(INV, Sheet.PLUS, 0.5)
+    assert invariant_profile_inverse(INV, Sheet.PLUS, v) == pytest.approx(0.5, abs=1e-9)
+
+
+# The parent bisection's values, bit for bit: the inverse evaluates the same
+# profile arithmetic, now under a named budget.
+@pytest.mark.parametrize(
+    ("sheet", "theta", "want"),
+    [
+        (Sheet.PLUS, 0.1, 0.09999999999999981),
+        (Sheet.PLUS, 0.5, 0.4999999999999999),
+        (Sheet.PLUS, 0.7, 0.7000000000000001),
+        (Sheet.MINUS, 0.1, 0.1000000000000005),
+        (Sheet.MINUS, 0.5, 0.4999999999999999),
+        (Sheet.MINUS, 0.7, 0.7000000000000001),
+    ],
+)
+def test_invariant_profile_inverse_frozen_values(sheet: Sheet, theta: float, want: float) -> None:
+    assert invariant_profile_inverse(INV, sheet, invariant_profile(INV, sheet, theta)) == want
+
+
+def test_invariant_profile_inverse_raises_when_its_budget_runs_out(monkeypatch) -> None:
+    monkeypatch.setattr(surfaces, "_INVERSE_BUDGET", 3)
+    with pytest.raises(ConvergenceError, match="did not converge in 3 steps"):
+        invariant_profile_inverse(INV, Sheet.PLUS, invariant_profile(INV, Sheet.PLUS, 0.5))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_invariant_profile_inverse_rejects_a_non_finite_value(value: float) -> None:
     # NaN fails every sign test, so the bisection would collapse onto theta = 0
     with pytest.raises(ParameterError):
-        invariant_profile_inverse(INV, value)
+        invariant_profile_inverse(INV, Sheet.PLUS, value)
 
 
 def test_normal_vertical_component_frozen() -> None:
@@ -413,7 +430,7 @@ def test_normal_vertical_component_frozen() -> None:
 
 
 def test_tangent_vertical_components_frozen() -> None:
-    a, b = tangent_vertical_components(INV, 0.5)
+    a, b = tangent_vertical_components(INV, Sheet.PLUS, 0.5)
     assert a == pytest.approx(-0.7694451669364178, abs=1e-10)
     assert b == pytest.approx(-0.6596032833744311, abs=1e-10)
 
@@ -421,7 +438,7 @@ def test_tangent_vertical_components_frozen() -> None:
 def test_vertical_components_are_unit_bounded() -> None:
     for theta in (0.2, 0.45, 0.7):
         nv = normal_vertical_component(INV, theta)
-        t1, t2 = tangent_vertical_components(INV, theta)
+        t1, t2 = tangent_vertical_components(INV, Sheet.PLUS, theta)
         assert 0.0 < nv <= 1.0
         assert abs(t1) <= 1.0 and abs(t2) <= 1.0
 
@@ -430,14 +447,13 @@ def test_surface_turns_vertical_at_wedge_edge() -> None:
     # At theta* the normal is horizontal and the profile tangent is vertical.
     theta_star = invariant_angle_max(1.4)
     assert normal_vertical_component(INV, theta_star) == pytest.approx(0.0, abs=1e-7)
-    along, _ = tangent_vertical_components(INV, theta_star)
+    along, _ = tangent_vertical_components(INV, Sheet.PLUS, theta_star)
     assert along == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_tangent_profile_component_flips_with_sheet() -> None:
-    minus = InvariantSurfaceSpec(0.5, 1.4, side=Sheet.MINUS)
-    a_plus, c_plus = tangent_vertical_components(INV, 0.5)
-    a_minus, c_minus = tangent_vertical_components(minus, 0.5)
+    a_plus, c_plus = tangent_vertical_components(INV, Sheet.PLUS, 0.5)
+    a_minus, c_minus = tangent_vertical_components(INV, Sheet.MINUS, 0.5)
     assert a_minus == pytest.approx(-a_plus, abs=1e-14)
     assert c_minus == c_plus
 
@@ -635,6 +651,36 @@ def test_catenoid_mesh_nu_vanishes_on_neck() -> None:
     nu = mesh.nu.reshape(17, 16)
     assert np.max(np.abs(nu[seam])) < 1e-12
     assert float(np.max(mesh.nu)) == pytest.approx(0.7512741885730151, abs=1e-9)
+
+
+def _invariant_mesh(tau: float, rows: int) -> surfaces.SurfaceMesh:
+    return mesh_invariant_surface(InvariantSurfaceSpec(tau, 1.4), resolution=(rows, 11))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: mesh_catenoid(CatenoidSpec(0.5, 1.2), rho_max=3.0, resolution=(16, 16)),
+        lambda: mesh_catenoid(CatenoidSpec(0.5, 1.2), rho_max=3.0, resolution=(17, 16)),
+        lambda: _invariant_mesh(0.5, 8),
+        lambda: leaf_mesh(LeafSpec(0.5, 1.4, 1.0, 2.0), resolution=(9, 11)),
+        lambda: convert_surface_to_cylinder(_invariant_mesh(-0.7, 9)),
+        lambda: apply_isometry_to_mesh(scale_isometry(2.0, 0.5), _invariant_mesh(0.5, 9)),
+    ],
+    ids=["catenoid-16", "catenoid-17", "invariant-8", "leaf", "invariant-cylinder", "invariant-scaled"],
+)
+def test_mesh_sheets_meet_on_the_middle_row(build) -> None:
+    # the sheets' shared row is vertical, and each sheet's normal points up:
+    # on average, as _structured_mesh turns it, and at every vertex
+    mesh = build()
+    rows, cols = mesh.grid_shape
+    seam = rows // 2
+    nu = mesh.nu.reshape(rows, cols)
+    assert rows % 2 == 1
+    assert np.all(nu[seam] == 0.0)
+    assert float(np.mean(nu[: seam + 1])) >= 0.0
+    assert float(np.mean(nu[seam:])) >= 0.0
+    assert np.all(nu >= 0.0)
 
 
 def test_catenoid_mesh_rejects_small_radius() -> None:
