@@ -239,7 +239,7 @@ def cmd_slab(args: argparse.Namespace) -> tuple[dict, int]:
             grid=args.grid,
         )
     points = sample_interior_points(slab, args.points, seed=args.seed)
-    audit = check_annulus_family(slab, points, seed=args.seed)
+    audit = check_annulus_family(slab, points)
     report = {
         "command": "slab",
         "example": args.example,

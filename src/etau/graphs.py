@@ -507,11 +507,24 @@ def graph_area(gf: GraphFunction) -> AreaReport:
     return AreaReport(total, int(np.count_nonzero(cells)))
 
 
+def _area(what: str, area: Callable[[], float], **values: float) -> float:
+    """area() of finite, positive values, or ParameterError: also where cosh
+    or sinh overflows (OverflowError) or a product rounds to inf."""
+    require_finite(what, **values)
+    if not all(value > 0.0 for value in values.values()):
+        raise ParameterError(f"{what} {' and '.join(values)} must be positive, got {values}")
+    try:
+        total = area()
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ParameterError(f"{what} area overflows at {values}")
+    return total
+
+
 def disc_area(radius: float) -> float:
     """Hyperbolic area of a disc of hyperbolic radius r: 2 pi (cosh r - 1)."""
-    if not radius > 0.0:
-        raise ParameterError("radius must be positive")
-    return 2.0 * math.pi * (math.cosh(radius) - 1.0)
+    return _area("disc", lambda: 2.0 * math.pi * (math.cosh(radius) - 1.0), radius=radius)
 
 
 def cylinder_area(radius: float, height: float) -> float:
@@ -520,19 +533,18 @@ def cylinder_area(radius: float, height: float) -> float:
     The fiber direction has unit length and the twisted terms cancel in the
     induced area element, so the area is height * circumference for any tau.
     """
-    if not (radius > 0.0 and height > 0.0):
-        raise ParameterError("cylinder radius and height must be positive")
-    return 2.0 * math.pi * math.sinh(radius) * height
+    return _area("cylinder", lambda: 2.0 * math.pi * math.sinh(radius) * height, radius=radius, height=height)
 
 
 def douglas_check(radius: float, half_height: float) -> DouglasReport:
     """Compare the boundary cylinder of the slab |t| <= half_height with two discs.
 
     The connected annular competitor beats the pair of horizontal discs
-    exactly when half_height < tanh(radius / 2).
+    exactly when half_height < tanh(radius / 2).  Non-finite inputs and
+    overflowing areas raise ParameterError (cylinder_area, disc_area).
     """
     cyl = cylinder_area(radius, 2.0 * half_height)
-    discs = 2.0 * disc_area(radius)
+    discs = _area("disc pair", lambda: 2.0 * disc_area(radius), radius=radius)
     # decided by the closed form: at the threshold the two areas agree only up to rounding
     threshold = math.tanh(0.5 * radius)
     return DouglasReport(

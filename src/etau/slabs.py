@@ -35,6 +35,7 @@ from .core import (
     chord_residuals,
     convert_coords_arrays,
     convert_model,
+    require_finite,
     require_in_model,
 )
 from .graphs import (
@@ -60,7 +61,9 @@ from .surfaces import (
     CatenoidSpec,
     LeafSpec,
     _catenoid_grid,
+    _catenoid_radial,
     _grid_edges,
+    _half_height_limit,
     _leaf_sides,
     catenoid_height,
     catenoid_neck_radius,
@@ -175,8 +178,6 @@ class _ModelAnnulus:
     """
 
     spec: CatenoidSpec
-    neck_radius: float
-    sigma_max: float
     boundary_height: float
     a: np.ndarray
     v: np.ndarray
@@ -192,7 +193,6 @@ def _model_annulus(generator: CatenoidAnnulusGenerator) -> _ModelAnnulus:
     triangles; the grid is not kept."""
     spec = CatenoidSpec(tau=generator.tau, d=generator.d)
     rho = generator.rho_boundary
-    neck_radius = catenoid_neck_radius(spec)
     # the grid and its edge ends are freed before horizontal_bound's temporaries
     # are formed, so the build's peak memory does not grow
     a, v = _grid_segments(*_catenoid_grid(spec, rho, generator.resolution))
@@ -200,11 +200,8 @@ def _model_annulus(generator: CatenoidAnnulusGenerator) -> _ModelAnnulus:
     upper, lower = (catenoid_patch(spec, rho, np.array(w), phi) for w in (1.0, -1.0))
     for array in (a, v, upper, lower):
         array.flags.writeable = False
-    sigma_max = math.sqrt(rho - neck_radius)
     horizontal_bound = float(np.max(2.0 * np.hypot(v[:, 0], v[:, 1]) / (1.0 - _edge_extent(a, v)[0])))
-    return _ModelAnnulus(
-        spec, neck_radius, sigma_max, catenoid_profile(spec, rho), a, v, upper, lower, horizontal_bound
-    )
+    return _ModelAnnulus(spec, catenoid_profile(spec, rho), a, v, upper, lower, horizontal_bound)
 
 
 def _grid_segments(vertices: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +298,8 @@ def _annulus_distances(instances: Sequence[AnnulusInstance], q: np.ndarray, acce
 
         def tangents(params: np.ndarray) -> np.ndarray:
             phi, w = params.T
-            x, y, _ = catenoid_patch(spec, gen.rho_boundary, w, phi).T
+            _, _, radius = _catenoid_radial(spec, gen.rho_boundary, w)
+            x, y = radius * np.cos(phi), radius * np.sin(phi)
             v = catenoid_patch_tangents(spec, gen.rho_boundary, w, phi)
             *_, dx, dy, dt = push_forward_arrays(instance.placement, x[:, None], y[:, None], *v.transpose(1, 0, 2))
             return np.stack([dx, dy, dt], axis=1)
@@ -356,9 +354,8 @@ class CatenoidAnnulusGenerator:
             return out
         offsets = np.array([cylinder[i].t for i in rows])
         heights, signs = np.abs(offsets), np.where(offsets >= 0.0, 1.0, -1.0)
-        rho = np.full(len(rows), model.neck_radius)
-        rho[heights != 0.0] = catenoid_profile_inverse(model.spec, heights[heights != 0.0])
-        rho = np.minimum(rho, self.rho_boundary)
+        # height 0 inverts to the neck radius exactly: the Newton loop stops at sigma = 0
+        rho = np.minimum(catenoid_profile_inverse(model.spec, heights), self.rho_boundary)
         b_ref = [math.tanh(0.5 * r) for r in rho.tolist()]
         try:
             moves = compose_rows(
@@ -373,7 +370,8 @@ class CatenoidAnnulusGenerator:
             if len(rows) > 1:
                 return [self.place([p])[0] for p in points]
             return [error if row is None else row for row in out]
-        w_reference = signs * np.sqrt(np.maximum(rho - model.neck_radius, 0.0)) / model.sigma_max
+        sigma_max, _, _ = _catenoid_radial(model.spec, self.rho_boundary, 0.0)
+        w_reference = signs * np.sqrt(np.maximum(rho - catenoid_neck_radius(model.spec), 0.0)) / sigma_max
         for i, placement, w in zip(rows, placements, w_reference.tolist()):
             out[i] = AnnulusInstance(point=points[i], placement=placement, generator=self, w_reference=w)
         return out
@@ -716,6 +714,15 @@ _NECK_SOLVE_BUDGET = 100
 _EXAMPLE2_CLEARANCE = 0.3
 
 
+def _truncated_catenoid(
+    tau: float, d: float, boundary_height: float, resolution: tuple[int, int]
+) -> CatenoidAnnulusGenerator:
+    """The generator of the catenoid with neck parameter d, truncated at the
+    radius where its profile reaches boundary_height."""
+    rho_boundary = catenoid_profile_inverse(CatenoidSpec(tau=tau, d=d), boundary_height)
+    return CatenoidAnnulusGenerator(tau=tau, d=d, rho_boundary=rho_boundary, resolution=resolution)
+
+
 def _solve_catenoid_half_height(tau: float, target: float) -> float:
     """Neck parameter whose catenoid half-height equals the target.
 
@@ -726,7 +733,7 @@ def _solve_catenoid_half_height(tau: float, target: float) -> float:
     at most 1e-12 d or the bracket is that narrow; raises ConvergenceError
     when _NECK_SOLVE_BUDGET steps do not get there.
     """
-    limit = 0.5 * math.pi * math.sqrt(1.0 + 4.0 * tau * tau)
+    limit = _half_height_limit(tau)
     if not 0.0 < target < limit:
         raise FeasibilityError(
             f"half-height target {target} outside the attainable range (0, {limit})"
@@ -770,6 +777,9 @@ class _PlaneHeight:
     beta: float
     shift: float = 0.0
 
+    def __post_init__(self) -> None:
+        require_finite("plane height", alpha=self.alpha, beta=self.beta, shift=self.shift)
+
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.alpha * x + self.beta * y + self.shift
 
@@ -789,29 +799,21 @@ def build_example1(
     boundary circles halfway between the slab top and the attainable height.
     """
     tau = sp.tau
-    root = math.sqrt(1.0 + 4.0 * tau * tau)
-    eps_max = math.pi * root - 2.0 * abs(tau) * math.pi
+    # pi sqrt(1+4 tau^2) is exactly twice the limit: scaling by 2 rounds nothing
+    limit = _half_height_limit(tau)
+    eps_max = 2.0 * limit - 2.0 * abs(tau) * math.pi
     if not 0.0 < epsilon < eps_max:
         raise FeasibilityError(
             f"epsilon must lie in (0, {eps_max}) = (0, pi sqrt(1+4 tau^2) - 2|tau| pi), "
             f"got {epsilon}"
         )
-    height = math.pi * root - abs(tau) * math.pi - epsilon
+    height = 2.0 * limit - abs(tau) * math.pi - epsilon
     half = 0.5 * height
-    target = 0.5 * math.pi * root - 0.25 * epsilon
-    d = _solve_catenoid_half_height(tau, target)
-    spec = CatenoidSpec(tau=tau, d=d)
-    half_height = 0.5 * catenoid_height(spec)
+    d = _solve_catenoid_half_height(tau, limit - 0.25 * epsilon)
+    half_height = 0.5 * catenoid_height(CatenoidSpec(tau=tau, d=d))
     boundary_height = 0.5 * (half + half_height)
-    rho_boundary = catenoid_profile_inverse(spec, boundary_height)
-
-    generator = CatenoidAnnulusGenerator(
-        tau=tau,
-        d=d,
-        rho_boundary=rho_boundary,
-        resolution=annulus_resolution,
-    )
-    chain_left = 0.5 * math.pi * root - abs(tau) * math.pi - 0.5 * epsilon
+    generator = _truncated_catenoid(tau, d, boundary_height, annulus_resolution)
+    chain_left = limit - abs(tau) * math.pi - 0.5 * epsilon
     metadata = {
         "construction": "example1",
         "tau": tau,
@@ -821,7 +823,7 @@ def build_example1(
         "d": d,
         "catenoid_half_height": half_height,
         "boundary_height": boundary_height,
-        "rho_boundary": rho_boundary,
+        "rho_boundary": generator.rho_boundary,
         "window_radius": window_radius,
         "height_chain_ok": chain_left < half_height - abs(tau) * math.pi,
     }
@@ -889,22 +891,13 @@ def build_example2(
     h_prime = 0.5 * (h + oscillation)
     sup_height = float(np.max(np.abs(values[active])))
     boundary_height = h_prime + sup_height + _EXAMPLE2_CLEARANCE
-    limit = 0.5 * math.pi * math.sqrt(1.0 + 4.0 * tau * tau)
+    limit = _half_height_limit(tau)
     if boundary_height >= limit - 1e-3:
         raise FeasibilityError(
             f"annulus boundary height {boundary_height} unreachable (catenoid limit {limit})"
         )
-    target = 0.5 * (boundary_height + limit)
-    d = _solve_catenoid_half_height(tau, target)
-    spec = CatenoidSpec(tau=tau, d=d)
-    rho_boundary = catenoid_profile_inverse(spec, boundary_height)
-
-    generator = CatenoidAnnulusGenerator(
-        tau=tau,
-        d=d,
-        rho_boundary=rho_boundary,
-        resolution=annulus_resolution,
-    )
+    d = _solve_catenoid_half_height(tau, 0.5 * (boundary_height + limit))
+    generator = _truncated_catenoid(tau, d, boundary_height, annulus_resolution)
     metadata = {
         "construction": "example2",
         "graph": graph_choice,
@@ -919,7 +912,7 @@ def build_example2(
         "h_prime": h_prime,
         "boundary_height": boundary_height,
         "d": d,
-        "rho_boundary": rho_boundary,
+        "rho_boundary": generator.rho_boundary,
         "window_radius": window_radius,
         "douglas_threshold": douglas_bound,
         "douglas_annulus_wins": h < douglas_bound,
@@ -989,11 +982,10 @@ def with_shrunken_annuli(slab: SlabSpec, factor: float = 0.6) -> SlabSpec:
     if not half > 0.0:
         raise ParameterError(f"the graphs leave no gap to shrink into: least gap {2.0 * half}")
     gen = slab.annulus_generator
-    rho_small = catenoid_profile_inverse(CatenoidSpec(tau=gen.tau, d=gen.d), factor * half)
     control = f"annuli shrunken to {factor} of the half-height"
     shrunken = replace(
         slab,
-        annulus_generator=replace(gen, rho_boundary=rho_small),
+        annulus_generator=_truncated_catenoid(gen.tau, gen.d, factor * half, gen.resolution),
         metadata={**slab.metadata, "negative_control": control},
     )
     # the same window, tau and graphs: the control keeps the slab's check

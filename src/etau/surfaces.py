@@ -140,6 +140,12 @@ def _catenoid_sigma_integrand(tau: float, d: float):
     return g
 
 
+def _half_height_limit(tau: float) -> float:
+    """(pi/2) sqrt(1 + 4 tau^2): the supremum over d of the catenoid's
+    half-height, and its limit and the invariant h(d)'s as d -> infinity."""
+    return 0.5 * math.pi * math.sqrt(1.0 + 4.0 * tau * tau)
+
+
 def catenoid_profile(spec: CatenoidSpec, rho):
     """Height of the upper sheet over hyperbolic distance rho from the axis.
 
@@ -206,7 +212,7 @@ def catenoid_profile_inverse(spec: CatenoidSpec, height):
         todo, sigma, lo, hi, residual = (a[~done] for a in (todo, sigma, lo, hi, residual))
         if not todo.size:
             return float(rho[0]) if heights.ndim == 0 else rho.reshape(heights.shape)
-        step = sigma - residual / table(sigma, 1)
+        step = sigma - residual / table.g(sigma)
         sigma = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
     raise ConvergenceError(
         f"profile inversion for height {flat[todo[0]]} did not converge in {_INVERSE_BUDGET} steps"
@@ -218,8 +224,8 @@ class _ProfileTable:
 
     The nodes of _TABLE_PANELS equal panels carry the cumulative_integral
     values; T(sigma) is the value at the nearest node plus, off the nodes,
-    one composite_gauss panel from that node to sigma, and T'(sigma) is
-    g(sigma) itself.  Beyond sigma_max, T is its limit: the last node's value
+    one composite_gauss panel from that node to sigma; T' is the integrand,
+    the attribute g.  Beyond sigma_max, T is its limit: the last node's value
     plus the given tail, the integral of g beyond sigma_max.
 
     The off-node panels are evaluated _TABLE_CHUNK at a time, so an array of
@@ -236,20 +242,16 @@ class _ProfileTable:
     """
 
     def __init__(self, g, sigma_max: float, tail: float = 0.0) -> None:
-        self._g = g
+        self.g = g
         self.sigma_max = sigma_max
         self._step = sigma_max / _TABLE_PANELS
         self._nodes = np.linspace(0.0, sigma_max, _TABLE_PANELS + 1)
         self._values = cumulative_integral(g, self._nodes)
         self.limit = float(self._values[-1]) + tail
 
-    def __call__(self, sigma, nu: int = 0) -> np.ndarray:
-        """T(sigma) for nu = 0, T'(sigma) = g(sigma) for nu = 1."""
+    def __call__(self, sigma) -> np.ndarray:
+        """T(sigma), elementwise."""
         sigma = np.asarray(sigma, dtype=float)
-        if nu == 1:
-            return self._g(sigma)
-        if nu != 0:
-            raise ParameterError(f"profile tables have derivative orders 0 and 1, got {nu}")
         flat = sigma.reshape(-1)
         k = np.clip(np.rint(flat / self._step), 0, _TABLE_PANELS).astype(int)
         beyond = flat > self.sigma_max
@@ -257,7 +259,7 @@ class _ProfileTable:
         off = np.flatnonzero((flat != self._nodes[k]) & ~beyond)
         for start in range(0, off.size, _TABLE_CHUNK):
             part = off[start : start + _TABLE_CHUNK]
-            out[part] += composite_gauss(self._g, self._nodes[k[part]], flat[part], 1)
+            out[part] += composite_gauss(self.g, self._nodes[k[part]], flat[part], 1)
         return out.reshape(sigma.shape)
 
     def bounds(self, sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -518,7 +520,11 @@ def transversality_window_check(d: float, h0: float, eps: float, tau: float) -> 
     those near the thresholds, are integrated.  Adding the drift rounds
     monotonically, so each sheet's height stays within its bracket and the
     kept angles, hence (sup, ok), are those of integrating every angle.
+    ParameterError unless all four are finite, h0 >= 0 and eps > 0.
     """
+    require_finite("transversality window", d=d, h0=h0, eps=eps, tau=tau)
+    if not (h0 >= 0.0 and eps > 0.0):
+        raise ParameterError(f"the window needs h0 >= 0 and eps > 0, got h0 = {h0}, eps = {eps}")
     theta_star = invariant_angle_max(d)
     n = max(int(theta_star / _WINDOW_THETA_STEP), 8)
     theta = np.linspace(theta_star / n, theta_star, n)
@@ -647,23 +653,31 @@ def _structured_mesh(
     )
 
 
+def _catenoid_radial(spec: CatenoidSpec, rho_max: float, w) -> tuple[float, np.ndarray, np.ndarray]:
+    """(sigma_max, sigma, tanh(rho / 2)) at the signed radial variable w of
+    the catenoid truncated at rho_max: sigma = |w| sqrt(rho_max - rho_min)
+    and rho = rho_min + sigma^2.  ParameterError unless rho_min < rho_max and
+    the boundary circles stay off the ideal boundary, 1 - tanh^2(rho_max / 2)
+    > BOUNDARY_MARGIN."""
+    rmin = catenoid_neck_radius(spec)
+    if not rho_max > rmin:
+        raise ParameterError(f"rho_max must exceed the neck radius {rmin}")
+    if not 1.0 - math.tanh(0.5 * rho_max) ** 2 > BOUNDARY_MARGIN:
+        raise ParameterError(f"rho_max={rho_max} puts the boundary circles on the ideal boundary")
+    sigma_max = math.sqrt(rho_max - rmin)
+    sigma = np.abs(w) * sigma_max
+    return sigma_max, sigma, np.tanh(0.5 * (rmin + sigma * sigma))
+
+
 def catenoid_patch(spec: CatenoidSpec, rho_max: float, w, phi) -> np.ndarray:
     """Disc coordinates (..., 3) of the catenoid truncated at radius rho_max.
 
     w in [-1, 1] is the signed regularized radial variable (|w| = 1 on the
     boundary circles, w = 0 on the neck) and phi the angle about the axis;
-    the two broadcast against each other.  Raises ParameterError when the
-    boundary circles lie within BOUNDARY_MARGIN of the ideal boundary, where
-    1 - tanh^2(rho_max / 2) rounds away.
+    the two broadcast against each other.  _catenoid_radial checks rho_max.
     """
-    if not 1.0 - math.tanh(0.5 * rho_max) ** 2 > BOUNDARY_MARGIN:
-        raise ParameterError(f"rho_max={rho_max} puts the boundary circles on the ideal boundary")
-    rmin = catenoid_neck_radius(spec)
-    sigma_max = math.sqrt(rho_max - rmin)
-    sigma = np.abs(w) * sigma_max
-    rho = rmin + sigma * sigma
+    _, sigma, radius = _catenoid_radial(spec, rho_max, w)
     t = np.sign(w) * _catenoid_table(spec.tau, spec.d)(sigma)
-    radius = np.tanh(0.5 * rho)
     x = radius * np.cos(phi)
     y = radius * np.sin(phi)
     return np.stack([x, y, np.broadcast_to(t, x.shape)], axis=-1)
@@ -672,18 +686,15 @@ def catenoid_patch(spec: CatenoidSpec, rho_max: float, w, phi) -> np.ndarray:
 def catenoid_patch_tangents(spec: CatenoidSpec, rho_max: float, w, phi) -> np.ndarray:
     """Derivatives (..., 3, 2) of catenoid_patch in (phi, w).
 
-    With sigma = |w| sigma_max the radius tanh(rho / 2) has w-derivative
-    (1 - radius^2) w sigma_max^2, and the fiber sign(w) T(sigma) has
-    sigma_max T'(sigma).
+    With sigma = |w| sigma_max (_catenoid_radial, which checks rho_max) the
+    radius tanh(rho / 2) has w-derivative (1 - radius^2) w sigma_max^2, and
+    the fiber sign(w) T(sigma) has sigma_max T'(sigma), T' the table's g.
     """
-    rmin = catenoid_neck_radius(spec)
-    sigma_max = math.sqrt(rho_max - rmin)
-    sigma = np.abs(w) * sigma_max
-    radius = np.tanh(0.5 * (rmin + sigma * sigma))
+    sigma_max, sigma, radius = _catenoid_radial(spec, rho_max, w)
     cos, sin = np.cos(phi), np.sin(phi)
     radial = (1.0 - radius * radius) * w * sigma_max * sigma_max
     d_phi = np.stack(np.broadcast_arrays(-radius * sin, radius * cos, 0.0), axis=-1)
-    fiber = sigma_max * _catenoid_table(spec.tau, spec.d)(sigma, 1)
+    fiber = sigma_max * _catenoid_table(spec.tau, spec.d).g(sigma)
     d_w = np.stack(np.broadcast_arrays(radial * cos, radial * sin, fiber), axis=-1)
     return np.stack([d_phi, d_w], axis=-1)
 
@@ -697,9 +708,6 @@ def _catenoid_grid(
     Rows follow the regularized radial variable w = linspace(-1, 1, rows);
     columns are cols angles wrapping around the axis.
     """
-    rmin = catenoid_neck_radius(spec)
-    if not rho_max > rmin:
-        raise ParameterError(f"rho_max must exceed the neck radius {rmin}")
     rows, cols = resolution
     if rows < 5 or cols < 8:
         raise ParameterError("catenoid meshes need at least 5 rows and 8 columns")
@@ -716,9 +724,9 @@ def mesh_catenoid(
     the _catenoid_grid vertices: vertex t-values are smooth through the
     neck, and columns wrap around the axis.
     """
-    vertices, (rows, cols) = _catenoid_grid(spec, rho_max, resolution)
-    metadata = {"kind": "catenoid", "d": spec.d, "rho_max": rho_max, "seam_row": rows // 2}
-    return _structured_mesh(Model.CYLINDER, spec.tau, vertices, (rows, cols), True, metadata)
+    vertices, grid_shape = _catenoid_grid(spec, rho_max, resolution)
+    metadata = {"kind": "catenoid", "d": spec.d, "rho_max": rho_max}
+    return _structured_mesh(Model.CYLINDER, spec.tau, vertices, grid_shape, True, metadata)
 
 
 # Smallest meshed wedge angle, as a fraction of the gluing angle theta*.
@@ -765,7 +773,7 @@ def _invariant_grid(
     ys = radius[None, :] * np.sin(theta)[:, None]
     ts = np.broadcast_to(t[:, None], xs.shape)
     vertices = _in_half_plane(np.stack([xs, ys, ts], axis=-1).reshape(-1, 3), phi_span)
-    metadata = {"kind": "invariant", "d": spec.d, "s": spec.s, "theta_min": theta_min, "seam_row": rows // 2}
+    metadata = {"kind": "invariant", "d": spec.d, "s": spec.s, "theta_min": theta_min}
     return vertices, (rows, cols), metadata
 
 
@@ -953,7 +961,7 @@ def _leaf_distances(pts: np.ndarray, scales: np.ndarray, d: float, s: float, tau
     def tangents(params):
         bx, by = base(params)
         sigma = params[:, 1]
-        dt = table(np.abs(sigma), 1) + 4.0 * tau * sigma
+        dt = table.g(np.abs(sigma)) + 4.0 * tau * sigma
         d_phi = np.stack([bx, by, np.zeros_like(bx)], axis=-1)
         d_sigma = np.stack([2.0 * sigma * by, -2.0 * sigma * bx, dt], axis=-1)
         return np.stack([d_phi, d_sigma], axis=-1)

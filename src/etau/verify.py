@@ -28,6 +28,7 @@ from .lifts import PlanarCurve, horizontal_lift, lift_geodesic_semicircle
 from .quadrature import elliptic_k
 from .surfaces import (
     CatenoidSpec,
+    _half_height_limit,
     catenoid_height,
     foliation_leaf_find_arrays,
     invariant_height,
@@ -49,7 +50,7 @@ def _limits(tau: float) -> list[dict]:
     for d in (1.1, 2.0, 10.0, 100.0):
         err = abs(invariant_height(d, 0.0) - elliptic_k(1.0 / d))
         checks.append(_check(f"elliptic_oracle_d_{d:g}", err, 1e-8))
-    half_limit = 0.5 * math.pi * math.sqrt(1.0 + 4.0 * tau * tau)
+    half_limit = _half_height_limit(tau)
     checks.append(_check("invariant_height_limit", abs(invariant_height(1e4, tau) - half_limit), 1e-3))
     checks.append(
         _check("catenoid_height_limit", abs(catenoid_height(CatenoidSpec(tau, 1e3)) - 2.0 * half_limit), 5e-2)

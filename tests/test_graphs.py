@@ -205,6 +205,31 @@ def test_cylinder_area_closed_form() -> None:
     )
 
 
+@pytest.mark.parametrize(
+    ("area", "args", "match"),
+    [
+        (disc_area, (800.0,), "disc area overflows"),
+        (disc_area, (math.inf,), "radius must be finite"),
+        (disc_area, (math.nan,), "radius must be finite"),
+        (cylinder_area, (800.0, 1.0), "cylinder area overflows"),
+        (cylinder_area, (1.0, 1e308), "cylinder area overflows"),
+        (cylinder_area, (1.0, math.inf), "height must be finite"),
+        (douglas_check, (800.0, 0.4), "area overflows"),
+        (douglas_check, (708.0, 0.4), "disc pair area overflows"),
+        (douglas_check, (math.inf, 0.4), "radius must be finite"),
+        (douglas_check, (1.0, math.nan), "height must be finite"),
+        (douglas_check, (1.0, -0.1), "must be positive"),
+    ],
+)
+def test_areas_reject_non_finite_inputs_and_overflow(area, args, match: str) -> None:
+    # not a bare OverflowError at radius 800, nor infinite areas with the
+    # annulus winning at an infinite radius
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=match):
+            area(*args)
+
+
 def test_douglas_threshold_is_tanh_half_radius() -> None:
     report = douglas_check(1.0, 0.45)
     assert report.threshold_half_height == pytest.approx(math.tanh(0.5), abs=1e-12)

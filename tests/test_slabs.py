@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -1071,6 +1072,19 @@ def test_example2_audit_passes(slab2) -> None:
     assert report.passed
     assert max(abs(c.distance) for c in report.annulus_checks) < 1e-9
     assert min(min(c.above_margin, c.below_margin) for c in report.annulus_checks) > 0.3
+
+
+@pytest.mark.parametrize(
+    ("alpha", "beta", "match"),
+    [(math.nan, 0.0, "alpha must be finite"), (0.4, math.inf, "beta must be finite")],
+)
+def test_example2_rejects_non_finite_plane_coefficients(alpha: float, beta: float, match: str) -> None:
+    # rejected by the plane before any grid is evaluated, not later as a
+    # "half-height target nan" FeasibilityError or a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=match):
+            build_example2(FLAT, "linear", 1.0, 0.45, 0.2, alpha=alpha, beta=beta, grid=9)
 
 
 def test_example2_requires_douglas_inequalities() -> None:

@@ -35,6 +35,8 @@ from etau.surfaces import (
     apply_isometry_to_mesh,
     catenoid_height,
     catenoid_neck_radius,
+    catenoid_patch,
+    catenoid_patch_tangents,
     catenoid_profile,
     catenoid_profile_derivative,
     catenoid_profile_inverse,
@@ -268,13 +270,11 @@ def test_profile_tables_match_a_fine_cubic_spline(tau: float) -> None:
 def test_profile_table_derivative_is_the_integrand(tau: float) -> None:
     for table, g, sigma_max in _profile_tables(tau):
         sigma = np.linspace(0.0, sigma_max, 77).reshape(7, 11)
-        assert np.array_equal(table(sigma, 1), g(sigma))
+        assert np.array_equal(table.g(sigma), g(sigma))
         assert table(sigma).shape == sigma.shape
         # where sigma^2 underflows the integrand is its limit g(0), not inf
-        assert table(np.array([1e-200, 1e-265]), 1).tolist() == [g(0.0)] * 2
+        assert table.g(np.array([1e-200, 1e-265])).tolist() == [g(0.0)] * 2
         assert 0.0 < table(1e-265) < 1e-250
-    with pytest.raises(ParameterError):
-        table(sigma, 2)
 
 
 @pytest.mark.parametrize("tau", [0.5, 0.0, -0.7])
@@ -533,15 +533,35 @@ def _window_check_all_angles(d: float, h0: float, eps: float, tau: float) -> tup
 def test_window_check_matches_integrating_every_angle() -> None:
     # a seeded sweep over both signs of tau (the drift flips with it) and d
     # from 1 + 1e-6 to 11, plus a window with only the gluing angle (h0 = 0)
-    # and an empty one (h0 < 0), which returns (0.0, True)
     rng = np.random.default_rng(29)
-    cases = [(1.0 + 1e-6, 1.0, 0.5, -0.7), (1.2, 0.0, 0.5, 0.5), (1.2, -0.5, 0.5, 0.5)]
+    cases = [(1.0 + 1e-6, 1.0, 0.5, -0.7), (1.2, 0.0, 0.5, 0.5)]
     for _ in range(40):
         d = 1.0 + 10.0 ** rng.uniform(-6.0, 1.0)
         cases.append((d, 10.0 ** rng.uniform(-3.0, 0.7), rng.uniform(0.05, 0.95), rng.uniform(-2.0, 2.0)))
     for case in cases:
         assert transversality_window_check(*case) == _window_check_all_angles(*case), case
-    assert transversality_window_check(1.2, -0.5, 0.5, 0.5) == (0.0, True)
+
+
+@pytest.mark.parametrize(
+    ("d", "h0", "eps", "tau", "match"),
+    [
+        (1.2, math.nan, 0.5, 0.5, "h0 must be finite"),
+        (1.2, math.inf, 0.5, 0.5, "h0 must be finite"),
+        (math.inf, 1.0, 0.5, 0.5, "d must be finite"),
+        (math.nan, 1.0, 0.5, 0.5, "d must be finite"),
+        (1.2, 1.0, math.nan, 0.5, "eps must be finite"),
+        (1.2, 1.0, 0.5, math.inf, "tau must be finite"),
+        (1.2, -0.5, 0.5, 0.5, "needs h0 >= 0 and eps > 0"),
+        (1.2, 1.0, 0.0, 0.5, "needs h0 >= 0 and eps > 0"),
+        (1.2, 1.0, -0.5, 0.5, "needs h0 >= 0 and eps > 0"),
+    ],
+)
+def test_window_check_rejects_bad_parameters(d: float, h0: float, eps: float, tau: float, match: str) -> None:
+    # a NaN half-height would keep no angle and so certify transversality
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=match):
+            transversality_window_check(d, h0, eps, tau)
 
 
 def test_window_check_integrates_only_undecided_angles(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -640,6 +660,44 @@ def test_catenoid_mesh_shape_and_model() -> None:
     assert mesh.metadata["kind"] == "catenoid"
 
 
+@pytest.mark.parametrize("tau", [0.5, 0.0, -0.7])
+def test_catenoid_patch_tangents_match_central_differences(tau: float) -> None:
+    spec, rho_max, step = CatenoidSpec(tau, 1.2), 3.0, 1e-6
+    w = np.array([-0.9, -0.4, 0.3, 0.8])
+    phi = np.array([0.1, 1.7, 3.0, 5.5])
+    v = catenoid_patch_tangents(spec, rho_max, w, phi)
+    assert v.shape == (4, 3, 2)
+    d_phi = (catenoid_patch(spec, rho_max, w, phi + step) - catenoid_patch(spec, rho_max, w, phi - step)) / (2 * step)
+    d_w = (catenoid_patch(spec, rho_max, w + step, phi) - catenoid_patch(spec, rho_max, w - step, phi)) / (2 * step)
+    np.testing.assert_allclose(v[..., 0], d_phi, rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(v[..., 1], d_w, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    ("rho_max", "match"),
+    [(0.5, "neck radius"), (math.asinh(1.2), "neck radius"), (math.nan, "neck radius"), (40.0, "ideal boundary")],
+    ids=["below-neck", "at-neck", "nan", "ideal-boundary"],
+)
+def test_catenoid_patch_and_tangents_check_rho_max(rho_max: float, match: str) -> None:
+    # the tangents share the patch's radial map and so its checks, not a
+    # math domain error below the neck
+    spec, w, phi = CatenoidSpec(0.5, 1.2), np.array([-0.5, 0.5]), np.array([0.0, 1.0])
+    for build in (catenoid_patch, catenoid_patch_tangents):
+        with pytest.raises(ParameterError, match=match):
+            build(spec, rho_max, w, phi)
+    with pytest.raises(ParameterError, match=match):
+        mesh_catenoid(spec, rho_max, resolution=(17, 16))
+
+
+@pytest.mark.parametrize(("tau", "d"), [(0.0, 0.0123), (0.5, 1.2), (-0.7, 1.2), (0.0, 5.0)])
+def test_catenoid_profile_inverse_at_height_zero_is_the_neck_radius(tau: float, d: float) -> None:
+    # CatenoidAnnulusGenerator.place inverts a zero fiber offset with the rest
+    spec = CatenoidSpec(tau, d)
+    assert catenoid_profile_inverse(spec, 0.0) == catenoid_neck_radius(spec)
+    heights = np.array([0.0, 0.1 * catenoid_height(spec)])
+    assert catenoid_profile_inverse(spec, heights)[0] == catenoid_neck_radius(spec)
+
+
 def test_catenoid_mesh_pads_even_rows() -> None:
     mesh = mesh_catenoid(CatenoidSpec(0.5, 1.2), rho_max=3.0, resolution=(16, 16))
     assert mesh.grid_shape == (17, 16)
@@ -647,7 +705,7 @@ def test_catenoid_mesh_pads_even_rows() -> None:
 
 def test_catenoid_mesh_nu_vanishes_on_neck() -> None:
     mesh = mesh_catenoid(CatenoidSpec(0.5, 1.2), rho_max=3.0, resolution=(17, 16))
-    seam = mesh.metadata["seam_row"]
+    seam = mesh.grid_shape[0] // 2
     nu = mesh.nu.reshape(17, 16)
     assert np.max(np.abs(nu[seam])) < 1e-12
     assert float(np.max(mesh.nu)) == pytest.approx(0.7512741885730151, abs=1e-9)
