@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import meshio, verify
-from .core import ConvergenceError, GeometryError, Model, ParameterError, SpaceParams
+from .core import ConvergenceError, GeometryError, Model, SpaceParams
 from .graphs import reference_problem, solve_dirichlet
 from .slabs import (
     build_example1,
@@ -167,8 +167,6 @@ def cmd_surface(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         span = args.phi_span
         mesh = leaf_mesh(LeafSpec(tau, d, args.s, args.scale), (-span, span), resolution)
-    if not (np.all(np.isfinite(mesh.vertices)) and np.all(np.isfinite(mesh.nu))):
-        raise ParameterError(f"the {kind} mesh has non-finite vertices or nu: its parameters leave the float range")
     out, sidecar = meshio.write_surface(args.out if args.out is not None else f"{kind}.obj", mesh)
     report = {
         "command": "surface",

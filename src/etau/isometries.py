@@ -340,9 +340,7 @@ def inverse(iso: AmbientIsometry) -> AmbientIsometry:
     r = apply(candidate, q)
     if abs(r.x - ref.x) > 1e-9 or abs(r.y - ref.y) > 1e-9:
         raise GeometryError("inverse base map disagrees; inconsistent isometry")
-    return AmbientIsometry(
-        mob, iso.orientation, ref.t - r.t, 0.0, iso.tau, family="generic"
-    )
+    return AmbientIsometry(mob, iso.orientation, ref.t - r.t, 0.0, iso.tau)
 
 
 # Stencil rows of the pullback residual, in units of the axis step h_i:
@@ -433,22 +431,24 @@ def conversion_pullback_residual(p: AmbientPoint, tau: float) -> float:
 # -- named families ----------------------------------------------------------
 
 
+def _family_member(
+    family: str, mob: MobiusMap, tau: float, parameters: dict, shift=0.0, offset=0.0, orientation=Orientation.DIRECT
+) -> AmbientIsometry:
+    """The isometry of the named family covering mob, with fiber shift and
+    branch offset, its parameters stored sorted by name: isometry_to_json
+    writes them in that order and isometry_from_json reads them back, so a
+    JSON round trip gives an equal isometry."""
+    pairs = tuple(sorted((name, float(value)) for name, value in parameters.items()))
+    return AmbientIsometry(mob, orientation, float(shift), float(offset), tau, family, pairs)
+
+
 def identity_isometry(tau: float, model: Model) -> AmbientIsometry:
-    mob = MobiusMap.normalized(1.0, 0.0, 0.0, 1.0, model)
-    return AmbientIsometry(mob, Orientation.DIRECT, 0.0, 0.0, tau, family="identity")
+    return _family_member("identity", MobiusMap.normalized(1.0, 0.0, 0.0, 1.0, model), tau, {})
 
 
 def vertical_translation(offset: float, tau: float, model: Model) -> AmbientIsometry:
     mob = MobiusMap.normalized(1.0, 0.0, 0.0, 1.0, model)
-    return AmbientIsometry(
-        mob,
-        Orientation.DIRECT,
-        float(offset),
-        0.0,
-        tau,
-        family="vertical_translation",
-        parameters=(("offset", float(offset)),),
-    )
+    return _family_member("vertical_translation", mob, tau, {"offset": offset}, shift=offset)
 
 
 def scale_isometry(factor: float, tau: float) -> AmbientIsometry:
@@ -456,15 +456,7 @@ def scale_isometry(factor: float, tau: float) -> AmbientIsometry:
     if not factor > 0.0:
         raise ParameterError(f"scale factor must be positive, got {factor}")
     mob = MobiusMap.normalized(factor, 0.0, 0.0, 1.0, Model.HALF_SPACE)
-    return AmbientIsometry(
-        mob,
-        Orientation.DIRECT,
-        0.0,
-        0.0,
-        tau,
-        family="scale",
-        parameters=(("factor", float(factor)),),
-    )
+    return _family_member("scale", mob, tau, {"factor": factor})
 
 
 def axis_translation_isometry(axis_foot: float, tau: float) -> AmbientIsometry:
@@ -477,15 +469,7 @@ def axis_translation_isometry(axis_foot: float, tau: float) -> AmbientIsometry:
     if not s > 0.0:
         raise ParameterError(f"axis foot must be positive, got {s}")
     mob = MobiusMap.normalized(0.5, -s, 1.0 / s, 0.0, Model.HALF_SPACE)
-    return AmbientIsometry(
-        mob,
-        Orientation.DIRECT,
-        0.0,
-        0.0,
-        tau,
-        family="axis_translation",
-        parameters=(("axis_foot", s),),
-    )
+    return _family_member("axis_translation", mob, tau, {"axis_foot": s})
 
 
 def disc_point_isometry(center: complex, tau: float) -> AmbientIsometry:
@@ -499,15 +483,8 @@ def disc_point_isometry(center: complex, tau: float) -> AmbientIsometry:
         raise ParameterError(f"center must lie in the open disc, got {z0}")
     mob = MobiusMap.normalized(1.0, -z0, z0.conjugate(), -1.0, Model.CYLINDER)
     offset = math.pi + 2.0 * cmath.phase(mob.d)
-    return AmbientIsometry(
-        mob,
-        Orientation.DIRECT,
-        2.0 * tau * math.pi,
-        offset,
-        tau,
-        family="disc_point",
-        parameters=(("center_x", z0.real), ("center_y", z0.imag)),
-    )
+    parameters = {"center_x": z0.real, "center_y": z0.imag}
+    return _family_member("disc_point", mob, tau, parameters, shift=2.0 * tau * math.pi, offset=offset)
 
 
 def halfplane_graph_isometry(x0: float, y0: float, height: float, tau: float) -> AmbientIsometry:
@@ -519,47 +496,22 @@ def halfplane_graph_isometry(x0: float, y0: float, height: float, tau: float) ->
     if not y0 > 0.0:
         raise ParameterError(f"target height y0 must be positive, got {y0}")
     mob = MobiusMap.normalized(y0, x0, 0.0, 1.0, Model.HALF_SPACE)
-    return AmbientIsometry(
-        mob,
-        Orientation.DIRECT,
-        float(height),
-        0.0,
-        tau,
-        family="halfplane_graph",
-        parameters=(("x0", float(x0)), ("y0", float(y0)), ("height", float(height))),
-    )
+    parameters = {"x0": x0, "y0": y0, "height": height}
+    return _family_member("halfplane_graph", mob, tau, parameters, shift=height)
 
 
 def rotation_isometry(angle: float, tau: float) -> AmbientIsometry:
     """Disc rotation about the origin; fixes t for every tau."""
     half = 0.5 * float(angle)
-    mob = MobiusMap.normalized(
-        cmath.exp(1j * half), 0.0, 0.0, cmath.exp(-1j * half), Model.CYLINDER
-    )
+    mob = MobiusMap.normalized(cmath.exp(1j * half), 0.0, 0.0, cmath.exp(-1j * half), Model.CYLINDER)
     theta0 = -2.0 * cmath.phase(mob.d)
-    return AmbientIsometry(
-        mob,
-        Orientation.DIRECT,
-        2.0 * tau * theta0,
-        0.0,
-        tau,
-        family="rotation",
-        parameters=(("angle", float(angle)),),
-    )
+    return _family_member("rotation", mob, tau, {"angle": angle}, shift=2.0 * tau * theta0)
 
 
 def halfplane_reflection(axis_x: float, tau: float) -> AmbientIsometry:
     """Orientation-reversing reflection about the vertical plane x = axis_x."""
     mob = MobiusMap.normalized(1.0, -2.0 * float(axis_x), 0.0, 1.0, Model.HALF_SPACE)
-    return AmbientIsometry(
-        mob,
-        Orientation.REVERSING,
-        0.0,
-        0.0,
-        tau,
-        family="halfplane_reflection",
-        parameters=(("axis_x", float(axis_x)),),
-    )
+    return _family_member("halfplane_reflection", mob, tau, {"axis_x": axis_x}, orientation=Orientation.REVERSING)
 
 
 # -- closed-form angle branches (used as cross-checks) ------------------------
@@ -614,15 +566,9 @@ def isometry_from_json(data: dict) -> AmbientIsometry:
         MobiusMap.normalized(a, b, c, d, model)  # checks only: the record keeps its stored bits
         if not abs(a * d - b * c - 1.0) <= _COEFF_TOL:
             raise ParameterError(f"Moebius matrix of determinant {a * d - b * c} is not normalized")
-        return AmbientIsometry(
-            MobiusMap(a, b, c, d, model),
-            orientation,
-            float(data["shift"]),
-            float(data["branch_offset"]),
-            float(data["tau"]),
-            family=family,
-            parameters=tuple((k, float(v)) for k, v in sorted(data.get("parameters", {}).items())),
-        )
+        mob, parameters = MobiusMap(a, b, c, d, model), data.get("parameters", {})
+        shift, offset = data["shift"], data["branch_offset"]
+        return _family_member(family, mob, float(data["tau"]), parameters, shift, offset, orientation)
     except ParameterError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -51,8 +51,13 @@ _INVERSE_BUDGET = 60
 _INVERSE_TOL = 1e-14
 # Smallest normal float64: the profile integrands take their limit below it.
 _TINY = np.finfo(float).tiny
+# Largest float64: no quantity of a profile table or a mesh may pass it.
+_HUGE = np.finfo(float).max
 # Wedge-angle step of transversality_window_check's sampling.
 _WINDOW_THETA_STEP = 1e-4
+# Largest component of an unnormalized mesh normal whose squared norm, a sum
+# of three squares, is a float.
+_NORMAL_MAX = math.sqrt(_HUGE / 3.0)
 
 
 class Sheet(Enum):
@@ -161,12 +166,17 @@ def catenoid_profile(spec: CatenoidSpec, rho):
 
 
 def catenoid_profile_derivative(spec: CatenoidSpec, rho: float) -> float:
-    """Profile slope d sqrt(1 + 4 tau^2 tanh^2(rho/2)) / sqrt(sinh^2 rho - d^2)."""
+    """Profile slope d sqrt(1 + 4 tau^2 tanh^2(rho/2)) / sqrt(sinh^2 rho - d^2)
+    at finite rho above the neck radius, read as g(sigma) / (2 sigma) at sigma
+    = sqrt(rho - rho_min), g the profile table's integrand, which factors
+    sinh^2 rho - d^2 so it does not cancel near the neck.  Far out, where
+    sinh rho overflows, g reads 0, the value the slope underflows to."""
     rmin = catenoid_neck_radius(spec)
-    if not rho > rmin:
-        raise ParameterError("profile slope is defined only above the neck radius")
-    num = spec.d * math.sqrt(1.0 + 4.0 * spec.tau ** 2 * math.tanh(0.5 * rho) ** 2)
-    return num / math.sqrt(math.sinh(rho) ** 2 - spec.d ** 2)
+    if not rmin < rho < math.inf:
+        raise ParameterError(f"profile slope is defined only at finite rho above the neck radius, got {rho}")
+    sigma = math.sqrt(rho - rmin)
+    with np.errstate(over="ignore"):
+        return float(_catenoid_table(spec.tau, spec.d).g(sigma)) / (2.0 * sigma)
 
 
 def catenoid_height(spec: CatenoidSpec) -> float:
@@ -283,12 +293,16 @@ def _catenoid_table(tau: float, d: float) -> _ProfileTable:
     With A = 2 d sqrt(1 + 4 tau^2), the profile beyond the truncation radius
     rho* = log(A 1e15) adds at most the tail A e^(-rho*) = 1e-15; the table's
     limit, read beyond sigma*, adds that tail, so it is half the height.
+    ParameterError unless rho_min < rho* and e^(2 rho*) is a float: the
+    integrand forms sinh^2 rho - d^2 < e^(2 rho) / 4 up to rho*.
     """
     amp = 2.0 * d * math.sqrt(1.0 + 4.0 * tau * tau)
     rho_star = math.log(amp * 1e15)
     rmin = math.asinh(d)
     if not rho_star > rmin:
         raise ParameterError(f"necksize parameter {d} is too small to tabulate the profile")
+    if not 2.0 * rho_star < math.log(_HUGE):
+        raise ParameterError(f"catenoid profile at tau = {tau}, d = {d} leaves the float range: sinh^2 overflows")
     tail = amp * math.exp(-rho_star)
     return _ProfileTable(_catenoid_sigma_integrand(tau, d), math.sqrt(rho_star - rmin), tail)
 
@@ -396,6 +410,10 @@ def invariant_profile_inverse(spec: InvariantSurfaceSpec, sheet: Sheet, value: f
 
 @lru_cache(maxsize=32)
 def _invariant_table(tau: float, d: float) -> _ProfileTable:
+    """Profile table of the invariant surface; ParameterError unless the
+    integrand's squared slope bound d^2 (1 + 4 tau^2) is a float."""
+    if not math.isfinite(d * d * (1.0 + 4.0 * tau * tau)):
+        raise ParameterError(f"invariant profile at tau = {tau}, d = {d} leaves the float range: d^2 overflows")
     return _ProfileTable(_invariant_sigma_integrand(tau, d), math.sqrt(invariant_angle_max(d)))
 
 
@@ -615,8 +633,11 @@ def _structured_mesh(
     Normals are the frame cross products of centered grid tangents.  Every
     mesh's two sheets meet on its middle row rows // 2: the sheets are the
     rows up to and from it, and a sheet whose mean nu is negative is
-    flipped.  metadata only describes the mesh.
+    flipped.  metadata only describes the mesh.  ParameterError if a vertex
+    is not finite or a cross product's squared norm overflows.
     """
+    if not np.all(np.isfinite(vertices)):
+        raise ParameterError("the mesh's parameters leave the float range: a vertex is not finite")
     rows, cols = grid_shape
     v = vertices.reshape(rows, cols, 3)
     tu = np.empty_like(v)
@@ -634,6 +655,8 @@ def _structured_mesh(
     u1, u2, u3 = frame_components_arrays(model, tau, x, y, tu[..., 0], tu[..., 1], tu[..., 2])
     w1, w2, w3 = frame_components_arrays(model, tau, x, y, tv[..., 0], tv[..., 1], tv[..., 2])
     n = np.stack([u2 * w3 - u3 * w2, u3 * w1 - u1 * w3, u1 * w2 - u2 * w1], axis=-1)
+    if not np.all(np.abs(n) <= _NORMAL_MAX):  # also false at a NaN
+        raise ParameterError("the mesh's parameters leave the float range: its normals overflow when squared")
     norm = np.maximum(np.sqrt(n[..., 0] ** 2 + n[..., 1] ** 2 + n[..., 2] ** 2), 1e-300)
     normals = n / norm[..., None]
     seam = rows // 2
@@ -743,12 +766,26 @@ def _in_half_plane(vertices: np.ndarray, phi_span: tuple[float, float]) -> np.nd
     return vertices
 
 
+def _invariant_chart(tau: float, d: float, s: float, phi, sigma) -> np.ndarray:
+    """Half-space points (..., 3) of the invariant surface at axis foot s, at
+    broadcasting parameters (phi, sigma): base point s + e^phi (cos theta,
+    sin theta) with theta = theta* - sigma^2, and fiber sign(sigma)
+    T(|sigma|) + 2 tau sigma^2, T the profile table.  T is odd in sigma, so
+    the plus (sigma > 0) and minus (sigma < 0) sheets join smoothly on the
+    gluing curve sigma = 0, where theta has a square-root singularity."""
+    theta = invariant_angle_max(d) - sigma * sigma
+    radius = np.exp(phi)
+    t = np.sign(sigma) * _invariant_table(tau, d)(np.abs(sigma)) + 2.0 * tau * sigma * sigma
+    return np.stack(np.broadcast_arrays(radius * np.cos(theta) + s, radius * np.sin(theta), t), axis=-1)
+
+
 def _invariant_grid(
     spec: InvariantSurfaceSpec, phi_span: tuple[float, float], resolution: tuple[int, int]
 ) -> tuple[np.ndarray, tuple[int, int], dict]:
     """Vertices (rows * cols, 3), grid shape and metadata of the invariant
     surface mesh (see mesh_invariant_surface): rows, padded to odd, follow
-    v = linspace(-1, 1), the minus sheet at v < 0 and the gluing curve at 0."""
+    v = linspace(-1, 1) at sigma = v sqrt(theta* - theta_min) of
+    _invariant_chart, the minus sheet at v < 0 and the gluing curve at 0."""
     # exp(phi) is a vertex's Euclidean distance from the axis foot s
     with np.errstate(over="ignore", under="ignore"):
         ends = np.exp(np.array(phi_span, dtype=float))
@@ -760,19 +797,10 @@ def _invariant_grid(
     if rows < 5 or cols < 2:
         raise ParameterError("invariant meshes need at least 5 rows and 2 columns")
     rows += 1 - rows % 2  # keep a row exactly on the gluing curve
-    v = np.linspace(-1.0, 1.0, rows)
-    span = theta_star - theta_min
-    theta = theta_star - v * v * span
-    sigma = np.abs(v) * math.sqrt(span)
-    tail = _invariant_table(spec.tau, spec.d)(sigma)
-    drift = -2.0 * spec.tau * (theta - theta_star)
-    t = np.sign(v) * tail + drift
+    sigma = np.linspace(-1.0, 1.0, rows) * math.sqrt(theta_star - theta_min)
     phi = np.linspace(phi_span[0], phi_span[1], cols)
-    radius = np.exp(phi)
-    xs = radius[None, :] * np.cos(theta)[:, None] + spec.s
-    ys = radius[None, :] * np.sin(theta)[:, None]
-    ts = np.broadcast_to(t[:, None], xs.shape)
-    vertices = _in_half_plane(np.stack([xs, ys, ts], axis=-1).reshape(-1, 3), phi_span)
+    points = _invariant_chart(spec.tau, spec.d, spec.s, phi[None, :], sigma[:, None])
+    vertices = _in_half_plane(points.reshape(-1, 3), phi_span)
     metadata = {"kind": "invariant", "d": spec.d, "s": spec.s, "theta_min": theta_min}
     return vertices, (rows, cols), metadata
 
@@ -934,12 +962,10 @@ def _leaf_distances(pts: np.ndarray, scales: np.ndarray, d: float, s: float, tau
     """Ambient distances from (n, 3) points to the leaves at their scales.
 
     Each point is pulled back to q in the invariant surface's chart, and the
-    chord search of core.chord_distances runs over the surface parameters
-    (phi, sigma): base point s + e^phi (cos theta, sin theta) with
-    theta = theta* - sigma^2 and fiber sign(sigma) T(|sigma|) + 2 tau sigma^2,
-    T the profile table.  T is odd in sigma, so the plus (sigma > 0) and
-    minus (sigma < 0) sheets join smoothly at the fold sigma = 0, where theta
-    has a square-root singularity.  The search starts over q's base point on
+    chord search of core.chord_distances runs over its parameters (phi,
+    sigma) in [-sigma*, sigma*], the surface points given by
+    _invariant_chart and their tangents by its derivatives, with T' the
+    profile table's integrand g.  The search starts over q's base point on
     the sheet nearer in t.
     """
     q = _pull_back_to_model_chart(pts, scales, axis_inv)
@@ -948,19 +974,13 @@ def _leaf_distances(pts: np.ndarray, scales: np.ndarray, d: float, s: float, tau
     sigma_max = math.sqrt(theta_star)
     table = _invariant_table(tau, d)
 
-    def base(params):
-        theta = theta_star - params[:, 1] ** 2
-        return np.exp(params[:, 0]) * np.cos(theta), np.exp(params[:, 0]) * np.sin(theta)
-
     def leaf(params):
-        bx, by = base(params)
-        sigma = params[:, 1]
-        t = np.sign(sigma) * table(np.abs(sigma)) + 2.0 * tau * sigma * sigma
-        return np.stack([bx + s, by, t], axis=-1)
+        return _invariant_chart(tau, d, s, params[:, 0], params[:, 1])
 
     def tangents(params):
-        bx, by = base(params)
-        sigma = params[:, 1]
+        phi, sigma = params[:, 0], params[:, 1]
+        theta = theta_star - sigma * sigma
+        bx, by = np.exp(phi) * np.cos(theta), np.exp(phi) * np.sin(theta)
         dt = table.g(np.abs(sigma)) + 4.0 * tau * sigma
         d_phi = np.stack([bx, by, np.zeros_like(bx)], axis=-1)
         d_sigma = np.stack([2.0 * sigma * by, -2.0 * sigma * bx, dt], axis=-1)

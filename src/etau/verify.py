@@ -12,10 +12,9 @@ import math
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .core import AmbientPoint, BasePoint, Model, ParameterError
+from .core import Model, ParameterError
 from .graphs import mean_curvature, reference_problem
 from .isometries import (
-    apply,
     apply_to_rows,
     axis_translation_isometry,
     conversion_pullback_residuals,
@@ -65,11 +64,6 @@ def _limits(tau: float) -> list[dict]:
     return checks
 
 
-def _halfspace_points(rng: Generator, n: int) -> np.ndarray:
-    """(n, 3) half-space coordinates, drawn x, y, t point by point."""
-    return np.array([[rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0), rng.uniform(-2.0, 2.0)] for _ in range(n)])
-
-
 def _cylinder_points(rng: Generator, n: int) -> np.ndarray:
     """(n, 3) cylinder coordinates, drawn angle, radius, t point by point."""
     out = np.empty((n, 3))
@@ -100,7 +94,7 @@ def _isometries(tau: float, seed: int, points: int) -> list[dict]:
         checks.append(_check(f"{name}_pullback", worst, 1e-9))
         checks.append(_check(f"{name}_fiber", fiber, 1e-12))
 
-    half = _halfspace_points(rng, per_family)
+    half = rng.uniform((-2.0, 0.2, -2.0), (2.0, 3.0, 2.0), size=(per_family, 3))  # x, y, t point by point
     cyl = _cylinder_points(rng, per_family)
     conversion = [
         conversion_pullback_residuals(model, tau, coords)
@@ -178,22 +172,15 @@ def _transversality(tau: float) -> list[dict]:
 
 def _foliation(tau: float, d: float, s: float, seed: int, points: int) -> list[dict]:
     """Leaves of the sampled points and of their images under random scalings,
-    found in one array pass over the 2 * points rows."""
+    found in one array pass over the 2 * points rows.  Each point draws its
+    x, y, t and scaling mu in turn."""
     if points < 1:
         raise ParameterError(f"points must be at least 1, got {points}")
-    rng = default_rng(seed)
-    samples, moved, mus = [], [], []
-    for _ in range(points):
-        p = AmbientPoint(
-            BasePoint(Model.HALF_SPACE, rng.uniform(-2.0, 2.0), rng.uniform(0.2, 2.5)),
-            rng.uniform(-1.5, 1.5),
-        )
-        mu = rng.uniform(0.5, 2.0)
-        samples.append(p.coords())
-        moved.append(apply(scale_isometry(mu, tau), p).coords())
-        mus.append(mu)
-    scales, residuals, _ = foliation_leaf_find_arrays(np.array(samples + moved), d, s, tau)
-    worst_eqv = np.max(np.abs(scales[points:] - np.array(mus) * scales[:points]))
+    draws = default_rng(seed).uniform((-2.0, 0.2, -1.5, 0.5), (2.0, 2.5, 1.5, 2.0), size=(points, 4))
+    samples, mus = draws[:, :3], draws[:, 3]
+    moved = apply_to_rows([scale_isometry(mu, tau) for mu in mus.tolist()], samples)
+    scales, residuals, _ = foliation_leaf_find_arrays(np.concatenate([samples, moved]), d, s, tau)
+    worst_eqv = np.max(np.abs(scales[points:] - mus * scales[:points]))
     return [
         _check("leaf_find_residual", np.max(residuals[:points]), 1e-6),
         _check("scale_equivariance", worst_eqv, 1e-6),

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import etau
-from etau import cli, graphs, verify
+from etau import cli, graphs, surfaces, verify
 from etau.cli import main
 from etau.slabs import check_annulus_family
 
@@ -149,15 +149,43 @@ def test_surface_leaf_off_the_half_plane_is_invalid_input_without_warnings(tmp_p
 
 
 def test_surface_with_a_non_finite_nu_writes_nothing(tmp_path, capsys, monkeypatch) -> None:
-    def with_nan(*args):
-        mesh = etau.mesh_invariant_surface(*args)
-        mesh.nu[0] = np.nan
-        return mesh
+    # a NaN frame component gives the mesh builder a NaN normal, hence a NaN nu
+    frame = surfaces.frame_components_arrays
 
-    monkeypatch.setattr(cli, "mesh_invariant_surface", with_nan)
+    def with_nan(*args):
+        first, *rest = frame(*args)
+        first = first.copy()
+        first.flat[0] = np.nan
+        return (first, *rest)
+
+    monkeypatch.setattr(surfaces, "frame_components_arrays", with_nan)
     code, report = run(capsys, "surface", "invariant", "--d", "1.2", "--rows", "9", "--out", str(tmp_path / "m.obj"))
     assert code == 1
     assert report["status"] == "invalid_input"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surface", "invariant", "--d", "1e153"],
+        ["surface", "leaf", "--d", "1e153"],
+        ["surface", "invariant", "--d", "1.4e154"],
+        ["surface", "leaf", "--d", "1.4e154"],
+        ["verify", "foliation", "--d", "1.4e154", "--points", "3"],
+        ["solve", "--boundary", "catenoid", "--d", "1e145", "--n", "9"],
+        ["verify", "minimality", "--surface", "catenoid", "--d", "1e145"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if not a.startswith("--")),
+)
+def test_parameters_past_the_float_range_are_invalid_input_without_warnings(tmp_path, capsys, argv) -> None:
+    out = ["--out", str(tmp_path / "m.obj")] if argv[0] == "surface" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, report = run(capsys, *argv, "--tau", "0.5", *out)
+    assert code == 1
+    assert report["status"] == "invalid_input"
+    assert "float range" in report["message"]
     assert not list(tmp_path.iterdir())
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -584,6 +585,12 @@ def test_json_round_trip_reproduces_action() -> None:
             for p in probes_for(iso):
                 a, b = apply(iso, p), apply(clone, p)
                 assert (a.x, a.y, a.t) == pytest.approx((b.x, b.y, b.t), abs=1e-14)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_json_round_trip_gives_an_equal_isometry(tau: float) -> None:
+    for iso in family_members(tau):
+        assert isometry_from_json(json.loads(json.dumps(isometry_to_json(iso)))) == iso, iso.family
 
 
 def _scaled_matrix(data: dict) -> None:

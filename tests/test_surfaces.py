@@ -115,6 +115,43 @@ def test_catenoid_profile_derivative_frozen() -> None:
     assert catenoid_profile_derivative(CAT, rho) == pytest.approx(0.356169057492921, abs=1e-9)
 
 
+def test_catenoid_profile_derivative_is_the_table_slope_above_the_neck() -> None:
+    # the closed form cancels here: it reads 6,860,806, 0.2% above this slope
+    spec = CatenoidSpec(0.5, 1.2)
+    rmin = catenoid_neck_radius(spec)
+    rho = rmin + 1e-14
+    sigma = math.sqrt(rho - rmin)
+    slope = catenoid_profile_derivative(spec, rho)
+    assert slope == float(surfaces._catenoid_table(0.5, 1.2).g(sigma)) / (2.0 * sigma)
+    assert slope == pytest.approx(6_846_529, rel=1e-6)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, -0.7])
+@pytest.mark.parametrize("d", [0.3, 1.2, 3.89])
+def test_catenoid_profile_derivative_matches_the_closed_form(tau: float, d: float) -> None:
+    spec = CatenoidSpec(tau, d)
+    rmin = catenoid_neck_radius(spec)
+    for rho in rmin + np.geomspace(1e-2, 350.0, 41):
+        closed = d * math.sqrt(1.0 + 4.0 * tau * tau * math.tanh(0.5 * rho) ** 2) / math.sqrt(
+            math.sinh(rho) ** 2 - d * d
+        )
+        assert catenoid_profile_derivative(spec, rho) == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("rho", [800.0, 1e4])
+def test_catenoid_profile_derivative_far_out_is_finite_without_warnings(rho: float) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope = catenoid_profile_derivative(CAT, rho)
+    assert math.isfinite(slope) and slope >= 0.0
+
+
+@pytest.mark.parametrize("rho", [0.5, math.inf, math.nan], ids=["below-neck", "inf", "nan"])
+def test_catenoid_profile_derivative_rejects_rho_off_its_domain(rho: float) -> None:
+    with pytest.raises(ParameterError):
+        catenoid_profile_derivative(CAT, rho)
+
+
 def test_catenoid_profile_inverse_round_trip() -> None:
     rho = catenoid_neck_radius(CAT) + 1.3
     u = catenoid_profile(CAT, rho)
