@@ -367,6 +367,12 @@ class _FluxForm:
     @np.errstate(divide="ignore", invalid="ignore")
     def __init__(self, domain: GraphDomain, tau: float) -> None:
         require_finite("flux form", tau=tau)
+        # In every chart the connection terms are at most 2 |tau| against the
+        # metric root, so flat data tilts by W <= sqrt(1 + 8 tau^2); the
+        # Jacobian cubes W.
+        tilt = math.sqrt(1.0 + 8.0 * tau * tau)
+        if not math.isfinite(tilt * tilt * tilt):
+            raise ParameterError(f"flux form at tau = {tau} leaves the float range: its tilt overflows when cubed")
         self.domain = domain
         h1, h2 = domain.steps()
         q1, q2 = domain.axes()

@@ -36,6 +36,10 @@ from .core import (
 )
 
 _COEFF_TOL = 1e-12
+# A Moebius matrix is singular when |ad - bc| < _SINGULAR_RTOL (|a|^2 + |b|^2
+# + |c|^2 + |d|^2): |ad| + |bc| is at most half that sum, so such a
+# determinant is within a few dozen roundings of zero.
+_SINGULAR_RTOL = 1e-14
 # Base step of the finite-difference Jacobian in the pullback residuals.
 _PULLBACK_STEP = 2e-3
 
@@ -74,10 +78,12 @@ class MobiusMap:
         a, b, c, d = complex(a), complex(b), complex(c), complex(d)
         if not all(map(cmath.isfinite, (a, b, c, d))):
             raise ParameterError(f"Moebius coefficients must be finite, got {(a, b, c, d)}")
-        det = a * d - b * c
-        if abs(det) < _COEFF_TOL:
-            raise ParameterError("Moebius matrix is singular")
         scale_ref = max(abs(a), abs(b), abs(c), abs(d))
+        # the test on the entries divided by the largest, so no square overflows
+        unit = [w / scale_ref for w in (a, b, c, d)] if scale_ref > 0.0 else [0j] * 4
+        if not abs(unit[0] * unit[3] - unit[1] * unit[2]) > _SINGULAR_RTOL * sum(abs(w) ** 2 for w in unit):
+            raise ParameterError("Moebius matrix is singular")
+        det = a * d - b * c
         if model is Model.HALF_SPACE:
             if max(abs(a.imag), abs(b.imag), abs(c.imag), abs(d.imag)) > _COEFF_TOL * scale_ref:
                 raise ParameterError("half-space Moebius maps need real coefficients")
@@ -452,9 +458,18 @@ def vertical_translation(offset: float, tau: float, model: Model) -> AmbientIsom
 
 
 def scale_isometry(factor: float, tau: float) -> AmbientIsometry:
-    """Half-space homothety z -> factor * z; it fixes t for every tau."""
+    """Half-space homothety z -> factor * z; it fixes t for every tau.
+
+    The factor must lie in the float-safe range [2 _SINGULAR_RTOL,
+    1 / (2 _SINGULAR_RTOL)], where the matrix (factor, 0; 0, 1) is not
+    singular (MobiusMap.normalized)."""
     if not factor > 0.0:
         raise ParameterError(f"scale factor must be positive, got {factor}")
+    if not 2.0 * _SINGULAR_RTOL <= factor <= 0.5 / _SINGULAR_RTOL:
+        raise ParameterError(
+            f"scale factor {factor} leaves the float-safe range "
+            f"[{2.0 * _SINGULAR_RTOL}, {0.5 / _SINGULAR_RTOL}]: its Moebius matrix is singular"
+        )
     mob = MobiusMap.normalized(factor, 0.0, 0.0, 1.0, Model.HALF_SPACE)
     return _family_member("scale", mob, tau, {"factor": factor})
 
@@ -464,10 +479,14 @@ def axis_translation_isometry(axis_foot: float, tau: float) -> AmbientIsometry:
 
     Swaps the ideal points 0 and infinity with the pair -axis_foot/2,
     +axis_foot/2; its branch satisfies Theta(z) = -2 atan2(y, x).
+    ParameterError unless axis_foot^2, the image's height over z = i, is a
+    float.
     """
     s = float(axis_foot)
     if not s > 0.0:
         raise ParameterError(f"axis foot must be positive, got {s}")
+    if not math.isfinite(s * s):
+        raise ParameterError(f"axis foot {s} leaves the float range: axis_foot^2 overflows")
     mob = MobiusMap.normalized(0.5, -s, 1.0 / s, 0.0, Model.HALF_SPACE)
     return _family_member("axis_translation", mob, tau, {"axis_foot": s})
 

@@ -1,10 +1,16 @@
 """Composite Gauss–Legendre quadrature and the AGM elliptic integral.
 
-Every integral in the package uses composite_gauss (Golub & Welsch 1969
-nodes from numpy's leggauss): one panel per slab edge, and in
-cumulative_integral a panel count per interval that doubles until two
-successive estimates agree; the profile integrands are smooth after the
-sigma = sqrt(.) substitution, so one or two doublings usually suffice.
+Every integral in the package uses composite_gauss: one panel per slab
+edge, and in cumulative_integral a panel count per interval that doubles
+until two successive estimates agree; the profile integrands are smooth
+after the sigma = sqrt(.) substitution, so one or two doublings usually
+suffice.
+
+The 20-point Gauss–Legendre table is pinned as float64 literals: the repr
+of numpy's leggauss(20) (Golub & Welsch 1969), which round-trips bit for
+bit.  Computing it at import loaded numpy.polynomial and ran LAPACK's
+symmetric eigensolver in every process, about 1.5 MB of peak memory for 40
+numbers that never change.
 """
 
 from __future__ import annotations
@@ -27,7 +33,21 @@ PANEL_NODES = 20
 # whose temporaries are all real (8 bytes a node), take chunks of twice this
 # size (tests/spectra_reference.py).
 CHUNK_NODES = 1 << 12
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(PANEL_NODES)
+# np.polynomial.legendre.leggauss(PANEL_NODES), bit for bit (module docstring)
+_NODES = np.array([
+    -0.993128599185095, -0.9639719272779138, -0.912234428251326, -0.8391169718222188,
+    -0.7463319064601508, -0.636053680726515, -0.5108670019508271, -0.37370608871541955,
+    -0.22778585114164507, -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+    0.37370608871541955, 0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+    0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095,
+])
+_WEIGHTS = np.array([
+    0.017614007139150893, 0.040601429800386446, 0.06267204833410879, 0.08327674157670471,
+    0.1019301198172407, 0.1181945319615186, 0.1316886384491769, 0.1420961093183824,
+    0.14917298647260424, 0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+    0.1420961093183824, 0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+    0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893,
+])
 _NODES.flags.writeable = _WEIGHTS.flags.writeable = False
 # Two estimates of an interval agree when they differ by at most
 # _TOL * max(1, |estimate|); the panel count may double _DOUBLINGS times.

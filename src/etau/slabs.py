@@ -167,10 +167,11 @@ _BOUNDARY_SAMPLES = 512
 class _ModelAnnulus:
     """The model annulus of one generator, read-only.
 
-    a and v = b - a are the start points and vectors of the edges (lo, hi)
-    of its vertex grid's triangles (_grid_segments), each once in lexicographic
-    order, (E, 3) each; upper and lower are its boundary circles at w = 1
-    and w = -1, _BOUNDARY_SAMPLES disc coordinates (n, 3) each.
+    grid is its vertex grid and the grid's shape, as surfaces._catenoid_grid
+    gives them; the grid is kept and its edges are not, since only
+    _form_residual reads them and it rebuilds them on demand with
+    _grid_segments(*grid).  upper and lower are its boundary circles at
+    w = 1 and w = -1, _BOUNDARY_SAMPLES disc coordinates (n, 3) each.
     horizontal_bound is max over the edges of 2 |dz| / (1 - r2), |dz| the
     edge's horizontal length and r2 its larger endpoint |z|^2: a bound of
     the horizontal speed 2 |dz| / (1 - |z|^2) along every model edge
@@ -179,8 +180,7 @@ class _ModelAnnulus:
 
     spec: CatenoidSpec
     boundary_height: float
-    a: np.ndarray
-    v: np.ndarray
+    grid: tuple[np.ndarray, tuple[int, int]]
     upper: np.ndarray
     lower: np.ndarray
     horizontal_bound: float
@@ -190,18 +190,19 @@ class _ModelAnnulus:
 def _model_annulus(generator: CatenoidAnnulusGenerator) -> _ModelAnnulus:
     """The generator's model annulus, read from mesh_catenoid's vertex grid
     (surfaces._catenoid_grid) without forming the mesh's normals, nu or
-    triangles; the grid is not kept."""
+    triangles.  The grid is kept, about a sixth of the size of its edge
+    arrays; the edges are formed here for horizontal_bound and rebuilt on
+    demand by _form_residual."""
     spec = CatenoidSpec(tau=generator.tau, d=generator.d)
     rho = generator.rho_boundary
-    # the grid and its edge ends are freed before horizontal_bound's temporaries
-    # are formed, so the build's peak memory does not grow
-    a, v = _grid_segments(*_catenoid_grid(spec, rho, generator.resolution))
+    vertices, shape = _catenoid_grid(spec, rho, generator.resolution)
     phi = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
     upper, lower = (catenoid_patch(spec, rho, np.array(w), phi) for w in (1.0, -1.0))
-    for array in (a, v, upper, lower):
+    for array in (vertices, upper, lower):
         array.flags.writeable = False
+    a, v = _grid_segments(vertices, shape)
     horizontal_bound = float(np.max(2.0 * np.hypot(v[:, 0], v[:, 1]) / (1.0 - _edge_extent(a, v)[0])))
-    return _ModelAnnulus(spec, catenoid_profile(spec, rho), a, v, upper, lower, horizontal_bound)
+    return _ModelAnnulus(spec, catenoid_profile(spec, rho), (vertices, shape), upper, lower, horizontal_bound)
 
 
 def _grid_segments(vertices: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -484,14 +485,15 @@ def _form_residual(model: _ModelAnnulus, tau: float, inv_c: float, delta: float)
     the model speed with its horizontal part scaled by inv_c = 1/C, for
     the form defect delta > 0 (_congruence_bound); infinite when D / C may
     vanish on an edge."""
-    vx, vy = model.v[:, 0], model.v[:, 1]
-    r2, x, y = _edge_extent(model.a, model.v)
+    a, v = _grid_segments(*model.grid)
+    vx, vy = v[:, 0], v[:, 1]
+    r2, x, y = _edge_extent(a, v)
     d0 = 1.0 - r2
     e = delta * (r2 + 2.0 * (x + y))
     low = d0 - e
     if np.any(low <= 0.0):
         return math.inf
-    k = np.abs(model.a[:, 0] * vy - model.a[:, 1] * vx)
+    k = np.abs(a[:, 0] * vy - a[:, 1] * vx)
     horizontal = 2.0 * inv_c * np.hypot(vx, vy) * e / (d0 * low)
     twist = 4.0 * abs(tau) * (k * e / (d0 * low) + delta * (k + np.abs(vx) + np.abs(vy)) / low)
     return float(np.max(horizontal + twist))
@@ -779,6 +781,12 @@ class _PlaneHeight:
 
     def __post_init__(self) -> None:
         require_finite("plane height", alpha=self.alpha, beta=self.beta, shift=self.shift)
+        # the gradient norms square the slopes' finite differences
+        if not math.isfinite(2.0 * (self.alpha * self.alpha + self.beta * self.beta)):
+            raise ParameterError(
+                f"plane height with alpha = {self.alpha}, beta = {self.beta} leaves the float range: "
+                "its slopes overflow when squared"
+            )
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.alpha * x + self.beta * y + self.shift

@@ -344,9 +344,11 @@ def invariant_height(d: float, tau: float) -> float:
 
 
 def invariant_height_substituted(d: float, tau: float) -> float:
-    """h(d) through an independent algebraic substitution with a regular integrand."""
+    """h(d) through an independent algebraic substitution with a regular
+    integrand; ParameterError where _invariant_table raises, unless d > 1."""
     if not d > 1.0:
         raise ParameterError(f"invariant surfaces need d > 1, got {d}")
+    _require_invariant_range(tau, d)
     dd = d * d
     ttau = 4.0 * tau * tau
 
@@ -408,12 +410,17 @@ def invariant_profile_inverse(spec: InvariantSurfaceSpec, sheet: Sheet, value: f
     raise ConvergenceError(f"inversion for fiber value {value} did not converge in {_INVERSE_BUDGET} steps")
 
 
-@lru_cache(maxsize=32)
-def _invariant_table(tau: float, d: float) -> _ProfileTable:
-    """Profile table of the invariant surface; ParameterError unless the
-    integrand's squared slope bound d^2 (1 + 4 tau^2) is a float."""
+def _require_invariant_range(tau: float, d: float) -> None:
+    """ParameterError unless the invariant integrand's squared slope bound
+    d^2 (1 + 4 tau^2) is a float."""
     if not math.isfinite(d * d * (1.0 + 4.0 * tau * tau)):
         raise ParameterError(f"invariant profile at tau = {tau}, d = {d} leaves the float range: d^2 overflows")
+
+
+@lru_cache(maxsize=32)
+def _invariant_table(tau: float, d: float) -> _ProfileTable:
+    """Profile table of the invariant surface (_require_invariant_range)."""
+    _require_invariant_range(tau, d)
     return _ProfileTable(_invariant_sigma_integrand(tau, d), math.sqrt(invariant_angle_max(d)))
 
 
@@ -926,7 +933,8 @@ def foliation_leaf_find_arrays(
     point to the located leaf (_leaf_distances).  Returns (scales, residuals,
     iterations), iterations counting each point's bracket and bisection
     steps.  Raises InvalidPointError when a point's bracket leaves
-    [1 / _LEAF_SCALE_RANGE, _LEAF_SCALE_RANGE].
+    [1 / _LEAF_SCALE_RANGE, _LEAF_SCALE_RANGE], and ConvergenceError when a
+    point's bisection has not stopped within _LEAF_BISECTION_BUDGET steps.
     """
     pts = np.asarray(coords, dtype=float).reshape(-1, 3)
     axis_inv = inverse(axis_translation_isometry(s, tau))
@@ -954,6 +962,10 @@ def foliation_leaf_find_arrays(
         hi[k] = np.where(inside, mid, hi[k])
         lo[k] = np.where(inside, lo[k], mid)
         k = k[hi[k] - lo[k] > 1e-15 * hi[k]]
+    if k.size:
+        raise ConvergenceError(
+            f"leaf search for the point {pts[k[0]].tolist()} did not converge in {_LEAF_BISECTION_BUDGET} steps"
+        )
     scales = 0.5 * (lo + hi)
     return scales, _leaf_distances(pts, scales, d, s, tau, axis_inv), iterations
 

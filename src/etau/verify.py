@@ -79,6 +79,12 @@ def _isometries(tau: float, seed: int, points: int) -> list[dict]:
     isometry per sampled point; each family is one array pass over its points."""
     if points < 1:
         raise ParameterError(f"points must be at least 1, got {points}")
+    # The sample points, their stencil rows and images all have lam < 1e3, so
+    # the metrics stay below 1e6 (1 + 4 tau^2); with the Jacobians' factors a
+    # residual entry stays below 1e12 (1 + 4 tau^2), and it is squared.
+    residual_bound = 1e12 * (1.0 + 4.0 * tau * tau)
+    if not math.isfinite(residual_bound * residual_bound):
+        raise ParameterError(f"isometries suite at tau = {tau} leaves the float range: its residuals overflow when squared")
     rng = default_rng(seed)
     per_family = max(points // 5, 1)
     checks = []

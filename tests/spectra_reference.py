@@ -124,10 +124,11 @@ def edge_length_spectra(instances: Sequence[slabs.AnnulusInstance]) -> list[np.n
 
     The instances must share one generator, and so one model mesh;
     otherwise ParameterError.  The model annulus' segments (a, v) are
-    cached, and the quadrature nodes are formed once per chunk of
-    SPECTRA_CHUNK_NODES nodes for all instances, laid out node-major
-    (PANEL_NODES, edges) so the per-edge operands broadcast along rows;
-    node_speeds then takes about ten real passes per instance at tau 0.
+    rebuilt once per call from its kept grid, and the quadrature nodes are
+    formed once per chunk of SPECTRA_CHUNK_NODES nodes for all instances,
+    laid out node-major (PANEL_NODES, edges) so the per-edge operands
+    broadcast along rows; node_speeds then takes about ten real passes per
+    instance at tau 0.
     Batching moves no bit: each edge's speeds are elementwise, and each
     edge is reduced as composite_gauss's one panel on [0, 1] reduces it,
     whatever the instances measured alongside.
@@ -137,8 +138,7 @@ def edge_length_spectra(instances: Sequence[slabs.AnnulusInstance]) -> list[np.n
     gen = instances[0].generator
     if any(i.generator != gen for i in instances):
         raise ParameterError("instances measured together must share one model mesh")
-    model = slabs._model_annulus(gen)
-    a, v = model.a, model.v
+    a, v = slabs._grid_segments(*slabs._model_annulus(gen).grid)
     nodes, weights = unit_panel()
     s = nodes[:, None]
     forms = [slabs._placement_forms(instance.placement, gen.tau) for instance in instances]

@@ -64,6 +64,15 @@ def test_package_import_loads_no_scipy() -> None:
     subprocess.run([sys.executable, "-c", check], env=_package_env(), check=True)
 
 
+def test_package_import_loads_no_numpy_polynomial() -> None:
+    # the quadrature table is pinned, so no process builds it with leggauss
+    check = (
+        "import sys, etau, etau.cli; "
+        "bad = [m for m in sys.modules if m.startswith('numpy.polynomial')]; assert not bad, bad"
+    )
+    subprocess.run([sys.executable, "-c", check], env=_package_env(), check=True)
+
+
 # -- surface -----------------------------------------------------------------------
 
 
@@ -186,6 +195,37 @@ def test_parameters_past_the_float_range_are_invalid_input_without_warnings(tmp_
     assert code == 1
     assert report["status"] == "invalid_input"
     assert "float range" in report["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    ("argv", "named"),
+    [
+        pytest.param(
+            ["slab", "example2", "--grid", "3", "--points", "0", "--alpha", "1e300"], "alpha = 1e+300", id="alpha"
+        ),
+        pytest.param(
+            ["solve", "--n", "9", "--max-newton", "0", "--d", "1e300", "--tau", "1e300"], "tau = 1e+300", id="solve-tau"
+        ),
+        pytest.param(
+            ["verify", "foliation", "--points", "3", "--d", "0.5", "--s", "1e300", "--seed", "7"],
+            "axis foot 1e+300",
+            id="foliation-s",
+        ),
+        pytest.param(["verify", "isometries", "--points", "1", "--tau", "1e300"], "tau = 1e+300", id="isometries-tau"),
+        pytest.param(["surface", "leaf", "--d", "1.2", "--scale", "1e-200"], "scale factor 1e-200", id="leaf-scale"),
+    ],
+)
+def test_inputs_past_the_float_range_are_invalid_input_naming_the_value(tmp_path, capsys, argv, named) -> None:
+    # each of these ended in a RuntimeWarning traceback (or, for the scale, a
+    # "singular" message that did not name it) before its check
+    out = ["--out", str(tmp_path / "m.obj")] if argv[0] == "surface" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, report = run(capsys, *argv, *out)
+    assert code == 1
+    assert report["status"] == "invalid_input"
+    assert "float" in report["message"] and named in report["message"]
     assert not list(tmp_path.iterdir())
 
 
@@ -648,12 +688,16 @@ def _false_verdict(report: dict) -> bool:
 @example((["solve"], {"n": "5", "max_newton": "1", "csv_out": "missing/g.csv"}, "object"))
 @example((["verify", "lifts"], {"points": "3"}, "list"))
 @example((["verify", "lifts"], {"points": "3"}, "not-utf-8"))
+@example((["slab", "example2"], {"grid": "3", "points": "0", "alpha": "1e300"}, None))
+@example((["solve"], {"n": "9", "max_newton": "0", "d": "1e300", "tau": "1e300"}, None))
+@example((["verify", "foliation"], {"points": "3", "d": "0.5", "s": "1e300", "seed": "7"}, None))
 def test_every_invocation_ends_in_a_strict_json_report(case) -> None:
     """Any command line or config file ends in a result, invalid_input (exit 1)
     or a computational failure or failed check (exit 2), with strict JSON on stdout.
 
-    The CLI runs under Python's default warning filters, where a RuntimeWarning
-    goes to stderr; the contract checked here is stdout and the exit code.
+    A RuntimeWarning is an error, as in CI, where every step runs with
+    PYTHONWARNINGS=error::RuntimeWarning: an input whose arithmetic overflows
+    must be rejected with a report, not end in a traceback.
     """
     head, options, mode = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -667,7 +711,7 @@ def test_every_invocation_ends_in_a_strict_json_report(case) -> None:
         out = io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             try:
                 code = main(argv)
             except SystemExit as exc:

@@ -139,6 +139,17 @@ def test_ideal_polar_angle_window() -> None:
         GraphDomain(Chart.HALFPLANE_IDEAL_POLAR, ((-0.5, 0.5), (0.15, math.pi)), (9, 9))
 
 
+@pytest.mark.parametrize("kind", ["zero", "wild"])
+@pytest.mark.parametrize("tau", [1e300, -1e103])
+def test_solve_rejects_a_tau_whose_tilt_overflows_when_cubed(kind: str, tau: float) -> None:
+    # W reaches 2 sqrt(2) |tau| on flat data; the Jacobian cubes it
+    gf = reference_problem(kind, 0.5, 2.0, 1.0, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ParameterError, match="leaves the float range: its tilt overflows when cubed"):
+            solve_dirichlet(gf.domain, tau, gf.values, max_newton=0)
+
+
 def test_disc_domain_rejects_an_unmasked_node_outside_the_disc() -> None:
     x, y = np.meshgrid(np.linspace(-0.8, 0.8, 13), np.linspace(-0.8, 0.8, 13), indexing="ij")
     mask = x * x + y * y < 0.81

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -371,6 +372,29 @@ def test_scale_isometry_fixes_fiber_coordinate() -> None:
 def test_scale_isometry_rejects_nonpositive_factor() -> None:
     with pytest.raises(ParameterError):
         scale_isometry(0.0, 0.5)
+
+
+def test_singularity_is_relative_to_the_entries() -> None:
+    # |ad - bc| = 1e-13 is far from rounding's reach against a^2 + d^2 = 1 + 1e-26
+    for factor in (1e-13, 1e13):
+        image = apply_to_coords(scale_isometry(factor, 0.5), np.array([[0.7, 1.2, -0.3]]))[0]
+        np.testing.assert_allclose(image, (0.7 * factor, 1.2 * factor, -0.3), rtol=1e-14, atol=0.0)
+    # a determinant of 1 can be within rounding of zero against entries of 1e8
+    with pytest.raises(ParameterError, match="singular"):
+        MobiusMap.normalized(1e8, 1e8, 1e8, 1e8 + 1e-8, Model.HALF_SPACE)
+    assert MobiusMap.normalized(1e8, 1e8, 1e8, 1e8 + 1e-4, Model.HALF_SPACE).model is Model.HALF_SPACE
+
+
+@pytest.mark.parametrize("factor", [1e-200, 1e-15, 1e15, 1e300])
+def test_scale_isometry_names_a_factor_past_the_float_safe_range(factor: float) -> None:
+    with pytest.raises(ParameterError, match=re.escape(f"scale factor {factor} leaves the float-safe range")):
+        scale_isometry(factor, 0.5)
+
+
+def test_axis_translation_rejects_a_foot_past_the_float_range() -> None:
+    # z = i goes to axis_foot/2 + i axis_foot^2
+    with pytest.raises(ParameterError, match="axis foot 1e\\+300 leaves the float range"):
+        axis_translation_isometry(1e300, 0.5)
 
 
 def test_axis_translation_frozen_image() -> None:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import ellipk
 
 from etau.core import ConvergenceError, ParameterError
-from etau.quadrature import PANEL_NODES, composite_gauss, cumulative_integral, elliptic_k
+from etau.quadrature import _NODES, _WEIGHTS, PANEL_NODES, composite_gauss, cumulative_integral, elliptic_k
 from spectra_reference import unit_panel
 
 
@@ -29,6 +29,14 @@ def test_unit_panel_is_composite_gauss_on_the_unit_interval():
     values = f(nodes)
     assert values.shape == (7, 1, PANEL_NODES)
     np.testing.assert_array_equal(0.5 * (values @ weights)[:, 0], composite_gauss(f, np.zeros(7), np.ones(7), 1))
+
+
+def test_pinned_table_is_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(PANEL_NODES)
+    for pinned, computed in ((_NODES, nodes), (_WEIGHTS, weights)):
+        assert pinned.dtype == computed.dtype and pinned.shape == computed.shape
+        np.testing.assert_array_equal(pinned.view(np.int64), computed.view(np.int64))
+        assert not pinned.flags.writeable
 
 
 class TestCumulativeIntegral:

@@ -39,6 +39,7 @@ from etau.quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss
 from etau.slabs import (
     BoundingGraphCheck,
     SlabSpec,
+    _grid_segments,
     _model_annulus,
     _solve_catenoid_half_height,
     build_example1,
@@ -284,8 +285,8 @@ def _two_pass_spectrum(instance, target_step: float = 0.015) -> np.ndarray:
     """Reference edge spectrum: separate coarse and fine mapped passes, with
     lengths from full metric tensors contracted by einsum."""
     tau = instance.generator.tau
-    model = _model_annulus(instance.generator)
-    a, b = model.a, model.a + model.v
+    a, v = _grid_segments(*_model_annulus(instance.generator).grid)
+    b = a + v
 
     def lengths(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
         frac = np.linspace(0.0, 1.0, m + 1)
@@ -338,12 +339,12 @@ def _per_point_spectrum(instance) -> np.ndarray:
     (n, 3) row with a broadcast copy of its edge vector; the metric is then
     taken at the image, where float64 fixes 1 - |w|^2 only to about 1e-16."""
     tau = instance.generator.tau
-    model = _model_annulus(instance.generator)
-    out = np.empty(model.a.shape[0])
+    edge_a, edge_v = _grid_segments(*_model_annulus(instance.generator).grid)
+    out = np.empty(edge_a.shape[0])
     per_chunk = CHUNK_NODES // PANEL_NODES
-    for start in range(0, model.a.shape[0], per_chunk):
-        a = model.a[start : start + per_chunk, None, None, :]
-        v = model.v[start : start + per_chunk, None, None, :]
+    for start in range(0, edge_a.shape[0], per_chunk):
+        a = edge_a[start : start + per_chunk, None, None, :]
+        v = edge_v[start : start + per_chunk, None, None, :]
 
         def speed(s: np.ndarray) -> np.ndarray:
             p = a + s[..., None] * v
@@ -362,15 +363,15 @@ def _per_edge_spectrum(instance) -> np.ndarray:
     as one-edge (edges, 1, 1) arrays, measured by the spectra's own per-node
     integrand node_speeds."""
     tau = instance.generator.tau
-    model = _model_annulus(instance.generator)
-    a, v = model.a[:, None, None, :], model.v[:, None, None, :]
+    edge_a, edge_v = _grid_segments(*_model_annulus(instance.generator).grid)
+    a, v = edge_a[:, None, None, :], edge_v[:, None, None, :]
     forms = [slabs._placement_forms(instance.placement, tau)]
 
     def speed(s: np.ndarray) -> np.ndarray:
         x, y = a[..., 0] + s * v[..., 0], a[..., 1] + s * v[..., 1]
         return node_speeds(forms, tau, x, y, v[..., 0], v[..., 1], v[..., 2])[0]
 
-    edges = len(model.a)
+    edges = len(edge_a)
     return np.sort(composite_gauss(speed, np.zeros(edges), np.ones(edges), 1))
 
 
@@ -441,7 +442,7 @@ def test_edge_length_spectrum_equals_per_point_route(fixture: str, resolution, r
     slab = request.getfixturevalue(fixture)
     generator = slab.annulus_generator if resolution is None else replace(slab.annulus_generator, resolution=resolution)
     instances = [generator(p) for p in sample_interior_points(slab, 4, seed=7)]
-    edges, per_chunk = _model_annulus(generator).a.shape[0], SPECTRA_CHUNK_NODES // PANEL_NODES
+    edges, per_chunk = _grid_segments(*_model_annulus(generator).grid)[0].shape[0], SPECTRA_CHUNK_NODES // PANEL_NODES
     assert edges > per_chunk and edges % per_chunk
     instances.append(_mirrored(instances[0]))
     batch = edge_length_spectra(instances)
@@ -458,10 +459,9 @@ def _longdouble_spectrum(instance) -> np.ndarray:
     coefficients, with the image, its differential and the metric taken in
     extended precision (plain complex division, no reciprocal)."""
     ld, cld = np.longdouble, np.clongdouble
-    model = _model_annulus(instance.generator)
     tau = ld(instance.generator.tau)
     nodes, weights = unit_panel()
-    a, v = model.a.astype(ld), model.v.astype(ld)
+    a, v = (edge.astype(ld) for edge in _grid_segments(*_model_annulus(instance.generator).grid))
     s = nodes.astype(ld)[:, None]
     z = (a[:, 0] + s * v[:, 0]).astype(cld) + cld(1j) * (a[:, 1] + s * v[:, 1])
     dz = v[:, 0].astype(cld) + cld(1j) * v[:, 1]
@@ -733,17 +733,19 @@ def test_model_annulus_edges_are_the_sorted_unique_pairs(slab1, rows: int, cols:
     tri = mesh.triangles
     edges = np.unique(np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1), axis=0)
     model = _model_annulus(gen)
+    model_a, model_v = _grid_segments(*model.grid)
     a, b = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
-    np.testing.assert_array_equal(model.a, a)
-    np.testing.assert_array_equal(model.v, b - a)
-    for got, want in zip((model.a, model.v), mesh_edges(mesh), strict=True):
+    np.testing.assert_array_equal(model_a, a)
+    np.testing.assert_array_equal(model_v, b - a)
+    for got, want in zip((model_a, model_v), mesh_edges(mesh), strict=True):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    assert not (model.a.flags.writeable or model.v.flags.writeable)
+    # the kept grid the edges are rebuilt from is read-only
+    assert not model.grid[0].flags.writeable
     # The mesh makes the row count odd; a wrapped grid has R C ring edges,
     # (R - 1) C meridian edges and (R - 1) C diagonals.
     built_rows = len(mesh.vertices) // cols
     assert built_rows == rows + 1 - rows % 2
-    assert len(model.a) == (3 * built_rows - 2) * cols == count
+    assert len(model_a) == (3 * built_rows - 2) * cols == count
 
 
 @pytest.mark.parametrize("resolution", [(65, 96), (9, 8), (10, 8), (17, 16)])
@@ -757,7 +759,9 @@ def test_model_annulus_vertices_are_the_mesh_vertices(slab1_tau05, resolution) -
     assert shape == mesh.grid_shape
     np.testing.assert_array_equal(vertices.view(np.int64), mesh.vertices.view(np.int64))
     model = _model_annulus(gen)
-    for got, want in zip((model.a, model.v), mesh_edges(mesh), strict=True):
+    assert model.grid[1] == shape
+    np.testing.assert_array_equal(model.grid[0].view(np.int64), vertices.view(np.int64))
+    for got, want in zip(_grid_segments(*model.grid), mesh_edges(mesh), strict=True):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -1085,6 +1089,15 @@ def test_example2_rejects_non_finite_plane_coefficients(alpha: float, beta: floa
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match=match):
             build_example2(FLAT, "linear", 1.0, 0.45, 0.2, alpha=alpha, beta=beta, grid=9)
+
+
+@pytest.mark.parametrize(("alpha", "beta"), [(1e300, 0.0), (0.4, -1e160), (1e154, 1e154)])
+def test_example2_rejects_plane_slopes_past_the_float_range(alpha: float, beta: float) -> None:
+    # the window's gradient norms square the slopes; rejected before any grid is evaluated
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="leaves the float range: its slopes overflow when squared"):
+            build_example2(FLAT, "linear", 1.0, 0.45, 0.2, alpha=alpha, beta=beta, grid=3)
 
 
 def test_example2_requires_douglas_inequalities() -> None:

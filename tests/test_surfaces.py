@@ -375,6 +375,15 @@ def test_height_routes_agree(d: float, tau: float) -> None:
     assert abs(a - b) < 1e-12
 
 
+@pytest.mark.parametrize("d,tau", [(1.5, 1e200), (1e200, 0.5), (1.4e154, 0.0)])
+def test_height_substitution_rejects_parameters_past_the_float_range(d: float, tau: float) -> None:
+    # d^2 (1 + 4 tau^2) overflows, as in the profile table's own check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ParameterError, match="leaves the float range"):
+            invariant_height_substituted(d, tau)
+
+
 def test_invariant_height_large_d_limit() -> None:
     for tau in (0.0, 0.5, 1.0):
         want = 0.5 * math.pi * math.sqrt(1.0 + 4.0 * tau * tau)
@@ -868,6 +877,13 @@ def test_foliation_scale_equivariance() -> None:
     moved = apply(scale_isometry(mu, 0.0), p0)
     lam_mu = foliation_leaf_find(moved, 1.2, 1.0, 0.0).scale
     assert lam_mu == pytest.approx(mu * lam, rel=1e-9)
+
+
+def test_leaf_find_arrays_raise_when_the_bisection_budget_runs_out(monkeypatch) -> None:
+    # three halvings leave (1.3, 0.9, 0.2) the bracket [6.25, 7.125]; its midpoint is 0.053 off the leaf
+    monkeypatch.setattr(surfaces, "_LEAF_BISECTION_BUDGET", 3)
+    with pytest.raises(ConvergenceError, match="did not converge in 3 steps"):
+        foliation_leaf_find_arrays(np.array([[1.3, 0.9, 0.2]]), 1.5, 1.0, 0.5)
 
 
 def test_foliation_leaf_find_needs_halfspace() -> None:
