@@ -38,14 +38,7 @@ from .core import (
     require_finite,
     require_in_model,
 )
-from .graphs import (
-    Chart,
-    GraphDomain,
-    GraphFunction,
-    graph_nu,
-    hyperbolic_gradient_norm,
-    variation,
-)
+from .graphs import Chart, GraphDomain, GraphFunction, graph_nu
 from .isometries import (
     AmbientIsometry,
     apply_to_coords,
@@ -508,7 +501,7 @@ class SlabSpec:
 
     lower and upper are the graphs' height functions (x, y) -> t in the
     cylinder model, defined on the whole base disc; the window, a DISC_XY
-    domain, is where the audit samples points and node values.  The
+    domain, is where the audit samples points.  The
     generator must produce pairwise-isometric annuli through interior points.
     Metadata only describes the construction in reports; nothing reads it.
     _bounding keeps the slab's check_bounding_graphs once computed; replace
@@ -530,10 +523,14 @@ class SlabSpec:
 
 @dataclass(frozen=True)
 class BoundingGraphCheck:
+    """sup |t| and inf nu over both graphs and inf (upper - lower) over the
+    window: its disc's exact extremes when exact, else node samples."""
+
     height_bound: float
     normal_bound: float
     disjoint: bool
     min_gap: float
+    exact: bool
 
 
 @dataclass(frozen=True)
@@ -586,21 +583,51 @@ class SlabReport:
 
 def check_bounding_graphs(slab: SlabSpec) -> BoundingGraphCheck:
     """Height bound, vertical-component bound, and disjointness of the
-    graphs, from their values at the window's active nodes.
-
-    The slab computes it on first use and keeps it.
-    """
+    graphs: _plane_check when both heights are _PlaneHeight, else from
+    their values at the window's active nodes.  The slab keeps it."""
     if slab._bounding is None:
-        lower, upper = (
-            GraphFunction.from_base_callable(slab.domain, slab.tau, f) for f in (slab.lower, slab.upper)
-        )
-        active = slab.domain.active_mask()
-        h0 = float(max(np.max(np.abs(lower.values[active])), np.max(np.abs(upper.values[active]))))
-        c = float(min(np.min(graph_nu(lower)[active]), np.min(graph_nu(upper)[active])))
-        gap = float(np.min((upper.values - lower.values)[active]))
-        check = BoundingGraphCheck(height_bound=h0, normal_bound=c, disjoint=gap > 0.0, min_gap=gap)
+        if isinstance(slab.lower, _PlaneHeight) and isinstance(slab.upper, _PlaneHeight):
+            check = _plane_check(slab.tau, _window_radius(slab.domain), slab.lower, slab.upper)
+        else:
+            lower, upper = (
+                GraphFunction.from_base_callable(slab.domain, slab.tau, f) for f in (slab.lower, slab.upper)
+            )
+            active = slab.domain.active_mask()
+            h0 = float(max(np.max(np.abs(lower.values[active])), np.max(np.abs(upper.values[active]))))
+            c = float(min(np.min(graph_nu(lower)[active]), np.min(graph_nu(upper)[active])))
+            gap = float(np.min((upper.values - lower.values)[active]))
+            check = BoundingGraphCheck(height_bound=h0, normal_bound=c, disjoint=gap > 0.0, min_gap=gap, exact=False)
         object.__setattr__(slab, "_bounding", check)
     return slab._bounding
+
+
+def _window_radius(domain: GraphDomain) -> float:
+    """The larger of the window's half-width and its farthest active node's
+    radius, at most 1: rc = tanh(R/2) for disc_window_domain(R, n)."""
+    x, y = domain.node_grids()
+    r2 = (x * x + y * y)[domain.active_mask()]
+    half_width = max(abs(bound) for bounds in domain.bounds for bound in bounds)
+    return min(max(half_width, math.sqrt(float(np.max(r2)))), 1.0)
+
+
+def _plane_check(tau: float, radius: float, lower: _PlaneHeight, upper: _PlaneHeight) -> BoundingGraphCheck:
+    """Exact extremes of planes u = alpha x + beta y + s over |z| <= radius:
+    sup |u| = |s| + radius m, m = |(alpha, beta)|, and inf nu = 1/sqrt(1 +
+    f(r*)^2), as graphs._tilt's |(a, b)| = |(1 - |z|^2) (alpha, beta)/2 +
+    2 tau (y, -x)| is at most f(r) = (1 - r^2) m/2 + 2 |tau| r on |z| = r,
+    which peaks at r* = |tau|/(m/2) clipped to [0, radius]."""
+
+    def least_nu(height: _PlaneHeight) -> float:
+        half_slope = 0.5 * math.hypot(height.alpha, height.beta)
+        r = radius if abs(tau) >= half_slope * radius else abs(tau) / half_slope
+        tilt = (1.0 - r * r) * half_slope + 2.0 * abs(tau) * r
+        return 1.0 / math.sqrt(1.0 + tilt * tilt)
+
+    h0 = max(abs(f.shift) + radius * math.hypot(f.alpha, f.beta) for f in (lower, upper))
+    gap = (upper.shift - lower.shift) - radius * math.hypot(upper.alpha - lower.alpha, upper.beta - lower.beta)
+    return BoundingGraphCheck(
+        height_bound=h0, normal_bound=min(least_nu(lower), least_nu(upper)), disjoint=gap > 0.0, min_gap=gap, exact=True
+    )
 
 
 def _window_test(domain: GraphDomain) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -863,9 +890,11 @@ def build_example2(
 
     The Douglas criterion 2 C r < h < (cosh r - 1)/sinh r certifies the
     least-area annulus over every r-ball; the sweeping family itself uses a
-    truncated catenoid whose boundary circles clear both translates.  The
-    translate offset is (h + V)/2 for window variation V, and infeasible
-    parameter triples raise with the violated inequality.
+    truncated catenoid whose boundary circles clear both translates.  Read
+    in closed form over the window disc |z| <= R, m = |(alpha, beta)|:
+    sup_gradient = m/2 = sup (1 - |z|^2) m/2, variation = 2 R m = max u -
+    min u, and the translates u -+ h_prime, h_prime = (h + variation)/2.
+    Infeasible parameter triples raise with the violated inequality.
     """
     tau = sp.tau
     if graph_choice != "linear":
@@ -886,18 +915,18 @@ def build_example2(
         )
 
     domain = disc_window_domain(window_radius, grid)
-    base_graph = GraphFunction.from_base_callable(domain, tau, _PlaneHeight(alpha, beta))
-    active = domain.active_mask()
-    sup_gradient = float(np.max(hyperbolic_gradient_norm(base_graph)[active]))
+    base = _PlaneHeight(alpha, beta)
+    slope = math.hypot(alpha, beta)
+    sup_gradient = 0.5 * slope
     if sup_gradient > C + 1e-12:
         raise FeasibilityError(
             f"gradient bound violated on the window: sup |grad u| = {sup_gradient} > C = {C}"
         )
 
-    values = base_graph.values
-    oscillation = variation(base_graph)
+    radius = _window_radius(domain)
+    oscillation = 2.0 * radius * slope
     h_prime = 0.5 * (h + oscillation)
-    sup_height = float(np.max(np.abs(values[active])))
+    sup_height = radius * slope
     boundary_height = h_prime + sup_height + _EXAMPLE2_CLEARANCE
     limit = _half_height_limit(tau)
     if boundary_height >= limit - 1e-3:
@@ -928,8 +957,8 @@ def build_example2(
     return SlabSpec(
         domain=domain,
         tau=tau,
-        lower=_PlaneHeight(alpha, beta, -h_prime),
-        upper=_PlaneHeight(alpha, beta, h_prime),
+        lower=replace(base, shift=-h_prime),
+        upper=replace(base, shift=h_prime),
         annulus_generator=generator,
         metadata=metadata,
     )

@@ -478,8 +478,8 @@ def tangent_vertical_components(spec: InvariantSurfaceSpec, sheet: Sheet, theta:
 
 # -- transversality -----------------------------------------------------------
 
-# Most ulps transversality_delta steps its rounded root down by.
-_DELTA_STEP_DOWNS = 16
+# Most halvings in transversality_delta's search below its rounded root.
+_DELTA_HALVINGS = 64
 
 
 def _transversality_growth(h0: float, tau: float) -> float:
@@ -493,17 +493,18 @@ def _transversality_growth(h0: float, tau: float) -> float:
 def transversality_margin(delta: float, h0: float, tau: float) -> float:
     """Left side g(delta) of the transversality inequality g(delta) < eps^2.
 
-    g = 4 (2 delta + delta^2) E / q^2 with q = 2 + delta (1 + E); where q^2
-    overflows, the quotient is taken as 4 (2 delta + delta^2) (E / q) / q.
+    g = 4 (2 delta + delta^2) E / q^2 with q = 2 + delta (1 + E), rounded up
+    from exact integers, so g < eps^2 read from it holds exactly and the
+    margin increases with delta wherever g does, on [0, 2/(E-1)].
     """
     if not (delta >= 0.0 and math.isfinite(delta)):
         raise ParameterError(f"delta must be finite and nonnegative, got {delta}")
-    e = _transversality_growth(h0, tau)
-    q = 2.0 + delta * (1.0 + e)
-    try:
-        return 4.0 * (2.0 * delta + delta * delta) * e / q ** 2
-    except OverflowError:
-        return 4.0 * (2.0 * delta + delta * delta) * (e / q) / q
+    a, b = delta.as_integer_ratio()
+    c, d = _transversality_growth(h0, tau).as_integer_ratio()
+    num, den = 4 * a * (2 * b + a) * c * d, (2 * b * d + a * (d + c)) ** 2
+    g = num / den
+    g_num, g_den = g.as_integer_ratio()
+    return math.nextafter(g, math.inf) if g_num * den < num * g_den else g
 
 
 def transversality_delta(eps: float, h0: float, tau: float) -> float:
@@ -514,7 +515,8 @@ def transversality_delta(eps: float, h0: float, tau: float) -> float:
     g(delta) = eps^2 is A delta^2 + B delta + C = 0 with A = 4E - eps^2 (1+E)^2,
     B = 8E - 4 eps^2 (1+E) and C = -4 eps^2; B^2 - 4AC = 64 E^2 (1 - eps^2), so
     the cancellation-free root C/q, q = -(B + sqrt(B^2 - 4AC))/2, is the
-    expression below.  It is stepped down an ulp at a time until g < eps^2.
+    expression below.  If the rounded-up margin is not below eps^2 there,
+    halving [0, root] finds the largest double where it is.
     """
     if not h0 > 0.0:
         raise ParameterError(f"slab half-height must be positive, got {h0}")
@@ -523,10 +525,17 @@ def transversality_delta(eps: float, h0: float, tau: float) -> float:
     e = _transversality_growth(h0, tau)
     target = eps * eps
     delta = 2.0 * target / (e * (2.0 + 2.0 * math.sqrt(1.0 - target) - target) - target)
-    for _ in range(_DELTA_STEP_DOWNS):
-        if transversality_margin(delta, h0, tau) < target:
-            break
-        delta = math.nextafter(delta, 0.0)
+    if not transversality_margin(delta, h0, tau) < target:
+        lo, hi = 0.0, delta
+        for _ in range(_DELTA_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if transversality_margin(mid, h0, tau) < target:
+                lo = mid
+            else:
+                hi = mid
+        delta = lo
     if not (delta > 0.0 and transversality_margin(delta, h0, tau) < target):
         raise ParameterError(f"no admissible positive delta near {delta}")
     return delta

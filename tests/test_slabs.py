@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etau import slabs
 from etau.core import (
@@ -25,7 +27,16 @@ from etau.core import (
     metric_arrays,
     metric_quadratic_form,
 )
-from etau.graphs import Chart, GraphDomain, GraphFunction, graph_nu
+from etau.graphs import (
+    Chart,
+    GraphDomain,
+    GraphFunction,
+    _tilt,
+    chart_coefficients,
+    graph_nu,
+    hyperbolic_gradient_norm,
+    variation,
+)
 from etau.isometries import (
     AmbientIsometry,
     MobiusMap,
@@ -806,13 +817,37 @@ def test_overlapping_graphs_fail_disjointness(slab1) -> None:
 
 
 def _graph_nu_check(slab: SlabSpec) -> BoundingGraphCheck:
-    """check_bounding_graphs from one GraphFunction and one graph_nu per graph."""
+    """check_bounding_graphs' node reading: one GraphFunction and one graph_nu per graph."""
     lower, upper = (GraphFunction.from_base_callable(slab.domain, slab.tau, f) for f in (slab.lower, slab.upper))
     active = slab.domain.active_mask()
     h0 = float(max(np.max(np.abs(lower.values[active])), np.max(np.abs(upper.values[active]))))
     c = float(min(np.min(graph_nu(lower)[active]), np.min(graph_nu(upper)[active])))
     gap = float(np.min((upper.values - lower.values)[active]))
-    return BoundingGraphCheck(height_bound=h0, normal_bound=c, disjoint=gap > 0.0, min_gap=gap)
+    return BoundingGraphCheck(height_bound=h0, normal_bound=c, disjoint=gap > 0.0, min_gap=gap, exact=False)
+
+
+def _closed_form_check(slab: SlabSpec) -> BoundingGraphCheck:
+    """The extremes of two plane heights over the disc |z| <= rc of a
+    disc_window_domain, written out: sup |u| = |s| + rc m, the least gap
+    (s_u - s_l) - rc |(dalpha, dbeta)|, and the least nu where the tilt
+    (1 - r^2) m/2 + 2 |tau| r peaks, at r* = |tau|/(m/2) clipped to [0, rc]."""
+    rc, lower, upper = slab.domain.bounds[0][1], slab.lower, slab.upper
+
+    def least_nu(f) -> float:
+        m = math.hypot(f.alpha, f.beta)
+        r = rc if m == 0.0 else min(abs(slab.tau) / (0.5 * m), rc)
+        tilt = (1.0 - r * r) * 0.5 * m + 2.0 * abs(slab.tau) * r
+        return 1.0 / math.sqrt(1.0 + tilt * tilt)
+
+    h0 = max(abs(f.shift) + rc * math.hypot(f.alpha, f.beta) for f in (lower, upper))
+    gap = (upper.shift - lower.shift) - rc * math.hypot(upper.alpha - lower.alpha, upper.beta - lower.beta)
+    c = min(least_nu(lower), least_nu(upper))
+    return BoundingGraphCheck(height_bound=h0, normal_bound=c, disjoint=gap > 0.0, min_gap=gap, exact=True)
+
+
+def _level_slab(slab: SlabSpec) -> SlabSpec:
+    """The slab's level plane heights as _level lambdas: the same graphs, read at the nodes."""
+    return replace(slab, lower=_level(slab.lower.shift), upper=_level(slab.upper.shift))
 
 
 def test_audit_and_its_shrunken_control_evaluate_the_graphs_once(slab1, monkeypatch) -> None:
@@ -823,13 +858,21 @@ def test_audit_and_its_shrunken_control_evaluate_the_graphs_once(slab1, monkeypa
         return graph_nu(graph)
 
     monkeypatch.setattr(slabs, "graph_nu", counted)
+    points = sample_interior_points(slab1, 3, seed=7)
+    # plane heights: the closed forms read no node, so no graph_nu call
     slab = replace(slab1)  # a slab that has not computed its check
-    points = sample_interior_points(slab, 3, seed=7)
     assert check_annulus_family(slab, points).passed
     control = with_shrunken_annuli(slab, 0.5)
     assert not check_annulus_family(control, points).passed
-    assert len(normals) == 2  # one per graph
-    assert check_bounding_graphs(control) is check_bounding_graphs(slab) == _graph_nu_check(slab1)
+    assert normals == []
+    assert check_bounding_graphs(control) is check_bounding_graphs(slab) == _closed_form_check(slab1)
+    # other heights: one node reading, one graph_nu per graph, kept by the control
+    level = _level_slab(slab1)
+    assert check_annulus_family(level, points).passed
+    control = with_shrunken_annuli(level, 0.5)
+    assert not check_annulus_family(control, points).passed
+    assert len(normals) == 2
+    assert check_bounding_graphs(control) is check_bounding_graphs(level) == _graph_nu_check(level)
 
 
 def test_changed_graphs_window_or_tau_get_a_fresh_bounding_check(slab1, slab2) -> None:
@@ -843,10 +886,90 @@ def test_changed_graphs_window_or_tau_get_a_fresh_bounding_check(slab1, slab2) -
     changes = [(slab1, overlapping), (slab1, raised), (slab1, replace(slab1, tau=0.5))]
     changes.append((slab2, replace(slab2, domain=disc_window_domain(4.0, 33))))
     for slab, changed in changes:
-        assert check_bounding_graphs(changed) == _graph_nu_check(changed) != check_bounding_graphs(slab)
+        planes = isinstance(changed.upper, slabs._PlaneHeight)
+        want = _closed_form_check(changed) if planes else _graph_nu_check(changed)
+        assert check_bounding_graphs(changed) == want != check_bounding_graphs(slab)
     # the controls' reports read their own checks
     report = check_annulus_family(overlapping, sample_interior_points(slab1, 2, seed=7))
     assert not report.disjoint and report.height_bound == kept.height_bound
+
+
+# Generator of the hand-built slabs below: the bounding check never reads it.
+_IDLE_GENERATOR = slabs.CatenoidAnnulusGenerator(tau=0.0, d=1.0, rho_boundary=1.0)
+_SLOPES = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lower=st.tuples(_SLOPES, _SLOPES, st.floats(-2.0, 2.0)),
+    upper=st.tuples(_SLOPES, _SLOPES, st.floats(-2.0, 2.0)),
+    tau=st.sampled_from([0.0, 0.3, -0.3, 0.5, -0.7, 2.0]),
+    radius=st.sampled_from([1e-6, 1.0, 4.0, 10.0, 18.0]),
+    grid=st.sampled_from([9, 33, 128, 129]),
+)
+def test_plane_check_bounds_the_node_reading(lower, upper, tau: float, radius: float, grid: int) -> None:
+    domain = disc_window_domain(radius, grid)
+    slab = SlabSpec(domain, tau, slabs._PlaneHeight(*lower), slabs._PlaneHeight(*upper), _IDLE_GENERATOR, {})
+    exact, nodes = check_bounding_graphs(slab), _graph_nu_check(slab)
+    assert exact.exact and not nodes.exact
+    # rounding slack: a few ulps of the heights, and for nu the rounding of
+    # the node heights that np.gradient divides by the node step h
+    eps = np.finfo(float).eps
+    slack = 8.0 * eps * (1.0 + nodes.height_bound)
+    assert exact.height_bound >= nodes.height_bound - slack
+    assert exact.min_gap <= nodes.min_gap + slack
+    assert exact.normal_bound <= nodes.normal_bound + slack / domain.steps()[0]
+
+
+def test_plane_check_finds_an_interior_maximiser_of_the_tilt() -> None:
+    # alpha 0.4 at tau 0.05: the tilt peaks at r* = 0.05/0.2 = 0.25, inside rc = tanh(1/2) ~ 0.46
+    alpha, tau = 0.4, 0.05
+    domain = disc_window_domain(1.0, 33)
+    lower, upper = slabs._PlaneHeight(alpha, 0.0), slabs._PlaneHeight(alpha, 0.0, 1.0)
+    slab = SlabSpec(domain, tau, lower, upper, _IDLE_GENERATOR, {})
+    check = check_bounding_graphs(slab)
+    assert check.exact
+    # graph_nu's pointwise kernel at a dense polar sample, with the plane's exact gradient
+    rc = domain.bounds[0][1]
+    r, phi = np.meshgrid(np.linspace(0.0, rc, 2001), np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False))
+    x, y = r * np.cos(phi), r * np.sin(phi)
+    g1, g2, w1, w2 = chart_coefficients(Chart.DISC_XY, 1.0, tau, x, y)
+    _, _, tilt_w = _tilt(np.sqrt(g1), np.sqrt(g2), w1, w2, alpha, 0.0)
+    nu = 1.0 / tilt_w
+    assert check.normal_bound <= float(np.min(nu)) <= check.normal_bound + 1e-9
+    i = np.unravel_index(np.argmin(nu), nu.shape)
+    assert abs(r[i] - 0.25) < 2.0 * rc / 2000
+    # the node reading misses it: no node of the 33 x 33 grid lies on the circle r = 0.25
+    assert _graph_nu_check(slab).normal_bound > check.normal_bound + 1e-9
+
+
+@pytest.mark.parametrize(
+    ("example", "tau"), [("example1", 0.0), ("example1", 0.5), ("example2", 0.0), ("example2", 0.3)]
+)
+def test_default_slabs_closed_forms_are_their_node_readings(example: str, tau: float) -> None:
+    sp = SpaceParams(tau)
+    slab = build_example1(sp, 0.1) if example == "example1" else build_example2(sp, "linear", 1.0, 0.45, 0.2)
+    exact, nodes = check_bounding_graphs(slab), _graph_nu_check(slab)
+    assert exact.exact and exact.disjoint == nodes.disjoint
+    for name in ("height_bound", "normal_bound", "min_gap"):
+        want = getattr(nodes, name)
+        assert abs(getattr(exact, name) - want) <= 2.0 * math.ulp(want), name
+    if example == "example2":
+        # example 2's metadata: the window variation bit for bit, the node gradient maximum up to rounding
+        base = GraphFunction.from_base_callable(slab.domain, tau, slabs._PlaneHeight(0.4, 0.0))
+        node_gradient = float(np.max(hyperbolic_gradient_norm(base)[slab.domain.active_mask()]))
+        assert slab.metadata["variation"] == variation(base)
+        assert slab.metadata["sup_gradient"] == 0.2 == pytest.approx(node_gradient, abs=1e-15)
+
+
+def test_level_slabs_keep_the_node_reading(slab1) -> None:
+    level = _level_slab(slab1)
+    check = check_bounding_graphs(level)
+    assert not check.exact
+    assert check == _graph_nu_check(level)
+    # one level graph, one plane: the node reading too
+    mixed = replace(slab1, upper=_level(slab1.upper.shift))
+    assert check_bounding_graphs(mixed) == _graph_nu_check(mixed)
 
 
 def test_point_outside_slab_is_rejected(slab1) -> None:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import ellipk
@@ -662,6 +663,8 @@ def bisection_delta(eps: float, h0: float, tau: float) -> float:
     h0=st.floats(0.1, 2.0),
     tau=st.sampled_from([0.0, 0.5, -0.5, 2.0]),
 )
+# g is flat here: a margin rounded otherwise than once flipped g < eps^2 over 11 ulps
+@example(eps=0.893207063579764, h0=0.1, tau=0.0)
 def test_transversality_delta_property(eps: float, h0: float, tau: float) -> None:
     delta = transversality_delta(eps, h0, tau)
     assert delta > 0.0
@@ -669,6 +672,23 @@ def test_transversality_delta_property(eps: float, h0: float, tau: float) -> Non
     # Positive doubles order like their bit patterns, so this counts ulps.
     ulps = np.diff(np.array([delta, bisection_delta(eps, h0, tau)]).view(np.int64))
     assert abs(int(ulps[0])) <= 8
+
+
+@pytest.mark.parametrize(("eps", "h0", "tau"), [(0.893207063579764, 0.1, 0.0), (0.5, 1.0, 0.5), (0.05, 2.0, -0.5)])
+def test_transversality_margin_is_rounded_up_and_monotone(eps: float, h0: float, tau: float) -> None:
+    # 400 consecutive doubles about the root: g is the exact rational rounded up, so it never decreases
+    deltas = [transversality_delta(eps, h0, tau)]
+    for _ in range(200):
+        deltas = [math.nextafter(deltas[0], 0.0), *deltas, math.nextafter(deltas[-1], math.inf)]
+    e = Fraction(math.exp(2.0 * (h0 + 2.0 * abs(tau) * math.pi)))
+    margins = [transversality_margin(delta, h0, tau) for delta in deltas]
+    for delta, margin in zip(deltas[::40], margins[::40]):
+        d = Fraction(delta)
+        exact = 4 * (2 * d + d * d) * e / (2 + d * (1 + e)) ** 2
+        assert Fraction(math.nextafter(margin, 0.0)) < exact <= Fraction(margin)
+    assert all(a <= b for a, b in zip(margins, margins[1:]))
+    below = [margin < eps * eps for margin in margins]
+    assert below == sorted(below, reverse=True)  # g < eps^2 switches once
 
 
 # -- meshes -----------------------------------------------------------------------
