@@ -54,6 +54,7 @@ from .surfaces import (
     CatenoidSpec,
     LeafSpec,
     _catenoid_grid,
+    _catenoid_half_height,
     _catenoid_radial,
     _grid_edges,
     _half_height_limit,
@@ -168,7 +169,8 @@ class _ModelAnnulus:
     horizontal_bound is max over the edges of 2 |dz| / (1 - r2), |dz| the
     edge's horizontal length and r2 its larger endpoint |z|^2: a bound of
     the horizontal speed 2 |dz| / (1 - |z|^2) along every model edge
-    (_congruence_bound).
+    (_congruence_bound), read from strided views of the grid, one per edge
+    family, with each edge lo -> hi as in _grid_segments: the same bits.
     """
 
     spec: CatenoidSpec
@@ -184,8 +186,8 @@ def _model_annulus(generator: CatenoidAnnulusGenerator) -> _ModelAnnulus:
     """The generator's model annulus, read from mesh_catenoid's vertex grid
     (surfaces._catenoid_grid) without forming the mesh's normals, nu or
     triangles.  The grid is kept, about a sixth of the size of its edge
-    arrays; the edges are formed here for horizontal_bound and rebuilt on
-    demand by _form_residual."""
+    arrays; no edge array is formed here, and _form_residual builds them on
+    demand."""
     spec = CatenoidSpec(tau=generator.tau, d=generator.d)
     rho = generator.rho_boundary
     vertices, shape = _catenoid_grid(spec, rho, generator.resolution)
@@ -193,8 +195,14 @@ def _model_annulus(generator: CatenoidAnnulusGenerator) -> _ModelAnnulus:
     upper, lower = (catenoid_patch(spec, rho, np.array(w), phi) for w in (1.0, -1.0))
     for array in (vertices, upper, lower):
         array.flags.writeable = False
-    a, v = _grid_segments(vertices, shape)
-    horizontal_bound = float(np.max(2.0 * np.hypot(v[:, 0], v[:, 1]) / (1.0 - _edge_extent(a, v)[0])))
+    grid = vertices.reshape(*shape, 3)
+    # _grid_edges' families, lo -> hi: ring edges (i, j) -> (i, j + 1), the wrap edge from column 0 to
+    # cols - 1, column edges (i, j) -> (i + 1, j), diagonals (i, j) -> (i + 1, (j + 1) mod cols)
+    ends = [(grid[:, :-1], grid[:, 1:]), (grid[:, :1], grid[:, -1:]), (grid[:-1], grid[1:])]
+    ends += [(grid[:-1, :-1], grid[1:, 1:]), (grid[:-1, -1:], grid[1:, :1])]
+    edges = [(a, b - a) for a, b in ends]
+    speeds = (2.0 * np.hypot(v[..., 0], v[..., 1]) / (1.0 - _edge_extent(a, v)[0]) for a, v in edges)
+    horizontal_bound = max(float(np.max(speed)) for speed in speeds)
     return _ModelAnnulus(spec, catenoid_profile(spec, rho), (vertices, shape), upper, lower, horizontal_bound)
 
 
@@ -209,10 +217,10 @@ def _grid_segments(vertices: np.ndarray, shape: tuple[int, int]) -> tuple[np.nda
 
 def _edge_extent(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per edge a -> a + v, the largest |z|^2, |x| and |y| over its segment:
-    each is convex along it, so the larger endpoint value."""
+    each is convex along it, so the larger endpoint value; a, v are (..., 3)."""
     b = a + v
-    r2 = np.maximum(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1], b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1])
-    return r2, np.maximum(np.abs(a[:, 0]), np.abs(b[:, 0])), np.maximum(np.abs(a[:, 1]), np.abs(b[:, 1]))
+    r2 = np.maximum(a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1], b[..., 0] * b[..., 0] + b[..., 1] * b[..., 1])
+    return r2, np.maximum(np.abs(a[..., 0]), np.abs(b[..., 0])), np.maximum(np.abs(a[..., 1]), np.abs(b[..., 1]))
 
 
 @dataclass(frozen=True)
@@ -758,9 +766,10 @@ def _solve_catenoid_half_height(tau: float, target: float) -> float:
     The half-height increases with d, so after doubling an upper bracket
     from d = 1 a secant iteration through the last two iterates runs inside
     the bracket [lo, hi] of d values that straddle the root; a secant step
-    that leaves it is replaced by bisection.  Stops when a step moves d by
-    at most 1e-12 d or the bracket is that narrow; raises ConvergenceError
-    when _NECK_SOLVE_BUDGET steps do not get there.
+    that leaves it is replaced by bisection.  Each trial d reads one Gauss
+    sum, surfaces._catenoid_half_height, and builds no profile table.  Stops
+    when a step moves d by at most 1e-12 d or the bracket is that narrow;
+    raises ConvergenceError when _NECK_SOLVE_BUDGET steps do not get there.
     """
     limit = _half_height_limit(tau)
     if not 0.0 < target < limit:
@@ -769,7 +778,7 @@ def _solve_catenoid_half_height(tau: float, target: float) -> float:
         )
 
     def excess(d: float) -> float:
-        return 0.5 * catenoid_height(CatenoidSpec(tau=tau, d=d)) - target
+        return _catenoid_half_height(tau, d) - target
 
     lo, hi = 1e-3, 1.0
     f_lo, f_hi = excess(lo), excess(hi)

@@ -42,6 +42,8 @@ from .quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss, cumulative_in
 # _ProfileTable).
 _TABLE_PANELS = 64
 _TABLE_CHUNK = CHUNK_NODES // PANEL_NODES
+# Panels of _catenoid_half_height's sum: 4e-15 from the table for d in [1e-3, 1e8] (16 give 1e-10).
+_HALF_HEIGHT_PANELS = 32
 # Relative widening of _ProfileTable.bounds: far above the 1e-13 settle
 # tolerance of the node values and the rounding of one off-node panel.
 _BRACKET_MARGIN = 1e-9
@@ -286,16 +288,12 @@ class _ProfileTable:
         return lo, hi
 
 
-@lru_cache(maxsize=32)
-def _catenoid_table(tau: float, d: float) -> _ProfileTable:
-    """Profile table of the catenoid on [0, sigma*], sigma* = sqrt(rho* - rho_min).
-
-    With A = 2 d sqrt(1 + 4 tau^2), the profile beyond the truncation radius
-    rho* = log(A 1e15) adds at most the tail A e^(-rho*) = 1e-15; the table's
-    limit, read beyond sigma*, adds that tail, so it is half the height.
-    ParameterError unless rho_min < rho* and e^(2 rho*) is a float: the
-    integrand forms sinh^2 rho - d^2 < e^(2 rho) / 4 up to rho*.
-    """
+def _catenoid_truncation(tau: float, d: float) -> tuple[float, float]:
+    """sigma* = sqrt(rho* - rho_min) and the tail A e^(-rho*) = 1e-15, A = 2 d
+    sqrt(1 + 4 tau^2), that bounds the catenoid profile beyond the truncation
+    radius rho* = log(A 1e15).  ParameterError unless rho_min < rho* and
+    e^(2 rho*) is a float: the integrand forms sinh^2 rho - d^2 < e^(2 rho) / 4
+    up to rho*."""
     amp = 2.0 * d * math.sqrt(1.0 + 4.0 * tau * tau)
     rho_star = math.log(amp * 1e15)
     rmin = math.asinh(d)
@@ -303,8 +301,21 @@ def _catenoid_table(tau: float, d: float) -> _ProfileTable:
         raise ParameterError(f"necksize parameter {d} is too small to tabulate the profile")
     if not 2.0 * rho_star < math.log(_HUGE):
         raise ParameterError(f"catenoid profile at tau = {tau}, d = {d} leaves the float range: sinh^2 overflows")
-    tail = amp * math.exp(-rho_star)
-    return _ProfileTable(_catenoid_sigma_integrand(tau, d), math.sqrt(rho_star - rmin), tail)
+    return math.sqrt(rho_star - rmin), amp * math.exp(-rho_star)
+
+
+@lru_cache(maxsize=32)
+def _catenoid_table(tau: float, d: float) -> _ProfileTable:
+    """Profile table on [0, sigma*] (_catenoid_truncation); its limit adds the tail: half the height."""
+    return _ProfileTable(_catenoid_sigma_integrand(tau, d), *_catenoid_truncation(tau, d))
+
+
+def _catenoid_half_height(tau: float, d: float) -> float:
+    """Half the catenoid's height without a table: one composite_gauss sum over
+    [0, sigma*] plus the tail, within 1e-14 relative of the table's limit."""
+    sigma_max, tail = _catenoid_truncation(tau, d)
+    g = _catenoid_sigma_integrand(tau, d)
+    return float(composite_gauss(g, np.zeros(1), np.array([sigma_max]), _HALF_HEIGHT_PANELS)[0]) + tail
 
 
 # -- invariant surface profile ------------------------------------------------

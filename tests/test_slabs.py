@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etau import slabs
+from etau import slabs, surfaces
 from etau.core import (
     AmbientPoint,
     BasePoint,
@@ -50,6 +50,7 @@ from etau.quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss
 from etau.slabs import (
     BoundingGraphCheck,
     SlabSpec,
+    _edge_extent,
     _grid_segments,
     _model_annulus,
     _solve_catenoid_half_height,
@@ -210,6 +211,41 @@ def test_neck_secant_step_budget(monkeypatch) -> None:
     monkeypatch.setattr(slabs, "_NECK_SOLVE_BUDGET", 1)
     with pytest.raises(ConvergenceError):
         _solve_catenoid_half_height(0.0, 0.5 * math.pi - 0.025)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3, -0.3, 0.5, -0.7, 2.0])
+def test_neck_solve_half_height_sum_is_the_table_limit(tau: float) -> None:
+    # The neck solve's one Gauss sum per trial d against the profile table it
+    # replaces, over the secant's whole bracket [1e-3, 1e8].
+    for d in np.geomspace(1e-3, 1e8, 45).tolist():
+        want = surfaces._catenoid_table(tau, d).limit
+        assert surfaces._catenoid_half_height(tau, d) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("tau, d", [(0.0, 1e-16), (0.5, 1e-17), (0.0, 1e140), (2.0, 1e150)])
+def test_neck_solve_half_height_sum_rejects_what_the_table_rejects(tau: float, d: float) -> None:
+    # d too small for the truncation radius to clear the neck, and sinh^2 past the float range
+    with pytest.raises(ParameterError) as table:
+        surfaces._catenoid_table(tau, d)
+    with pytest.raises(ParameterError) as total:
+        surfaces._catenoid_half_height(tau, d)
+    assert str(total.value) == str(table.value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_example1(SpaceParams(0.37), 0.2345, grid=9),
+        lambda: build_example2(SpaceParams(-0.0123), "linear", 1.0, 0.45, 0.2, grid=9),
+    ],
+    ids=["example1", "example2"],
+)
+def test_example_builds_tabulate_one_catenoid(build) -> None:
+    # Only the solved neck's profile is tabulated; every trial d of the
+    # neck solve reads a Gauss sum instead.
+    surfaces._catenoid_table.cache_clear()
+    build()
+    assert surfaces._catenoid_table.cache_info().misses == 1
 
 
 def test_example1_epsilon_validation() -> None:
@@ -774,6 +810,45 @@ def test_model_annulus_vertices_are_the_mesh_vertices(slab1_tau05, resolution) -
     np.testing.assert_array_equal(model.grid[0].view(np.int64), vertices.view(np.int64))
     for got, want in zip(_grid_segments(*model.grid), mesh_edges(mesh), strict=True):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, -0.7])
+@pytest.mark.parametrize("resolution", [(5, 8), (9, 8), (33, 48), (65, 96), (129, 64)])
+def test_horizontal_bound_is_the_gathered_edges_maximum(tau: float, resolution: tuple[int, int], monkeypatch) -> None:
+    # The strided edge families against the gathered edges (lo, hi) of
+    # _grid_segments, bit for bit, on example 1's annulus at each tau: the
+    # bound, and each edge's start and vector as _edge_extent reads them.
+    gen = replace(build_example1(SpaceParams(tau), 0.1, grid=9).annulus_generator, resolution=resolution)
+    read = []
+
+    def recorded(a, v):
+        read.append(np.concatenate([a, v], axis=-1).reshape(-1, 6))
+        return _edge_extent(a, v)
+
+    monkeypatch.setattr(slabs, "_edge_extent", recorded)
+    slabs._model_annulus.cache_clear()
+    model = _model_annulus(gen)
+    a, v = _grid_segments(*model.grid)
+    gathered = np.max(2.0 * np.hypot(v[:, 0], v[:, 1]) / (1.0 - _edge_extent(a, v)[0]))
+    assert np.float64(model.horizontal_bound).view(np.int64) == gathered.view(np.int64)
+    got, want = np.concatenate(read).view(np.int64), np.concatenate([a, v], axis=1).view(np.int64)
+    np.testing.assert_array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
+
+
+def test_tau0_family_checks_gather_no_edges(slab1, slab2, monkeypatch) -> None:
+    # At tau 0 every placement's form defect is 0, so nothing reads the edge
+    # arrays: the model annuli are built without them.
+    gathers = []
+
+    def counted(*args):
+        gathers.append(args)
+        return _grid_segments(*args)
+
+    monkeypatch.setattr(slabs, "_grid_segments", counted)
+    slabs._model_annulus.cache_clear()
+    for slab in (slab1, slab2):
+        assert check_annulus_family(slab, sample_interior_points(slab, 4, seed=11)).passed
+    assert gathers == []
 
 
 def test_a_generator_builds_its_model_annulus_once(slab1, monkeypatch) -> None:
