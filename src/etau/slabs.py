@@ -56,7 +56,6 @@ from .surfaces import (
     _catenoid_grid,
     _catenoid_half_height,
     _catenoid_radial,
-    _grid_edges,
     _half_height_limit,
     _leaf_sides,
     catenoid_height,
@@ -162,15 +161,13 @@ class _ModelAnnulus:
     """The model annulus of one generator, read-only.
 
     grid is its vertex grid and the grid's shape, as surfaces._catenoid_grid
-    gives them; the grid is kept and its edges are not, since only
-    _form_residual reads them and it rebuilds them on demand with
-    _grid_segments(*grid).  upper and lower are its boundary circles at
-    w = 1 and w = -1, _BOUNDARY_SAMPLES disc coordinates (n, 3) each.
-    horizontal_bound is max over the edges of 2 |dz| / (1 - r2), |dz| the
-    edge's horizontal length and r2 its larger endpoint |z|^2: a bound of
-    the horizontal speed 2 |dz| / (1 - |z|^2) along every model edge
-    (_congruence_bound), read from strided views of the grid, one per edge
-    family, with each edge lo -> hi as in _grid_segments: the same bits.
+    gives them; its edges are read as strided views of it
+    (_grid_edge_families), never gathered.  upper and lower are its
+    boundary circles at w = 1 and w = -1, _BOUNDARY_SAMPLES disc
+    coordinates (n, 3) each.  horizontal_bound is max over the edges of
+    2 |dz| / (1 - r2), |dz| the edge's horizontal length and r2 its larger
+    endpoint |z|^2: a bound of the horizontal speed 2 |dz| / (1 - |z|^2)
+    along every model edge (_congruence_bound).
     """
 
     spec: CatenoidSpec
@@ -186,8 +183,7 @@ def _model_annulus(generator: CatenoidAnnulusGenerator) -> _ModelAnnulus:
     """The generator's model annulus, read from mesh_catenoid's vertex grid
     (surfaces._catenoid_grid) without forming the mesh's normals, nu or
     triangles.  The grid is kept, about a sixth of the size of its edge
-    arrays; no edge array is formed here, and _form_residual builds them on
-    demand."""
+    arrays; no edge array is formed here or in _form_residual."""
     spec = CatenoidSpec(tau=generator.tau, d=generator.d)
     rho = generator.rho_boundary
     vertices, shape = _catenoid_grid(spec, rho, generator.resolution)
@@ -195,24 +191,24 @@ def _model_annulus(generator: CatenoidAnnulusGenerator) -> _ModelAnnulus:
     upper, lower = (catenoid_patch(spec, rho, np.array(w), phi) for w in (1.0, -1.0))
     for array in (vertices, upper, lower):
         array.flags.writeable = False
-    grid = vertices.reshape(*shape, 3)
-    # _grid_edges' families, lo -> hi: ring edges (i, j) -> (i, j + 1), the wrap edge from column 0 to
-    # cols - 1, column edges (i, j) -> (i + 1, j), diagonals (i, j) -> (i + 1, (j + 1) mod cols)
-    ends = [(grid[:, :-1], grid[:, 1:]), (grid[:, :1], grid[:, -1:]), (grid[:-1], grid[1:])]
-    ends += [(grid[:-1, :-1], grid[1:, 1:]), (grid[:-1, -1:], grid[1:, :1])]
-    edges = [(a, b - a) for a, b in ends]
+    edges = _grid_edge_families(vertices, shape)
     speeds = (2.0 * np.hypot(v[..., 0], v[..., 1]) / (1.0 - _edge_extent(a, v)[0]) for a, v in edges)
     horizontal_bound = max(float(np.max(speed)) for speed in speeds)
     return _ModelAnnulus(spec, catenoid_profile(spec, rho), (vertices, shape), upper, lower, horizontal_bound)
 
 
-def _grid_segments(vertices: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Start points a and vectors v = b - a of the grid's edges (lo, hi)
-    (surfaces._grid_edges), each once in lexicographic order."""
-    lo, hi = _grid_edges(*shape)
-    # take gathers the rows in about half the time of vertices[lo]
-    a = vertices.take(lo, axis=0)
-    return a, vertices.take(hi, axis=0) - a
+def _grid_edge_families(vertices: np.ndarray, shape: tuple[int, int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Start points a, strided views of the (rows, cols, 3) grid, and
+    vectors v = b - a of the edges of the wrapped grid's triangles
+    (surfaces._grid_triangles(*shape, True)), each once and lo -> hi in
+    vertex index, as one (a, v) pair per family: ring edges (i, j) ->
+    (i, j + 1), the wrap edge from column 0 to cols - 1, column edges
+    (i, j) -> (i + 1, j), diagonals (i, j) -> (i + 1, j + 1) and the
+    wrapped diagonals from column cols - 1 to column 0."""
+    grid = vertices.reshape(*shape, 3)
+    ends = [(grid[:, :-1], grid[:, 1:]), (grid[:, :1], grid[:, -1:]), (grid[:-1], grid[1:])]
+    ends += [(grid[:-1, :-1], grid[1:, 1:]), (grid[:-1, -1:], grid[1:, :1])]
+    return [(a, b - a) for a, b in ends]
 
 
 def _edge_extent(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -485,19 +481,22 @@ def _form_residual(model: _ModelAnnulus, tau: float, inv_c: float, delta: float)
     """Largest distance over the model edges between an instance's speed and
     the model speed with its horizontal part scaled by inv_c = 1/C, for
     the form defect delta > 0 (_congruence_bound); infinite when D / C may
-    vanish on an edge."""
-    a, v = _grid_segments(*model.grid)
-    vx, vy = v[:, 0], v[:, 1]
-    r2, x, y = _edge_extent(a, v)
-    d0 = 1.0 - r2
-    e = delta * (r2 + 2.0 * (x + y))
-    low = d0 - e
-    if np.any(low <= 0.0):
-        return math.inf
-    k = np.abs(a[:, 0] * vy - a[:, 1] * vx)
-    horizontal = 2.0 * inv_c * np.hypot(vx, vy) * e / (d0 * low)
-    twist = 4.0 * abs(tau) * (k * e / (d0 * low) + delta * (k + np.abs(vx) + np.abs(vy)) / low)
-    return float(np.max(horizontal + twist))
+    vanish on an edge.  Each edge family is reduced apart; np.max keeps a
+    NaN."""
+    peaks = []
+    for a, v in _grid_edge_families(*model.grid):
+        vx, vy = v[..., 0], v[..., 1]
+        r2, x, y = _edge_extent(a, v)
+        d0 = 1.0 - r2
+        e = delta * (r2 + 2.0 * (x + y))
+        low = d0 - e
+        if np.any(low <= 0.0):
+            return math.inf
+        k = np.abs(a[..., 0] * vy - a[..., 1] * vx)
+        horizontal = 2.0 * inv_c * np.hypot(vx, vy) * e / (d0 * low)
+        twist = 4.0 * abs(tau) * (k * e / (d0 * low) + delta * (k + np.abs(vx) + np.abs(vy)) / low)
+        peaks.append(np.max(horizontal + twist))
+    return float(np.max(peaks))
 
 
 # -- slab specification and checks ---------------------------------------------

@@ -621,32 +621,6 @@ def _grid_triangles(rows: int, cols: int, wrap_cols: bool) -> np.ndarray:
     return tris.reshape(-1, 3).astype(np.int32)
 
 
-def _grid_edges(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ends (lo, hi), lo < hi, of the edges of _grid_triangles(rows, cols,
-    True), each once in lexicographic order.
-
-    With j' = (j + 1) mod cols, the edges are the rows * cols ring edges
-    {i cols + j, i cols + j'}, and per pair of rows the (rows - 1) cols
-    edges (v00, v10) and the (rows - 1) cols diagonals (v00, v11): (3 rows
-    - 2) cols distinct edges for cols >= 3, so their keys lo n + hi are
-    sorted once and need no deduplication.
-    """
-    n = rows * cols
-    j = np.arange(cols)
-    wrapped = (j + 1) % cols
-    start = np.arange(0, n, cols)[:, None]
-    upper, lower = start[:-1] + j, start[1:]
-    keys = np.concatenate(
-        [
-            ((start + np.minimum(j, wrapped)) * n + start + np.maximum(j, wrapped)).ravel(),
-            (upper * n + lower + j).ravel(),
-            (upper * n + lower + wrapped).ravel(),
-        ]
-    )
-    keys.sort()
-    return np.divmod(keys, n)
-
-
 def _structured_mesh(
     model: Model,
     tau: float,

@@ -3,9 +3,10 @@
 The audit certifies congruence from each placement's Hermitian form
 (slabs._congruence_bound) and measures no spectrum; edge_length_spectra
 measures the edge-length spectra that bound covers, one unit_panel per
-edge, and mesh_edges reads a model mesh's edges by sorting and
-deduplicating its triangles' edge keys, the reference for
-surfaces._grid_edges' closed form.
+edge.  mesh_edges reads a model mesh's edges by sorting and
+deduplicating its triangles' edge keys; grid_edges writes the same edges of
+a wrapped vertex grid in closed form, and grid_segments gathers them, the
+reference for the strided edge families of slabs._grid_edge_families.
 """
 
 from __future__ import annotations
@@ -45,6 +46,40 @@ def mesh_edges(mesh) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], n)
     a = mesh.vertices[lo]
     return a, mesh.vertices[hi] - a
+
+
+def grid_edges(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ends (lo, hi), lo < hi, of the edges of surfaces._grid_triangles(rows,
+    cols, True), each once in lexicographic order.
+
+    With j' = (j + 1) mod cols, the edges are the rows * cols ring edges
+    {i cols + j, i cols + j'}, and per pair of rows the (rows - 1) cols
+    edges (v00, v10) and the (rows - 1) cols diagonals (v00, v11): (3 rows
+    - 2) cols distinct edges for cols >= 3, so their keys lo n + hi are
+    sorted once and need no deduplication.
+    """
+    n = rows * cols
+    j = np.arange(cols)
+    wrapped = (j + 1) % cols
+    start = np.arange(0, n, cols)[:, None]
+    upper, lower = start[:-1] + j, start[1:]
+    keys = np.concatenate(
+        [
+            ((start + np.minimum(j, wrapped)) * n + start + np.maximum(j, wrapped)).ravel(),
+            (upper * n + lower + j).ravel(),
+            (upper * n + lower + wrapped).ravel(),
+        ]
+    )
+    keys.sort()
+    return np.divmod(keys, n)
+
+
+def grid_segments(vertices: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Start points a and vectors v = b - a of the grid's edges (lo, hi)
+    (grid_edges), each once in lexicographic order."""
+    lo, hi = grid_edges(*shape)
+    a = vertices.take(lo, axis=0)
+    return a, vertices.take(hi, axis=0) - a
 
 
 def node_speeds(forms, tau: float, x, y, vx, vy, vt) -> list[np.ndarray]:
@@ -138,7 +173,7 @@ def edge_length_spectra(instances: Sequence[slabs.AnnulusInstance]) -> list[np.n
     gen = instances[0].generator
     if any(i.generator != gen for i in instances):
         raise ParameterError("instances measured together must share one model mesh")
-    a, v = slabs._grid_segments(*slabs._model_annulus(gen).grid)
+    a, v = grid_segments(*slabs._model_annulus(gen).grid)
     nodes, weights = unit_panel()
     s = nodes[:, None]
     forms = [slabs._placement_forms(instance.placement, gen.tau) for instance in instances]

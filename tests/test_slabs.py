@@ -51,7 +51,7 @@ from etau.slabs import (
     BoundingGraphCheck,
     SlabSpec,
     _edge_extent,
-    _grid_segments,
+    _grid_edge_families,
     _model_annulus,
     _solve_catenoid_half_height,
     build_example1,
@@ -77,7 +77,14 @@ from etau.surfaces import (
     mesh_catenoid,
 )
 
-from spectra_reference import SPECTRA_CHUNK_NODES, edge_length_spectra, mesh_edges, node_speeds, unit_panel
+from spectra_reference import (
+    SPECTRA_CHUNK_NODES,
+    edge_length_spectra,
+    grid_segments,
+    mesh_edges,
+    node_speeds,
+    unit_panel,
+)
 
 FLAT = SpaceParams(0.0)
 
@@ -332,7 +339,7 @@ def _two_pass_spectrum(instance, target_step: float = 0.015) -> np.ndarray:
     """Reference edge spectrum: separate coarse and fine mapped passes, with
     lengths from full metric tensors contracted by einsum."""
     tau = instance.generator.tau
-    a, v = _grid_segments(*_model_annulus(instance.generator).grid)
+    a, v = grid_segments(*_model_annulus(instance.generator).grid)
     b = a + v
 
     def lengths(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -386,7 +393,7 @@ def _per_point_spectrum(instance) -> np.ndarray:
     (n, 3) row with a broadcast copy of its edge vector; the metric is then
     taken at the image, where float64 fixes 1 - |w|^2 only to about 1e-16."""
     tau = instance.generator.tau
-    edge_a, edge_v = _grid_segments(*_model_annulus(instance.generator).grid)
+    edge_a, edge_v = grid_segments(*_model_annulus(instance.generator).grid)
     out = np.empty(edge_a.shape[0])
     per_chunk = CHUNK_NODES // PANEL_NODES
     for start in range(0, edge_a.shape[0], per_chunk):
@@ -410,7 +417,7 @@ def _per_edge_spectrum(instance) -> np.ndarray:
     as one-edge (edges, 1, 1) arrays, measured by the spectra's own per-node
     integrand node_speeds."""
     tau = instance.generator.tau
-    edge_a, edge_v = _grid_segments(*_model_annulus(instance.generator).grid)
+    edge_a, edge_v = grid_segments(*_model_annulus(instance.generator).grid)
     a, v = edge_a[:, None, None, :], edge_v[:, None, None, :]
     forms = [slabs._placement_forms(instance.placement, tau)]
 
@@ -489,7 +496,7 @@ def test_edge_length_spectrum_equals_per_point_route(fixture: str, resolution, r
     slab = request.getfixturevalue(fixture)
     generator = slab.annulus_generator if resolution is None else replace(slab.annulus_generator, resolution=resolution)
     instances = [generator(p) for p in sample_interior_points(slab, 4, seed=7)]
-    edges, per_chunk = _grid_segments(*_model_annulus(generator).grid)[0].shape[0], SPECTRA_CHUNK_NODES // PANEL_NODES
+    edges, per_chunk = grid_segments(*_model_annulus(generator).grid)[0].shape[0], SPECTRA_CHUNK_NODES // PANEL_NODES
     assert edges > per_chunk and edges % per_chunk
     instances.append(_mirrored(instances[0]))
     batch = edge_length_spectra(instances)
@@ -508,7 +515,7 @@ def _longdouble_spectrum(instance) -> np.ndarray:
     ld, cld = np.longdouble, np.clongdouble
     tau = ld(instance.generator.tau)
     nodes, weights = unit_panel()
-    a, v = (edge.astype(ld) for edge in _grid_segments(*_model_annulus(instance.generator).grid))
+    a, v = (edge.astype(ld) for edge in grid_segments(*_model_annulus(instance.generator).grid))
     s = nodes.astype(ld)[:, None]
     z = (a[:, 0] + s * v[:, 0]).astype(cld) + cld(1j) * (a[:, 1] + s * v[:, 1])
     dz = v[:, 0].astype(cld) + cld(1j) * v[:, 1]
@@ -780,7 +787,7 @@ def test_model_annulus_edges_are_the_sorted_unique_pairs(slab1, rows: int, cols:
     tri = mesh.triangles
     edges = np.unique(np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1), axis=0)
     model = _model_annulus(gen)
-    model_a, model_v = _grid_segments(*model.grid)
+    model_a, model_v = grid_segments(*model.grid)
     a, b = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
     np.testing.assert_array_equal(model_a, a)
     np.testing.assert_array_equal(model_v, b - a)
@@ -808,7 +815,7 @@ def test_model_annulus_vertices_are_the_mesh_vertices(slab1_tau05, resolution) -
     model = _model_annulus(gen)
     assert model.grid[1] == shape
     np.testing.assert_array_equal(model.grid[0].view(np.int64), vertices.view(np.int64))
-    for got, want in zip(_grid_segments(*model.grid), mesh_edges(mesh), strict=True):
+    for got, want in zip(grid_segments(*model.grid), mesh_edges(mesh), strict=True):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -816,7 +823,7 @@ def test_model_annulus_vertices_are_the_mesh_vertices(slab1_tau05, resolution) -
 @pytest.mark.parametrize("resolution", [(5, 8), (9, 8), (33, 48), (65, 96), (129, 64)])
 def test_horizontal_bound_is_the_gathered_edges_maximum(tau: float, resolution: tuple[int, int], monkeypatch) -> None:
     # The strided edge families against the gathered edges (lo, hi) of
-    # _grid_segments, bit for bit, on example 1's annulus at each tau: the
+    # grid_segments, bit for bit, on example 1's annulus at each tau: the
     # bound, and each edge's start and vector as _edge_extent reads them.
     gen = replace(build_example1(SpaceParams(tau), 0.1, grid=9).annulus_generator, resolution=resolution)
     read = []
@@ -828,7 +835,7 @@ def test_horizontal_bound_is_the_gathered_edges_maximum(tau: float, resolution: 
     monkeypatch.setattr(slabs, "_edge_extent", recorded)
     slabs._model_annulus.cache_clear()
     model = _model_annulus(gen)
-    a, v = _grid_segments(*model.grid)
+    a, v = grid_segments(*model.grid)
     gathered = np.max(2.0 * np.hypot(v[:, 0], v[:, 1]) / (1.0 - _edge_extent(a, v)[0]))
     assert np.float64(model.horizontal_bound).view(np.int64) == gathered.view(np.int64)
     got, want = np.concatenate(read).view(np.int64), np.concatenate([a, v], axis=1).view(np.int64)
@@ -836,19 +843,62 @@ def test_horizontal_bound_is_the_gathered_edges_maximum(tau: float, resolution: 
 
 
 def test_tau0_family_checks_gather_no_edges(slab1, slab2, monkeypatch) -> None:
-    # At tau 0 every placement's form defect is 0, so nothing reads the edge
-    # arrays: the model annuli are built without them.
-    gathers = []
+    # At tau 0 every placement's form defect is 0, so _form_residual never
+    # runs: each model annulus reads its edge families once, at its build.
+    reads = []
 
     def counted(*args):
-        gathers.append(args)
-        return _grid_segments(*args)
+        reads.append(args)
+        return _grid_edge_families(*args)
 
-    monkeypatch.setattr(slabs, "_grid_segments", counted)
+    monkeypatch.setattr(slabs, "_grid_edge_families", counted)
     slabs._model_annulus.cache_clear()
     for slab in (slab1, slab2):
         assert check_annulus_family(slab, sample_interior_points(slab, 4, seed=11)).passed
-    assert gathers == []
+    assert len(reads) == 2
+
+
+def _gathered_form_residual(model, tau: float, inv_c: float, delta: float) -> float:
+    """_form_residual's per-edge bound over the gathered edges of
+    grid_segments, reduced as one array."""
+    a, v = grid_segments(*model.grid)
+    vx, vy = v[:, 0], v[:, 1]
+    r2, x, y = _edge_extent(a, v)
+    d0 = 1.0 - r2
+    e = delta * (r2 + 2.0 * (x + y))
+    low = d0 - e
+    if np.any(low <= 0.0):
+        return math.inf
+    k = np.abs(a[:, 0] * vy - a[:, 1] * vx)
+    horizontal = 2.0 * inv_c * np.hypot(vx, vy) * e / (d0 * low)
+    twist = 4.0 * abs(tau) * (k * e / (d0 * low) + delta * (k + np.abs(vx) + np.abs(vy)) / low)
+    return float(np.max(horizontal + twist))
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, -0.7])
+@pytest.mark.parametrize("resolution", [(5, 8), (33, 48), (65, 96)])
+def test_form_residual_is_the_gathered_edges_bound(tau: float, resolution: tuple[int, int], monkeypatch) -> None:
+    # The per-family reduction against one gathered array, bit for bit: finite
+    # residuals, the infinite one of a defect that lets D / C vanish, and NaN;
+    # and a finite residual reads every gathered edge's start and vector.
+    gen = replace(build_example1(SpaceParams(tau), 0.1, grid=9).annulus_generator, resolution=resolution)
+    model = _model_annulus(gen)
+    cases = [(1.0, 1e-12), (0.9, 1e-6), (1.1, 1e-3), (1.0, 10.0), (1.0, math.nan), (math.nan, 1e-6)]
+    for inv_c, delta in cases:
+        got, want = slabs._form_residual(model, tau, inv_c, delta), _gathered_form_residual(model, tau, inv_c, delta)
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (inv_c, delta)
+    assert slabs._form_residual(model, tau, 1.0, 10.0) == math.inf
+    read = []
+
+    def recorded(a, v):
+        read.append(np.concatenate([a, v], axis=-1).reshape(-1, 6))
+        return _edge_extent(a, v)
+
+    monkeypatch.setattr(slabs, "_edge_extent", recorded)
+    assert math.isfinite(slabs._form_residual(model, tau, 0.9, 1e-6))
+    got, want = np.concatenate(read).view(np.int64), np.concatenate(grid_segments(*model.grid), axis=1).view(np.int64)
+    np.testing.assert_array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
+    assert math.isnan(slabs._form_residual(model, tau, 1.0, math.nan))
 
 
 def test_a_generator_builds_its_model_annulus_once(slab1, monkeypatch) -> None:

