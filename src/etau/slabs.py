@@ -160,19 +160,15 @@ _BOUNDARY_SAMPLES = 512
 class _ModelAnnulus:
     """The model annulus of one generator, read-only.
 
-    grid is its vertex grid and the grid's shape, as surfaces._catenoid_grid
-    gives them; its edges are read as strided views of it
-    (_grid_edge_families), never gathered.  upper and lower are its
-    boundary circles at w = 1 and w = -1, _BOUNDARY_SAMPLES disc
-    coordinates (n, 3) each.  horizontal_bound is max over the edges of
-    2 |dz| / (1 - r2), |dz| the edge's horizontal length and r2 its larger
-    endpoint |z|^2: a bound of the horizontal speed 2 |dz| / (1 - |z|^2)
-    along every model edge (_congruence_bound).
+    upper and lower are its boundary circles at w = 1 and w = -1,
+    _BOUNDARY_SAMPLES disc coordinates (n, 3) each.  horizontal_bound is
+    max over the edges of 2 |dz| / (1 - r2), |dz| the edge's horizontal
+    length and r2 its larger endpoint |z|^2: a bound of the horizontal
+    speed 2 |dz| / (1 - |z|^2) along every model edge (_congruence_bound).
     """
 
     spec: CatenoidSpec
     boundary_height: float
-    grid: tuple[np.ndarray, tuple[int, int]]
     upper: np.ndarray
     lower: np.ndarray
     horizontal_bound: float
@@ -182,19 +178,20 @@ class _ModelAnnulus:
 def _model_annulus(generator: CatenoidAnnulusGenerator) -> _ModelAnnulus:
     """The generator's model annulus, read from mesh_catenoid's vertex grid
     (surfaces._catenoid_grid) without forming the mesh's normals, nu or
-    triangles.  The grid is kept, about a sixth of the size of its edge
-    arrays; no edge array is formed here or in _form_residual."""
+    triangles.  horizontal_bound reads the grid's edges once, as strided
+    views (_grid_edge_families), and the grid is then dropped: no edge
+    array is ever formed."""
     spec = CatenoidSpec(tau=generator.tau, d=generator.d)
     rho = generator.rho_boundary
     vertices, shape = _catenoid_grid(spec, rho, generator.resolution)
     phi = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
     upper, lower = (catenoid_patch(spec, rho, np.array(w), phi) for w in (1.0, -1.0))
-    for array in (vertices, upper, lower):
+    for array in (upper, lower):
         array.flags.writeable = False
     edges = _grid_edge_families(vertices, shape)
-    speeds = (2.0 * np.hypot(v[..., 0], v[..., 1]) / (1.0 - _edge_extent(a, v)[0]) for a, v in edges)
+    speeds = (2.0 * np.hypot(v[..., 0], v[..., 1]) / (1.0 - _edge_extent(a, v)) for a, v in edges)
     horizontal_bound = max(float(np.max(speed)) for speed in speeds)
-    return _ModelAnnulus(spec, catenoid_profile(spec, rho), (vertices, shape), upper, lower, horizontal_bound)
+    return _ModelAnnulus(spec, catenoid_profile(spec, rho), upper, lower, horizontal_bound)
 
 
 def _grid_edge_families(vertices: np.ndarray, shape: tuple[int, int]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -211,12 +208,11 @@ def _grid_edge_families(vertices: np.ndarray, shape: tuple[int, int]) -> list[tu
     return [(a, b - a) for a, b in ends]
 
 
-def _edge_extent(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per edge a -> a + v, the largest |z|^2, |x| and |y| over its segment:
-    each is convex along it, so the larger endpoint value; a, v are (..., 3)."""
+def _edge_extent(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per edge a -> a + v, the largest |z|^2 over its segment: convex along
+    it, so the larger endpoint value; a, v are (..., 3)."""
     b = a + v
-    r2 = np.maximum(a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1], b[..., 0] * b[..., 0] + b[..., 1] * b[..., 1])
-    return r2, np.maximum(np.abs(a[..., 0]), np.abs(b[..., 0])), np.maximum(np.abs(a[..., 1]), np.abs(b[..., 1]))
+    return np.maximum(a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1], b[..., 0] * b[..., 0] + b[..., 1] * b[..., 1])
 
 
 @dataclass(frozen=True)
@@ -338,7 +334,11 @@ class CatenoidAnnulusGenerator:
         per point in Python scalars and the applies as apply_to_rows passes,
         so each instance has the bits of its point placed alone.  When an
         image off the disc stops the pass, each point is placed alone, so
-        only its own row fails."""
+        only its own row fails.  Every matrix keeps the shape (a b; conj(b)
+        conj(a)) bit for bit: disc_point_isometry's involutions have it, and
+        float64 complex products and sums (isometries._matmul) and real
+        rescalings (MobiusMap.normalized) commute with conjugation.  So each
+        placement's form has A = -C and B = 0 exactly (_congruence_bound)."""
         model = _model_annulus(self)
         cylinder = [p if p.model is Model.CYLINDER else convert_model(p, self.tau) for p in points]
         out: list = [
@@ -428,39 +428,25 @@ def _congruence_bound(instances: Sequence[AnnulusInstance]) -> float:
     has the horizontal part 2 |dz| / D and, when the placement's fiber tau
     is the metric's, the vertical part vt + 4 tau Im(dD dz) / D, dD =
     A conj(z) + B the z-derivative of D.  The bound reads each placement
-    only through _placement_forms, as the spectra do.  An instance whose
-    fiber tau differs from the metric's, or whose form has C <= 0, is not
-    covered and makes the bound infinite.  Otherwise divide D by C:
-    D / C = D0 + dD with D0 = 1 - |z|^2, the model's own form, and
-    dD = (A/C + 1) |z|^2 + 2 Re(B z / C), so |dD| <= e = delta
-    (|z|^2 + 2|x| + 2|y|) with delta = max(|A/C + 1|, |Re B / C|, |Im B / C|).
-    The generator's matrices keep a = conj(d), b = conj(c) exactly, so their
-    correctly rounded forms have A = -C and B = 0: delta = 0, D = C D0, and
-    each speed is the model's with its horizontal part 2 |dz| / D0 scaled by
-    1/C.  As sqrt(h^2 + w^2) is 1-Lipschitz in h, two instances' speeds then
-    differ by at most |1/C_i - 1/C_j| 2 |dz| / D0, and the model is the case
-    C = 1.  When delta > 0, an instance's speed also strays from that scaled
-    model speed by at most
-
-        (2 |dz| / C) e / (D0 (D0 - e)) + 4 |tau| (|k| e / (D0 (D0 - e)) + delta (|k| + |dx| + |dy|) / (D0 - e)),
-
-    k = Im(conj(z) dz), from the horizontal part and the twist term 4 tau
-    Im(dD dz) / D; D0 - e > 0 is needed, else the bound is infinite.  Along
-    an edge dz and k are constant and |z|^2, |x|, |y| are largest at an
-    endpoint (_edge_extent), so each term is bounded per edge.  Gauss
-    weights are positive and sorting does not increase a sup distance, so
-    the bound on the speeds bounds the spectra:
-
-        (max - min of {1, 1/C_i}) * horizontal_bound + the two largest of {0, residual_i},
-
-    residual_i the per-edge maximum above (0 when delta = 0).  A NaN
-    coefficient makes the bound NaN.  A reversing placement only flips the
-    vertical part's sign, so it is covered like a direct one.  The bound is
-    on the speeds in exact arithmetic; spectra measured in float64 add up to
-    about 1e-10 of rounding (tests/spectra_reference.py).
+    only through _placement_forms, as the spectra do.  It covers the forms
+    of disc isometries, A = -C, B = 0 and C > 0, as of every SU(1,1) matrix
+    (a b; conj(b) conj(a)) and its positive multiples (Beardon, The
+    Geometry of Discrete Groups, Sec. 4), which the generator's placements
+    have exactly (CatenoidAnnulusGenerator.place).  Any other form, or a
+    fiber tau other than the metric's, makes the bound infinite.  A covered
+    form has D = C D0, D0 = 1 - |z|^2 the model's own form, so dD / D = dD0
+    / D0: the vertical part is the model's, and the horizontal part is the
+    model's 2 |dz| / D0 scaled by 1/C.  As sqrt(h^2 + w^2) is 1-Lipschitz
+    in h, two instances' speeds differ by at most |1/C_i - 1/C_j| 2 |dz| /
+    D0, the model being the case C = 1.  Gauss weights are positive and
+    sorting does not increase a sup distance, so the bound on the speeds,
+    (max - min of {1, 1/C_i}) * horizontal_bound, bounds the spectra.  A
+    NaN coefficient makes the bound NaN.  A reversing placement only flips
+    the vertical part's sign, so it is covered like a direct one.  The
+    bound is on the speeds in exact arithmetic; spectra measured in float64
+    add up to about 1e-10 of rounding (tests/spectra_reference.py).
     """
     gen = instances[0].generator
-    model = _model_annulus(gen)
     forms = [_placement_forms(instance.placement, gen.tau) for instance in instances]
     d_forms = np.array([d_form for _, d_form, _ in forms])
     # ~(C <= 0), unlike C > 0, keeps a NaN C covered, so the NaN reaches the bound.
@@ -468,35 +454,11 @@ def _congruence_bound(instances: Sequence[AnnulusInstance]) -> float:
     a, br, bi, c = d_forms[covered].T
     inv_c = 1.0 / c
     delta = np.maximum(np.abs(a * inv_c + 1.0), np.maximum(np.abs(br), np.abs(bi)) * inv_c)
-    residuals = np.full(len(instances) + 1, np.inf)
-    residuals[-1] = 0.0  # the model annulus
-    residuals[:-1][covered] = [
-        0.0 if d == 0.0 else _form_residual(model, gen.tau, s, d) for s, d in zip(inv_c.tolist(), delta.tolist())
-    ]
+    # a form defect is not covered; a NaN one stays NaN
+    residuals = np.full(len(instances), np.inf)
+    residuals[covered] = np.where(delta > 0.0, np.inf, delta)
     spread = np.ptp(np.append(inv_c, 1.0))
-    return float(spread * model.horizontal_bound + np.sort(residuals)[-2:].sum())
-
-
-def _form_residual(model: _ModelAnnulus, tau: float, inv_c: float, delta: float) -> float:
-    """Largest distance over the model edges between an instance's speed and
-    the model speed with its horizontal part scaled by inv_c = 1/C, for
-    the form defect delta > 0 (_congruence_bound); infinite when D / C may
-    vanish on an edge.  Each edge family is reduced apart; np.max keeps a
-    NaN."""
-    peaks = []
-    for a, v in _grid_edge_families(*model.grid):
-        vx, vy = v[..., 0], v[..., 1]
-        r2, x, y = _edge_extent(a, v)
-        d0 = 1.0 - r2
-        e = delta * (r2 + 2.0 * (x + y))
-        low = d0 - e
-        if np.any(low <= 0.0):
-            return math.inf
-        k = np.abs(a[..., 0] * vy - a[..., 1] * vx)
-        horizontal = 2.0 * inv_c * np.hypot(vx, vy) * e / (d0 * low)
-        twist = 4.0 * abs(tau) * (k * e / (d0 * low) + delta * (k + np.abs(vx) + np.abs(vy)) / low)
-        peaks.append(np.max(horizontal + twist))
-    return float(np.max(peaks))
+    return float(spread * _model_annulus(gen).horizontal_bound + np.max(residuals))
 
 
 # -- slab specification and checks ---------------------------------------------
@@ -573,8 +535,10 @@ class SlabReport:
     spectra_deviation is a bound, from every placement's Hermitian form, of
     the edge-length spectra distance between any two of the model annulus
     and the generated instances (check_annulus_family): infinite when some
-    placement is not covered by it, NaN when a form is, 0.0 when no point
-    got an annulus, and NaN for slabs whose graphs fail the bounding check.
+    placement is not covered by it (another fiber tau, or a form that is no
+    disc isometry's, A != -C or B != 0), NaN when a form is, 0.0 when no
+    point got an annulus, and NaN for slabs whose graphs fail the bounding
+    check.
     spectra_ok is that bound below _SPECTRA_TOL.
     """
 

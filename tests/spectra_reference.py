@@ -7,6 +7,8 @@ edge.  mesh_edges reads a model mesh's edges by sorting and
 deduplicating its triangles' edge keys; grid_edges writes the same edges of
 a wrapped vertex grid in closed form, and grid_segments gathers them, the
 reference for the strided edge families of slabs._grid_edge_families.
+model_segments gathers a generator's model annulus edges from its own call
+of surfaces._catenoid_grid, so no reference reads the slab module's model.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from etau import slabs
 from etau.core import ParameterError
 from etau.quadrature import _WEIGHTS, CHUNK_NODES, PANEL_NODES, _panel_nodes
+from etau.surfaces import CatenoidSpec, _catenoid_grid
 
 # Quadrature nodes per chunk of the edge spectra: whole panels whose real
 # temporaries (8 bytes a node) stay under quadrature.CHUNK_NODES' 64 KiB.  Half
@@ -80,6 +83,13 @@ def grid_segments(vertices: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndar
     lo, hi = grid_edges(*shape)
     a = vertices.take(lo, axis=0)
     return a, vertices.take(hi, axis=0) - a
+
+
+def model_segments(generator: slabs.CatenoidAnnulusGenerator) -> tuple[np.ndarray, np.ndarray]:
+    """grid_segments of the generator's model annulus: the vertex grid of
+    its catenoid up to its boundary radius, at its resolution."""
+    spec = CatenoidSpec(generator.tau, generator.d)
+    return grid_segments(*_catenoid_grid(spec, generator.rho_boundary, generator.resolution))
 
 
 def node_speeds(forms, tau: float, x, y, vx, vy, vt) -> list[np.ndarray]:
@@ -159,7 +169,7 @@ def edge_length_spectra(instances: Sequence[slabs.AnnulusInstance]) -> list[np.n
 
     The instances must share one generator, and so one model mesh;
     otherwise ParameterError.  The model annulus' segments (a, v) are
-    rebuilt once per call from its kept grid, and the quadrature nodes are
+    gathered once per call (model_segments), and the quadrature nodes are
     formed once per chunk of SPECTRA_CHUNK_NODES nodes for all instances,
     laid out node-major (PANEL_NODES, edges) so the per-edge operands
     broadcast along rows; node_speeds then takes about ten real passes per
@@ -173,7 +183,7 @@ def edge_length_spectra(instances: Sequence[slabs.AnnulusInstance]) -> list[np.n
     gen = instances[0].generator
     if any(i.generator != gen for i in instances):
         raise ParameterError("instances measured together must share one model mesh")
-    a, v = grid_segments(*slabs._model_annulus(gen).grid)
+    a, v = model_segments(gen)
     nodes, weights = unit_panel()
     s = nodes[:, None]
     forms = [slabs._placement_forms(instance.placement, gen.tau) for instance in instances]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -80,8 +80,8 @@ from etau.surfaces import (
 from spectra_reference import (
     SPECTRA_CHUNK_NODES,
     edge_length_spectra,
-    grid_segments,
     mesh_edges,
+    model_segments,
     node_speeds,
     unit_panel,
 )
@@ -339,7 +339,7 @@ def _two_pass_spectrum(instance, target_step: float = 0.015) -> np.ndarray:
     """Reference edge spectrum: separate coarse and fine mapped passes, with
     lengths from full metric tensors contracted by einsum."""
     tau = instance.generator.tau
-    a, v = grid_segments(*_model_annulus(instance.generator).grid)
+    a, v = model_segments(instance.generator)
     b = a + v
 
     def lengths(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -393,7 +393,7 @@ def _per_point_spectrum(instance) -> np.ndarray:
     (n, 3) row with a broadcast copy of its edge vector; the metric is then
     taken at the image, where float64 fixes 1 - |w|^2 only to about 1e-16."""
     tau = instance.generator.tau
-    edge_a, edge_v = grid_segments(*_model_annulus(instance.generator).grid)
+    edge_a, edge_v = model_segments(instance.generator)
     out = np.empty(edge_a.shape[0])
     per_chunk = CHUNK_NODES // PANEL_NODES
     for start in range(0, edge_a.shape[0], per_chunk):
@@ -417,7 +417,7 @@ def _per_edge_spectrum(instance) -> np.ndarray:
     as one-edge (edges, 1, 1) arrays, measured by the spectra's own per-node
     integrand node_speeds."""
     tau = instance.generator.tau
-    edge_a, edge_v = grid_segments(*_model_annulus(instance.generator).grid)
+    edge_a, edge_v = model_segments(instance.generator)
     a, v = edge_a[:, None, None, :], edge_v[:, None, None, :]
     forms = [slabs._placement_forms(instance.placement, tau)]
 
@@ -496,7 +496,7 @@ def test_edge_length_spectrum_equals_per_point_route(fixture: str, resolution, r
     slab = request.getfixturevalue(fixture)
     generator = slab.annulus_generator if resolution is None else replace(slab.annulus_generator, resolution=resolution)
     instances = [generator(p) for p in sample_interior_points(slab, 4, seed=7)]
-    edges, per_chunk = grid_segments(*_model_annulus(generator).grid)[0].shape[0], SPECTRA_CHUNK_NODES // PANEL_NODES
+    edges, per_chunk = model_segments(generator)[0].shape[0], SPECTRA_CHUNK_NODES // PANEL_NODES
     assert edges > per_chunk and edges % per_chunk
     instances.append(_mirrored(instances[0]))
     batch = edge_length_spectra(instances)
@@ -515,7 +515,7 @@ def _longdouble_spectrum(instance) -> np.ndarray:
     ld, cld = np.longdouble, np.clongdouble
     tau = ld(instance.generator.tau)
     nodes, weights = unit_panel()
-    a, v = (edge.astype(ld) for edge in grid_segments(*_model_annulus(instance.generator).grid))
+    a, v = (edge.astype(ld) for edge in model_segments(instance.generator))
     s = nodes.astype(ld)[:, None]
     z = (a[:, 0] + s * v[:, 0]).astype(cld) + cld(1j) * (a[:, 1] + s * v[:, 1])
     dz = v[:, 0].astype(cld) + cld(1j) * v[:, 1]
@@ -736,21 +736,58 @@ def test_congruence_bound_covers_the_measured_spectra(construction: str, tau: fl
     assert _all_pairs_deviation(family[:2]) <= slabs._congruence_bound(family[1:2]) + _SPECTRA_FLOAT_ERROR
 
 
-# At tau 2 the twist term carries the residual: without it the bound misses a shifted placement.
 @pytest.mark.parametrize("tau", [0.0, 0.5, -0.7, 2.0])
 @pytest.mark.parametrize(("scale", "shift"), [(1.0 - 1e-6, 0.0), (1.0 - 1e-6, 1e-6 + 2e-6j), (1.0, 1e-5), (1.0 - 1e-4, 0.0)])
-def test_congruence_bound_covers_small_form_defects(tau: float, scale: float, shift: complex) -> None:
-    # Placements composed with z -> scale z + shift have A != -C or B != 0;
-    # their residual term must still cover the spectra, which it can only
-    # do with a finite bound when the defect is small.
+def test_congruence_bound_covers_small_form_defects(monkeypatch, tau: float, scale: float, shift: complex) -> None:
+    # Placements composed with z -> scale z + shift have A != -C or B != 0,
+    # however small the defect: no disc isometry's form, so the bound covers
+    # them only as infinity, beside a covered instance or a mirror, and the
+    # audit of such a placement fails.
     slab = _slab_at("example1", tau)
-    first, second = slab.annulus_generator.place(sample_interior_points(slab, 2, seed=7))
-    moved = replace(first, placement=compose(first.placement, _distortion(scale, shift, tau)))
-    model = replace(first, placement=identity_isometry(tau, Model.CYLINDER))
-    for family in ([model, moved], [model, moved, second], [model, moved, _mirrored(moved)]):
-        bound = slabs._congruence_bound(family[1:])
-        assert math.isfinite(bound)
-        assert _all_pairs_deviation(family) <= bound + _SPECTRA_FLOAT_ERROR
+    points = sample_interior_points(slab, 2, seed=7)
+    first, second = slab.annulus_generator.place(points)
+    distortion = _distortion(scale, shift, tau)
+    moved = replace(first, placement=compose(first.placement, distortion))
+    _, (a, br, bi, c), _ = slabs._placement_forms(moved.placement, tau)
+    assert c > 0.0 and (a, br, bi) != (-c, 0.0, 0.0)
+    for family in ([moved], [moved, second], [second, moved], [moved, _mirrored(moved)]):
+        assert slabs._congruence_bound(family) == math.inf
+    _mutate_placement(monkeypatch, lambda placement: compose(placement, distortion))
+    report = check_annulus_family(slab, points)
+    assert report.spectra_deviation == math.inf
+    assert not report.spectra_ok
+    assert not report.passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tau=st.floats(-3.0, 3.0),
+    example=st.sampled_from(["example1", "example2"]),
+    eps=st.floats(0.01, 0.99),
+    alpha=st.floats(-0.25, 0.25),
+    beta=st.floats(-0.25, 0.25),
+    count=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_placements_have_disc_isometry_forms(
+    tau: float, example: str, eps: float, alpha: float, beta: float, count: int, seed: int
+) -> None:
+    # The congruence bound covers only A = -C, B = 0 and C > 0, so every
+    # placement the generator hands out must have that form exactly, at any
+    # tau; eps is the fraction of example 1's largest epsilon.
+    sp = SpaceParams(tau)
+    small = dict(grid=9, annulus_resolution=(5, 8))
+    if example == "example1":
+        eps_max = math.pi * math.sqrt(1.0 + 4.0 * tau * tau) - 2.0 * abs(tau) * math.pi
+        slab = build_example1(sp, eps * eps_max, **small)
+    else:
+        slab = build_example2(sp, "linear", 1.0, 0.45, 0.2, alpha, beta, **small)
+    placed = slab.annulus_generator.place(sample_interior_points(slab, count, seed=seed))
+    assert not any(isinstance(instance, InvalidPointError) for instance in placed)
+    for instance in placed:
+        tau_f, (a, br, bi, c), p_form = slabs._placement_forms(instance.placement, tau)
+        assert (tau_f, p_form) == (tau, None)
+        assert c > 0.0 and (a, br, bi) == (-c, 0.0, 0.0)
 
 
 def test_boundary_coords_apply_the_placement_to_the_model_circles(slab1) -> None:
@@ -786,15 +823,14 @@ def test_model_annulus_edges_are_the_sorted_unique_pairs(slab1, rows: int, cols:
     mesh = mesh_catenoid(CatenoidSpec(tau=gen.tau, d=gen.d), gen.rho_boundary, (rows, cols))
     tri = mesh.triangles
     edges = np.unique(np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1), axis=0)
-    model = _model_annulus(gen)
-    model_a, model_v = grid_segments(*model.grid)
+    model_a, model_v = model_segments(gen)
     a, b = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
     np.testing.assert_array_equal(model_a, a)
     np.testing.assert_array_equal(model_v, b - a)
     for got, want in zip((model_a, model_v), mesh_edges(mesh), strict=True):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    # the kept grid the edges are rebuilt from is read-only
-    assert not model.grid[0].flags.writeable
+    # the model annulus keeps no grid: its edges are read once, at its build
+    assert "grid" not in {f.name for f in fields(_model_annulus(gen))}
     # The mesh makes the row count odd; a wrapped grid has R C ring edges,
     # (R - 1) C meridian edges and (R - 1) C diagonals.
     built_rows = len(mesh.vertices) // cols
@@ -812,10 +848,7 @@ def test_model_annulus_vertices_are_the_mesh_vertices(slab1_tau05, resolution) -
     vertices, shape = _catenoid_grid(spec, gen.rho_boundary, resolution)
     assert shape == mesh.grid_shape
     np.testing.assert_array_equal(vertices.view(np.int64), mesh.vertices.view(np.int64))
-    model = _model_annulus(gen)
-    assert model.grid[1] == shape
-    np.testing.assert_array_equal(model.grid[0].view(np.int64), vertices.view(np.int64))
-    for got, want in zip(grid_segments(*model.grid), mesh_edges(mesh), strict=True):
+    for got, want in zip(model_segments(gen), mesh_edges(mesh), strict=True):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -823,7 +856,7 @@ def test_model_annulus_vertices_are_the_mesh_vertices(slab1_tau05, resolution) -
 @pytest.mark.parametrize("resolution", [(5, 8), (9, 8), (33, 48), (65, 96), (129, 64)])
 def test_horizontal_bound_is_the_gathered_edges_maximum(tau: float, resolution: tuple[int, int], monkeypatch) -> None:
     # The strided edge families against the gathered edges (lo, hi) of
-    # grid_segments, bit for bit, on example 1's annulus at each tau: the
+    # model_segments, bit for bit, on example 1's annulus at each tau: the
     # bound, and each edge's start and vector as _edge_extent reads them.
     gen = replace(build_example1(SpaceParams(tau), 0.1, grid=9).annulus_generator, resolution=resolution)
     read = []
@@ -835,16 +868,16 @@ def test_horizontal_bound_is_the_gathered_edges_maximum(tau: float, resolution: 
     monkeypatch.setattr(slabs, "_edge_extent", recorded)
     slabs._model_annulus.cache_clear()
     model = _model_annulus(gen)
-    a, v = grid_segments(*model.grid)
-    gathered = np.max(2.0 * np.hypot(v[:, 0], v[:, 1]) / (1.0 - _edge_extent(a, v)[0]))
+    a, v = model_segments(gen)
+    gathered = np.max(2.0 * np.hypot(v[:, 0], v[:, 1]) / (1.0 - _edge_extent(a, v)))
     assert np.float64(model.horizontal_bound).view(np.int64) == gathered.view(np.int64)
     got, want = np.concatenate(read).view(np.int64), np.concatenate([a, v], axis=1).view(np.int64)
     np.testing.assert_array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
 
 
-def test_tau0_family_checks_gather_no_edges(slab1, slab2, monkeypatch) -> None:
-    # At tau 0 every placement's form defect is 0, so _form_residual never
-    # runs: each model annulus reads its edge families once, at its build.
+def test_tau0_family_checks_gather_no_edges(slab1, slab2, slab1_tau05, monkeypatch) -> None:
+    # Each model annulus reads its edge families once, at its build, at any
+    # tau: the congruence bound reads only the placements' forms.
     reads = []
 
     def counted(*args):
@@ -855,50 +888,9 @@ def test_tau0_family_checks_gather_no_edges(slab1, slab2, monkeypatch) -> None:
     slabs._model_annulus.cache_clear()
     for slab in (slab1, slab2):
         assert check_annulus_family(slab, sample_interior_points(slab, 4, seed=11)).passed
-    assert len(reads) == 2
-
-
-def _gathered_form_residual(model, tau: float, inv_c: float, delta: float) -> float:
-    """_form_residual's per-edge bound over the gathered edges of
-    grid_segments, reduced as one array."""
-    a, v = grid_segments(*model.grid)
-    vx, vy = v[:, 0], v[:, 1]
-    r2, x, y = _edge_extent(a, v)
-    d0 = 1.0 - r2
-    e = delta * (r2 + 2.0 * (x + y))
-    low = d0 - e
-    if np.any(low <= 0.0):
-        return math.inf
-    k = np.abs(a[:, 0] * vy - a[:, 1] * vx)
-    horizontal = 2.0 * inv_c * np.hypot(vx, vy) * e / (d0 * low)
-    twist = 4.0 * abs(tau) * (k * e / (d0 * low) + delta * (k + np.abs(vx) + np.abs(vy)) / low)
-    return float(np.max(horizontal + twist))
-
-
-@pytest.mark.parametrize("tau", [0.0, 0.5, -0.7])
-@pytest.mark.parametrize("resolution", [(5, 8), (33, 48), (65, 96)])
-def test_form_residual_is_the_gathered_edges_bound(tau: float, resolution: tuple[int, int], monkeypatch) -> None:
-    # The per-family reduction against one gathered array, bit for bit: finite
-    # residuals, the infinite one of a defect that lets D / C vanish, and NaN;
-    # and a finite residual reads every gathered edge's start and vector.
-    gen = replace(build_example1(SpaceParams(tau), 0.1, grid=9).annulus_generator, resolution=resolution)
-    model = _model_annulus(gen)
-    cases = [(1.0, 1e-12), (0.9, 1e-6), (1.1, 1e-3), (1.0, 10.0), (1.0, math.nan), (math.nan, 1e-6)]
-    for inv_c, delta in cases:
-        got, want = slabs._form_residual(model, tau, inv_c, delta), _gathered_form_residual(model, tau, inv_c, delta)
-        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (inv_c, delta)
-    assert slabs._form_residual(model, tau, 1.0, 10.0) == math.inf
-    read = []
-
-    def recorded(a, v):
-        read.append(np.concatenate([a, v], axis=-1).reshape(-1, 6))
-        return _edge_extent(a, v)
-
-    monkeypatch.setattr(slabs, "_edge_extent", recorded)
-    assert math.isfinite(slabs._form_residual(model, tau, 0.9, 1e-6))
-    got, want = np.concatenate(read).view(np.int64), np.concatenate(grid_segments(*model.grid), axis=1).view(np.int64)
-    np.testing.assert_array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
-    assert math.isnan(slabs._form_residual(model, tau, 1.0, math.nan))
+    # tau 0.5: the circles tilt (test_example1_audit_passes_at_nonzero_tau), the bound holds
+    assert check_annulus_family(slab1_tau05, sample_interior_points(slab1_tau05, 4, seed=11)).spectra_ok
+    assert len(reads) == 3
 
 
 def test_a_generator_builds_its_model_annulus_once(slab1, monkeypatch) -> None:
