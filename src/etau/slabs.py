@@ -407,13 +407,10 @@ def _hermitian_form(*rows) -> tuple[float, float, float, float]:
     return _exact_dot(a), _exact_dot(br), _exact_dot(bi), _exact_dot(c)
 
 
-def _placement_forms(placement: AmbientIsometry, tau: float):
-    """The placement's fiber tau with its Hermitian forms D = |cz + d|^2 -
-    |az + b|^2 and, only when that tau differs from the metric's tau,
-    P = |cz + d|^2 (None otherwise)."""
+def _placement_forms(placement: AmbientIsometry):
+    """The placement's fiber tau with its Hermitian form D = |cz + d|^2 - |az + b|^2."""
     a, b, c, d = placement.mobius.matrix()
-    p_form = _hermitian_form((1.0, c, d)) if placement.tau != tau else None
-    return placement.tau, _hermitian_form((1.0, c, d), (-1.0, a, b)), p_form
+    return placement.tau, _hermitian_form((1.0, c, d), (-1.0, a, b))
 
 
 def _congruence_bound(instances: Sequence[AnnulusInstance]) -> float:
@@ -447,10 +444,9 @@ def _congruence_bound(instances: Sequence[AnnulusInstance]) -> float:
     add up to about 1e-10 of rounding (tests/spectra_reference.py).
     """
     gen = instances[0].generator
-    forms = [_placement_forms(instance.placement, gen.tau) for instance in instances]
-    d_forms = np.array([d_form for _, d_form, _ in forms])
+    taus, d_forms = map(np.array, zip(*(_placement_forms(instance.placement) for instance in instances)))
     # ~(C <= 0), unlike C > 0, keeps a NaN C covered, so the NaN reaches the bound.
-    covered = np.array([tau_f == gen.tau for tau_f, _, _ in forms]) & ~(d_forms[:, 3] <= 0.0)
+    covered = (taus == gen.tau) & ~(d_forms[:, 3] <= 0.0)
     a, br, bi, c = d_forms[covered].T
     inv_c = 1.0 / c
     delta = np.maximum(np.abs(a * inv_c + 1.0), np.maximum(np.abs(br), np.abs(bi)) * inv_c)

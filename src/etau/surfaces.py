@@ -47,10 +47,13 @@ _HALF_HEIGHT_PANELS = 32
 # Relative widening of _ProfileTable.bounds: far above the 1e-13 settle
 # tolerance of the node values and the rounding of one off-node panel.
 _BRACKET_MARGIN = 1e-9
-# Step budget of both profile inverses (catenoid Newton, invariant bisection),
-# and the catenoid's residual tolerance relative to max(1, height).
+# Step budget of the catenoid's Newton profile inverse, and its residual
+# tolerance relative to max(1, height).
 _INVERSE_BUDGET = 60
 _INVERSE_TOL = 1e-14
+# Evaluations per element of _bisect, the halving behind the invariant
+# profile inverse, the leaf search and transversality_delta.
+_BISECTION_BUDGET = 200
 # Smallest normal float64: the profile integrands take their limit below it.
 _TINY = np.finfo(float).tiny
 # Largest float64: no quantity of a profile table or a mesh may pass it.
@@ -60,6 +63,31 @@ _WINDOW_THETA_STEP = 1e-4
 # Largest component of an unnormalized mesh normal whose squared norm, a sum
 # of three squares, is a float.
 _NORMAL_MAX = math.sqrt(_HUGE / 3.0)
+
+
+def _bisect(at_or_above, lo, hi, what, atol: float = 0.0, rtol: float = 0.0):
+    """Halve brackets lo < hi elementwise: at_or_above(k, mid) says, for the
+    open elements k, whether each midpoint 0.5 (lo + hi) becomes that
+    element's hi (else its lo).  An element closes unevaluated once no double
+    lies strictly inside its bracket, and after its update once hi - lo <=
+    atol + rtol hi.  Returns 1-d arrays (lo, hi, steps), steps counting each
+    element's evaluations; ConvergenceError names what(k) of the first
+    element still open after _BISECTION_BUDGET halvings."""
+    lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
+    steps, k = np.zeros(lo.size, dtype=int), np.arange(lo.size)
+    for _ in range(_BISECTION_BUDGET):
+        mid = 0.5 * (lo[k] + hi[k])
+        inside = (lo[k] < mid) & (mid < hi[k])
+        k, mid = k[inside], mid[inside]
+        if not k.size:
+            return lo, hi, steps
+        steps[k] += 1
+        up = at_or_above(k, mid)
+        hi[k], lo[k] = np.where(up, mid, hi[k]), np.where(up, lo[k], mid)
+        k = k[hi[k] - lo[k] > atol + rtol * hi[k]]
+    if k.size:
+        raise ConvergenceError(f"{what(k[0])} did not converge in {_BISECTION_BUDGET} steps")
+    return lo, hi, steps
 
 
 class Sheet(Enum):
@@ -396,29 +424,24 @@ def invariant_asymptotic_levels(spec: InvariantSurfaceSpec) -> tuple[float, floa
 
 
 def invariant_profile_inverse(spec: InvariantSurfaceSpec, sheet: Sheet, value: float) -> float:
-    """Angle theta where the given sheet reaches the given fiber value: [0, theta*]
-    bisected below width 1e-15 (theta* <= pi/2 takes at most 51 halvings), or
-    ConvergenceError once _INVERSE_BUDGET halvings are spent."""
+    """Angle theta where the given sheet reaches the given fiber value: the
+    midpoint once _bisect has halved [0, theta*] below width 1e-15 (theta*
+    <= pi/2 takes at most 51 halvings), or its ConvergenceError."""
     require_finite("profile inversion", value=value)  # NaN fails every sign test below
     theta_star = invariant_angle_max(spec.d)
 
-    def excess(theta: float) -> float:
+    def excess(theta):
         minus, plus = _invariant_profiles(spec.tau, spec.d, theta)
-        return float(plus if sheet is Sheet.PLUS else minus) - value
+        return (plus if sheet is Sheet.PLUS else minus) - value
 
-    lo, hi = 0.0, theta_star
-    f_lo = excess(lo)
-    if f_lo * excess(hi) > 0.0:
+    f_lo = excess(0.0)
+    if f_lo * excess(theta_star) > 0.0:
         raise ParameterError(f"fiber value {value} not attained by the {sheet.value} sheet")
-    for _ in range(_INVERSE_BUDGET):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) * f_lo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            return 0.5 * (lo + hi)
-    raise ConvergenceError(f"inversion for fiber value {value} did not converge in {_INVERSE_BUDGET} steps")
+    lo, hi, _ = _bisect(
+        lambda k, mid: ~(excess(mid) * f_lo > 0.0), 0.0, theta_star,
+        lambda k: f"inversion for fiber value {value}", atol=math.nextafter(1e-15, 0.0),  # hi - lo < 1e-15
+    )
+    return float(0.5 * (lo[0] + hi[0]))
 
 
 def _require_invariant_range(tau: float, d: float) -> None:
@@ -489,10 +512,6 @@ def tangent_vertical_components(spec: InvariantSurfaceSpec, sheet: Sheet, theta:
 
 # -- transversality -----------------------------------------------------------
 
-# Most halvings in transversality_delta's search below its rounded root.
-_DELTA_HALVINGS = 64
-
-
 def _transversality_growth(h0: float, tau: float) -> float:
     """E = exp(2 (h0 + 2 |tau| pi)), read by both sides of the transversality estimate."""
     try:
@@ -527,7 +546,9 @@ def transversality_delta(eps: float, h0: float, tau: float) -> float:
     B = 8E - 4 eps^2 (1+E) and C = -4 eps^2; B^2 - 4AC = 64 E^2 (1 - eps^2), so
     the cancellation-free root C/q, q = -(B + sqrt(B^2 - 4AC))/2, is the
     expression below.  If the rounded-up margin is not below eps^2 there,
-    halving [0, root] finds the largest double where it is.
+    _bisect halves [0, root] down to adjacent doubles and the lower one, the
+    largest double where it is, is taken; ConvergenceError if that takes
+    more than _BISECTION_BUDGET halvings.
     """
     if not h0 > 0.0:
         raise ParameterError(f"slab half-height must be positive, got {h0}")
@@ -537,16 +558,11 @@ def transversality_delta(eps: float, h0: float, tau: float) -> float:
     target = eps * eps
     delta = 2.0 * target / (e * (2.0 + 2.0 * math.sqrt(1.0 - target) - target) - target)
     if not transversality_margin(delta, h0, tau) < target:
-        lo, hi = 0.0, delta
-        for _ in range(_DELTA_HALVINGS):
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            if transversality_margin(mid, h0, tau) < target:
-                lo = mid
-            else:
-                hi = mid
-        delta = lo
+        lo, _, _ = _bisect(
+            lambda k, mid: not transversality_margin(float(mid[0]), h0, tau) < target, 0.0, delta,
+            lambda k: f"transversality delta at eps = {eps}, h0 = {h0}, tau = {tau}",
+        )
+        delta = float(lo[0])
     if not (delta > 0.0 and transversality_margin(delta, h0, tau) < target):
         raise ParameterError(f"no admissible positive delta near {delta}")
     return delta
@@ -866,8 +882,6 @@ def leaf_mesh(
 
 # foliation_leaf_find finds no leaf when the scale leaves [1 / range, range].
 _LEAF_SCALE_RANGE = 1e6
-# Bisection steps per point once its scale is bracketed.
-_LEAF_BISECTION_BUDGET = 200
 
 
 @dataclass(frozen=True)
@@ -922,13 +936,14 @@ def foliation_leaf_find_arrays(
     """Scales of the leaves through (n, 3) half-space points, with distance residuals.
 
     For all points at once: brackets the pocket indicator's sign change by
-    factors of 2 from scale 1, then bisects until hi - lo <= 1e-15 hi, each
-    point frozen once it stops; the residual is the ambient distance from the
-    point to the located leaf (_leaf_distances).  Returns (scales, residuals,
-    iterations), iterations counting each point's bracket and bisection
-    steps.  Raises InvalidPointError when a point's bracket leaves
-    [1 / _LEAF_SCALE_RANGE, _LEAF_SCALE_RANGE], and ConvergenceError when a
-    point's bisection has not stopped within _LEAF_BISECTION_BUDGET steps.
+    factors of 2 from scale 1, then _bisect halves each bracket until hi - lo
+    <= 1e-15 hi, a point frozen once it stops; the scale is the midpoint and
+    the residual the ambient distance from the point to the located leaf
+    (_leaf_distances).  Returns (scales, residuals, iterations), iterations
+    counting each point's bracket and bisection steps.  Raises
+    InvalidPointError when a point's bracket leaves [1 / _LEAF_SCALE_RANGE,
+    _LEAF_SCALE_RANGE], and _bisect's ConvergenceError when a point's
+    bisection has not stopped within _BISECTION_BUDGET steps.
     """
     pts = np.asarray(coords, dtype=float).reshape(-1, 3)
     axis_inv = inverse(axis_translation_isometry(s, tau))
@@ -945,23 +960,12 @@ def foliation_leaf_find_arrays(
         k = k[side != np.where(factor[k] > 1.0, 1, -1)]
         if np.any((trial[k] < 1.0 / _LEAF_SCALE_RANGE) | (trial[k] > _LEAF_SCALE_RANGE)):
             raise InvalidPointError("no leaf found: point escapes the foliated region")
-    lo, hi = np.minimum(trial, 1.0), np.maximum(trial, 1.0)
-    k = np.arange(n)
-    for _ in range(_LEAF_BISECTION_BUDGET):
-        if not k.size:
-            break
-        mid = 0.5 * (lo[k] + hi[k])
-        iterations[k] += 1
-        inside = _leaf_sides(pts[k], mid, d, s, tau, axis_inv) > 0
-        hi[k] = np.where(inside, mid, hi[k])
-        lo[k] = np.where(inside, lo[k], mid)
-        k = k[hi[k] - lo[k] > 1e-15 * hi[k]]
-    if k.size:
-        raise ConvergenceError(
-            f"leaf search for the point {pts[k[0]].tolist()} did not converge in {_LEAF_BISECTION_BUDGET} steps"
-        )
+    lo, hi, steps = _bisect(
+        lambda k, mid: _leaf_sides(pts[k], mid, d, s, tau, axis_inv) > 0, np.minimum(trial, 1.0),
+        np.maximum(trial, 1.0), lambda k: f"leaf search for the point {pts[k].tolist()}", rtol=1e-15,
+    )
     scales = 0.5 * (lo + hi)
-    return scales, _leaf_distances(pts, scales, d, s, tau, axis_inv), iterations
+    return scales, _leaf_distances(pts, scales, d, s, tau, axis_inv), iterations + steps
 
 
 def _leaf_distances(pts: np.ndarray, scales: np.ndarray, d: float, s: float, tau: float, axis_inv):

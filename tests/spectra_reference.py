@@ -92,9 +92,18 @@ def model_segments(generator: slabs.CatenoidAnnulusGenerator) -> tuple[np.ndarra
     return grid_segments(*_catenoid_grid(spec, generator.rho_boundary, generator.resolution))
 
 
+def placement_forms(placement, tau: float):
+    """slabs._placement_forms' fiber tau and form D with, only when that tau
+    differs from the metric's tau, P = |cz + d|^2 of the placement's matrix
+    (a b; c d) by slabs._hermitian_form (None otherwise)."""
+    tau_f, d_form = slabs._placement_forms(placement)
+    _, _, c, d = placement.mobius.matrix()
+    return tau_f, d_form, slabs._hermitian_form((1.0, c, d)) if tau_f != tau else None
+
+
 def node_speeds(forms, tau: float, x, y, vx, vy, vt) -> list[np.ndarray]:
     """Speeds |dF(v)|_g at quadrature nodes, g the cylinder metric of tau,
-    one array per placement form of forms (slabs._placement_forms).  x, y
+    one array per placement form of forms (placement_forms).  x, y
     are the nodes' disc coordinates and vx, vy, vt their edges' vectors,
     broadcasting against them; a twist term runs only where it is not
     identically zero."""
@@ -186,7 +195,7 @@ def edge_length_spectra(instances: Sequence[slabs.AnnulusInstance]) -> list[np.n
     a, v = model_segments(gen)
     nodes, weights = unit_panel()
     s = nodes[:, None]
-    forms = [slabs._placement_forms(instance.placement, gen.tau) for instance in instances]
+    forms = [placement_forms(instance.placement, gen.tau) for instance in instances]
     # One array per instance: one (instances, edges) block took about 300
     # more cold page faults.
     out = [np.empty(a.shape[0]) for _ in instances]

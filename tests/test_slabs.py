@@ -83,6 +83,7 @@ from spectra_reference import (
     mesh_edges,
     model_segments,
     node_speeds,
+    placement_forms,
     unit_panel,
 )
 
@@ -419,7 +420,7 @@ def _per_edge_spectrum(instance) -> np.ndarray:
     tau = instance.generator.tau
     edge_a, edge_v = model_segments(instance.generator)
     a, v = edge_a[:, None, None, :], edge_v[:, None, None, :]
-    forms = [slabs._placement_forms(instance.placement, tau)]
+    forms = [placement_forms(instance.placement, tau)]
 
     def speed(s: np.ndarray) -> np.ndarray:
         x, y = a[..., 0] + s * v[..., 0], a[..., 1] + s * v[..., 1]
@@ -686,12 +687,12 @@ def test_nan_form_fails_the_audit(slab1, monkeypatch, coefficient: int) -> None:
     forms = slabs._placement_forms
     calls = []
 
-    def forms_with_nan(placement, tau):
-        tau_f, d_form, p_form = forms(placement, tau)
+    def forms_with_nan(placement):
+        tau_f, d_form = forms(placement)
         calls.append(placement)
         if len(calls) == 2:
             d_form = tuple(math.nan if i == coefficient else value for i, value in enumerate(d_form))
-        return tau_f, d_form, p_form
+        return tau_f, d_form
 
     monkeypatch.setattr(slabs, "_placement_forms", forms_with_nan)
     report = check_annulus_family(slab1, points)
@@ -725,7 +726,7 @@ def test_congruence_bound_covers_the_measured_spectra(construction: str, tau: fl
     instances = slab.annulus_generator.place(sample_interior_points(slab, 6, seed=5))
     # The generator keeps a = conj(d), b = conj(c): forms with A = -C and B = 0 exactly.
     for instance in instances:
-        tau_f, (a, br, bi, c), p_form = slabs._placement_forms(instance.placement, tau)
+        tau_f, (a, br, bi, c), p_form = placement_forms(instance.placement, tau)
         assert (tau_f, a, br, bi, p_form) == (tau, -c, 0.0, 0.0, None)
     model = replace(instances[0], placement=identity_isometry(tau, Model.CYLINDER))
     family = [model, *instances, _mirrored(instances[-1])]
@@ -748,7 +749,7 @@ def test_congruence_bound_covers_small_form_defects(monkeypatch, tau: float, sca
     first, second = slab.annulus_generator.place(points)
     distortion = _distortion(scale, shift, tau)
     moved = replace(first, placement=compose(first.placement, distortion))
-    _, (a, br, bi, c), _ = slabs._placement_forms(moved.placement, tau)
+    _, (a, br, bi, c) = slabs._placement_forms(moved.placement)
     assert c > 0.0 and (a, br, bi) != (-c, 0.0, 0.0)
     for family in ([moved], [moved, second], [second, moved], [moved, _mirrored(moved)]):
         assert slabs._congruence_bound(family) == math.inf
@@ -785,7 +786,7 @@ def test_placements_have_disc_isometry_forms(
     placed = slab.annulus_generator.place(sample_interior_points(slab, count, seed=seed))
     assert not any(isinstance(instance, InvalidPointError) for instance in placed)
     for instance in placed:
-        tau_f, (a, br, bi, c), p_form = slabs._placement_forms(instance.placement, tau)
+        tau_f, (a, br, bi, c), p_form = placement_forms(instance.placement, tau)
         assert (tau_f, p_form) == (tau, None)
         assert c > 0.0 and (a, br, bi) == (-c, 0.0, 0.0)
 

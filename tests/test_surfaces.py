@@ -462,7 +462,7 @@ def test_invariant_profile_inverse_frozen_values(sheet: Sheet, theta: float, wan
 
 
 def test_invariant_profile_inverse_raises_when_its_budget_runs_out(monkeypatch) -> None:
-    monkeypatch.setattr(surfaces, "_INVERSE_BUDGET", 3)
+    monkeypatch.setattr(surfaces, "_BISECTION_BUDGET", 3)
     with pytest.raises(ConvergenceError, match="did not converge in 3 steps"):
         invariant_profile_inverse(INV, Sheet.PLUS, invariant_profile(INV, Sheet.PLUS, 0.5))
 
@@ -646,6 +646,14 @@ def test_window_check_memory_stays_bounded() -> None:
     assert peak < 4e6
 
 
+def test_transversality_delta_raises_when_the_bisection_budget_runs_out(monkeypatch) -> None:
+    # here the rounded-up margin at the closed-form root is not below eps^2,
+    # so [0, root] is halved; three halvings leave it 1/8 of the root wide
+    monkeypatch.setattr(surfaces, "_BISECTION_BUDGET", 3)
+    with pytest.raises(ConvergenceError, match="did not converge in 3 steps"):
+        transversality_delta(0.5, 1.0, 0.5)
+
+
 def bisection_delta(eps: float, h0: float, tau: float) -> float:
     """Reference: 200 halvings of [0, 2/(E-1)], keeping the end with g < eps^2."""
     e = math.exp(2.0 * (h0 + 2.0 * abs(tau) * math.pi))
@@ -691,6 +699,125 @@ def test_transversality_margin_is_rounded_up_and_monotone(eps: float, h0: float,
     assert all(a <= b for a, b in zip(margins, margins[1:]))
     below = [margin < eps * eps for margin in margins]
     assert below == sorted(below, reverse=True)  # g < eps^2 switches once
+
+
+# -- bisection kernel -------------------------------------------------------------
+
+
+def _above(roots):
+    """_bisect predicate: a midpoint becomes hi where it is at or above the element's root."""
+    return lambda k, mid: mid >= roots[k]
+
+
+def test_bisect_without_tolerances_ends_on_adjacent_doubles() -> None:
+    roots = np.array([1.3, math.pi, 0.1, 2.0**-30, 7.0])
+    lo, hi, steps = surfaces._bisect(_above(roots), [1.0, 0.0, -3.0, 0.0, 2.0], [2.0, 10.0, 5.0, 1.0, 9.0], str)
+    assert np.all(hi == np.nextafter(lo, np.inf))
+    assert np.all((lo < roots) & (roots <= hi))
+    # dyadic brackets: [1, 2] ends 2^-52 wide, [0, 1] about 2^-30 ends 2^-83 wide
+    assert (steps[0], steps[3]) == (52, 83)
+
+
+def test_bisect_closes_on_atol_and_rtol() -> None:
+    # dyadic brackets halve exactly: the width is 2^-steps
+    lo, hi, steps = surfaces._bisect(lambda k, mid: mid >= 0.75, 0.0, 1.0, str, atol=1e-6)
+    assert steps.tolist() == [20] and hi[0] - lo[0] == 2.0**-20  # the first width <= 1e-6
+    # rtol scales with hi: hi near 1 needs 2^-20 <= 1e-6 hi, hi = 2 only 2^-19
+    lo, hi, steps = surfaces._bisect(lambda k, mid: mid >= np.array([0.5, 3.0])[k], [1.0, 1.0], [2.0, 2.0], str, rtol=1e-6)
+    assert steps.tolist() == [20, 19]
+    assert lo.tolist() == [1.0, 2.0 - 2.0**-19] and hi.tolist() == [1.0 + 2.0**-20, 2.0]
+
+
+def test_bisect_counts_steps_per_element_and_evaluates_only_open_ones() -> None:
+    calls = []
+
+    def at_or_above(k, mid):
+        calls.append(k.tolist())
+        return mid >= 0.3
+
+    # element 1 has no double inside its bracket, element 2 closes on atol after one halving
+    one = math.nextafter(1.0, 2.0)
+    lo, hi, steps = surfaces._bisect(at_or_above, [0.0, 1.0, 0.0], [1.0, one, 2e-6], str, atol=1e-6)
+    assert steps.tolist() == [20, 0, 1]
+    assert calls[0] == [0, 2] and all(k == [0] for k in calls[1:]) and len(calls) == 20
+    assert (lo[1], hi[1]) == (1.0, one)
+
+
+def test_bisect_returns_empty_arrays_at_once() -> None:
+    def never(k, mid):
+        raise AssertionError("no element to evaluate")
+
+    lo, hi, steps = surfaces._bisect(never, np.empty(0), np.empty(0), str)
+    assert lo.shape == hi.shape == steps.shape == (0,)
+
+
+def test_bisect_budget_error_names_the_first_open_element(monkeypatch) -> None:
+    monkeypatch.setattr(surfaces, "_BISECTION_BUDGET", 5)
+    # element 0, four doubles wide, reaches adjacent doubles in two halvings;
+    # elements 1 to 3 are still open after five
+    roots = np.array([1.0, 0.3, 0.6, 0.7])
+    lo, hi = [1.0, 0.0, 0.0, 0.0], [1.0 + 4.0 * 2.0**-52, 1.0, 1.0, 1.0]
+    with pytest.raises(ConvergenceError, match=r"^element 1 did not converge in 5 steps$"):
+        surfaces._bisect(_above(roots), lo, hi, lambda k: f"element {k}")
+
+
+def _scalar_invariant_inverse(spec: InvariantSurfaceSpec, sheet: Sheet, value: float) -> float:
+    """Reference: invariant_profile_inverse's own halving loop before the
+    bisection kernel, halving [0, theta*] until its width is below 1e-15."""
+    def excess(theta: float) -> float:
+        minus, plus = surfaces._invariant_profiles(spec.tau, spec.d, theta)
+        return float(plus if sheet is Sheet.PLUS else minus) - value
+
+    lo, hi = 0.0, invariant_angle_max(spec.d)
+    f_lo = excess(lo)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) * f_lo > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15:
+            return 0.5 * (lo + hi)
+    raise AssertionError("the reference inverse did not converge")
+
+
+def _scalar_transversality_delta(eps: float, h0: float, tau: float) -> float:
+    """Reference: transversality_delta's own halving loop before the bisection
+    kernel, at most 64 halvings of [0, root] that stop on adjacent doubles."""
+    target = eps * eps
+    e = surfaces._transversality_growth(h0, tau)
+    delta = 2.0 * target / (e * (2.0 + 2.0 * math.sqrt(1.0 - target) - target) - target)
+    if not transversality_margin(delta, h0, tau) < target:
+        lo, hi = 0.0, delta
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if transversality_margin(mid, h0, tau) < target:
+                lo = mid
+            else:
+                hi = mid
+        delta = lo
+    return delta
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tau=st.floats(-2.0, 2.0),
+    d=st.floats(1.01, 20.0),
+    fraction=st.floats(0.0, 1.0),
+    sheet=st.sampled_from(Sheet),
+    eps=st.floats(0.02, 0.98),
+    h0=st.floats(0.05, 3.0),
+)
+def test_bisect_callers_keep_their_scalar_loops_bits(
+    tau: float, d: float, fraction: float, sheet: Sheet, eps: float, h0: float
+) -> None:
+    # the leaf search's scalar reference is _scalar_scale below
+    spec = InvariantSurfaceSpec(tau, d)
+    value = invariant_profile(spec, sheet, fraction * invariant_angle_max(d))
+    assert invariant_profile_inverse(spec, sheet, value) == _scalar_invariant_inverse(spec, sheet, value)
+    assert transversality_delta(eps, h0, tau) == _scalar_transversality_delta(eps, h0, tau)
 
 
 # -- meshes -----------------------------------------------------------------------
@@ -903,7 +1030,7 @@ def test_foliation_scale_equivariance() -> None:
 
 def test_leaf_find_arrays_raise_when_the_bisection_budget_runs_out(monkeypatch) -> None:
     # three halvings leave (1.3, 0.9, 0.2) the bracket [6.25, 7.125]; its midpoint is 0.053 off the leaf
-    monkeypatch.setattr(surfaces, "_LEAF_BISECTION_BUDGET", 3)
+    monkeypatch.setattr(surfaces, "_BISECTION_BUDGET", 3)
     with pytest.raises(ConvergenceError, match="did not converge in 3 steps"):
         foliation_leaf_find_arrays(np.array([[1.3, 0.9, 0.2]]), 1.5, 1.0, 0.5)
 
