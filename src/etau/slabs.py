@@ -7,8 +7,9 @@ one above and one below.  This module constructs the two example families
 graphs certified by the Douglas criterion) and audits the defining
 conditions on sampled interior points.  A slab's window is a DISC_XY domain,
 and a slab computes its bounding-graph check once and keeps it.  Each
-annulus generator is the key of its one cached model annulus, read from the
-catenoid's vertex grid: its edges have a closed form, so no mesh is built.
+annulus generator is the key of its one cached model annulus, its boundary
+circles; the family's congruence is certified from the placements' forms,
+so no mesh or vertex grid is built.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .isometries import (
 from .surfaces import (
     CatenoidSpec,
     LeafSpec,
-    _catenoid_grid,
     _catenoid_half_height,
     _catenoid_radial,
     _half_height_limit,
@@ -158,61 +158,28 @@ _BOUNDARY_SAMPLES = 512
 
 @dataclass(frozen=True)
 class _ModelAnnulus:
-    """The model annulus of one generator, read-only.
-
-    upper and lower are its boundary circles at w = 1 and w = -1,
-    _BOUNDARY_SAMPLES disc coordinates (n, 3) each.  horizontal_bound is
-    max over the edges of 2 |dz| / (1 - r2), |dz| the edge's horizontal
-    length and r2 its larger endpoint |z|^2: a bound of the horizontal
-    speed 2 |dz| / (1 - |z|^2) along every model edge (_congruence_bound).
-    """
+    """The model annulus of one generator, read-only: its catenoid, its
+    boundary height, and its boundary circles upper and lower at w = 1 and
+    w = -1, _BOUNDARY_SAMPLES disc coordinates (n, 3) each."""
 
     spec: CatenoidSpec
     boundary_height: float
     upper: np.ndarray
     lower: np.ndarray
-    horizontal_bound: float
 
 
 @lru_cache(maxsize=8)
 def _model_annulus(generator: CatenoidAnnulusGenerator) -> _ModelAnnulus:
-    """The generator's model annulus, read from mesh_catenoid's vertex grid
-    (surfaces._catenoid_grid) without forming the mesh's normals, nu or
-    triangles.  horizontal_bound reads the grid's edges once, as strided
-    views (_grid_edge_families), and the grid is then dropped: no edge
-    array is ever formed."""
+    """The generator's model annulus, built once per generator: the
+    boundary circles are catenoid_patch at w = +-1, and no vertex grid or
+    mesh is formed."""
     spec = CatenoidSpec(tau=generator.tau, d=generator.d)
     rho = generator.rho_boundary
-    vertices, shape = _catenoid_grid(spec, rho, generator.resolution)
     phi = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
     upper, lower = (catenoid_patch(spec, rho, np.array(w), phi) for w in (1.0, -1.0))
     for array in (upper, lower):
         array.flags.writeable = False
-    edges = _grid_edge_families(vertices, shape)
-    speeds = (2.0 * np.hypot(v[..., 0], v[..., 1]) / (1.0 - _edge_extent(a, v)) for a, v in edges)
-    horizontal_bound = max(float(np.max(speed)) for speed in speeds)
-    return _ModelAnnulus(spec, catenoid_profile(spec, rho), upper, lower, horizontal_bound)
-
-
-def _grid_edge_families(vertices: np.ndarray, shape: tuple[int, int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Start points a, strided views of the (rows, cols, 3) grid, and
-    vectors v = b - a of the edges of the wrapped grid's triangles
-    (surfaces._grid_triangles(*shape, True)), each once and lo -> hi in
-    vertex index, as one (a, v) pair per family: ring edges (i, j) ->
-    (i, j + 1), the wrap edge from column 0 to cols - 1, column edges
-    (i, j) -> (i + 1, j), diagonals (i, j) -> (i + 1, j + 1) and the
-    wrapped diagonals from column cols - 1 to column 0."""
-    grid = vertices.reshape(*shape, 3)
-    ends = [(grid[:, :-1], grid[:, 1:]), (grid[:, :1], grid[:, -1:]), (grid[:-1], grid[1:])]
-    ends += [(grid[:-1, :-1], grid[1:, 1:]), (grid[:-1, -1:], grid[1:, :1])]
-    return [(a, b - a) for a, b in ends]
-
-
-def _edge_extent(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per edge a -> a + v, the largest |z|^2 over its segment: convex along
-    it, so the larger endpoint value; a, v are (..., 3)."""
-    b = a + v
-    return np.maximum(a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1], b[..., 0] * b[..., 0] + b[..., 1] * b[..., 1])
+    return _ModelAnnulus(spec, catenoid_profile(spec, rho), upper, lower)
 
 
 @dataclass(frozen=True)
@@ -308,7 +275,8 @@ def _annulus_distances(instances: Sequence[AnnulusInstance], q: np.ndarray, acce
 class CatenoidAnnulusGenerator:
     """Family rule p -> isometric image of one truncated catenoid through p.
 
-    The generator is the key of its one model annulus (_model_annulus).  The
+    The generator is the key of its one model annulus (_model_annulus): tau,
+    the neck parameter d and the truncation radius rho_boundary fix it.  The
     placement composes two disc involutions (axis to the requested
     projection) with the vertical translation that pins the reference vertex
     to p exactly; every instance is therefore an isometric copy of the model
@@ -320,7 +288,6 @@ class CatenoidAnnulusGenerator:
     tau: float
     d: float
     rho_boundary: float
-    resolution: tuple[int, int] = (65, 96)
 
     def __call__(self, p: AmbientPoint) -> AnnulusInstance:
         (instance,) = self.place([p])
@@ -414,47 +381,38 @@ def _placement_forms(placement: AmbientIsometry):
 
 
 def _congruence_bound(instances: Sequence[AnnulusInstance]) -> float:
-    """Bound of the sup distance between the edge-length spectra of any two
-    of the model annulus and the instances, which share one generator.
+    """Certificate that the model annulus and the instances, which share one
+    generator, have one edge-length spectrum: a bound of the sup distance
+    between any two of their spectra that reads 0.0, inf or NaN.
 
     An instance's spectrum is the sorted lengths of its image edges: the
-    model edge p -> p + v, moved by the placement with matrix (a b; c d),
-    ad - bc = 1, has as length the integral over s in [0, 1] of its speed
-    at z = p + s v, one Gauss panel per edge (tests/spectra_reference.py).
-    With D = |cz + d|^2 - |az + b|^2 = A |z|^2 + 2 Re(B z) + C, that speed
-    has the horizontal part 2 |dz| / D and, when the placement's fiber tau
-    is the metric's, the vertical part vt + 4 tau Im(dD dz) / D, dD =
-    A conj(z) + B the z-derivative of D.  The bound reads each placement
-    only through _placement_forms, as the spectra do.  It covers the forms
-    of disc isometries, A = -C, B = 0 and C > 0, as of every SU(1,1) matrix
-    (a b; conj(b) conj(a)) and its positive multiples (Beardon, The
-    Geometry of Discrete Groups, Sec. 4), which the generator's placements
-    have exactly (CatenoidAnnulusGenerator.place).  Any other form, or a
-    fiber tau other than the metric's, makes the bound infinite.  A covered
-    form has D = C D0, D0 = 1 - |z|^2 the model's own form, so dD / D = dD0
-    / D0: the vertical part is the model's, and the horizontal part is the
-    model's 2 |dz| / D0 scaled by 1/C.  As sqrt(h^2 + w^2) is 1-Lipschitz
-    in h, two instances' speeds differ by at most |1/C_i - 1/C_j| 2 |dz| /
-    D0, the model being the case C = 1.  Gauss weights are positive and
-    sorting does not increase a sup distance, so the bound on the speeds,
-    (max - min of {1, 1/C_i}) * horizontal_bound, bounds the spectra.  A
-    NaN coefficient makes the bound NaN.  A reversing placement only flips
-    the vertical part's sign, so it is covered like a direct one.  The
-    bound is on the speeds in exact arithmetic; spectra measured in float64
-    add up to about 1e-10 of rounding (tests/spectra_reference.py).
+    model edge p -> p + v, moved by the placement with matrix (a b; c d) of
+    determinant delta = ad - bc, has as length the integral over s in
+    [0, 1] of its speed at z = p + s v (tests/spectra_reference.py).  With
+    D = |cz + d|^2 - |az + b|^2 = A |z|^2 + 2 Re(B z) + C, that speed has
+    the horizontal part 2 |delta| |dz| / D and, when the placement's fiber
+    tau is the metric's, the vertical part vt + 4 tau Im(dD dz) / D, dD =
+    A conj(z) + B the z-derivative of D; a reversing placement flips only
+    the vertical part's sign.  A disc isometry's form has A = -C, B = 0 and
+    C > 0, as has every positive multiple of an SU(1,1) matrix (a b;
+    conj(b) conj(a)) whatever C is (Beardon, The Geometry of Discrete
+    Groups, Sec. 4); the generator's placements keep that matrix shape bit
+    for bit (CatenoidAnnulusGenerator.place).  Such a form is D = C D0,
+    D0 = 1 - |z|^2 the model's own, and delta = |a|^2 - |b|^2 = C, so both
+    parts of the speed are the model's at every z and every spectrum is the
+    model's: the certificate is 0.0.  Any other form, or a fiber tau other
+    than the metric's, makes it inf; a NaN coefficient makes it NaN.  Each
+    placement is read once, through _placement_forms, whose coefficients
+    are correctly rounded and compared exactly.  Spectra measured in
+    float64 still differ by their own rounding (tests/spectra_reference.py).
     """
     gen = instances[0].generator
     taus, d_forms = map(np.array, zip(*(_placement_forms(instance.placement) for instance in instances)))
-    # ~(C <= 0), unlike C > 0, keeps a NaN C covered, so the NaN reaches the bound.
-    covered = (taus == gen.tau) & ~(d_forms[:, 3] <= 0.0)
-    a, br, bi, c = d_forms[covered].T
-    inv_c = 1.0 / c
-    delta = np.maximum(np.abs(a * inv_c + 1.0), np.maximum(np.abs(br), np.abs(bi)) * inv_c)
-    # a form defect is not covered; a NaN one stays NaN
-    residuals = np.full(len(instances), np.inf)
-    residuals[covered] = np.where(delta > 0.0, np.inf, delta)
-    spread = np.ptp(np.append(inv_c, 1.0))
-    return float(spread * _model_annulus(gen).horizontal_bound + np.max(residuals))
+    if np.isnan(d_forms).any():
+        return math.nan
+    a, br, bi, c = d_forms.T
+    covered = (taus == gen.tau) & (a == -c) & (br == 0.0) & (bi == 0.0) & (c > 0.0)
+    return 0.0 if covered.all() else math.inf
 
 
 # -- slab specification and checks ---------------------------------------------
@@ -530,12 +488,12 @@ class SlabReport:
 
     spectra_deviation is a bound, from every placement's Hermitian form, of
     the edge-length spectra distance between any two of the model annulus
-    and the generated instances (check_annulus_family): infinite when some
-    placement is not covered by it (another fiber tau, or a form that is no
-    disc isometry's, A != -C or B != 0), NaN when a form is, 0.0 when no
-    point got an annulus, and NaN for slabs whose graphs fail the bounding
-    check.
-    spectra_ok is that bound below _SPECTRA_TOL.
+    and the generated instances (check_annulus_family, _congruence_bound):
+    0.0 when every placement is a disc isometry of the slab's tau, and when
+    no point got an annulus; infinite when some placement is not (another
+    fiber tau, or a form with A != -C, B != 0 or C <= 0); NaN when a form
+    coefficient is NaN, and for slabs whose graphs fail the bounding check.
+    spectra_ok is that bound equal to 0.0.
     """
 
     height_bound: float
@@ -613,10 +571,8 @@ def _window_test(domain: GraphDomain) -> Callable[[np.ndarray, np.ndarray], np.n
 
 
 # check_annulus_family: an annulus contains its point when the chord distance
-# is below _CONTAINS_TOL times the slab scale; the model annulus and every
-# instance must have edge-length spectra within _SPECTRA_TOL of each other.
+# is below _CONTAINS_TOL times the slab scale.
 _CONTAINS_TOL = 1e-6
-_SPECTRA_TOL = 1e-6
 
 
 def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int = 0) -> SlabReport:
@@ -626,9 +582,8 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
     below _CONTAINS_TOL times the slab scale) and its boundary circles clear
     the graphs along fibers, one above and one below.  The family must be
     congruent: _congruence_bound, read from every placement's Hermitian
-    form, bounds the edge-length spectra distance between any two of the
-    model annulus and the instances, and must stay below _SPECTRA_TOL; no
-    spectrum is measured.  Each stage is one array pass over all points
+    form, certifies that the model annulus and the instances have one
+    edge-length spectrum, and must read 0.0; no spectrum is measured.  Each stage is one array pass over all points
     (window, placements, reference chords, boundary circles), one pass per
     orientation when the placements mix them; a point with no annulus, or
     with a placement of another fiber tau, gets a failed record, and
@@ -690,7 +645,7 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
     )
 
     deviation = _congruence_bound(instances) if instances else 0.0
-    spectra_ok = deviation < _SPECTRA_TOL
+    spectra_ok = deviation == 0.0
 
     passed = spectra_ok and all(c.contains_point and c.boundary_above and c.boundary_below for c in checks)
     return SlabReport(
@@ -710,13 +665,11 @@ _NECK_SOLVE_BUDGET = 100
 _EXAMPLE2_CLEARANCE = 0.3
 
 
-def _truncated_catenoid(
-    tau: float, d: float, boundary_height: float, resolution: tuple[int, int]
-) -> CatenoidAnnulusGenerator:
+def _truncated_catenoid(tau: float, d: float, boundary_height: float) -> CatenoidAnnulusGenerator:
     """The generator of the catenoid with neck parameter d, truncated at the
     radius where its profile reaches boundary_height."""
     rho_boundary = catenoid_profile_inverse(CatenoidSpec(tau=tau, d=d), boundary_height)
-    return CatenoidAnnulusGenerator(tau=tau, d=d, rho_boundary=rho_boundary, resolution=resolution)
+    return CatenoidAnnulusGenerator(tau=tau, d=d, rho_boundary=rho_boundary)
 
 
 def _solve_catenoid_half_height(tau: float, target: float) -> float:
@@ -792,7 +745,6 @@ def build_example1(
     epsilon: float,
     window_radius: float = 10.0,
     grid: int = 129,
-    annulus_resolution: tuple[int, int] = (65, 96),
 ) -> SlabSpec:
     """Flat slab of height pi sqrt(1+4 tau^2) - |tau| pi - epsilon in the
     cylinder model, swept by translated rotational catenoids.
@@ -815,7 +767,7 @@ def build_example1(
     d = _solve_catenoid_half_height(tau, limit - 0.25 * epsilon)
     half_height = 0.5 * catenoid_height(CatenoidSpec(tau=tau, d=d))
     boundary_height = 0.5 * (half + half_height)
-    generator = _truncated_catenoid(tau, d, boundary_height, annulus_resolution)
+    generator = _truncated_catenoid(tau, d, boundary_height)
     chain_left = limit - abs(tau) * math.pi - 0.5 * epsilon
     metadata = {
         "construction": "example1",
@@ -851,7 +803,6 @@ def build_example2(
     beta: float = 0.0,
     window_radius: float = 10.0,
     grid: int = 129,
-    annulus_resolution: tuple[int, int] = (65, 96),
 ) -> SlabSpec:
     """Slab between vertical translates of a gradient-bounded entire graph,
     u = alpha x + beta y on a disc window; graph_choice must be 'linear'.
@@ -902,7 +853,7 @@ def build_example2(
             f"annulus boundary height {boundary_height} unreachable (catenoid limit {limit})"
         )
     d = _solve_catenoid_half_height(tau, 0.5 * (boundary_height + limit))
-    generator = _truncated_catenoid(tau, d, boundary_height, annulus_resolution)
+    generator = _truncated_catenoid(tau, d, boundary_height)
     metadata = {
         "construction": "example2",
         "graph": graph_choice,
@@ -990,7 +941,7 @@ def with_shrunken_annuli(slab: SlabSpec, factor: float = 0.6) -> SlabSpec:
     control = f"annuli shrunken to {factor} of the half-height"
     shrunken = replace(
         slab,
-        annulus_generator=_truncated_catenoid(gen.tau, gen.d, factor * half, gen.resolution),
+        annulus_generator=_truncated_catenoid(gen.tau, gen.d, factor * half),
         metadata={**slab.metadata, "negative_control": control},
     )
     # the same window, tau and graphs: the control keeps the slab's check
@@ -1116,7 +1067,6 @@ def slab_spec_descriptor(spec: SlabSpec) -> dict:
             "kind": "translated_catenoid",
             "d": gen.d,
             "rho_boundary": gen.rho_boundary,
-            "resolution": list(gen.resolution),
         },
     }
 

@@ -2,17 +2,18 @@
 
 The audit certifies congruence from each placement's Hermitian form
 (slabs._congruence_bound) and measures no spectrum; edge_length_spectra
-measures the edge-length spectra that bound covers, one unit_panel per
-edge.  mesh_edges reads a model mesh's edges by sorting and
-deduplicating its triangles' edge keys; grid_edges writes the same edges of
-a wrapped vertex grid in closed form, and grid_segments gathers them, the
-reference for the strided edge families of slabs._grid_edge_families.
-model_segments gathers a generator's model annulus edges from its own call
-of surfaces._catenoid_grid, so no reference reads the slab module's model.
+measures the edge-length spectra that certificate speaks of, one
+unit_panel per edge, on a model mesh whose resolution the caller chooses:
+the slab module keeps no mesh or vertex grid.  mesh_edges reads a model
+mesh's edges by sorting and deduplicating its triangles' edge keys;
+grid_edges writes the same edges of a wrapped vertex grid in closed form,
+and grid_segments gathers them.  model_segments gathers a generator's model
+annulus edges from its own call of surfaces._catenoid_grid.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -85,11 +86,14 @@ def grid_segments(vertices: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndar
     return a, vertices.take(hi, axis=0) - a
 
 
-def model_segments(generator: slabs.CatenoidAnnulusGenerator) -> tuple[np.ndarray, np.ndarray]:
+def model_segments(
+    generator: slabs.CatenoidAnnulusGenerator, resolution: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
     """grid_segments of the generator's model annulus: the vertex grid of
-    its catenoid up to its boundary radius, at its resolution."""
+    its catenoid up to its boundary radius, at the given (rows, cols)
+    resolution of mesh_catenoid."""
     spec = CatenoidSpec(generator.tau, generator.d)
-    return grid_segments(*_catenoid_grid(spec, generator.rho_boundary, generator.resolution))
+    return grid_segments(*_catenoid_grid(spec, generator.rho_boundary, resolution))
 
 
 def placement_forms(placement, tau: float):
@@ -101,9 +105,25 @@ def placement_forms(placement, tau: float):
     return tau_f, d_form, slabs._hermitian_form((1.0, c, d)) if tau_f != tau else None
 
 
+def speed_forms(placement, tau: float):
+    """placement_forms with the form D divided by |ad - bc|, the modulus of
+    the determinant of the placement's matrix (a b; c d), correctly rounded
+    (slabs._exact_dot): node_speeds' horizontal part 2 |dz| / D is then
+    2 |ad - bc| |dz| / D, whatever the matrix's scale, and dD / D, so the
+    vertical part, does not see the division.  A disc isometry's form, A =
+    -C and B = 0, has ad - bc = C exactly, so it becomes the model's own
+    form (-1, 0, 0, 1)."""
+    tau_f, d_form, p_form = placement_forms(placement, tau)
+    a, b, c, d = placement.mobius.matrix()
+    det_re = slabs._exact_dot(((a.real, d.real), (-a.imag, d.imag), (-b.real, c.real), (b.imag, c.imag)))
+    det_im = slabs._exact_dot(((a.real, d.imag), (a.imag, d.real), (-b.real, c.imag), (-b.imag, c.real)))
+    det = math.hypot(det_re, det_im)
+    return tau_f, tuple(coefficient / det for coefficient in d_form), p_form
+
+
 def node_speeds(forms, tau: float, x, y, vx, vy, vt) -> list[np.ndarray]:
     """Speeds |dF(v)|_g at quadrature nodes, g the cylinder metric of tau,
-    one array per placement form of forms (placement_forms).  x, y
+    one array per placement form of forms (speed_forms).  x, y
     are the nodes' disc coordinates and vx, vy, vt their edges' vectors,
     broadcasting against them; a twist term runs only where it is not
     identically zero."""
@@ -142,39 +162,44 @@ def twist(scale: float, form, cross, vx, vy):
     return (scale * a) * cross + (scale * br * vy + scale * bi * vx)
 
 
-def edge_length_spectra(instances: Sequence[slabs.AnnulusInstance]) -> list[np.ndarray]:
-    """Sorted lengths of each instance's model edges, one array per instance.
+def edge_length_spectra(
+    instances: Sequence[slabs.AnnulusInstance], resolution: tuple[int, int]
+) -> list[np.ndarray]:
+    """Sorted lengths of each instance's model edges at the given
+    (rows, cols) resolution, one array per instance.
 
     The image of the model edge a -> b under the placement F has length
     int_0^1 |dF(v)|_g ds with v = b - a and g taken at F(a + s v).  With
-    the placement's matrix (a b; c d), ad - bc = 1, and the fiber taus
-    tau_F of the placement and tau of the metric, that speed is measured
-    at the model point z = a + s v without forming the image:
+    the placement's matrix (a b; c d) of determinant delta = ad - bc, and
+    the fiber taus tau_F of the placement and tau of the metric, that speed
+    is measured at the model point z = a + s v without forming the image:
 
         D = |cz + d|^2 - |az + b|^2 = alpha |z|^2 + 2 Re(beta z) + gamma,
-        horizontal = lam(Fz) |dF dz| = 2 |dz| / D,
-        vertical = vt + 4 Im((tau_F c - tau conj(az + b) / D) dz / (cz + d))
+        horizontal = lam(Fz) |dF dz| = 2 |delta| |dz| / D,
+        vertical = vt + 4 Im((tau_F c - tau delta conj(az + b) / D) dz / (cz + d))
                  = vt + 4 tau Im(dD dz) / D + 4 (tau_F - tau) Im(c dz / (cz + d)),
 
-    with dD = alpha conj(z) + beta the z-derivative of D (c D - conj(az + b)
-    = (cz + d) dD when ad - bc = 1) and Im(c dz / (cz + d)) = Im(dP dz) / P
-    for P = |cz + d|^2; a reversing placement flips the sign of the
-    vertical part only.  The last term vanishes unless the placement's tau
-    differs from the metric's and is then the only place P is formed.  No
+    with dD = alpha conj(z) + beta the z-derivative of D (c D - delta
+    conj(az + b) = (cz + d) dD) and Im(c dz / (cz + d)) = Im(dP dz) / P for
+    P = |cz + d|^2; a reversing placement flips the sign of the vertical
+    part only.  The last term vanishes unless the placement's tau differs
+    from the metric's and is then the only place P is formed.  D enters
+    divided by |delta| (speed_forms), which leaves dD / D as it is.  No
     step uses that F is an isometry, so a placement that is not one moves
-    the spectrum.  The coefficients alpha, beta and gamma (and P's) are
-    correctly rounded once per instance (slabs._hermitian_form), so the
-    cancellation of |cz + d|^2 against |az + b|^2 far out in the disc never
-    happens in floating point.  Near the edge of the example-1 window, at
-    the CLI resolution, a spectrum strays up to 6e-12 (tau 0) and 2.2e-11
-    (tau 0.5) from the push-forward rule in np.longdouble, itself up to
-    4e-11 from the model annulus' own spectrum because the placement's
-    float64 matrix is not exactly an isometry; the push-forward route in
-    float64, which formed 1 - |Fz|^2, strayed 1.3e-8.  One Gauss-Legendre
-    panel of the quadrature kernel (exact to degree 39) measures each edge:
-    for an isometry the speed is the model speed at a + s v, analytic near
-    [0, 1] even on the long rim edges, and one panel agrees with four to
-    about 1e-14.
+    the spectrum.  The coefficients alpha, beta and gamma (and P's) and
+    delta are correctly rounded once per instance (slabs._hermitian_form,
+    slabs._exact_dot), so the cancellation of |cz + d|^2 against |az + b|^2
+    far out in the disc never happens in floating point; a disc isometry's
+    form, divided by its delta, is the model's own bit for bit, so every
+    placement of the generator measures the model annulus' spectrum.  Near
+    the edge of the example-1 window, on a 65 x 96 mesh, that spectrum
+    strays up to 6.8e-12 (tau 0) and 5.7e-12 (tau 0.5) from the push-forward
+    rule in np.longdouble, dw = (ad - bc) dz / (cz + d)^2; the push-forward
+    route in float64, which formed 1 - |Fz|^2, strayed 1.3e-8.  One
+    Gauss-Legendre panel of the quadrature kernel (exact to degree 39)
+    measures each edge: for an isometry the speed is the model speed at
+    a + s v, analytic near [0, 1] even on the long rim edges, and one panel
+    agrees with four to about 1e-14.
 
     The instances must share one generator, and so one model mesh;
     otherwise ParameterError.  The model annulus' segments (a, v) are
@@ -192,10 +217,10 @@ def edge_length_spectra(instances: Sequence[slabs.AnnulusInstance]) -> list[np.n
     gen = instances[0].generator
     if any(i.generator != gen for i in instances):
         raise ParameterError("instances measured together must share one model mesh")
-    a, v = model_segments(gen)
+    a, v = model_segments(gen, resolution)
     nodes, weights = unit_panel()
     s = nodes[:, None]
-    forms = [placement_forms(instance.placement, gen.tau) for instance in instances]
+    forms = [speed_forms(instance.placement, gen.tau) for instance in instances]
     # One array per instance: one (instances, edges) block took about 300
     # more cold page faults.
     out = [np.empty(a.shape[0]) for _ in instances]

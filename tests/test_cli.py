@@ -345,6 +345,19 @@ def test_slab_example2_passes(capsys) -> None:
     assert len(report["report"]["annulus_checks"]) == 2
 
 
+def test_slab_example1_near_the_ideal_boundary_passes(capsys) -> None:
+    # eps = 1e-6 truncates the catenoid at rho about 23.7, where a float64
+    # placement's form coefficient C is 1 only to about 2e-10; the form is
+    # still a disc isometry's, so the congruence certificate reads 0.0
+    code, report = run(capsys, "slab", "example1", "--eps", "1e-6", "--points", "2")
+    assert code == 0
+    audit = report["report"]
+    assert audit["pass"] is True
+    assert audit["spectra_deviation"] == 0.0
+    assert len(audit["annulus_checks"]) == 2
+    assert all(c["contains_point"] for c in audit["annulus_checks"])
+
+
 def test_slab_annulus_on_the_ideal_boundary_exits_one(capsys) -> None:
     # eps = 1e-9 asks for a catenoid boundary at rho about 34
     code, report = run(capsys, "slab", "example1", "--eps", "1e-9", "--points", "2")

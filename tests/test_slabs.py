@@ -50,8 +50,6 @@ from etau.quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss
 from etau.slabs import (
     BoundingGraphCheck,
     SlabSpec,
-    _edge_extent,
-    _grid_edge_families,
     _model_annulus,
     _solve_catenoid_half_height,
     build_example1,
@@ -84,20 +82,25 @@ from spectra_reference import (
     model_segments,
     node_speeds,
     placement_forms,
+    speed_forms,
     unit_panel,
 )
 
 FLAT = SpaceParams(0.0)
+# The (rows, cols) model mesh the spectra tests measure on, and the 65 x 96
+# mesh of the longdouble comparison.
+RESOLUTION = (33, 48)
+FINE_RESOLUTION = (65, 96)
 
 
 @pytest.fixture(scope="module")
 def slab1():
-    return build_example1(FLAT, 0.1, grid=65, annulus_resolution=(33, 48))
+    return build_example1(FLAT, 0.1, grid=65)
 
 
 @pytest.fixture(scope="module")
 def slab2():
-    return build_example2(FLAT, "linear", 1.0, 0.45, 0.2, grid=65, annulus_resolution=(33, 48))
+    return build_example2(FLAT, "linear", 1.0, 0.45, 0.2, grid=65)
 
 
 def _level(t: float):
@@ -282,7 +285,7 @@ def test_example1_audit_passes(slab1) -> None:
 def test_example1_margins_hold_on_tiny_windows(radius: float) -> None:
     # The boundary circles leave the window by far; the audit reads the
     # slices t = -half and t = half there, not an extrapolation of the window.
-    slab = build_example1(FLAT, 0.1, window_radius=radius, grid=65, annulus_resolution=(33, 48))
+    slab = build_example1(FLAT, 0.1, window_radius=radius, grid=65)
     report = check_annulus_family(slab, sample_interior_points(slab, 3, seed=7))
     assert report.passed
     for c in report.annulus_checks:
@@ -337,10 +340,11 @@ def test_annulus_distance_matches_nelder_mead(slab, request) -> None:
 
 
 def _two_pass_spectrum(instance, target_step: float = 0.015) -> np.ndarray:
-    """Reference edge spectrum: separate coarse and fine mapped passes, with
-    lengths from full metric tensors contracted by einsum."""
+    """Reference edge spectrum on the RESOLUTION mesh: separate coarse and
+    fine mapped passes, with lengths from full metric tensors contracted by
+    einsum."""
     tau = instance.generator.tau
-    a, v = model_segments(instance.generator)
+    a, v = model_segments(instance.generator, RESOLUTION)
     b = a + v
 
     def lengths(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -367,18 +371,17 @@ def _two_pass_spectrum(instance, target_step: float = 0.015) -> np.ndarray:
 def test_edge_length_spectrum_matches_two_pass_reference(slab1) -> None:
     # The step-0.004 polyline's own error is about 1e-11 here.
     instance = slab1.annulus_generator(sample_interior_points(slab1, 1, seed=7)[0])
-    assert instance.generator.resolution == (33, 48)
     np.testing.assert_allclose(
-        edge_length_spectra([instance])[0], _two_pass_spectrum(instance, 0.004), rtol=1e-10, atol=0.0
+        edge_length_spectra([instance], RESOLUTION)[0], _two_pass_spectrum(instance, 0.004), rtol=1e-10, atol=0.0
     )
 
 
 def test_edge_length_spectrum_separates_non_congruent_annuli(slab1) -> None:
     first, second = (slab1.annulus_generator(p) for p in sample_interior_points(slab1, 2, seed=7))
-    spectrum = edge_length_spectra([first])[0]
+    spectrum = edge_length_spectra([first], RESOLUTION)[0]
 
     def deviation(instance) -> float:
-        return float(np.max(np.abs(edge_length_spectra([instance])[0] - spectrum)))
+        return float(np.max(np.abs(edge_length_spectra([instance], RESOLUTION)[0] - spectrum)))
 
     assert deviation(second) < 1e-8
     # A slightly different catenoid, and a placement whose fiber rule belongs
@@ -388,13 +391,13 @@ def test_edge_length_spectrum_separates_non_congruent_annuli(slab1) -> None:
     assert deviation(replace(first, placement=replace(first.placement, tau=0.01))) > 1e-5
 
 
-def _per_point_spectrum(instance) -> np.ndarray:
+def _per_point_spectrum(instance, resolution) -> np.ndarray:
     """Edge spectrum by the push-forward route: each chunk takes its edges'
     segments, and every quadrature node goes through push_forward as one
     (n, 3) row with a broadcast copy of its edge vector; the metric is then
     taken at the image, where float64 fixes 1 - |w|^2 only to about 1e-16."""
     tau = instance.generator.tau
-    edge_a, edge_v = model_segments(instance.generator)
+    edge_a, edge_v = model_segments(instance.generator, resolution)
     out = np.empty(edge_a.shape[0])
     per_chunk = CHUNK_NODES // PANEL_NODES
     for start in range(0, edge_a.shape[0], per_chunk):
@@ -412,15 +415,15 @@ def _per_point_spectrum(instance) -> np.ndarray:
     return np.sort(out)
 
 
-def _per_edge_spectrum(instance) -> np.ndarray:
+def _per_edge_spectrum(instance, resolution) -> np.ndarray:
     """Reference edge spectrum: each edge's nodes are one row of
     composite_gauss's (edges, 1, PANEL_NODES) layout, with the edge's vector
     as one-edge (edges, 1, 1) arrays, measured by the spectra's own per-node
-    integrand node_speeds."""
+    integrand node_speeds on the forms the spectra read (speed_forms)."""
     tau = instance.generator.tau
-    edge_a, edge_v = model_segments(instance.generator)
+    edge_a, edge_v = model_segments(instance.generator, resolution)
     a, v = edge_a[:, None, None, :], edge_v[:, None, None, :]
-    forms = [placement_forms(instance.placement, tau)]
+    forms = [speed_forms(instance.placement, tau)]
 
     def speed(s: np.ndarray) -> np.ndarray:
         x, y = a[..., 0] + s * v[..., 0], a[..., 1] + s * v[..., 1]
@@ -479,15 +482,15 @@ def _mirrored(instance):
 
 @pytest.fixture(scope="module")
 def slab1_tau05():
-    return build_example1(SpaceParams(0.5), 0.1, grid=65, annulus_resolution=(33, 48))
+    return build_example1(SpaceParams(0.5), 0.1, grid=65)
 
 
 @pytest.mark.parametrize(
     "fixture, resolution",
     [
-        pytest.param("slab1", None, id="0.0"),
-        pytest.param("slab1_tau05", None, id="0.5"),
-        pytest.param("slab2", None, id="example2"),
+        pytest.param("slab1", RESOLUTION, id="0.0"),
+        pytest.param("slab1_tau05", RESOLUTION, id="0.5"),
+        pytest.param("slab2", RESOLUTION, id="example2"),
         pytest.param("slab1_tau05", (17, 24), id="0.5-17x24"),
     ],
 )
@@ -495,35 +498,36 @@ def test_edge_length_spectrum_equals_per_point_route(fixture: str, resolution, r
     # The four instances of an audit and a mirrored one, measured together
     # and one at a time, on model meshes whose last spectra chunk is partial.
     slab = request.getfixturevalue(fixture)
-    generator = slab.annulus_generator if resolution is None else replace(slab.annulus_generator, resolution=resolution)
+    generator = slab.annulus_generator
     instances = [generator(p) for p in sample_interior_points(slab, 4, seed=7)]
-    edges, per_chunk = model_segments(generator)[0].shape[0], SPECTRA_CHUNK_NODES // PANEL_NODES
+    edges, per_chunk = model_segments(generator, resolution)[0].shape[0], SPECTRA_CHUNK_NODES // PANEL_NODES
     assert edges > per_chunk and edges % per_chunk
     instances.append(_mirrored(instances[0]))
-    batch = edge_length_spectra(instances)
+    batch = edge_length_spectra(instances, resolution)
     assert len(batch) == len(instances)
     for row, instance in zip(batch, instances):
-        reference = _per_edge_spectrum(instance)
-        np.testing.assert_array_equal(edge_length_spectra([instance])[0], reference)
+        reference = _per_edge_spectrum(instance, resolution)
+        np.testing.assert_array_equal(edge_length_spectra([instance], resolution)[0], reference)
         np.testing.assert_array_equal(row, reference)
 
 
-def _longdouble_spectrum(instance) -> np.ndarray:
+def _longdouble_spectrum(instance, resolution) -> np.ndarray:
     """The push-forward rule for one instance in np.longdouble: the same
     float64 model nodes, edge vectors, Gauss weights and Moebius
-    coefficients, with the image, its differential and the metric taken in
-    extended precision (plain complex division, no reciprocal)."""
+    coefficients, with the image, its differential dw = (ad - bc) dz /
+    (cz + d)^2 and the metric taken in extended precision (plain complex
+    division, no reciprocal)."""
     ld, cld = np.longdouble, np.clongdouble
     tau = ld(instance.generator.tau)
     nodes, weights = unit_panel()
-    a, v = (edge.astype(ld) for edge in model_segments(instance.generator))
+    a, v = (edge.astype(ld) for edge in model_segments(instance.generator, resolution))
     s = nodes.astype(ld)[:, None]
     z = (a[:, 0] + s * v[:, 0]).astype(cld) + cld(1j) * (a[:, 1] + s * v[:, 1])
     dz = v[:, 0].astype(cld) + cld(1j) * v[:, 1]
     m = instance.placement.mobius
     ca, cb, cc, cd = (cld(c) for c in m.matrix())
     q = cc * z + cd
-    w, dw = (ca * z + cb) / q, dz / (q * q)
+    w, dw = (ca * z + cb) / q, (ca * cd - cb * cc) * dz / (q * q)
     x, y, dx, dy = w.real, w.imag, dw.real, dw.imag
     if instance.placement.orientation is Orientation.REVERSING:
         y, dy = -y, -dy
@@ -537,24 +541,25 @@ def _longdouble_spectrum(instance) -> np.ndarray:
 
 
 def test_edge_spectra_stay_within_rounding_of_longdouble() -> None:
-    # Example 1 at the CLI's annulus resolution, far out in the disc where
+    # Example 1 on the FINE_RESOLUTION mesh, far out in the disc where
     # float64 fixes 1 - |w|^2 only to about 1e-16: of the 20 points drawn at
     # each seed, the one (index per seed) whose push-forward spectrum strays
     # farthest from longdouble at tau 0 (seed 4's is the worst on record,
     # 1.31e-8); the same draws at tau 0.5, and a mirrored tau-0.5 instance.
     # The push-forward route still shows that rounding; the spectra, read
-    # from the placement's Hermitian form, stray 2.2e-11 at most.
+    # from the placement's Hermitian form and determinant, stray 6.8e-12 at
+    # most.
     worst = {4: 0, 100: 10, 101: 15, 102: 2}
     instances = []
     for tau in (0.0, 0.5):
         slab = build_example1(SpaceParams(tau), 0.1)
         instances += [slab.annulus_generator(sample_interior_points(slab, 20, seed=k)[i]) for k, i in worst.items()]
     instances.append(_mirrored(instances[-1]))
-    longdouble = [_longdouble_spectrum(instance) for instance in instances]
-    errors = [float(np.max(np.abs(got - ld))) for got, ld in zip(edge_length_spectra(instances[:4]), longdouble)]
-    errors += [float(np.max(np.abs(got - ld))) for got, ld in zip(edge_length_spectra(instances[4:]), longdouble[4:])]
+    longdouble = [_longdouble_spectrum(instance, FINE_RESOLUTION) for instance in instances]
+    spectra = edge_length_spectra(instances[:4], FINE_RESOLUTION) + edge_length_spectra(instances[4:], FINE_RESOLUTION)
+    errors = [float(np.max(np.abs(got - ld))) for got, ld in zip(spectra, longdouble)]
     assert max(errors) <= 1e-10, errors
-    route = [float(np.max(np.abs(_per_point_spectrum(i) - ld))) for i, ld in zip(instances, longdouble)]
+    route = [float(np.max(np.abs(_per_point_spectrum(i, FINE_RESOLUTION) - ld))) for i, ld in zip(instances, longdouble)]
     assert min(route) > 1e-9, route  # far-out instances: rounding shows
 
 
@@ -576,9 +581,9 @@ def test_edge_length_spectrum_moves_under_a_non_isometric_placement(slab1, shift
     # push-forward rule.
     instance = slab1.annulus_generator(sample_interior_points(slab1, 1, seed=7)[0])
     moved = replace(instance, placement=compose(instance.placement, _distortion(0.9, shift)))
-    spectrum, distorted = edge_length_spectra([instance, moved])
+    spectrum, distorted = edge_length_spectra([instance, moved], RESOLUTION)
     assert float(np.max(np.abs(distorted - spectrum))) > 1e-5
-    assert float(np.max(np.abs(distorted - _longdouble_spectrum(moved)))) <= 1e-10
+    assert float(np.max(np.abs(distorted - _longdouble_spectrum(moved, RESOLUTION)))) <= 1e-10
 
 
 def test_hermitian_form_coefficients_are_correctly_rounded() -> None:
@@ -603,13 +608,12 @@ def test_batched_spectra_need_one_model_mesh(slab1) -> None:
         replace(gen, tau=0.5),
         replace(gen, d=gen.d * (1.0 + 1e-4)),
         replace(gen, rho_boundary=0.5 * gen.rho_boundary),
-        replace(gen, resolution=(5, 8)),
     ]
     for other in (replace(instance, generator=g) for g in others):
         with pytest.raises(ParameterError, match="one model mesh"):
-            edge_length_spectra([instance, other])
+            edge_length_spectra([instance, other], RESOLUTION)
     with pytest.raises(ParameterError, match="at least one"):
-        edge_length_spectra([])
+        edge_length_spectra([], RESOLUTION)
 
 
 def _drifted_determinant(placement: AmbientIsometry) -> AmbientIsometry:
@@ -620,8 +624,10 @@ def _drifted_determinant(placement: AmbientIsometry) -> AmbientIsometry:
     return replace(placement, mobius=MobiusMap(m.a * s, m.b * s, m.c * s, m.d * s, m.model))
 
 
-# Placement mutations that move the spectra (the spectra tests above), as maps
-# of the placement; det-drift moves them by about 6e-5 against the model.
+# Placement mutations, as maps of the placement.  All but det-drift move the
+# spectra (the spectra tests above), so the audit must fail them; det-drift
+# scales the matrix of the same Moebius map, so the placed annulus does not
+# move and the audit must pass it.
 _PLACEMENT_MUTATIONS = {
     "tau_f-0.01": lambda placement: replace(placement, tau=0.01),
     "squeeze": lambda placement: compose(placement, _distortion(0.9)),
@@ -645,40 +651,47 @@ def _mutate_placement(monkeypatch, mutation, rows=(0,)) -> None:
 
 
 def test_audit_measures_no_spectrum(slab1) -> None:
-    # the spectra live beside the tests only, as the reference of the bound
+    # the spectra live beside the tests only, as the reference of the certificate
     assert not hasattr(slabs, "edge_length_spectra")
     report = check_annulus_family(slab1, sample_interior_points(slab1, 4, seed=7))
     assert report.passed and report.spectra_ok
-    assert 0.0 < report.spectra_deviation < 1e-10
+    assert report.spectra_deviation == 0.0
 
 
 @pytest.mark.parametrize("mutation", ["squeeze", "det-drift"])
 def test_one_point_audit_is_not_vacuous(slab1, monkeypatch, mutation: str) -> None:
     # One instance is still compared with the model annulus.  det-drift keeps
-    # A = -C and B = 0, so only the model's place in the bound's spread sees it.
+    # A = -C and B = 0: the same Moebius map, which the certificate passes and
+    # the reference measures on the model's spectrum.
     points = sample_interior_points(slab1, 1, seed=7)
     assert check_annulus_family(slab1, points).spectra_ok
     _mutate_placement(monkeypatch, _PLACEMENT_MUTATIONS[mutation])
     report = check_annulus_family(slab1, points)
-    assert not report.spectra_deviation < slabs._SPECTRA_TOL
-    assert not report.spectra_ok
-    assert not report.passed
     (instance,) = slab1.annulus_generator.place(points)  # still the mutated place
     model = replace(instance, placement=identity_isometry(slab1.tau, Model.CYLINDER))
     deviation = _all_pairs_deviation([model, instance])
-    assert slabs._SPECTRA_TOL < deviation <= report.spectra_deviation + _SPECTRA_FLOAT_ERROR
+    if mutation == "det-drift":
+        assert report.spectra_deviation == 0.0 and report.spectra_ok and report.passed
+        assert deviation <= _SPECTRA_FLOAT_ERROR
+    else:
+        assert report.spectra_deviation == math.inf
+        assert not report.spectra_ok
+        assert not report.passed
+        assert deviation > 1e-5
 
 
 @pytest.mark.parametrize("mutation", list(_PLACEMENT_MUTATIONS))
 @pytest.mark.parametrize("count", [1, 4])
 def test_audit_catches_each_placement_mutation(slab1, monkeypatch, mutation: str, count: int) -> None:
     # One instance is mutated, except that a fiber-tau mutation goes to every
-    # row: rows applied together must share one tau (apply_to_rows).
+    # row: rows applied together must share one tau (apply_to_rows).  Only
+    # det-drift, the same Moebius map, passes.
     rows = range(count) if mutation == "tau_f-0.01" else [count - 1]
     _mutate_placement(monkeypatch, _PLACEMENT_MUTATIONS[mutation], rows)
     report = check_annulus_family(slab1, sample_interior_points(slab1, count, seed=7))
-    assert not report.spectra_ok
-    assert not report.passed
+    same_map = mutation == "det-drift"
+    assert report.spectra_ok is same_map
+    assert report.passed is same_map
 
 
 @pytest.mark.parametrize("coefficient", [0, 1, 3])
@@ -705,13 +718,13 @@ def test_nan_form_fails_the_audit(slab1, monkeypatch, coefficient: int) -> None:
 def _slab_at(construction: str, tau: float) -> SlabSpec:
     sp = SpaceParams(tau)
     if construction == "example2":
-        return build_example2(sp, "linear", 1.0, 0.45, 0.2, grid=65, annulus_resolution=(33, 48))
+        return build_example2(sp, "linear", 1.0, 0.45, 0.2, grid=65)
     radius = 4.0 if construction == "example1_r4" else 10.0
-    return build_example1(sp, 0.1, window_radius=radius, grid=65, annulus_resolution=(33, 48))
+    return build_example1(sp, 0.1, window_radius=radius, grid=65)
 
 
 def _all_pairs_deviation(instances) -> float:
-    spectra = edge_length_spectra(instances)
+    spectra = edge_length_spectra(instances, RESOLUTION)
     return max(float(np.max(np.abs(x - y))) for x in spectra for y in spectra)
 
 
@@ -730,11 +743,11 @@ def test_congruence_bound_covers_the_measured_spectra(construction: str, tau: fl
         assert (tau_f, a, br, bi, p_form) == (tau, -c, 0.0, 0.0, None)
     model = replace(instances[0], placement=identity_isometry(tau, Model.CYLINDER))
     family = [model, *instances, _mirrored(instances[-1])]
-    bound = slabs._congruence_bound(family[1:])
-    assert 0.0 < bound < slabs._SPECTRA_TOL
-    assert _all_pairs_deviation(family) <= bound + _SPECTRA_FLOAT_ERROR
-    # the model annulus counts: one instance alone is still bounded against it
-    assert _all_pairs_deviation(family[:2]) <= slabs._congruence_bound(family[1:2]) + _SPECTRA_FLOAT_ERROR
+    assert slabs._congruence_bound(family[1:]) == 0.0
+    assert _all_pairs_deviation(family) <= _SPECTRA_FLOAT_ERROR
+    # the model annulus counts: one instance alone is still measured against it
+    assert slabs._congruence_bound(family[1:2]) == 0.0
+    assert _all_pairs_deviation(family[:2]) <= _SPECTRA_FLOAT_ERROR
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.5, -0.7, 2.0])
@@ -777,7 +790,7 @@ def test_placements_have_disc_isometry_forms(
     # placement the generator hands out must have that form exactly, at any
     # tau; eps is the fraction of example 1's largest epsilon.
     sp = SpaceParams(tau)
-    small = dict(grid=9, annulus_resolution=(5, 8))
+    small = dict(grid=9)
     if example == "example1":
         eps_max = math.pi * math.sqrt(1.0 + 4.0 * tau * tau) - 2.0 * abs(tau) * math.pi
         slab = build_example1(sp, eps * eps_max, **small)
@@ -820,18 +833,18 @@ def test_boundary_coords_apply_the_placement_to_the_model_circles(slab1) -> None
 def test_model_annulus_edges_are_the_sorted_unique_pairs(slab1, rows: int, cols: int, count: int) -> None:
     # The closed-form edges against the mesh's triangles: np.unique of their
     # edge pairs, and the sort-and-deduplicate builder they replace.
-    gen = replace(slab1.annulus_generator, resolution=(rows, cols))
+    gen = slab1.annulus_generator
     mesh = mesh_catenoid(CatenoidSpec(tau=gen.tau, d=gen.d), gen.rho_boundary, (rows, cols))
     tri = mesh.triangles
     edges = np.unique(np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1), axis=0)
-    model_a, model_v = model_segments(gen)
+    model_a, model_v = model_segments(gen, (rows, cols))
     a, b = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
     np.testing.assert_array_equal(model_a, a)
     np.testing.assert_array_equal(model_v, b - a)
     for got, want in zip((model_a, model_v), mesh_edges(mesh), strict=True):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    # the model annulus keeps no grid: its edges are read once, at its build
-    assert "grid" not in {f.name for f in fields(_model_annulus(gen))}
+    # the model annulus keeps only its boundary circles: no grid, no edges
+    assert {f.name for f in fields(_model_annulus(gen))} == {"spec", "boundary_height", "upper", "lower"}
     # The mesh makes the row count odd; a wrapped grid has R C ring edges,
     # (R - 1) C meridian edges and (R - 1) C diagonals.
     built_rows = len(mesh.vertices) // cols
@@ -843,69 +856,21 @@ def test_model_annulus_edges_are_the_sorted_unique_pairs(slab1, rows: int, cols:
 def test_model_annulus_vertices_are_the_mesh_vertices(slab1_tau05, resolution) -> None:
     # One vertex grid behind both, here at tau 0.5: mesh_catenoid's vertices,
     # and the model annulus' edges read from them, bit for bit.
-    gen = replace(slab1_tau05.annulus_generator, resolution=resolution)
+    gen = slab1_tau05.annulus_generator
     spec = CatenoidSpec(tau=gen.tau, d=gen.d)
     mesh = mesh_catenoid(spec, gen.rho_boundary, resolution)
     vertices, shape = _catenoid_grid(spec, gen.rho_boundary, resolution)
     assert shape == mesh.grid_shape
     np.testing.assert_array_equal(vertices.view(np.int64), mesh.vertices.view(np.int64))
-    for got, want in zip(model_segments(gen), mesh_edges(mesh), strict=True):
+    for got, want in zip(model_segments(gen, resolution), mesh_edges(mesh), strict=True):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("tau", [0.0, 0.5, -0.7])
-@pytest.mark.parametrize("resolution", [(5, 8), (9, 8), (33, 48), (65, 96), (129, 64)])
-def test_horizontal_bound_is_the_gathered_edges_maximum(tau: float, resolution: tuple[int, int], monkeypatch) -> None:
-    # The strided edge families against the gathered edges (lo, hi) of
-    # model_segments, bit for bit, on example 1's annulus at each tau: the
-    # bound, and each edge's start and vector as _edge_extent reads them.
-    gen = replace(build_example1(SpaceParams(tau), 0.1, grid=9).annulus_generator, resolution=resolution)
-    read = []
-
-    def recorded(a, v):
-        read.append(np.concatenate([a, v], axis=-1).reshape(-1, 6))
-        return _edge_extent(a, v)
-
-    monkeypatch.setattr(slabs, "_edge_extent", recorded)
-    slabs._model_annulus.cache_clear()
-    model = _model_annulus(gen)
-    a, v = model_segments(gen)
-    gathered = np.max(2.0 * np.hypot(v[:, 0], v[:, 1]) / (1.0 - _edge_extent(a, v)))
-    assert np.float64(model.horizontal_bound).view(np.int64) == gathered.view(np.int64)
-    got, want = np.concatenate(read).view(np.int64), np.concatenate([a, v], axis=1).view(np.int64)
-    np.testing.assert_array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
-
-
-def test_tau0_family_checks_gather_no_edges(slab1, slab2, slab1_tau05, monkeypatch) -> None:
-    # Each model annulus reads its edge families once, at its build, at any
-    # tau: the congruence bound reads only the placements' forms.
-    reads = []
-
-    def counted(*args):
-        reads.append(args)
-        return _grid_edge_families(*args)
-
-    monkeypatch.setattr(slabs, "_grid_edge_families", counted)
-    slabs._model_annulus.cache_clear()
-    for slab in (slab1, slab2):
-        assert check_annulus_family(slab, sample_interior_points(slab, 4, seed=11)).passed
-    # tau 0.5: the circles tilt (test_example1_audit_passes_at_nonzero_tau), the bound holds
-    assert check_annulus_family(slab1_tau05, sample_interior_points(slab1_tau05, 4, seed=11)).spectra_ok
-    assert len(reads) == 3
-
-
-def test_a_generator_builds_its_model_annulus_once(slab1, monkeypatch) -> None:
-    meshes = []
-
-    def counted(*args):
-        meshes.append(args)
-        return _catenoid_grid(*args)
-
-    monkeypatch.setattr(slabs, "_catenoid_grid", counted)
+def test_a_generator_builds_its_model_annulus_once(slab1) -> None:
     slabs._model_annulus.cache_clear()
     points = sample_interior_points(slab1, 3, seed=7)
     assert check_annulus_family(slab1, points).passed
-    assert len(meshes) == 1
+    assert _model_annulus.cache_info().misses == 1
     # equal generators are one key
     gen = slab1.annulus_generator
     record = _model_annulus(gen)
@@ -913,7 +878,7 @@ def test_a_generator_builds_its_model_annulus_once(slab1, monkeypatch) -> None:
     shrunken = with_shrunken_annuli(slab1, 0.5)
     assert not check_annulus_family(shrunken, points).passed
     own = _model_annulus(shrunken.annulus_generator)
-    assert len(meshes) == 2
+    assert _model_annulus.cache_info().misses == 2
     assert own is not record
     assert own.boundary_height < record.boundary_height
 
@@ -1226,7 +1191,7 @@ def test_one_mixed_placement_fails_only_as_its_own_row(slab1, monkeypatch, mutat
 
 @pytest.fixture(scope="module")
 def slab2_tau05():
-    return build_example2(SpaceParams(0.5), "linear", 1.0, 0.45, 0.2, grid=65, annulus_resolution=(33, 48))
+    return build_example2(SpaceParams(0.5), "linear", 1.0, 0.45, 0.2, grid=65)
 
 
 @pytest.mark.parametrize("fixture", ["slab1", "slab1_tau05", "slab2", "slab2_tau05", "shrunken"])
@@ -1287,7 +1252,7 @@ def test_example1_audit_passes_at_nonzero_tau(slab1_tau05) -> None:
 
 @pytest.mark.xfail(raises=AssertionError, strict=True, reason=_TILTED_CIRCLES)
 def test_example2_audit_passes_at_nonzero_tau() -> None:
-    slab = build_example2(SpaceParams(0.3), "linear", 1.0, 0.45, 0.2, grid=65, annulus_resolution=(33, 48))
+    slab = build_example2(SpaceParams(0.3), "linear", 1.0, 0.45, 0.2, grid=65)
     report = check_annulus_family(slab, sample_interior_points(slab, 3, seed=4))
     assert report.passed
 

@@ -648,10 +648,27 @@ def test_window_check_memory_stays_bounded() -> None:
 
 def test_transversality_delta_raises_when_the_bisection_budget_runs_out(monkeypatch) -> None:
     # here the rounded-up margin at the closed-form root is not below eps^2,
-    # so [0, root] is halved; three halvings leave it 1/8 of the root wide
+    # so the bracket below it is halved; three halvings leave 8 of its 64 ulps
     monkeypatch.setattr(surfaces, "_BISECTION_BUDGET", 3)
     with pytest.raises(ConvergenceError, match="did not converge in 3 steps"):
         transversality_delta(0.5, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(("eps", "h0", "tau"), [(0.5, 1.0, 0.5), (0.5, 1.0, 0.0), (0.05, 2.0, -0.5), (0.9, 0.1, 2.0)])
+def test_transversality_delta_bisects_a_few_ulps_below_the_root(monkeypatch, eps: float, h0: float, tau: float) -> None:
+    # The answer lies a few ulps below the closed-form root, so the bracket
+    # starts _DELTA_BRACKET_ULPS below it: six halvings, not about 53 from 0.
+    steps = []
+    bisect = surfaces._bisect
+
+    def counted(*args, **kwargs):
+        out = bisect(*args, **kwargs)
+        steps.append(int(out[2][0]))
+        return out
+
+    monkeypatch.setattr(surfaces, "_bisect", counted)
+    transversality_delta(eps, h0, tau)
+    assert len(steps) == 1 and steps[0] <= 10
 
 
 def bisection_delta(eps: float, h0: float, tau: float) -> float:
