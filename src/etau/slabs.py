@@ -8,8 +8,8 @@ graphs certified by the Douglas criterion) and audits the defining
 conditions on sampled interior points.  A slab's window is a DISC_XY domain,
 and a slab computes its bounding-graph check once and keeps it.  Each
 annulus generator is the key of its one cached model annulus, its boundary
-circles; the family's congruence is certified from the placements' forms,
-so no mesh or vertex grid is built.
+circles; the family's congruence is certified from the shape of each
+placement's matrix, so no mesh or vertex grid is built.
 """
 
 from __future__ import annotations
@@ -304,8 +304,8 @@ class CatenoidAnnulusGenerator:
         only its own row fails.  Every matrix keeps the shape (a b; conj(b)
         conj(a)) bit for bit: disc_point_isometry's involutions have it, and
         float64 complex products and sums (isometries._matmul) and real
-        rescalings (MobiusMap.normalized) commute with conjugation.  So each
-        placement's form has A = -C and B = 0 exactly (_congruence_bound)."""
+        rescalings (MobiusMap.normalized) commute with conjugation.  The
+        audit reads that shape (_congruent)."""
         model = _model_annulus(self)
         cylinder = [p if p.model is Model.CYLINDER else convert_model(p, self.tau) for p in points]
         out: list = [
@@ -342,77 +342,29 @@ class CatenoidAnnulusGenerator:
         return out
 
 
-# Veltkamp's splitting constant 2^27 + 1 for float64.
-_SPLITTER = 134217729.0
+def _congruent(placement: AmbientIsometry, tau: float) -> bool:
+    """The placement moves the model annulus onto an isometric copy in the
+    cylinder model of fiber tau tau: its model and tau are the metric's,
+    and its matrix has the SU(1,1) shape (a b; conj(b) conj(a)) exactly,
+    with the pole outside the closed disc by MobiusMap.normalized's test,
+    whose 1e-12 margin is far above the rounding of abs, so |b| < |a|.
 
-
-def _exact_dot(pairs) -> float:
-    """sum(x * y for x, y in pairs), correctly rounded: each product is split
-    into p = fl(x y) and its exact error (Dekker 1971), and math.fsum rounds
-    the sum of those once."""
-    terms = []
-    for x, y in pairs:
-        p = x * y
-        xs, ys = _SPLITTER * x, _SPLITTER * y
-        xh, yh = xs - (xs - x), ys - (ys - y)
-        xl, yl = x - xh, y - yh
-        terms += (p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl)
-    return math.fsum(terms)
-
-
-def _hermitian_form(*rows) -> tuple[float, float, float, float]:
-    """Coefficients (A, Re B, Im B, C), each correctly rounded, of the real
-    quadratic sum(sign |m z + n|^2 for sign, m, n in rows), sign = +-1,
-    written A |z|^2 + 2 Re(B z) + C."""
-    a, br, bi, c = [], [], [], []
-    for sign, m, n in rows:
-        mr, mi = sign * m.real, sign * m.imag
-        a += ((mr, m.real), (mi, m.imag))
-        br += ((mr, n.real), (mi, n.imag))
-        bi += ((mi, n.real), (-mr, n.imag))
-        c += ((sign * n.real, n.real), (sign * n.imag, n.imag))
-    return _exact_dot(a), _exact_dot(br), _exact_dot(bi), _exact_dot(c)
-
-
-def _placement_forms(placement: AmbientIsometry):
-    """The placement's fiber tau with its Hermitian form D = |cz + d|^2 - |az + b|^2."""
+    Read with no arithmetic on the entries.  For such a matrix the form
+    D = |cz + d|^2 - |az + b|^2 is C (1 - |z|^2), C = |a|^2 - |b|^2 = ad -
+    bc > 0, whatever C is (Beardon, The Geometry of Discrete Groups, Sec.
+    4): every edge speed 2 |ad - bc| |dz| / D and every vertical term dD / D
+    is the model's, so every edge-length spectrum is the model annulus'
+    (tests/spectra_reference.py measures them).  The generator's placements
+    keep that shape bit for bit (CatenoidAnnulusGenerator.place).  A NaN
+    entry fails the equality tests."""
     a, b, c, d = placement.mobius.matrix()
-    return placement.tau, _hermitian_form((1.0, c, d), (-1.0, a, b))
-
-
-def _congruence_bound(instances: Sequence[AnnulusInstance]) -> float:
-    """Certificate that the model annulus and the instances, which share one
-    generator, have one edge-length spectrum: a bound of the sup distance
-    between any two of their spectra that reads 0.0, inf or NaN.
-
-    An instance's spectrum is the sorted lengths of its image edges: the
-    model edge p -> p + v, moved by the placement with matrix (a b; c d) of
-    determinant delta = ad - bc, has as length the integral over s in
-    [0, 1] of its speed at z = p + s v (tests/spectra_reference.py).  With
-    D = |cz + d|^2 - |az + b|^2 = A |z|^2 + 2 Re(B z) + C, that speed has
-    the horizontal part 2 |delta| |dz| / D and, when the placement's fiber
-    tau is the metric's, the vertical part vt + 4 tau Im(dD dz) / D, dD =
-    A conj(z) + B the z-derivative of D; a reversing placement flips only
-    the vertical part's sign.  A disc isometry's form has A = -C, B = 0 and
-    C > 0, as has every positive multiple of an SU(1,1) matrix (a b;
-    conj(b) conj(a)) whatever C is (Beardon, The Geometry of Discrete
-    Groups, Sec. 4); the generator's placements keep that matrix shape bit
-    for bit (CatenoidAnnulusGenerator.place).  Such a form is D = C D0,
-    D0 = 1 - |z|^2 the model's own, and delta = |a|^2 - |b|^2 = C, so both
-    parts of the speed are the model's at every z and every spectrum is the
-    model's: the certificate is 0.0.  Any other form, or a fiber tau other
-    than the metric's, makes it inf; a NaN coefficient makes it NaN.  Each
-    placement is read once, through _placement_forms, whose coefficients
-    are correctly rounded and compared exactly.  Spectra measured in
-    float64 still differ by their own rounding (tests/spectra_reference.py).
-    """
-    gen = instances[0].generator
-    taus, d_forms = map(np.array, zip(*(_placement_forms(instance.placement) for instance in instances)))
-    if np.isnan(d_forms).any():
-        return math.nan
-    a, br, bi, c = d_forms.T
-    covered = (taus == gen.tau) & (a == -c) & (br == 0.0) & (bi == 0.0) & (c > 0.0)
-    return 0.0 if covered.all() else math.inf
+    return (
+        placement.model is Model.CYLINDER
+        and placement.tau == tau
+        and c == b.conjugate()
+        and d == a.conjugate()
+        and abs(c) * (1.0 + 1e-12) < abs(d)
+    )
 
 
 # -- slab specification and checks ---------------------------------------------
@@ -467,8 +419,9 @@ class AnnulusCheck:
     spreads are max - min of the fiber coordinate t along the placed top
     (above) and bottom (below) boundary circles: 0 when the placement keeps
     them horizontal, as at tau 0.  A point that got no annulus, or one whose
-    placement is no isometry of the slab's space (another fiber tau), gets
-    an infinite distance, margins of -inf and NaN spreads.
+    placement is not certified congruent (_congruent: another model or
+    fiber tau, or a matrix off the SU(1,1) shape), gets an infinite
+    distance, margins of -inf and NaN spreads.
     """
 
     point: AmbientPoint
@@ -486,14 +439,14 @@ class AnnulusCheck:
 class SlabReport:
     """Audit of a slab at its points.
 
-    spectra_deviation is a bound, from every placement's Hermitian form, of
-    the edge-length spectra distance between any two of the model annulus
-    and the generated instances (check_annulus_family, _congruence_bound):
-    0.0 when every placement is a disc isometry of the slab's tau, and when
-    no point got an annulus; infinite when some placement is not (another
-    fiber tau, or a form with A != -C, B != 0 or C <= 0); NaN when a form
-    coefficient is NaN, and for slabs whose graphs fail the bounding check.
-    spectra_ok is that bound equal to 0.0.
+    spectra_deviation is a bound of the edge-length spectra distance
+    between any two of the model annulus and the generated instances
+    (check_annulus_family): 0.0 when every placement has the shape that
+    _congruent certifies, and when no point got an annulus; infinite when
+    some placement has not (another model or fiber tau, or a matrix off
+    (a b; conj(b) conj(a)) with |b| < |a|, a NaN entry included); NaN for
+    slabs whose graphs fail the bounding check.  spectra_ok is that bound
+    equal to 0.0.
     """
 
     height_bound: float
@@ -581,12 +534,14 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
     Per point: the generated annulus passes through it (ambient distance
     below _CONTAINS_TOL times the slab scale) and its boundary circles clear
     the graphs along fibers, one above and one below.  The family must be
-    congruent: _congruence_bound, read from every placement's Hermitian
-    form, certifies that the model annulus and the instances have one
-    edge-length spectrum, and must read 0.0; no spectrum is measured.  Each stage is one array pass over all points
+    congruent: _congruent reads every placement's matrix shape, which
+    certifies that the model annulus and the instances have one edge-length
+    spectrum, so spectra_deviation is 0.0 when every placement passes and
+    inf otherwise; no spectrum is measured.  The same test picks the rows
+    to audit.  Each stage is one array pass over the audited points
     (window, placements, reference chords, boundary circles), one pass per
     orientation when the placements mix them; a point with no annulus, or
-    with a placement of another fiber tau, gets a failed record, and
+    with a placement that fails _congruent, gets a failed record, and
     AnnulusCheck says when a recorded distance is an upper bound.  The
     bounding graphs are the slab's kept check_bounding_graphs.  seed is
     unused: the audit draws nothing.
@@ -620,17 +575,17 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
 
     gen = slab.annulus_generator
     placed = gen.place(points)
-    instances = [instance for instance in placed if isinstance(instance, AnnulusInstance)]
-    # a point without an annulus, or whose placement is no isometry of the
-    # cylinder model of the generator's tau, keeps these failed values
+    # a point without an annulus, or whose placement fails _congruent, keeps these failed values
     distance, spreads = np.full(len(points), np.inf), np.full((2, len(points)), np.nan)
     above, below = np.full((2, len(points)), -np.inf)
     passes: dict = {}  # the audited rows by orientation: apply_to_rows takes one orientation a pass
+    congruent = True
     for i, instance in enumerate(placed):
         if isinstance(instance, AnnulusInstance):
-            placement = instance.placement
-            if placement.model is Model.CYLINDER and placement.tau == gen.tau:
-                passes.setdefault(placement.orientation, []).append(i)
+            if _congruent(instance.placement, gen.tau):
+                passes.setdefault(instance.placement.orientation, []).append(i)
+            else:
+                congruent = False
     for rows in passes.values():
         audited = [placed[i] for i in rows]
         distance[rows] = _annulus_distances(audited, coords[rows], _CONTAINS_TOL * scale)
@@ -644,7 +599,7 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
         for p, d, a, b, *spread in zip(points, distance.tolist(), above.tolist(), below.tolist(), *spreads.tolist())
     )
 
-    deviation = _congruence_bound(instances) if instances else 0.0
+    deviation = 0.0 if congruent else math.inf
     spectra_ok = deviation == 0.0
 
     passed = spectra_ok and all(c.contains_point and c.boundary_above and c.boundary_below for c in checks)

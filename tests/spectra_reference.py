@@ -1,10 +1,14 @@
 """Reference measurements of the slab audit's annulus family, for the tests.
 
-The audit certifies congruence from each placement's Hermitian form
-(slabs._congruence_bound) and measures no spectrum; edge_length_spectra
-measures the edge-length spectra that certificate speaks of, one
-unit_panel per edge, on a model mesh whose resolution the caller chooses:
-the slab module keeps no mesh or vertex grid.  mesh_edges reads a model
+The audit certifies congruence from each placement's matrix shape,
+(a b; conj(b) conj(a)) with |b| < |a| (slabs._congruent), and measures no
+spectrum.  This module is that certificate's reference: placement_forms
+reads each placement's Hermitian form D = |cz + d|^2 - |az + b|^2 with
+correctly rounded coefficients (hermitian_form, exact_dot), for which the
+certified shape is A = -C, B = 0 and C > 0, and edge_length_spectra
+measures the edge-length spectra from those forms, one unit_panel per
+edge, on a model mesh whose resolution the caller chooses: the slab
+module keeps no mesh or vertex grid.  mesh_edges reads a model
 mesh's edges by sorting and deduplicating its triangles' edge keys;
 grid_edges writes the same edges of a wrapped vertex grid in closed form,
 and grid_segments gathers them.  model_segments gathers a generator's model
@@ -96,27 +100,61 @@ def model_segments(
     return grid_segments(*_catenoid_grid(spec, generator.rho_boundary, resolution))
 
 
+# Veltkamp's splitting constant 2^27 + 1 for float64.
+_SPLITTER = 134217729.0
+
+
+def exact_dot(pairs) -> float:
+    """sum(x * y for x, y in pairs), correctly rounded: each product is split
+    into p = fl(x y) and its exact error (Dekker 1971), and math.fsum rounds
+    the sum of those once."""
+    terms = []
+    for x, y in pairs:
+        p = x * y
+        xs, ys = _SPLITTER * x, _SPLITTER * y
+        xh, yh = xs - (xs - x), ys - (ys - y)
+        xl, yl = x - xh, y - yh
+        terms += (p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl)
+    return math.fsum(terms)
+
+
+def hermitian_form(*rows) -> tuple[float, float, float, float]:
+    """Coefficients (A, Re B, Im B, C), each correctly rounded, of the real
+    quadratic sum(sign |m z + n|^2 for sign, m, n in rows), sign = +-1,
+    written A |z|^2 + 2 Re(B z) + C."""
+    a, br, bi, c = [], [], [], []
+    for sign, m, n in rows:
+        mr, mi = sign * m.real, sign * m.imag
+        a += ((mr, m.real), (mi, m.imag))
+        br += ((mr, n.real), (mi, n.imag))
+        bi += ((mi, n.real), (-mr, n.imag))
+        c += ((sign * n.real, n.real), (sign * n.imag, n.imag))
+    return exact_dot(a), exact_dot(br), exact_dot(bi), exact_dot(c)
+
+
 def placement_forms(placement, tau: float):
-    """slabs._placement_forms' fiber tau and form D with, only when that tau
-    differs from the metric's tau, P = |cz + d|^2 of the placement's matrix
-    (a b; c d) by slabs._hermitian_form (None otherwise)."""
-    tau_f, d_form = slabs._placement_forms(placement)
-    _, _, c, d = placement.mobius.matrix()
-    return tau_f, d_form, slabs._hermitian_form((1.0, c, d)) if tau_f != tau else None
+    """The placement's fiber tau and its Hermitian form D = |cz + d|^2 -
+    |az + b|^2 with, only when that tau differs from the metric's tau, P =
+    |cz + d|^2 (None otherwise), of its matrix (a b; c d) by hermitian_form.
+    A matrix of the shape that slabs._congruent certifies has D = C (1 -
+    |z|^2): A = -C, B = 0 and C = |a|^2 - |b|^2 > 0."""
+    a, b, c, d = placement.mobius.matrix()
+    d_form = hermitian_form((1.0, c, d), (-1.0, a, b))
+    return placement.tau, d_form, hermitian_form((1.0, c, d)) if placement.tau != tau else None
 
 
 def speed_forms(placement, tau: float):
     """placement_forms with the form D divided by |ad - bc|, the modulus of
     the determinant of the placement's matrix (a b; c d), correctly rounded
-    (slabs._exact_dot): node_speeds' horizontal part 2 |dz| / D is then
+    (exact_dot): node_speeds' horizontal part 2 |dz| / D is then
     2 |ad - bc| |dz| / D, whatever the matrix's scale, and dD / D, so the
     vertical part, does not see the division.  A disc isometry's form, A =
     -C and B = 0, has ad - bc = C exactly, so it becomes the model's own
     form (-1, 0, 0, 1)."""
     tau_f, d_form, p_form = placement_forms(placement, tau)
     a, b, c, d = placement.mobius.matrix()
-    det_re = slabs._exact_dot(((a.real, d.real), (-a.imag, d.imag), (-b.real, c.real), (b.imag, c.imag)))
-    det_im = slabs._exact_dot(((a.real, d.imag), (a.imag, d.real), (-b.real, c.imag), (-b.imag, c.real)))
+    det_re = exact_dot(((a.real, d.real), (-a.imag, d.imag), (-b.real, c.real), (b.imag, c.imag)))
+    det_im = exact_dot(((a.real, d.imag), (a.imag, d.real), (-b.real, c.imag), (-b.imag, c.real)))
     det = math.hypot(det_re, det_im)
     return tau_f, tuple(coefficient / det for coefficient in d_form), p_form
 
@@ -187,8 +225,8 @@ def edge_length_spectra(
     divided by |delta| (speed_forms), which leaves dD / D as it is.  No
     step uses that F is an isometry, so a placement that is not one moves
     the spectrum.  The coefficients alpha, beta and gamma (and P's) and
-    delta are correctly rounded once per instance (slabs._hermitian_form,
-    slabs._exact_dot), so the cancellation of |cz + d|^2 against |az + b|^2
+    delta are correctly rounded once per instance (hermitian_form,
+    exact_dot), so the cancellation of |cz + d|^2 against |az + b|^2
     far out in the disc never happens in floating point; a disc isometry's
     form, divided by its delta, is the model's own bit for bit, so every
     placement of the generator measures the model annulus' spectrum.  Near

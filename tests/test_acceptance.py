@@ -51,6 +51,7 @@ from etau.surfaces import (
     CatenoidSpec,
     catenoid_height,
     foliation_leaf_find,
+    foliation_leaf_find_arrays,
     invariant_height,
     invariant_height_substituted,
     transversality_delta,
@@ -185,16 +186,18 @@ def test_criterion_8() -> None:
         )
         for _ in range(100)
     ]
-    scales = []
-    for p in points:
-        result = foliation_leaf_find(p, 1.2, 1.0, 0.0)
-        assert result.residual < 1e-6, (p.x, p.y, p.t)
-        scales.append(result.scale)
+    # one batched find per point set; each point has the bits of its find alone
+    scales, residuals, _ = foliation_leaf_find_arrays(np.array([p.coords() for p in points]), 1.2, 1.0, 0.0)
+    for p, residual in zip(points, residuals.tolist()):
+        assert residual < 1e-6, (p.x, p.y, p.t)
+    first = foliation_leaf_find(points[0], 1.2, 1.0, 0.0)
+    assert (first.scale, first.residual) == (scales[0], residuals[0])
     mu = 1.7
     push = scale_isometry(mu, 0.0)
-    for p, lam in zip(points[:10], scales[:10]):
-        moved = foliation_leaf_find(apply(push, p), 1.2, 1.0, 0.0).scale
-        assert abs(moved - mu * lam) < 1e-6 * max(1.0, mu * lam)
+    moved_coords = np.array([apply(push, p).coords() for p in points[:10]])
+    moved, _, _ = foliation_leaf_find_arrays(moved_coords, 1.2, 1.0, 0.0)
+    for moved_scale, lam in zip(moved.tolist(), scales[:10].tolist()):
+        assert abs(moved_scale - mu * lam) < 1e-6 * max(1.0, mu * lam)
 
 
 def test_criterion_9() -> None:

@@ -312,7 +312,7 @@ def _reference_push_forward(iso: AmbientIsometry, x, y, vx, vy, vt):
     z, dz = x + 1j * y, vx + 1j * vy
     r = np.reciprocal(m.c * z + m.d)
     w = (m.a * z + m.b) * r
-    dw = dz * (r * r)
+    dw = ((m.a * m.d - m.b * m.c) * dz) * (r * r)
     dtheta = -2.0 * ((m.c * dz) * r).imag
     # the disc model's row signs
     sx, sy, st = (1.0, -1.0, -1.0) if iso.orientation is Orientation.REVERSING else (1.0, 1.0, 1.0)

@@ -273,11 +273,17 @@ def test_per_row_batches_need_one_isometry_per_row() -> None:
 
 
 def push_forward_cases(tau: float) -> list[AmbientIsometry]:
-    """Direct and reversing maps of both models, with nontrivial c where possible."""
+    """Direct and reversing maps of both models, with nontrivial c where
+    possible, and a disc map whose matrix is scaled by 1 + 1e-6: the same
+    Moebius map, which MobiusMap's constructor accepts at any determinant
+    (with dw = dz / (cz + d)^2 alone its differential read 1/s^2 =
+    0.999998 of the finite difference)."""
     disc = disc_point_isometry(0.3 + 0.2j, tau)
+    scaled = MobiusMap(*(w * (1.0 + 1e-6) for w in disc.mobius.matrix()), Model.CYLINDER)
     return family_members(tau) + [
         compose(halfplane_reflection(0.5, tau), axis_translation_isometry(1.0, tau)),
         AmbientIsometry(disc.mobius, Orientation.REVERSING, 0.3, 0.0, tau),
+        replace(disc, mobius=scaled),
     ]
 
 

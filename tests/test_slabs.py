@@ -78,6 +78,7 @@ from etau.surfaces import (
 from spectra_reference import (
     SPECTRA_CHUNK_NODES,
     edge_length_spectra,
+    hermitian_form,
     mesh_edges,
     model_segments,
     node_speeds,
@@ -590,7 +591,7 @@ def test_hermitian_form_coefficients_are_correctly_rounded() -> None:
     rng = np.random.default_rng(11)
     for _ in range(2000):
         a, b, c, d = (complex(*rng.normal(0.0, 10.0 ** rng.integers(-3, 4), 2)) for _ in range(4))
-        got = slabs._hermitian_form((1.0, c, d), (-1.0, a, b))
+        got = hermitian_form((1.0, c, d), (-1.0, a, b))
         fa, fb, fc, fd = ((Fraction(z.real), Fraction(z.imag)) for z in (a, b, c, d))
         want = (
             fc[0] ** 2 + fc[1] ** 2 - fa[0] ** 2 - fa[1] ** 2,
@@ -618,7 +619,9 @@ def test_batched_spectra_need_one_model_mesh(slab1) -> None:
 
 def _drifted_determinant(placement: AmbientIsometry) -> AmbientIsometry:
     """The placement with its matrix scaled by 1 + 1e-6: the same Moebius map,
-    and a form still of the shape A = -C, B = 0, but C = (1 + 1e-6)^2."""
+    a matrix still of the shape (a b; conj(b) conj(a)), since a real scale
+    commutes with conjugation, and a form with A = -C, B = 0, but C = (1 +
+    1e-6)^2."""
     m = placement.mobius
     s = 1.0 + 1e-6
     return replace(placement, mobius=MobiusMap(m.a * s, m.b * s, m.c * s, m.d * s, m.model))
@@ -661,8 +664,8 @@ def test_audit_measures_no_spectrum(slab1) -> None:
 @pytest.mark.parametrize("mutation", ["squeeze", "det-drift"])
 def test_one_point_audit_is_not_vacuous(slab1, monkeypatch, mutation: str) -> None:
     # One instance is still compared with the model annulus.  det-drift keeps
-    # A = -C and B = 0: the same Moebius map, which the certificate passes and
-    # the reference measures on the model's spectrum.
+    # the matrix shape (a b; conj(b) conj(a)): the same Moebius map, which the
+    # certificate passes and the reference measures on the model's spectrum.
     points = sample_interior_points(slab1, 1, seed=7)
     assert check_annulus_family(slab1, points).spectra_ok
     _mutate_placement(monkeypatch, _PLACEMENT_MUTATIONS[mutation])
@@ -694,23 +697,27 @@ def test_audit_catches_each_placement_mutation(slab1, monkeypatch, mutation: str
     assert report.passed is same_map
 
 
-@pytest.mark.parametrize("coefficient", [0, 1, 3])
+@pytest.mark.parametrize("coefficient", [0, 1, 2, 3])
 def test_nan_form_fails_the_audit(slab1, monkeypatch, coefficient: int) -> None:
-    points = sample_interior_points(slab1, 2, seed=7)
-    forms = slabs._placement_forms
-    calls = []
+    # A NaN entry of one row's matrix fails the shape test's equalities: that
+    # row gets the failed record without being audited, so no NaN reaches
+    # the arithmetic, the other rows keep their bits and the certificate
+    # reads inf.
+    points = sample_interior_points(slab1, 3, seed=7)
+    want = _audit_one_at_a_time(slab1, points)
+    want[1] = _FAILED_ROW
 
-    def forms_with_nan(placement):
-        tau_f, d_form = forms(placement)
-        calls.append(placement)
-        if len(calls) == 2:
-            d_form = tuple(math.nan if i == coefficient else value for i, value in enumerate(d_form))
-        return tau_f, d_form
+    def with_nan(placement):
+        m = placement.mobius
+        entries = [complex(math.nan) if i == coefficient else w for i, w in enumerate(m.matrix())]
+        return replace(placement, mobius=MobiusMap(*entries, m.model))
 
-    monkeypatch.setattr(slabs, "_placement_forms", forms_with_nan)
-    report = check_annulus_family(slab1, points)
-    assert len(calls) == 2
-    assert math.isnan(report.spectra_deviation)
+    _mutate_placement(monkeypatch, with_nan, rows=[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = check_annulus_family(slab1, points)
+    _assert_rows_equal(_check_rows(report.annulus_checks), want)
+    assert report.spectra_deviation == math.inf
     assert not report.spectra_ok
     assert not report.passed
 
@@ -743,10 +750,10 @@ def test_congruence_bound_covers_the_measured_spectra(construction: str, tau: fl
         assert (tau_f, a, br, bi, p_form) == (tau, -c, 0.0, 0.0, None)
     model = replace(instances[0], placement=identity_isometry(tau, Model.CYLINDER))
     family = [model, *instances, _mirrored(instances[-1])]
-    assert slabs._congruence_bound(family[1:]) == 0.0
+    # the model's own placement and a mirror have the certified shape too
+    assert all(slabs._congruent(instance.placement, tau) for instance in family)
     assert _all_pairs_deviation(family) <= _SPECTRA_FLOAT_ERROR
     # the model annulus counts: one instance alone is still measured against it
-    assert slabs._congruence_bound(family[1:2]) == 0.0
     assert _all_pairs_deviation(family[:2]) <= _SPECTRA_FLOAT_ERROR
 
 
@@ -754,18 +761,18 @@ def test_congruence_bound_covers_the_measured_spectra(construction: str, tau: fl
 @pytest.mark.parametrize(("scale", "shift"), [(1.0 - 1e-6, 0.0), (1.0 - 1e-6, 1e-6 + 2e-6j), (1.0, 1e-5), (1.0 - 1e-4, 0.0)])
 def test_congruence_bound_covers_small_form_defects(monkeypatch, tau: float, scale: float, shift: complex) -> None:
     # Placements composed with z -> scale z + shift have A != -C or B != 0,
-    # however small the defect: no disc isometry's form, so the bound covers
-    # them only as infinity, beside a covered instance or a mirror, and the
-    # audit of such a placement fails.
+    # however small the defect: no disc isometry's form and no matrix of the
+    # certified shape, mirrored or not, while the other placement keeps it;
+    # the audit of such a placement fails.
     slab = _slab_at("example1", tau)
     points = sample_interior_points(slab, 2, seed=7)
     first, second = slab.annulus_generator.place(points)
     distortion = _distortion(scale, shift, tau)
     moved = replace(first, placement=compose(first.placement, distortion))
-    _, (a, br, bi, c) = slabs._placement_forms(moved.placement)
+    _, (a, br, bi, c), _ = placement_forms(moved.placement, tau)
     assert c > 0.0 and (a, br, bi) != (-c, 0.0, 0.0)
-    for family in ([moved], [moved, second], [second, moved], [moved, _mirrored(moved)]):
-        assert slabs._congruence_bound(family) == math.inf
+    assert slabs._congruent(second.placement, tau)
+    assert not any(slabs._congruent(instance.placement, tau) for instance in (moved, _mirrored(moved)))
     _mutate_placement(monkeypatch, lambda placement: compose(placement, distortion))
     report = check_annulus_family(slab, points)
     assert report.spectra_deviation == math.inf
@@ -786,9 +793,10 @@ def test_congruence_bound_covers_small_form_defects(monkeypatch, tau: float, sca
 def test_placements_have_disc_isometry_forms(
     tau: float, example: str, eps: float, alpha: float, beta: float, count: int, seed: int
 ) -> None:
-    # The congruence bound covers only A = -C, B = 0 and C > 0, so every
-    # placement the generator hands out must have that form exactly, at any
-    # tau; eps is the fraction of example 1's largest epsilon.
+    # The audit certifies only matrices (a b; conj(b) conj(a)) with |b| < |a|,
+    # whose forms have A = -C, B = 0 and C > 0, so every placement the
+    # generator hands out must have that shape and form exactly, at any tau;
+    # eps is the fraction of example 1's largest epsilon.
     sp = SpaceParams(tau)
     small = dict(grid=9)
     if example == "example1":
@@ -799,6 +807,9 @@ def test_placements_have_disc_isometry_forms(
     placed = slab.annulus_generator.place(sample_interior_points(slab, count, seed=seed))
     assert not any(isinstance(instance, InvalidPointError) for instance in placed)
     for instance in placed:
+        m = instance.placement.mobius
+        assert (m.c, m.d) == (m.b.conjugate(), m.a.conjugate())
+        assert slabs._congruent(instance.placement, tau)
         tau_f, (a, br, bi, c), p_form = placement_forms(instance.placement, tau)
         assert (tau_f, p_form) == (tau, None)
         assert c > 0.0 and (a, br, bi) == (-c, 0.0, 0.0)
@@ -1169,11 +1180,13 @@ def _reversing(placement: AmbientIsometry) -> AmbientIsometry:
     return AmbientIsometry(placement.mobius, Orientation.REVERSING, 0.3, 0.0, placement.tau)
 
 
-@pytest.mark.parametrize("mutation", ["tau_f-0.01", "reversing"])
+@pytest.mark.parametrize("mutation", ["tau_f-0.01", "squeeze", "reversing"])
 def test_one_mixed_placement_fails_only_as_its_own_row(slab1, monkeypatch, mutation: str) -> None:
-    # One row of four gets another fiber tau or orientation.  A fiber-tau row
-    # gets the failed record; a reversing placement is an isometry, audited
-    # in its own pass.  Every other row keeps the bits of its point alone.
+    # One row of four gets another fiber tau, a squeezed matrix or another
+    # orientation.  A fiber-tau or squeezed row fails the certified shape
+    # and gets the failed record; a reversing placement keeps the shape and
+    # is audited in its own pass.  Every other row keeps the bits of its
+    # point alone.
     points = sample_interior_points(slab1, 4, seed=7)
     want = _audit_one_at_a_time(slab1, points)
     mutate = _reversing if mutation == "reversing" else _PLACEMENT_MUTATIONS[mutation]
