@@ -42,6 +42,8 @@ _COEFF_TOL = 1e-12
 _SINGULAR_RTOL = 1e-14
 # Base step of the finite-difference Jacobian in the pullback residuals.
 _PULLBACK_STEP = 2e-3
+# The least normal float, below which _csqrt rescales as cmath.sqrt does.
+_DBL_MIN = float(np.finfo(float).smallest_normal)
 
 KNOWN_FAMILIES = frozenset(
     {
@@ -102,21 +104,92 @@ class MobiusMap:
         return (self.a, self.b, self.c, self.d)
 
 
-def _matmul(m1, m2):
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    return (
-        a1 * a2 + b1 * c2,
-        a1 * b2 + b1 * d2,
-        c1 * a2 + d1 * c2,
-        c1 * b2 + d1 * d2,
-    )
+def _complex(re, im) -> np.ndarray:
+    """The complex array re + i im, set part by part, so signed zeros stay."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
-def _reflection_adjusted(m: MobiusMap):
-    """Matrix of R o f o R, the positive part seen behind a reflection."""
-    a, b, c, d = m.matrix()
-    if m.model is Model.HALF_SPACE:
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x y for complex arrays, rounded as CPython multiplies complex
+    scalars: four real products and two sums, none fused.  numpy's complex
+    multiply may fuse them, and then it rounds otherwise."""
+    return _complex(x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real)
+
+
+def _creciprocal(z: np.ndarray) -> np.ndarray:
+    """1.0 / z for a complex array with no zero entry, rounded as CPython
+    divides by a complex scalar: Smith's rule, signed zeros included."""
+    zr, zi = z.real, z.imag
+    first = np.abs(zr) >= np.abs(zi)
+    with np.errstate(divide="ignore", invalid="ignore"):  # each row reads one branch
+        r1, r2 = zi / zr, zr / zi
+        d1, d2 = zr + zi * r1, zr * r2 + zi
+        return _complex(np.where(first, 1.0 / d1, (r2 + 0.0) / d2), np.where(first, (0.0 - r1) / d1, -1.0 / d2))
+
+
+def _csqrt(z: np.ndarray) -> np.ndarray:
+    """cmath.sqrt of each finite entry of a complex array, with its bits:
+    CPython's c_sqrt, s = 2 sqrt(x/8 + hypot(x/8, y/8)) on x = |Re z|, y =
+    |Im z|, rescaled by 2^53 when both are below the least normal float.
+    numpy's complex sqrt, the C library's, may round its last bit
+    otherwise."""
+    zr, zi = z.real, z.imag
+    ax, ay = np.abs(zr), np.abs(zi)
+    tiny = (ax < _DBL_MIN) & (ay < _DBL_MIN)
+    with np.errstate(all="ignore"):  # each entry reads one branch, and z = 0 reads (0, Im z)
+        up_x, up_y = np.ldexp(ax, 53), np.ldexp(ay, 53)
+        scaled = np.ldexp(np.sqrt(up_x + np.hypot(up_x, up_y)), -27)
+        s = np.where(tiny, scaled, 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0)))
+        d = ay / (2.0 * s)
+    right, zero = zr >= 0.0, (zr == 0.0) & (zi == 0.0)
+    real, imag = np.where(right, s, d), np.copysign(np.where(right, d, s), zi)
+    return _complex(np.where(zero, 0.0, real), np.where(zero, zi, imag))
+
+
+def _matmul(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """The products of two (4, n) stacks of matrices (a, b, c, d), column
+    by column, each entry a sum of two _cmul products as _Py_c_prod rounds
+    them."""
+    p = _cmul(m1[[0, 1, 0, 1, 2, 3, 2, 3]], m2[[0, 2, 1, 3, 0, 2, 1, 3]])
+    return p[0::2] + p[1::2]
+
+
+def _normalized_rows(m: np.ndarray, model: Model) -> np.ndarray:
+    """MobiusMap.normalized of each column of a (4, n) stack of matrix
+    entries, with its bits: every operation rounds as CPython's complex
+    scalars do (_cmul, _csqrt, _creciprocal; np.hypot agrees with abs).
+    When some column may fail one of normalized's tests, or leaves the
+    float range, the columns are normalized one at a time by
+    MobiusMap.normalized itself, so the first one it rejects raises its
+    own error."""
+    m = np.asarray(m, dtype=complex)
+    with np.errstate(all="ignore"):  # a column that fails a test here goes through the scalar rule below
+        products = _cmul(m[[0, 1]], m[[3, 2]])
+        det = products[0] - products[1]
+        # normalized's singular test, |ad - bc| > _SINGULAR_RTOL sum |w|^2 on the entries divided by the
+        # largest, read on the entries themselves with twice the margin: a column it passes, normalized passes
+        ok = np.abs(det) > 2.0 * _SINGULAR_RTOL * np.sum(m.real * m.real + m.imag * m.imag, axis=0)
+        if model is Model.HALF_SPACE:
+            scale_ref = np.max(np.hypot(m.real, m.imag), axis=0)
+            ok &= (np.max(np.abs(m.imag), axis=0) <= _COEFF_TOL * scale_ref) & (det.real > 0.0)
+        out = _cmul(m, _creciprocal(_csqrt(det)))
+        if model is Model.HALF_SPACE:
+            out = _complex(out.real, 0.0)
+        else:
+            c, d = out[2], out[3]
+            ok &= np.hypot(d.real, d.imag) > np.hypot(c.real, c.imag) * (1.0 + 1e-12)
+        ok &= np.all(np.isfinite(out), axis=0)
+    if not np.all(ok):
+        return np.array([MobiusMap.normalized(*row, model).matrix() for row in m.T.tolist()], dtype=complex).T
+    return out
+
+
+def _reflection_adjusted(model: Model, a, b, c, d):
+    """Matrix of R o f o R, the positive part seen behind a reflection, from
+    the entries of f (scalars or arrays)."""
+    if model is Model.HALF_SPACE:
         return (a, -b, -c, d)
     return (a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate())
 
@@ -135,6 +208,11 @@ class AmbientIsometry:
 
     def __post_init__(self) -> None:
         require_finite("isometry", tau=self.tau, shift=self.shift, branch_offset=self.branch_offset)
+        # the apply's fiber term 2 tau Theta, |Theta| <= 3 pi + |branch_offset| (_branch)
+        if not math.isfinite(2.0 * abs(self.tau) * (3.0 * math.pi + abs(self.branch_offset))):
+            raise ParameterError(
+                f"isometry with tau = {self.tau} leaves the float range: its fiber term 2 tau Theta overflows"
+            )
 
     @property
     def model(self) -> Model:
@@ -172,23 +250,72 @@ def _coefficients(iso: AmbientIsometry) -> _Coefficients:
     return _Coefficients(m.a, m.b, m.c, m.d, m.c / m.d, cmath.phase(m.d), iso.branch_offset, iso.shift)
 
 
-def _coefficients_for(isometries, shape: tuple[int, ...]) -> tuple[AmbientIsometry, _Coefficients]:
-    """One isometry with its scalars, or the first of a sequence with one
-    isometry per row (axis 0) of points of the given shape, with per-row
-    coefficient arrays that broadcast against them.  Rows share model,
+class _Rows(NamedTuple):
+    """Isometries sharing model, orientation and tau, one per row: k holds
+    (n,) arrays, each row with the bits _coefficients gives its isometry.
+    _apply takes it where it takes an isometry."""
+
+    model: Model
+    orientation: Orientation
+    tau: float
+    k: _Coefficients
+
+
+def _rows(model: Model, orientation: Orientation, tau: float, m: np.ndarray, branch_offset, shift) -> _Rows:
+    """Rows from a (4, n) stack of matrix entries and (n,) arrays of branch
+    offsets and shifts; the disc terms c / d and cmath.phase(d) are taken
+    row by row in Python scalars, as _coefficients takes them."""
+    a, b, c, d = m
+    if model is Model.HALF_SPACE:
+        c_over_d, phase_d = np.zeros(len(a), dtype=complex), np.zeros(len(a))
+    else:
+        cs, ds = c.tolist(), d.tolist()
+        c_over_d = np.array([x / y for x, y in zip(cs, ds)], dtype=complex)
+        phase_d = np.array([cmath.phase(y) for y in ds], dtype=float)
+    return _Rows(model, orientation, tau, _Coefficients(a, b, c, d, c_over_d, phase_d, branch_offset, shift))
+
+
+def _take(rows: _Rows, index) -> _Rows:
+    """The rows at an index or slice."""
+    return rows._replace(k=_Coefficients(*(column[index] for column in rows.k)))
+
+
+def _rows_of(isometries) -> _Rows:
+    """The rows of a non-empty sequence of isometries sharing model,
     orientation and tau."""
+    isos = list(isometries)
+    first = isos[0]
+    for iso in isos:
+        if iso.model is not first.model or iso.orientation is not first.orientation or iso.tau != first.tau:
+            raise ParameterError("isometries applied row by row must share model, orientation and tau")
+    m = np.array([iso.mobius.matrix() for iso in isos], dtype=complex).T
+    offsets = np.array([iso.branch_offset for iso in isos], dtype=float)
+    shifts = np.array([iso.shift for iso in isos], dtype=float)
+    return _rows(first.model, first.orientation, first.tau, m, offsets, shifts)
+
+
+def _isometries(rows: _Rows) -> list[AmbientIsometry]:
+    """One generic AmbientIsometry per row."""
+    k = rows.k
+    columns = (k.a, k.b, k.c, k.d, k.shift, k.branch_offset)
+    return [
+        AmbientIsometry(MobiusMap(a, b, c, d, rows.model), rows.orientation, shift, offset, rows.tau)
+        for a, b, c, d, shift, offset in zip(*(column.tolist() for column in columns))
+    ]
+
+
+def _coefficients_for(isometries, shape: tuple[int, ...]) -> tuple[AmbientIsometry | _Rows, _Coefficients]:
+    """One isometry with its scalars, or the rows (_rows_of) of a sequence
+    with one isometry per row (axis 0) of points of the given shape, with
+    coefficient arrays that broadcast against them."""
     if isinstance(isometries, AmbientIsometry):
         return isometries, _coefficients(isometries)
     isos = list(isometries)
     if not shape or len(isos) != shape[0]:
         raise ParameterError(f"{len(isos)} isometries for points of shape {shape}")
-    first = isos[0]
-    for iso in isos:
-        if iso.model is not first.model or iso.orientation is not first.orientation or iso.tau != first.tau:
-            raise ParameterError("isometries applied row by row must share model, orientation and tau")
+    rows = _rows_of(isos)
     per_row = (len(isos),) + (1,) * (len(shape) - 1)
-    columns = zip(*map(_coefficients, isos))
-    return first, _Coefficients(*(np.array(column).reshape(per_row) for column in columns))
+    return rows, _Coefficients(*(np.reshape(column, per_row) for column in rows.k))
 
 
 def _branch(model: Model, k: _Coefficients, z, q):
@@ -215,7 +342,7 @@ def arg_derivative(iso: AmbientIsometry, z):
     return _branch(iso.model, k, z, k.c * z + k.d)
 
 
-def _row_signs(iso: AmbientIsometry) -> tuple[float, float, float]:
+def _row_signs(iso: AmbientIsometry | _Rows) -> tuple[float, float, float]:
     """Signs of the x, y and t rows: a reversing map applies R and flips t."""
     if iso.orientation is Orientation.DIRECT:
         return 1.0, 1.0, 1.0
@@ -230,11 +357,12 @@ def apply(iso: AmbientIsometry, p: AmbientPoint) -> AmbientPoint:
     return AmbientPoint(BasePoint(iso.model, x, y), t)
 
 
-def _apply(iso: AmbientIsometry, k: _Coefficients, pts: np.ndarray) -> np.ndarray:
-    """The one apply formula: iso gives model, orientation and tau, k the
-    scalars (shared, or per row as built by _coefficients_for).  The image
-    w = (a z + b) r with r = 1 / (c z + d) is written as push_forward_arrays
-    writes it, so an array point has one image."""
+def _apply(iso: AmbientIsometry | _Rows, k: _Coefficients, pts: np.ndarray) -> np.ndarray:
+    """The one apply formula: iso (an isometry or _Rows) gives model,
+    orientation and tau, k the scalars (shared, or per row as built by
+    _coefficients_for or _rows).  The image w = (a z + b) r with r = 1 /
+    (c z + d) is written as push_forward_arrays writes it, so an array point
+    has one image."""
     z = pts[..., 0] + 1j * pts[..., 1]
     q = k.c * z + k.d
     w = (k.a * z + k.b) * np.reciprocal(q)
@@ -305,34 +433,76 @@ def compose(outer: AmbientIsometry, inner: AmbientIsometry) -> AmbientIsometry:
 
 
 def compose_rows(outers, inners) -> list[AmbientIsometry]:
-    """compose(outers[i], inners[i]) for every i: the Moebius algebra per row
-    in Python scalars, the reference-point applies as apply_to_rows passes
-    (so rows share model, orientation and tau), each row with its compose's
-    bits.  An image off the model domain raises BasePoint's InvalidPointError."""
-    outers, inners, candidates = list(outers), list(inners), []
+    """compose(outers[i], inners[i]) for every i, as array passes over the
+    rows (_compose), so the rows share model, orientation and tau; each row
+    gets the bits of its one-row compose.  An image off the model domain
+    raises BasePoint's InvalidPointError."""
+    outers, inners = list(outers), list(inners)
     for outer, inner in zip(outers, inners, strict=True):
         if outer.model is not inner.model:
             raise ModelMismatchError("cannot compose isometries of different models")
         if outer.tau != inner.tau:
             raise ParameterError("cannot compose isometries with different tau")
-        m_outer = outer.mobius.matrix()
-        if inner.orientation is Orientation.REVERSING:
-            m_outer = _reflection_adjusted(outer.mobius)
-        mob = MobiusMap.normalized(*_matmul(m_outer, inner.mobius.matrix()), outer.model)
-        flipped = (outer.orientation is Orientation.REVERSING) != (inner.orientation is Orientation.REVERSING)
-        orientation = Orientation.REVERSING if flipped else Orientation.DIRECT
-        candidates.append(AmbientIsometry(mob, orientation, 0.0, 0.0, outer.tau))
-    model = outers[0].model
-    ref = np.tile(_reference_point(model).coords(), (len(outers), 1))
-    inner_images = require_in_model(model, apply_to_rows(inners, ref))
-    expected = require_in_model(model, apply_to_rows(outers, inner_images))
-    got = require_in_model(model, apply_to_rows(candidates, ref))
+    return _isometries(_compose(_rows_of(outers), _rows_of(inners)))
+
+
+def _su11(m: np.ndarray) -> np.ndarray:
+    """Columns of a (4, n) stack whose matrix has the shape (a b; conj(b)
+    conj(a))."""
+    return (m[2] == m[1].conjugate()) & (m[3] == m[0].conjugate())
+
+
+def _compose(outer: _Rows, inner: _Rows) -> _Rows:
+    """outer o inner row by row, with the bits the point-by-point rule
+    gives: the matrix product and its normalisation round as CPython's
+    complex scalars (_matmul, _normalized_rows), and the fiber shift is the
+    reference point's image under both factors less its image under the
+    unshifted product, through _apply.  A product of two SU(1,1) matrices
+    (a b; conj(b) conj(a)) is written with c = conj(b) and d = conj(a);
+    every operation above commutes with conjugation, so only the sign of a
+    zero part can differ from the computed entries.  The base images must
+    agree to 1e-9 (GeometryError)."""
+    m_outer, m_inner = np.stack(outer.k[:4]), np.stack(inner.k[:4])
+    if inner.orientation is Orientation.REVERSING:
+        m_outer = np.stack(_reflection_adjusted(outer.model, *m_outer))
+    m = _normalized_rows(_matmul(m_outer, m_inner), outer.model)
+    if outer.model is Model.CYLINDER:
+        su11 = _su11(m_outer) & _su11(m_inner)
+        m[2:] = np.where(su11, m[[1, 0]].conjugate(), m[2:])
+    flipped = (outer.orientation is Orientation.REVERSING) != (inner.orientation is Orientation.REVERSING)
+    orientation = Orientation.REVERSING if flipped else Orientation.DIRECT
+    zeros = np.zeros(m.shape[1])
+    candidate = _rows(outer.model, orientation, outer.tau, m, zeros, zeros)
+    ref = np.tile(_reference_point(outer.model).coords(), (m.shape[1], 1))
+    inner_images = require_in_model(outer.model, _apply(inner, inner.k, ref))
+    expected = require_in_model(outer.model, _apply(outer, outer.k, inner_images))
+    got = require_in_model(outer.model, _apply(candidate, candidate.k, ref))
     if np.any(np.abs(expected[:, :2] - got[:, :2]) > 1e-9):
         raise GeometryError("composed base maps disagree; inconsistent isometries")
-    return [
-        AmbientIsometry(c.mobius, c.orientation, shift, 0.0, c.tau, family="generic")
-        for c, shift in zip(candidates, (expected[:, 2] - got[:, 2]).tolist())
-    ]
+    return candidate._replace(k=candidate.k._replace(shift=expected[:, 2] - got[:, 2]))
+
+
+def _disc_point_rows(centers: np.ndarray, tau: float) -> _Rows:
+    """disc_point_isometry of each entry of a complex array of centers, as
+    rows, each with that isometry's bits (but its family and parameters).
+    A center it rejects raises its error."""
+    bad = np.flatnonzero(~(np.hypot(centers.real, centers.imag) < 1.0 - 1e-12))
+    if bad.size:
+        disc_point_isometry(complex(centers[bad[0]]), tau)
+    n = len(centers)
+    one, minus_one = _complex(np.ones(n), 0.0), _complex(-np.ones(n), 0.0)
+    m = _normalized_rows(np.stack([one, -centers, centers.conjugate(), minus_one]), Model.CYLINDER)
+    rows = _rows(Model.CYLINDER, Orientation.DIRECT, tau, m, np.zeros(n), np.full(n, 2.0 * tau * math.pi))
+    # the offset pi + 2 cmath.phase(d) reads the phases _rows took
+    return rows._replace(k=rows.k._replace(branch_offset=math.pi + 2.0 * rows.k.phase_d))
+
+
+def _vertical_rows(offsets: np.ndarray, tau: float, model: Model) -> _Rows:
+    """vertical_translation of each entry of an array of offsets, as rows."""
+    n = len(offsets)
+    matrix = np.array(MobiusMap.normalized(1.0, 0.0, 0.0, 1.0, model).matrix(), dtype=complex)
+    m = np.repeat(matrix[:, None], n, axis=1)
+    return _rows(model, Orientation.DIRECT, tau, m, np.zeros(n), np.asarray(offsets, dtype=float))
 
 
 def inverse(iso: AmbientIsometry) -> AmbientIsometry:
@@ -341,7 +511,7 @@ def inverse(iso: AmbientIsometry) -> AmbientIsometry:
     inv = (d, -b, -c, a)
     if iso.orientation is Orientation.REVERSING:
         tmp = MobiusMap.normalized(*inv, iso.model)
-        inv = _reflection_adjusted(tmp)
+        inv = _reflection_adjusted(iso.model, *tmp.matrix())
     mob = MobiusMap.normalized(*inv, iso.model)
     candidate = AmbientIsometry(mob, iso.orientation, 0.0, 0.0, iso.tau)
     ref = _reference_point(iso.model)

@@ -26,6 +26,7 @@ from .core import (
     ParameterError,
     frame_components_arrays,
     metric_data_arrays,
+    require_finite,
     require_in_model,
 )
 from .quadrature import cumulative_integral
@@ -210,11 +211,21 @@ def _lift_integrand(curve: PlanarCurve, tau: float) -> Callable[[np.ndarray], np
     return f
 
 
+def _require_lift_tau(tau: float) -> None:
+    """ParameterError unless tau is finite and the fiber drift 2 tau pi of a
+    semicircle's lift is a float."""
+    require_finite("lift", tau=tau)
+    if not math.isfinite(2.0 * abs(tau) * math.pi):
+        raise ParameterError(f"lift at tau = {tau} leaves the float range: its fiber drift 2 tau pi overflows")
+
+
 def horizontal_lift(curve: PlanarCurve, tau: float, t_start: float = 0.0) -> LiftedCurve:
     """Lift the curve horizontally, fixing the fiber value at its first sample.
 
     For tau = 0 the integrand vanishes and the lift is the constant t_start.
+    _require_lift_tau checks tau.
     """
+    _require_lift_tau(tau)
     return LiftedCurve(curve, tau, t_start + cumulative_integral(_lift_integrand(curve, tau), curve.params))
 
 
@@ -227,7 +238,9 @@ def lift_geodesic_semicircle(
     t_start: float = 0.0,
     samples: int = 129,
 ) -> LiftedCurve:
-    """Closed-form lift along a geodesic semicircle: t = t_start - 2 tau (theta - theta_start)."""
+    """Closed-form lift along a geodesic semicircle: t = t_start - 2 tau
+    (theta - theta_start); _require_lift_tau checks tau."""
+    _require_lift_tau(tau)
     curve = PlanarCurve.geodesic_semicircle(center_x, radius, theta_start, theta_end, samples)
     t = t_start - 2.0 * tau * (curve.params - theta_start)
     return LiftedCurve(curve, tau, t)

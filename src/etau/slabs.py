@@ -7,14 +7,17 @@ one above and one below.  This module constructs the two example families
 graphs certified by the Douglas criterion) and audits the defining
 conditions on sampled interior points.  A slab's window is a DISC_XY domain,
 and a slab computes its bounding-graph check once and keeps it.  Each
-annulus generator is the key of its one cached model annulus, its boundary
-circles; the family's congruence is certified from the shape of each
-placement's matrix, so no mesh or vertex grid is built.
+annulus generator is the key of its one cached model annulus, the radius and
+fiber levels of its boundary circles; the family's congruence is certified
+from the shape of each placement's matrix, and for plane heights the
+boundary margins are read from the same matrices in closed form, so no
+mesh, vertex grid or sampled circle is built.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -42,14 +45,19 @@ from .core import (
 from .graphs import Chart, GraphDomain, GraphFunction, graph_nu
 from .isometries import (
     AmbientIsometry,
+    _apply,
+    _complex,
+    _compose,
+    _disc_point_rows,
+    _isometries,
+    _row_signs,
+    _take,
+    _vertical_rows,
     apply_to_coords,
     apply_to_rows,
-    compose_rows,
-    disc_point_isometry,
-    inverse,
     axis_translation_isometry,
+    inverse,
     push_forward_arrays,
-    vertical_translation,
 )
 from .surfaces import (
     CatenoidSpec,
@@ -152,34 +160,45 @@ def halfplane_window_domain(
 
 # -- annulus family ------------------------------------------------------------
 
-# Samples per boundary circle in the fiber-margin checks.
+# Samples per boundary circle of AnnulusInstance.boundary_coords and of the
+# sampled margins of non-plane heights (_boundary_margins).
 _BOUNDARY_SAMPLES = 512
 
 
 @dataclass(frozen=True)
 class _ModelAnnulus:
     """The model annulus of one generator, read-only: its catenoid, its
-    boundary height, and its boundary circles upper and lower at w = 1 and
-    w = -1, _BOUNDARY_SAMPLES disc coordinates (n, 3) each."""
+    boundary height, and the disc radius of its boundary circles, which lie
+    at the fiber levels +boundary_height (w = 1) and -boundary_height (w =
+    -1) as catenoid_patch gives them."""
 
     spec: CatenoidSpec
     boundary_height: float
-    upper: np.ndarray
-    lower: np.ndarray
+    radius: float
 
 
 @lru_cache(maxsize=8)
 def _model_annulus(generator: CatenoidAnnulusGenerator) -> _ModelAnnulus:
-    """The generator's model annulus, built once per generator: the
-    boundary circles are catenoid_patch at w = +-1, and no vertex grid or
-    mesh is formed."""
+    """The generator's model annulus, built once per generator: the profile
+    at the truncation radius and catenoid_patch's radius at w = +-1, so no
+    circle is sampled and no vertex grid or mesh is formed."""
     spec = CatenoidSpec(tau=generator.tau, d=generator.d)
-    rho = generator.rho_boundary
+    _, _, radius = _catenoid_radial(spec, generator.rho_boundary, 1.0)
+    return _ModelAnnulus(spec, catenoid_profile(spec, generator.rho_boundary), float(radius))
+
+
+@lru_cache(maxsize=8)
+def _model_circles(generator: CatenoidAnnulusGenerator) -> tuple[np.ndarray, np.ndarray]:
+    """The model annulus' boundary circles (upper, lower), catenoid_patch at
+    w = 1 and w = -1: _BOUNDARY_SAMPLES disc coordinates (n, 3) each,
+    read-only.  Built on first use, for boundary_coords and the sampled
+    margins of non-plane heights."""
+    spec = _model_annulus(generator).spec
     phi = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
-    upper, lower = (catenoid_patch(spec, rho, np.array(w), phi) for w in (1.0, -1.0))
-    for array in (upper, lower):
+    circles = tuple(catenoid_patch(spec, generator.rho_boundary, np.array(w), phi) for w in (1.0, -1.0))
+    for array in circles:
         array.flags.writeable = False
-    return _ModelAnnulus(spec, catenoid_profile(spec, rho), upper, lower)
+    return circles
 
 
 @dataclass(frozen=True)
@@ -204,7 +223,8 @@ class AnnulusInstance:
 
     def boundary_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Finely sampled boundary circles, (top, bottom) ordered by mean t:
-        the placement applied to the model annulus' circles."""
+        the placement applied to the model annulus' circles
+        (_model_circles, _BOUNDARY_SAMPLES points each)."""
         top, bottom = _boundary_circles([self])
         return top[0], bottom[0]
 
@@ -228,14 +248,79 @@ def _boundary_circles(instances: Sequence[AnnulusInstance]) -> tuple[np.ndarray,
     """Boundary circles (top, bottom), (n, _BOUNDARY_SAMPLES, 3) each, of
     instances sharing one generator: one apply_to_rows pass per model
     circle, then each instance's pair ordered by mean t."""
-    model = _model_annulus(instances[0].generator)
     placements = [instance.placement for instance in instances]
     upper, lower = (
         apply_to_rows(placements, np.broadcast_to(circle, (len(instances),) + circle.shape))
-        for circle in (model.upper, model.lower)
+        for circle in _model_circles(instances[0].generator)
     )
     swap = ~(np.mean(upper[..., 2], axis=1) >= np.mean(lower[..., 2], axis=1))[:, None, None]
     return np.where(swap, lower, upper), np.where(swap, upper, lower)
+
+
+def _boundary_margins(slab: SlabSpec, instances: Sequence[AnnulusInstance]) -> tuple[np.ndarray, ...]:
+    """(above, below, above_spread, below_spread) of instances sharing one
+    generator and orientation: the least signed clearance along fibers of
+    the top boundary circle over the upper graph and of the bottom one
+    under the lower graph, and max - min of t along each circle.
+
+    Plane heights (_PlaneHeight on both sides, as every builder makes) read
+    them from the placement matrices (_plane_margins), exact or a lower
+    bound.  Other heights read _BOUNDARY_SAMPLES points of each placed
+    circle (_boundary_circles): there the margins are sampled minima, which
+    can exceed the true ones, and the spreads sampled ranges."""
+    if isinstance(slab.lower, _PlaneHeight) and isinstance(slab.upper, _PlaneHeight):
+        return _plane_margins(slab.lower, slab.upper, instances)
+    top, bottom = _boundary_circles(instances)
+    return (
+        np.min(top[..., 2] - slab.upper(top[..., 0], top[..., 1]), axis=1),
+        np.min(-(bottom[..., 2] - slab.lower(bottom[..., 0], bottom[..., 1])), axis=1),
+        np.ptp(top[..., 2], axis=1),
+        np.ptp(bottom[..., 2], axis=1),
+    )
+
+
+def _plane_margins(
+    lower: _PlaneHeight, upper: _PlaneHeight, instances: Sequence[AnnulusInstance]
+) -> tuple[np.ndarray, ...]:
+    """_boundary_margins for plane heights, in closed form from each
+    placement's matrix (a b; conj(b) conj(a)), which _congruent certifies.
+
+    The model circle |z| = r at level t_m goes to the base circle of centre
+    a b (1 - r^2) / D and radius r (|a|^2 - |b|^2) / D, D = |a|^2 - |b|^2
+    r^2 (Beardon, The Geometry of Discrete Groups, Secs. 3 and 4), with
+    the placement's row signs.  Along it the fiber is t_c + 4 tau arg(1 +
+    (c/d) z) (isometries._branch), t_c the image of (0, 0, t_m), so it
+    spans exactly t_c -+ 4 |tau| arcsin rho, rho = |b| r / |a|: each spread
+    is 8 |tau| arcsin rho.  The plane s + alpha x + beta y peaks on the
+    circle at s + (alpha, beta) . centre + radius |(alpha, beta)|, so the
+    above margin (t_c - 4 |tau| arcsin rho) - that peak is the least
+    clearance when tau = 0 or the plane is flat, and a lower bound of it
+    otherwise; the below margin likewise.  Top and bottom go by t_c.
+    D and |a|^2 - |b|^2 are formed as (|a| - |b| r)(|a| + |b| r) and (|a| -
+    |b|)(|a| + |b|)."""
+    model = _model_annulus(instances[0].generator)
+    placements = [instance.placement for instance in instances]
+    a, b = np.array([(p.mobius.a, p.mobius.b) for p in placements], dtype=complex).T
+    r = model.radius
+    size_a, size_b = np.abs(a), np.abs(b)
+    reach = size_b * r
+    denominator = (size_a - reach) * (size_a + reach)
+    centre = a * b * ((1.0 - r) * (1.0 + r) / denominator)
+    radius = r * ((size_a - size_b) * (size_a + size_b)) / denominator
+    sx, sy, _ = _row_signs(placements[0])
+    cx, cy = sx * centre.real, sy * centre.imag
+    tilt = 4.0 * abs(placements[0].tau) * np.arcsin(reach / size_a)
+    centres = np.array([[0.0, 0.0, model.boundary_height], [0.0, 0.0, -model.boundary_height]])
+    levels = apply_to_rows(placements, np.broadcast_to(centres, (len(placements),) + centres.shape))[..., 2]
+    top, bottom = np.max(levels, axis=1), np.min(levels, axis=1)
+
+    def peak(height: _PlaneHeight, side: float) -> np.ndarray:
+        slope = math.hypot(height.alpha, height.beta)
+        return height.shift + height.alpha * cx + height.beta * cy + side * radius * slope
+
+    above = (top - tilt) - peak(upper, 1.0)
+    below = -((bottom + tilt) - peak(lower, -1.0))
+    return above, below, 2.0 * tilt, 2.0 * tilt
 
 
 def _annulus_distances(instances: Sequence[AnnulusInstance], q: np.ndarray, accept_below: float) -> np.ndarray:
@@ -297,15 +382,18 @@ class CatenoidAnnulusGenerator:
 
     def place(self, points: Sequence[AmbientPoint]) -> list[AnnulusInstance | InvalidPointError]:
         """The instance through each point, or the InvalidPointError that
-        rules it out, in one pass: one profile inversion, the Moebius algebra
-        per point in Python scalars and the applies as apply_to_rows passes,
-        so each instance has the bits of its point placed alone.  When an
-        image off the disc stops the pass, each point is placed alone, so
-        only its own row fails.  Every matrix keeps the shape (a b; conj(b)
-        conj(a)) bit for bit: disc_point_isometry's involutions have it, and
-        float64 complex products and sums (isometries._matmul) and real
-        rescalings (MobiusMap.normalized) commute with conjugation.  The
-        audit reads that shape (_congruent)."""
+        rules it out, in one pass: one profile inversion, then the Moebius
+        algebra as array passes over the rows (isometries._disc_point_rows,
+        _compose, _vertical_rows), which round as disc_point_isometry and
+        MobiusMap.normalized round Python complex scalars, so each instance
+        has the bits of the scalar rule; objects are made only for the
+        returned instances.  The margins the audit reads from
+        these matrices are exact or a lower bound (AnnulusCheck).
+        When an image off the disc stops the pass, each point is placed
+        alone, so only its own row fails.  Every matrix has the shape (a b;
+        conj(b) conj(a)): disc_point_isometry's involutions have it, and
+        _compose writes the product of two such matrices with c = conj(b)
+        and d = conj(a).  The audit reads that shape (_congruent)."""
         model = _model_annulus(self)
         cylinder = [p if p.model is Model.CYLINDER else convert_model(p, self.tau) for p in points]
         out: list = [
@@ -321,16 +409,16 @@ class CatenoidAnnulusGenerator:
         heights, signs = np.abs(offsets), np.where(offsets >= 0.0, 1.0, -1.0)
         # height 0 inverts to the neck radius exactly: the Newton loop stops at sigma = 0
         rho = np.minimum(catenoid_profile_inverse(model.spec, heights), self.rho_boundary)
-        b_ref = [math.tanh(0.5 * r) for r in rho.tolist()]
+        b_ref = np.array([math.tanh(0.5 * r) for r in rho.tolist()])
+        centers = _complex(np.array([cylinder[i].x for i in rows]), np.array([cylinder[i].y for i in rows]))
         try:
-            moves = compose_rows(
-                [disc_point_isometry(complex(cylinder[i].x, cylinder[i].y), self.tau) for i in rows],
-                [disc_point_isometry(complex(b, 0.0), self.tau) for b in b_ref],
-            )
+            # the involutions to each point and from each reference radius, in one pass
+            involutions = _disc_point_rows(np.concatenate([centers, _complex(b_ref, 0.0)]), self.tau)
+            moves = _compose(_take(involutions, slice(len(rows))), _take(involutions, slice(len(rows), None)))
             pinned = np.stack([b_ref, np.zeros(len(rows)), signs * heights], axis=1)
-            images = apply_to_rows(moves, require_in_model(Model.CYLINDER, pinned))
-            lifts = (offsets - require_in_model(Model.CYLINDER, images)[:, 2]).tolist()
-            placements = compose_rows([vertical_translation(h, self.tau, Model.CYLINDER) for h in lifts], moves)
+            images = _apply(moves, moves.k, require_in_model(Model.CYLINDER, pinned))
+            lifts = offsets - require_in_model(Model.CYLINDER, images)[:, 2]
+            placements = _isometries(_compose(_vertical_rows(lifts, self.tau, Model.CYLINDER), moves))
         except InvalidPointError as error:
             if len(rows) > 1:
                 return [self.place([p])[0] for p in points]
@@ -416,9 +504,16 @@ class AnnulusCheck:
     annulus' reference vertex already lies within the containment tolerance
     it is that vertex's distance, an upper bound of the minimum; otherwise it
     is the result of AnnulusInstance.distance_to's chord search.  The
-    spreads are max - min of the fiber coordinate t along the placed top
-    (above) and bottom (below) boundary circles: 0 when the placement keeps
-    them horizontal, as at tau 0.  A point that got no annulus, or one whose
+    margins are the least signed clearance along fibers of the placed top
+    circle over the upper graph (above) and of the bottom one under the
+    lower graph (below); the spreads are max - min of the fiber coordinate
+    t along those circles.  For plane heights (every slab the builders make)
+    they are closed forms of the placement matrix (_plane_margins): the
+    spreads exactly 8 |tau| arcsin(|c| r / |d|), 0.0 at tau 0; the margins
+    exact at tau 0 or against a flat plane, else a lower bound.  For other
+    heights all four are read at _BOUNDARY_SAMPLES points of each placed
+    circle, so a margin may exceed the least clearance and a spread fall
+    short of the range.  A point that got no annulus, or one whose
     placement is not certified congruent (_congruent: another model or
     fiber tau, or a matrix off the SU(1,1) shape), gets an infinite
     distance, margins of -inf and NaN spreads.
@@ -446,7 +541,8 @@ class SlabReport:
     some placement has not (another model or fiber tau, or a matrix off
     (a b; conj(b) conj(a)) with |b| < |a|, a NaN entry included); NaN for
     slabs whose graphs fail the bounding check.  spectra_ok is that bound
-    equal to 0.0.
+    equal to 0.0.  The boundary margins of annulus_checks are exact, a lower
+    bound or sampled as AnnulusCheck says.
     """
 
     height_bound: float
@@ -523,6 +619,21 @@ def _window_test(domain: GraphDomain) -> Callable[[np.ndarray, np.ndarray], np.n
     return inside
 
 
+def _window_contains(domain: GraphDomain) -> Callable[[float, float], bool]:
+    """_window_test for one base point (x, y) of Python floats, with its
+    verdict, in Python scalars: bisect_left is searchsorted's side."""
+    (a1, b1), (a2, b2) = domain.bounds
+    q1, q2 = (axis.tolist() for axis in domain.axes())
+    mask = domain.active_mask()
+
+    def inside(x: float, y: float) -> bool:
+        if not (a1 <= x <= b1 and a2 <= y <= b2):
+            return False
+        return bool(mask[min(bisect_left(q1, x), len(q1) - 1), min(bisect_left(q2, y), len(q2) - 1)])
+
+    return inside
+
+
 # check_annulus_family: an annulus contains its point when the chord distance
 # is below _CONTAINS_TOL times the slab scale.
 _CONTAINS_TOL = 1e-6
@@ -539,8 +650,12 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
     spectrum, so spectra_deviation is 0.0 when every placement passes and
     inf otherwise; no spectrum is measured.  The same test picks the rows
     to audit.  Each stage is one array pass over the audited points
-    (window, placements, reference chords, boundary circles), one pass per
-    orientation when the placements mix them; a point with no annulus, or
+    (window, placements, reference chords, boundary margins), one pass per
+    orientation when the placements mix them.  The margins and spreads come
+    from _boundary_margins: in closed form from the placement matrices for
+    plane heights, exact at tau 0 or against a flat plane and a lower bound
+    of the least clearance otherwise; sampled on the placed circles for
+    other heights (AnnulusCheck).  A point with no annulus, or
     with a placement that fails _congruent, gets a failed record, and
     AnnulusCheck says when a recorded distance is an upper bound.  The
     bounding graphs are the slab's kept check_bounding_graphs.  seed is
@@ -589,11 +704,7 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
     for rows in passes.values():
         audited = [placed[i] for i in rows]
         distance[rows] = _annulus_distances(audited, coords[rows], _CONTAINS_TOL * scale)
-        top, bottom = _boundary_circles(audited)
-        # signed clearances along fibers: the top circle above the upper graph, the bottom one below the lower
-        above[rows] = np.min(top[..., 2] - slab.upper(top[..., 0], top[..., 1]), axis=1)
-        below[rows] = np.min(-(bottom[..., 2] - slab.lower(bottom[..., 0], bottom[..., 1])), axis=1)
-        spreads[:, rows] = np.ptp(top[..., 2], axis=1), np.ptp(bottom[..., 2], axis=1)
+        above[rows], below[rows], spreads[0, rows], spreads[1, rows] = _boundary_margins(slab, audited)
     checks = tuple(
         AnnulusCheck(p, d < _CONTAINS_TOL * scale, a > 0.0, b > 0.0, d, a, b, *spread)
         for p, d, a, b, *spread in zip(points, distance.tolist(), above.tolist(), below.tolist(), *spreads.tolist())
@@ -861,11 +972,12 @@ def sample_interior_points(slab: SlabSpec, count: int, seed: int = 0) -> list[Am
     rng = default_rng(seed)
     domain = slab.domain
     radius = 2.0 * math.atanh(domain.bounds[0][1])
-    inside = _window_test(domain)
+    inside = _window_contains(domain)
     points: list[AmbientPoint] = []
     for _ in range(_SAMPLE_DRAWS_PER_POINT * count):
-        rho = _SAMPLE_RADIAL_FRACTION * radius * math.sqrt(rng.uniform())
-        angle = rng.uniform(0.0, 2.0 * math.pi)
+        # rng.random() is the u of rng.uniform(), and rng.uniform(0, 2 pi) is 0 + 2 pi u: the same draws
+        rho = _SAMPLE_RADIAL_FRACTION * radius * math.sqrt(rng.random())
+        angle = 2.0 * math.pi * rng.random()
         rc = math.tanh(0.5 * rho)
         x, y = rc * math.cos(angle), rc * math.sin(angle)
         if not inside(x, y):
@@ -873,7 +985,7 @@ def sample_interior_points(slab: SlabSpec, count: int, seed: int = 0) -> list[Am
         lo, hi = float(slab.lower(x, y)), float(slab.upper(x, y))
         if not lo < hi:
             continue
-        t = lo + (0.1 + 0.8 * rng.uniform()) * (hi - lo)
+        t = lo + (0.1 + 0.8 * rng.random()) * (hi - lo)
         points.append(AmbientPoint(BasePoint(Model.CYLINDER, x, y), t))
         if len(points) == count:
             return points

@@ -517,9 +517,12 @@ def tangent_vertical_components(spec: InvariantSurfaceSpec, sheet: Sheet, theta:
 def _transversality_growth(h0: float, tau: float) -> float:
     """E = exp(2 (h0 + 2 |tau| pi)), read by both sides of the transversality estimate."""
     try:
-        return math.exp(2.0 * (h0 + 2.0 * abs(tau) * math.pi))
+        growth = math.exp(2.0 * (h0 + 2.0 * abs(tau) * math.pi))
     except OverflowError:
-        raise ParameterError(f"exp(2 (h0 + 2 |tau| pi)) overflows at h0 = {h0}, tau = {tau}") from None
+        growth = math.inf
+    if not math.isfinite(growth):  # the exponent itself may overflow, and exp(inf) raises nothing
+        raise ParameterError(f"exp(2 (h0 + 2 |tau| pi)) overflows at h0 = {h0}, tau = {tau}")
+    return growth
 
 
 def transversality_margin(delta: float, h0: float, tau: float) -> float:

@@ -214,6 +214,15 @@ def test_parameters_past_the_float_range_are_invalid_input_without_warnings(tmp_
         ),
         pytest.param(["verify", "isometries", "--points", "1", "--tau", "1e300"], "tau = 1e+300", id="isometries-tau"),
         pytest.param(["surface", "leaf", "--d", "1.2", "--scale", "1e-200"], "scale factor 1e-200", id="leaf-scale"),
+        # 2 tau overflows at the largest float
+        pytest.param(
+            ["verify", "lifts", "--tau", "1.7976931348623157e308"], "tau = 1.7976931348623157e+308", id="lifts-tau"
+        ),
+        pytest.param(
+            ["verify", "foliation", "--points", "3", "--tau", "1.7976931348623157e308"],
+            "tau = 1.7976931348623157e+308",
+            id="foliation-tau",
+        ),
     ],
 )
 def test_inputs_past_the_float_range_are_invalid_input_naming_the_value(tmp_path, capsys, argv, named) -> None:
@@ -258,6 +267,14 @@ def test_verify_writes_report_to_file(tmp_path, capsys) -> None:
 
 def test_verify_transversality_overflowing_tau_is_invalid_input(capsys) -> None:
     code, report = run(capsys, "verify", "transversality", "--tau", "60")
+    assert code == 1
+    assert report["status"] == "invalid_input"
+    assert "overflows" in report["message"]
+
+
+def test_verify_transversality_at_the_largest_float_is_invalid_input(capsys) -> None:
+    # there the exponent 2 (h0 + 2 |tau| pi) itself overflows, and exp(inf) raises nothing
+    code, report = run(capsys, "verify", "transversality", "--tau", "1.7976931348623157e308")
     assert code == 1
     assert report["status"] == "invalid_input"
     assert "overflows" in report["message"]
@@ -586,7 +603,13 @@ def test_reports_have_sorted_keys(capsys) -> None:
 
 # Values the parser accepts, which the library may still reject, and values
 # the parser rejects; a draw swaps in at most one of the latter.
-_REALS = st.sampled_from(("0", "0.1", "0.5", "1", "1.2", "2", "-0.7", "-0.0", "1e-300", "1e300"))
+_REALS = st.sampled_from(
+    (
+        "0", "0.1", "0.5", "1", "1.2", "2", "-0.7", "-0.0", "1e-300", "1e300",
+        # past the square root of the float range, and its subnormal, smallest normal and largest values
+        "1e154", "1e-154", "5e-324", "2.2250738585072014e-308", "1.7976931348623157e308",
+    )
+)
 _SEEDS = st.sampled_from(("0", "1", "7"))
 _JUNK = ("nan", "inf", "-inf", "-1", "1.5", "abc", "")
 

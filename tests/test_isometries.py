@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import re
@@ -9,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etau.core import (
@@ -53,7 +54,13 @@ from etau.isometries import (
     rotation_isometry,
     scale_isometry,
     vertical_translation,
+    _complex,
+    _csqrt,
+    _disc_point_rows,
     _map_pullback_residuals,
+    _normalized_rows,
+    _reference_point,
+    _reflection_adjusted,
 )
 
 RESIDUAL_TOL = 1e-9
@@ -524,6 +531,124 @@ def test_compose_rows_keep_the_bits_of_the_pointwise_rule() -> None:
         # the fiber shift as the point-by-point rule writes it, from two scalar applies
         unshifted = replace(combo, shift=0.0)
         assert combo.shift == apply(outer, apply(inner, ref)).t - apply(unshifted, ref).t
+
+
+def _bits(iso: AmbientIsometry) -> list:
+    """Every field of an isometry, floats as hex, so signed zeros count."""
+    numbers = [w for z in iso.mobius.matrix() for w in (z.real, z.imag)] + [iso.shift, iso.branch_offset, iso.tau]
+    return [float(v).hex() for v in numbers] + [iso.model, iso.orientation, iso.family, iso.parameters]
+
+
+def _scalar_compose(outer: AmbientIsometry, inner: AmbientIsometry) -> AmbientIsometry:
+    """compose as the point-by-point rule writes it: the matrix product in
+    Python complex scalars, MobiusMap.normalized, and the fiber shift from
+    two scalar applies of the reference point."""
+    m1 = outer.mobius.matrix()
+    if inner.orientation is Orientation.REVERSING:
+        m1 = _reflection_adjusted(outer.model, *m1)
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = m1, inner.mobius.matrix()
+    product = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+    flipped = (outer.orientation is Orientation.REVERSING) != (inner.orientation is Orientation.REVERSING)
+    orientation = Orientation.REVERSING if flipped else Orientation.DIRECT
+    unshifted = AmbientIsometry(MobiusMap.normalized(*product, outer.model), orientation, 0.0, 0.0, outer.tau)
+    ref = _reference_point(outer.model)
+    return replace(unshifted, shift=apply(outer, apply(inner, ref)).t - apply(unshifted, ref).t)
+
+
+_CENTERS = st.builds(
+    lambda r, angle: r * complex(math.cos(angle), math.sin(angle)),
+    st.floats(0.0, 0.99),
+    st.sampled_from([0.0, math.pi / 2, math.pi]) | st.floats(-math.pi, math.pi),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tau=st.floats(-3.0, 3.0),
+    outer=st.lists(st.tuples(_CENTERS, st.floats(-math.pi, math.pi)), min_size=1, max_size=6),
+    inner=st.lists(st.tuples(_CENTERS, st.floats(-math.pi, math.pi)), min_size=6, max_size=6),
+    reversing=st.booleans(),
+)
+def test_compose_rows_are_one_row_composes_bit_for_bit(tau: float, outer, inner, reversing: bool) -> None:
+    # Disc isometries: a point involution after a rotation, the inner ones
+    # maybe orientation-reversing.  Each row of the array passes has the bits
+    # of its one-row compose, and the scalar rule's map: its matrix, equal
+    # but perhaps for the sign of a zero part, and its images.
+    def disc(center, angle, orientation=Orientation.DIRECT):
+        iso = compose(disc_point_isometry(center, tau), rotation_isometry(angle, tau))
+        return replace(iso, orientation=orientation)
+
+    outers = [disc(*row) for row in outer]
+    orientation = Orientation.REVERSING if reversing else Orientation.DIRECT
+    inners = [disc(*row, orientation) for row in inner[: len(outers)]]
+    rows = compose_rows(outers, inners)
+    probes = np.array([p.coords() for p in CYL_PROBES])
+    for combo, o, i in zip(rows, outers, inners, strict=True):
+        assert _bits(combo) == _bits(compose(o, i))
+        want = _scalar_compose(o, i)
+        assert combo.mobius == want.mobius
+        np.testing.assert_allclose(apply_to_coords(combo, probes), apply_to_coords(want, probes), rtol=0.0, atol=1e-12)
+        if not reversing:
+            m = combo.mobius
+            assert (m.c, m.d) == (m.b.conjugate(), m.a.conjugate())
+
+
+_ENTRIES = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+def test_csqrt_is_cmath_sqrt_bit_for_bit() -> None:
+    # numpy's complex sqrt rounds 91.4375j's root a last bit away from cmath's
+    values = [91.4375j, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(-3.0, 0.0)]
+    values += [complex(-3.0, -0.0), 5e-324j, complex(-5e-324, 5e-324), complex(2.2250738585072014e-308, 1e-310)]
+    values += [complex(1e308, -1e308), complex(-1e-200, 3e-250)]
+    rng = np.random.default_rng(3)
+    values += [complex(x, y) for x, y in rng.normal(size=(2000, 2)) * 10.0 ** rng.integers(-300, 300, size=(2000, 2))]
+    got = _csqrt(_complex(np.array([v.real for v in values]), np.array([v.imag for v in values]))).tolist()
+    for value, root in zip(values, got, strict=True):
+        want = cmath.sqrt(value)
+        assert (root.real.hex(), root.imag.hex()) == (want.real.hex(), want.imag.hex()), value
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(_ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES), min_size=1, max_size=5), half=st.booleans())
+@example(rows=[(1j, 0j, 0j, 91.4375 + 0j)], half=False)
+def test_normalized_rows_keep_the_bits_of_the_scalar_rule(rows, half: bool) -> None:
+    # The array normalisation rounds as CPython's complex scalars, signed zeros
+    # included, and a row the scalar rule rejects raises that row's error.
+    model = Model.HALF_SPACE if half else Model.CYLINDER
+    if half:
+        rows = [tuple(complex(w.real, 0.0) for w in row) for row in rows]
+    want, error = [], None
+    for row in rows:
+        try:
+            want.append(MobiusMap.normalized(*row, model).matrix())
+        except ParameterError as exc:
+            error = str(exc)
+            break
+    stack = np.array(rows, dtype=complex).T
+    if error is not None:
+        with pytest.raises(ParameterError, match=re.escape(error)):
+            _normalized_rows(stack, model)
+        return
+
+    def hexes(matrix):
+        return [float(v).hex() for z in matrix for v in (z.real, z.imag)]
+
+    assert [hexes(g) for g in _normalized_rows(stack, model).T.tolist()] == [hexes(w) for w in want]
+
+
+def test_disc_point_rows_are_disc_point_isometries() -> None:
+    tau = 0.7
+    centers = [0.0, 0.5, -0.3j, 0.2 - 0.6j, -0.9 + 0.1j, complex(-0.0, 0.0)]
+    rows = _disc_point_rows(_complex(np.array([c.real for c in centers]), np.array([c.imag for c in centers])), tau)
+    for i, center in enumerate(centers):
+        iso = disc_point_isometry(center, tau)
+        k = rows.k
+        row = [k.a[i], k.b[i], k.c[i], k.d[i]]
+        assert [float(v).hex() for z in row for v in (z.real, z.imag)] == _bits(iso)[:8]
+        assert (k.shift[i], k.branch_offset[i]) == (iso.shift, iso.branch_offset)
+    with pytest.raises(ParameterError, match="center must lie in the open disc"):
+        _disc_point_rows(np.array([0.5, 1.0, 2.0], dtype=complex), tau)
 
 
 def test_inverse_round_trip() -> None:

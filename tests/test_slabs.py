@@ -830,7 +830,10 @@ def test_boundary_coords_apply_the_placement_to_the_model_circles(slab1) -> None
         np.testing.assert_array_equal(top, circles[0])
         np.testing.assert_array_equal(bottom, circles[1])
     model = _model_annulus(gen)
-    for circle in (model.upper, model.lower):
+    for circle, level in zip(slabs._model_circles(gen), (model.boundary_height, -model.boundary_height)):
+        # the closed-form margins read the circles' radius and levels from the model annulus
+        np.testing.assert_array_equal(circle[:, 2], level)
+        assert circle[0, :2].tolist() == [model.radius, 0.0]
         assert circle.shape == (512, 3)
         assert not circle.flags.writeable
         with pytest.raises(ValueError):
@@ -854,8 +857,8 @@ def test_model_annulus_edges_are_the_sorted_unique_pairs(slab1, rows: int, cols:
     np.testing.assert_array_equal(model_v, b - a)
     for got, want in zip((model_a, model_v), mesh_edges(mesh), strict=True):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    # the model annulus keeps only its boundary circles: no grid, no edges
-    assert {f.name for f in fields(_model_annulus(gen))} == {"spec", "boundary_height", "upper", "lower"}
+    # the model annulus keeps only its boundary circles' radius and height: no grid, no edges, no samples
+    assert {f.name for f in fields(_model_annulus(gen))} == {"spec", "boundary_height", "radius"}
     # The mesh makes the row count odd; a wrapped grid has R C ring edges,
     # (R - 1) C meridian edges and (R - 1) C diagonals.
     built_rows = len(mesh.vertices) // cols
@@ -875,6 +878,169 @@ def test_model_annulus_vertices_are_the_mesh_vertices(slab1_tau05, resolution) -
     np.testing.assert_array_equal(vertices.view(np.int64), mesh.vertices.view(np.int64))
     for got, want in zip(model_segments(gen, resolution), mesh_edges(mesh), strict=True):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# -- closed-form boundary margins -------------------------------------------------
+
+# Samples per placed circle of the dense reference.
+_DENSE_SAMPLES = 2**16
+
+
+def _placed_circle(instance, w: float):
+    """phi -> the placed model boundary circle at w = +-1, (n, 3)."""
+    gen = instance.generator
+    spec = CatenoidSpec(tau=gen.tau, d=gen.d)
+    return lambda phi: apply_to_coords(instance.placement, catenoid_patch(spec, gen.rho_boundary, np.array(w), phi))
+
+
+def _dense_least(f) -> tuple[float, float, float]:
+    """(sampled least, refined least, scale) of a smooth 2 pi-periodic f:
+    its least value over _DENSE_SAMPLES uniform angles, that value refined
+    by a bounded Brent search within one step of the best sample, and 1 +
+    the largest |f| sampled."""
+    from scipy.optimize import minimize_scalar
+
+    phi = np.linspace(0.0, 2.0 * math.pi, _DENSE_SAMPLES, endpoint=False)
+    values = f(phi)
+    j = int(np.argmin(values))
+    step = 2.0 * math.pi / _DENSE_SAMPLES
+    found = minimize_scalar(
+        lambda x: float(f(np.array([x]))[0]),
+        bounds=(phi[j] - step, phi[j] + step),
+        method="bounded",
+        options={"xatol": 1e-14},
+    )
+    return float(values[j]), min(float(values[j]), float(found.fun)), 1.0 + float(np.max(np.abs(values)))
+
+
+def _assert_margins_bound_the_dense_minimum(slab: SlabSpec, instance, got) -> None:
+    """got = (above, below, above_spread, below_spread) of the instance:
+    each margin at most the dense least clearance along its placed circle
+    plus 1e-12 of its scale, and within 1e-9 of the refined least where the
+    closed form is exact (tau 0, or that side's plane flat); each spread
+    within 1e-7 of the refined range of t along the circle."""
+    circles = sorted((_placed_circle(instance, w) for w in (1.0, -1.0)), key=lambda c: -c(np.zeros(1))[0, 2])
+    sides = [
+        (lambda phi, c=circles[0]: (lambda q: q[:, 2] - slab.upper(q[:, 0], q[:, 1]))(c(phi)), slab.upper),
+        (lambda phi, c=circles[1]: (lambda q: slab.lower(q[:, 0], q[:, 1]) - q[:, 2])(c(phi)), slab.lower),
+    ]
+    for margin, (clearance, plane) in zip(got[:2], sides):
+        sampled, least, scale = _dense_least(clearance)
+        assert margin <= sampled + 1e-12 * scale
+        assert margin <= least + 1e-12 * scale
+        if slab.tau == 0.0 or plane.alpha == plane.beta == 0.0:
+            assert abs(margin - least) <= 1e-9
+    for spread, circle in zip(got[2:], circles):
+        _, low, _ = _dense_least(lambda phi: circle(phi)[:, 2])
+        _, high, _ = _dense_least(lambda phi: -circle(phi)[:, 2])
+        assert abs(spread - (-high - low)) <= 1e-7
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, -0.7])
+@pytest.mark.parametrize("construction", ["example1", "example2"])
+def test_closed_form_margins_bound_the_dense_minimum(construction: str, tau: float) -> None:
+    # The audit's margins are the closed forms: never above the least
+    # clearance along the placed circle, equal to it where exact, and the
+    # spreads are the circles' exact fiber ranges.
+    try:
+        slab = _slab_at(construction, tau)
+    except FeasibilityError:
+        pytest.skip(f"{construction} is infeasible at tau {tau}")
+    points = sample_interior_points(slab, 4, seed=0)
+    report = check_annulus_family(slab, points)
+    for check, instance in zip(report.annulus_checks, slab.annulus_generator.place(points), strict=True):
+        got = (check.above_margin, check.below_margin, check.above_spread, check.below_spread)
+        _assert_margins_bound_the_dense_minimum(slab, instance, got)
+        assert check.above_spread == check.below_spread
+        if tau == 0.0:
+            assert check.above_spread == 0.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    tau=st.floats(-3.0, 3.0),
+    example=st.sampled_from(["example1", "example2"]),
+    lower=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-3.0, 0.0)),
+    upper=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 3.0)),
+    flat=st.sampled_from([None, "lower", "upper"]),
+    seed=st.integers(0, 2**16),
+)
+def test_closed_form_margins_bound_the_dense_minimum_for_drawn_planes(
+    tau: float, example: str, lower, upper, flat, seed: int
+) -> None:
+    # Any plane heights, slopes to 2 and shifts to 3, at any tau: the margins
+    # of the example's placements bound the dense minimum, and are exact
+    # for a flat plane.  The placements need not lie between the planes.
+    sp = SpaceParams(tau)
+    try:
+        if example == "example1":
+            eps_max = math.pi * math.sqrt(1.0 + 4.0 * tau * tau) - 2.0 * abs(tau) * math.pi
+            slab = build_example1(sp, 0.5 * eps_max, grid=9)
+        else:
+            slab = build_example2(sp, "linear", 1.0, 0.45, 0.2, grid=9)
+    except FeasibilityError:
+        return
+    heights = {side: slabs._PlaneHeight(*drawn) for side, drawn in (("lower", lower), ("upper", upper))}
+    if flat is not None:
+        heights[flat] = replace(heights[flat], alpha=0.0, beta=0.0)
+    drawn = replace(slab, **heights)
+    instances = slab.annulus_generator.place(sample_interior_points(slab, 2, seed=seed))
+    got = slabs._boundary_margins(drawn, instances)
+    for i, instance in enumerate(instances):
+        _assert_margins_bound_the_dense_minimum(drawn, instance, [float(v[i]) for v in got])
+
+
+@pytest.mark.parametrize("construction", ["example1", "example2"])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_plane_slab_audits_sample_no_boundary_circle(monkeypatch, construction: str, tau: float) -> None:
+    # The builders' plane heights read the placements' matrices: no placed
+    # circle and no model circle; the shrunken control reads them alike.
+    slab = _slab_at(construction, tau)
+    calls = []
+    sampled = slabs._boundary_circles
+    monkeypatch.setattr(slabs, "_boundary_circles", lambda instances: calls.append(instances) or sampled(instances))
+    slabs._model_circles.cache_clear()
+    points = sample_interior_points(slab, 4, seed=7)
+    assert len(check_annulus_family(slab, points).annulus_checks) == 4
+    check_annulus_family(with_shrunken_annuli(slab, 0.5), points)
+    assert calls == []
+    assert slabs._model_circles.cache_info().currsize == 0
+
+
+# A slab's audit through lambda heights equal to example 2's planes at tau
+# 0.5, on sample_interior_points(slab, 3, seed=4): (distance, above, below,
+# above_spread, below_spread) as the sampled audit found them before the
+# plane heights got their closed form.
+_SAMPLED_AUDIT_BITS = [
+    ["0x1.4000000000000p-50", "-0x1.b9cb8deeedeb5p-1", "-0x1.8f0e8c84cc716p+0"]
+    + ["0x1.e92c403c7681cp+1", "0x1.e92c403c7681cp+1"],
+    ["0x1.7fdb9608b724bp-51", "-0x1.222c1fcff4772p+0", "-0x1.cfdb9efe0296ep-1"]
+    + ["0x1.c0a165568e6e8p+1", "0x1.c0a165568e6e6p+1"],
+    ["0x1.d5eabcc79b879p-42", "-0x1.05c66bf668316p+0", "-0x1.6602467813596p+0"]
+    + ["0x1.e91bd441e0338p+1", "0x1.e91bd441e0338p+1"],
+]
+
+
+def test_other_heights_sample_the_circles_with_their_bits(slab2_tau05, monkeypatch) -> None:
+    # Heights that are not _PlaneHeight keep the sampled circles, built once,
+    # and their bits; the closed form of the same planes lies below the
+    # sampled margins and its spreads are the exact ranges.
+    lower, upper = slab2_tau05.lower, slab2_tau05.upper
+    slab = replace(slab2_tau05, lower=lambda x, y: lower(x, y), upper=lambda x, y: upper(x, y))
+    calls = []
+    sampled = slabs._boundary_circles
+    monkeypatch.setattr(slabs, "_boundary_circles", lambda instances: calls.append(instances) or sampled(instances))
+    slabs._model_circles.cache_clear()
+    points = sample_interior_points(slab2_tau05, 3, seed=4)
+    checks = check_annulus_family(slab, points).annulus_checks
+    assert len(calls) == 1 and slabs._model_circles.cache_info().misses == 1
+    rows = [(c.distance, c.above_margin, c.below_margin, c.above_spread, c.below_spread) for c in checks]
+    assert [[v.hex() for v in row] for row in rows] == _SAMPLED_AUDIT_BITS
+    closed = check_annulus_family(slab2_tau05, points).annulus_checks
+    for c, s in zip(closed, checks, strict=True):
+        assert c.distance == s.distance
+        assert c.above_margin < s.above_margin and c.below_margin < s.below_margin
+        assert c.above_spread > s.above_spread and c.below_spread > s.below_spread
 
 
 def test_a_generator_builds_its_model_annulus_once(slab1) -> None:
@@ -1100,8 +1266,11 @@ def _placed_alone(slab: SlabSpec, p):
 
 def _audit_one_at_a_time(slab: SlabSpec, points, placed=None) -> list[tuple]:
     """Each point's (distance, margins, spreads) and verdicts as the audit
-    found them point by point, through the one-point entry points, for the
-    given placed instances or, by default, each point placed alone."""
+    finds them point by point, through the one-point entry points, for the
+    given placed instances or, by default, each point placed alone: the
+    distance from distance_to, the margins and spreads from a one-row
+    _boundary_margins (closed form for plane heights, boundary_coords'
+    circles otherwise)."""
     tol = slabs._CONTAINS_TOL * max(1.0, 2.0 * check_bounding_graphs(slab).height_bound)
     rows = []
     for p, instance in zip(points, [_placed_alone(slab, p) for p in points] if placed is None else placed):
@@ -1109,10 +1278,8 @@ def _audit_one_at_a_time(slab: SlabSpec, points, placed=None) -> list[tuple]:
             rows.append(_FAILED_ROW)
             continue
         distance = instance.distance_to(p, accept_below=tol)
-        top, bottom = instance.boundary_coords()
-        above = float(np.min(+1 * (top[:, 2] - slab.upper(top[:, 0], top[:, 1]))))
-        below = float(np.min(-1 * (bottom[:, 2] - slab.lower(bottom[:, 0], bottom[:, 1]))))
-        values = (distance, above, below, float(np.ptp(top[:, 2])), float(np.ptp(bottom[:, 2])))
+        above, below, above_spread, below_spread = (float(v[0]) for v in slabs._boundary_margins(slab, [instance]))
+        values = (distance, above, below, above_spread, below_spread)
         rows.append((values, (distance < tol, above > 0.0, below > 0.0)))
     return rows
 
