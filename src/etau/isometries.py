@@ -42,8 +42,6 @@ _COEFF_TOL = 1e-12
 _SINGULAR_RTOL = 1e-14
 # Base step of the finite-difference Jacobian in the pullback residuals.
 _PULLBACK_STEP = 2e-3
-# The least normal float, below which _csqrt rescales as cmath.sqrt does.
-_DBL_MIN = float(np.finfo(float).smallest_normal)
 
 KNOWN_FAMILIES = frozenset(
     {
@@ -77,6 +75,13 @@ class MobiusMap:
 
     @classmethod
     def normalized(cls, a: complex, b: complex, c: complex, d: complex, model: Model) -> "MobiusMap":
+        """The map of (a b; c d) scaled to determinant 1, in Python complex
+        scalars; _normalized_rows applies the same tests, with the same
+        errors, to the columns of a stack in one array pass.  One matrix
+        stays in scalars: a one-column array pass costs about 35 us against
+        5 us, and the verify suites build hundreds of maps one at a time
+        (300 in verify isometries --points 500, whose run it made about
+        twice as slow)."""
         a, b, c, d = complex(a), complex(b), complex(c), complex(d)
         if not all(map(cmath.isfinite, (a, b, c, d))):
             raise ParameterError(f"Moebius coefficients must be finite, got {(a, b, c, d)}")
@@ -86,6 +91,8 @@ class MobiusMap:
         if not abs(unit[0] * unit[3] - unit[1] * unit[2]) > _SINGULAR_RTOL * sum(abs(w) ** 2 for w in unit):
             raise ParameterError("Moebius matrix is singular")
         det = a * d - b * c
+        if not (cmath.isfinite(det) and det != 0.0):
+            raise ParameterError("Moebius determinant ad - bc leaves the float range")
         if model is Model.HALF_SPACE:
             if max(abs(a.imag), abs(b.imag), abs(c.imag), abs(d.imag)) > _COEFF_TOL * scale_ref:
                 raise ParameterError("half-space Moebius maps need real coefficients")
@@ -104,85 +111,54 @@ class MobiusMap:
         return (self.a, self.b, self.c, self.d)
 
 
-def _complex(re, im) -> np.ndarray:
-    """The complex array re + i im, set part by part, so signed zeros stay."""
-    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x y for complex arrays, rounded as CPython multiplies complex
-    scalars: four real products and two sums, none fused.  numpy's complex
-    multiply may fuse them, and then it rounds otherwise."""
-    return _complex(x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real)
-
-
-def _creciprocal(z: np.ndarray) -> np.ndarray:
-    """1.0 / z for a complex array with no zero entry, rounded as CPython
-    divides by a complex scalar: Smith's rule, signed zeros included."""
-    zr, zi = z.real, z.imag
-    first = np.abs(zr) >= np.abs(zi)
-    with np.errstate(divide="ignore", invalid="ignore"):  # each row reads one branch
-        r1, r2 = zi / zr, zr / zi
-        d1, d2 = zr + zi * r1, zr * r2 + zi
-        return _complex(np.where(first, 1.0 / d1, (r2 + 0.0) / d2), np.where(first, (0.0 - r1) / d1, -1.0 / d2))
-
-
-def _csqrt(z: np.ndarray) -> np.ndarray:
-    """cmath.sqrt of each finite entry of a complex array, with its bits:
-    CPython's c_sqrt, s = 2 sqrt(x/8 + hypot(x/8, y/8)) on x = |Re z|, y =
-    |Im z|, rescaled by 2^53 when both are below the least normal float.
-    numpy's complex sqrt, the C library's, may round its last bit
-    otherwise."""
-    zr, zi = z.real, z.imag
-    ax, ay = np.abs(zr), np.abs(zi)
-    tiny = (ax < _DBL_MIN) & (ay < _DBL_MIN)
-    with np.errstate(all="ignore"):  # each entry reads one branch, and z = 0 reads (0, Im z)
-        up_x, up_y = np.ldexp(ax, 53), np.ldexp(ay, 53)
-        scaled = np.ldexp(np.sqrt(up_x + np.hypot(up_x, up_y)), -27)
-        s = np.where(tiny, scaled, 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0)))
-        d = ay / (2.0 * s)
-    right, zero = zr >= 0.0, (zr == 0.0) & (zi == 0.0)
-    real, imag = np.where(right, s, d), np.copysign(np.where(right, d, s), zi)
-    return _complex(np.where(zero, 0.0, real), np.where(zero, zi, imag))
-
-
 def _matmul(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """The products of two (4, n) stacks of matrices (a, b, c, d), column
-    by column, each entry a sum of two _cmul products as _Py_c_prod rounds
-    them."""
-    p = _cmul(m1[[0, 1, 0, 1, 2, 3, 2, 3]], m2[[0, 2, 1, 3, 0, 2, 1, 3]])
-    return p[0::2] + p[1::2]
+    by column."""
+    a1, b1, c1, d1 = m1
+    a2, b2, c2, d2 = m2
+    return np.stack([a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2])
 
 
 def _normalized_rows(m: np.ndarray, model: Model) -> np.ndarray:
-    """MobiusMap.normalized of each column of a (4, n) stack of matrix
-    entries, with its bits: every operation rounds as CPython's complex
-    scalars do (_cmul, _csqrt, _creciprocal; np.hypot agrees with abs).
-    When some column may fail one of normalized's tests, or leaves the
-    float range, the columns are normalized one at a time by
-    MobiusMap.normalized itself, so the first one it rejects raises its
-    own error."""
+    """Each column of a (4, n) stack of Moebius coefficients (a, b, c, d)
+    scaled to determinant 1, in one array pass: each column divided by
+    sqrt(ad - bc), and the first column that is no map of the model raises
+    its ParameterError (a non-finite entry; a singular matrix, tested on the
+    entries divided by the largest; ad - bc out of the float range; in the
+    half space an entry off the real line or ad - bc <= 0; in the disc a
+    pole in the closed disc).  A column of the shape (a b; +-conj(b)
+    +-conj(a)) (_su11) has the real determinant +-(|a|^2 - |b|^2), read as
+    such: the scale is then real or imaginary, every scaled entry one
+    rounded product, and the result has the SU(1,1) shape (a b; conj(b)
+    conj(a)) exactly."""
     m = np.asarray(m, dtype=complex)
-    with np.errstate(all="ignore"):  # a column that fails a test here goes through the scalar rule below
-        products = _cmul(m[[0, 1]], m[[3, 2]])
-        det = products[0] - products[1]
-        # normalized's singular test, |ad - bc| > _SINGULAR_RTOL sum |w|^2 on the entries divided by the
-        # largest, read on the entries themselves with twice the margin: a column it passes, normalized passes
-        ok = np.abs(det) > 2.0 * _SINGULAR_RTOL * np.sum(m.real * m.real + m.imag * m.imag, axis=0)
-        if model is Model.HALF_SPACE:
-            scale_ref = np.max(np.hypot(m.real, m.imag), axis=0)
-            ok &= (np.max(np.abs(m.imag), axis=0) <= _COEFF_TOL * scale_ref) & (det.real > 0.0)
-        out = _cmul(m, _creciprocal(_csqrt(det)))
-        if model is Model.HALF_SPACE:
-            out = _complex(out.real, 0.0)
-        else:
-            c, d = out[2], out[3]
-            ok &= np.hypot(d.real, d.imag) > np.hypot(c.real, c.imag) * (1.0 + 1e-12)
-        ok &= np.all(np.isfinite(out), axis=0)
-    if not np.all(ok):
-        return np.array([MobiusMap.normalized(*row, model).matrix() for row in m.T.tolist()], dtype=complex).T
+    size = np.abs(m)
+    scale_ref = np.maximum(np.maximum(size[0], size[1]), np.maximum(size[2], size[3]))  # not finite if an entry is not
+    with np.errstate(all="ignore"):  # a column that fails a test raises below, before its values are read
+        unit = m / np.where(scale_ref > 0.0, scale_ref, 1.0)
+        squares = unit.real * unit.real + unit.imag * unit.imag
+        spread = squares[0] + squares[1] + squares[2] + squares[3]
+        regular = np.abs(unit[0] * unit[3] - unit[1] * unit[2]) > _SINGULAR_RTOL * spread
+        det = m[0] * m[3] - m[1] * m[2]
+        # such a det is real but for rounding, whose imaginary part would rotate the scale off the shape
+        det = np.where(_su11(m) | _su11(m, -1.0), det.real, det)
+        out = m * np.reciprocal(np.sqrt(det))
+    tests = [(np.isfinite(scale_ref), None), (regular, "Moebius matrix is singular")]
+    tests += [(np.isfinite(det) & (det != 0.0), "Moebius determinant ad - bc leaves the float range")]
+    if model is Model.HALF_SPACE:
+        imag = np.abs(m.imag)
+        real = np.maximum(np.maximum(imag[0], imag[1]), np.maximum(imag[2], imag[3])) <= _COEFF_TOL * scale_ref
+        tests += [(real, "half-space Moebius maps need real coefficients")]
+        tests += [(det.real > 0.0, "half-space Moebius maps need positive determinant")]
+        out = out.real.astype(complex)
+    else:
+        pole_outside = np.abs(out[3]) > np.abs(out[2]) * (1.0 + 1e-12)
+        tests += [(pole_outside, "disc Moebius maps must keep the pole outside the closed disc")]
+    passed = np.logical_and.reduce([ok for ok, _ in tests])
+    if not passed.all():
+        j = int(np.argmin(passed))
+        message = next(message for ok, message in tests if not ok[j])
+        raise ParameterError(message or f"Moebius coefficients must be finite, got {tuple(m[:, j].tolist())}")
     return out
 
 
@@ -446,29 +422,29 @@ def compose_rows(outers, inners) -> list[AmbientIsometry]:
     return _isometries(_compose(_rows_of(outers), _rows_of(inners)))
 
 
-def _su11(m: np.ndarray) -> np.ndarray:
-    """Columns of a (4, n) stack whose matrix has the shape (a b; conj(b)
-    conj(a))."""
-    return (m[2] == m[1].conjugate()) & (m[3] == m[0].conjugate())
+def _su11(m: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """Columns of a (4, n) stack whose matrix has the shape (a b; sign
+    conj(b) sign conj(a))."""
+    return (m[2] == sign * m[1].conjugate()) & (m[3] == sign * m[0].conjugate())
 
 
 def _compose(outer: _Rows, inner: _Rows) -> _Rows:
-    """outer o inner row by row, with the bits the point-by-point rule
-    gives: the matrix product and its normalisation round as CPython's
-    complex scalars (_matmul, _normalized_rows), and the fiber shift is the
+    """outer o inner row by row: the matrix product and its normalisation
+    as array passes (_matmul, _normalized_rows), and the fiber shift the
     reference point's image under both factors less its image under the
     unshifted product, through _apply.  A product of two SU(1,1) matrices
-    (a b; conj(b) conj(a)) is written with c = conj(b) and d = conj(a);
-    every operation above commutes with conjugation, so only the sign of a
-    zero part can differ from the computed entries.  The base images must
-    agree to 1e-9 (GeometryError)."""
+    (a b; conj(b) conj(a)) is written with c = conj(b) and d = conj(a),
+    which the computed c and d equal but for rounding, and the
+    normalisation keeps that shape.  The base images must agree to 1e-9
+    (GeometryError)."""
     m_outer, m_inner = np.stack(outer.k[:4]), np.stack(inner.k[:4])
     if inner.orientation is Orientation.REVERSING:
         m_outer = np.stack(_reflection_adjusted(outer.model, *m_outer))
-    m = _normalized_rows(_matmul(m_outer, m_inner), outer.model)
+    m = _matmul(m_outer, m_inner)
     if outer.model is Model.CYLINDER:
         su11 = _su11(m_outer) & _su11(m_inner)
         m[2:] = np.where(su11, m[[1, 0]].conjugate(), m[2:])
+    m = _normalized_rows(m, outer.model)
     flipped = (outer.orientation is Orientation.REVERSING) != (inner.orientation is Orientation.REVERSING)
     orientation = Orientation.REVERSING if flipped else Orientation.DIRECT
     zeros = np.zeros(m.shape[1])
@@ -483,26 +459,54 @@ def _compose(outer: _Rows, inner: _Rows) -> _Rows:
 
 
 def _disc_point_rows(centers: np.ndarray, tau: float) -> _Rows:
-    """disc_point_isometry of each entry of a complex array of centers, as
-    rows, each with that isometry's bits (but its family and parameters).
-    A center it rejects raises its error."""
-    bad = np.flatnonzero(~(np.hypot(centers.real, centers.imag) < 1.0 - 1e-12))
+    """The disc involutions z -> (z - z0) / (conj(z0) z - 1) of a complex
+    array of centers z0, as rows; disc_point_isometry is the one-row case.
+    The matrix (1, -z0; conj(z0), -1) is scaled by -i / sqrt(1 - |z0|^2),
+    as _normalized_rows scales it, to the SU(1,1) shape (a b; conj(b)
+    conj(a)) exactly.
+    The fiber shift 2 tau pi and the branch offset pi + 2 phase(d) send the
+    origin's fiber to t = 0 over z0.  The first center that is not finite,
+    or not in the open disc |z0| < 1 - 1e-12, raises ParameterError."""
+    centers = np.asarray(centers, dtype=complex)
+    size = np.abs(centers)
+    bad = np.flatnonzero(~(size < 1.0 - 1e-12))
     if bad.size:
-        disc_point_isometry(complex(centers[bad[0]]), tau)
-    n = len(centers)
-    one, minus_one = _complex(np.ones(n), 0.0), _complex(-np.ones(n), 0.0)
-    m = _normalized_rows(np.stack([one, -centers, centers.conjugate(), minus_one]), Model.CYLINDER)
+        z0 = complex(centers[bad[0]])
+        raise ParameterError(f"center must {'lie in the open disc' if cmath.isfinite(z0) else 'be finite'}, got {z0}")
+    n, one = len(centers), np.ones(len(centers), dtype=complex)
+    m = np.stack([one, -centers, centers.conjugate(), -one])
+    # _normalized_rows' scale, whose tests every center in the disc passes: the real determinant |z0|^2 - 1
+    m = m * np.reciprocal(np.sqrt((m[0] * m[3] - m[1] * m[2]).real.astype(complex)))
     rows = _rows(Model.CYLINDER, Orientation.DIRECT, tau, m, np.zeros(n), np.full(n, 2.0 * tau * math.pi))
-    # the offset pi + 2 cmath.phase(d) reads the phases _rows took
     return rows._replace(k=rows.k._replace(branch_offset=math.pi + 2.0 * rows.k.phase_d))
 
 
 def _vertical_rows(offsets: np.ndarray, tau: float, model: Model) -> _Rows:
-    """vertical_translation of each entry of an array of offsets, as rows."""
+    """The translations t -> t + offset of an array of offsets, as rows: the
+    identity matrix, shift offset; vertical_translation is the one-row case."""
     n = len(offsets)
-    matrix = np.array(MobiusMap.normalized(1.0, 0.0, 0.0, 1.0, model).matrix(), dtype=complex)
-    m = np.repeat(matrix[:, None], n, axis=1)
-    return _rows(model, Orientation.DIRECT, tau, m, np.zeros(n), np.asarray(offsets, dtype=float))
+    identity = np.repeat(np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex), n, axis=1)
+    return _rows(model, Orientation.DIRECT, tau, identity, np.zeros(n), np.asarray(offsets, dtype=float))
+
+
+def _transports(sources: np.ndarray, targets: np.ndarray, tau: float) -> list[AmbientIsometry]:
+    """For each row of sources and targets, points of the cylinder model as
+    (n, 3) coordinates, the direct isometry sending sources[i] onto
+    targets[i]: the disc involution of the source's base point, then that
+    of the target's (disc_point_isometry), then the vertical translation
+    that puts the fiber coordinate on the target's, composed as compose_rows
+    composes, all as array passes over the rows.  Every matrix has the
+    SU(1,1) shape (a b; conj(b) conj(a)) exactly (_disc_point_rows,
+    _compose).  A base point off the open disc raises _disc_point_rows'
+    ParameterError, an image the model rejects require_in_model's
+    InvalidPointError."""
+    n = len(sources)
+    z = np.concatenate([targets[:, 0] + 1j * targets[:, 1], sources[:, 0] + 1j * sources[:, 1]])
+    involutions = _disc_point_rows(z, tau)
+    moves = _compose(_take(involutions, slice(n)), _take(involutions, slice(n, None)))
+    images = _apply(moves, moves.k, sources)
+    lifts = targets[:, 2] - require_in_model(Model.CYLINDER, images)[:, 2]
+    return _isometries(_compose(_vertical_rows(lifts, tau, Model.CYLINDER), moves))
 
 
 def inverse(iso: AmbientIsometry) -> AmbientIsometry:
@@ -626,8 +630,8 @@ def identity_isometry(tau: float, model: Model) -> AmbientIsometry:
 
 
 def vertical_translation(offset: float, tau: float, model: Model) -> AmbientIsometry:
-    mob = MobiusMap.normalized(1.0, 0.0, 0.0, 1.0, model)
-    return _family_member("vertical_translation", mob, tau, {"offset": offset}, shift=offset)
+    (iso,) = _isometries(_vertical_rows(np.array([offset], dtype=float), tau, model))
+    return _family_member("vertical_translation", iso.mobius, tau, {"offset": offset}, shift=iso.shift)
 
 
 def scale_isometry(factor: float, tau: float) -> AmbientIsometry:
@@ -665,18 +669,16 @@ def axis_translation_isometry(axis_foot: float, tau: float) -> AmbientIsometry:
 
 
 def disc_point_isometry(center: complex, tau: float) -> AmbientIsometry:
-    """Disc involution z -> (z - center) / (conj(center) z - 1).
+    """Disc involution z -> (z - center) / (conj(center) z - 1), the one-row
+    case of _disc_point_rows.
 
     Exchanges the origin with center; the fiber constant is chosen so the
     origin's fiber maps to t = 0 over the center.
     """
     z0 = complex(center)
-    if abs(z0) >= 1.0 - 1e-12:
-        raise ParameterError(f"center must lie in the open disc, got {z0}")
-    mob = MobiusMap.normalized(1.0, -z0, z0.conjugate(), -1.0, Model.CYLINDER)
-    offset = math.pi + 2.0 * cmath.phase(mob.d)
+    (iso,) = _isometries(_disc_point_rows(np.array([z0]), tau))
     parameters = {"center_x": z0.real, "center_y": z0.imag}
-    return _family_member("disc_point", mob, tau, parameters, shift=2.0 * tau * math.pi, offset=offset)
+    return _family_member("disc_point", iso.mobius, tau, parameters, shift=iso.shift, offset=iso.branch_offset)
 
 
 def halfplane_graph_isometry(x0: float, y0: float, height: float, tau: float) -> AmbientIsometry:

@@ -45,14 +45,7 @@ from .core import (
 from .graphs import Chart, GraphDomain, GraphFunction, graph_nu
 from .isometries import (
     AmbientIsometry,
-    _apply,
-    _complex,
-    _compose,
-    _disc_point_rows,
-    _isometries,
-    _row_signs,
-    _take,
-    _vertical_rows,
+    _transports,
     apply_to_coords,
     apply_to_rows,
     axis_translation_isometry,
@@ -285,12 +278,14 @@ def _plane_margins(
     """_boundary_margins for plane heights, in closed form from each
     placement's matrix (a b; conj(b) conj(a)), which _congruent certifies.
 
-    The model circle |z| = r at level t_m goes to the base circle of centre
-    a b (1 - r^2) / D and radius r (|a|^2 - |b|^2) / D, D = |a|^2 - |b|^2
-    r^2 (Beardon, The Geometry of Discrete Groups, Secs. 3 and 4), with
-    the placement's row signs.  Along it the fiber is t_c + 4 tau arg(1 +
-    (c/d) z) (isometries._branch), t_c the image of (0, 0, t_m), so it
-    spans exactly t_c -+ 4 |tau| arcsin rho, rho = |b| r / |a|: each spread
+    The model circle |z| = r at level t_m goes to the base circle of radius
+    r (|a|^2 - |b|^2) / D, D = |a|^2 - |b|^2 r^2, centred on the image of
+    -r^2 b / a, the mirror in the circle of the pole -conj(a) / conj(b)
+    (Beardon, The Geometry of Discrete Groups, Secs. 3 and 4); one
+    apply_to_rows of that point and of (0, 0, +-t_m) gives the centre, row
+    signs included, and the levels t_c.  Along the circle the fiber is t_c
+    + 4 tau arg(1 + (c/d) z) (isometries._branch), so it spans exactly
+    t_c -+ 4 |tau| arcsin rho, rho = |b| r / |a|: each spread
     is 8 |tau| arcsin rho.  The plane s + alpha x + beta y peaks on the
     circle at s + (alpha, beta) . centre + radius |(alpha, beta)|, so the
     above margin (t_c - 4 |tau| arcsin rho) - that peak is the least
@@ -301,18 +296,19 @@ def _plane_margins(
     model = _model_annulus(instances[0].generator)
     placements = [instance.placement for instance in instances]
     a, b = np.array([(p.mobius.a, p.mobius.b) for p in placements], dtype=complex).T
-    r = model.radius
+    r, h = model.radius, model.boundary_height
     size_a, size_b = np.abs(a), np.abs(b)
     reach = size_b * r
-    denominator = (size_a - reach) * (size_a + reach)
-    centre = a * b * ((1.0 - r) * (1.0 + r) / denominator)
-    radius = r * ((size_a - size_b) * (size_a + size_b)) / denominator
-    sx, sy, _ = _row_signs(placements[0])
-    cx, cy = sx * centre.real, sy * centre.imag
+    radius = r * ((size_a - size_b) * (size_a + size_b)) / ((size_a - reach) * (size_a + reach))
     tilt = 4.0 * abs(placements[0].tau) * np.arcsin(reach / size_a)
-    centres = np.array([[0.0, 0.0, model.boundary_height], [0.0, 0.0, -model.boundary_height]])
-    levels = apply_to_rows(placements, np.broadcast_to(centres, (len(placements),) + centres.shape))[..., 2]
-    top, bottom = np.max(levels, axis=1), np.min(levels, axis=1)
+    # per row: the model circles' centres (0, 0, +-h) and the mirror point
+    mirror = -(r * r) * b / a
+    points = np.zeros((len(placements), 3, 3))
+    points[:, 0, 2], points[:, 1, 2] = h, -h
+    points[:, 2, 0], points[:, 2, 1] = mirror.real, mirror.imag
+    images = apply_to_rows(placements, points)
+    top, bottom = np.max(images[:, :2, 2], axis=1), np.min(images[:, :2, 2], axis=1)
+    cx, cy = images[:, 2, 0], images[:, 2, 1]
 
     def peak(height: _PlaneHeight, side: float) -> np.ndarray:
         slope = math.hypot(height.alpha, height.beta)
@@ -382,18 +378,15 @@ class CatenoidAnnulusGenerator:
 
     def place(self, points: Sequence[AmbientPoint]) -> list[AnnulusInstance | InvalidPointError]:
         """The instance through each point, or the InvalidPointError that
-        rules it out, in one pass: one profile inversion, then the Moebius
-        algebra as array passes over the rows (isometries._disc_point_rows,
-        _compose, _vertical_rows), which round as disc_point_isometry and
-        MobiusMap.normalized round Python complex scalars, so each instance
-        has the bits of the scalar rule; objects are made only for the
-        returned instances.  The margins the audit reads from
-        these matrices are exact or a lower bound (AnnulusCheck).
-        When an image off the disc stops the pass, each point is placed
-        alone, so only its own row fails.  Every matrix has the shape (a b;
-        conj(b) conj(a)): disc_point_isometry's involutions have it, and
-        _compose writes the product of two such matrices with c = conj(b)
-        and d = conj(a).  The audit reads that shape (_congruent)."""
+        rules it out, in one pass: one profile inversion, then one
+        isometries._transports pass that sends each point's reference vertex
+        onto it, as array passes over the rows; objects are made only for
+        the returned instances.  A point placed alone goes through the same
+        passes, so each row has its bits.  When an image off the disc stops
+        the pass, each point is placed alone, so only its own row fails.
+        Every matrix has the shape (a b; conj(b) conj(a)) exactly, which
+        the audit reads (_congruent), and from which it reads the boundary
+        margins, exact or a lower bound (AnnulusCheck)."""
         model = _model_annulus(self)
         cylinder = [p if p.model is Model.CYLINDER else convert_model(p, self.tau) for p in points]
         out: list = [
@@ -405,20 +398,14 @@ class CatenoidAnnulusGenerator:
         rows = [i for i, row in enumerate(out) if row is None]
         if not rows:
             return out
-        offsets = np.array([cylinder[i].t for i in rows])
-        heights, signs = np.abs(offsets), np.where(offsets >= 0.0, 1.0, -1.0)
+        targets = np.array([(cylinder[i].x, cylinder[i].y, cylinder[i].t) for i in rows])
+        heights, signs = np.abs(targets[:, 2]), np.where(targets[:, 2] >= 0.0, 1.0, -1.0)
         # height 0 inverts to the neck radius exactly: the Newton loop stops at sigma = 0
         rho = np.minimum(catenoid_profile_inverse(model.spec, heights), self.rho_boundary)
         b_ref = np.array([math.tanh(0.5 * r) for r in rho.tolist()])
-        centers = _complex(np.array([cylinder[i].x for i in rows]), np.array([cylinder[i].y for i in rows]))
         try:
-            # the involutions to each point and from each reference radius, in one pass
-            involutions = _disc_point_rows(np.concatenate([centers, _complex(b_ref, 0.0)]), self.tau)
-            moves = _compose(_take(involutions, slice(len(rows))), _take(involutions, slice(len(rows), None)))
-            pinned = np.stack([b_ref, np.zeros(len(rows)), signs * heights], axis=1)
-            images = _apply(moves, moves.k, require_in_model(Model.CYLINDER, pinned))
-            lifts = offsets - require_in_model(Model.CYLINDER, images)[:, 2]
-            placements = _isometries(_compose(_vertical_rows(lifts, self.tau, Model.CYLINDER), moves))
+            pinned = require_in_model(Model.CYLINDER, np.stack([b_ref, np.zeros(len(rows)), signs * heights], axis=1))
+            placements = _transports(pinned, targets, self.tau)
         except InvalidPointError as error:
             if len(rows) > 1:
                 return [self.place([p])[0] for p in points]
@@ -604,24 +591,10 @@ def _plane_check(tau: float, radius: float, lower: _PlaneHeight, upper: _PlaneHe
     )
 
 
-def _window_test(domain: GraphDomain) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Elementwise test that base points (x, y) lie in the window's bounds
-    and on an active node's cell; the axes and the mask are read once."""
-    (a1, b1), (a2, b2) = domain.bounds
-    q1, q2 = domain.axes()
-    mask = domain.active_mask()
-
-    def inside(x, y):
-        i = np.clip(np.searchsorted(q1, x), 0, domain.shape[0] - 1)
-        j = np.clip(np.searchsorted(q2, y), 0, domain.shape[1] - 1)
-        return (a1 <= x) & (x <= b1) & (a2 <= y) & (y <= b2) & mask[i, j]
-
-    return inside
-
-
 def _window_contains(domain: GraphDomain) -> Callable[[float, float], bool]:
-    """_window_test for one base point (x, y) of Python floats, with its
-    verdict, in Python scalars: bisect_left is searchsorted's side."""
+    """Test that a base point (x, y) of Python floats lies in the window's
+    bounds and on an active node's cell, the first node at or past it on
+    each axis; the axes and the mask are read once."""
     (a1, b1), (a2, b2) = domain.bounds
     q1, q2 = (axis.tolist() for axis in domain.axes())
     mask = domain.active_mask()
@@ -649,9 +622,10 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
     certifies that the model annulus and the instances have one edge-length
     spectrum, so spectra_deviation is 0.0 when every placement passes and
     inf otherwise; no spectrum is measured.  The same test picks the rows
-    to audit.  Each stage is one array pass over the audited points
-    (window, placements, reference chords, boundary margins), one pass per
-    orientation when the placements mix them.  The margins and spreads come
+    to audit.  The window test reads each point in Python scalars
+    (_window_contains); every later stage is one array pass over the
+    audited points (placements, reference chords, boundary margins), one
+    pass per orientation when the placements mix them.  The margins and spreads come
     from _boundary_margins: in closed form from the placement matrices for
     plane heights, exact at tau 0 or against a flat plane and a lower bound
     of the least clearance otherwise; sampled on the placed circles for
@@ -681,7 +655,8 @@ def check_annulus_family(slab: SlabSpec, points: list[AmbientPoint], seed: int =
     cylinder = [p if p.model is Model.CYLINDER else convert_model(p, slab.tau) for p in points]
     coords = np.array([(q.x, q.y, q.t) for q in cylinder]).reshape(-1, 3)
     x, y, t = coords.T
-    inside = _window_test(slab.domain)(x, y)
+    contains = _window_contains(slab.domain)
+    inside = np.array([contains(q.x, q.y) for q in cylinder], dtype=bool)
     between = (slab.lower(x, y) < t) & (t < slab.upper(x, y))
     for i in np.flatnonzero(~(inside & between))[:1]:
         if not inside[i]:

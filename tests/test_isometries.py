@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import re
@@ -54,8 +53,6 @@ from etau.isometries import (
     rotation_isometry,
     scale_isometry,
     vertical_translation,
-    _complex,
-    _csqrt,
     _disc_point_rows,
     _map_pullback_residuals,
     _normalized_rows,
@@ -540,9 +537,9 @@ def _bits(iso: AmbientIsometry) -> list:
 
 
 def _scalar_compose(outer: AmbientIsometry, inner: AmbientIsometry) -> AmbientIsometry:
-    """compose as the point-by-point rule writes it: the matrix product in
-    Python complex scalars, MobiusMap.normalized, and the fiber shift from
-    two scalar applies of the reference point."""
+    """compose written point by point: the matrix product in Python complex
+    scalars, MobiusMap.normalized, and the fiber shift from two scalar
+    applies of the reference point."""
     m1 = outer.mobius.matrix()
     if inner.orientation is Orientation.REVERSING:
         m1 = _reflection_adjusted(outer.model, *m1)
@@ -572,8 +569,8 @@ _CENTERS = st.builds(
 def test_compose_rows_are_one_row_composes_bit_for_bit(tau: float, outer, inner, reversing: bool) -> None:
     # Disc isometries: a point involution after a rotation, the inner ones
     # maybe orientation-reversing.  Each row of the array passes has the bits
-    # of its one-row compose, and the scalar rule's map: its matrix, equal
-    # but perhaps for the sign of a zero part, and its images.
+    # of its one-row compose, and the map of the scalar rule: its matrix to
+    # rounding, and its images.
     def disc(center, angle, orientation=Orientation.DIRECT):
         iso = compose(disc_point_isometry(center, tau), rotation_isometry(angle, tau))
         return replace(iso, orientation=orientation)
@@ -586,7 +583,9 @@ def test_compose_rows_are_one_row_composes_bit_for_bit(tau: float, outer, inner,
     for combo, o, i in zip(rows, outers, inners, strict=True):
         assert _bits(combo) == _bits(compose(o, i))
         want = _scalar_compose(o, i)
-        assert combo.mobius == want.mobius
+        # the matrix but for the rounding of ad - bc, some |a|^2 + |b|^2 ulps of each entry
+        size = sum(abs(w) ** 2 for w in want.mobius.matrix())
+        np.testing.assert_allclose(combo.mobius.matrix(), want.mobius.matrix(), rtol=0.0, atol=1e-15 * size**1.5)
         np.testing.assert_allclose(apply_to_coords(combo, probes), apply_to_coords(want, probes), rtol=0.0, atol=1e-12)
         if not reversing:
             m = combo.mobius
@@ -596,25 +595,13 @@ def test_compose_rows_are_one_row_composes_bit_for_bit(tau: float, outer, inner,
 _ENTRIES = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
 
-def test_csqrt_is_cmath_sqrt_bit_for_bit() -> None:
-    # numpy's complex sqrt rounds 91.4375j's root a last bit away from cmath's
-    values = [91.4375j, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(-3.0, 0.0)]
-    values += [complex(-3.0, -0.0), 5e-324j, complex(-5e-324, 5e-324), complex(2.2250738585072014e-308, 1e-310)]
-    values += [complex(1e308, -1e308), complex(-1e-200, 3e-250)]
-    rng = np.random.default_rng(3)
-    values += [complex(x, y) for x, y in rng.normal(size=(2000, 2)) * 10.0 ** rng.integers(-300, 300, size=(2000, 2))]
-    got = _csqrt(_complex(np.array([v.real for v in values]), np.array([v.imag for v in values]))).tolist()
-    for value, root in zip(values, got, strict=True):
-        want = cmath.sqrt(value)
-        assert (root.real.hex(), root.imag.hex()) == (want.real.hex(), want.imag.hex()), value
-
-
 @settings(max_examples=60, deadline=None)
 @given(rows=st.lists(st.tuples(_ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES), min_size=1, max_size=5), half=st.booleans())
 @example(rows=[(1j, 0j, 0j, 91.4375 + 0j)], half=False)
-def test_normalized_rows_keep_the_bits_of_the_scalar_rule(rows, half: bool) -> None:
-    # The array normalisation rounds as CPython's complex scalars, signed zeros
-    # included, and a row the scalar rule rejects raises that row's error.
+def test_normalized_rows_apply_the_scalar_rule(rows, half: bool) -> None:
+    # Each column of the array pass has the bits of the pass on it alone,
+    # and is MobiusMap.normalized's matrix to rounding; the first column
+    # that MobiusMap.normalized rejects raises its error in the batch.
     model = Model.HALF_SPACE if half else Model.CYLINDER
     if half:
         rows = [tuple(complex(w.real, 0.0) for w in row) for row in rows]
@@ -634,21 +621,57 @@ def test_normalized_rows_keep_the_bits_of_the_scalar_rule(rows, half: bool) -> N
     def hexes(matrix):
         return [float(v).hex() for z in matrix for v in (z.real, z.imag)]
 
-    assert [hexes(g) for g in _normalized_rows(stack, model).T.tolist()] == [hexes(w) for w in want]
+    batch = _normalized_rows(stack, model).T.tolist()
+    for i, (got, scalar, row) in enumerate(zip(batch, want, rows, strict=True)):
+        assert hexes(got) == hexes(_normalized_rows(stack[:, i : i + 1], model)[:, 0].tolist())
+        # the same scale but for rounding, which the determinant's condition amplifies, and perhaps the
+        # other square root where rounding moves ad - bc across the cut
+        condition = sum(abs(w) ** 2 for w in row) / abs(row[0] * row[3] - row[1] * row[2])
+        tol = 1e-14 * condition * max(abs(w) for w in scalar)
+        assert min(max(abs(g - sign * w) for g, w in zip(got, scalar)) for sign in (1.0, -1.0)) <= tol
+
+
+@pytest.mark.parametrize(
+    ("entries", "model", "message"),
+    [
+        ((1.0, 0.0, 0.0, complex(math.nan, 0.0)), Model.CYLINDER, "Moebius coefficients must be finite"),
+        ((1.0, 2.0, 0.5, 1.0), Model.CYLINDER, "Moebius matrix is singular"),
+        ((0.0, 0.0, 0.0, 0.0), Model.HALF_SPACE, "Moebius matrix is singular"),
+        ((1.0, 1j, 0.0, 1.0), Model.HALF_SPACE, "half-space Moebius maps need real coefficients"),
+        ((0.0, 1.0, 1.0, 0.0), Model.HALF_SPACE, "half-space Moebius maps need positive determinant"),
+        ((0.0, 1.0, 1.0, 0.5), Model.CYLINDER, "disc Moebius maps must keep the pole outside the closed disc"),
+        ((1e200, 0.0, 0.0, 1e200), Model.HALF_SPACE, "Moebius determinant ad - bc leaves the float range"),
+        ((1e-200 + 1e-201j, 2e-201, 2e-201, 1e-200 - 1e-201j), Model.CYLINDER, "ad - bc leaves the float range"),
+    ],
+    ids=["nan", "singular", "zero", "complex-half-space", "negative-determinant", "pole-in-disc", "huge", "tiny"],
+)
+def test_normalized_names_the_failed_test(entries, model: Model, message: str) -> None:
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        MobiusMap.normalized(*entries, model)
+    # in a batch, the first failing column raises, and a valid one ahead of it does not
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        _normalized_rows(np.array([(1.0, 0.0, 0.0, 1.0), entries], dtype=complex).T, model)
 
 
 def test_disc_point_rows_are_disc_point_isometries() -> None:
     tau = 0.7
     centers = [0.0, 0.5, -0.3j, 0.2 - 0.6j, -0.9 + 0.1j, complex(-0.0, 0.0)]
-    rows = _disc_point_rows(_complex(np.array([c.real for c in centers]), np.array([c.imag for c in centers])), tau)
+    rows = _disc_point_rows(np.array(centers, dtype=complex), tau)
     for i, center in enumerate(centers):
         iso = disc_point_isometry(center, tau)
         k = rows.k
         row = [k.a[i], k.b[i], k.c[i], k.d[i]]
         assert [float(v).hex() for z in row for v in (z.real, z.imag)] == _bits(iso)[:8]
         assert (k.shift[i], k.branch_offset[i]) == (iso.shift, iso.branch_offset)
+        # the SU(1,1) shape by construction, and a multiple of (1, -z0; conj(z0), -1) with determinant 1
+        assert (row[2], row[3]) == (row[1].conjugate(), row[0].conjugate())
+        want = [1.0, -center, center.conjugate(), -1.0]
+        np.testing.assert_allclose(np.array(row) / row[0], want, rtol=0.0, atol=1e-15)
+        assert row[0] * row[3] - row[1] * row[2] == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ParameterError, match="center must lie in the open disc"):
         _disc_point_rows(np.array([0.5, 1.0, 2.0], dtype=complex), tau)
+    with pytest.raises(ParameterError, match="center must be finite"):
+        _disc_point_rows(np.array([0.5, complex(math.nan, 0.0)]), tau)
 
 
 def test_inverse_round_trip() -> None:

@@ -941,7 +941,9 @@ def _assert_margins_bound_the_dense_minimum(slab: SlabSpec, instance, got) -> No
 def test_closed_form_margins_bound_the_dense_minimum(construction: str, tau: float) -> None:
     # The audit's margins are the closed forms: never above the least
     # clearance along the placed circle, equal to it where exact, and the
-    # spreads are the circles' exact fiber ranges.
+    # spreads are the circles' exact fiber ranges.  A reversing placement of
+    # the same matrix meets its own circles, so the row signs and the t flip
+    # count.
     try:
         slab = _slab_at(construction, tau)
     except FeasibilityError:
@@ -954,6 +956,9 @@ def test_closed_form_margins_bound_the_dense_minimum(construction: str, tau: flo
         assert check.above_spread == check.below_spread
         if tau == 0.0:
             assert check.above_spread == 0.0
+        mirrored = _mirrored(instance)
+        got = [float(v[0]) for v in slabs._boundary_margins(slab, [mirrored])]
+        _assert_margins_bound_the_dense_minimum(slab, mirrored, got)
 
 
 @settings(max_examples=15, deadline=None)
@@ -964,13 +969,15 @@ def test_closed_form_margins_bound_the_dense_minimum(construction: str, tau: flo
     upper=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 3.0)),
     flat=st.sampled_from([None, "lower", "upper"]),
     seed=st.integers(0, 2**16),
+    mirror=st.booleans(),
 )
 def test_closed_form_margins_bound_the_dense_minimum_for_drawn_planes(
-    tau: float, example: str, lower, upper, flat, seed: int
+    tau: float, example: str, lower, upper, flat, seed: int, mirror: bool
 ) -> None:
     # Any plane heights, slopes to 2 and shifts to 3, at any tau: the margins
-    # of the example's placements bound the dense minimum, and are exact
-    # for a flat plane.  The placements need not lie between the planes.
+    # of the example's placements, or of their reversing twins, bound the
+    # dense minimum, and are exact for a flat plane.  The placements need
+    # not lie between the planes.
     sp = SpaceParams(tau)
     try:
         if example == "example1":
@@ -985,6 +992,8 @@ def test_closed_form_margins_bound_the_dense_minimum_for_drawn_planes(
         heights[flat] = replace(heights[flat], alpha=0.0, beta=0.0)
     drawn = replace(slab, **heights)
     instances = slab.annulus_generator.place(sample_interior_points(slab, 2, seed=seed))
+    if mirror:
+        instances = [_mirrored(instance) for instance in instances]
     got = slabs._boundary_margins(drawn, instances)
     for i, instance in enumerate(instances):
         _assert_margins_bound_the_dense_minimum(drawn, instance, [float(v[i]) for v in got])
@@ -1010,7 +1019,8 @@ def test_plane_slab_audits_sample_no_boundary_circle(monkeypatch, construction: 
 # A slab's audit through lambda heights equal to example 2's planes at tau
 # 0.5, on sample_interior_points(slab, 3, seed=4): (distance, above, below,
 # above_spread, below_spread) as the sampled audit found them before the
-# plane heights got their closed form.
+# plane heights got their closed form, with placements formed in Python
+# complex scalars.
 _SAMPLED_AUDIT_BITS = [
     ["0x1.4000000000000p-50", "-0x1.b9cb8deeedeb5p-1", "-0x1.8f0e8c84cc716p+0"]
     + ["0x1.e92c403c7681cp+1", "0x1.e92c403c7681cp+1"],
@@ -1022,9 +1032,12 @@ _SAMPLED_AUDIT_BITS = [
 
 
 def test_other_heights_sample_the_circles_with_their_bits(slab2_tau05, monkeypatch) -> None:
-    # Heights that are not _PlaneHeight keep the sampled circles, built once,
-    # and their bits; the closed form of the same planes lies below the
-    # sampled margins and its spreads are the exact ranges.
+    # Heights that are not _PlaneHeight keep the sampled circles, built once:
+    # each margin and spread is the sampled one of boundary_coords' circles,
+    # bit for bit.  Their values are the earlier audit's but for the few
+    # roundings by which the placements' numpy arithmetic moves them, and a
+    # distance of rounding's size.  The closed form of the same planes lies
+    # below the sampled margins and its spreads are the exact ranges.
     lower, upper = slab2_tau05.lower, slab2_tau05.upper
     slab = replace(slab2_tau05, lower=lambda x, y: lower(x, y), upper=lambda x, y: upper(x, y))
     calls = []
@@ -1034,8 +1047,16 @@ def test_other_heights_sample_the_circles_with_their_bits(slab2_tau05, monkeypat
     points = sample_interior_points(slab2_tau05, 3, seed=4)
     checks = check_annulus_family(slab, points).annulus_checks
     assert len(calls) == 1 and slabs._model_circles.cache_info().misses == 1
-    rows = [(c.distance, c.above_margin, c.below_margin, c.above_spread, c.below_spread) for c in checks]
-    assert [[v.hex() for v in row] for row in rows] == _SAMPLED_AUDIT_BITS
+    for check, instance in zip(checks, slab.annulus_generator.place(points), strict=True):
+        top, bottom = instance.boundary_coords()
+        assert check.above_margin == float(np.min(top[:, 2] - upper(top[:, 0], top[:, 1])))
+        assert check.below_margin == float(np.min(lower(bottom[:, 0], bottom[:, 1]) - bottom[:, 2]))
+        assert (check.above_spread, check.below_spread) == (float(np.ptp(top[:, 2])), float(np.ptp(bottom[:, 2])))
+    for check, recorded in zip(checks, _SAMPLED_AUDIT_BITS, strict=True):
+        distance, *values = (float.fromhex(v) for v in recorded)
+        assert abs(check.distance - distance) <= 1e-12
+        got = [check.above_margin, check.below_margin, check.above_spread, check.below_spread]
+        np.testing.assert_allclose(got, values, rtol=8 * np.finfo(float).eps, atol=0.0)
     closed = check_annulus_family(slab2_tau05, points).annulus_checks
     for c, s in zip(closed, checks, strict=True):
         assert c.distance == s.distance
@@ -1270,7 +1291,8 @@ def _audit_one_at_a_time(slab: SlabSpec, points, placed=None) -> list[tuple]:
     given placed instances or, by default, each point placed alone: the
     distance from distance_to, the margins and spreads from a one-row
     _boundary_margins (closed form for plane heights, boundary_coords'
-    circles otherwise)."""
+    circles otherwise), each margin checked against the least clearance
+    over boundary_coords' samples, which it cannot exceed."""
     tol = slabs._CONTAINS_TOL * max(1.0, 2.0 * check_bounding_graphs(slab).height_bound)
     rows = []
     for p, instance in zip(points, [_placed_alone(slab, p) for p in points] if placed is None else placed):
@@ -1279,6 +1301,11 @@ def _audit_one_at_a_time(slab: SlabSpec, points, placed=None) -> list[tuple]:
             continue
         distance = instance.distance_to(p, accept_below=tol)
         above, below, above_spread, below_spread = (float(v[0]) for v in slabs._boundary_margins(slab, [instance]))
+        top, bottom = instance.boundary_coords()
+        least_above = float(np.min(top[:, 2] - slab.upper(top[:, 0], top[:, 1])))
+        assert above <= least_above + 1e-12 * (1.0 + abs(above))
+        least_below = float(np.min(slab.lower(bottom[:, 0], bottom[:, 1]) - bottom[:, 2]))
+        assert below <= least_below + 1e-12 * (1.0 + abs(below))
         values = (distance, above, below, above_spread, below_spread)
         rows.append((values, (distance < tol, above > 0.0, below > 0.0)))
     return rows
