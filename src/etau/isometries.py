@@ -75,36 +75,8 @@ class MobiusMap:
 
     @classmethod
     def normalized(cls, a: complex, b: complex, c: complex, d: complex, model: Model) -> "MobiusMap":
-        """The map of (a b; c d) scaled to determinant 1, in Python complex
-        scalars; _normalized_rows applies the same tests, with the same
-        errors, to the columns of a stack in one array pass.  One matrix
-        stays in scalars: a one-column array pass costs about 35 us against
-        5 us, and the verify suites build hundreds of maps one at a time
-        (300 in verify isometries --points 500, whose run it made about
-        twice as slow)."""
-        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-        if not all(map(cmath.isfinite, (a, b, c, d))):
-            raise ParameterError(f"Moebius coefficients must be finite, got {(a, b, c, d)}")
-        scale_ref = max(abs(a), abs(b), abs(c), abs(d))
-        # the test on the entries divided by the largest, so no square overflows
-        unit = [w / scale_ref for w in (a, b, c, d)] if scale_ref > 0.0 else [0j] * 4
-        if not abs(unit[0] * unit[3] - unit[1] * unit[2]) > _SINGULAR_RTOL * sum(abs(w) ** 2 for w in unit):
-            raise ParameterError("Moebius matrix is singular")
-        det = a * d - b * c
-        if not (cmath.isfinite(det) and det != 0.0):
-            raise ParameterError("Moebius determinant ad - bc leaves the float range")
-        if model is Model.HALF_SPACE:
-            if max(abs(a.imag), abs(b.imag), abs(c.imag), abs(d.imag)) > _COEFF_TOL * scale_ref:
-                raise ParameterError("half-space Moebius maps need real coefficients")
-            if det.real <= 0.0:
-                raise ParameterError("half-space Moebius maps need positive determinant")
-        s = 1.0 / cmath.sqrt(det)
-        a, b, c, d = a * s, b * s, c * s, d * s
-        if model is Model.HALF_SPACE:
-            a, b, c, d = (complex(w.real, 0.0) for w in (a, b, c, d))
-        else:
-            if abs(d) <= abs(c) * (1.0 + 1e-12):
-                raise ParameterError("disc Moebius maps must keep the pole outside the closed disc")
+        """The map of (a b; c d) scaled to determinant 1, by the one-column _normalized_rows."""
+        a, b, c, d = _normalized_rows(np.array([[a], [b], [c], [d]], dtype=complex), model)[:, 0].tolist()
         return cls(a, b, c, d, model)
 
     def matrix(self) -> tuple[complex, complex, complex, complex]:
@@ -119,18 +91,21 @@ def _matmul(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     return np.stack([a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2])
 
 
-def _normalized_rows(m: np.ndarray, model: Model) -> np.ndarray:
+def _normalized_rows(m: np.ndarray, model: Model, checks=()) -> np.ndarray:
     """Each column of a (4, n) stack of Moebius coefficients (a, b, c, d)
     scaled to determinant 1, in one array pass: each column divided by
-    sqrt(ad - bc), and the first column that is no map of the model raises
-    its ParameterError (a non-finite entry; a singular matrix, tested on the
+    sqrt(ad - bc), and the first column that fails a test raises that
+    test's ParameterError.  A column takes checks first, (ok, message)
+    pairs on the parameters the stack was built from, with ok an (n,)
+    boolean array and message a string or a function of the column's
+    index; then a non-finite entry; a singular matrix, tested on the
     entries divided by the largest; ad - bc out of the float range; in the
     half space an entry off the real line or ad - bc <= 0; in the disc a
-    pole in the closed disc).  A column of the shape (a b; +-conj(b)
-    +-conj(a)) (_su11) has the real determinant +-(|a|^2 - |b|^2), read as
-    such: the scale is then real or imaginary, every scaled entry one
-    rounded product, and the result has the SU(1,1) shape (a b; conj(b)
-    conj(a)) exactly."""
+    pole in the closed disc.  A column of the shape (a b; +-conj(b) +-conj(a))
+    (_su11) has the real determinant +-(|a|^2 - |b|^2), read as such: the
+    scale is then real or imaginary, every scaled entry one rounded
+    product, and the result has the SU(1,1) shape (a b; conj(b) conj(a))
+    exactly."""
     m = np.asarray(m, dtype=complex)
     size = np.abs(m)
     scale_ref = np.maximum(np.maximum(size[0], size[1]), np.maximum(size[2], size[3]))  # not finite if an entry is not
@@ -142,8 +117,11 @@ def _normalized_rows(m: np.ndarray, model: Model) -> np.ndarray:
         det = m[0] * m[3] - m[1] * m[2]
         # such a det is real but for rounding, whose imaginary part would rotate the scale off the shape
         det = np.where(_su11(m) | _su11(m, -1.0), det.real, det)
-        out = m * np.reciprocal(np.sqrt(det))
-    tests = [(np.isfinite(scale_ref), None), (regular, "Moebius matrix is singular")]
+        scale = np.reciprocal(np.sqrt(det))
+        # a real det's scale gets the imaginary part -0.0; as +0.0 it keeps the sign of a half-space entry -0.0
+        out = m * (scale + 0.0 if model is Model.HALF_SPACE else scale)
+    finite = (np.isfinite(scale_ref), lambda j: f"Moebius coefficients must be finite, got {tuple(m[:, j].tolist())}")
+    tests = [*checks, finite, (regular, "Moebius matrix is singular")]
     tests += [(np.isfinite(det) & (det != 0.0), "Moebius determinant ad - bc leaves the float range")]
     if model is Model.HALF_SPACE:
         imag = np.abs(m.imag)
@@ -158,7 +136,7 @@ def _normalized_rows(m: np.ndarray, model: Model) -> np.ndarray:
     if not passed.all():
         j = int(np.argmin(passed))
         message = next(message for ok, message in tests if not ok[j])
-        raise ParameterError(message or f"Moebius coefficients must be finite, got {tuple(m[:, j].tolist())}")
+        raise ParameterError(message if isinstance(message, str) else message(j))
     return out
 
 
@@ -461,22 +439,17 @@ def _compose(outer: _Rows, inner: _Rows) -> _Rows:
 def _disc_point_rows(centers: np.ndarray, tau: float) -> _Rows:
     """The disc involutions z -> (z - z0) / (conj(z0) z - 1) of a complex
     array of centers z0, as rows; disc_point_isometry is the one-row case.
-    The matrix (1, -z0; conj(z0), -1) is scaled by -i / sqrt(1 - |z0|^2),
-    as _normalized_rows scales it, to the SU(1,1) shape (a b; conj(b)
-    conj(a)) exactly.
+    _normalized_rows scales the matrix (1, -z0; conj(z0), -1) to the
+    SU(1,1) shape (a b; conj(b) conj(a)) exactly.
     The fiber shift 2 tau pi and the branch offset pi + 2 phase(d) send the
-    origin's fiber to t = 0 over z0.  The first center that is not finite,
-    or not in the open disc |z0| < 1 - 1e-12, raises ParameterError."""
+    origin's fiber to t = 0 over z0.  A center must be finite and in the
+    open disc |z0| < 1 - 1e-12."""
     centers = np.asarray(centers, dtype=complex)
-    size = np.abs(centers)
-    bad = np.flatnonzero(~(size < 1.0 - 1e-12))
-    if bad.size:
-        z0 = complex(centers[bad[0]])
-        raise ParameterError(f"center must {'lie in the open disc' if cmath.isfinite(z0) else 'be finite'}, got {z0}")
     n, one = len(centers), np.ones(len(centers), dtype=complex)
-    m = np.stack([one, -centers, centers.conjugate(), -one])
-    # _normalized_rows' scale, whose tests every center in the disc passes: the real determinant |z0|^2 - 1
-    m = m * np.reciprocal(np.sqrt((m[0] * m[3] - m[1] * m[2]).real.astype(complex)))
+    checks = [(np.isfinite(centers), lambda j: f"center must be finite, got {complex(centers[j])}")]
+    in_disc = np.abs(centers) < 1.0 - 1e-12
+    checks += [(in_disc, lambda j: f"center must lie in the open disc, got {complex(centers[j])}")]
+    m = _normalized_rows(np.stack([one, -centers, centers.conjugate(), -one]), Model.CYLINDER, checks)
     rows = _rows(Model.CYLINDER, Orientation.DIRECT, tau, m, np.zeros(n), np.full(n, 2.0 * tau * math.pi))
     return rows._replace(k=rows.k._replace(branch_offset=math.pi + 2.0 * rows.k.phase_d))
 
@@ -487,6 +460,43 @@ def _vertical_rows(offsets: np.ndarray, tau: float, model: Model) -> _Rows:
     n = len(offsets)
     identity = np.repeat(np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex), n, axis=1)
     return _rows(model, Orientation.DIRECT, tau, identity, np.zeros(n), np.asarray(offsets, dtype=float))
+
+
+def _scale_rows(factors: np.ndarray, tau: float) -> _Rows:
+    """The half-space homotheties z -> factor z of an array of factors, as
+    rows; scale_isometry is the one-row case.  A factor must be positive and
+    lie in the float-safe range [2 _SINGULAR_RTOL, 1 / (2 _SINGULAR_RTOL)],
+    where the matrix (factor, 0; 0, 1) is not singular."""
+    f, low, high = np.asarray(factors, dtype=float), 2.0 * _SINGULAR_RTOL, 0.5 / _SINGULAR_RTOL
+    checks = [(f > 0.0, lambda j: f"scale factor must be positive, got {f[j]}")]
+    out_of_range = f"leaves the float-safe range [{low}, {high}]: its Moebius matrix is singular"
+    checks += [((low <= f) & (f <= high), lambda j: f"scale factor {f[j]} {out_of_range}")]
+    zero = np.zeros(len(f))
+    m = _normalized_rows(np.stack([f, zero, zero, np.ones(len(f))]), Model.HALF_SPACE, checks)
+    return _rows(Model.HALF_SPACE, Orientation.DIRECT, tau, m, zero, zero)
+
+
+def _axis_translation_rows(feet: np.ndarray, tau: float) -> _Rows:
+    """The half-space maps z -> axis_foot/2 - axis_foot^2 / z of an array of
+    axis feet, as rows; axis_translation_isometry is the one-row case.  A
+    foot must be positive, and its square, the image's height over z = i,
+    a float."""
+    s, zero = np.asarray(feet, dtype=float), np.zeros(len(feet))
+    with np.errstate(all="ignore"):  # a foot that fails a check raises before its row is read
+        checks = [(s > 0.0, lambda j: f"axis foot must be positive, got {s[j]}")]
+        checks += [(np.isfinite(s * s), lambda j: f"axis foot {s[j]} leaves the float range: axis_foot^2 overflows")]
+        m = _normalized_rows(np.stack([np.full(len(s), 0.5), -s, 1.0 / s, zero]), Model.HALF_SPACE, checks)
+    return _rows(Model.HALF_SPACE, Orientation.DIRECT, tau, m, zero, zero)
+
+
+def _halfplane_graph_rows(x0: np.ndarray, y0: np.ndarray, height: np.ndarray, tau: float) -> _Rows:
+    """The half-space maps z -> y0 z + x0 with fiber shift height, of arrays
+    of x0, y0 and heights, as rows; halfplane_graph_isometry is the one-row
+    case.  A target height y0 must be positive."""
+    y0, zero = np.asarray(y0, dtype=float), np.zeros(len(y0))
+    checks = [(y0 > 0.0, lambda j: f"target height y0 must be positive, got {y0[j]}")]
+    m = _normalized_rows(np.stack([y0, np.asarray(x0, dtype=float), zero, np.ones(len(y0))]), Model.HALF_SPACE, checks)
+    return _rows(Model.HALF_SPACE, Orientation.DIRECT, tau, m, zero, np.asarray(height, dtype=float))
 
 
 def _transports(sources: np.ndarray, targets: np.ndarray, tau: float) -> list[AmbientIsometry]:
@@ -625,47 +635,35 @@ def _family_member(
     return AmbientIsometry(mob, orientation, float(shift), float(offset), tau, family, pairs)
 
 
+def _row_member(family: str, rows: _Rows, parameters: dict) -> AmbientIsometry:
+    """The named family's isometry of the one row of a row builder."""
+    (iso,) = _isometries(rows)
+    return _family_member(family, iso.mobius, iso.tau, parameters, iso.shift, iso.branch_offset, iso.orientation)
+
+
 def identity_isometry(tau: float, model: Model) -> AmbientIsometry:
     return _family_member("identity", MobiusMap.normalized(1.0, 0.0, 0.0, 1.0, model), tau, {})
 
 
 def vertical_translation(offset: float, tau: float, model: Model) -> AmbientIsometry:
-    (iso,) = _isometries(_vertical_rows(np.array([offset], dtype=float), tau, model))
-    return _family_member("vertical_translation", iso.mobius, tau, {"offset": offset}, shift=iso.shift)
+    """The translation t -> t + offset, the one-row case of _vertical_rows."""
+    return _row_member("vertical_translation", _vertical_rows([offset], tau, model), {"offset": offset})
 
 
 def scale_isometry(factor: float, tau: float) -> AmbientIsometry:
-    """Half-space homothety z -> factor * z; it fixes t for every tau.
-
-    The factor must lie in the float-safe range [2 _SINGULAR_RTOL,
-    1 / (2 _SINGULAR_RTOL)], where the matrix (factor, 0; 0, 1) is not
-    singular (MobiusMap.normalized)."""
-    if not factor > 0.0:
-        raise ParameterError(f"scale factor must be positive, got {factor}")
-    if not 2.0 * _SINGULAR_RTOL <= factor <= 0.5 / _SINGULAR_RTOL:
-        raise ParameterError(
-            f"scale factor {factor} leaves the float-safe range "
-            f"[{2.0 * _SINGULAR_RTOL}, {0.5 / _SINGULAR_RTOL}]: its Moebius matrix is singular"
-        )
-    mob = MobiusMap.normalized(factor, 0.0, 0.0, 1.0, Model.HALF_SPACE)
-    return _family_member("scale", mob, tau, {"factor": factor})
+    """Half-space homothety z -> factor * z, the one-row case of
+    _scale_rows; it fixes t for every tau."""
+    return _row_member("scale", _scale_rows([factor], tau), {"factor": factor})
 
 
 def axis_translation_isometry(axis_foot: float, tau: float) -> AmbientIsometry:
-    """Half-space map z -> axis_foot/2 - axis_foot^2 / z.
+    """Half-space map z -> axis_foot/2 - axis_foot^2 / z, the one-row case
+    of _axis_translation_rows.
 
     Swaps the ideal points 0 and infinity with the pair -axis_foot/2,
     +axis_foot/2; its branch satisfies Theta(z) = -2 atan2(y, x).
-    ParameterError unless axis_foot^2, the image's height over z = i, is a
-    float.
     """
-    s = float(axis_foot)
-    if not s > 0.0:
-        raise ParameterError(f"axis foot must be positive, got {s}")
-    if not math.isfinite(s * s):
-        raise ParameterError(f"axis foot {s} leaves the float range: axis_foot^2 overflows")
-    mob = MobiusMap.normalized(0.5, -s, 1.0 / s, 0.0, Model.HALF_SPACE)
-    return _family_member("axis_translation", mob, tau, {"axis_foot": s})
+    return _row_member("axis_translation", _axis_translation_rows([axis_foot], tau), {"axis_foot": axis_foot})
 
 
 def disc_point_isometry(center: complex, tau: float) -> AmbientIsometry:
@@ -676,22 +674,18 @@ def disc_point_isometry(center: complex, tau: float) -> AmbientIsometry:
     origin's fiber maps to t = 0 over the center.
     """
     z0 = complex(center)
-    (iso,) = _isometries(_disc_point_rows(np.array([z0]), tau))
-    parameters = {"center_x": z0.real, "center_y": z0.imag}
-    return _family_member("disc_point", iso.mobius, tau, parameters, shift=iso.shift, offset=iso.branch_offset)
+    return _row_member("disc_point", _disc_point_rows([z0], tau), {"center_x": z0.real, "center_y": z0.imag})
 
 
 def halfplane_graph_isometry(x0: float, y0: float, height: float, tau: float) -> AmbientIsometry:
-    """Half-space map z -> y0 z + x0 lifted with a constant fiber shift.
+    """Half-space map z -> y0 z + x0 lifted with a constant fiber shift, the
+    one-row case of _halfplane_graph_rows.
 
     Sends the point (i, 0) to ((x0, y0), height); arg f' vanishes, so the
     fiber rule is a plain shift for every tau.
     """
-    if not y0 > 0.0:
-        raise ParameterError(f"target height y0 must be positive, got {y0}")
-    mob = MobiusMap.normalized(y0, x0, 0.0, 1.0, Model.HALF_SPACE)
     parameters = {"x0": x0, "y0": y0, "height": height}
-    return _family_member("halfplane_graph", mob, tau, parameters, shift=height)
+    return _row_member("halfplane_graph", _halfplane_graph_rows([x0], [y0], [height], tau), parameters)
 
 
 def rotation_isometry(angle: float, tau: float) -> AmbientIsometry:
@@ -750,8 +744,10 @@ def isometry_to_json(iso: AmbientIsometry) -> dict:
 def isometry_from_json(data: dict) -> AmbientIsometry:
     """The isometry of an ``isometry_to_json`` record, with its stored
     coefficients; ParameterError for a malformed record."""
+    if not isinstance(data, dict) or not isinstance(data.get("parameters", {}), dict):
+        raise ParameterError("malformed isometry record: the record and its parameters must be JSON objects")
     family = data.get("family")
-    if family not in KNOWN_FAMILIES:
+    if not isinstance(family, str) or family not in KNOWN_FAMILIES:
         raise ParameterError(f"unknown isometry family {family!r}")
     try:
         model = Model(data["model"])

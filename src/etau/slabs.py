@@ -421,7 +421,7 @@ def _congruent(placement: AmbientIsometry, tau: float) -> bool:
     """The placement moves the model annulus onto an isometric copy in the
     cylinder model of fiber tau tau: its model and tau are the metric's,
     and its matrix has the SU(1,1) shape (a b; conj(b) conj(a)) exactly,
-    with the pole outside the closed disc by MobiusMap.normalized's test,
+    with the pole outside the closed disc by _normalized_rows' test,
     whose 1e-12 margin is far above the rounding of abs, so |b| < |a|.
 
     Read with no arithmetic on the entries.  For such a matrix the form

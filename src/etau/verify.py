@@ -15,13 +15,14 @@ from numpy.random import Generator, default_rng
 from .core import Model, ParameterError
 from .graphs import mean_curvature, reference_problem
 from .isometries import (
+    _axis_translation_rows,
+    _disc_point_rows,
+    _halfplane_graph_rows,
+    _isometries as _row_isometries,
+    _scale_rows,
     apply_to_rows,
-    axis_translation_isometry,
     conversion_pullback_residuals,
-    disc_point_isometry,
-    halfplane_graph_isometry,
     pullback_residuals,
-    scale_isometry,
 )
 from .lifts import PlanarCurve, horizontal_lift, lift_geodesic_semicircle
 from .quadrature import elliptic_k
@@ -76,7 +77,9 @@ def _cylinder_points(rng: Generator, n: int) -> np.ndarray:
 
 def _isometries(tau: float, seed: int, points: int) -> list[dict]:
     """Pullback residuals and the fiber rule of random family members, one
-    isometry per sampled point; each family is one array pass over its points."""
+    isometry per sampled point: each family is built by one row-builder call
+    on parameters drawn point by point, and checked in one array pass over
+    its points."""
     if points < 1:
         raise ParameterError(f"points must be at least 1, got {points}")
     # The sample points, their stencil rows and images all have lam < 1e3, so
@@ -90,8 +93,8 @@ def _isometries(tau: float, seed: int, points: int) -> list[dict]:
     checks = []
     delta = 0.37
 
-    def family_checks(name, make_iso, coords):
-        isos = [make_iso() for _ in coords]
+    def family_checks(name, rows, coords):
+        isos = _row_isometries(rows)
         worst = np.max(pullback_residuals(isos, coords))
         lifted = coords.copy()
         lifted[:, 2] += delta
@@ -107,20 +110,12 @@ def _isometries(tau: float, seed: int, points: int) -> list[dict]:
         for model, coords in ((Model.HALF_SPACE, half), (Model.CYLINDER, cyl))
     ]
     checks.append(_check("conversion_pullback", np.max(np.concatenate(conversion)), 1e-9))
-    family_checks("scale", lambda: scale_isometry(rng.uniform(0.3, 3.0), tau), half)
-    family_checks("axis_translation", lambda: axis_translation_isometry(rng.uniform(0.5, 2.0), tau), half)
-    family_checks(
-        "disc_point",
-        lambda: disc_point_isometry(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)), tau),
-        cyl,
-    )
-    family_checks(
-        "halfplane_graph",
-        lambda: halfplane_graph_isometry(
-            rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0), tau
-        ),
-        half,
-    )
+    family_checks("scale", _scale_rows(rng.uniform(0.3, 3.0, per_family), tau), half)
+    family_checks("axis_translation", _axis_translation_rows(rng.uniform(0.5, 2.0, per_family), tau), half)
+    x, y = rng.uniform(-0.5, 0.5, size=(per_family, 2)).T  # a center's x and y in turn
+    family_checks("disc_point", _disc_point_rows(x + 1j * y, tau), cyl)
+    x0, y0, height = rng.uniform((-1.0, 0.5, -1.0), (1.0, 2.0, 1.0), size=(per_family, 3)).T
+    family_checks("halfplane_graph", _halfplane_graph_rows(x0, y0, height, tau), half)
     return checks
 
 
@@ -179,12 +174,13 @@ def _transversality(tau: float) -> list[dict]:
 def _foliation(tau: float, d: float, s: float, seed: int, points: int) -> list[dict]:
     """Leaves of the sampled points and of their images under random scalings,
     found in one array pass over the 2 * points rows.  Each point draws its
-    x, y, t and scaling mu in turn."""
+    x, y, t and scaling mu in turn; the scalings are built by one row-builder
+    call."""
     if points < 1:
         raise ParameterError(f"points must be at least 1, got {points}")
     draws = default_rng(seed).uniform((-2.0, 0.2, -1.5, 0.5), (2.0, 2.5, 1.5, 2.0), size=(points, 4))
     samples, mus = draws[:, :3], draws[:, 3]
-    moved = apply_to_rows([scale_isometry(mu, tau) for mu in mus.tolist()], samples)
+    moved = apply_to_rows(_row_isometries(_scale_rows(mus, tau)), samples)
     scales, residuals, _ = foliation_leaf_find_arrays(np.concatenate([samples, moved]), d, s, tau)
     worst_eqv = np.max(np.abs(scales[points:] - mus * scales[:points]))
     return [

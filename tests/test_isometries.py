@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import re
@@ -53,11 +54,18 @@ from etau.isometries import (
     rotation_isometry,
     scale_isometry,
     vertical_translation,
+    _COEFF_TOL,
+    _SINGULAR_RTOL,
+    _axis_translation_rows,
     _disc_point_rows,
+    _halfplane_graph_rows,
+    _isometries,
     _map_pullback_residuals,
     _normalized_rows,
     _reference_point,
     _reflection_adjusted,
+    _scale_rows,
+    _vertical_rows,
 )
 
 RESIDUAL_TOL = 1e-9
@@ -536,9 +544,38 @@ def _bits(iso: AmbientIsometry) -> list:
     return [float(v).hex() for v in numbers] + [iso.model, iso.orientation, iso.family, iso.parameters]
 
 
+def _scalar_normalized(a: complex, b: complex, c: complex, d: complex, model: Model) -> MobiusMap:
+    """The normalisation rule written for one matrix in Python complex
+    scalars, a reference for the array pass _normalized_rows: the same
+    tests, in the same order, with the same errors."""
+    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+    if not all(map(cmath.isfinite, (a, b, c, d))):
+        raise ParameterError(f"Moebius coefficients must be finite, got {(a, b, c, d)}")
+    scale_ref = max(abs(a), abs(b), abs(c), abs(d))
+    # the test on the entries divided by the largest, so no square overflows
+    unit = [w / scale_ref for w in (a, b, c, d)] if scale_ref > 0.0 else [0j] * 4
+    if not abs(unit[0] * unit[3] - unit[1] * unit[2]) > _SINGULAR_RTOL * sum(abs(w) ** 2 for w in unit):
+        raise ParameterError("Moebius matrix is singular")
+    det = a * d - b * c
+    if not (cmath.isfinite(det) and det != 0.0):
+        raise ParameterError("Moebius determinant ad - bc leaves the float range")
+    if model is Model.HALF_SPACE:
+        if max(abs(a.imag), abs(b.imag), abs(c.imag), abs(d.imag)) > _COEFF_TOL * scale_ref:
+            raise ParameterError("half-space Moebius maps need real coefficients")
+        if det.real <= 0.0:
+            raise ParameterError("half-space Moebius maps need positive determinant")
+    s = 1.0 / cmath.sqrt(det)
+    a, b, c, d = a * s, b * s, c * s, d * s
+    if model is Model.HALF_SPACE:
+        a, b, c, d = (complex(w.real, 0.0) for w in (a, b, c, d))
+    elif abs(d) <= abs(c) * (1.0 + 1e-12):
+        raise ParameterError("disc Moebius maps must keep the pole outside the closed disc")
+    return MobiusMap(a, b, c, d, model)
+
+
 def _scalar_compose(outer: AmbientIsometry, inner: AmbientIsometry) -> AmbientIsometry:
     """compose written point by point: the matrix product in Python complex
-    scalars, MobiusMap.normalized, and the fiber shift from two scalar
+    scalars, _scalar_normalized, and the fiber shift from two scalar
     applies of the reference point."""
     m1 = outer.mobius.matrix()
     if inner.orientation is Orientation.REVERSING:
@@ -547,7 +584,7 @@ def _scalar_compose(outer: AmbientIsometry, inner: AmbientIsometry) -> AmbientIs
     product = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
     flipped = (outer.orientation is Orientation.REVERSING) != (inner.orientation is Orientation.REVERSING)
     orientation = Orientation.REVERSING if flipped else Orientation.DIRECT
-    unshifted = AmbientIsometry(MobiusMap.normalized(*product, outer.model), orientation, 0.0, 0.0, outer.tau)
+    unshifted = AmbientIsometry(_scalar_normalized(*product, outer.model), orientation, 0.0, 0.0, outer.tau)
     ref = _reference_point(outer.model)
     return replace(unshifted, shift=apply(outer, apply(inner, ref)).t - apply(unshifted, ref).t)
 
@@ -600,15 +637,16 @@ _ENTRIES = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity
 @example(rows=[(1j, 0j, 0j, 91.4375 + 0j)], half=False)
 def test_normalized_rows_apply_the_scalar_rule(rows, half: bool) -> None:
     # Each column of the array pass has the bits of the pass on it alone,
-    # and is MobiusMap.normalized's matrix to rounding; the first column
-    # that MobiusMap.normalized rejects raises its error in the batch.
+    # which MobiusMap.normalized is, and is the scalar rule's matrix to
+    # rounding; the first column that the scalar rule rejects raises its
+    # error in the batch.
     model = Model.HALF_SPACE if half else Model.CYLINDER
     if half:
         rows = [tuple(complex(w.real, 0.0) for w in row) for row in rows]
     want, error = [], None
     for row in rows:
         try:
-            want.append(MobiusMap.normalized(*row, model).matrix())
+            want.append(_scalar_normalized(*row, model).matrix())
         except ParameterError as exc:
             error = str(exc)
             break
@@ -624,6 +662,7 @@ def test_normalized_rows_apply_the_scalar_rule(rows, half: bool) -> None:
     batch = _normalized_rows(stack, model).T.tolist()
     for i, (got, scalar, row) in enumerate(zip(batch, want, rows, strict=True)):
         assert hexes(got) == hexes(_normalized_rows(stack[:, i : i + 1], model)[:, 0].tolist())
+        assert hexes(got) == hexes(MobiusMap.normalized(*row, model).matrix())
         # the same scale but for rounding, which the determinant's condition amplifies, and perhaps the
         # other square root where rounding moves ad - bc across the cut
         condition = sum(abs(w) ** 2 for w in row) / abs(row[0] * row[3] - row[1] * row[2])
@@ -646,32 +685,136 @@ def test_normalized_rows_apply_the_scalar_rule(rows, half: bool) -> None:
     ids=["nan", "singular", "zero", "complex-half-space", "negative-determinant", "pole-in-disc", "huge", "tiny"],
 )
 def test_normalized_names_the_failed_test(entries, model: Model, message: str) -> None:
-    with pytest.raises(ParameterError, match=re.escape(message)):
-        MobiusMap.normalized(*entries, model)
+    for normalized in (MobiusMap.normalized, _scalar_normalized):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            normalized(*entries, model)
     # in a batch, the first failing column raises, and a valid one ahead of it does not
     with pytest.raises(ParameterError, match=re.escape(message)):
         _normalized_rows(np.array([(1.0, 0.0, 0.0, 1.0), entries], dtype=complex).T, model)
 
 
-def test_disc_point_rows_are_disc_point_isometries() -> None:
+_POSITIVE, _RANGE = "scale factor must be positive, got", "leaves the float-safe range [2e-14, 50000000000000.0]"
+_FOOT, _FOOT_RANGE = "axis foot must be positive, got", "leaves the float range: axis_foot^2 overflows"
+_FINITE, _SINGULAR = "Moebius coefficients must be finite", "Moebius matrix is singular"
+_OPEN_DISC, _SHIFT = "center must lie in the open disc, got", "isometry shift must be finite, got"
+
+# family: (row builder on an (n, k) parameter array, public constructor on
+# one row, the matrix before scaling, rows it builds, rows it rejects with
+# the start of the message, rows it builds whose fiber shift the isometry
+# rejects, with the message)
+_ROW_BUILDERS = {
+    "scale": (
+        lambda p, tau: _scale_rows(p[:, 0], tau),
+        scale_isometry,
+        lambda f: (f, 0.0, 0.0, 1.0),
+        [(2.5,), (2e-14,), (5e13,), (0.3,), (1e-13,)],
+        [((math.nan,), f"{_POSITIVE} nan"), ((0.0,), f"{_POSITIVE} 0.0"), ((-1.0,), f"{_POSITIVE} -1.0")]
+        + [((-0.0,), f"{_POSITIVE} -0.0"), ((math.inf,), f"scale factor inf {_RANGE}")]
+        + [((1e-15,), f"scale factor 1e-15 {_RANGE}"), ((1e15,), f"scale factor 1000000000000000.0 {_RANGE}")]
+        + [((1.9e-14,), f"scale factor 1.9e-14 {_RANGE}")],
+        [],
+    ),
+    "axis_translation": (
+        lambda p, tau: _axis_translation_rows(p[:, 0], tau),
+        axis_translation_isometry,
+        lambda s: (0.5, -s, 1.0 / s, 0.0),
+        [(1.0,), (0.5,), (1e-6,), (1e6,), (2.0,)],
+        [((math.nan,), f"{_FOOT} nan"), ((0.0,), f"{_FOOT} 0.0"), ((-2.0,), f"{_FOOT} -2.0")]
+        + [((math.inf,), f"axis foot inf {_FOOT_RANGE}"), ((1e155,), f"axis foot 1e+155 {_FOOT_RANGE}")]
+        + [((1e-300,), _SINGULAR), ((1e-310,), _FINITE)],
+        [],
+    ),
+    "halfplane_graph": (
+        lambda p, tau: _halfplane_graph_rows(p[:, 0], p[:, 1], p[:, 2], tau),
+        halfplane_graph_isometry,
+        lambda x0, y0, height: (y0, x0, 0.0, 1.0),
+        [(2.0, 0.5, 1.25), (0.0, 1.0, 0.0), (-1e3, 1e-3, -0.0), (0.7, 1e6, -2.0)],
+        [((0.0, math.nan, 0.0), "target height y0 must be positive, got nan")]
+        + [((0.0, 0.0, 0.0), "target height y0 must be positive, got 0.0")]
+        + [((0.0, -1.0, 0.0), "target height y0 must be positive, got -1.0")]
+        + [((math.inf, 1.0, 0.0), _FINITE), ((0.0, math.inf, 0.0), _FINITE), ((0.0, 1e100, 0.0), _SINGULAR)],
+        [((0.0, 1.0, math.inf), f"{_SHIFT} inf"), ((0.0, 1.0, math.nan), f"{_SHIFT} nan")],
+    ),
+    "disc_point": (
+        lambda p, tau: _disc_point_rows(p.view(complex)[:, 0], tau),
+        lambda x, y, tau: disc_point_isometry(complex(x, y), tau),
+        lambda x, y: (1.0, -complex(x, y), complex(x, -y), -1.0),
+        [(0.0, 0.0), (-0.0, 0.0), (0.5, 0.0), (0.0, -0.3), (0.2, -0.6), (-0.9, 0.1), (0.0, 1.0 - 1e-9)],
+        [((math.nan, 0.0), "center must be finite, got (nan+0j)"), ((math.inf, 0.0), "center must be finite")]
+        + [((1.0, 0.0), f"{_OPEN_DISC} (1+0j)"), ((0.0, -2.0), f"{_OPEN_DISC} -2j")]
+        + [((0.0, 1.0 - 1e-13), _OPEN_DISC), ((0.6, 0.8), _OPEN_DISC)],
+        [],
+    ),
+    "vertical_translation": (
+        lambda p, tau: _vertical_rows(p[:, 0], tau, Model.CYLINDER),
+        lambda offset, tau: vertical_translation(offset, tau, Model.CYLINDER),
+        lambda offset: (1.0, 0.0, 0.0, 1.0),
+        [(0.7,), (0.0,), (-0.0,), (1e300,)],
+        [],
+        [((math.nan,), f"{_SHIFT} nan"), ((math.inf,), f"{_SHIFT} inf")],
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(_ROW_BUILDERS))
+def test_row_builders_are_their_constructors(family: str) -> None:
+    # Each row of a batch is its matrix before scaling times a factor, with
+    # determinant 1, real in the half space and of the SU(1,1) shape (a b;
+    # conj(b) conj(a)) exactly in the disc; it has the matrix, shift and
+    # branch offset of its public constructor, and a batch whose first bad
+    # row fails a test raises that constructor's message for it.
+    build, construct, raw, good, bad, bad_fiber = _ROW_BUILDERS[family]
     tau = 0.7
-    centers = [0.0, 0.5, -0.3j, 0.2 - 0.6j, -0.9 + 0.1j, complex(-0.0, 0.0)]
-    rows = _disc_point_rows(np.array(centers, dtype=complex), tau)
-    for i, center in enumerate(centers):
-        iso = disc_point_isometry(center, tau)
-        k = rows.k
-        row = [k.a[i], k.b[i], k.c[i], k.d[i]]
-        assert [float(v).hex() for z in row for v in (z.real, z.imag)] == _bits(iso)[:8]
-        assert (k.shift[i], k.branch_offset[i]) == (iso.shift, iso.branch_offset)
-        # the SU(1,1) shape by construction, and a multiple of (1, -z0; conj(z0), -1) with determinant 1
-        assert (row[2], row[3]) == (row[1].conjugate(), row[0].conjugate())
-        want = [1.0, -center, center.conjugate(), -1.0]
-        np.testing.assert_allclose(np.array(row) / row[0], want, rtol=0.0, atol=1e-15)
-        assert row[0] * row[3] - row[1] * row[2] == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ParameterError, match="center must lie in the open disc"):
-        _disc_point_rows(np.array([0.5, 1.0, 2.0], dtype=complex), tau)
-    with pytest.raises(ParameterError, match="center must be finite"):
-        _disc_point_rows(np.array([0.5, complex(math.nan, 0.0)]), tau)
+    rows = build(np.array(good, dtype=float), tau)
+    k = rows.k
+    for i, params in enumerate(good):
+        row, want = [k.a[i], k.b[i], k.c[i], k.d[i]], np.array(raw(*params), dtype=complex)
+        j = int(np.argmax(np.abs(want)))
+        np.testing.assert_allclose(np.array(row) * (want[j] / row[j]), want, rtol=0.0, atol=1e-15 * abs(want[j]))
+        assert row[0] * row[3] - row[1] * row[2] == pytest.approx(1.0, abs=1e-14 * sum(abs(w) ** 2 for w in row))
+        if rows.model is Model.CYLINDER:
+            assert (row[2], row[3]) == (row[1].conjugate(), row[0].conjugate())
+        else:
+            assert all(w.imag == 0.0 for w in row)
+        iso = construct(*params, tau)
+        got = [*row, k.shift[i], k.branch_offset[i]]
+        want = [*iso.mobius.matrix(), iso.shift, iso.branch_offset]
+        assert [float(v).hex() for z in got for v in (z.real, z.imag)] == [
+            float(v).hex() for z in want for v in (complex(z).real, complex(z).imag)
+        ]
+    later = [params for params, _ in bad[::-1]]  # bad rows after the first do not raise ahead of it
+    for params, message in bad:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}") as one:
+            construct(*params, tau)
+        with pytest.raises(ParameterError) as batch:
+            build(np.array([*good, params, *later], dtype=float), tau)
+        assert str(batch.value) == str(one.value), params
+    # the fiber shift is tested as each row becomes an isometry
+    for params, message in bad_fiber:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}") as one:
+            construct(*params, tau)
+        with pytest.raises(ParameterError) as batch:
+            _isometries(build(np.array([*good, params, *good], dtype=float), tau))
+        assert str(batch.value) == str(one.value), params
+
+
+def test_half_space_families_are_the_scalar_rule_bit_for_bit() -> None:
+    # Their matrices have an exact ad - bc, so the array pass and the scalar
+    # rule scale them alike, to the sign of every zero; so do their inverses.
+    def hexes(matrix):
+        return [float(v).hex() for z in matrix for v in (z.real, z.imag)]
+
+    cases = [(scale_isometry(f, 0.5), (f, 0.0, 0.0, 1.0)) for f in (1e-9, 0.3, 2.5, 5e13)]
+    cases += [(axis_translation_isometry(s, 0.5), (0.5, -s, 1.0 / s, 0.0)) for s in (1e-3, 1.3, 1e6)]
+    for x0, y0 in ((-0.0, 2.0), (0.0, 0.5), (-1.5, 1e-6), (3.0, 1e6)):
+        cases.append((halfplane_graph_isometry(x0, y0, 0.2, 0.5), (y0, x0, 0.0, 1.0)))
+    cases += [(halfplane_reflection(x, 0.5), (1.0, -2.0 * x, 0.0, 1.0)) for x in (0.0, -0.0, 0.7)]
+    for iso, entries in cases:
+        assert hexes(iso.mobius.matrix()) == hexes(_scalar_normalized(*entries, Model.HALF_SPACE).matrix()), entries
+        a, b, c, d = iso.mobius.matrix()
+        want = _scalar_normalized(d, -b, -c, a, Model.HALF_SPACE)
+        if iso.orientation is Orientation.DIRECT:
+            assert hexes(inverse(iso).mobius.matrix()) == hexes(want.matrix()), entries
 
 
 def test_inverse_round_trip() -> None:
@@ -779,18 +922,33 @@ def _scaled_matrix(data: dict) -> None:
     "spoil",
     [
         lambda data: data["matrix"][0].__setitem__(0, math.nan),
-        lambda data: data["matrix"].pop(),
+        lambda data: data.__setitem__("matrix", data["matrix"][:3]),
         lambda data: data.__setitem__("model", "torus"),
         lambda data: data.__setitem__("matrix", [[0.0, 0.0]] * 4),
         _scaled_matrix,
+        lambda data: [data],
+        lambda data: data.__setitem__("parameters", [0.3, 0.2]),
+        lambda data: data.__setitem__("parameters", "center_x"),
+        lambda data: data.__setitem__("family", ["disc_point"]),
     ],
-    ids=["nan-entry", "three-entries", "unknown-model", "zero-matrix", "determinant-4"],
+    ids=[
+        "nan-entry",
+        "three-entries",
+        "unknown-model",
+        "zero-matrix",
+        "determinant-4",
+        "not-an-object",
+        "parameters-list",
+        "parameters-string",
+        "unhashable-family",
+    ],
 )
 def test_json_malformed_record_is_rejected(spoil) -> None:
+    # a spoiler edits the record in place or returns the record to read
     data = isometry_to_json(disc_point_isometry(0.3 + 0.2j, 0.5))
-    spoil(data)
+    spoiled = spoil(data)
     with pytest.raises(ParameterError):
-        isometry_from_json(data)
+        isometry_from_json(data if spoiled is None else spoiled)
 
 
 def test_json_payload_fields() -> None:
