@@ -103,15 +103,35 @@ class BasePoint:
         return complex(self.x, self.y)
 
 
+def _in_model(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether each base point (x, y), of broadcasting arrays, lies in the
+    model's open domain; a NaN coordinate does not."""
+    return y > BOUNDARY_MARGIN if model is Model.HALF_SPACE else x * x + y * y < 1.0 - BOUNDARY_MARGIN
+
+
 def require_in_model(model: Model, coords: np.ndarray) -> np.ndarray:
     """coords (..., 2) or (..., 3), after checking that every base point
     (x, y) lies in the model's open domain; otherwise BasePoint's
     InvalidPointError.  A NaN coordinate is off the domain."""
-    x, y = coords[..., 0], coords[..., 1]
-    inside = y > BOUNDARY_MARGIN if model is Model.HALF_SPACE else x * x + y * y < 1.0 - BOUNDARY_MARGIN
+    inside = _in_model(model, coords[..., 0], coords[..., 1])
     if not np.all(inside):
         BasePoint(model, *coords[~inside][0, :2].tolist())
     return coords
+
+
+def require_nodes_in_model(model: Model, q1: np.ndarray, q2: np.ndarray, mask: np.ndarray | None = None) -> None:
+    """require_in_model for the nodes (q1[i], q2[j]) of a grid's axes, only
+    those where mask is true when one is given: the first node off the
+    domain in C order raises BasePoint's InvalidPointError, the node that
+    require_in_model raises for on the masked node grids.  The test
+    broadcasts over the axes, so no node grid is formed; x * x + y * y
+    rounds as it does on the grids."""
+    off = ~_in_model(model, q1[:, None], q2[None, :])
+    if mask is not None:
+        off = off & mask
+    if off.any():
+        i, j = np.unravel_index(np.argmax(off), off.shape)
+        BasePoint(model, float(q1[i]), float(q2[j]))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .core import (
     ParameterError,
     metric_data_arrays,
     require_finite,
-    require_in_model,
+    require_nodes_in_model,
 )
 from .dissection import NestedDissection
 from .surfaces import (
@@ -142,11 +142,8 @@ class GraphDomain:
             if m.shape != (n1, n2):
                 raise ParameterError("mask shape must match the node grid")
             object.__setattr__(self, "mask", m)
-        if self.chart is Chart.DISC_XY:
-            x, y = self.node_grids()
-            if self.mask is not None:  # masked nodes may lie off the disc
-                x, y = x[self.mask], y[self.mask]
-            require_in_model(self.model, np.stack((x, y), axis=-1))
+        if self.chart is Chart.DISC_XY:  # masked nodes may lie off the disc
+            require_nodes_in_model(self.model, *self.axes(), self.mask)
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         (a1, b1), (a2, b2) = self.bounds

@@ -503,10 +503,13 @@ def _transports(sources: np.ndarray, targets: np.ndarray, tau: float) -> list[Am
     """For each row of sources and targets, points of the cylinder model as
     (n, 3) coordinates, the direct isometry sending sources[i] onto
     targets[i]: the disc involution of the source's base point, then that
-    of the target's (disc_point_isometry), then the vertical translation
-    that puts the fiber coordinate on the target's, composed as compose_rows
-    composes, all as array passes over the rows.  Every matrix has the
-    SU(1,1) shape (a b; conj(b) conj(a)) exactly (_disc_point_rows,
+    of the target's (disc_point_isometry), composed as compose_rows
+    composes, then the vertical translation that puts the fiber coordinate
+    on the target's, all as array passes over the rows.  That translation
+    is the flow of the unit Killing field along the fibers: after a map it
+    only adds its offset, the lift, to the map's fiber shift, so the lift
+    goes there and the matrix stays the involutions' product.  Every matrix
+    has the SU(1,1) shape (a b; conj(b) conj(a)) exactly (_disc_point_rows,
     _compose).  A base point off the open disc raises _disc_point_rows'
     ParameterError, an image the model rejects require_in_model's
     InvalidPointError."""
@@ -516,7 +519,7 @@ def _transports(sources: np.ndarray, targets: np.ndarray, tau: float) -> list[Am
     moves = _compose(_take(involutions, slice(n)), _take(involutions, slice(n, None)))
     images = _apply(moves, moves.k, sources)
     lifts = targets[:, 2] - require_in_model(Model.CYLINDER, images)[:, 2]
-    return _isometries(_compose(_vertical_rows(lifts, tau, Model.CYLINDER), moves))
+    return _isometries(moves._replace(k=moves.k._replace(shift=moves.k.shift + lifts)))
 
 
 def inverse(iso: AmbientIsometry) -> AmbientIsometry:

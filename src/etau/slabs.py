@@ -107,9 +107,10 @@ def _masked_window(chart: Chart, bounds, n: int, mask: np.ndarray) -> GraphDomai
 def disc_window_domain(hyperbolic_radius: float, n: int) -> GraphDomain:
     """Square grid over the disc of hyperbolic radius R about the origin,
     nodes masked to the inscribed coordinate circle; the bounds are
-    ((-rc, rc), (-rc, rc)) with rc = tanh(R/2).  Raises ParameterError when
-    that circle rounds onto the ideal boundary, 1 - rc^2 <= BOUNDARY_MARGIN,
-    or no node lies in it."""
+    ((-rc, rc), (-rc, rc)) with rc = tanh(R/2).  The mask compares each
+    node's x * x + y * y, an outer sum of the squared axis, with rc^2.
+    Raises ParameterError when that circle rounds onto the ideal boundary,
+    1 - rc^2 <= BOUNDARY_MARGIN, or no node lies in it."""
     if not hyperbolic_radius > 0.0:
         raise ParameterError("window radius must be positive")
     _window_nodes(n)
@@ -119,8 +120,8 @@ def disc_window_domain(hyperbolic_radius: float, n: int) -> GraphDomain:
             f"window radius {hyperbolic_radius} puts the window on the ideal boundary"
         )
     axis = np.linspace(-rc, rc, n)
-    x, y = np.meshgrid(axis, axis, indexing="ij")
-    return _masked_window(Chart.DISC_XY, ((-rc, rc), (-rc, rc)), n, x * x + y * y <= rc * rc)
+    square = axis * axis
+    return _masked_window(Chart.DISC_XY, ((-rc, rc), (-rc, rc)), n, np.add.outer(square, square) <= rc * rc)
 
 
 def halfplane_window_domain(
@@ -359,11 +360,12 @@ class CatenoidAnnulusGenerator:
     The generator is the key of its one model annulus (_model_annulus): tau,
     the neck parameter d and the truncation radius rho_boundary fix it.  The
     placement composes two disc involutions (axis to the requested
-    projection) with the vertical translation that pins the reference vertex
-    to p exactly; every instance is therefore an isometric copy of the model
-    annulus.  The model annulus is centred on the fiber level t = 0, so p's
-    fiber coordinate is its offset from the neck and must stay below the
-    annulus half-height.
+    projection) and then translates along the fibers so that the reference
+    vertex lands on p, which adds the lift to the product's fiber shift;
+    every instance is therefore an isometric copy of the model annulus.
+    The model annulus is centred on the fiber level t = 0, so p's fiber
+    coordinate is its offset from the neck and must stay below the annulus
+    half-height.
     """
 
     tau: float
@@ -378,10 +380,13 @@ class CatenoidAnnulusGenerator:
 
     def place(self, points: Sequence[AmbientPoint]) -> list[AnnulusInstance | InvalidPointError]:
         """The instance through each point, or the InvalidPointError that
-        rules it out, in one pass: one profile inversion, then one
+        rules it out, in one pass: one profile inversion (at most 4 table
+        reads a point, catenoid_profile_inverse), then one
         isometries._transports pass that sends each point's reference vertex
-        onto it, as array passes over the rows; objects are made only for
-        the returned instances.  A point placed alone goes through the same
+        onto it, as array passes over the rows: the involutions' product,
+        whose fiber shift takes the vertical lift, so each placement's
+        matrix is that product's; objects are made only for the returned
+        instances.  A point placed alone goes through the same
         passes, so each row has its bits.  When an image off the disc stops
         the pass, each point is placed alone, so only its own row fails.
         Every matrix has the shape (a b; conj(b) conj(a)) exactly, which
@@ -564,9 +569,11 @@ def check_bounding_graphs(slab: SlabSpec) -> BoundingGraphCheck:
 
 def _window_radius(domain: GraphDomain) -> float:
     """The larger of the window's half-width and its farthest active node's
-    radius, at most 1: rc = tanh(R/2) for disc_window_domain(R, n)."""
-    x, y = domain.node_grids()
-    r2 = (x * x + y * y)[domain.active_mask()]
+    radius, at most 1: rc = tanh(R/2) for disc_window_domain(R, n).  The
+    squared node radii x * x + y * y are an outer sum of the squared axes,
+    with the bits of the node grids' sums."""
+    q1, q2 = domain.axes()
+    r2 = np.add.outer(q1 * q1, q2 * q2)[domain.active_mask()]
     half_width = max(abs(bound) for bounds in domain.bounds for bound in bounds)
     return min(max(half_width, math.sqrt(float(np.max(r2)))), 1.0)
 

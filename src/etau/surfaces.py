@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,6 +42,9 @@ from .quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss, cumulative_in
 # _ProfileTable).
 _TABLE_PANELS = 64
 _TABLE_CHUNK = CHUNK_NODES // PANEL_NODES
+# Values per integrand call of _ProfileTable.value_and_slope: a panel's
+# nodes and the value's own sigma.
+_SLOPE_CHUNK = CHUNK_NODES // (PANEL_NODES + 1)
 # Panels of _catenoid_half_height's sum: 4e-15 from the table for d in [1e-3, 1e8] (16 give 1e-10).
 _HALF_HEIGHT_PANELS = 32
 # Relative widening of _ProfileTable.bounds: far above the 1e-13 settle
@@ -226,9 +229,14 @@ def catenoid_profile_inverse(spec: CatenoidSpec, height):
     an array of heights.
 
     Safeguarded Newton iteration in sigma = sqrt(rho - rho_min) on the
-    profile table T, whose derivative is the integrand g(sigma); a step that
-    leaves the bracket [lo, hi] of sigma values known to straddle the root,
-    at first the table's span [0, sigma*], is replaced by bisection.  Each
+    profile table T, whose derivative is the integrand g(sigma).  Each
+    element starts inside the table panel whose node values straddle its
+    height, at its Hermite point (_ProfileTable.panels), and that panel is
+    its first bracket [lo, hi] of sigma values known to straddle the root;
+    a step that leaves the bracket is replaced by bisection.  Every step
+    reads T and T' = g from one integrand call
+    (_ProfileTable.value_and_slope): at most four such reads per element
+    for d in the neck solve's range [1e-3, 1e8], one at a node value.  Each
     element keeps its own bracket, tolerance and step budget, and the table
     evaluates each alone, so no element's bits depend on the others.
     Raises ConvergenceError when an element's budget runs out.
@@ -243,18 +251,19 @@ def catenoid_profile_inverse(spec: CatenoidSpec, height):
     rmin = catenoid_neck_radius(spec)
     table = _catenoid_table(spec.tau, spec.d)
     rho, todo = np.empty(flat.size), np.arange(flat.size)
-    sigma, lo, hi = np.zeros(flat.size), np.zeros(flat.size), np.full(flat.size, table.sigma_max)
+    lo, sigma, hi = table.panels(flat)
     for _ in range(_INVERSE_BUDGET):
         target = flat[todo]
-        residual = table(sigma) - target
+        value, slope = table.value_and_slope(sigma)
+        residual = value - target
         below = residual <= 0.0
         lo, hi = np.where(below, sigma, lo), np.where(below, hi, sigma)
         done = np.abs(residual) <= _INVERSE_TOL * np.maximum(1.0, target)
         rho[todo[done]] = rmin + sigma[done] * sigma[done]
-        todo, sigma, lo, hi, residual = (a[~done] for a in (todo, sigma, lo, hi, residual))
+        todo, sigma, lo, hi, residual, slope = (a[~done] for a in (todo, sigma, lo, hi, residual, slope))
         if not todo.size:
             return float(rho[0]) if heights.ndim == 0 else rho.reshape(heights.shape)
-        step = sigma - residual / table.g(sigma)
+        step = sigma - residual / slope
         sigma = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
     raise ConvergenceError(
         f"profile inversion for height {flat[todo[0]]} did not converge in {_INVERSE_BUDGET} steps"
@@ -281,6 +290,12 @@ class _ProfileTable:
     k - 1 and k otherwise.  Both are widened by _BRACKET_MARGIN relative,
     which covers cumulative_integral's settle tolerance and the panel's
     rounding; beyond sigma_max the bracket is the limit itself.
+
+    panels(height) runs the other way, for the Newton inverse: the nodes
+    around each height's root, found by searchsorted on the node values,
+    and a seed between them read from the node values and slopes (g at the
+    nodes, kept from the first call).  value_and_slope(sigma) gives T and T' =
+    g together, from one integrand call per chunk of _SLOPE_CHUNK values.
     """
 
     def __init__(self, g, sigma_max: float, tail: float = 0.0) -> None:
@@ -303,6 +318,55 @@ class _ProfileTable:
             part = off[start : start + _TABLE_CHUNK]
             out[part] += composite_gauss(self.g, self._nodes[k[part]], flat[part], 1)
         return out.reshape(sigma.shape)
+
+    def value_and_slope(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(T(sigma), g(sigma)) for a 1-d array sigma in [0, sigma_max], T with
+        the bits of self(sigma): composite_gauss takes the off-node panel as
+        self does, and its integrand call evaluates g at the panel's Gauss
+        nodes and at sigma in one array, the nodes first, so the panel sum
+        reads a contiguous block as composite_gauss's own call would.  An
+        on-node sigma gets a panel of width 0, which adds +0.0 to its node's
+        value."""
+        k = np.clip(np.rint(sigma / self._step), 0, _TABLE_PANELS).astype(int)
+        value, slope = self._values[k], np.empty(sigma.size)
+        for start in range(0, sigma.size, _SLOPE_CHUNK):
+            part = slice(start, start + _SLOPE_CHUNK)
+            at = sigma[part]
+
+            def nodes_and_at(nodes: np.ndarray) -> np.ndarray:
+                both = self.g(np.concatenate((nodes.reshape(-1), at)))
+                slope[part] = both[nodes.size :]
+                return both[: nodes.size].reshape(nodes.shape)
+
+            value[part] += composite_gauss(nodes_and_at, self._nodes[k[part]], at, 1)
+        return value, slope
+
+    @cached_property
+    def _slopes(self) -> np.ndarray:
+        """g at the nodes, for panels: evaluated on a table's first inversion,
+        so the many tables that are never inverted skip it."""
+        return self.g(self._nodes)
+
+    def panels(self, height: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For a 1-d array of heights in [0, limit): the nodes lo < hi of the
+        panel j whose values straddle each height, values[j] <= height <
+        values[j + 1], and the Hermite point between them: sigma as the
+        cubic in T through both nodes with the inverse slopes 1/g there,
+        read at the height and clipped to the panel.  A node value is its
+        own node.  A height at or above the last node's value takes the
+        last panel and sigma_max, where T is within the tail of the height.
+        The chord point, the line through the node values, costs 5 reads
+        for some heights of a thin neck (d = 1e-3), whose panel 0 holds the
+        integrand's fall from its neck value."""
+        v = self._values
+        j = np.minimum(np.searchsorted(v, height, side="right") - 1, _TABLE_PANELS - 1)
+        lo, hi = self._nodes[j], self._nodes[j + 1]
+        past = height >= v[-1]
+        rise = np.where(past, 1.0, v[j + 1] - v[j])
+        t = (height - v[j]) / rise
+        m0, m1 = rise / (self._slopes[j] * self._step), rise / (self._slopes[j + 1] * self._step)
+        u = t * t * (3.0 - 2.0 * t) + m0 * t * (1.0 - t) ** 2 - m1 * t * t * (1.0 - t)
+        return lo, np.where(past, hi, lo + (hi - lo) * np.clip(u, 0.0, 1.0)), hi
 
     def bounds(self, sigma) -> tuple[np.ndarray, np.ndarray]:
         """Arrays (lo, hi) with lo <= self(sigma) <= hi, from the node values alone."""

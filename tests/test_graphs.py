@@ -17,6 +17,7 @@ from etau.core import (
     Model,
     ParameterError,
     metric_data_arrays,
+    require_in_model,
 )
 from etau.dissection import NestedDissection
 from etau.graphs import (
@@ -157,6 +158,45 @@ def test_disc_domain_rejects_an_unmasked_node_outside_the_disc() -> None:
     mask[0, 0] = True  # the corner (-0.8, -0.8), at radius^2 1.28
     with pytest.raises(InvalidPointError):
         GraphDomain(Chart.DISC_XY, ((-0.8, 0.8), (-0.8, 0.8)), (13, 13), mask=mask)
+
+
+# a coordinate whose square doubled rounds to the disc check's bound 1 - 1e-12
+_EDGE = math.sqrt(0.5 * (1.0 - 1e-12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corners=st.lists(
+        st.sampled_from([_EDGE, math.nextafter(_EDGE, 0.0), math.nextafter(_EDGE, 2.0), 0.3, 0.999999])
+        | st.floats(0.01, 1.2),
+        min_size=4,
+        max_size=4,
+    ),
+    shape=st.tuples(st.integers(2, 17), st.integers(2, 17)),
+    masked=st.sampled_from([None, 0.2, 0.6, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_disc_domain_check_names_the_node_the_node_grids_name(corners, shape, masked, seed: int) -> None:
+    # GraphDomain tests the disc nodes on its axes, without node grids: the
+    # same domains pass, and the others raise InvalidPointError with the
+    # message of require_in_model on the masked grids, the first node off the
+    # disc in C order
+    bounds = ((-corners[0], corners[1]), (-corners[2], corners[3]))
+    mask = None if masked is None else np.random.default_rng(seed).random(shape) < masked
+    x, y = np.meshgrid(*(np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape)), indexing="ij")
+    if mask is not None:
+        x, y = x[mask], y[mask]
+    try:
+        require_in_model(Model.CYLINDER, np.stack((x, y), axis=-1))
+        want = None
+    except InvalidPointError as error:
+        want = str(error)
+    try:
+        GraphDomain(Chart.DISC_XY, bounds, shape, mask=mask)
+        got = None
+    except InvalidPointError as error:
+        got = str(error)
+    assert got == want
 
 
 # -- pointwise quantities -------------------------------------------------------------

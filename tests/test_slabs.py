@@ -43,8 +43,10 @@ from etau.isometries import (
     Orientation,
     apply_to_coords,
     compose,
+    disc_point_isometry,
     identity_isometry,
     push_forward,
+    vertical_translation,
 )
 from etau.quadrature import CHUNK_NODES, PANEL_NODES, composite_gauss
 from etau.slabs import (
@@ -141,6 +143,29 @@ def test_window_domains_need_an_active_node() -> None:
         disc_window_domain(1.0, 2)
     with pytest.raises(ParameterError, match="no node"):
         halfplane_window_domain((0.0, 1.0), 1.0, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 64, 129])
+@pytest.mark.parametrize("radius", [1e-3, 0.5, 1.0, 4.0, 10.0, 18.0, 27.6])
+def test_window_reads_keep_the_node_grids_bits(radius: float, n: int) -> None:
+    # disc_window_domain's mask and _window_radius read the axes, not the
+    # node grids: the same mask, and the same radius bit for bit, also
+    # under a random part of that mask
+    rc = math.tanh(0.5 * radius)
+    x, y = np.meshgrid(np.linspace(-rc, rc, n), np.linspace(-rc, rc, n), indexing="ij")
+    r2 = x * x + y * y
+    try:
+        domain = disc_window_domain(radius, n)
+    except ParameterError:
+        assert not np.any(r2 <= rc * rc)
+        return
+    np.testing.assert_array_equal(domain.mask, r2 <= rc * rc)
+    for mask in (domain.mask, domain.mask & (np.random.default_rng(n).random((n, n)) < 0.3)):
+        if not mask.any():
+            continue
+        masked = replace(domain, mask=mask)
+        want = min(max(rc, math.sqrt(float(np.max(r2[mask])))), 1.0)
+        assert slabs._window_radius(masked) == want
 
 
 @pytest.mark.parametrize("radius", [40.0, 1e300, math.inf])
@@ -815,6 +840,36 @@ def test_placements_have_disc_isometry_forms(
         assert c > 0.0 and (a, br, bi) == (-c, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.5, -0.7])
+@pytest.mark.parametrize("construction", ["example1", "example2"])
+def test_placements_lift_the_involutions_by_a_fiber_shift(monkeypatch, construction: str, tau: float) -> None:
+    # A placement is the two disc involutions' product, moves, followed by
+    # the vertical translation by the lift L: as a map it is
+    # compose(vertical_translation(L), moves), and its matrix is moves'
+    # matrix bit for bit, since the lift only adds to the fiber shift.
+    slab = _slab_at(construction, tau)
+    calls = []
+    transports = slabs._transports
+    monkeypatch.setattr(slabs, "_transports", lambda s, t, tau: calls.append((s, t)) or transports(s, t, tau))
+    points = sample_interior_points(slab, 6, seed=11)
+    placed = slab.annulus_generator.place(points)
+    (sources, targets), = calls
+    rng = np.random.default_rng(5)
+    radius, angle = 0.9 * np.sqrt(rng.random(50)), 2.0 * math.pi * rng.random(50)
+    cloud = np.stack([radius * np.cos(angle), radius * np.sin(angle), rng.uniform(-2.0, 2.0, 50)], axis=1)
+    for instance, source, target in zip(placed, sources, targets, strict=True):
+        inner, outer = (disc_point_isometry(complex(p[0], p[1]), tau) for p in (source, target))
+        moves = compose(outer, inner)
+        lift = float(target[2] - apply_to_coords(moves, source[None])[0, 2])
+        expected = compose(vertical_translation(lift, tau, Model.CYLINDER), moves)
+        placement = instance.placement
+        assert placement.mobius.matrix() == moves.mobius.matrix()
+        assert (placement.orientation, placement.branch_offset) == (moves.orientation, moves.branch_offset)
+        assert slabs._congruent(placement, tau)
+        np.testing.assert_allclose(apply_to_coords(placement, cloud), apply_to_coords(expected, cloud), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(apply_to_coords(placement, source[None])[0], target, rtol=0.0, atol=1e-12)
+
+
 def test_boundary_coords_apply_the_placement_to_the_model_circles(slab1) -> None:
     instance = slab1.annulus_generator(sample_interior_points(slab1, 1, seed=7)[0])
     gen = instance.generator
@@ -1018,15 +1073,16 @@ def test_plane_slab_audits_sample_no_boundary_circle(monkeypatch, construction: 
 
 # A slab's audit through lambda heights equal to example 2's planes at tau
 # 0.5, on sample_interior_points(slab, 3, seed=4): (distance, above, below,
-# above_spread, below_spread) as the sampled audit found them before the
-# plane heights got their closed form, with placements formed in Python
-# complex scalars.
+# above_spread, below_spread), recorded from the audit whose placements add
+# the fiber lift to the involutions' shift.  The sampled audit from before
+# the plane heights got their closed form, with placements formed in Python
+# complex scalars, found values within 4.5 eps relative of these.
 _SAMPLED_AUDIT_BITS = [
     ["0x1.4000000000000p-50", "-0x1.b9cb8deeedeb5p-1", "-0x1.8f0e8c84cc716p+0"]
     + ["0x1.e92c403c7681cp+1", "0x1.e92c403c7681cp+1"],
-    ["0x1.7fdb9608b724bp-51", "-0x1.222c1fcff4772p+0", "-0x1.cfdb9efe0296ep-1"]
-    + ["0x1.c0a165568e6e8p+1", "0x1.c0a165568e6e6p+1"],
-    ["0x1.d5eabcc79b879p-42", "-0x1.05c66bf668316p+0", "-0x1.6602467813596p+0"]
+    ["0x1.7be6fc186fabap-49", "-0x1.222c1fcff476ep+0", "-0x1.cfdb9efe02966p-1"]
+    + ["0x1.c0a165568e6e6p+1", "0x1.c0a165568e6e4p+1"],
+    ["0x1.c4783e2f8a693p-42", "-0x1.05c66bf668316p+0", "-0x1.6602467813596p+0"]
     + ["0x1.e91bd441e0338p+1", "0x1.e91bd441e0338p+1"],
 ]
 
@@ -1034,10 +1090,10 @@ _SAMPLED_AUDIT_BITS = [
 def test_other_heights_sample_the_circles_with_their_bits(slab2_tau05, monkeypatch) -> None:
     # Heights that are not _PlaneHeight keep the sampled circles, built once:
     # each margin and spread is the sampled one of boundary_coords' circles,
-    # bit for bit.  Their values are the earlier audit's but for the few
-    # roundings by which the placements' numpy arithmetic moves them, and a
-    # distance of rounding's size.  The closed form of the same planes lies
-    # below the sampled margins and its spreads are the exact ranges.
+    # bit for bit.  Their values are the recorded ones within a few
+    # roundings, and a distance of rounding's size.  The closed form of the
+    # same planes lies below the sampled margins and its spreads are the
+    # exact ranges.
     lower, upper = slab2_tau05.lower, slab2_tau05.upper
     slab = replace(slab2_tau05, lower=lambda x, y: lower(x, y), upper=lambda x, y: upper(x, y))
     calls = []

@@ -211,6 +211,55 @@ def test_catenoid_profile_inverse_budget_is_per_element(monkeypatch) -> None:
         catenoid_profile_inverse(CAT, heights)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    tau=st.floats(-3.0, 3.0),
+    log_d=st.floats(-3.0, 8.0),
+    fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8),
+)
+def test_catenoid_profile_inverse_is_seeded_from_its_table(tau: float, log_d: float, fractions: list) -> None:
+    # d spans the neck solve's range [1e-3, 1e8], which every slab's catenoid
+    # lies in.  Heights: 0, every node value and one ulp either side of it,
+    # one ulp below the attainable half-height, and uniform draws below it.
+    spec = CatenoidSpec(tau, 10.0**log_d)
+    table = surfaces._catenoid_table(spec.tau, spec.d)
+    half = 0.5 * catenoid_height(spec)
+    nodes = table._values
+    heights = np.concatenate(
+        [[0.0], nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, np.inf), [math.nextafter(half, 0.0)]]
+    )
+    heights = np.concatenate([heights, half * np.array(fractions)])
+    heights = heights[(heights >= 0.0) & (heights < half)]
+    reads = []
+    value_and_slope = surfaces._ProfileTable.value_and_slope
+
+    def counted(self, sigma):
+        value, slope = value_and_slope(self, sigma)
+        reads.append((sigma.copy(), value, slope))
+        return value, slope
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(surfaces._ProfileTable, "value_and_slope", counted)
+        one_at_a_time = []
+        for h in heights.tolist():
+            reads.clear()
+            one_at_a_time.append(catenoid_profile_inverse(spec, h))
+            # at most 4 table reads; the last is at the root, within the tolerance
+            assert 1 <= len(reads) <= 4
+            sigma, value, _ = reads[-1]
+            assert abs(float(value[0]) - h) <= surfaces._INVERSE_TOL * max(1.0, h)
+            root = float(sigma[0])
+            assert one_at_a_time[-1] == catenoid_neck_radius(spec) + root * root
+        reads.clear()
+        batch = catenoid_profile_inverse(spec, heights)
+    assert len(reads) <= 4
+    np.testing.assert_array_equal(batch.view(np.int64), np.array(one_at_a_time).view(np.int64))
+    # each read has the bits of the table's own value and of its integrand
+    for sigma, value, slope in reads:
+        np.testing.assert_array_equal(value.view(np.int64), table(sigma).view(np.int64))
+        np.testing.assert_array_equal(slope.view(np.int64), table.g(sigma).view(np.int64))
+
+
 @pytest.mark.parametrize("bad", [0.5, math.nan, -0.1], ids=["unattained", "nan", "negative"])
 def test_catenoid_profile_inverse_rejects_one_bad_height_in_an_array(bad: float) -> None:
     heights = np.array([0.1, 0.2, 0.3]) * catenoid_height(CAT)
